@@ -45,7 +45,7 @@ from .representations import (
     invert_word,
     peripheral_fixed_data,
 )
-from .serialize import canonical_dumps
+from .serialize import JsonRecord, canonical_dumps
 
 BLEND_THRESHOLD = 2.0 / 3.0
 
@@ -267,8 +267,12 @@ def _gram_min_eig(g: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BuildSettings:
-    """Sampling and tolerance knobs; defaults meet the certification contracts."""
+class BuildSettings(JsonRecord):
+    """Sampling and tolerance knobs; defaults meet the certification contracts.
+
+    Every certificate must rest on a non-empty sample set, so counts are
+    >= 1, tolerances > 0 and t_min < t_max; anything else is a ValueError.
+    """
 
     margin: float = 1e-6
     max_doublings: int = 40
@@ -285,23 +289,22 @@ class BuildSettings:
     spear_theta_samples: int = 16
     with_spears: bool = True
 
-    def to_json(self) -> dict:
-        return {
-            "margin": self.margin,
-            "max_doublings": self.max_doublings,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "t_count": self.t_count,
-            "bary_n": self.bary_n,
-            "equiv_t_count": self.equiv_t_count,
-            "equiv_edge_count": self.equiv_edge_count,
-            "equiv_tol": self.equiv_tol,
-            "fan_tol": self.fan_tol,
-            "spear_max_shrinks": self.spear_max_shrinks,
-            "spear_r_samples": self.spear_r_samples,
-            "spear_theta_samples": self.spear_theta_samples,
-            "with_spears": self.with_spears,
-        }
+    # range rules; subclasses with more keys extend these tuples
+    _POSITIVE = ("margin", "t_min", "t_max", "equiv_tol", "fan_tol")
+    _COUNTS = (
+        "max_doublings", "t_count", "bary_n", "equiv_t_count",
+        "equiv_edge_count", "spear_r_samples", "spear_theta_samples",
+    )
+
+    def __post_init__(self):
+        for name in self._POSITIVE:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in self._COUNTS:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.t_min >= self.t_max:
+            raise ValueError("t_min must be < t_max")
 
     @classmethod
     def from_json(cls, d) -> "BuildSettings":
@@ -309,7 +312,7 @@ class BuildSettings:
 
 
 @dataclass(frozen=True)
-class CertificationRecord:
+class CertificationRecord(JsonRecord):
     """Sampled immersion/spacelike-leaf certificate for the chosen kappa."""
 
     kappa: float
@@ -320,22 +323,6 @@ class CertificationRecord:
     min_gram_eigenvalue: float
     margin: float
     equivariance_residual: float | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "kappa_initial": self.kappa_initial,
-            "doublings": self.doublings,
-            "samples": self.samples,
-            "min_jacobian_det": self.min_jacobian_det,
-            "min_gram_eigenvalue": self.min_gram_eigenvalue,
-            "margin": self.margin,
-            "equivariance_residual": self.equivariance_residual,
-        }
-
-    @classmethod
-    def from_json(cls, d) -> "CertificationRecord":
-        return cls(**d)
 
 
 def barycentric_grid(n: int) -> np.ndarray:
@@ -423,7 +410,7 @@ def choose_kappa(simplices, blend: HexagonBlend,
 
 
 @dataclass(frozen=True)
-class SingularFiber:
+class SingularFiber(JsonRecord):
     """One puncture's singular line: base vertex, supporting lightlike line, holonomy."""
 
     puncture: str
@@ -431,25 +418,6 @@ class SingularFiber:
     line_point: np.ndarray
     line_direction: np.ndarray
     present: bool = True
-
-    def to_json(self) -> dict:
-        return {
-            "puncture": self.puncture,
-            "base_vertex": self.base_vertex,
-            "line_point": [float(x) for x in self.line_point],
-            "line_direction": [float(x) for x in self.line_direction],
-            "present": self.present,
-        }
-
-    @classmethod
-    def from_json(cls, d) -> "SingularFiber":
-        return cls(
-            d["puncture"],
-            d["base_vertex"],
-            np.array(d["line_point"], dtype=float),
-            np.array(d["line_direction"], dtype=float),
-            bool(d["present"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -506,7 +474,7 @@ class PunctureGeometry:
 
 
 @dataclass(frozen=True)
-class SpearDescriptor:
+class SpearDescriptor(JsonRecord):
     """Certified spear around a singular fiber, in normalized axis coordinates.
 
     The vertex sits on the axis; the head is the cone piece
@@ -533,22 +501,11 @@ class SpearDescriptor:
 
     def to_json(self) -> dict:
         return {
-            "puncture": self.puncture,
-            "vertex_tau": self.vertex_tau,
-            "radius": self.radius,
+            **super().to_json(),
             "ring_tau": self.ring_tau,
-            "ell": self.ell,
-            "samples": self.samples,
             "head": "tau = vertex_tau + r/2 for 0 < r < radius",
             "shaft": "r = radius, tau >= ring_tau",
         }
-
-    @classmethod
-    def from_json(cls, d) -> "SpearDescriptor":
-        return cls(
-            d["puncture"], float(d["vertex_tau"]), float(d["radius"]),
-            float(d["ell"]), int(d["samples"]),
-        )
 
 
 @dataclass

@@ -39,6 +39,10 @@ class DecompositionViolation(GeometryError):
     """A causal curve re-entered a singular fiber after leaving it."""
 
 
+class AbsentFiber(GeometryError):
+    """A fiber point on an unknown puncture or on a fiber marked absent."""
+
+
 @dataclass(frozen=True)
 class ChartPoint:
     simplex: int
@@ -93,10 +97,18 @@ class CurveNode:
         return {"point": self.point.to_json(), "transition": self.transition}
 
 
+def _present_fiber(st: PolyhedralSpacetime, point: FiberPoint):
+    """The singular fiber under ``point``; AbsentFiber unless it is present."""
+    fib = st.fibers.get(point.puncture)
+    if fib is None or not fib.present:
+        raise AbsentFiber(f"no present fiber at puncture {point.puncture!r}")
+    return fib
+
+
 def develop(st: PolyhedralSpacetime, point) -> np.ndarray:
     """Developed position of a point in the fundamental frames."""
     if isinstance(point, FiberPoint):
-        fib = st.fibers[point.puncture]
+        fib = _present_fiber(st, point)
         return fib.line_point + (st.kappa + point.t) * fib.line_direction
     sx = st.simplices[point.simplex]
     return dev_hat_points(
@@ -228,10 +240,6 @@ def cross_face(
     return new_point
 
 
-def _vertical_step(st, node: ChartPoint, dt: float) -> ChartPoint:
-    return ChartPoint(node.simplex, node.t + dt, node.alpha)
-
-
 def _normalized_tau(st: PolyhedralSpacetime, puncture: str, point) -> tuple[float, float]:
     """(tau', r'/2) of a point in the normalized model around one fiber."""
     pg = st.fans.get(puncture)
@@ -250,6 +258,7 @@ def fiber_hop_is_causal(
     band: float = 1e-9,
 ) -> bool:
     """Singular causal test: the chart point must lie in J+ of the fiber point."""
+    _present_fiber(st, fiber_pt)
     tau_f, _ = _normalized_tau(st, fiber_pt.puncture, fiber_pt)
     try:
         tau_x, half_r = _normalized_tau(st, fiber_pt.puncture, chart_pt)
@@ -289,6 +298,7 @@ def trace_causal_curve(
     rejected = 0
 
     if isinstance(start, FiberPoint):
+        _present_fiber(st, start)
         if steering == "axis":
             if t_stop <= start.t:
                 raise StuckAtSingularity(
@@ -538,6 +548,9 @@ def diamond_sample(
 ) -> DiamondSample:
     from .minkowski import CausalOrder, causal_relation
 
+    for x in (p, q):
+        if isinstance(x, FiberPoint):
+            _present_fiber(st, x)
     rng = np.random.default_rng(seed)
     kept = []
     note = "fundamental-frame heuristic; deck translates not explored"

@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,29 +54,14 @@ from .surgery import (
 )
 
 
-@dataclass
-class RunConfig:
-    """Flat run configuration; every key below is valid in a --config file.
+@dataclasses.dataclass(frozen=True)
+class RunConfig(BuildSettings):
+    """Flat run configuration; every field is a valid --config key.
 
-    Tolerances and margins must be positive; seeds are recorded in every
-    report this tool emits.
+    The build keys and their range rules come from BuildSettings; this class
+    adds the run keys.  Seeds are recorded in every report this tool emits.
     """
 
-    # builder certification
-    margin: float = 1e-6
-    max_doublings: int = 40
-    t_min: float = 0.1
-    t_max: float = 10.0
-    t_count: int = 12
-    bary_n: int = 32
-    equiv_t_count: int = 10
-    equiv_edge_count: int = 10
-    equiv_tol: float = 1e-8
-    fan_tol: float = 1e-8
-    spear_max_shrinks: int = 25
-    spear_r_samples: int = 10
-    spear_theta_samples: int = 16
-    with_spears: bool = True
     # admissibility gate
     admissibility_tol: float = 1e-9
     # causal tracing
@@ -94,52 +78,23 @@ class RunConfig:
     seed: int = 0
     normalize_theta: bool = False
 
+    _POSITIVE = BuildSettings._POSITIVE + (
+        "admissibility_tol", "t_start", "t_stop", "surgery_margin",
+    )
+    _COUNTS = BuildSettings._COUNTS + ("n_curves", "surgery_samples", "resolution")
+
     def __post_init__(self):
-        positive = (
-            "margin", "t_min", "t_max", "equiv_tol", "fan_tol",
-            "admissibility_tol", "t_start", "t_stop", "surgery_margin",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"config {name} must be > 0")
-        counts = (
-            "max_doublings", "t_count", "bary_n", "equiv_t_count",
-            "equiv_edge_count", "spear_r_samples", "spear_theta_samples",
-            "n_curves", "surgery_samples", "resolution",
-        )
-        for name in counts:
-            if getattr(self, name) < 1:
-                raise ValueError(f"config {name} must be >= 1")
-        if self.t_min >= self.t_max:
-            raise ValueError("config needs t_min < t_max")
+        super().__post_init__()
         if self.t_start >= self.t_stop:
-            raise ValueError("config needs t_start < t_stop")
+            raise ValueError("t_start must be < t_stop")
         if self.seed < 0:
-            raise ValueError("config seed must be >= 0")
-        self.leaves = tuple(float(x) for x in self.leaves)
+            raise ValueError("seed must be >= 0")
+        object.__setattr__(self, "leaves", tuple(float(x) for x in self.leaves))
 
     def build_settings(self) -> BuildSettings:
-        return BuildSettings(
-            margin=self.margin,
-            max_doublings=self.max_doublings,
-            t_min=self.t_min,
-            t_max=self.t_max,
-            t_count=self.t_count,
-            bary_n=self.bary_n,
-            equiv_t_count=self.equiv_t_count,
-            equiv_edge_count=self.equiv_edge_count,
-            equiv_tol=self.equiv_tol,
-            fan_tol=self.fan_tol,
-            spear_max_shrinks=self.spear_max_shrinks,
-            spear_r_samples=self.spear_r_samples,
-            spear_theta_samples=self.spear_theta_samples,
-            with_spears=self.with_spears,
-        )
-
-    def to_json(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["leaves"] = list(self.leaves)
-        return out
+        return BuildSettings(**{
+            f.name: getattr(self, f.name) for f in dataclasses.fields(BuildSettings)
+        })
 
 
 def _coerce(field: dataclasses.Field, raw: str):
@@ -180,9 +135,9 @@ def load_config(path: str | None, seed: int | None = None,
             values[key] = _coerce(fields[key], raw)
     cfg = RunConfig(**values)
     if seed is not None:
-        cfg.seed = seed
+        cfg = dataclasses.replace(cfg, seed=seed)
     if normalize_theta:
-        cfg.normalize_theta = True
+        cfg = dataclasses.replace(cfg, normalize_theta=True)
     return cfg
 
 
@@ -337,9 +292,7 @@ def cmd_surgery(args) -> int:
 def cmd_causal(args) -> int:
     cfg = load_config(args.config, args.seed)
     if args.curves is not None:
-        if args.curves < 1:
-            raise ValueError("--curves must be >= 1")
-        cfg.n_curves = args.curves
+        cfg = dataclasses.replace(cfg, n_curves=args.curves)
     st = _load_bundle(args.bundle)
     report = cauchy_time_report(
         st,
@@ -363,7 +316,7 @@ def cmd_mesh(args) -> int:
     if not leaves:
         raise ValueError("mesh needs at least one leaf t value")
     if args.resolution is not None:
-        cfg.resolution = args.resolution
+        cfg = dataclasses.replace(cfg, resolution=args.resolution)
     st = _load_bundle(args.bundle)
     verts, faces = mesh_data(st, leaves, cfg.resolution)
     export_mesh(st, leaves, cfg.resolution, args.out)

@@ -49,48 +49,6 @@ def _as_vec(v) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class MinkowskiVector:
-    """A point/vector of the Lorentzian plane; NaN and infinities are rejected once here."""
-
-    t: float
-    x: float
-    y: float
-
-    def __post_init__(self):
-        for name in ("t", "x", "y"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val):
-                raise ValueError(f"non-finite component {name}={val!r}")
-            object.__setattr__(self, name, val)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y])
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.t, self.x, self.y], dtype=dtype or float)
-
-    @classmethod
-    def from_array(cls, a) -> "MinkowskiVector":
-        a = _as_vec(a)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    def __add__(self, other):
-        return MinkowskiVector.from_array(self.array + np.asarray(other, dtype=float))
-
-    def __sub__(self, other):
-        return MinkowskiVector.from_array(self.array - np.asarray(other, dtype=float))
-
-    def __mul__(self, s: float):
-        return MinkowskiVector(self.t * s, self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return MinkowskiVector(-self.t, -self.x, -self.y)
-
-
 class CausalClass(enum.Enum):
     ZERO = "zero"
     SPACELIKE = "spacelike"
@@ -217,11 +175,6 @@ class AffineIsometry:
     @classmethod
     def identity(cls) -> "AffineIsometry":
         return cls(LinearIsometry.identity(), np.zeros(3))
-
-    @classmethod
-    def from_linear(cls, m) -> "AffineIsometry":
-        m = m if isinstance(m, LinearIsometry) else LinearIsometry(np.asarray(m, dtype=float))
-        return cls(m, np.zeros(3))
 
     def apply(self, v) -> np.ndarray:
         return self.linear.matrix @ _as_vec(v) + self.translation

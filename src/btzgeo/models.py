@@ -1,10 +1,10 @@
-"""Model singular spacetimes: massive-particle cones and the extreme BTZ white hole.
+"""Model singular spacetime: the extreme BTZ white hole.
 
-Coordinates are (first, radial, angular).  For cone angle alpha > 0 the metric
-is -dt^2 + dr^2 + ((alpha/2pi) r)^2 dtheta^2; for alpha = 0 the model is the
-extreme BTZ white hole with metric -2 dtau dr + dr^2 + r^2 dtheta^2.  Points
-live either on the infinite branched cover (angular in R, ``reduced=False``)
-or on the quotient where the angular coordinate is taken mod 2pi.
+Coordinates are (first, radial, angular) = (tau, r, theta) with metric
+-2 dtau dr + dr^2 + r^2 dtheta^2.  ModelPoint records a cone angle alpha, but
+the operations here cover the alpha = 0 model only.  Points live either on
+the infinite branched cover (angular in R, ``reduced=False``) or on the
+quotient where the angular coordinate is taken mod 2pi.
 
 The developing map ``dev0`` identifies the regular part of the BTZ cover with
 the open half-space {t > x} of Minkowski space; the deck transformation is a
@@ -20,19 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import (
-    CausalOrder,
-    GeometryError,
-    LinearIsometry,
-    causal_class,
-    CausalClass,
-)
+from .minkowski import CausalOrder, GeometryError, LinearIsometry
 
 TWO_PI = 2.0 * math.pi
-
-
-class AlphaZero(GeometryError):
-    """Massive-particle operation called on the BTZ model (alpha = 0)."""
 
 
 class NotSingular(GeometryError):
@@ -95,14 +85,6 @@ class ModelPoint:
 
 def btz_point(tau: float, r: float, theta: float, reduced: bool = False) -> ModelPoint:
     return ModelPoint(0.0, (tau, r, theta), reduced)
-
-
-def metric_massive(p: ModelPoint) -> np.ndarray:
-    """Metric matrix diag(-1, 1, ((alpha/2pi) r)^2) in the (t, r, theta) basis."""
-    if p.alpha == 0.0:
-        raise AlphaZero("massive metric undefined at alpha = 0; use metric_btz")
-    w = (p.alpha / TWO_PI) * p.radial
-    return np.diag([-1.0, 1.0, w * w])
 
 
 def metric_btz(p: ModelPoint) -> np.ndarray:
@@ -180,38 +162,14 @@ def h_ell_coords(ell: float, tau, r, theta):
     return ell * tau - ((ell * ell - 1.0) / (2.0 * ell)) * r, r / ell, ell * theta
 
 
-def model_isometry(p: ModelPoint, time_shift: float, angle_shift: float) -> ModelPoint:
-    """Rotation-translation (first, radial, angular) -> (first+dt, radial, angular+dtheta)."""
-    t, r, th = p.coords
-    th = th + angle_shift
-    if p.reduced:
-        th = th % TWO_PI
-    return ModelPoint(p.alpha, (t + time_shift, r, th), p.reduced)
-
-
-def project_branched(p: ModelPoint, alpha: float | None = None) -> ModelPoint:
-    """Project a cover point to the 2pi-quotient; optionally retarget the cone angle.
-
-    The angular coordinate is reduced mod 2pi; the cone angle alpha only enters
-    through the metric factor, so the projection formula is alpha-independent.
-    """
-    a = p.alpha if alpha is None else float(alpha)
-    t, r, th = p.coords
-    return ModelPoint(a, (t, r, th % TWO_PI), reduced=True)
-
-
 def holonomy_around_axis(alpha: float) -> LinearIsometry:
-    """Holonomy of the developing map around the singular axis.
+    """Holonomy of the BTZ developing map around the singular axis (alpha = 0).
 
-    For alpha > 0 it is the rotation by alpha about the t axis.  For alpha = 0
-    it is the parabolic g with g . dev0(tau, r, theta) = dev0(tau, r, theta + 2pi),
+    The parabolic g with g . dev0(tau, r, theta) = dev0(tau, r, theta + 2pi),
     obtained by solving the exact linear system on three independent image points.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if alpha > 0:
-        c, s = math.cos(alpha), math.sin(alpha)
-        return LinearIsometry(np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]]))
+    if alpha != 0:
+        raise ValueError("holonomy_around_axis is the BTZ holonomy; alpha must be 0")
     pts = [(0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 1.0)]
     before = np.column_stack([dev0(btz_point(*p)) for p in pts])
     after = np.column_stack([dev0(btz_point(t, r, th + TWO_PI)) for (t, r, th) in pts])

@@ -32,6 +32,7 @@ from .minkowski import (
     is_tangent,
     minkowski_inner,
 )
+from .serialize import JsonRecord
 
 RELATOR_TOL = 1e-9
 
@@ -257,10 +258,6 @@ class AffineRepresentation:
         return cls(pres, linear, trans, sl2=sl2 or None)
 
 
-def evaluate_word(rep: AffineRepresentation, word: str) -> AffineIsometry:
-    return rep.evaluate(word)
-
-
 class Discreteness(enum.Enum):
     CERTIFIED_BY_CONSTRUCTION = "certified_by_construction"
     NOT_CHECKED = "not_checked"
@@ -419,7 +416,7 @@ def tangent_cocycle_basis(rep: AffineRepresentation) -> list[dict[str, np.ndarra
 
 
 @dataclass(frozen=True)
-class Gluing:
+class Gluing(JsonRecord):
     """Edge pairing: left edge (triangle index, ordered vertex pair), right likewise.
 
     Convention: position(left vertex k) = word . position(right vertex k) under
@@ -431,13 +428,6 @@ class Gluing:
     left: tuple[int, tuple[str, str]]
     right: tuple[int, tuple[str, str]]
     word: str
-
-    def to_json(self) -> dict:
-        return {
-            "left": [self.left[0], list(self.left[1])],
-            "right": [self.right[0], list(self.right[1])],
-            "word": self.word,
-        }
 
     @classmethod
     def from_json(cls, d) -> "Gluing":
@@ -488,10 +478,6 @@ class IdealTriangulationData:
         }
         if set(slots) != expected or any(v != 1 for v in slots.values()):
             raise InvalidTriangulation("every edge must be glued exactly once")
-
-    def edges_of(self, tri: int) -> list[frozenset]:
-        t = self.triangles[tri]
-        return [frozenset((t[k], t[(k + 1) % 3])) for k in range(3)]
 
     def gluing_at(self, tri: int, edge: frozenset) -> tuple[Gluing, bool]:
         """Gluing containing (tri, edge); second item is True when it sits on the left."""

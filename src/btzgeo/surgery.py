@@ -25,6 +25,7 @@ import numpy as np
 
 from .minkowski import GeometryError
 from .models import TWO_PI
+from .serialize import JsonRecord
 
 DEFAULT_SAMPLES = 10_000
 
@@ -46,7 +47,7 @@ class MSearchExhausted(GeometryError):
 
 
 @dataclass(frozen=True)
-class BoundaryProfile:
+class BoundaryProfile(JsonRecord):
     """Trigonometric polynomial boundary height tau^R(theta) at radius R.
 
     value = const + sum cos[k] cos((k+1) theta) + sum sin[k] sin((k+1) theta).
@@ -97,23 +98,6 @@ class BoundaryProfile:
             (k + 1) ** 2 * abs(c) for k, c in enumerate(self.cos)
         ) + sum((k + 1) ** 2 * abs(c) for k, c in enumerate(self.sin))
         return float(np.abs(self.derivative(grid)).max()) + lip2 * (TWO_PI / n) / 2.0
-
-    def to_json(self) -> dict:
-        return {
-            "R": self.R,
-            "const": self.const,
-            "cos": list(self.cos),
-            "sin": list(self.sin),
-        }
-
-    @classmethod
-    def from_json(cls, d) -> "BoundaryProfile":
-        return cls(
-            R=float(d["R"]),
-            const=float(d.get("const", 0.0)),
-            cos=tuple(d.get("cos", ())),
-            sin=tuple(d.get("sin", ())),
-        )
 
 
 @dataclass(frozen=True)
@@ -261,17 +245,10 @@ def extend_compact(
 
 
 @dataclass(frozen=True)
-class CompletenessCertificate:
+class CompletenessCertificate(JsonRecord):
     conclusive: bool
     constant: float | None
     reason: str
-
-    def to_json(self) -> dict:
-        return {
-            "conclusive": self.conclusive,
-            "constant": self.constant,
-            "reason": self.reason,
-        }
 
 
 def completeness_certificate(sg: SurfaceGraph, samples: int = 200) -> CompletenessCertificate:
@@ -365,7 +342,7 @@ class ModelCurve:
 
 
 @dataclass(frozen=True)
-class IntersectionReport:
+class IntersectionReport(JsonRecord):
     count: int
     prediction: int
     exit_kind: str  # "shaft" or "infinity"
@@ -376,13 +353,7 @@ class IntersectionReport:
         return self.count == self.prediction
 
     def to_json(self) -> dict:
-        return {
-            "count": self.count,
-            "prediction": self.prediction,
-            "exit_kind": self.exit_kind,
-            "min_gap": self.min_gap,
-            "agree": self.agree,
-        }
+        return {**super().to_json(), "agree": self.agree}
 
 
 def intersection_count(

@@ -377,6 +377,29 @@ def test_bundle_round_trip(gamma2_deformed):
     assert back.kappa == gamma2_deformed.kappa
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"spear_r_samples": 0},
+        {"equiv_edge_count": 0},
+        {"t_count": 0},
+        {"margin": -1.0},
+        {"t_min": 5.0, "t_max": 1.0},
+    ],
+)
+def test_build_settings_range_rules(bad):
+    # every certificate must rest on a non-empty sample set
+    with pytest.raises(ValueError):
+        BuildSettings(**bad)
+
+
+def test_bundle_settings_are_validated(gamma2_zero):
+    d = gamma2_zero.to_json()
+    d["settings"]["t_count"] = 0
+    with pytest.raises(ValueError, match="t_count"):
+        PolyhedralSpacetime.from_json(d)
+
+
 def test_recheck_certification(gamma2_zero, torus_zero):
     assert recheck_certification(gamma2_zero)
     assert recheck_certification(torus_zero)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from btzgeo.builder import dev_hat
+from btzgeo.builder import dev_hat, extend_btz, strip_btz
 from btzgeo.causality import (
+    AbsentFiber,
     CausalPolyline,
     ChartPoint,
     CurveNode,
@@ -287,6 +288,28 @@ def test_diamond_sample_chart_pair(gamma2_zero):
     assert [pt.to_json() for pt in small.kept] == [
         pt.to_json() for pt in out.kept[: len(small.kept)]
     ]
+
+
+def test_absent_and_unknown_fibers_are_rejected(torus_zero):
+    chart = ChartPoint(0, 1.0, CENTER)
+    for st_, puncture in ((strip_btz(torus_zero), "c1"), (torus_zero, "nowhere")):
+        fiber = FiberPoint(puncture, 0.3)
+        with pytest.raises(AbsentFiber):
+            develop(st_, fiber)
+        with pytest.raises(AbsentFiber):
+            fiber_hop_is_causal(st_, fiber, chart)
+        for steering in ("axis", "leave_axis"):
+            with pytest.raises(AbsentFiber):
+                trace_causal_curve(st_, fiber, t_stop=3.0, steering=steering)
+        for p, q in ((fiber, chart), (chart, fiber)):
+            with pytest.raises(AbsentFiber):
+                diamond_sample(st_, p, q, budget=16)
+    # re-attaching the fiber makes it traceable again
+    extended, _ = extend_btz(strip_btz(torus_zero))
+    curve = trace_causal_curve(
+        extended, FiberPoint("c1", 0.3), t_stop=3.0, steering="leave_axis"
+    )
+    assert isinstance(curve.nodes[1].point, ChartPoint)
 
 
 def test_diamond_sample_from_fiber(gamma2_zero):

@@ -1,11 +1,14 @@
 import contextlib
+import dataclasses
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from btzgeo.cli import build_parser, main
+from btzgeo.cli import RunConfig, build_parser, load_config, main
 from btzgeo.serialize import canonical_dumps
 
 
@@ -134,6 +137,38 @@ def test_config_unknown_key(cli_dir, tmp_path):
     msg = json.loads(stderr)["message"]
     assert "unknown config key" in msg
     assert f"{cfg}:2" in msg
+
+
+def test_config_range_rules_cover_build_keys(cli_dir, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("spear_r_samples = 0\n")
+    code, _, stderr = run_cli(
+        ["build", str(cli_dir / "rep.json"), str(cli_dir / "tri.json"),
+         "--config", str(cfg), "--out", str(tmp_path / "bundle.json")]
+    )
+    assert code == 2
+    assert "spear_r_samples" in json.loads(stderr)["message"]
+
+
+def test_bundle_with_bad_settings_is_input_error(bundle_path, tmp_path):
+    bundle = json.loads(bundle_path.read_text())
+    bundle["settings"]["t_count"] = 0
+    bad = tmp_path / "bad-bundle.json"
+    bad.write_text(canonical_dumps(bundle))
+    code, _, stderr = run_cli(["causal", str(bad), "--curves", "1"])
+    assert code == 2
+    assert "t_count" in json.loads(stderr)["message"]
+
+
+def test_readme_config_block_matches_run_config(tmp_path):
+    # the README key block is the only other copy of the --config schema
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Valid keys and\s+defaults:\s*```\n(.*?)```", readme, re.S)
+    pairs = re.findall(r"(\w+)=(\S+)", block.group(1))
+    assert [key for key, _ in pairs] == [f.name for f in dataclasses.fields(RunConfig)]
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text("".join(f"{key}={raw}\n" for key, raw in pairs))
+    assert load_config(str(cfg)) == RunConfig()
 
 
 def test_config_values_apply(cli_dir, bundle_path, tmp_path):

@@ -12,7 +12,6 @@ from btzgeo.minkowski import (
     InvalidIsometry,
     IsometryKind,
     LinearIsometry,
-    MinkowskiVector,
     NoFixedPoints,
     NotParabolic,
     boost_x,
@@ -55,13 +54,6 @@ def test_inner_polarizes_form():
     rng = np.random.default_rng(0)
     for v in rng.normal(size=(50, 3)):
         assert minkowski_inner(v, v) == pytest.approx(quadratic_form(v))
-
-
-def test_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        MinkowskiVector(math.nan, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        MinkowskiVector(0.0, math.inf, 0.0)
 
 
 def test_causal_class_examples():

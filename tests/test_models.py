@@ -13,7 +13,6 @@ from btzgeo.minkowski import (
 )
 from btzgeo.models import (
     TWO_PI,
-    AlphaZero,
     ModelPoint,
     NotInImage,
     NotSingular,
@@ -28,20 +27,8 @@ from btzgeo.models import (
     holonomy_around_axis,
     in_image_dev0,
     metric_btz,
-    metric_massive,
-    model_isometry,
     parabolic_parameter,
-    project_branched,
 )
-
-
-def test_metric_massive_examples():
-    assert metric_massive(ModelPoint(TWO_PI, (0, 1, 0))) == pytest.approx(np.diag([-1, 1, 1]))
-    g = metric_massive(ModelPoint(math.pi, (0, 2, 0)))
-    assert g[2, 2] == pytest.approx(1.0)
-    assert metric_massive(ModelPoint(math.pi, (0, 0, 0)))[2, 2] == 0.0
-    with pytest.raises(AlphaZero):
-        metric_massive(btz_point(0, 1, 0))
 
 
 def test_metric_btz_examples():
@@ -134,34 +121,9 @@ def test_h_ell_group_law(ell, m):
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-def test_model_isometry_examples():
-    p = ModelPoint(math.pi, (0.0, 1.0, 0.5), reduced=True)
-    assert model_isometry(p, 0, 0).coords == p.coords
-    q = model_isometry(model_isometry(p, 1, math.pi), 1, math.pi)
-    assert q.coords == pytest.approx((2.0, 1.0, 0.5))  # angle wrapped mod 2pi
-    # metric invariance: components depend only on r, which is unchanged
-    assert metric_massive(q) == pytest.approx(metric_massive(p))
-
-
-def test_project_branched():
-    p = ModelPoint(TWO_PI, (0, 1, 3 * math.pi))
-    assert project_branched(p).coords[2] == pytest.approx(math.pi)
-    assert project_branched(p).reduced
-    axis = ModelPoint(math.pi, (0, 0, 5.0))
-    assert project_branched(axis).radial == 0.0
-
-
-def test_holonomy_around_axis_massive():
-    g = holonomy_around_axis(math.pi)
-    c = classify_isometry(g)
-    assert c.kind is IsometryKind.ELLIPTIC
-    assert c.angle == pytest.approx(math.pi)
-    assert np.trace(g.matrix) == pytest.approx(-1.0)
-    ident = holonomy_around_axis(TWO_PI)
-    assert classify_isometry(ident).kind is IsometryKind.IDENTITY
-
-
 def test_holonomy_around_axis_btz():
+    with pytest.raises(ValueError):
+        holonomy_around_axis(math.pi)  # only the BTZ (alpha = 0) holonomy exists
     g = holonomy_around_axis(0.0)
     assert classify_isometry(g).kind is IsometryKind.PARABOLIC
     assert g.apply([1, 1, 0]) == pytest.approx([1, 1, 0], abs=1e-12)
