@@ -13,10 +13,18 @@ a transition node: same manifold point, new coordinates, t unchanged.
 The tracer deliberately proposes steps with all signs of dt; on a certified
 build only dt > 0 proposals can be causal (t is a time function), so the
 monotonicity check in the report is a real assertion, not a tautology.
+
+Curves are traced in lockstep: each step evaluates the 8 proposals of every
+live curve at once, with one Jacobian call per simplex, and face crossings
+stay scalar.  Each curve still reads its own random stream in the order a
+one-curve trace reads it (3 doubles per proposal, proposals in order until
+the first accepted one), so a curve traced in a batch equals the same curve
+traced alone, node for node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +59,12 @@ class ChartPoint:
 
     def __post_init__(self):
         a = np.array(self.alpha, dtype=float)
-        if a.shape != (3,) or abs(float(a.sum()) - 1.0) > 1e-9 or np.any(a < -1e-12):
+        w = a.tolist()
+        if (a.shape != (3,) or not all(map(math.isfinite, w))
+                or abs(w[0] + w[1] + w[2] - 1.0) > 1e-9 or min(w) < -1e-12):
             raise ValueError(f"bad barycentric point {self.alpha}")
-        if self.t <= 0:
-            raise ValueError("chart t must be positive")
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise ValueError("chart t must be finite and positive")
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
 
@@ -73,8 +83,8 @@ class FiberPoint:
     t: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("fiber t must be positive")
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise ValueError("fiber t must be finite and positive")
 
     def to_json(self) -> dict:
         return {"kind": "fiber", "puncture": self.puncture, "t": self.t}
@@ -154,6 +164,36 @@ class CausalPolyline:
         }
 
 
+def _segments_are_causal(
+    st: PolyhedralSpacetime, simplex: np.ndarray, t0: np.ndarray, a0: np.ndarray,
+    t1: np.ndarray, a1: np.ndarray, band: float = 1e-9, margin: float = 0.0,
+    samples: int = 3,
+) -> np.ndarray:
+    """Future-causal test for straight chart segments at sampled tangents.
+
+    Segment i runs from (t0[i], a0[i]) to (t1[i], a1[i]) in chart simplex[i];
+    t arrays are (m,), barycentric arrays (m, 3).  One Jacobian call per
+    distinct simplex; returns a bool array (m,).
+    """
+    step = np.stack([t1 - t0, a1[:, 1] - a0[:, 1], a1[:, 2] - a0[:, 2]], axis=-1)
+    s = np.linspace(0.0, 1.0, samples)
+    ts = t0[:, None] + s * (t1 - t0)[:, None]
+    alphas = a0[:, None, :] + s[:, None] * (a1 - a0)[:, None, :]
+    out = np.any(step, axis=1) & ~np.any(ts <= 0, axis=1)
+    for k in np.flatnonzero(np.bincount(simplex[out])):
+        m = out & (simplex == k)
+        jac = dev_hat_jacobians(
+            st.simplices[k], ts[m].ravel(), alphas[m].reshape(-1, 3), st.kappa, st.blend
+        )
+        v = (jac.reshape(-1, samples, 3, 3) @ step[m][:, None, :, None])[..., 0]
+        q = quadratic_form(v)
+        scale = np.sum(v * v, axis=-1)
+        future = v[..., 0] > 0
+        causal = q <= band * np.maximum(scale, 1.0) - margin * v[..., 0] ** 2
+        out[m] = np.all(future & causal, axis=1)
+    return out
+
+
 def segment_is_causal(
     st: PolyhedralSpacetime,
     simplex: int,
@@ -163,39 +203,13 @@ def segment_is_causal(
     margin: float = 0.0,
     samples: int = 3,
 ) -> bool:
-    """Future-causal test for a straight chart segment at sampled tangents."""
-    sx = st.simplices[simplex]
-    t0, a0 = start
-    t1, a1 = end
-    step = np.array([t1 - t0, a1[1] - a0[1], a1[2] - a0[2]])
-    if not np.any(step):
-        return False
-    s = np.linspace(0.0, 1.0, samples)
-    ts = t0 + s * (t1 - t0)
-    alphas = a0[None, :] + s[:, None] * (a1 - a0)[None, :]
-    if np.any(ts <= 0):
-        return False
-    jac = dev_hat_jacobians(st.simplices[simplex], ts, alphas, st.kappa, st.blend)
-    v = jac @ step
-    q = quadratic_form(v)
-    scale = np.sum(v * v, axis=-1)
-    future = v[:, 0] > 0
-    causal = q <= band * np.maximum(scale, 1.0) - margin * v[:, 0] ** 2
-    return bool(np.all(future & causal))
-
-
-def _facet_clip(alpha0: np.ndarray, alpha1: np.ndarray) -> tuple[float, int] | None:
-    """First boundary hit of the straight barycentric path, or None if interior."""
-    d = alpha1 - alpha0
-    s_min, facet = 1.0, -1
-    for i in range(3):
-        if d[i] < 0 and alpha1[i] < 0:
-            s = alpha0[i] / -d[i]
-            if s < s_min:
-                s_min, facet = s, i
-    if facet < 0:
-        return None
-    return s_min, facet
+    """Future-causal test for one straight chart segment at sampled tangents."""
+    (t0, a0), (t1, a1) = start, end
+    return bool(_segments_are_causal(
+        st, np.array([simplex]), np.array([t0], dtype=float),
+        np.asarray(a0, dtype=float)[None, :], np.array([t1], dtype=float),
+        np.asarray(a1, dtype=float)[None, :], band=band, margin=margin, samples=samples,
+    )[0])
 
 
 def cross_face(
@@ -267,6 +281,173 @@ def fiber_hop_is_causal(
     return tau_x - half_r >= tau_f - band
 
 
+# Proposals 3 and 7 of each step are flat probes: transverse motion not tied
+# to dt, so broken (non-spacelike) leaves are actually detectable.
+_FLAT = np.array([False, False, False, True] * 2)
+# Index into the adaptive-scale history that proposal k reads: how many of
+# the non-flat proposals before it were rejected.
+_SCALE_SLOT = np.array([0, 1, 2, 3, 3, 4, 5, 6])
+_CHUNK = 120  # doubles drawn per refill of one curve's random buffer
+
+
+def _clip_to_chart(t0, dt, a0, a1):
+    """End points of proposed chart steps, cut at the first face they cross.
+
+    A step moves (t0, a0) by dt to barycentric a1, which is clipped in place;
+    arrays of any batch shape, barycentric ones with a trailing axis of 3.
+    Returns (t1, usable, crossed, facet): the end times, the steps that stay
+    usable (t > 0, not stalled on a face, not near a corner), those that end
+    on a face, and that face's zero-weight slot, the lowest one on ties.
+    """
+    d = a1 - a0
+    hits = np.divide(a0, -d, out=np.full(d.shape, np.inf), where=(d < 0) & (a1 < 0))
+    facet = np.argmin(hits, axis=-1)
+    s = hits.min(axis=-1)
+    crossed = s < 1.0
+    t1 = t0 + dt
+    usable = (t1 > 0) & (~crossed | (s >= 1e-6))
+    a1[crossed] = a0[crossed] + s[crossed][:, None] * (a1[crossed] - a0[crossed])
+    a1[crossed, facet[crossed]] = 0.0
+    t1[crossed] = t0[crossed] + s[crossed] * dt[crossed]
+    lo, mid, hi = a1[..., 0], a1[..., 1], a1[..., 2]
+    median = np.maximum(np.minimum(lo, mid), np.minimum(np.maximum(lo, mid), hi))
+    usable &= ~crossed | (median >= 1e-6)
+    return t1, usable, crossed, facet
+
+
+def _trace_lockstep(
+    st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: list[int], t_stop: float,
+    random: bool = True, max_steps: int = 600, t_step: float | None = None,
+    alpha_step: float = 0.4, cone_margin: float = 1e-6, band: float = 1e-9,
+):
+    """Trace one causal curve per chart start in lockstep; see trace_causal_curve.
+
+    Yields ``(nodes, rejected_proposals)`` per curve in start order, the start
+    node itself excluded, and raises a curve's error where that curve comes
+    up, so the first error raised is the lowest-index curve's.
+
+    Curve i draws from ``default_rng(seeds[i])``: 2 doubles for its drift,
+    then 3 per proposal.  A step evaluates all 8 proposals of every live
+    curve, accepts the first causal one and advances the curve's stream past
+    the proposals up to it, which is the stream a sequential loop consumes.
+    Node rows stay compact until a curve's nodes are yielded.
+    """
+    n = len(starts)
+    simplex = np.array([p.simplex for p in starts])
+    t = np.array([float(p.t) for p in starts])
+    alpha = np.array([p.alpha for p in starts])
+    steps_t = (np.full(n, float(t_step)) if t_step is not None
+               else np.maximum((t_stop - t) / 50.0, 1e-3))
+    if random:
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        buf = np.array([rng.random(_CHUNK) for rng in rngs])
+        # persistent transverse drift so traces genuinely wander across charts
+        bias = -1.0 + 2.0 * buf[:, :2]
+        bias /= np.maximum(np.hypot(bias[:, 0], bias[:, 1]), 1e-12)[:, None]
+        cursor = np.full(n, 2)
+    # adaptive transverse scale: the causal cone width in barycentric units
+    # varies a lot across the simplex, so learn it from accept/reject feedback
+    scale = np.full(n, alpha_step)
+    rejected = np.zeros(n, dtype=int)
+    errors: dict[int, Exception] = {}
+    failed = np.zeros(n, dtype=bool)
+    # traced nodes in trace order, (curve, simplex, transition) and (t, alpha)
+    # per row; room for 128 nodes per curve before the tables grow
+    tags = np.empty((128 * n, 3), dtype=np.int32)
+    rows = np.empty((128 * n, 4))
+    size = 0
+
+    def record(curves, transition):
+        nonlocal tags, rows, size
+        end = size + curves.size
+        if end > len(rows):
+            tags = np.concatenate([tags, np.empty_like(tags)])
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        tags[size:end, 0] = curves
+        tags[size:end, 1] = simplex[curves]
+        tags[size:end, 2] = transition
+        rows[size:end, 0] = t[curves]
+        rows[size:end, 1:] = alpha[curves]
+        size = end
+
+    live = np.flatnonzero(t < t_stop)
+    for _ in range(max_steps):
+        if live.size == 0:
+            break
+        cross_facet = np.full(live.size, -1)
+        if not random:
+            t[live] += steps_t[live]
+        else:
+            for i in live[cursor[live] + 24 > _CHUNK]:
+                buf[i] = np.concatenate([buf[i, cursor[i]:], rngs[i].random(cursor[i])])
+                cursor[i] = 0
+            u = buf[live[:, None], cursor[live][:, None] + np.arange(24)]
+            u = u.reshape(live.size, 8, 3)
+            hist = np.empty((live.size, 7))  # scale after 0..6 rejections
+            hist[:, 0] = scale[live]
+            for j in range(1, 7):
+                hist[:, j] = np.maximum(hist[:, j - 1] * 0.85, 0.02)
+            sc = hist[:, _SCALE_SLOT]
+            ts = steps_t[live][:, None]
+            # uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
+            dt = (-0.25 + np.where(_FLAT, 0.5, 1.25) * u[..., 0]) * ts
+            wobble = -1.0 + 2.0 * u[..., 1:]
+            da = np.where(
+                _FLAT[:, None],
+                wobble * alpha_step * ts[..., None],
+                (0.7 * bias[live][:, None, :] + 0.5 * wobble) * sc[..., None]
+                * np.maximum(dt, 0.0)[..., None],
+            )
+            t0 = np.broadcast_to(t[live][:, None], dt.shape)
+            a0 = np.broadcast_to(alpha[live][:, None, :], dt.shape + (3,))
+            a1 = a0 + np.stack([-da[..., 0] - da[..., 1], da[..., 0], da[..., 1]], axis=-1)
+            t1, ok, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
+            ok[ok] = _segments_are_causal(
+                st, np.broadcast_to(simplex[live][:, None], ok.shape)[ok],
+                t0[ok], a0[ok], t1[ok], a1[ok], band=band, margin=cone_margin,
+            )
+            has = ok.any(axis=1)
+            k = np.argmax(ok, axis=1)
+            lane = np.arange(live.size)
+            rejected[live] += np.where(has, k, 8)
+            cursor[live] += 3 * np.where(has, k + 1, 8)
+            sk = sc[lane, k]
+            scale[live] = np.where(
+                has, np.where(_FLAT[k], sk, np.minimum(sk * 1.25, 3.0 * alpha_step)), hist[:, 6]
+            )
+            t[live] = np.where(has, t1[lane, k], t[live] + steps_t[live])
+            alpha[live] = np.where(has[:, None], a1[lane, k], alpha[live])
+            cross_facet = np.where(has & crossed[lane, k], facet[lane, k], -1)
+        record(live, False)
+        moved = []
+        for i, f in zip(live[cross_facet >= 0], cross_facet[cross_facet >= 0]):
+            try:
+                nxt = cross_face(st, ChartPoint(int(simplex[i]), float(t[i]), alpha[i]), int(f))
+            except (GeometryError, ValueError) as exc:
+                errors[int(i)] = exc
+                failed[i] = True
+                continue
+            simplex[i] = nxt.simplex
+            alpha[i] = nxt.alpha
+            moved.append(i)
+        record(np.array(moved, dtype=int), True)
+        live = live[(t[live] < t_stop) & ~failed[live]]
+    for i in live:
+        errors[int(i)] = GeometryError(f"tracer exhausted {max_steps} steps below t_stop")
+
+    tags, rows = tags[:size], rows[:size]
+    for i in range(n):
+        mine = tags[:, 0] == i
+        nodes = [
+            CurveNode(ChartPoint(sx, ti, a), transition=bool(tr))
+            for (_, sx, tr), ti, a in zip(tags[mine].tolist(), rows[mine, 0].tolist(),
+                                          rows[mine, 1:])
+        ]
+        if i in errors:
+            raise errors[i]
+        yield nodes, int(rejected[i])
+
+
 def trace_causal_curve(
     st: PolyhedralSpacetime,
     start,
@@ -293,7 +474,10 @@ def trace_causal_curve(
     """
     if steering not in ("vertical", "random", "axis", "leave_axis"):
         raise ValueError(f"unknown steering {steering!r}")
-    rng = np.random.default_rng(seed)
+    if not math.isfinite(t_stop):
+        raise ValueError("t_stop must be finite")
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     nodes = [CurveNode(start)]
     rejected = 0
 
@@ -340,77 +524,13 @@ def trace_causal_curve(
     else:
         raise TypeError(f"unsupported start point {start!r}")
 
-    if t_step is None:
-        t_step = max((t_stop - cur.t) / 50.0, 1e-3)
-
-    steps = 0
-    # persistent transverse drift so traces genuinely wander across charts
-    bias = rng.uniform(-1.0, 1.0, size=2)
-    bias /= max(float(np.hypot(*bias)), 1e-12)
-    # adaptive transverse scale: the causal cone width in barycentric units
-    # varies a lot across the simplex, so learn it from accept/reject feedback
-    scale = alpha_step
-    def _try(dt, da):
-        alpha1 = cur.alpha + np.array([-da[0] - da[1], da[0], da[1]])
-        t1 = cur.t + dt
-        if t1 <= 0:
-            return None
-        clip = _facet_clip(cur.alpha, alpha1)
-        crossing = None
-        if clip is not None:
-            s, facet = clip
-            if s < 1e-6:
-                return None
-            alpha1 = cur.alpha + s * (alpha1 - cur.alpha)
-            alpha1[facet] = 0.0
-            t1 = cur.t + s * dt
-            if t1 <= 0:
-                return None
-            # reject if the clipped point is too close to a corner
-            if sorted(alpha1)[1] < 1e-6:
-                return None
-            crossing = facet
-        if not segment_is_causal(
-            st, cur.simplex, (cur.t, cur.alpha), (t1, alpha1),
-            band=band, margin=cone_margin,
-        ):
-            return None
-        return t1, alpha1, crossing
-
-    while cur.t < t_stop and steps < max_steps:
-        steps += 1
-        accepted = None
-        if steering_rest == "random":
-            for k in range(8):
-                if k % 4 == 3:
-                    # flat probe: transverse motion not tied to dt, so broken
-                    # (non-spacelike) leaves are actually detectable
-                    dt = float(rng.uniform(-0.25, 0.25)) * t_step
-                    da = rng.uniform(-1.0, 1.0, size=2) * alpha_step * t_step
-                    accepted = _try(dt, da)
-                else:
-                    dt = float(rng.uniform(-0.25, 1.0)) * t_step
-                    da = (0.7 * bias + 0.5 * rng.uniform(-1.0, 1.0, size=2)) * scale * max(dt, 0.0)
-                    accepted = _try(dt, da)
-                    if accepted is None:
-                        scale = max(scale * 0.85, 0.02)
-                    else:
-                        scale = min(scale * 1.25, 3.0 * alpha_step)
-                if accepted is not None:
-                    break
-                rejected += 1
-        if accepted is None:
-            accepted = (cur.t + t_step, cur.alpha, None)
-        t1, alpha1, crossing = accepted
-        nxt = ChartPoint(cur.simplex, t1, alpha1)
-        nodes.append(CurveNode(nxt))
-        if crossing is not None:
-            nxt = cross_face(st, nxt, crossing)
-            nodes.append(CurveNode(nxt, transition=True))
-        cur = nxt
-    if cur.t < t_stop:
-        raise GeometryError(f"tracer exhausted {max_steps} steps below t_stop")
-    return CausalPolyline(nodes, seed=seed, steering=steering, rejected_proposals=rejected)
+    ((rest, rest_rejected),) = _trace_lockstep(
+        st, [cur], [seed], t_stop, random=steering_rest == "random",
+        max_steps=max_steps, t_step=t_step, alpha_step=alpha_step,
+        cone_margin=cone_margin, band=band,
+    )
+    return CausalPolyline(nodes + rest, seed=seed, steering=steering,
+                          rejected_proposals=rejected + rest_rejected)
 
 
 def validate_polyline(st: PolyhedralSpacetime, curve: CausalPolyline,
@@ -470,19 +590,30 @@ def cauchy_time_report(
     """Trace random causal curves and check t is a time function with Cauchy leaves.
 
     Each curve must have strictly increasing t, no decomposition violation,
-    and cross each sampled leaf in (t_start, t_stop) exactly once.
+    and cross each sampled leaf in (t_start, t_stop) exactly once.  Starts
+    and curve seeds are drawn up front from ``seed``; the curves are then
+    traced in lockstep, each exactly as trace_causal_curve traces it alone.
     """
+    if n_curves < 1:
+        raise ValueError("n_curves must be >= 1")
+    if not all(math.isfinite(x) and x > 0 for x in (t_start, t_stop)):
+        raise ValueError("t_start and t_stop must be finite and > 0")
+    if t_start >= t_stop:
+        raise ValueError("t_start must be < t_stop")
     rng = np.random.default_rng(seed)
     inner = [leaf for leaf in leaves if t_start < leaf < t_stop]
-    curves = []
-    failures = 0
-    for k in range(n_curves):
+    starts, seeds = [], []
+    for _ in range(n_curves):
         simplex = int(rng.integers(len(st.simplices)))
         alpha = 0.7 * rng.dirichlet(np.ones(3)) + 0.3 / 3.0
-        start = ChartPoint(simplex, t_start, alpha)
-        curve = trace_causal_curve(
-            st, start, t_stop=t_stop, steering="random", seed=int(rng.integers(2**32))
-        )
+        starts.append(ChartPoint(simplex, t_start, alpha))
+        seeds.append(int(rng.integers(2**32)))
+    curves = []
+    failures = 0
+    traces = _trace_lockstep(st, starts, seeds, t_stop)
+    for k, (start, curve_seed, (nodes, rejected)) in enumerate(zip(starts, seeds, traces)):
+        curve = CausalPolyline([CurveNode(start)] + nodes, seed=curve_seed,
+                               steering="random", rejected_proposals=rejected)
         monotone = curve.strictly_increasing_t()
         crossings = {repr(leaf): curve.leaf_crossings(leaf) for leaf in inner}
         try:

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from btzgeo.builder import dev_hat, extend_btz, strip_btz
+from btzgeo.builder import dev_hat, dev_hat_jacobians, extend_btz, strip_btz
 from btzgeo.causality import (
     AbsentFiber,
     CausalPolyline,
@@ -11,6 +13,8 @@ from btzgeo.causality import (
     DecompositionViolation,
     FiberPoint,
     StuckAtSingularity,
+    _clip_to_chart,
+    _trace_lockstep,
     btz_decomposition,
     cauchy_time_report,
     cross_face,
@@ -22,7 +26,7 @@ from btzgeo.causality import (
     trace_causal_curve,
     validate_polyline,
 )
-from btzgeo.minkowski import CausalOrder, causal_relation
+from btzgeo.minkowski import CausalOrder, GeometryError, causal_relation, quadratic_form
 from btzgeo.representations import builtin_examples
 
 CENTER = np.array([1, 1, 1]) / 3.0
@@ -37,6 +41,13 @@ def test_point_validation():
         ChartPoint(0, 0.0, CENTER)
     with pytest.raises(ValueError):
         FiberPoint("c1", -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ChartPoint(0, bad, CENTER)
+        with pytest.raises(ValueError):
+            FiberPoint("c1", bad)
+    with pytest.raises(ValueError):
+        ChartPoint(0, 1.0, np.array([math.nan, 0.5, 0.5]))
     pt = ChartPoint(1, 2.0, CENTER)
     back = point_from_json(pt.to_json())
     assert (back.simplex, back.t) == (1, 2.0)
@@ -123,6 +134,13 @@ def test_trace_rejects_bad_steering(gamma2_zero):
     fiber = FiberPoint("c1", 0.5)
     with pytest.raises(StuckAtSingularity):
         trace_causal_curve(gamma2_zero, fiber, t_stop=2.0, steering="random")
+    for t_stop in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            trace_causal_curve(gamma2_zero, start, t_stop=t_stop)
+    with pytest.raises(ValueError):
+        trace_causal_curve(gamma2_zero, start, t_stop=1.0, max_steps=0)
+    with pytest.raises(GeometryError, match="exhausted"):
+        trace_causal_curve(gamma2_zero, start, t_stop=1.0, max_steps=2)
 
 
 def test_trace_axis(gamma2_zero):
@@ -231,6 +249,196 @@ def test_cauchy_time_report_passes_and_replays(gamma2_zero):
 def test_cauchy_time_report_torus(torus_deformed):
     rep = cauchy_time_report(torus_deformed, n_curves=15, seed=5)
     assert rep["pass"] is True
+
+
+# Per-curve (nodes, rejected_proposals) of these two reports as the
+# sequential one-curve-at-a-time tracer produced them.
+PINNED_GAMMA2_ZERO_25_SEED3 = [
+    (97, 166), (107, 172), (98, 150), (98, 168), (103, 177), (105, 185), (100, 170),
+    (93, 177), (83, 290), (94, 166), (103, 193), (83, 271), (100, 169), (105, 178),
+    (79, 321), (98, 155), (97, 188), (60, 358), (104, 168), (100, 233), (107, 177),
+    (112, 223), (102, 168), (103, 168), (103, 182),
+]
+PINNED_TORUS_DEFORMED_15_SEED5 = [
+    (97, 163), (99, 162), (97, 164), (95, 156), (103, 174), (69, 281), (95, 180),
+    (109, 187), (102, 171), (104, 175), (102, 168), (100, 166), (106, 173), (101, 172),
+    (106, 200),
+]
+
+
+@pytest.mark.parametrize("fixture, n_curves, seed, pinned", [
+    ("gamma2_zero", 25, 3, PINNED_GAMMA2_ZERO_25_SEED3),
+    ("torus_deformed", 15, 5, PINNED_TORUS_DEFORMED_15_SEED5),
+])
+def test_cauchy_time_report_matches_pinned_curves(request, fixture, n_curves, seed, pinned):
+    rep = cauchy_time_report(request.getfixturevalue(fixture), n_curves=n_curves, seed=seed)
+    assert [(c["nodes"], c["rejected_proposals"]) for c in rep["curves"]] == pinned
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.25, 1.0), (-0.25, 0.25), (-1.0, 1.0)])
+def test_uniform_is_scaled_random_bit_for_bit(lo, hi):
+    # The lockstep tracer reads its proposals from rng.random() buffers; the
+    # traces stay those of per-proposal rng.uniform() draws only while numpy
+    # keeps this identity.
+    for seed in range(5):
+        drawn = np.random.default_rng(seed).uniform(lo, hi, size=2000)
+        scaled = lo + (hi - lo) * np.random.default_rng(seed).random(2000)
+        assert np.array_equal(drawn, scaled)
+        rng = np.random.default_rng(seed)
+        scalars = [rng.uniform(lo, hi) for _ in range(50)]
+        assert scalars == (lo + (hi - lo) * np.random.default_rng(seed).random(50)).tolist()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_curves": 0},
+    {"n_curves": -1},
+    {"t_start": 3.0, "t_stop": 2.0},
+    {"t_start": 2.0, "t_stop": 2.0},
+    {"t_start": math.nan},
+    {"t_stop": math.nan},
+    {"t_stop": math.inf},
+    {"t_start": 0.0},
+    {"t_start": -1.0, "t_stop": 2.0},
+])
+def test_cauchy_time_report_rejects_bad_input(gamma2_zero, kwargs):
+    with pytest.raises(ValueError):
+        cauchy_time_report(gamma2_zero, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["gamma2_zero", "gamma2_deformed", "torus_zero", "torus_deformed"]
+)
+def test_lockstep_batch_matches_one_curve_traces(request, fixture):
+    st_ = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(11)
+    starts = [
+        ChartPoint(k % len(st_.simplices), 0.2 + 0.1 * k, rng.dirichlet(np.ones(3)))
+        for k in range(6)
+    ]
+    seeds = [int(x) for x in rng.integers(2**32, size=len(starts))]
+    batch = list(_trace_lockstep(st_, starts, seeds, t_stop=3.0))
+    transitions = 0
+    for start, seed, (nodes, rejected) in zip(starts, seeds, batch):
+        alone = trace_causal_curve(st_, start, t_stop=3.0, seed=seed)
+        assert [n.to_json() for n in alone.nodes] == [
+            n.to_json() for n in [CurveNode(start)] + nodes
+        ]
+        assert alone.rejected_proposals == rejected
+        transitions += sum(n.transition for n in nodes)
+    assert transitions > 0  # the batch exercises face crossings
+
+
+def _reference_clip(t0, dt, a0, a1):
+    """Scalar clip of one chart step: (t1, a1, facet or None), or None if unusable."""
+    t1 = t0 + dt
+    if t1 <= 0:
+        return None
+    d = a1 - a0
+    s_min, facet = 1.0, -1
+    for i in range(3):
+        if d[i] < 0 and a1[i] < 0 and a0[i] / -d[i] < s_min:
+            s_min, facet = a0[i] / -d[i], i
+    if facet < 0:
+        return t1, a1, None
+    if s_min < 1e-6:
+        return None
+    a1 = a0 + s_min * (a1 - a0)
+    a1[facet] = 0.0
+    t1 = t0 + s_min * dt
+    if t1 <= 0 or sorted(a1)[1] < 1e-6:
+        return None
+    return t1, a1, facet
+
+
+def test_clip_to_chart_matches_scalar_reference():
+    rng = np.random.default_rng(4)
+    a0 = rng.dirichlet(np.ones(3), size=(400, 1))
+    a0[:100, 0, 0] = 1e-9  # stalls: a face hit at s < 1e-6
+    # crossings that land near a corner, at each of the three corners
+    a0[100:150, 0] = rng.permuted(np.tile([1 - 2e-7, 1e-7, 1e-7], (50, 1)), axis=1)
+    a0[150:200, 0] = [0.5, 0.25, 0.25]  # two faces hit at once: a corner again
+    a0 /= a0.sum(axis=-1, keepdims=True)
+    da = rng.normal(size=(400, 4, 2)) * rng.choice([1e-3, 0.3, 2.0], size=(400, 4, 1))
+    da[150:200, :, 1] = da[150:200, :, 0]
+    t0 = np.broadcast_to(rng.uniform(0.1, 2.0, size=(400, 1)), (400, 4))
+    dt = rng.uniform(-0.5, 1.0, size=(400, 4))
+    a0 = np.broadcast_to(a0, (400, 4, 3))
+    a1 = a0 + np.stack([-da[..., 0] - da[..., 1], da[..., 0], da[..., 1]], axis=-1)
+    expect = [_reference_clip(t0[i], dt[i], a0[i], a1[i].copy()) for i in np.ndindex(dt.shape)]
+    t1, usable, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
+    outcomes = set()
+    for i, ref in zip(np.ndindex(dt.shape), expect):
+        assert usable[i] == (ref is not None), i
+        if ref is not None:
+            assert (t1[i], a1[i].tolist()) == (ref[0], ref[1].tolist())
+            assert (facet[i] if crossed[i] else None) == ref[2]
+        outcomes.add("unusable" if ref is None else ("crossed" if crossed[i] else "inside"))
+    assert outcomes == {"unusable", "crossed", "inside"}
+
+
+def _sequential_trace(st_, start, t_stop, seed, alpha_step=0.4, cone_margin=1e-6,
+                      band=1e-9):
+    """Reference: the one-proposal-at-a-time random tracer, scalar throughout."""
+    rng = np.random.default_rng(seed)
+    nodes, rejected, cur = [CurveNode(start)], 0, start
+    t_step = max((t_stop - cur.t) / 50.0, 1e-3)
+    bias = rng.uniform(-1.0, 1.0, size=2)
+    bias /= max(float(np.hypot(*bias)), 1e-12)
+    scale = alpha_step
+
+    def causal(t1, a1):
+        t0, a0 = cur.t, cur.alpha
+        step = np.array([t1 - t0, a1[1] - a0[1], a1[2] - a0[2]])
+        s = np.linspace(0.0, 1.0, 3)
+        ts = t0 + s * (t1 - t0)
+        if not np.any(step) or np.any(ts <= 0):
+            return False
+        alphas = a0[None, :] + s[:, None] * (a1 - a0)[None, :]
+        v = dev_hat_jacobians(st_.simplices[cur.simplex], ts, alphas, st_.kappa,
+                              st_.blend) @ step
+        bound = band * np.maximum(np.sum(v * v, axis=-1), 1.0) - cone_margin * v[:, 0] ** 2
+        return bool(np.all((v[:, 0] > 0) & (quadratic_form(v) <= bound)))
+
+    def attempt(dt, da):
+        clipped = _reference_clip(cur.t, dt, cur.alpha, cur.alpha + np.array(
+            [-da[0] - da[1], da[0], da[1]]))
+        return clipped if clipped is not None and causal(*clipped[:2]) else None
+
+    while cur.t < t_stop:
+        accepted = None
+        for k in range(8):
+            if k % 4 == 3:
+                dt = float(rng.uniform(-0.25, 0.25)) * t_step
+                accepted = attempt(dt, rng.uniform(-1.0, 1.0, size=2) * alpha_step * t_step)
+            else:
+                dt = float(rng.uniform(-0.25, 1.0)) * t_step
+                wobble = rng.uniform(-1.0, 1.0, size=2)
+                accepted = attempt(dt, (0.7 * bias + 0.5 * wobble) * scale * max(dt, 0.0))
+                scale = max(scale * 0.85, 0.02) if accepted is None else min(
+                    scale * 1.25, 3.0 * alpha_step)
+            if accepted is not None:
+                break
+            rejected += 1
+        t1, alpha1, facet = accepted or (cur.t + t_step, cur.alpha, None)
+        cur = ChartPoint(cur.simplex, t1, alpha1)
+        nodes.append(CurveNode(cur))
+        if facet is not None:
+            cur = cross_face(st_, cur, facet)
+            nodes.append(CurveNode(cur, transition=True))
+    return nodes, rejected
+
+
+def test_trace_matches_sequential_reference(gamma2_deformed, torus_zero):
+    transitions = 0
+    for st_ in (gamma2_deformed, torus_zero):
+        for seed in range(3):
+            start = ChartPoint(seed % len(st_.simplices), 0.2, np.array([0.5, 0.3, 0.2]))
+            nodes, rejected = _sequential_trace(st_, start, 3.0, seed)
+            curve = trace_causal_curve(st_, start, t_stop=3.0, seed=seed)
+            assert [n.to_json() for n in curve.nodes] == [n.to_json() for n in nodes]
+            assert curve.rejected_proposals == rejected
+            transitions += sum(n.transition for n in nodes)
+    assert transitions > 0
 
 
 def test_cauchy_time_report_catches_broken_leaves(examples):
