@@ -21,7 +21,6 @@ and re-attaching the singular fibers.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -36,7 +35,6 @@ from .minkowski import (
 )
 from .models import TWO_PI, axis_deck_generator, dev0_array, dev0_inverse, h_ell_coords
 from .representations import (
-    AdmissibilityReport,
     AffineRepresentation,
     IdealTriangulationData,
     InvalidTriangulation,
@@ -89,7 +87,6 @@ class DecoratedSimplex:
     vertices: tuple[str, str, str]
     u: np.ndarray  # (3, 3), rows u_1, u_2, u_3
     p: np.ndarray  # (3, 3), rows p_1, p_2, p_3
-    word: str = ""
 
     def __post_init__(self):
         u = np.array(self.u, dtype=float)
@@ -103,16 +100,6 @@ class DecoratedSimplex:
         p.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "p", p)
-
-    def translated(self, rep: AffineRepresentation, word: str) -> "DecoratedSimplex":
-        g = rep.evaluate(word)
-        return DecoratedSimplex(
-            self.triangle,
-            self.vertices,
-            (g.linear.matrix @ self.u.T).T,
-            np.stack([g.apply(row) for row in self.p]),
-            word=word,
-        )
 
 
 class HexagonBlend:
@@ -271,7 +258,8 @@ class BuildSettings(JsonRecord):
     """Sampling and tolerance knobs; defaults meet the certification contracts.
 
     Every certificate must rest on a non-empty sample set, so counts are
-    >= 1, tolerances > 0 and t_min < t_max; anything else is a ValueError.
+    >= 1, tolerances finite and > 0 and t_min < t_max; anything else is a
+    ValueError.
     """
 
     margin: float = 1e-6
@@ -298,8 +286,9 @@ class BuildSettings(JsonRecord):
 
     def __post_init__(self):
         for name in self._POSITIVE:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
         for name in self._COUNTS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -343,31 +332,27 @@ def barycentric_grid(n: int) -> np.ndarray:
 
 
 def _certify_once(simplices, blend, kappa, t_values, grid, margin):
-    """One certification pass; returns (ok, stats dict)."""
-    min_det = math.inf
-    min_eig = math.inf
+    """One certification pass over every simplex x t x grid sample; returns (ok, stats).
+
+    ``worst`` names the lowest Jacobian sample if the Jacobian fails the
+    margin, else the lowest leaf-Gram sample if that fails, else None.
+    """
+    ts = np.repeat(t_values, len(grid))
+    alphas = np.tile(grid, (len(t_values), 1))
+    dets = np.stack([
+        np.linalg.det(dev_hat_jacobians(sx, ts, alphas, kappa, blend)) for sx in simplices
+    ])
+    eigs = np.stack([_gram_min_eig(leaf_gram(sx, t_values, kappa)) for sx in simplices])
+    min_det, min_eig = float(dets.min()), float(eigs.min())
     worst = None
-    n_samples = 0
-    for sx in simplices:
-        eigs = _gram_min_eig(leaf_gram(sx, t_values, kappa))
-        low = float(eigs.min())
-        if low < min_eig:
-            min_eig = low
-            if low <= margin:
-                worst = ("gram", sx.triangle, float(t_values[int(np.argmin(eigs))]))
-        for t in t_values:
-            ts = np.full(len(grid), t)
-            dets = np.linalg.det(dev_hat_jacobians(sx, ts, grid, kappa, blend))
-            n_samples += len(grid)
-            low = float(dets.min())
-            if low < min_det:
-                min_det = low
-                if low <= margin:
-                    k = int(np.argmin(dets))
-                    worst = ("jacobian", sx.triangle, float(t), tuple(grid[k]))
-    ok = min_det > margin and min_eig > margin
-    return ok, {
-        "samples": n_samples,
+    if min_det <= margin:
+        s, k = np.unravel_index(np.argmin(dets), dets.shape)
+        worst = ("jacobian", simplices[s].triangle, float(ts[k]), tuple(alphas[k].tolist()))
+    elif min_eig <= margin:
+        s, k = np.unravel_index(np.argmin(eigs), eigs.shape)
+        worst = ("gram", simplices[s].triangle, float(t_values[k]))
+    return min_det > margin and min_eig > margin, {
+        "samples": dets.size,
         "min_jacobian_det": min_det,
         "min_gram_eigenvalue": min_eig,
         "worst": worst,
@@ -524,13 +509,6 @@ class PolyhedralSpacetime:
     settings: BuildSettings
     fans: dict[str, PunctureGeometry] = field(default_factory=dict)
     spears: dict[str, SpearDescriptor] = field(default_factory=dict)
-
-    @property
-    def admissibility(self) -> AdmissibilityReport:
-        return check_admissible(self.representation)
-
-    def simplex(self, index: int) -> DecoratedSimplex:
-        return self.simplices[index]
 
     def to_json(self) -> dict:
         return {
@@ -689,23 +667,22 @@ def verify_face_equivariance(
     """Max residual of dev_hat matching across glued faces; raises FaceMismatch."""
     t_values = np.geomspace(settings.t_min, settings.t_max, settings.equiv_t_count)
     s_values = (np.arange(settings.equiv_edge_count) + 0.5) / settings.equiv_edge_count
+    ts = np.tile(t_values, len(s_values))
+    s = np.repeat(s_values, len(t_values))
+
+    def edge_points(sx: DecoratedSimplex, pair) -> np.ndarray:
+        alpha = np.zeros((len(s), 3))
+        alpha[:, sx.vertices.index(pair[0])] = s
+        alpha[:, sx.vertices.index(pair[1])] = 1.0 - s
+        return dev_hat_points(sx, ts, alpha, kappa, blend)
+
     worst = 0.0
     for g in tri.gluings:
         (li, lpair), (ri, rpair) = g.left, g.right
         iso = rep.evaluate(g.word)
-        sl, sr = simplices[li], simplices[ri]
-        il = [sl.vertices.index(v) for v in lpair]
-        ir = [sr.vertices.index(v) for v in rpair]
-        for s in s_values:
-            al = np.zeros(3)
-            al[il[0]], al[il[1]] = s, 1.0 - s
-            ar = np.zeros(3)
-            ar[ir[0]], ar[ir[1]] = s, 1.0 - s
-            xl = dev_hat_points(sl, t_values, np.tile(al, (len(t_values), 1)), kappa, blend)
-            xr = dev_hat_points(sr, t_values, np.tile(ar, (len(t_values), 1)), kappa, blend)
-            xr = (iso.linear.matrix @ xr.T).T + iso.translation
-            res = float(np.abs(xl - xr).max())
-            worst = max(worst, res)
+        xl = edge_points(simplices[li], lpair)
+        xr = (iso.linear.matrix @ edge_points(simplices[ri], rpair).T).T + iso.translation
+        worst = max(worst, float(np.abs(xl - xr).max()))
     if worst > settings.equiv_tol:
         raise FaceMismatch(f"glued faces disagree by {worst:.3e}")
     return worst
@@ -897,10 +874,10 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
 
 
 def model_to_minkowski(pg: PunctureGeometry, point) -> np.ndarray:
-    """Normalized axis coordinates (tau, r, theta) -> ambient Minkowski point."""
-    tau, r, theta = (float(v) for v in point)
+    """Normalized axis coordinates (..., 3) of (tau, r, theta) -> Minkowski points (..., 3)."""
+    tau, r, theta = np.moveaxis(np.asarray(point, dtype=float), -1, 0)
     x = dev0_array(*h_ell_coords(pg.ell, tau, r, theta))
-    return pg.frame.matrix @ x + pg.line_point
+    return x @ pg.frame.matrix.T + pg.line_point
 
 
 def minkowski_to_model(pg: PunctureGeometry, x) -> tuple[float, float, float]:
@@ -911,39 +888,41 @@ def minkowski_to_model(pg: PunctureGeometry, x) -> tuple[float, float, float]:
     return float(tau), float(r), float(theta)
 
 
-def _prism_membership(pg: PunctureGeometry, x: np.ndarray) -> tuple[bool, tuple]:
-    """Is the ambient point x inside the fan prism covering its angle window?"""
-    windows = [e.theta for e in pg.fan]
+def _in_fan_prisms(pg: PunctureGeometry, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which ambient points x (m, 3) lie in the fan prism of their angle window.
+
+    A point in front of the axis gets its angle lifted into the first period,
+    is moved there by the matching deck shift, and is solved for prism
+    coordinates (t, a, b) over the window's corner anchors.  Returns inside
+    (m,) and info (m, 4) = (window, t, a, b); the window is -1 behind the axis
+    and (t, a, b) is NaN there or where the window's prism is singular, and
+    both count as outside.
+    """
+    frame_inv = pg.frame.inverse().matrix
     d = x - pg.anchor
-    gap_ok = minkowski_inner(d, pg.line_direction) < 0
-    if not gap_ok:
-        return False, ("outside-halfspace",)
-    theta = _axis_angle(pg.frame.inverse().matrix, d)
-    lo, hi = windows[0], windows[pg.r]
-    span = hi - lo
-    lifted = lo + ((theta - lo) % span)
-    n = bisect.bisect_right(windows, lifted) - 1
-    n = min(max(n, 0), pg.r - 1)
-    m = np.column_stack([
-        pg.line_direction,
-        pg.fan[n].anchor - pg.anchor,
-        pg.fan[n + 1].anchor - pg.anchor,
-    ])
-    deck = _deck_shift(pg, lifted - theta)
-    target = deck @ (x - pg.anchor)
-    try:
-        t, a, b = np.linalg.solve(m, target)
-    except np.linalg.LinAlgError:
-        return False, ("singular-prism", n)
-    ok = t > 1e-12 and a >= -1e-9 and b >= -1e-9 and a + b <= 1.0 / 3.0 + 1e-9
-    return ok, (n, float(t), float(a), float(b))
-
-
-def _deck_shift(pg: PunctureGeometry, dtheta_raw: float) -> np.ndarray:
-    """Linear map shifting the raw axis angle by dtheta_raw around this fiber."""
-    n0 = pg.frame.matrix @ axis_deck_generator() @ pg.frame.inverse().matrix
-    sn = dtheta_raw * n0
-    return np.eye(3) + sn + 0.5 * (sn @ sn)
+    w = d @ frame_inv.T
+    gap = w[:, 0] - w[:, 1]
+    front = gap > 0
+    theta = -w[:, 2] / np.where(front, gap, 1.0)
+    windows = np.array([e.theta for e in pg.fan])
+    lo, span = windows[0], windows[pg.r] - windows[0]
+    lifted = lo + (theta - lo) % span
+    n = np.clip(np.searchsorted(windows, lifted, side="right") - 1, 0, pg.r - 1)
+    corners = np.array([e.anchor for e in pg.fan[: pg.r + 1]]) - pg.anchor
+    axis = np.broadcast_to(pg.line_direction, (pg.r, 3))
+    prisms = np.stack([axis, corners[:-1], corners[1:]], axis=-1)
+    singular = np.linalg.det(prisms) == 0.0
+    prisms[singular] = np.eye(3)
+    n0 = pg.frame.matrix @ axis_deck_generator() @ frame_inv
+    sn = (lifted - theta)[:, None, None] * n0
+    deck = np.eye(3) + sn + 0.5 * (sn @ sn)
+    target = deck @ d[:, :, None]
+    tab = np.linalg.solve(prisms[n], target)[:, :, 0]
+    tab[~front | singular[n]] = np.nan
+    t, a, b = tab.T
+    # NaN fails every comparison, so undefined coordinates are outside
+    inside = (t > 1e-12) & (a >= -1e-9) & (b >= -1e-9) & (a + b <= 1.0 / 3.0 + 1e-9)
+    return inside, np.column_stack([np.where(front, n, -1), tab])
 
 
 def find_spear(
@@ -955,49 +934,34 @@ def find_spear(
     tau = ell_norm * kappa on the axis).  Head samples cover the cone piece,
     shaft samples cover the base ring; points further up the shaft stay inside
     because prisms are closed under adding positive multiples of the axis
-    direction.
+    direction.  One radius is one array of samples ordered by radius, then
+    angle, then height; a failure reports the first sample outside.
     """
     pg = fan if fan is not None else st.fans.get(puncture) or puncture_geometry(st, puncture)
-    ell_norm = TWO_PI / pg.Theta
-    vertex_tau = ell_norm * st.kappa
-    radius = ell_norm * st.kappa
+    vertex_tau = radius = TWO_PI / pg.Theta * st.kappa
     n_r = st.settings.spear_r_samples
     n_th = st.settings.spear_theta_samples
-    theta0 = pg.theta[0] / pg.ell
-    thetas = theta0 + TWO_PI * (np.arange(n_th) + 0.5) / n_th
+    thetas = pg.theta[0] / pg.ell + TWO_PI * (np.arange(n_th) + 0.5) / n_th
     failure = None
     for _ in range(st.settings.spear_max_shrinks + 1):
-        ok = True
-        samples = 0
-        for r_frac in (np.arange(n_r) + 1.0) / n_r:
-            r_val = r_frac * radius
-            for theta in thetas:
-                for tau in (vertex_tau + 0.5 * r_val,) if r_val < radius else (
-                    vertex_tau + 0.5 * radius,
-                    vertex_tau + 0.75 * radius,
-                ):
-                    x = model_to_minkowski(pg, (tau, r_val, theta))
-                    inside, info = _prism_membership(pg, x)
-                    samples += 1
-                    if not inside:
-                        ok = False
-                        failure = ((tau, r_val, float(theta)), info)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return SpearDescriptor(
-                puncture=puncture,
-                vertex_tau=vertex_tau,
-                radius=radius,
-                ell=pg.ell,
-                samples=samples,
-            )
+        # the head cone over radii radius k / n_r, k < n_r, then at r = radius
+        # the ring and a shaft point above it
+        head = np.arange(1.0, n_r) / n_r * radius
+        ring = [(vertex_tau + 0.5 * radius, radius), (vertex_tau + 0.75 * radius, radius)]
+        pts = np.vstack([
+            np.column_stack([np.repeat(vertex_tau + 0.5 * head, n_th),
+                             np.repeat(head, n_th), np.tile(thetas, n_r - 1)]),
+            np.column_stack([np.tile(ring, (n_th, 1)), np.repeat(thetas, 2)]),
+        ])
+        inside, info = _in_fan_prisms(pg, model_to_minkowski(pg, pts))
+        if inside.all():
+            return SpearDescriptor(puncture, vertex_tau, radius, pg.ell, samples=len(pts))
+        first = int(np.argmin(inside))
+        failure = (tuple(pts[first].tolist()), tuple(info[first].tolist()))
         radius *= 0.5
     raise SpearNotFound(
-        f"no spear radius certified around {puncture}; last failure at {failure}"
+        f"no spear radius certified around {puncture}; last failure at "
+        f"(tau, r, theta) = {failure[0]}, (window, t, a, b) = {failure[1]}"
     )
 
 
@@ -1052,31 +1016,20 @@ def mesh_data(st: PolyhedralSpacetime, t_values, resolution: int):
     if not t_values or any(t <= 0 for t in t_values):
         raise ValueError("t values must be positive and non-empty")
     res = int(resolution)
-    bary = []
-    index_of = {}
-    for i in range(res + 1):
-        for j in range(res + 1 - i):
-            k = res - i - j
-            index_of[(i, j)] = len(bary)
-            bary.append((i / res, j / res, k / res))
-    bary = np.array(bary)
-    verts = []
-    faces = []
-    offset = 0
-    for t in t_values:
-        for sx in st.simplices:
-            pts = dev_hat_points(sx, np.full(len(bary), t), bary, st.kappa, st.blend)
-            verts.append(pts)
-            for i in range(res):
-                for j in range(res - i):
-                    a = index_of[(i, j)]
-                    b = index_of[(i + 1, j)]
-                    c = index_of[(i, j + 1)]
-                    faces.append((offset + a, offset + b, offset + c))
-                    if i + j < res - 1:
-                        d = index_of[(i + 1, j + 1)]
-                        faces.append((offset + b, offset + d, offset + c))
-            offset += len(bary)
+    ij = [(i, j) for i in range(res + 1) for j in range(res + 1 - i)]
+    index_of = {key: n for n, key in enumerate(ij)}
+    bary = np.array([(i / res, j / res, (res - i - j) / res) for i, j in ij])
+    cell = []  # faces of one leaf triangle, in local vertex indices
+    for i in range(res):
+        for j in range(res - i):
+            a, b, c = index_of[(i, j)], index_of[(i + 1, j)], index_of[(i, j + 1)]
+            cell.append((a, b, c))
+            if i + j < res - 1:
+                cell.append((b, index_of[(i + 1, j + 1)], c))
+    cells = [(t, sx) for t in t_values for sx in st.simplices]
+    verts = [dev_hat_points(sx, np.full(len(bary), t), bary, st.kappa, st.blend)
+             for t, sx in cells]
+    faces = [tuple(k * len(bary) + v for v in f) for k in range(len(cells)) for f in cell]
     return np.vstack(verts), faces
 
 

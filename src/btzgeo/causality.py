@@ -535,8 +535,12 @@ def trace_causal_curve(
 
 def validate_polyline(st: PolyhedralSpacetime, curve: CausalPolyline,
                       band: float = 1e-9) -> list[int]:
-    """Indices of curve segments that fail the causal test (empty = valid)."""
+    """Indices of curve segments that fail the causal test (empty = valid).
+
+    Chart segments within one simplex go through one batched causal test.
+    """
     bad = []
+    charts = []  # (index, start, end) of the same-simplex chart segments
     for i, (a, b) in enumerate(zip(curve.nodes, curve.nodes[1:])):
         if b.transition:
             continue
@@ -547,14 +551,21 @@ def validate_polyline(st: PolyhedralSpacetime, curve: CausalPolyline,
         elif isinstance(pa, FiberPoint):
             if not fiber_hop_is_causal(st, pa, pb, band=band):
                 bad.append(i)
-        elif isinstance(pb, FiberPoint):
-            bad.append(i)  # chart points never causally precede fiber points
+        elif isinstance(pb, FiberPoint) or pa.simplex != pb.simplex:
+            # chart points never causally precede fiber points, and a chart
+            # segment stays inside one simplex
+            bad.append(i)
         else:
-            if pa.simplex != pb.simplex or not segment_is_causal(
-                st, pa.simplex, (pa.t, pa.alpha), (pb.t, pb.alpha), band=band
-            ):
-                bad.append(i)
-    return bad
+            charts.append((i, pa, pb))
+    if charts:
+        index, starts, ends = zip(*charts)
+        ok = _segments_are_causal(
+            st, np.array([p.simplex for p in starts]),
+            np.array([p.t for p in starts]), np.stack([p.alpha for p in starts]),
+            np.array([p.t for p in ends]), np.stack([p.alpha for p in ends]), band=band,
+        )
+        bad += [i for i, good in zip(index, ok) if not good]
+    return sorted(bad)
 
 
 def btz_decomposition(

@@ -30,7 +30,6 @@ from .builder import (
     PolyhedralSpacetime,
     build,
     export_mesh,
-    mesh_data,
 )
 from .minkowski import GeometryError
 from .models import TWO_PI
@@ -318,8 +317,9 @@ def cmd_mesh(args) -> int:
     if args.resolution is not None:
         cfg = dataclasses.replace(cfg, resolution=args.resolution)
     st = _load_bundle(args.bundle)
-    verts, faces = mesh_data(st, leaves, cfg.resolution)
     export_mesh(st, leaves, cfg.resolution, args.out)
+    # mesh_data's layout: per leaf and simplex, a triangular grid of side res
+    res, cells = cfg.resolution, len(leaves) * len(st.simplices)
     _emit(
         {
             "kind": "mesh-report",
@@ -329,8 +329,8 @@ def cmd_mesh(args) -> int:
             "seed": cfg.seed,
             "leaves": list(leaves),
             "resolution": cfg.resolution,
-            "vertices": len(verts),
-            "faces": len(faces),
+            "vertices": cells * (res + 1) * (res + 2) // 2,
+            "faces": cells * res * res,
         },
         None,
     )

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 from dataclasses import replace
@@ -16,6 +17,7 @@ from btzgeo.builder import (
     NonMonotoneAngles,
     PolyhedralSpacetime,
     SpearNotFound,
+    _in_fan_prisms,
     barycentric_grid,
     build,
     choose_kappa,
@@ -37,7 +39,7 @@ from btzgeo.builder import (
     strip_btz,
 )
 from btzgeo.minkowski import causal_class, CausalClass, minkowski_inner
-from btzgeo.models import TWO_PI, parabolic_parameter
+from btzgeo.models import TWO_PI, axis_deck_generator, parabolic_parameter
 from btzgeo.representations import NotAdmissible
 
 
@@ -247,7 +249,23 @@ def test_choose_kappa_exhausts_on_indefinite_leaves():
     cfg = BuildSettings(max_doublings=4, bary_n=6, t_count=3)
     with pytest.raises(KappaSearchExhausted) as exc:
         choose_kappa([sx], make_blend(), cfg)
-    assert "worst sample" in str(exc.value)
+    assert "worst sample ('gram', 0, 10.0)" in str(exc.value)
+
+
+def test_kappa_failure_names_lowest_jacobian_sample():
+    # a margin no sample clears: the last pass (kappa = 2) names the Jacobian
+    # failure, at its argmin
+    sx = _cone_simplex()
+    cfg = BuildSettings(max_doublings=1, margin=1e6, bary_n=4, t_count=2)
+    with pytest.raises(KappaSearchExhausted) as exc:
+        choose_kappa([sx], make_blend(), cfg)
+    grid = barycentric_grid(cfg.bary_n)
+    samples = [(t, tuple(a.tolist())) for t in (cfg.t_min, cfg.t_max) for a in grid]
+    ts = np.array([t for t, _ in samples])
+    alphas = np.array([a for _, a in samples])
+    dets = np.linalg.det(dev_hat_jacobians(sx, ts, alphas, 2.0, make_blend()))
+    t, a = samples[int(np.argmin(dets))]
+    assert f"worst sample ('jacobian', 0, {t!r}, {a!r})" in str(exc.value)
 
 
 def test_build_gamma2(gamma2_zero):
@@ -332,6 +350,111 @@ def test_spears(gamma2_zero, torus_deformed):
             assert not sp.contains((sp.vertex_tau + 10.0, 2 * sp.radius, 0.0))
 
 
+# Spear descriptors of the reference builds, recorded from the scalar search
+# that tested one sample at a time: (puncture, vertex_tau, radius, ell).
+REFERENCE_SPEARS = {
+    "gamma2_zero": [
+        ("c1", 3.141592653589793, 0.09817477042468103, 0.3183098861837907),
+        ("c2", 3.141592653589798, 0.09817477042468119, 0.3183098861837902),
+        ("c3", 1.5707963267948941, 0.19634954084936176, 0.6366197723675824),
+    ],
+    "gamma2_deformed": [
+        ("c1", 3.4969934454562788, 0.10928104517050871, 0.31830988618379064),
+        ("c2", 3.4969934454562845, 0.10928104517050889, 0.31830988618379),
+        ("c3", 1.7484967227281354, 0.21856209034101692, 0.6366197723675826),
+    ],
+    "torus_zero": [("c1", 1.0471975511965974, 0.5235987755982987, 0.9549296585513724)],
+    "torus_deformed": [("c1", 1.1916867453973128, 0.5958433726986564, 0.9549296585513715)],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(REFERENCE_SPEARS))
+def test_reference_spears_are_pinned(fixture, request):
+    st_ = request.getfixturevalue(fixture)
+    want = {
+        name: {
+            "puncture": name, "vertex_tau": tau, "radius": radius, "ell": ell,
+            "samples": 176, "ring_tau": tau + 0.5 * radius,
+            "head": "tau = vertex_tau + r/2 for 0 < r < radius",
+            "shaft": "r = radius, tau >= ring_tau",
+        }
+        for name, tau, radius, ell in REFERENCE_SPEARS[fixture]
+    }
+    assert {k: sp.to_json() for k, sp in st_.spears.items()} == want
+
+
+def _prism_reference(pg, x):
+    """One-point fan-prism membership: the per-sample loop body the array test replaced."""
+    d = x - pg.anchor
+    if minkowski_inner(d, pg.line_direction) >= 0:
+        return False, (-1, math.nan, math.nan, math.nan)
+    frame_inv = pg.frame.inverse().matrix
+    w = frame_inv @ d
+    theta = -w[2] / (w[0] - w[1])
+    windows = [e.theta for e in pg.fan]
+    lo, span = windows[0], windows[pg.r] - windows[0]
+    lifted = lo + (theta - lo) % span
+    n = min(max(bisect.bisect_right(windows, lifted) - 1, 0), pg.r - 1)
+    m = np.column_stack([pg.line_direction, pg.fan[n].anchor - pg.anchor,
+                         pg.fan[n + 1].anchor - pg.anchor])
+    sn = (lifted - theta) * (pg.frame.matrix @ axis_deck_generator() @ frame_inv)
+    t, a, b = np.linalg.solve(m, (np.eye(3) + sn + 0.5 * (sn @ sn)) @ d)
+    inside = t > 1e-12 and a >= -1e-9 and b >= -1e-9 and a + b <= 1.0 / 3.0 + 1e-9
+    return inside, (n, t, a, b)
+
+
+@pytest.mark.parametrize("fixture", ["gamma2_deformed", "torus_zero"])
+def test_fan_prisms_match_one_point_reference(fixture, request):
+    st_ = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(5)
+    for name, sp in st_.spears.items():
+        pg = st_.fans[name]
+        # model points around the spear, plus ambient points on both sides
+        # of the half-space in front of the axis
+        model = np.column_stack([
+            sp.vertex_tau + rng.uniform(-1.0, 3.0, 300) * sp.radius,
+            rng.uniform(0.0, 3.0, 300) * sp.radius,
+            rng.uniform(-10.0, 10.0, 300),
+        ])
+        x = np.vstack([model_to_minkowski(pg, model),
+                       pg.anchor + rng.normal(size=(100, 3)) * st_.kappa])
+        inside, info = _in_fan_prisms(pg, x)
+        ref = [_prism_reference(pg, row) for row in x]
+        assert inside.tolist() == [ok for ok, _ in ref]
+        assert 0 < inside.sum() < len(x)
+        np.testing.assert_allclose(info, [r for _, r in ref], rtol=1e-12, atol=1e-12)
+
+
+def test_spear_samples_count_head_and_shaft(gamma2_zero):
+    # (n_r - 1) head radii at one height, the ring radius at two, per angle
+    st_ = replace(gamma2_zero, settings=replace(
+        gamma2_zero.settings, spear_r_samples=3, spear_theta_samples=5
+    ))
+    assert find_spear(st_, "c1").samples == 20
+
+
+def test_spear_search_treats_singular_prism_as_outside(gamma2_zero):
+    pg = gamma2_zero.fans["c1"]
+    fan = list(pg.fan)
+    fan[1] = replace(fan[1], anchor=fan[0].anchor)
+    broken = replace(pg, fan=tuple(fan))
+    with pytest.raises(SpearNotFound, match=r"\(window, t, a, b\) = \(0\.0, nan"):
+        find_spear(gamma2_zero, "c1", fan=broken)
+
+
+def test_model_to_minkowski_array_matches_rows(gamma2_deformed):
+    pg = gamma2_deformed.fans["c2"]
+    rng = np.random.default_rng(11)
+    pts = np.column_stack([
+        rng.uniform(-1.0, 3.0, 40), rng.uniform(0.0, 2.0, 40), rng.uniform(-5.0, 5.0, 40)
+    ])
+    rows = np.array([model_to_minkowski(pg, tuple(p)) for p in pts])
+    assert np.array_equal(model_to_minkowski(pg, pts), rows)
+    assert model_to_minkowski(pg, pts[0]).shape == (3,)
+    grid = model_to_minkowski(pg, pts.reshape(5, 8, 3))
+    assert np.array_equal(grid.reshape(40, 3), rows)
+
+
 def test_spear_search_fails_on_broken_fan(gamma2_zero):
     pg = gamma2_zero.fans["c1"]
     broken = replace(pg, anchor=pg.anchor + np.array([0.0, 100.0, 0.0]))
@@ -385,11 +508,17 @@ def test_bundle_round_trip(gamma2_deformed):
         {"t_count": 0},
         {"margin": -1.0},
         {"t_min": 5.0, "t_max": 1.0},
+        {"margin": math.nan},
+        {"t_max": math.inf},
+        {"t_min": math.nan},
+        {"equiv_tol": math.inf},
+        {"fan_tol": -math.inf},
     ],
 )
 def test_build_settings_range_rules(bad):
-    # every certificate must rest on a non-empty sample set
-    with pytest.raises(ValueError):
+    # every certificate must rest on a non-empty sample set; the message
+    # names the first offending key
+    with pytest.raises(ValueError, match=next(iter(bad))):
         BuildSettings(**bad)
 
 

@@ -184,6 +184,38 @@ def test_fiber_hop_criterion(gamma2_zero):
     assert not fiber_hop_is_causal(st_, fiber, ChartPoint(entry.triangle, 0.3, alpha))
 
 
+def _segment_by_segment(st_, curve):
+    """validate_polyline's verdict on chart segments, one segment_is_causal call each."""
+    bad = []
+    for i, (a, b) in enumerate(zip(curve.nodes, curve.nodes[1:])):
+        pa, pb = a.point, b.point
+        if (not b.transition and isinstance(pa, ChartPoint) and isinstance(pb, ChartPoint)
+                and (pa.simplex != pb.simplex or not segment_is_causal(
+                    st_, pa.simplex, (pa.t, pa.alpha), (pb.t, pb.alpha)))):
+            bad.append(i)
+    return bad
+
+
+@pytest.mark.parametrize(
+    "fixture", ["gamma2_zero", "gamma2_deformed", "torus_zero", "torus_deformed"]
+)
+def test_validate_polyline_matches_segment_by_segment(fixture, request):
+    st_ = request.getfixturevalue(fixture)
+    for seed in range(3):
+        curve = trace_causal_curve(
+            st_, ChartPoint(0, 0.2, CENTER), t_stop=3.0, steering="random", seed=seed
+        )
+        assert validate_polyline(st_, curve) == _segment_by_segment(st_, curve) == []
+        # tamper: run every other chart node backwards in time
+        nodes = [
+            replace(n, point=replace(n.point, t=5.0 - n.point.t)) if k % 2 else n
+            for k, n in enumerate(curve.nodes)
+        ]
+        tampered = CausalPolyline(nodes)
+        bad = validate_polyline(st_, tampered)
+        assert bad and bad == _segment_by_segment(st_, tampered)
+
+
 def test_validate_polyline_flags_bad_segments(gamma2_zero):
     # chart point before a fiber point is never causal
     nodes = [

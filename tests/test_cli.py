@@ -150,6 +150,16 @@ def test_config_range_rules_cover_build_keys(cli_dir, tmp_path):
     assert "spear_r_samples" in json.loads(stderr)["message"]
 
 
+def test_config_rejects_non_finite_values(cli_dir, tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("t_start = nan\n")
+    code, _, stderr = run_cli(
+        ["validate", str(cli_dir / "rep.json"), "--config", str(cfg)]
+    )
+    assert code == 2
+    assert "t_start must be finite" in json.loads(stderr)["message"]
+
+
 def test_bundle_with_bad_settings_is_input_error(bundle_path, tmp_path):
     bundle = json.loads(bundle_path.read_text())
     bundle["settings"]["t_count"] = 0
@@ -279,7 +289,10 @@ def test_mesh_json_output(bundle_path, tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["format"] == "leaf-mesh"
-    assert len(payload["vertices"]) == json.loads(stdout)["vertices"]
+    report = json.loads(stdout)
+    # the report counts the written mesh
+    assert len(payload["vertices"]) == report["vertices"]
+    assert len(payload["faces"]) == report["faces"]
 
 
 def test_mesh_requires_leaves(bundle_path, tmp_path):
