@@ -40,7 +40,6 @@ from .representations import (
     InvalidTriangulation,
     NotAdmissible,
     check_admissible,
-    invert_word,
     peripheral_fixed_data,
 )
 from .serialize import JsonRecord, canonical_dumps
@@ -600,12 +599,7 @@ def decorate_vertices(
 
     # Identification edges: (target vertex, source vertex, word) meaning
     # decoration(target) = word . decoration(source).
-    edges: list[tuple[str, str, str]] = []
-    for g in tri.gluings:
-        for k in range(2):
-            lv, rv = g.left[1][k], g.right[1][k]
-            edges.append((lv, rv, g.word))
-            edges.append((rv, lv, invert_word(g.word)))
+    edges = [(v, vmap[v], word) for _, vmap, word in tri.sides.values() for v in vmap]
 
     frontier = sorted(dec_u)
     while frontier:
@@ -741,93 +735,63 @@ def _axis_angle(frame_inv: np.ndarray, d: np.ndarray) -> float:
     return float(-w[2] / gap)
 
 
-def _fan_walk(st: PolyhedralSpacetime, puncture: str, crossings: int):
-    """Walk triangle copies around a puncture in increasing fan angle.
-
-    The first triangle contributes its two non-base corners ordered by angle;
-    each edge crossing afterwards contributes the single new corner of the
-    triangle entered.  Exit edges are chosen geometrically (always through the
-    most recent corner), so the stored vertex order of triangles is irrelevant.
-    Returns the entries, the accumulated frame and state after each crossing,
-    and the starting state.
-    """
-    tri = st.triangulation
-    rep = st.representation
-    fiber = st.fibers[puncture]
-    base = fiber.base_vertex
-    orbit = {v for v, c in tri.vertex_class.items() if c == puncture}
-    anchor = st.kappa * fiber.line_direction + fiber.line_point
-    psi = math.atan2(fiber.line_direction[2], fiber.line_direction[1])
-    frame_inv = rotation_about_t(psi).inverse().matrix
-
-    def corner(frame: AffineIsometry, tri_i: int, v: str, word: str):
-        u_n = frame.linear.matrix @ st.decorations_u[v]
-        q_n = frame.apply(st.kappa * st.decorations_u[v] + st.decorations_p[v])
-        return (tri_i, v, word, u_n, q_n, _axis_angle(frame_inv, q_n - anchor))
-
-    start = min(i for i, t in enumerate(tri.triangles) if base in t)
-    cur_tri, cur_v = start, base
-    frame = AffineIsometry.identity()
-    words: list[str] = []
-    entries = sorted(
-        (corner(frame, cur_tri, w, "") for w in tri.triangles[cur_tri] if w != cur_v),
-        key=lambda e: e[5],
-    )
-    exit_v = entries[-1][1]
-    frames_after = []
-    for _ in range(crossings):
-        g, is_left = tri.gluing_at(cur_tri, frozenset((cur_v, exit_v)))
-        if is_left:
-            pair_from, (next_tri, pair_to) = g.left[1], g.right
-            word = g.word
-        else:
-            pair_from, (next_tri, pair_to) = g.right[1], g.left
-            word = invert_word(g.word)
-        entered = pair_to[pair_from.index(exit_v)]
-        cur_v = pair_to[pair_from.index(cur_v)]
-        cur_tri = next_tri
-        if cur_v not in orbit:
-            raise NonMonotoneAngles(
-                f"fan walk left the vertex orbit of {puncture} at triangle {cur_tri}"
-            )
-        if word:
-            frame = frame.compose(rep.evaluate(word))
-            words.append(word)
-        frames_after.append((frame, (cur_tri, cur_v)))
-        new_corner = next(w for w in tri.triangles[cur_tri] if w not in (cur_v, entered))
-        entries.append(corner(frame, cur_tri, new_corner, " ".join(words)))
-        exit_v = new_corner
-    return entries, frames_after, (start, base)
-
-
 def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometry:
     """Fan of half-planes around one singular fiber with strictly increasing angles.
 
-    Walks the triangle corners around the puncture through the gluing words,
-    maps each corner's decoration into axis-adapted coordinates, and reads
-    off the angle sequence over two periods.  The holonomy advance per period
-    is Theta; ell = Theta / 2pi normalizes it to 2pi.
+    Walks the gluing table around the puncture: the first triangle gives its
+    two non-base corners ordered by angle, each of the 2r - 1 crossings the
+    new corner of the triangle entered.  The walk always leaves through the
+    most recent corner, so the stored vertex order of triangles is irrelevant.
+    Corner decorations map to axis-adapted angles over two periods; Theta is
+    the holonomy advance per period and ell = Theta / 2pi normalizes it to 2pi.
     """
     if puncture not in st.fibers:
         raise KeyError(f"unknown puncture {puncture}")
     fiber = st.fibers[puncture]
     tri = st.triangulation
-    r = sum(1 for t in tri.triangles for v in t if tri.vertex_class[v] == puncture)
-    u_c = fiber.line_direction
-    p_c = fiber.line_point
-    anchor = st.kappa * u_c + p_c
-    psi = math.atan2(u_c[2], u_c[1])
-    frame = rotation_about_t(psi)
+    base = fiber.base_vertex
+    orbit = {v for v, c in tri.vertex_class.items() if c == puncture}
+    r = sum(1 for t in tri.triangles for v in t if v in orbit)
+    anchor = st.kappa * fiber.line_direction + fiber.line_point
+    frame = rotation_about_t(math.atan2(fiber.line_direction[2], fiber.line_direction[1]))
+    frame_inv = frame.inverse().matrix
 
-    entries, frames_after, start_state = _fan_walk(st, puncture, 2 * r - 1)
+    def corner(deck: AffineIsometry, tri_i: int, v: str, word: str):
+        u_n = deck.linear.matrix @ st.decorations_u[v]
+        q_n = deck.apply(st.kappa * st.decorations_u[v] + st.decorations_p[v])
+        return (tri_i, v, word, u_n, q_n, _axis_angle(frame_inv, q_n - anchor))
+
+    start = min(i for i, t in enumerate(tri.triangles) if base in t)
+    cur_tri, cur_v = start, base
+    deck = AffineIsometry.identity()
+    words: list[str] = []
+    entries = sorted(
+        (corner(deck, cur_tri, w, "") for w in tri.triangles[cur_tri] if w != cur_v),
+        key=lambda e: e[5],
+    )
+    exit_v = entries[-1][1]
+    for crossing in range(1, 2 * r):
+        cur_tri, vmap, word = tri.sides[(cur_tri, frozenset((cur_v, exit_v)))]
+        entered, cur_v = vmap[exit_v], vmap[cur_v]
+        if cur_v not in orbit:
+            raise NonMonotoneAngles(
+                f"fan walk left the vertex orbit of {puncture} at triangle {cur_tri}"
+            )
+        if word:
+            deck = deck.compose(st.representation.evaluate(word))
+            words.append(word)
+        if crossing == r:
+            period, period_state = deck, (cur_tri, cur_v)
+        exit_v = next(w for w in tri.triangles[cur_tri] if w not in (cur_v, entered))
+        entries.append(corner(deck, cur_tri, exit_v, " ".join(words)))
+
     thetas = [e[5] for e in entries]
     if not np.all(np.diff(thetas) > 0):
         raise NonMonotoneAngles(
             f"fan angles around {puncture} are not strictly increasing"
         )
     # After r crossings the walk must close up on the starting corner.
-    frame_r, state_r = frames_after[r - 1]
-    if state_r != start_state:
+    if period_state != (start, base):
         raise NonMonotoneAngles(
             f"fan walk around {puncture} did not close after {r} corners"
         )
@@ -838,16 +802,16 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
             f"fan period around {puncture} is not constant: "
             f"spread {max(shifts) - min(shifts):.3e}"
         )
-    # The period frame must be the peripheral holonomy (either orientation).
+    # The period must be the peripheral holonomy (either orientation).
     hol = st.representation.generator(puncture)
     residual = min(
         max(
-            float(np.abs(h.linear.matrix - frame_r.linear.matrix).max()),
-            float(np.abs(h.translation - frame_r.translation).max()),
+            float(np.abs(h.linear.matrix - period.linear.matrix).max()),
+            float(np.abs(h.translation - period.translation).max()),
         )
         for h in (hol, hol.inverse())
     )
-    scale = max(1.0, float(np.abs(frame_r.linear.matrix).max()))
+    scale = max(1.0, float(np.abs(period.linear.matrix).max()))
     if residual > 10 * st.settings.fan_tol * scale:
         raise NonMonotoneAngles(
             f"fan period around {puncture} is not the peripheral holonomy "
@@ -859,10 +823,10 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
     )
     return PunctureGeometry(
         puncture=puncture,
-        base_vertex=fiber.base_vertex,
+        base_vertex=base,
         frame=frame,
-        line_point=p_c,
-        line_direction=u_c,
+        line_point=fiber.line_point,
+        line_direction=fiber.line_direction,
         anchor=anchor,
         fan=fan,
         r=r,
@@ -1013,8 +977,8 @@ def mesh_data(st: PolyhedralSpacetime, t_values, resolution: int):
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     t_values = [float(t) for t in t_values]
-    if not t_values or any(t <= 0 for t in t_values):
-        raise ValueError("t values must be positive and non-empty")
+    if not t_values or not all(math.isfinite(t) and t > 0 for t in t_values):
+        raise ValueError("t values must be finite, positive and non-empty")
     res = int(resolution)
     ij = [(i, j) for i in range(res + 1) for j in range(res + 1 - i)]
     index_of = {key: n for n, key in enumerate(ij)}
@@ -1042,7 +1006,7 @@ def export_mesh(st: PolyhedralSpacetime, t_values, resolution: int, path) -> str
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.suffix == ".obj":
         lines = ["# polyhedral spacetime leaves (x y t per vertex)"]
-        lines += [f"v {v[1]!r} {v[2]!r} {v[0]!r}" for v in verts]
+        lines += [f"v {x!r} {y!r} {t!r}" for t, x, y in verts.tolist()]
         lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in faces]
         path.write_text("\n".join(lines) + "\n")
     else:

@@ -220,19 +220,9 @@ def cross_face(
     The facet is the zero-weight slot; the shared edge is the other two
     vertices.  The developed positions must agree through the gluing word.
     """
-    tri = st.triangulation
     sx = st.simplices[point.simplex]
     edge_names = [v for i, v in enumerate(sx.vertices) if i != facet]
-    g, is_left = tri.gluing_at(point.simplex, frozenset(edge_names))
-    if is_left:
-        pair_from, (other_tri, pair_to) = g.left[1], g.right
-        word = g.word
-        forward = True
-    else:
-        pair_from, (other_tri, pair_to) = g.right[1], g.left
-        word = g.word
-        forward = False
-    mapped = dict(zip(pair_from, pair_to))
+    other_tri, mapped, word = st.triangulation.sides[(point.simplex, frozenset(edge_names))]
     other_sx = st.simplices[other_tri]
     alpha_new = np.zeros(3)
     for name in edge_names:
@@ -240,13 +230,9 @@ def cross_face(
         alpha_new[other_sx.vertices.index(mapped[name])] = w
     new_point = ChartPoint(other_tri, point.t, alpha_new)
     iso = st.representation.evaluate(word)
-    x_left, x_right = (
-        (develop(st, point), develop(st, new_point))
-        if forward
-        else (develop(st, new_point), develop(st, point))
-    )
-    err = float(np.abs(x_left - (iso.linear.matrix @ x_right + iso.translation)).max())
-    if err > tol * max(1.0, float(np.abs(x_left).max())):
+    x, x_new = develop(st, point), develop(st, new_point)
+    err = float(np.abs(x - (iso.linear.matrix @ x_new + iso.translation)).max())
+    if err > tol * max(1.0, float(np.abs(x).max())):
         raise GeometryError(
             f"face transition mismatch {err:.3e} between charts "
             f"{point.simplex} and {other_tri}"

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -88,7 +89,10 @@ class RunConfig(BuildSettings):
             raise ValueError("t_start must be < t_stop")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        object.__setattr__(self, "leaves", tuple(float(x) for x in self.leaves))
+        leaves = tuple(float(x) for x in self.leaves)
+        if not all(math.isfinite(x) and x > 0 for x in leaves):
+            raise ValueError(f"leaves must be finite and > 0, got {leaves!r}")
+        object.__setattr__(self, "leaves", leaves)
 
     def build_settings(self) -> BuildSettings:
         return BuildSettings(**{

@@ -422,7 +422,9 @@ class Gluing(JsonRecord):
     Convention: position(left vertex k) = word . position(right vertex k) under
     the Moebius action of the word's linear part, for k = 0, 1; in the
     universal cover the left fundamental simplex is adjacent to the right
-    simplex translated by the word.
+    simplex translated by the word.  Seen from the right edge the same
+    pairing reads with the inverse word; ``IdealTriangulationData.sides``
+    holds both readings.
     """
 
     left: tuple[int, tuple[str, str]]
@@ -450,43 +452,44 @@ class IdealTriangulationData:
     (math.inf allowed); ``vertex_class`` sends each vertex to the peripheral
     generator of its puncture.  Every undirected triangle edge is glued
     exactly once.
+
+    ``sides`` is the gluing table read from either side: it sends
+    ``(triangle, frozenset(edge))`` to ``(neighbour, vertex map, word)`` with
+    position(v) = word . position(map[v]) for both vertices v of the edge.
+    The left edge of a ``Gluing`` takes its word, the right edge the inverse.
     """
 
     triangles: list[tuple[str, str, str]]
     gluings: list[Gluing]
     vertex_class: dict[str, str]
     positions: dict[str, float]
+    sides: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.triangles = [tuple(t) for t in self.triangles]
         verts = {v for t in self.triangles for v in t}
         if set(self.vertex_class) != verts or set(self.positions) != verts:
             raise InvalidTriangulation("vertex_class/positions must cover the triangle vertices")
-        slots: dict[tuple[int, frozenset], int] = {}
+        self.sides = {}
         for g in self.gluings:
-            for tri, pair in (g.left, g.right):
-                if tri >= len(self.triangles):
+            for (tri, pair), (nbr, nbr_pair), word in (
+                (g.left, g.right, g.word), (g.right, g.left, invert_word(g.word))
+            ):
+                if not 0 <= tri < len(self.triangles):
                     raise InvalidTriangulation(f"gluing references triangle {tri}")
                 if not set(pair) <= set(self.triangles[tri]):
                     raise InvalidTriangulation(f"edge {pair} not in triangle {tri}")
                 key = (tri, frozenset(pair))
-                slots[key] = slots.get(key, 0) + 1
+                if key in self.sides:
+                    raise InvalidTriangulation("every edge must be glued exactly once")
+                self.sides[key] = (nbr, dict(zip(pair, nbr_pair)), word)
         expected = {
             (i, frozenset((t[k], t[(k + 1) % 3])))
             for i, t in enumerate(self.triangles)
             for k in range(3)
         }
-        if set(slots) != expected or any(v != 1 for v in slots.values()):
+        if set(self.sides) != expected:
             raise InvalidTriangulation("every edge must be glued exactly once")
-
-    def gluing_at(self, tri: int, edge: frozenset) -> tuple[Gluing, bool]:
-        """Gluing containing (tri, edge); second item is True when it sits on the left."""
-        for g in self.gluings:
-            if g.left[0] == tri and frozenset(g.left[1]) == edge:
-                return g, True
-            if g.right[0] == tri and frozenset(g.right[1]) == edge:
-                return g, False
-        raise InvalidTriangulation(f"edge {set(edge)} of triangle {tri} is unglued")
 
     def to_json(self) -> dict:
         return {

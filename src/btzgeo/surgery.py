@@ -251,7 +251,7 @@ class CompletenessCertificate(JsonRecord):
     reason: str
 
 
-def completeness_certificate(sg: SurfaceGraph, samples: int = 200) -> CompletenessCertificate:
+def completeness_certificate(sg: SurfaceGraph) -> CompletenessCertificate:
     """Certify delta >= C^2 / r^2 with C > 0, which forces metric completeness.
 
     Any divergent path to the puncture then has length >= integral C/r dr,

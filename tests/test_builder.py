@@ -555,13 +555,19 @@ def test_mesh_counts_and_determinism(torus_zero, tmp_path):
     body = obj.read_text()
     assert body.count("\nv ") + body.startswith("v ") == len(verts)
     assert body.count("\nf ") == len(faces)
+    # every v line is three plain floats, the vertex in (x, y, t) order
+    rows = [line.split()[1:] for line in body.splitlines() if line.startswith("v ")]
+    assert all(len(row) == 3 for row in rows)
+    assert np.array_equal(np.array([[float(w) for w in row] for row in rows]),
+                          verts[:, [1, 2, 0]])
 
     with pytest.raises(ValueError):
         mesh_data(torus_zero, [1.0], 0)
     with pytest.raises(ValueError):
         mesh_data(torus_zero, [], 3)
-    with pytest.raises(ValueError):
-        mesh_data(torus_zero, [0.0], 3)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mesh_data(torus_zero, [bad, 1.0], 3)
 
 
 def test_jacobian_matches_finite_differences(gamma2_deformed):

@@ -81,23 +81,23 @@ def test_segment_is_causal_basics(gamma2_zero):
     assert not segment_is_causal(st_, 0, (1.0, CENTER), (1.0, side))  # spacelike
 
 
-def test_cross_face_round_trip(gamma2_zero):
-    st_ = gamma2_zero
-    g = st_.triangulation.gluings[0]
-    li, lpair = g.left
-    sx = st_.simplices[li]
-    alpha = np.zeros(3)
-    alpha[sx.vertices.index(lpair[0])] = 0.6
-    alpha[sx.vertices.index(lpair[1])] = 0.4
-    facet = int(np.argmin(alpha))
-    pt = ChartPoint(li, 1.1, alpha)
-    other = cross_face(st_, pt, facet)
-    assert other.simplex == g.right[0]
-    assert other.t == pt.t
-    assert np.isclose(other.alpha.sum(), 1.0)
-    back = cross_face(st_, other, int(np.flatnonzero(other.alpha == 0.0)[0]))
-    assert back.simplex == li
-    assert back.alpha == pytest.approx(alpha, abs=1e-12)
+def test_cross_face_round_trip(request):
+    # every facet of every simplex, so both sides of every gluing are crossed
+    for name in ("gamma2_zero", "gamma2_deformed", "torus_zero", "torus_deformed"):
+        st_ = request.getfixturevalue(name)
+        for sx in st_.simplices:
+            for facet in range(3):
+                alpha = np.zeros(3)
+                alpha[[k for k in range(3) if k != facet]] = (0.6, 0.4)
+                pt = ChartPoint(sx.triangle, 1.1, alpha)
+                other = cross_face(st_, pt, facet)
+                edge = frozenset(v for k, v in enumerate(sx.vertices) if k != facet)
+                assert other.simplex == st_.triangulation.sides[(sx.triangle, edge)][0]
+                assert other.t == pt.t
+                assert np.isclose(other.alpha.sum(), 1.0)
+                back = cross_face(st_, other, int(np.flatnonzero(other.alpha == 0.0)[0]))
+                assert back.simplex == sx.triangle
+                assert back.alpha == pytest.approx(alpha, abs=1e-12)
 
 
 def test_trace_vertical(gamma2_zero):

@@ -303,6 +303,22 @@ def test_mesh_requires_leaves(bundle_path, tmp_path):
     assert "leaf" in json.loads(stderr)["message"]
 
 
+def test_mesh_rejects_non_finite_leaves(bundle_path, tmp_path):
+    obj = tmp_path / "m.obj"
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("leaves = nan,1.0\n")
+    code, _, _ = run_cli(["mesh", str(bundle_path), "--leaves", "nan,1.0", "--out", str(obj)])
+    assert code == 2
+    assert not obj.exists()
+    code, _, stderr = run_cli(["mesh", str(bundle_path), "--config", str(cfg), "--out", str(obj)])
+    assert code == 2
+    assert "leaves" in json.loads(stderr)["message"]
+    assert not obj.exists()
+    for bad in ((0.0,), (-1.0, 2.0), (float("inf"),)):
+        with pytest.raises(ValueError, match="leaves"):
+            RunConfig(leaves=bad)
+
+
 def test_demo_full_pipeline(tmp_path):
     cfg = tmp_path / "demo.cfg"
     cfg.write_text("n_curves = 10\nsurgery_samples = 2000\n")

@@ -273,6 +273,21 @@ def test_triangulation_validation(gamma2):
     with pytest.raises(InvalidTriangulation):
         IdealTriangulationData.from_json(broken)
 
+    # an edge glued twice, an edge outside its triangle, a triangle out of range
+    broken = copy.deepcopy(d)
+    broken["gluings"].append(broken["gluings"][0])
+    with pytest.raises(InvalidTriangulation, match="glued exactly once"):
+        IdealTriangulationData.from_json(broken)
+    broken = copy.deepcopy(d)
+    broken["gluings"][0]["left"] = [0, ["0", "1"]]
+    with pytest.raises(InvalidTriangulation, match="not in triangle 0"):
+        IdealTriangulationData.from_json(broken)
+    for index in (2, -1):
+        broken = copy.deepcopy(d)
+        broken["gluings"][1]["right"] = [index, broken["gluings"][1]["right"][1]]
+        with pytest.raises(InvalidTriangulation, match=f"references triangle {index}"):
+            IdealTriangulationData.from_json(broken)
+
     # round trip preserves content
     back = IdealTriangulationData.from_json(d)
     assert back.triangles == tri.triangles
@@ -287,3 +302,31 @@ def test_representation_json_round_trip(gamma2):
                            rep.generator(name).linear.matrix)
         assert np.allclose(back.generator(name).translation,
                            rep.generator(name).translation)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["gamma2_zero", "gamma2_deformed", "torus_zero", "torus_deformed"]
+)
+def test_sides_reverse_with_inverse_word(request, fixture):
+    st_ = request.getfixturevalue(fixture)
+    sides = st_.triangulation.sides
+    assert len(sides) == 3 * len(st_.triangulation.triangles)
+    for (tri, edge), (nbr, vmap, word) in sides.items():
+        assert set(vmap) == edge
+        back_tri, back_map, back_word = sides[(nbr, frozenset(vmap.values()))]
+        assert back_tri == tri
+        assert {w: v for v, w in back_map.items()} == vmap
+        assert back_word == invert_word(word)
+        # position(v) = word . position(map[v]), read on the decorations
+        iso = st_.representation.evaluate(word)
+        loop = iso.compose(st_.representation.evaluate(back_word))
+        assert np.allclose(loop.linear.matrix, np.eye(3), atol=1e-12)
+        assert np.allclose(loop.translation, 0.0, atol=1e-12)
+        for v in edge:
+            src = vmap[v]
+            assert np.allclose(
+                st_.decorations_u[v], iso.linear.matrix @ st_.decorations_u[src], atol=1e-9
+            )
+            assert np.allclose(
+                st_.decorations_p[v], iso.apply(st_.decorations_p[src]), atol=1e-9
+            )
