@@ -113,20 +113,33 @@ class HexagonBlend:
 
     name = "rational-ramp"
     threshold = BLEND_THRESHOLD
+    _below = float(np.nextafter(BLEND_THRESHOLD, 0.0))  # largest ramp argument
+
+    def value_and_partials(self, alpha) -> tuple[np.ndarray, np.ndarray]:
+        """phi (..., 3) and its unconstrained partials d phi_k / d alpha_j (..., 3, 3).
+
+        The ramp runs on alpha clamped below 2/3, so every entry is finite; then
+        the plateau rows (seams alpha_i = 2/3 included) get e_i and zero partials.
+        """
+        a = np.asarray(alpha, dtype=float)
+        ac = np.minimum(a, self._below)
+        gap = self.threshold - ac
+        h = ac / gap
+        hp = self.threshold / gap**2
+        s = h.sum(axis=-1, keepdims=True)
+        phi = h / s
+        # d(h_k/S)/da_j = delta_kj hp_j / S - h_k hp_j / S^2, as 0 - term so zeros stay +0
+        dphi = np.einsum("...k,...j->...kj", h, hp) / (s**2)[..., None]
+        np.subtract(0.0, dphi, out=dphi)
+        dphi[..., [0, 1, 2], [0, 1, 2]] += hp / s
+        if np.any(a >= self.threshold):
+            plateau = a.max(axis=-1) >= self.threshold
+            phi[plateau] = np.eye(3)[np.argmax(a[plateau], axis=-1)]
+            dphi[plateau] = 0.0
+        return phi, dphi
 
     def __call__(self, alpha) -> np.ndarray:
-        a = np.asarray(alpha, dtype=float)
-        single = a.ndim == 1
-        a = np.atleast_2d(a)
-        out = np.zeros_like(a)
-        top = np.argmax(a, axis=1)
-        plateau = a[np.arange(len(a)), top] >= self.threshold
-        out[plateau, top[plateau]] = 1.0
-        rest = ~plateau
-        if np.any(rest):
-            h = a[rest] / (self.threshold - a[rest])
-            out[rest] = h / h.sum(axis=1, keepdims=True)
-        return out[0] if single else out
+        return self.value_and_partials(alpha)[0]
 
     def partials(self, alpha) -> np.ndarray:
         """Unconstrained partial derivatives d phi_k / d alpha_j, shape (..., 3, 3).
@@ -134,23 +147,7 @@ class HexagonBlend:
         Zero on the plateaus; the seams alpha_i = 2/3 take the plateau branch
         (one-sided value).  Callers sampling derivatives stay off the seams.
         """
-        a = np.atleast_2d(np.asarray(alpha, dtype=float))
-        n = len(a)
-        out = np.zeros((n, 3, 3))
-        top = np.argmax(a, axis=1)
-        rest = a[np.arange(n), top] < self.threshold
-        if np.any(rest):
-            ar = a[rest]
-            h = ar / (self.threshold - ar)
-            hp = self.threshold / (self.threshold - ar) ** 2
-            s = h.sum(axis=1, keepdims=True)
-            # d(h_k/S)/da_j = delta_kj hp_j / S - h_k hp_j / S^2
-            term = np.einsum("nk,nj->nkj", h, hp) / (s**2)[:, :, None]
-            diag = np.zeros_like(term)
-            idx = np.arange(3)
-            diag[:, idx, idx] = hp / s
-            out[rest] = diag - term
-        return out if np.asarray(alpha).ndim > 1 else out[0]
+        return self.value_and_partials(alpha)[1]
 
     def invert(self, phi, iters: int = 200) -> np.ndarray:
         """Inverse of the hexagon restriction: the alpha in H with phi(alpha) = phi."""
@@ -216,8 +213,7 @@ def dev_hat_jacobians(sx: DecoratedSimplex, t, alpha, kappa: float,
     """
     t = np.asarray(t, dtype=float)
     a = np.asarray(alpha, dtype=float)
-    phi = blend(a)
-    dphi = blend.partials(a)
+    phi, dphi = blend.value_and_partials(a)
     col_t = phi @ sx.u
     d_a = dphi[:, :, 1] - dphi[:, :, 0]
     d_b = dphi[:, :, 2] - dphi[:, :, 0]

@@ -313,17 +313,16 @@ def cmd_causal(args) -> int:
 
 def cmd_mesh(args) -> int:
     cfg = load_config(args.config, args.seed)
-    leaves = cfg.leaves
     if args.leaves is not None:
-        leaves = tuple(float(x) for x in args.leaves.split(",") if x.strip())
-    if not leaves:
+        cfg = dataclasses.replace(cfg, leaves=[x for x in args.leaves.split(",") if x.strip()])
+    if not cfg.leaves:
         raise ValueError("mesh needs at least one leaf t value")
     if args.resolution is not None:
         cfg = dataclasses.replace(cfg, resolution=args.resolution)
     st = _load_bundle(args.bundle)
-    export_mesh(st, leaves, cfg.resolution, args.out)
+    export_mesh(st, cfg.leaves, cfg.resolution, args.out)
     # mesh_data's layout: per leaf and simplex, a triangular grid of side res
-    res, cells = cfg.resolution, len(leaves) * len(st.simplices)
+    res, cells = cfg.resolution, len(cfg.leaves) * len(st.simplices)
     _emit(
         {
             "kind": "mesh-report",
@@ -331,7 +330,7 @@ def cmd_mesh(args) -> int:
             "out": args.out,
             "config": cfg.to_json(),
             "seed": cfg.seed,
-            "leaves": list(leaves),
+            "leaves": list(cfg.leaves),
             "resolution": cfg.resolution,
             "vertices": cells * (res + 1) * (res + 2) // 2,
             "faces": cells * res * res,

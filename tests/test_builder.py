@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -192,6 +193,73 @@ def blend_unnormalized(blend, a):
     # off-plateau branch of the blend formula, tolerant of sum != 1
     h = a / (blend.threshold - a)
     return h / h.sum()
+
+
+def _masked_blend(a, threshold=2.0 / 3.0):
+    """The blend and its partials as computed before value_and_partials: the
+    plateau rows masked out and the ramp evaluated on the rest only."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    n = len(a)
+    phi, dphi = np.zeros_like(a), np.zeros((n, 3, 3))
+    top = np.argmax(a, axis=1)
+    plateau = a[np.arange(n), top] >= threshold
+    phi[plateau, top[plateau]] = 1.0
+    rest = ~plateau
+    if np.any(rest):
+        ar = a[rest]
+        h = ar / (threshold - ar)
+        hp = threshold / (threshold - ar) ** 2
+        s = h.sum(axis=1, keepdims=True)
+        phi[rest] = h / s
+        term = np.einsum("nk,nj->nkj", h, hp) / (s**2)[:, :, None]
+        diag = np.zeros_like(term)
+        diag[:, np.arange(3), np.arange(3)] = hp / s
+        dphi[rest] = diag - term
+    return phi, dphi
+
+
+def _blend_test_points():
+    rng = np.random.default_rng(12)
+    third, seam = 1.0 / 3.0, 2.0 / 3.0
+    below, above = np.nextafter(seam, 0.0), np.nextafter(seam, 1.0)
+    special = [
+        (1.0, 0.0, 0.0), (third, third, third), (seam, third, 0.0), (seam, 0.0, third),
+        (below, 1.0 - below, 0.0), (above, 1.0 - above, 0.0), (0.5, 0.5, 0.0),
+        (0.7, 0.2, 0.1), (0.6, 0.2, 0.2), (0.0, 0.3, 0.7),
+    ]
+    special = [np.roll(p, k) for p in special for k in range(3)]
+    return np.concatenate([rng.dirichlet(np.ones(3), size=200_000),
+                           rng.dirichlet(np.full(3, 0.2), size=20_000), special])
+
+
+def test_value_and_partials_bit_equal_to_masked_blend():
+    blend = make_blend()
+    pts = _blend_test_points()
+    phi, dphi = blend.value_and_partials(pts)
+    ref_phi, ref_dphi = _masked_blend(pts)
+    assert phi.tobytes() == ref_phi.tobytes()
+    assert dphi.tobytes() == ref_dphi.tobytes()
+    assert blend(pts).tobytes() == phi.tobytes()
+    assert blend.partials(pts).tobytes() == dphi.tobytes()
+    # one point in, one point out; a stacked batch keeps its shape
+    for row in pts[-30:]:
+        assert blend(row).shape == (3,) and blend.partials(row).shape == (3, 3)
+        assert blend(row).tobytes() == _masked_blend(row)[0][0].tobytes()
+    stacked = blend.value_and_partials(pts[-30:].reshape(10, 3, 3))
+    assert stacked[0].tobytes() == phi[-30:].tobytes()
+    assert stacked[1].tobytes() == dphi[-30:].tobytes()
+
+
+@pytest.mark.parametrize("alpha", [(2.0 / 3.0, 1.0 / 3.0, 0.0), (1.0, 0.0, 0.0)])
+def test_blend_raises_no_warning_on_plateau_edges(alpha, gamma2_zero):
+    blend = make_blend()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi, dphi = blend.value_and_partials(np.array(alpha))
+        jac = dev_hat_jacobians(gamma2_zero.simplices[0], np.array([1.0]), np.array([alpha]),
+                                gamma2_zero.kappa, blend)
+    assert phi.tolist() == [1.0, 0.0, 0.0] and not dphi.any()
+    assert np.isfinite(jac).all()
 
 
 def test_leaf_gram_hand_check_exact():

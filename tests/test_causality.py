@@ -13,7 +13,13 @@ from btzgeo.causality import (
     DecompositionViolation,
     FiberPoint,
     StuckAtSingularity,
+    _chart_frames,
     _clip_to_chart,
+    _future_causal,
+    _jacobians,
+    _segments_are_causal,
+    _tangents,
+    _time_checks,
     _trace_lockstep,
     btz_decomposition,
     cauchy_time_report,
@@ -266,6 +272,24 @@ def test_polyline_helpers():
     assert not flat.strictly_increasing_t()
 
 
+@pytest.mark.parametrize("t, transition", [
+    ([0.5, 1.5, 1.5, 2.5], [False, False, True, False]),  # test_polyline_helpers' curve
+    ([0.5, 0.7], [False, True]),  # a transition that jumps in t
+    ([1.5, 1.5], [False, False]),  # a flat step that is no transition
+    ([0.5, 1.0, 1.5], [False, False, False]),  # a node exactly on the leaf t = 1
+    ([2.5, 1.5, 0.5], [False, False, False]),  # backwards
+    ([0.7], [False]),
+])
+def test_time_checks_match_polyline_helpers(t, transition):
+    curve = CausalPolyline([CurveNode(ChartPoint(0, ti, CENTER), transition=tr)
+                            for ti, tr in zip(t, transition)])
+    leaves = [0.6, 1.0, 1.5, 2.0, 3.0]
+    monotone, crossings = _time_checks(np.array(t), np.array(transition), leaves)
+    assert monotone is curve.strictly_increasing_t()
+    assert crossings == [curve.leaf_crossings(leaf) for leaf in leaves]
+    assert _time_checks(np.array(t), np.array(transition), []) == (monotone, [])
+
+
 def test_cauchy_time_report_passes_and_replays(gamma2_zero):
     rep1 = cauchy_time_report(gamma2_zero, n_curves=25, seed=3)
     rep2 = cauchy_time_report(gamma2_zero, n_curves=25, seed=3)
@@ -305,6 +329,25 @@ PINNED_TORUS_DEFORMED_15_SEED5 = [
 def test_cauchy_time_report_matches_pinned_curves(request, fixture, n_curves, seed, pinned):
     rep = cauchy_time_report(request.getfixturevalue(fixture), n_curves=n_curves, seed=seed)
     assert [(c["nodes"], c["rejected_proposals"]) for c in rep["curves"]] == pinned
+
+
+# Per fixture, the sums of nodes and of rejected_proposals over the curves of
+# cauchy_time_report(st, n_curves=100, seed=0), the size `btzgeo demo` runs.
+PINNED_DEMO_SIZE_TOTALS = {
+    "gamma2_zero": (9739, 20566),
+    "gamma2_deformed": (9738, 20405),
+    "torus_zero": (9841, 20271),
+    "torus_deformed": (9792, 19802),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_DEMO_SIZE_TOTALS))
+def test_cauchy_time_report_matches_pinned_totals_at_demo_size(request, fixture):
+    rep = cauchy_time_report(request.getfixturevalue(fixture), n_curves=100, seed=0)
+    assert rep["pass"] is True
+    totals = (sum(c["nodes"] for c in rep["curves"]),
+              sum(c["rejected_proposals"] for c in rep["curves"]))
+    assert totals == PINNED_DEMO_SIZE_TOTALS[fixture]
 
 
 @pytest.mark.parametrize("lo, hi", [(-0.25, 1.0), (-0.25, 0.25), (-1.0, 1.0)])
@@ -350,7 +393,9 @@ def test_lockstep_batch_matches_one_curve_traces(request, fixture):
     seeds = [int(x) for x in rng.integers(2**32, size=len(starts))]
     batch = list(_trace_lockstep(st_, starts, seeds, t_stop=3.0))
     transitions = 0
-    for start, seed, (nodes, rejected) in zip(starts, seeds, batch):
+    for start, seed, ((simplex, t, alpha, transition), rejected) in zip(starts, seeds, batch):
+        nodes = [CurveNode(ChartPoint(int(sx), float(ti), a), transition=bool(tr))
+                 for sx, ti, a, tr in zip(simplex, t, alpha, transition)]
         alone = trace_causal_curve(st_, start, t_stop=3.0, seed=seed)
         assert [n.to_json() for n in alone.nodes] == [
             n.to_json() for n in [CurveNode(start)] + nodes
@@ -473,6 +518,17 @@ def test_trace_matches_sequential_reference(gamma2_deformed, torus_zero):
     assert transitions > 0
 
 
+def test_trace_matches_sequential_reference_below_scale_floor(torus_deformed):
+    # alpha_step < 0.02/3 caps the adaptive scale below its 0.02 floor, which
+    # only rejected proposals apply
+    for seed in range(2):
+        start = ChartPoint(seed, 0.2, np.array([0.5, 0.3, 0.2]))
+        nodes, rejected = _sequential_trace(torus_deformed, start, 3.0, seed, alpha_step=0.005)
+        curve = trace_causal_curve(torus_deformed, start, t_stop=3.0, seed=seed, alpha_step=0.005)
+        assert [n.to_json() for n in curve.nodes] == [n.to_json() for n in nodes]
+        assert curve.rejected_proposals == rejected
+
+
 def test_cauchy_time_report_catches_broken_leaves(examples):
     from btzgeo.builder import BuildSettings, build
 
@@ -565,3 +621,80 @@ def test_diamond_sample_from_fiber(gamma2_zero):
     assert out.kept
     for pt in out.kept:
         assert fiber_hop_is_causal(st_, p, pt)
+
+
+FIXTURES = ["gamma2_zero", "gamma2_deformed", "torus_zero", "torus_deformed"]
+
+
+def _kernel_points(st_, rng, n=60):
+    """(simplex, t, alpha): random, plateau, seam, vertex and centre points of every chart."""
+    seam = 2.0 / 3.0
+    below = np.nextafter(seam, 0.0)
+    corners = [(1.0, 0.0, 0.0), (0.8, 0.1, 0.1), (seam, 1.0 - seam, 0.0),
+               (seam, 1.0 / 6.0, 1.0 / 6.0), (below, 0.1, 0.9 - below)]
+    special = [np.roll(c, k) for c in corners for k in range(3)] + [CENTER]
+    alpha = np.concatenate([rng.dirichlet(np.ones(3), size=n), special])
+    alpha = np.tile(alpha, (len(st_.simplices), 1))
+    simplex = np.repeat(np.arange(len(st_.simplices)), len(alpha) // len(st_.simplices))
+    return simplex, rng.uniform(0.1, 4.0, size=len(alpha)), alpha
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_kernel_tangents_match_dev_hat_jacobians(request, fixture):
+    st_ = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(21)
+    simplex, t, alpha = _kernel_points(st_, rng)
+    step = rng.normal(size=(len(t), 3))
+    v = _tangents(_jacobians(st_.blend, _chart_frames(st_), simplex, t, alpha),
+                  step[:, 0], step[:, 1:])
+    for k, sx in enumerate(st_.simplices):
+        m = simplex == k
+        jac = dev_hat_jacobians(sx, t[m], alpha[m], st_.kappa, st_.blend)
+        scale = (np.abs(jac) @ np.abs(step[m])[:, :, None])[..., 0].max(axis=-1, keepdims=True)
+        assert np.all(np.abs(v[m] - (jac @ step[m][:, :, None])[..., 0]) <= 1e-12 * scale)
+
+
+def _unpruned(blend, frames, simplex, t0, a0, t1, a1, band, margin, samples=3):
+    """Every sample of every segment evaluated, as before the start-sample pruning."""
+    s = np.linspace(0.0, 1.0, samples)
+    dt, d = t1 - t0, a1 - a0
+    ts = t0[..., None] + s * dt[..., None]
+    alphas = a0[..., None, :] + s[:, None] * d[..., None, :]
+    v = _tangents(_jacobians(blend, frames, simplex[..., None], ts, alphas),
+                  dt[..., None], d[..., None, 1:])
+    ok = ((dt != 0) | np.any(d[..., 1:] != 0, axis=-1)) & ~np.any(ts <= 0, axis=-1)
+    return ok & np.all(_future_causal(v, band, margin), axis=-1), _future_causal(v, band, margin)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_kernel_broadcast_start_and_pruning_keep_decisions(request, fixture):
+    st_ = request.getfixturevalue(fixture)
+    blend, frames = st_.blend, _chart_frames(st_)
+    rng = np.random.default_rng(22)
+    simplex, t, alpha = _kernel_points(st_, rng)
+    lanes = len(t)
+    # tracer-like proposals: dt of either sign, transverse moves across scales
+    dt = rng.uniform(-0.25, 1.0, size=(lanes, 8)) * rng.choice([0.01, 0.1, 1.0], size=(lanes, 1))
+    da = (rng.normal(size=(lanes, 8, 2)) * rng.choice([0.01, 0.3, 3.0], size=(lanes, 8, 1))
+          * np.abs(dt)[..., None])
+    t0, a0 = t[:, None], alpha[:, None, :]
+    a1 = a0 + np.stack([-da[..., 0] - da[..., 1], da[..., 0], da[..., 1]], axis=-1)
+    t1, _, _, _ = _clip_to_chart(np.broadcast_to(t0, dt.shape), dt,
+                                 np.broadcast_to(a0, a1.shape), a1)
+    for band, margin in ((1e-9, 1e-6), (1e-9, 0.0)):
+        got = _segments_are_causal(blend, frames, simplex[:, None], t0, a0, t1, a1,
+                                   band=band, margin=margin)
+        # the same start repeated per proposal: the same bits
+        rep = [np.repeat(x, 8, axis=1) for x in (simplex[:, None], t0, a0)]
+        assert np.array_equal(got, _segments_are_causal(blend, frames, rep[0], rep[1], rep[2],
+                                                        t1, a1, band=band, margin=margin))
+        v_start = _tangents(_jacobians(blend, frames, simplex[:, None], t0, a0), t1 - t0,
+                            (a1 - a0)[..., 1:])
+        v_rep = _tangents(_jacobians(blend, frames, *rep), t1 - t0, (a1 - a0)[..., 1:])
+        assert v_start.tobytes() == v_rep.tobytes()
+        # pruning after the start sample decides as testing every sample does
+        expect, per_sample = _unpruned(blend, frames, simplex[:, None], t0, a0, t1, a1,
+                                       band, margin)
+        assert np.array_equal(got, expect)
+        start_only = per_sample[..., 0] & ~per_sample[..., 1:].all(axis=-1)
+        assert got.any() and (~per_sample[..., 0]).any() and start_only.any()

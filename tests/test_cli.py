@@ -290,6 +290,8 @@ def test_mesh_json_output(bundle_path, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["format"] == "leaf-mesh"
     report = json.loads(stdout)
+    # the --leaves override is the config the report records
+    assert report["config"]["leaves"] == report["leaves"] == [1.5]
     # the report counts the written mesh
     assert len(payload["vertices"]) == report["vertices"]
     assert len(payload["faces"]) == report["faces"]
