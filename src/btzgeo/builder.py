@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -115,31 +116,37 @@ class HexagonBlend:
     threshold = BLEND_THRESHOLD
     _below = float(np.nextafter(BLEND_THRESHOLD, 0.0))  # largest ramp argument
 
-    def value_and_partials(self, alpha) -> tuple[np.ndarray, np.ndarray]:
-        """phi (..., 3) and its unconstrained partials d phi_k / d alpha_j (..., 3, 3).
-
-        The ramp runs on alpha clamped below 2/3, so every entry is finite; then
-        the plateau rows (seams alpha_i = 2/3 included) get e_i and zero partials.
-        """
+    def _value(self, alpha):
+        """phi (..., 3) and the pieces its partials reuse: h, sum h, gap, plateau mask.
+        The ramp runs on alpha clamped below 2/3, so every entry is finite; the
+        plateau rows (seams alpha_i = 2/3 included) then get e_i; plateau is None if none."""
         a = np.asarray(alpha, dtype=float)
         ac = np.minimum(a, self._below)
         gap = self.threshold - ac
         h = ac / gap
-        hp = self.threshold / gap**2
         s = h.sum(axis=-1, keepdims=True)
         phi = h / s
+        plateau = None
+        if (a >= self.threshold).any():
+            plateau = a.max(axis=-1) >= self.threshold
+            phi[plateau] = np.eye(3)[np.argmax(a[plateau], axis=-1)]
+        return phi, h, s, gap, plateau
+
+    def value_and_partials(self, alpha) -> tuple[np.ndarray, np.ndarray]:
+        """phi (..., 3) and its unconstrained partials d phi_k / d alpha_j (..., 3, 3)."""
+        phi, h, s, gap, plateau = self._value(alpha)
+        hp = self.threshold / gap**2
         # d(h_k/S)/da_j = delta_kj hp_j / S - h_k hp_j / S^2, as 0 - term so zeros stay +0
         dphi = np.einsum("...k,...j->...kj", h, hp) / (s**2)[..., None]
         np.subtract(0.0, dphi, out=dphi)
-        dphi[..., [0, 1, 2], [0, 1, 2]] += hp / s
-        if np.any(a >= self.threshold):
-            plateau = a.max(axis=-1) >= self.threshold
-            phi[plateau] = np.eye(3)[np.argmax(a[plateau], axis=-1)]
+        diagonal = np.einsum("...kk->...k", dphi)  # a writeable view
+        diagonal += hp / s
+        if plateau is not None:
             dphi[plateau] = 0.0
         return phi, dphi
 
     def __call__(self, alpha) -> np.ndarray:
-        return self.value_and_partials(alpha)[0]
+        return self._value(alpha)[0]
 
     def partials(self, alpha) -> np.ndarray:
         """Unconstrained partial derivatives d phi_k / d alpha_j, shape (..., 3, 3).
@@ -196,30 +203,40 @@ def dev_hat(sx: DecoratedSimplex, t: float, alpha, kappa: float,
     return p_map(sx, t, blend(a), a, kappa)
 
 
-def dev_hat_points(sx: DecoratedSimplex, t, alpha, kappa: float,
+def stack_charts(simplices) -> tuple[np.ndarray, np.ndarray]:
+    """Corner decorations u, p of the charts stacked as two (S, 3, 3) arrays."""
+    return np.stack([sx.u for sx in simplices]), np.stack([sx.p for sx in simplices])
+
+
+def dev_hat_points(u, p, simplex, t, alpha, kappa: float,
                    blend: HexagonBlend) -> np.ndarray:
-    """Vectorized dev_hat: t (n,), alpha (n, 3) -> points (n, 3)."""
+    """dev_hat over stacked charts u, p (S, 3, 3): points (..., 3); the chart
+    index array ``simplex`` broadcasts against t (...) and alpha (..., 3)."""
     t = np.asarray(t, dtype=float)
     a = np.asarray(alpha, dtype=float)
-    phi = blend(a)
-    return (t[:, None] * phi + kappa * a) @ sx.u + a @ sx.p
+    row = (t[..., None] * blend(a) + kappa * a)[..., None, :]
+    return (row @ u[simplex] + a[..., None, :] @ p[simplex])[..., 0, :]
 
 
-def dev_hat_jacobians(sx: DecoratedSimplex, t, alpha, kappa: float,
+def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float,
                       blend: HexagonBlend) -> np.ndarray:
     """Jacobians of dev_hat in chart coordinates (t, a, b), alpha = (1-a-b, a, b).
 
-    Returns (n, 3, 3) with columns (d/dt, d/da, d/db).
+    Stacked charts as in dev_hat_points; t broadcasts into the batch shape of
+    simplex and alpha.  Returns (..., 3, 3) with columns (d/dt, d/da, d/db): rows
+    phi, d phi/da, d phi/db times u, then the last two x t, + kappa (u_k - u_0),
+    + (p_k - p_0), in that order.
     """
     t = np.asarray(t, dtype=float)
-    a = np.asarray(alpha, dtype=float)
-    phi, dphi = blend.value_and_partials(a)
-    col_t = phi @ sx.u
-    d_a = dphi[:, :, 1] - dphi[:, :, 0]
-    d_b = dphi[:, :, 2] - dphi[:, :, 0]
-    col_a = t[:, None] * (d_a @ sx.u) + kappa * (sx.u[1] - sx.u[0]) + (sx.p[1] - sx.p[0])
-    col_b = t[:, None] * (d_b @ sx.u) + kappa * (sx.u[2] - sx.u[0]) + (sx.p[2] - sx.p[0])
-    return np.stack([col_t, col_a, col_b], axis=-1)
+    phi, dphi = blend.value_and_partials(alpha)
+    d_ab = np.swapaxes(dphi[..., 1:] - dphi[..., :1], -1, -2)  # rows d phi/da, d phi/db
+    rows = np.concatenate([phi[..., None, :], d_ab], axis=-2)
+    ug, pg = u[simplex], p[simplex]
+    jt = rows @ ug
+    jt[..., 1:, :] *= t[..., None, None]
+    jt[..., 1:, :] += kappa * (ug[..., 1:, :] - ug[..., :1, :])
+    jt[..., 1:, :] += pg[..., 1:, :] - pg[..., :1, :]
+    return np.swapaxes(jt, -1, -2)
 
 
 def leaf_gram(sx: DecoratedSimplex, t, kappa: float) -> np.ndarray:
@@ -315,18 +332,12 @@ def barycentric_grid(n: int) -> np.ndarray:
     Offsets (0.5, 0.25) keep every coordinate (including the dependent first
     one) away from the blend seams at 2/3 and from the boundary.
     """
-    pts = []
-    for i in range(n):
-        for j in range(n):
-            a2 = (i + 0.5) / n
-            a3 = (j + 0.25) / n
-            a1 = 1.0 - a2 - a3
-            if a1 > 0.0:
-                pts.append((a1, a2, a3))
-    return np.array(pts)
+    a2, a3 = np.meshgrid((np.arange(n) + 0.5) / n, (np.arange(n) + 0.25) / n, indexing="ij")
+    pts = np.stack([1.0 - a2 - a3, a2, a3], axis=-1).reshape(-1, 3)
+    return pts[pts[:, 0] > 0.0]
 
 
-def _certify_once(simplices, blend, kappa, t_values, grid, margin):
+def _certify_once(simplices, charts, blend, kappa, t_values, grid, margin):
     """One certification pass over every simplex x t x grid sample; returns (ok, stats).
 
     ``worst`` names the lowest Jacobian sample if the Jacobian fails the
@@ -334,9 +345,8 @@ def _certify_once(simplices, blend, kappa, t_values, grid, margin):
     """
     ts = np.repeat(t_values, len(grid))
     alphas = np.tile(grid, (len(t_values), 1))
-    dets = np.stack([
-        np.linalg.det(dev_hat_jacobians(sx, ts, alphas, kappa, blend)) for sx in simplices
-    ])
+    simplex = np.arange(len(simplices))[:, None]
+    dets = np.linalg.det(dev_hat_jacobians(*charts, simplex, ts, alphas, kappa, blend))
     eigs = np.stack([_gram_min_eig(leaf_gram(sx, t_values, kappa)) for sx in simplices])
     min_det, min_eig = float(dets.min()), float(eigs.min())
     worst = None
@@ -367,10 +377,11 @@ def choose_kappa(simplices, blend: HexagonBlend,
     )
     t_values = np.geomspace(settings.t_min, settings.t_max, settings.t_count)
     grid = barycentric_grid(settings.bary_n)
+    charts = stack_charts(simplices)
     kappa = kappa0
     last = None
     for doubling in range(settings.max_doublings + 1):
-        ok, stats = _certify_once(simplices, blend, kappa, t_values, grid, settings.margin)
+        ok, stats = _certify_once(simplices, charts, blend, kappa, t_values, grid, settings.margin)
         if ok:
             return CertificationRecord(
                 kappa=kappa,
@@ -530,6 +541,11 @@ class PolyhedralSpacetime:
     def dumps(self) -> str:
         return canonical_dumps(self.to_json())
 
+    @cached_property
+    def charts(self) -> tuple[np.ndarray, np.ndarray]:
+        """stack_charts(simplices): the kernels' (u, p) arrays, stacked once."""
+        return stack_charts(self.simplices)
+
     @classmethod
     def from_json(cls, d) -> "PolyhedralSpacetime":
         if d.get("format") != "spacetime-bundle":
@@ -659,19 +675,16 @@ def verify_face_equivariance(
     s_values = (np.arange(settings.equiv_edge_count) + 0.5) / settings.equiv_edge_count
     ts = np.tile(t_values, len(s_values))
     s = np.repeat(s_values, len(t_values))
-
-    def edge_points(sx: DecoratedSimplex, pair) -> np.ndarray:
-        alpha = np.zeros((len(s), 3))
-        alpha[:, sx.vertices.index(pair[0])] = s
-        alpha[:, sx.vertices.index(pair[1])] = 1.0 - s
-        return dev_hat_points(sx, ts, alpha, kappa, blend)
-
+    # both sides of every gluing, in one kernel call: the edge point s v0 + (1 - s) v1
+    sides = [side for g in tri.gluings for side in (g.left, g.right)]
+    ends = np.eye(3)[[[simplices[i].vertices.index(v) for v in pair] for i, pair in sides]]
+    alpha = s[:, None] * ends[:, None, 0] + (1.0 - s)[:, None] * ends[:, None, 1]
+    x = dev_hat_points(*stack_charts(simplices), np.array([i for i, _ in sides])[:, None],
+                       ts, alpha, kappa, blend)
     worst = 0.0
-    for g in tri.gluings:
-        (li, lpair), (ri, rpair) = g.left, g.right
+    for g, xl, xr in zip(tri.gluings, x[0::2], x[1::2]):
         iso = rep.evaluate(g.word)
-        xl = edge_points(simplices[li], lpair)
-        xr = (iso.linear.matrix @ edge_points(simplices[ri], rpair).T).T + iso.translation
+        xr = (iso.linear.matrix @ xr.T).T + iso.translation
         worst = max(worst, float(np.abs(xl - xr).max()))
     if worst > settings.equiv_tol:
         raise FaceMismatch(f"glued faces disagree by {worst:.3e}")
@@ -959,7 +972,7 @@ def recheck_certification(st: PolyhedralSpacetime) -> bool:
     t_values = np.geomspace(st.settings.t_min, st.settings.t_max, st.settings.t_count)
     grid = barycentric_grid(st.settings.bary_n)
     ok, stats = _certify_once(
-        st.simplices, st.blend, st.kappa, t_values, grid, st.certification.margin
+        st.simplices, st.charts, st.blend, st.kappa, t_values, grid, st.certification.margin
     )
     return (
         ok
@@ -986,11 +999,12 @@ def mesh_data(st: PolyhedralSpacetime, t_values, resolution: int):
             cell.append((a, b, c))
             if i + j < res - 1:
                 cell.append((b, index_of[(i + 1, j + 1)], c))
-    cells = [(t, sx) for t in t_values for sx in st.simplices]
-    verts = [dev_hat_points(sx, np.full(len(bary), t), bary, st.kappa, st.blend)
-             for t, sx in cells]
-    faces = [tuple(k * len(bary) + v for v in f) for k in range(len(cells)) for f in cell]
-    return np.vstack(verts), faces
+    # one kernel call over leaf x simplex x grid point, in that order
+    verts = dev_hat_points(*st.charts, np.arange(len(st.simplices))[:, None],
+                           np.array(t_values)[:, None, None], bary, st.kappa, st.blend)
+    faces = [tuple(k * len(bary) + v for v in f)
+             for k in range(len(t_values) * len(st.simplices)) for f in cell]
+    return verts.reshape(-1, 3), faces
 
 
 def export_mesh(st: PolyhedralSpacetime, t_values, resolution: int, path) -> str:

@@ -15,8 +15,8 @@ build only dt > 0 proposals can be causal (t is a time function), so the
 monotonicity check in the report is a real assertion, not a tautology.
 
 Curves are traced in lockstep: one pass per step tests the 8 proposals of
-every live curve over stacked chart frames, evaluating each curve's start
-Jacobian once and the later samples only where the start passes; face
+every live curve with builder's stacked chart kernel, evaluating each curve's
+start Jacobian once and the later samples only where the start passes; face
 crossings stay scalar.  Each curve reads its own random stream in the order a
 one-curve trace reads it (3 doubles per proposal, proposals in order until
 the first accepted one), so a curve traced in a batch equals the same curve
@@ -26,11 +26,12 @@ traced alone, node for node.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import PolyhedralSpacetime, dev_hat_points, minkowski_to_model
+from .builder import PolyhedralSpacetime, dev_hat_jacobians, dev_hat_points, minkowski_to_model
 from .minkowski import GeometryError, quadratic_form
 from .models import NotInImage
 
@@ -47,6 +48,13 @@ class AbsentFiber(GeometryError):
     """A fiber point on an unknown puncture or on a fiber marked absent."""
 
 
+def _index(value, bound: float = math.inf, what: str = "chart simplex") -> int:
+    """``value`` as an int in [0, bound), so no negative index wraps in a gather."""
+    if not 0 <= operator.index(value) < bound:
+        raise ValueError(f"{what} {value!r} is outside [0, {bound})")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ChartPoint:
     simplex: int
@@ -54,6 +62,7 @@ class ChartPoint:
     alpha: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "simplex", _index(self.simplex))
         a = np.array(self.alpha, dtype=float)
         w = a.tolist()
         if (a.shape != (3,) or not all(map(math.isfinite, w))
@@ -88,7 +97,7 @@ class FiberPoint:
 
 def point_from_json(d):
     if d["kind"] == "chart":
-        return ChartPoint(int(d["simplex"]), float(d["t"]), np.array(d["alpha"]))
+        return ChartPoint(d["simplex"], float(d["t"]), np.array(d["alpha"]))
     if d["kind"] == "fiber":
         return FiberPoint(d["puncture"], float(d["t"]))
     raise ValueError(f"unknown point kind {d['kind']!r}")
@@ -116,10 +125,8 @@ def develop(st: PolyhedralSpacetime, point) -> np.ndarray:
     if isinstance(point, FiberPoint):
         fib = _present_fiber(st, point)
         return fib.line_point + (st.kappa + point.t) * fib.line_direction
-    sx = st.simplices[point.simplex]
-    return dev_hat_points(
-        sx, np.array([point.t]), point.alpha[None, :], st.kappa, st.blend
-    )[0]
+    simplex = _index(point.simplex, len(st.simplices))
+    return dev_hat_points(*st.charts, simplex, point.t, point.alpha, st.kappa, st.blend)
 
 
 @dataclass
@@ -160,29 +167,10 @@ class CausalPolyline:
         }
 
 
-def _chart_frames(st: PolyhedralSpacetime) -> np.ndarray:
-    """Stacked chart frames (S, 5, 3): u_0..u_2, then kappa (u_k - u_0) + p_k - p_0."""
-    u, p = (np.stack([getattr(sx, k) for sx in st.simplices]) for k in "up")
-    return np.concatenate([u, st.kappa * (u[:, 1:] - u[:, :1]) + (p[:, 1:] - p[:, :1])], axis=1)
-
-
-def _jacobians(blend, frames, simplex, t, alpha) -> np.ndarray:
-    """dev_hat_jacobians, transposed and batched (..., 3, 3); all arguments broadcast.
-
-    Rows d/dt = phi . u and d/da_k = t (d phi / da_k) . u + frame offset k.
-    """
-    phi, dphi = blend.value_and_partials(alpha)
-    coef = np.zeros(phi.shape[:-1] + (3, 5))
-    coef[..., 0, :3] = phi
-    coef[..., 1:, :3] = t[..., None, None] * np.swapaxes(dphi[..., 1:] - dphi[..., :1], -1, -2)
-    coef[..., 1, 3] = coef[..., 2, 4] = 1.0
-    return coef @ frames[simplex]
-
-
-def _tangents(jt, dt, da) -> np.ndarray:
-    """Developed tangents of chart steps (dt, da_1, da_2), from _jacobians' rows."""
-    return (dt[..., None] * jt[..., 0, :] + da[..., :1] * jt[..., 1, :]
-            + da[..., 1:] * jt[..., 2, :])
+def _tangents(jac, dt, da) -> np.ndarray:
+    """Developed tangents of chart steps (dt, da_1, da_2), from dev_hat_jacobians' columns."""
+    return (dt[..., None] * jac[..., :, 0] + da[..., :1] * jac[..., :, 1]
+            + da[..., 1:] * jac[..., :, 2])
 
 
 def _future_causal(v: np.ndarray, band: float, margin: float) -> np.ndarray:
@@ -192,8 +180,8 @@ def _future_causal(v: np.ndarray, band: float, margin: float) -> np.ndarray:
 
 
 def _segments_are_causal(
-    blend, frames, simplex, t0, a0, t1, a1, band: float = 1e-9, margin: float = 0.0,
-    samples: int = 3,
+    st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, band: float = 1e-9,
+    margin: float = 0.0, samples: int = 3,
 ) -> np.ndarray:
     """Future-causal test for straight chart segments at sampled tangents.
 
@@ -203,16 +191,16 @@ def _segments_are_causal(
     samples are evaluated only where the start sample passes; all must pass.
     """
     dt, d = t1 - t0, a1 - a0
-    ts = t0[..., None] + np.linspace(0.0, 1.0, samples) * dt[..., None]
-    ok = ((dt != 0) | np.any(d[..., 1:] != 0, axis=-1)) & ~np.any(ts <= 0, axis=-1)
-    start = _jacobians(blend, frames, simplex, t0, a0)
+    s = np.linspace(0.0, 1.0, samples)
+    ts = t0[..., None] + s * dt[..., None]
+    ok = ((dt != 0) | (d[..., 1:] != 0).any(axis=-1)) & ~(ts <= 0).any(axis=-1)
+    start = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa, st.blend)
     ok &= _future_causal(_tangents(start, dt, d[..., 1:]), band, margin)
-    s = np.linspace(0.0, 1.0, samples)[1:, None]
-    alphas = (a0[..., None, :] + s * d[..., None, :])[ok]
-    later = _jacobians(blend, frames, np.broadcast_to(simplex, ok.shape)[ok][:, None],
-                       ts[ok][:, 1:], alphas)
+    alphas = (a0[..., None, :] + s[1:, None] * d[..., None, :])[ok]
+    later = dev_hat_jacobians(*st.charts, np.broadcast_to(simplex, ok.shape)[ok][:, None],
+                              ts[ok][:, 1:], alphas, st.kappa, st.blend)
     v = _tangents(later, dt[ok][:, None], d[ok][:, None, 1:])
-    ok[ok] = np.all(_future_causal(v, band, margin), axis=1)
+    ok[ok] = _future_causal(v, band, margin).all(axis=1)
     return ok
 
 
@@ -226,12 +214,9 @@ def segment_is_causal(
     samples: int = 3,
 ) -> bool:
     """Future-causal test for one straight chart segment at sampled tangents."""
-    (t0, a0), (t1, a1) = start, end
-    return bool(_segments_are_causal(
-        st.blend, _chart_frames(st), np.array([simplex]), np.array([t0], dtype=float),
-        np.asarray(a0, dtype=float)[None, :], np.array([t1], dtype=float),
-        np.asarray(a1, dtype=float)[None, :], band=band, margin=margin, samples=samples,
-    )[0])
+    t0, a0, t1, a1 = (np.asarray(x, dtype=float)[None] for x in (*start, *end))
+    chart = np.array([_index(simplex, len(st.simplices))])
+    return bool(_segments_are_causal(st, chart, t0, a0, t1, a1, band, margin, samples)[0])
 
 
 def cross_face(
@@ -242,8 +227,9 @@ def cross_face(
     The facet is the zero-weight slot; the shared edge is the other two
     vertices.  The developed positions must agree through the gluing word.
     """
-    sx = st.simplices[point.simplex]
-    edge_names = [v for i, v in enumerate(sx.vertices) if i != facet]
+    sx = st.simplices[_index(point.simplex, len(st.simplices))]
+    edge_names = list(sx.vertices)
+    del edge_names[_index(facet, 3, "facet")]
     other_tri, mapped, word = st.triangulation.sides[(point.simplex, frozenset(edge_names))]
     other_sx = st.simplices[other_tri]
     alpha_new = np.zeros(3)
@@ -252,7 +238,8 @@ def cross_face(
         alpha_new[other_sx.vertices.index(mapped[name])] = w
     new_point = ChartPoint(other_tri, point.t, alpha_new)
     iso = st.representation.evaluate(word)
-    x, x_new = develop(st, point), develop(st, new_point)
+    x, x_new = dev_hat_points(*st.charts, np.array([point.simplex, other_tri]), point.t,
+                              np.stack([point.alpha, alpha_new]), st.kappa, st.blend)
     err = float(np.abs(x - (iso.linear.matrix @ x_new + iso.translation)).max())
     if err > tol * max(1.0, float(np.abs(x).max())):
         raise GeometryError(
@@ -341,8 +328,7 @@ def _trace_lockstep(
     the proposals up to it, which is the stream a sequential loop consumes.
     """
     n = len(starts)
-    frames = _chart_frames(st)
-    simplex = np.array([p.simplex for p in starts])
+    simplex = np.array([_index(p.simplex, len(st.simplices)) for p in starts])
     t = np.array([float(p.t) for p in starts])
     alpha = np.array([p.alpha for p in starts])
     steps_t = (np.full(n, float(t_step)) if t_step is not None
@@ -412,8 +398,8 @@ def _trace_lockstep(
             a1 = a0 + np.stack([-da[..., 0] - da[..., 1], da[..., 0], da[..., 1]], axis=-1)
             t1, ok, crossed, facet = _clip_to_chart(
                 np.broadcast_to(t0, dt.shape), dt, np.broadcast_to(a0, a1.shape), a1)
-            ok &= _segments_are_causal(st.blend, frames, simplex[live][:, None], t0, a0,
-                                       t1, a1, band=band, margin=cone_margin)
+            ok &= _segments_are_causal(st, simplex[live][:, None], t0, a0, t1, a1,
+                                       band=band, margin=cone_margin)
             has = ok.any(axis=1)
             k = np.argmax(ok, axis=1)
             lane = np.arange(live.size)
@@ -568,7 +554,7 @@ def validate_polyline(st: PolyhedralSpacetime, curve: CausalPolyline,
     if charts:
         index, starts, ends = zip(*charts)
         ok = _segments_are_causal(
-            st.blend, _chart_frames(st), np.array([p.simplex for p in starts]),
+            st, np.array([_index(p.simplex, len(st.simplices)) for p in starts]),
             np.array([p.t for p in starts]), np.stack([p.alpha for p in starts]),
             np.array([p.t for p in ends]), np.stack([p.alpha for p in ends]), band=band,
         )
@@ -624,8 +610,8 @@ def cauchy_time_report(
     """
     if n_curves < 1:
         raise ValueError("n_curves must be >= 1")
-    if not all(math.isfinite(x) and x > 0 for x in (t_start, t_stop)):
-        raise ValueError("t_start and t_stop must be finite and > 0")
+    if not all(math.isfinite(x) and x > 0 for x in (t_start, t_stop, *leaves)):
+        raise ValueError("t_start, t_stop and leaves must be finite and > 0")
     if t_start >= t_stop:
         raise ValueError("t_start must be < t_stop")
     rng = np.random.default_rng(seed)

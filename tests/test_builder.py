@@ -37,6 +37,7 @@ from btzgeo.builder import (
     minkowski_to_model,
     model_to_minkowski,
     recheck_certification,
+    stack_charts,
     strip_btz,
 )
 from btzgeo.minkowski import causal_class, CausalClass, minkowski_inner
@@ -256,7 +257,7 @@ def test_blend_raises_no_warning_on_plateau_edges(alpha, gamma2_zero):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         phi, dphi = blend.value_and_partials(np.array(alpha))
-        jac = dev_hat_jacobians(gamma2_zero.simplices[0], np.array([1.0]), np.array([alpha]),
+        jac = dev_hat_jacobians(*gamma2_zero.charts, 0, np.array([1.0]), np.array([alpha]),
                                 gamma2_zero.kappa, blend)
     assert phi.tolist() == [1.0, 0.0, 0.0] and not dphi.any()
     assert np.isfinite(jac).all()
@@ -331,7 +332,7 @@ def test_kappa_failure_names_lowest_jacobian_sample():
     samples = [(t, tuple(a.tolist())) for t in (cfg.t_min, cfg.t_max) for a in grid]
     ts = np.array([t for t, _ in samples])
     alphas = np.array([a for _, a in samples])
-    dets = np.linalg.det(dev_hat_jacobians(sx, ts, alphas, 2.0, make_blend()))
+    dets = np.linalg.det(dev_hat_jacobians(*stack_charts([sx]), 0, ts, alphas, 2.0, make_blend()))
     t, a = samples[int(np.argmin(dets))]
     assert f"worst sample ('jacobian', 0, {t!r}, {a!r})" in str(exc.value)
 
@@ -434,6 +435,29 @@ REFERENCE_SPEARS = {
     "torus_zero": [("c1", 1.0471975511965974, 0.5235987755982987, 0.9549296585513724)],
     "torus_deformed": [("c1", 1.1916867453973128, 0.5958433726986564, 0.9549296585513715)],
 }
+
+
+# certification.to_json() of the reference builds, recorded with the per-simplex
+# certification pass: (kappa, min_jacobian_det, min_gram_eigenvalue, equivariance_residual);
+# every build certifies at once (doublings 0, kappa_initial = kappa) on 12672 samples
+REFERENCE_CERTIFICATIONS = {
+    "gamma2_zero": (1.0, 1.9999999999999982, 0.9243577472252533, 3.552713678800501e-14),
+    "gamma2_deformed": (1.1131275856086498, 2.4339588072597063, 1.0871892516094137,
+                        3.375077994860476e-14),
+    "torus_zero": (1.0, 3.9999999999999885, 2.419999999999997, 3.197442310920451e-14),
+    "torus_deformed": (1.137977016882451, 5.243674011824025, 2.997850690834214,
+                       3.319566843629218e-14),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(REFERENCE_CERTIFICATIONS))
+def test_reference_certifications_are_pinned(fixture, request):
+    kappa, det, eig, residual = REFERENCE_CERTIFICATIONS[fixture]
+    assert request.getfixturevalue(fixture).certification.to_json() == {
+        "kappa": kappa, "kappa_initial": kappa, "doublings": 0, "samples": 12672,
+        "min_jacobian_det": det, "min_gram_eigenvalue": eig, "margin": 1e-6,
+        "equivariance_residual": residual,
+    }
 
 
 @pytest.mark.parametrize("fixture", sorted(REFERENCE_SPEARS))
@@ -649,7 +673,7 @@ def test_jacobian_matches_finite_differences(gamma2_deformed):
         if a.max() > 0.6:
             continue
         t = rng.uniform(0.3, 3.0)
-        jac = dev_hat_jacobians(sx, np.array([t]), a[None], st_.kappa, blend)[0]
+        jac = dev_hat_jacobians(*st_.charts, 0, t, a, st_.kappa, blend)
 
         def chart(tt, aa, bb):
             return dev_hat(sx, tt, (1 - aa - bb, aa, bb), st_.kappa, blend)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from btzgeo.builder import dev_hat, dev_hat_jacobians, extend_btz, strip_btz
+from btzgeo.builder import dev_hat, dev_hat_jacobians, dev_hat_points, extend_btz, strip_btz
 from btzgeo.causality import (
     AbsentFiber,
     CausalPolyline,
@@ -13,10 +13,8 @@ from btzgeo.causality import (
     DecompositionViolation,
     FiberPoint,
     StuckAtSingularity,
-    _chart_frames,
     _clip_to_chart,
     _future_causal,
-    _jacobians,
     _segments_are_causal,
     _tangents,
     _time_checks,
@@ -374,6 +372,10 @@ def test_uniform_is_scaled_random_bit_for_bit(lo, hi):
     {"t_stop": math.inf},
     {"t_start": 0.0},
     {"t_start": -1.0, "t_stop": 2.0},
+    {"leaves": (math.nan,)},
+    {"leaves": (0.5, math.inf)},
+    {"leaves": (0.0,)},
+    {"leaves": (1.0, -2.0)},
 ])
 def test_cauchy_time_report_rejects_bad_input(gamma2_zero, kwargs):
     with pytest.raises(ValueError):
@@ -471,7 +473,7 @@ def _sequential_trace(st_, start, t_stop, seed, alpha_step=0.4, cone_margin=1e-6
         if not np.any(step) or np.any(ts <= 0):
             return False
         alphas = a0[None, :] + s[:, None] * (a1 - a0)[None, :]
-        v = dev_hat_jacobians(st_.simplices[cur.simplex], ts, alphas, st_.kappa,
+        v = dev_hat_jacobians(*st_.charts, cur.simplex, ts, alphas, st_.kappa,
                               st_.blend) @ step
         bound = band * np.maximum(np.sum(v * v, axis=-1), 1.0) - cone_margin * v[:, 0] ** 2
         return bool(np.all((v[:, 0] > 0) & (quadratic_form(v) <= bound)))
@@ -639,28 +641,100 @@ def _kernel_points(st_, rng, n=60):
     return simplex, rng.uniform(0.1, 4.0, size=len(alpha)), alpha
 
 
+def _per_simplex_points(sx, t, alpha, kappa, blend):
+    """dev_hat_points as it was before the charts were stacked: one chart, t (n,)."""
+    t = np.asarray(t, dtype=float)
+    a = np.asarray(alpha, dtype=float)
+    phi = blend(a)
+    return (t[:, None] * phi + kappa * a) @ sx.u + a @ sx.p
+
+
+def _per_simplex_jacobians(sx, t, alpha, kappa, blend):
+    """dev_hat_jacobians as it was before the charts were stacked: one chart, t (n,)."""
+    t = np.asarray(t, dtype=float)
+    a = np.asarray(alpha, dtype=float)
+    phi, dphi = blend.value_and_partials(a)
+    col_t = phi @ sx.u
+    d_a = dphi[:, :, 1] - dphi[:, :, 0]
+    d_b = dphi[:, :, 2] - dphi[:, :, 0]
+    col_a = t[:, None] * (d_a @ sx.u) + kappa * (sx.u[1] - sx.u[0]) + (sx.p[1] - sx.p[0])
+    col_b = t[:, None] * (d_b @ sx.u) + kappa * (sx.u[2] - sx.u[0]) + (sx.p[2] - sx.p[0])
+    return np.stack([col_t, col_a, col_b], axis=-1)
+
+
+def _one_chart_at_a_time(kernel, st_, simplex, t, alpha):
+    """A per-simplex kernel over broadcast (simplex, t, alpha), grouped by chart."""
+    shape = np.broadcast_shapes(np.shape(simplex), np.shape(t), np.shape(alpha)[:-1])
+    sim = np.broadcast_to(simplex, shape).ravel()
+    t = np.broadcast_to(t, shape).ravel()
+    alpha = np.broadcast_to(alpha, shape + (3,)).reshape(-1, 3)
+    parts = {k: kernel(sx, t[sim == k], alpha[sim == k], st_.kappa, st_.blend)
+             for k, sx in enumerate(st_.simplices)}
+    out = np.empty((len(sim),) + parts[0].shape[1:])
+    for k, part in parts.items():
+        out[sim == k] = part
+    return out.reshape(shape + out.shape[1:])
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_stacked_kernels_bit_equal_to_per_simplex_kernels(request, fixture):
+    st_ = request.getfixturevalue(fixture)
+    u, p = st_.charts
+    rng = np.random.default_rng(23)
+    simplex, t, alpha = _kernel_points(st_, rng)
+    n, lanes = len(t), 12
+    cases = [
+        (simplex, t, alpha),  # simplex (n,)
+        (np.arange(len(u))[:, None], t, alpha),  # (S, 1) against the whole grid
+        # (L, 1) against (L, 8): one start per lane, 8 proposals each
+        (simplex[:lanes, None], t[:lanes, None] + rng.uniform(0.0, 1.0, size=(lanes, 8)),
+         alpha[rng.integers(n, size=(lanes, 8))]),
+    ]
+    for sim, ts, alphas in cases:
+        for kernel, reference in ((dev_hat_points, _per_simplex_points),
+                                  (dev_hat_jacobians, _per_simplex_jacobians)):
+            got = kernel(u, p, sim, ts, alphas, st_.kappa, st_.blend)
+            want = _one_chart_at_a_time(reference, st_, sim, ts, alphas)
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(got).tobytes() == want.tobytes()
+        dets = np.linalg.det(dev_hat_jacobians(u, p, sim, ts, alphas, st_.kappa, st_.blend))
+        assert dets.tobytes() == np.linalg.det(
+            _one_chart_at_a_time(_per_simplex_jacobians, st_, sim, ts, alphas)).tobytes()
+    # simplex (): one point of one chart
+    for k in range(0, n, 7):
+        args = (int(simplex[k]), float(t[k]), alpha[k])
+        sx = st_.simplices[args[0]]
+        assert dev_hat_points(u, p, *args, st_.kappa, st_.blend).tobytes() == (
+            _per_simplex_points(sx, t[k:k + 1], alpha[k:k + 1], st_.kappa, st_.blend)[0].tobytes())
+        assert np.ascontiguousarray(
+            dev_hat_jacobians(u, p, *args, st_.kappa, st_.blend)).tobytes() == (
+            _per_simplex_jacobians(sx, t[k:k + 1], alpha[k:k + 1], st_.kappa, st_.blend)[0]
+            .tobytes())
+
+
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_kernel_tangents_match_dev_hat_jacobians(request, fixture):
     st_ = request.getfixturevalue(fixture)
     rng = np.random.default_rng(21)
     simplex, t, alpha = _kernel_points(st_, rng)
     step = rng.normal(size=(len(t), 3))
-    v = _tangents(_jacobians(st_.blend, _chart_frames(st_), simplex, t, alpha),
+    v = _tangents(dev_hat_jacobians(*st_.charts, simplex, t, alpha, st_.kappa, st_.blend),
                   step[:, 0], step[:, 1:])
     for k, sx in enumerate(st_.simplices):
         m = simplex == k
-        jac = dev_hat_jacobians(sx, t[m], alpha[m], st_.kappa, st_.blend)
+        jac = _per_simplex_jacobians(sx, t[m], alpha[m], st_.kappa, st_.blend)
         scale = (np.abs(jac) @ np.abs(step[m])[:, :, None])[..., 0].max(axis=-1, keepdims=True)
         assert np.all(np.abs(v[m] - (jac @ step[m][:, :, None])[..., 0]) <= 1e-12 * scale)
 
 
-def _unpruned(blend, frames, simplex, t0, a0, t1, a1, band, margin, samples=3):
+def _unpruned(st_, simplex, t0, a0, t1, a1, band, margin, samples=3):
     """Every sample of every segment evaluated, as before the start-sample pruning."""
     s = np.linspace(0.0, 1.0, samples)
     dt, d = t1 - t0, a1 - a0
     ts = t0[..., None] + s * dt[..., None]
     alphas = a0[..., None, :] + s[:, None] * d[..., None, :]
-    v = _tangents(_jacobians(blend, frames, simplex[..., None], ts, alphas),
+    v = _tangents(dev_hat_jacobians(*st_.charts, simplex[..., None], ts, alphas, st_.kappa,
+                                    st_.blend),
                   dt[..., None], d[..., None, 1:])
     ok = ((dt != 0) | np.any(d[..., 1:] != 0, axis=-1)) & ~np.any(ts <= 0, axis=-1)
     return ok & np.all(_future_causal(v, band, margin), axis=-1), _future_causal(v, band, margin)
@@ -669,7 +743,10 @@ def _unpruned(blend, frames, simplex, t0, a0, t1, a1, band, margin, samples=3):
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_kernel_broadcast_start_and_pruning_keep_decisions(request, fixture):
     st_ = request.getfixturevalue(fixture)
-    blend, frames = st_.blend, _chart_frames(st_)
+
+    def jacobians(simplex, t, alpha):
+        return dev_hat_jacobians(*st_.charts, simplex, t, alpha, st_.kappa, st_.blend)
+
     rng = np.random.default_rng(22)
     simplex, t, alpha = _kernel_points(st_, rng)
     lanes = len(t)
@@ -682,19 +759,51 @@ def test_kernel_broadcast_start_and_pruning_keep_decisions(request, fixture):
     t1, _, _, _ = _clip_to_chart(np.broadcast_to(t0, dt.shape), dt,
                                  np.broadcast_to(a0, a1.shape), a1)
     for band, margin in ((1e-9, 1e-6), (1e-9, 0.0)):
-        got = _segments_are_causal(blend, frames, simplex[:, None], t0, a0, t1, a1,
+        got = _segments_are_causal(st_, simplex[:, None], t0, a0, t1, a1,
                                    band=band, margin=margin)
         # the same start repeated per proposal: the same bits
         rep = [np.repeat(x, 8, axis=1) for x in (simplex[:, None], t0, a0)]
-        assert np.array_equal(got, _segments_are_causal(blend, frames, rep[0], rep[1], rep[2],
+        assert np.array_equal(got, _segments_are_causal(st_, rep[0], rep[1], rep[2],
                                                         t1, a1, band=band, margin=margin))
-        v_start = _tangents(_jacobians(blend, frames, simplex[:, None], t0, a0), t1 - t0,
-                            (a1 - a0)[..., 1:])
-        v_rep = _tangents(_jacobians(blend, frames, *rep), t1 - t0, (a1 - a0)[..., 1:])
+        v_start = _tangents(jacobians(simplex[:, None], t0, a0), t1 - t0, (a1 - a0)[..., 1:])
+        v_rep = _tangents(jacobians(*rep), t1 - t0, (a1 - a0)[..., 1:])
         assert v_start.tobytes() == v_rep.tobytes()
         # pruning after the start sample decides as testing every sample does
-        expect, per_sample = _unpruned(blend, frames, simplex[:, None], t0, a0, t1, a1,
-                                       band, margin)
+        expect, per_sample = _unpruned(st_, simplex[:, None], t0, a0, t1, a1, band, margin)
         assert np.array_equal(got, expect)
         start_only = per_sample[..., 0] & ~per_sample[..., 1:].all(axis=-1)
         assert got.any() and (~per_sample[..., 0]).any() and start_only.any()
+
+
+def test_chart_indices_are_checked(gamma2_zero):
+    st_ = gamma2_zero  # two charts
+    with pytest.raises(ValueError):
+        ChartPoint(-1, 1.0, CENTER)
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            ChartPoint(bad, 1.0, CENTER)
+    with pytest.raises(TypeError):
+        point_from_json({"kind": "chart", "simplex": 1.5, "t": 1.0, "alpha": CENTER.tolist()})
+    pt = ChartPoint(np.int64(1), 1.0, CENTER)
+    assert type(pt.simplex) is int and pt.to_json()["simplex"] == 1
+    beyond, inside = ChartPoint(2, 1.0, CENTER), ChartPoint(1, 1.0, CENTER)
+    curve = CausalPolyline([CurveNode(beyond), CurveNode(ChartPoint(2, 1.5, CENTER))])
+    calls = [
+        lambda: develop(st_, beyond),
+        lambda: trace_causal_curve(st_, beyond, t_stop=2.0),
+        lambda: validate_polyline(st_, curve),
+        lambda: fiber_hop_is_causal(st_, FiberPoint("c1", 0.5), beyond),
+        lambda: cross_face(st_, beyond, 0),
+        lambda: segment_is_causal(st_, 2, (1.0, CENTER), (1.5, CENTER)),
+        lambda: segment_is_causal(st_, -1, (1.0, CENTER), (1.5, CENTER)),
+    ]
+    calls += [lambda f=f: cross_face(st_, inside, f) for f in (-1, 3, 5)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    with pytest.raises(TypeError):
+        segment_is_causal(st_, 1.5, (1.0, CENTER), (1.5, CENTER))
+    # the last chart is still reachable
+    assert segment_is_causal(st_, 1, (1.0, CENTER), (1.5, CENTER))
+    assert np.array_equal(develop(st_, inside), dev_hat_points(
+        *st_.charts, np.array([1]), np.array([1.0]), CENTER[None], st_.kappa, st_.blend)[0])
