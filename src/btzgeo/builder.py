@@ -133,7 +133,9 @@ class HexagonBlend:
         return phi, h, s, gap, plateau
 
     def value_and_partials(self, alpha) -> tuple[np.ndarray, np.ndarray]:
-        """phi (..., 3) and its unconstrained partials d phi_k / d alpha_j (..., 3, 3)."""
+        """phi (..., 3) and its unconstrained partials d phi_k / d alpha_j (..., 3, 3),
+        zero on the plateaus.  The seams alpha_i = 2/3 take the plateau branch
+        (one-sided value), so callers sampling derivatives stay off the seams."""
         phi, h, s, gap, plateau = self._value(alpha)
         hp = self.threshold / gap**2
         # d(h_k/S)/da_j = delta_kj hp_j / S - h_k hp_j / S^2, as 0 - term so zeros stay +0
@@ -147,14 +149,6 @@ class HexagonBlend:
 
     def __call__(self, alpha) -> np.ndarray:
         return self._value(alpha)[0]
-
-    def partials(self, alpha) -> np.ndarray:
-        """Unconstrained partial derivatives d phi_k / d alpha_j, shape (..., 3, 3).
-
-        Zero on the plateaus; the seams alpha_i = 2/3 take the plateau branch
-        (one-sided value).  Callers sampling derivatives stay off the seams.
-        """
-        return self.value_and_partials(alpha)[1]
 
     def invert(self, phi, iters: int = 200) -> np.ndarray:
         """Inverse of the hexagon restriction: the alpha in H with phi(alpha) = phi."""
@@ -182,19 +176,11 @@ class HexagonBlend:
         return {"name": self.name, "threshold": self.threshold}
 
 
-def make_blend() -> HexagonBlend:
-    return HexagonBlend()
-
-
 def p_map(sx: DecoratedSimplex, t: float, alpha, beta, kappa: float) -> np.ndarray:
     """The ruled chart: t-scaled alpha slot over u, affine beta slot over (kappa u + p)."""
     a = as_barycentric(alpha)
     b = as_barycentric(beta)
     return (t * a + kappa * b) @ sx.u + b @ sx.p
-
-
-def dev_map(sx: DecoratedSimplex, t: float, alpha, kappa: float) -> np.ndarray:
-    return p_map(sx, t, alpha, alpha, kappa)
 
 
 def dev_hat(sx: DecoratedSimplex, t: float, alpha, kappa: float,
@@ -483,9 +469,6 @@ class SpearDescriptor(JsonRecord):
     def ring_tau(self) -> float:
         return self.vertex_tau + 0.5 * self.radius
 
-    def head_tau(self, r: float) -> float:
-        return self.vertex_tau + 0.5 * r
-
     def contains(self, point, tol: float = 1e-12) -> bool:
         tau, r, _ = point
         return r <= self.radius + tol and tau - 0.5 * r >= self.vertex_tau - tol
@@ -553,6 +536,9 @@ class PolyhedralSpacetime:
         rep = AffineRepresentation.from_json(d["representation"])
         tri = IdealTriangulationData.from_json(d["triangulation"])
         settings = BuildSettings.from_json(d["settings"])
+        kappa = d["kappa"]
+        if not (kappa == d["certification"]["kappa"] and math.isfinite(kappa) and kappa > 0):
+            raise ValueError(f"kappa {kappa!r} must be finite, > 0 and the certificate's kappa")
         dec_u, dec_p, _ = decorate_vertices(rep, tri)
         for v, entry in d["decorations"].items():
             if (
@@ -567,8 +553,8 @@ class PolyhedralSpacetime:
             decorations_u=dec_u,
             decorations_p=dec_p,
             simplices=simplices,
-            kappa=float(d["kappa"]),
-            blend=make_blend(),
+            kappa=float(kappa),
+            blend=HexagonBlend(),
             fibers={k: SingularFiber.from_json(v) for k, v in d["fibers"].items()},
             certification=CertificationRecord.from_json(d["certification"]),
             settings=settings,
@@ -702,7 +688,7 @@ def build(
         raise NotAdmissible(report)
     dec_u, dec_p, base_of = decorate_vertices(rep, tri)
     simplices = decorate_simplices(tri, dec_u, dec_p)
-    blend = make_blend()
+    blend = HexagonBlend()
     cert = choose_kappa(simplices, blend, settings)
     residual = verify_face_equivariance(rep, tri, simplices, cert.kappa, blend, settings)
     cert = replace(cert, equivariance_residual=residual)
@@ -965,20 +951,6 @@ def extend_btz(st: PolyhedralSpacetime) -> tuple[PolyhedralSpacetime, dict[str, 
     out = replace(st)
     out.fibers = fibers
     return out, report
-
-
-def recheck_certification(st: PolyhedralSpacetime) -> bool:
-    """Re-run the certification pass at the stored kappa; must still clear margins."""
-    t_values = np.geomspace(st.settings.t_min, st.settings.t_max, st.settings.t_count)
-    grid = barycentric_grid(st.settings.bary_n)
-    ok, stats = _certify_once(
-        st.simplices, st.charts, st.blend, st.kappa, t_values, grid, st.certification.margin
-    )
-    return (
-        ok
-        and stats["min_jacobian_det"] == st.certification.min_jacobian_det
-        and stats["min_gram_eigenvalue"] == st.certification.min_gram_eigenvalue
-    )
 
 
 def mesh_data(st: PolyhedralSpacetime, t_values, resolution: int):

@@ -95,14 +95,6 @@ class FiberPoint:
         return {"kind": "fiber", "puncture": self.puncture, "t": self.t}
 
 
-def point_from_json(d):
-    if d["kind"] == "chart":
-        return ChartPoint(d["simplex"], float(d["t"]), np.array(d["alpha"]))
-    if d["kind"] == "fiber":
-        return FiberPoint(d["puncture"], float(d["t"]))
-    raise ValueError(f"unknown point kind {d['kind']!r}")
-
-
 @dataclass(frozen=True)
 class CurveNode:
     point: ChartPoint | FiberPoint
@@ -653,73 +645,3 @@ def cauchy_time_report(
         "pass": failures == 0,
         "curves": curves,
     }
-
-
-@dataclass(frozen=True)
-class DiamondSample:
-    """Rejection-sampled points of a causal diamond J+(p) intersect J-(q).
-
-    Heuristic evidence, not a decision procedure: chart points are compared in
-    the fundamental developed frames only, so deck translates of the diamond
-    are not explored.  Fiber endpoints use the exact singular criteria.
-    """
-
-    p: dict
-    q: dict
-    kept: list
-    tried: int
-    seed: int
-    note: str
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "kept": [pt.to_json() for pt in self.kept],
-            "tried": self.tried,
-            "seed": self.seed,
-            "note": self.note,
-        }
-
-
-def diamond_sample(
-    st: PolyhedralSpacetime, p, q, budget: int = 512, seed: int = 0
-) -> DiamondSample:
-    from .minkowski import CausalOrder, causal_relation
-
-    for x in (p, q):
-        if isinstance(x, FiberPoint):
-            _present_fiber(st, x)
-    rng = np.random.default_rng(seed)
-    kept = []
-    note = "fundamental-frame heuristic; deck translates not explored"
-    if isinstance(p, FiberPoint) and isinstance(q, FiberPoint):
-        if p.puncture == q.puncture and q.t > p.t:
-            ts = np.sort(rng.uniform(p.t, q.t, size=min(budget, 64)))
-            kept = [FiberPoint(p.puncture, float(t)) for t in ts]
-            note = "axis segment: the diamond of two fiber points is the fiber arc"
-        return DiamondSample(p.to_json(), q.to_json(), kept, budget, seed, note)
-    if isinstance(q, FiberPoint):
-        note = "J-(fiber point) contains no chart points; empty sample"
-        return DiamondSample(p.to_json(), q.to_json(), kept, budget, seed, note)
-
-    x_q = develop(st, q)
-    if q.t <= p.t:
-        return DiamondSample(p.to_json(), q.to_json(), [], budget, seed,
-                             "empty: q is not above p in time")
-    for _ in range(budget):
-        t = float(rng.uniform(p.t, q.t))
-        alpha = rng.dirichlet(np.ones(3))
-        x = ChartPoint(q.simplex, t, alpha)
-        dev_x = develop(st, x)
-        if isinstance(p, FiberPoint):
-            above = fiber_hop_is_causal(st, p, x)
-        else:
-            rel = causal_relation(develop(st, p), dev_x)
-            above = rel in (CausalOrder.CHRONOLOGICAL, CausalOrder.CAUSAL_ONLY)
-        if not above:
-            continue
-        rel = causal_relation(dev_x, x_q)
-        if rel in (CausalOrder.CHRONOLOGICAL, CausalOrder.CAUSAL_ONLY):
-            kept.append(x)
-    return DiamondSample(p.to_json(), q.to_json(), kept, budget, seed, note)

@@ -436,13 +436,10 @@ def cmd_demo(args) -> int:
 # parser
 
 
-def _add_common(p, config=True, seed=True, out=None):
-    if config:
-        p.add_argument("--config", help="flat key=value config file")
-    if seed:
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
-    if out is not None:
-        p.add_argument("--out", default=out[0], help=out[1])
+def _add_common(p, out):
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
+    p.add_argument("--out", default=out[0], help=out[1])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,9 +8,7 @@ quotient where the angular coordinate is taken mod 2pi.
 
 The developing map ``dev0`` identifies the regular part of the BTZ cover with
 the open half-space {t > x} of Minkowski space; the deck transformation is a
-parabolic fixing the lightlike line spanned by (1,1,0).  Causal queries on the
-quotient reduce to a quadratic in the deck index and are decided in closed
-form.
+parabolic fixing the lightlike line spanned by (1,1,0).
 """
 
 from __future__ import annotations
@@ -20,21 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import CausalOrder, GeometryError, LinearIsometry
+from .minkowski import GeometryError, LinearIsometry
 
 TWO_PI = 2.0 * math.pi
 
 
-class NotSingular(GeometryError):
-    """Operation requires a point on the singular axis."""
-
-
 class NotInImage(GeometryError):
     """Point is outside the image of the developing map."""
-
-
-class SearchInconclusive(GeometryError):
-    """Bounded deck search could not certify the causal relation."""
 
 
 @dataclass(frozen=True)
@@ -210,92 +200,3 @@ def axis_deck_generator() -> np.ndarray:
         _AXIS_DECK_GEN = (g - 0.5 * (g @ g)) / TWO_PI
         _AXIS_DECK_GEN.setflags(write=False)
     return _AXIS_DECK_GEN
-
-
-@dataclass(frozen=True)
-class BtzPastDescriptor:
-    """Causal past of a singular BTZ point: the axis ray below it, empty chronology."""
-
-    tau_max: float
-    axis_only: bool = True
-    chronological_past_empty: bool = True
-
-
-def btz_causal_past(p: ModelPoint) -> BtzPastDescriptor:
-    """Past of a singular point: J- = {r = 0, tau <= tau_p}, I- empty."""
-    if p.alpha != 0.0:
-        raise ValueError("BTZ operation requires alpha = 0")
-    if not p.singular:
-        raise NotSingular("causal-past descriptor is for singular points")
-    return BtzPastDescriptor(tau_max=p.first)
-
-
-def _deck_quadratic(p: ModelPoint, q: ModelPoint):
-    """Coefficients of k -> Q(dev0(q_k) - dev0(p)) for deck lifts theta_q + 2pi k,
-    plus the affine coefficients of the t-gap: Delta_t(k) = t2 k^2 + t1 k + t0."""
-    tau_p, r_p, th_p = p.coords
-    tau_q, r_q, th_q = q.coords
-    # Delta_t(k) = (tau_q + r_q (th_q + 2pi k)^2 / 2) - (tau_p + r_p th_p^2 / 2)
-    t2 = 0.5 * r_q * TWO_PI * TWO_PI
-    t1 = r_q * th_q * TWO_PI
-    t0 = (tau_q + 0.5 * r_q * th_q * th_q) - (tau_p + 0.5 * r_p * th_p * th_p)
-    dr = r_q - r_p
-    # Delta_y(k) = -(r_q th_q + 2pi k r_q - r_p th_p)
-    y1 = -TWO_PI * r_q
-    y0 = -(r_q * th_q - r_p * th_p)
-    # Q = -Delta_t^2 + (Delta_t - dr)^2 + Delta_y^2 = -dr(2 Delta_t - dr) + Delta_y^2
-    a = -2.0 * dr * t2 + y1 * y1
-    b = -2.0 * dr * t1 + 2.0 * y0 * y1
-    c = -dr * (2.0 * t0 - dr) + y0 * y0
-    return (a, b, c), (t2, t1, t0)
-
-
-def btz_causal_relation(p: ModelPoint, q: ModelPoint, k_max: int = 8,
-                        tol: float = 1e-9) -> CausalOrder:
-    """Decide the causal order p ? q on the reduced BTZ model.
-
-    Regular pairs are compared through deck lifts of the developing map; the
-    Lorentz interval along the deck index is an exact quadratic with positive
-    leading coefficient, so testing the integers adjacent to its minimum is a
-    complete certificate.  k_max bounds how far the minimizing index may sit;
-    beyond it the search is declared inconclusive.
-    """
-    for x in (p, q):
-        if x.alpha != 0.0 or not x.reduced:
-            raise ValueError("btz_causal_relation expects reduced BTZ points")
-    if p.coords == q.coords:
-        return CausalOrder.EQUAL
-    scale = max(1.0, max(abs(v) for v in (*p.coords, *q.coords)) ** 2)
-    band = tol * scale
-    if p.singular and q.singular:
-        # The axis is a null line: never chronological.
-        return CausalOrder.CAUSAL_ONLY if q.first >= p.first else CausalOrder.INCOMPARABLE
-    if p.singular:
-        # J+((tau_p,0,0)) = {tau - r/2 >= tau_p}; interior is the chronological future.
-        gap = (q.first - 0.5 * q.radial) - p.first
-        if gap > band:
-            return CausalOrder.CHRONOLOGICAL
-        if gap >= -band:
-            return CausalOrder.CAUSAL_ONLY
-        return CausalOrder.INCOMPARABLE
-    if q.singular:
-        # J-(singular) is the axis; p is regular.
-        return CausalOrder.INCOMPARABLE
-    (a, b, c), (t2, t1, t0) = _deck_quadratic(p, q)
-    if a <= 0:
-        raise SearchInconclusive("degenerate deck quadratic")
-    k_star = -b / (2.0 * a)
-    if abs(k_star) > k_max + 1:
-        raise SearchInconclusive(f"minimizing deck index {k_star:.1f} beyond k_max={k_max}")
-    best: CausalOrder = CausalOrder.INCOMPARABLE
-    k_lo = math.floor(k_star) - 1
-    for k in range(k_lo, k_lo + 4):
-        interval = (a * k + b) * k + c
-        t_gap = (t2 * k + t1) * k + t0
-        if t_gap < -band:
-            continue
-        if interval < -band:
-            return CausalOrder.CHRONOLOGICAL
-        if interval <= band:
-            best = CausalOrder.CAUSAL_ONLY
-    return best

@@ -433,11 +433,14 @@ class Gluing(JsonRecord):
 
     @classmethod
     def from_json(cls, d) -> "Gluing":
-        return cls(
-            (int(d["left"][0]), tuple(d["left"][1])),
-            (int(d["right"][0]), tuple(d["right"][1])),
-            str(d["word"]),
-        )
+        def side(s):
+            if not (isinstance(s, (list, tuple)) and len(s) == 2 and type(s[0]) is int
+                    and isinstance(s[1], (list, tuple)) and len(s[1]) == 2
+                    and all(isinstance(v, str) for v in s[1]) and s[1][0] != s[1][1]):
+                raise ValueError(f"a gluing side is [triangle, [name, name]], got {s!r}")
+            return s[0], tuple(s[1])
+
+        return cls(side(d["left"]), side(d["right"]), str(d["word"]))
 
 
 class InvalidTriangulation(GeometryError):
@@ -467,6 +470,8 @@ class IdealTriangulationData:
 
     def __post_init__(self):
         self.triangles = [tuple(t) for t in self.triangles]
+        if not all(len(t) == 3 == len(set(map(str, t))) for t in self.triangles):
+            raise InvalidTriangulation("every triangle needs 3 distinct vertex names")
         verts = {v for t in self.triangles for v in t}
         if set(self.vertex_class) != verts or set(self.positions) != verts:
             raise InvalidTriangulation("vertex_class/positions must cover the triangle vertices")

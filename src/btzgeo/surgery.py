@@ -61,10 +61,12 @@ class BoundaryProfile(JsonRecord):
     sin: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("R must be positive")
         object.__setattr__(self, "cos", tuple(float(c) for c in self.cos))
         object.__setattr__(self, "sin", tuple(float(c) for c in self.sin))
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError("R must be finite and > 0")
+        if not all(map(math.isfinite, (self.const, *self.cos, *self.sin))):
+            raise ValueError("const, cos and sin must be finite")
 
     def value(self, theta):
         theta = np.asarray(theta, dtype=float)

@@ -14,6 +14,7 @@ from btzgeo.builder import (
     BuildSettings,
     DecoratedSimplex,
     DegenerateDecoration,
+    HexagonBlend,
     KappaSearchExhausted,
     NonMonotoneAngles,
     PolyhedralSpacetime,
@@ -25,18 +26,15 @@ from btzgeo.builder import (
     dev_hat,
     dev_hat_jacobians,
     dev_hat_points,
-    dev_map,
     export_mesh,
     find_spear,
     extend_btz,
     leaf_gram,
-    make_blend,
     mesh_data,
     p_map,
     puncture_geometry,
     minkowski_to_model,
     model_to_minkowski,
-    recheck_certification,
     stack_charts,
     strip_btz,
 )
@@ -67,7 +65,7 @@ def test_p_map_diagonal_and_corner():
     for _ in range(20):
         a = rng.dirichlet(np.ones(3))
         t = rng.uniform(0.1, 5.0)
-        assert p_map(sx, t, a, a, kappa) == pytest.approx(dev_map(sx, t, a, kappa))
+        assert p_map(sx, t, a, a, kappa) == pytest.approx((t + kappa) * (a @ sx.u) + a @ sx.p)
     corner = p_map(sx, 1.5, (1, 0, 0), (1, 0, 0), kappa)
     assert corner == pytest.approx((1.5 + kappa) * sx.u[0] + sx.p[0])
 
@@ -77,8 +75,8 @@ def test_dev_linear_in_t_with_future_causal_direction():
     sx = _cone_simplex(p=rng.normal(size=(3, 3)))
     for _ in range(50):
         a = rng.dirichlet(np.ones(3))
-        d1 = dev_map(sx, 2.0, a, 1.0) - dev_map(sx, 1.0, a, 1.0)
-        d2 = dev_map(sx, 3.0, a, 1.0) - dev_map(sx, 2.0, a, 1.0)
+        d1 = p_map(sx, 2.0, a, a, 1.0) - p_map(sx, 1.0, a, a, 1.0)
+        d2 = p_map(sx, 3.0, a, a, 1.0) - p_map(sx, 2.0, a, a, 1.0)
         assert d1 == pytest.approx(d2)
         assert d1 == pytest.approx(a @ sx.u)
         assert causal_class(d1) in (
@@ -90,7 +88,7 @@ def test_dev_linear_in_t_with_future_causal_direction():
 def test_dev_hat_plateau_affine():
     rng = np.random.default_rng(2)
     sx = _cone_simplex(p=rng.normal(size=(3, 3)))
-    blend = make_blend()
+    blend = HexagonBlend()
     kappa = 3.0
     for _ in range(50):
         rest = rng.uniform(0, 1 - 2 / 3 - 1e-6)
@@ -104,15 +102,15 @@ def test_dev_hat_plateau_affine():
 
 def test_dev_hat_barycenter_equals_dev():
     sx = _cone_simplex(p=np.arange(9.0).reshape(3, 3) / 10)
-    blend = make_blend()
+    blend = HexagonBlend()
     center = np.array([1, 1, 1]) / 3
     assert dev_hat(sx, 1.7, center, 2.0, blend) == pytest.approx(
-        dev_map(sx, 1.7, center, 2.0)
+        p_map(sx, 1.7, center, center, 2.0)
     )
 
 
 def test_blend_vertices_and_permutations():
-    blend = make_blend()
+    blend = HexagonBlend()
     assert blend((1.0, 0.0, 0.0)) == pytest.approx((1.0, 0.0, 0.0))
     rng = np.random.default_rng(3)
     for _ in range(1000):
@@ -124,7 +122,7 @@ def test_blend_vertices_and_permutations():
 
 
 def test_blend_preserves_edges_and_plateaus():
-    blend = make_blend()
+    blend = HexagonBlend()
     # plateau: anything with a coordinate >= 2/3 maps to that vertex
     assert blend((0.7, 0.2, 0.1)) == pytest.approx((1.0, 0.0, 0.0))
     assert blend((0.1, 0.2, 0.7)) == pytest.approx((0.0, 0.0, 1.0))
@@ -143,23 +141,23 @@ def test_blend_hexagon_bijection(a2, a3):
     a1 = 1.0 - a2 - a3
     if not (0.01 <= a1 <= 0.65):
         return
-    blend = make_blend()
+    blend = HexagonBlend()
     alpha = np.array([a1, a2, a3])
     back = blend.invert(blend(alpha))
     assert back == pytest.approx(alpha, abs=1e-10)
 
 
 def test_blend_invert_rejects_vertices():
-    blend = make_blend()
+    blend = HexagonBlend()
     with pytest.raises(ValueError):
         blend.invert((1.0, 0.0, 0.0))
 
 
 def test_blend_differential_spectrum():
-    blend = make_blend()
+    blend = HexagonBlend()
     rng = np.random.default_rng(4)
     pts = rng.dirichlet(np.ones(3), size=10_000)
-    dphi = blend.partials(pts)
+    dphi = blend.value_and_partials(pts)[1]
     # restrict to the simplex tangent plane: directions e2-e1, e3-e1
     d_a = dphi[:, :, 1] - dphi[:, :, 0]
     d_b = dphi[:, :, 2] - dphi[:, :, 0]
@@ -175,14 +173,14 @@ def test_blend_differential_spectrum():
 
 
 def test_blend_partials_match_finite_differences():
-    blend = make_blend()
+    blend = HexagonBlend()
     rng = np.random.default_rng(5)
     h = 1e-6
     for _ in range(100):
         a = rng.dirichlet(np.ones(3))
         if a.max() > 0.6:  # stay away from the plateau seam
             continue
-        dphi = blend.partials(a)
+        dphi = blend.value_and_partials(a)[1]
         for j in range(3):
             step = np.zeros(3)
             step[j] = h
@@ -234,26 +232,27 @@ def _blend_test_points():
 
 
 def test_value_and_partials_bit_equal_to_masked_blend():
-    blend = make_blend()
+    blend = HexagonBlend()
     pts = _blend_test_points()
     phi, dphi = blend.value_and_partials(pts)
     ref_phi, ref_dphi = _masked_blend(pts)
     assert phi.tobytes() == ref_phi.tobytes()
     assert dphi.tobytes() == ref_dphi.tobytes()
     assert blend(pts).tobytes() == phi.tobytes()
-    assert blend.partials(pts).tobytes() == dphi.tobytes()
     # one point in, one point out; a stacked batch keeps its shape
     for row in pts[-30:]:
-        assert blend(row).shape == (3,) and blend.partials(row).shape == (3, 3)
+        one_phi, one_dphi = blend.value_and_partials(row)
+        assert blend(row).shape == one_phi.shape == (3,) and one_dphi.shape == (3, 3)
         assert blend(row).tobytes() == _masked_blend(row)[0][0].tobytes()
     stacked = blend.value_and_partials(pts[-30:].reshape(10, 3, 3))
+    assert stacked[0].shape == (10, 3, 3) and stacked[1].shape == (10, 3, 3, 3)
     assert stacked[0].tobytes() == phi[-30:].tobytes()
     assert stacked[1].tobytes() == dphi[-30:].tobytes()
 
 
 @pytest.mark.parametrize("alpha", [(2.0 / 3.0, 1.0 / 3.0, 0.0), (1.0, 0.0, 0.0)])
 def test_blend_raises_no_warning_on_plateau_edges(alpha, gamma2_zero):
-    blend = make_blend()
+    blend = HexagonBlend()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         phi, dphi = blend.value_and_partials(np.array(alpha))
@@ -304,7 +303,7 @@ def test_barycentric_grid_avoids_seams():
 
 def test_choose_kappa_zero_cocycle_immediate():
     sx = _cone_simplex()
-    cert = choose_kappa([sx], make_blend())
+    cert = choose_kappa([sx], HexagonBlend())
     assert cert.doublings == 0
     assert cert.kappa == cert.kappa_initial == 1.0
     assert cert.min_gram_eigenvalue > cert.margin
@@ -317,7 +316,7 @@ def test_choose_kappa_exhausts_on_indefinite_leaves():
     sx = DecoratedSimplex(0, ("x", "y", "z"), u, np.zeros((3, 3)))
     cfg = BuildSettings(max_doublings=4, bary_n=6, t_count=3)
     with pytest.raises(KappaSearchExhausted) as exc:
-        choose_kappa([sx], make_blend(), cfg)
+        choose_kappa([sx], HexagonBlend(), cfg)
     assert "worst sample ('gram', 0, 10.0)" in str(exc.value)
 
 
@@ -327,12 +326,12 @@ def test_kappa_failure_names_lowest_jacobian_sample():
     sx = _cone_simplex()
     cfg = BuildSettings(max_doublings=1, margin=1e6, bary_n=4, t_count=2)
     with pytest.raises(KappaSearchExhausted) as exc:
-        choose_kappa([sx], make_blend(), cfg)
+        choose_kappa([sx], HexagonBlend(), cfg)
     grid = barycentric_grid(cfg.bary_n)
     samples = [(t, tuple(a.tolist())) for t in (cfg.t_min, cfg.t_max) for a in grid]
     ts = np.array([t for t, _ in samples])
     alphas = np.array([a for _, a in samples])
-    dets = np.linalg.det(dev_hat_jacobians(*stack_charts([sx]), 0, ts, alphas, 2.0, make_blend()))
+    dets = np.linalg.det(dev_hat_jacobians(*stack_charts([sx]), 0, ts, alphas, 2.0, HexagonBlend()))
     t, a = samples[int(np.argmin(dets))]
     assert f"worst sample ('jacobian', 0, {t!r}, {a!r})" in str(exc.value)
 
@@ -412,10 +411,10 @@ def test_spears(gamma2_zero, torus_deformed):
             assert sp.radius > 0
             assert sp.ell == st_.fans[name].ell
             assert sp.ring_tau == sp.vertex_tau + 0.5 * sp.radius
-            assert sp.head_tau(sp.radius) == sp.ring_tau
             r = 0.5 * sp.radius
-            assert sp.contains((sp.head_tau(r) + 0.1, r, 1.0))
-            assert not sp.contains((sp.head_tau(r) - 0.1, r, 1.0))
+            head_tau = sp.vertex_tau + 0.5 * r  # the head cone over radius r
+            assert sp.contains((head_tau + 0.1, r, 1.0))
+            assert not sp.contains((head_tau - 0.1, r, 1.0))
             assert not sp.contains((sp.vertex_tau + 10.0, 2 * sp.radius, 0.0))
 
 
@@ -592,6 +591,21 @@ def test_bundle_round_trip(gamma2_deformed):
     assert back.kappa == gamma2_deformed.kappa
 
 
+def test_bundle_kappa_must_match_its_certificate(gamma2_zero):
+    # a tampered kappa is refused at load time, before any chart is used
+    import json
+
+    d = json.loads(gamma2_zero.dumps())
+    for bad in (1e-3, 2.0 * d["kappa"], math.nan, math.inf, 0.0, -5.0):
+        with pytest.raises(ValueError, match="kappa"):
+            PolyhedralSpacetime.from_json({**d, "kappa": bad})
+    for bad in (math.nan, math.inf, 0.0, -5.0):
+        tampered = {**d, "kappa": bad, "certification": {**d["certification"], "kappa": bad}}
+        with pytest.raises(ValueError, match="kappa"):
+            PolyhedralSpacetime.from_json(tampered)
+    assert PolyhedralSpacetime.from_json(d).dumps() == gamma2_zero.dumps()
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -619,16 +633,6 @@ def test_bundle_settings_are_validated(gamma2_zero):
     d["settings"]["t_count"] = 0
     with pytest.raises(ValueError, match="t_count"):
         PolyhedralSpacetime.from_json(d)
-
-
-def test_recheck_certification(gamma2_zero, torus_zero):
-    assert recheck_certification(gamma2_zero)
-    assert recheck_certification(torus_zero)
-
-
-def test_recheck_fails_on_tampered_kappa(gamma2_zero):
-    st_ = replace(gamma2_zero, kappa=gamma2_zero.kappa * 0.01)
-    assert not recheck_certification(st_)
 
 
 def test_mesh_counts_and_determinism(torus_zero, tmp_path):

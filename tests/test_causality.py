@@ -23,14 +23,12 @@ from btzgeo.causality import (
     cauchy_time_report,
     cross_face,
     develop,
-    diamond_sample,
     fiber_hop_is_causal,
-    point_from_json,
     segment_is_causal,
     trace_causal_curve,
     validate_polyline,
 )
-from btzgeo.minkowski import CausalOrder, GeometryError, causal_relation, quadratic_form
+from btzgeo.minkowski import GeometryError, quadratic_form
 from btzgeo.representations import builtin_examples
 
 CENTER = np.array([1, 1, 1]) / 3.0
@@ -52,14 +50,9 @@ def test_point_validation():
             FiberPoint("c1", bad)
     with pytest.raises(ValueError):
         ChartPoint(0, 1.0, np.array([math.nan, 0.5, 0.5]))
-    pt = ChartPoint(1, 2.0, CENTER)
-    back = point_from_json(pt.to_json())
-    assert (back.simplex, back.t) == (1, 2.0)
-    assert np.array_equal(back.alpha, pt.alpha)
-    fp = FiberPoint("c2", 0.5)
-    assert point_from_json(fp.to_json()) == fp
-    with pytest.raises(ValueError):
-        point_from_json({"kind": "nope"})
+    assert ChartPoint(1, 2.0, CENTER).to_json() == {
+        "kind": "chart", "simplex": 1, "t": 2.0, "alpha": CENTER.tolist()}
+    assert FiberPoint("c2", 0.5).to_json() == {"kind": "fiber", "puncture": "c2", "t": 0.5}
 
 
 def test_develop(gamma2_zero):
@@ -542,52 +535,6 @@ def test_cauchy_time_report_catches_broken_leaves(examples):
     assert report["pass"] is False
 
 
-def test_diamond_sample_empty_when_unordered(gamma2_zero):
-    p = ChartPoint(0, 2.0, CENTER)
-    q = ChartPoint(0, 1.0, CENTER)
-    out = diamond_sample(gamma2_zero, p, q, budget=64)
-    assert out.kept == []
-    assert "empty" in out.note
-
-
-def test_diamond_sample_fiber_cases(gamma2_zero):
-    arc = diamond_sample(gamma2_zero, FiberPoint("c1", 1.0), FiberPoint("c1", 2.0))
-    assert arc.kept
-    ts = [pt.t for pt in arc.kept]
-    assert ts == sorted(ts)
-    assert all(isinstance(pt, FiberPoint) and 1.0 < pt.t < 2.0 for pt in arc.kept)
-    assert "axis" in arc.note
-
-    other = diamond_sample(gamma2_zero, FiberPoint("c1", 1.0), FiberPoint("c2", 2.0))
-    assert other.kept == []
-
-    into_fiber = diamond_sample(
-        gamma2_zero, ChartPoint(0, 1.0, CENTER), FiberPoint("c1", 2.0)
-    )
-    assert into_fiber.kept == []
-    assert "no chart points" in into_fiber.note
-
-
-def test_diamond_sample_chart_pair(gamma2_zero):
-    st_ = gamma2_zero
-    p = ChartPoint(0, 0.5, CENTER)
-    q = ChartPoint(0, 2.5, CENTER)
-    out = diamond_sample(st_, p, q, budget=512, seed=1)
-    assert out.kept
-    assert out.tried == 512
-    dev_p, dev_q = develop(st_, p), develop(st_, q)
-    orders = (CausalOrder.CHRONOLOGICAL, CausalOrder.CAUSAL_ONLY)
-    for pt in out.kept:
-        x = develop(st_, pt)
-        assert causal_relation(dev_p, x) in orders
-        assert causal_relation(x, dev_q) in orders
-    # same stream, larger budget: the smaller sample is a strict prefix
-    small = diamond_sample(st_, p, q, budget=256, seed=1)
-    assert [pt.to_json() for pt in small.kept] == [
-        pt.to_json() for pt in out.kept[: len(small.kept)]
-    ]
-
-
 def test_absent_and_unknown_fibers_are_rejected(torus_zero):
     chart = ChartPoint(0, 1.0, CENTER)
     for st_, puncture in ((strip_btz(torus_zero), "c1"), (torus_zero, "nowhere")):
@@ -599,30 +546,12 @@ def test_absent_and_unknown_fibers_are_rejected(torus_zero):
         for steering in ("axis", "leave_axis"):
             with pytest.raises(AbsentFiber):
                 trace_causal_curve(st_, fiber, t_stop=3.0, steering=steering)
-        for p, q in ((fiber, chart), (chart, fiber)):
-            with pytest.raises(AbsentFiber):
-                diamond_sample(st_, p, q, budget=16)
     # re-attaching the fiber makes it traceable again
     extended, _ = extend_btz(strip_btz(torus_zero))
     curve = trace_causal_curve(
         extended, FiberPoint("c1", 0.3), t_stop=3.0, steering="leave_axis"
     )
     assert isinstance(curve.nodes[1].point, ChartPoint)
-
-
-def test_diamond_sample_from_fiber(gamma2_zero):
-    st_ = gamma2_zero
-    p = FiberPoint("c1", 0.2)
-    pg = st_.fans["c1"]
-    entry = pg.fan[0]
-    sx = st_.simplices[entry.triangle]
-    alpha = np.full(3, 0.05)
-    alpha[sx.vertices.index(pg.base_vertex)] = 0.9
-    q = ChartPoint(entry.triangle, 60.0, alpha)
-    out = diamond_sample(st_, p, q, budget=512, seed=2)
-    assert out.kept
-    for pt in out.kept:
-        assert fiber_hop_is_causal(st_, p, pt)
 
 
 FIXTURES = ["gamma2_zero", "gamma2_deformed", "torus_zero", "torus_deformed"]
@@ -782,8 +711,6 @@ def test_chart_indices_are_checked(gamma2_zero):
     for bad in (1.5, "1", None):
         with pytest.raises(TypeError):
             ChartPoint(bad, 1.0, CENTER)
-    with pytest.raises(TypeError):
-        point_from_json({"kind": "chart", "simplex": 1.5, "t": 1.0, "alpha": CENTER.tolist()})
     pt = ChartPoint(np.int64(1), 1.0, CENTER)
     assert type(pt.simplex) is int and pt.to_json()["simplex"] == 1
     beyond, inside = ChartPoint(2, 1.0, CENTER), ChartPoint(1, 1.0, CENTER)

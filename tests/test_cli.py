@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -257,10 +258,45 @@ def test_surgery_compact(bundle_path, profile_path):
 
 def test_surgery_invalid_profile(bundle_path, tmp_path):
     bad = tmp_path / "bad-profile.json"
-    bad.write_text(json.dumps({"R": -1.0}))
-    code, _, stderr = run_cli(["surgery", str(bundle_path), str(bad)])
-    assert code == 2
-    assert json.loads(stderr)["category"] == "input-error"
+    for profile in ('{"R": -1.0}', '{"R": NaN}', '{"R": 0.1, "const": Infinity}',
+                    '{"R": 0.1, "sin": [-Infinity]}'):
+        bad.write_text(profile)
+        code, stdout, stderr = run_cli(["surgery", str(bundle_path), str(bad)])
+        assert code == 2 and stdout == ""
+        err = json.loads(stderr)
+        assert err["category"] == "input-error" and "finite" in err["message"]
+
+
+def test_bad_triangulation_shapes_are_one_json_error(cli_dir, tmp_path):
+    tri = json.loads((cli_dir / "tri.json").read_text())
+    short_side = json.loads(json.dumps(tri))
+    short_side["gluings"][0]["left"] = [0]
+    four_names = json.loads(json.dumps(tri))
+    four_names["triangles"][0].append("extra")
+    four_names["vertex_class"]["extra"] = four_names["vertex_class"][tri["triangles"][0][0]]
+    four_names["positions"]["extra"] = 0.5
+    for data, code_want, error in ((short_side, 2, "ValueError"),
+                                   (four_names, 1, "InvalidTriangulation")):
+        path = tmp_path / "bad-tri.json"
+        path.write_text(canonical_dumps(data))
+        code, stdout, stderr = run_cli(
+            ["build", str(cli_dir / "rep.json"), str(path), "--out", str(tmp_path / "b.json")])
+        assert code == code_want and stdout == "" and "Traceback" not in stderr
+        assert json.loads(stderr)["error"] == error
+        assert not (tmp_path / "b.json").exists()
+
+
+def test_bundle_with_foreign_kappa_is_input_error(bundle_path, tmp_path):
+    bundle = json.loads(bundle_path.read_text())
+    bad = tmp_path / "bad-bundle.json"
+    for kappa in (1e-3, math.nan, math.inf, 0.0, -5.0):
+        bad.write_text(json.dumps({**bundle, "kappa": kappa}))
+        for argv in (["causal", str(bad), "--curves", "1"],
+                     ["mesh", str(bad), "--out", str(tmp_path / "m.obj")]):
+            code, stdout, stderr = run_cli(argv)
+            assert code == 2 and stdout == ""
+            assert "kappa" in json.loads(stderr)["message"]
+    assert not (tmp_path / "m.obj").exists()
 
 
 def test_mesh_counts(bundle_path, tmp_path):
@@ -349,6 +385,14 @@ def test_demo_unknown_name(tmp_path):
     code, _, stderr = run_cli(["demo", "nope", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "unknown demo" in json.loads(stderr)["message"]
+
+
+def test_public_names_resolve():
+    import btzgeo
+
+    assert len(set(btzgeo.__all__)) == len(btzgeo.__all__)
+    for name in btzgeo.__all__:
+        assert getattr(btzgeo, name) is not None, name
 
 
 def test_parser_program_name():

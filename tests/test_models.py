@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from btzgeo.minkowski import (
-    CausalOrder,
     IsometryKind,
     classify_isometry,
     quadratic_form,
@@ -15,10 +14,7 @@ from btzgeo.models import (
     TWO_PI,
     ModelPoint,
     NotInImage,
-    NotSingular,
     axis_deck_generator,
-    btz_causal_past,
-    btz_causal_relation,
     btz_point,
     dev0,
     dev0_array,
@@ -142,41 +138,6 @@ def test_axis_deck_generator_exponentiates():
     exact = np.eye(3) + s * n + 0.5 * s * s * (n @ n)
     assert np.abs(exact - holonomy_around_axis(0.0).matrix).max() < 1e-12
     assert parabolic_parameter(holonomy_around_axis(0.0)) == pytest.approx(TWO_PI)
-
-
-def test_btz_causal_past():
-    d = btz_causal_past(btz_point(0.0, 0.0, 1.0))
-    assert d.tau_max == 0.0
-    assert d.axis_only and d.chronological_past_empty
-    # points on the half-line are below, regular points are not
-    assert btz_causal_relation(
-        btz_point(-1, 0, 0, reduced=True), btz_point(0, 0, 0, reduced=True)
-    ) in (CausalOrder.CAUSAL_ONLY, CausalOrder.CHRONOLOGICAL)
-    assert btz_causal_relation(
-        btz_point(-5, 1, 0, reduced=True), btz_point(0, 0, 0, reduced=True)
-    ) is CausalOrder.INCOMPARABLE
-    with pytest.raises(NotSingular):
-        btz_causal_past(btz_point(0, 1, 0))
-
-
-def test_btz_causal_relation_examples():
-    le = (CausalOrder.CAUSAL_ONLY, CausalOrder.CHRONOLOGICAL)
-    assert btz_causal_relation(
-        btz_point(0, 1, 0, reduced=True), btz_point(5, 1, 0, reduced=True)
-    ) in le
-    assert btz_causal_relation(
-        btz_point(0, 1, 0, reduced=True), btz_point(0, 1, math.pi, reduced=True)
-    ) is CausalOrder.INCOMPARABLE
-    assert btz_causal_relation(
-        btz_point(0, 0, 0, reduced=True), btz_point(10, 1, 0, reduced=True)
-    ) in le
-
-
-def test_btz_relation_axis_parallel_is_lightlike_causal():
-    # vertical curves (dtau > 0, dr = dtheta = 0) have g(v, v) = 0: causal
-    p = btz_point(1.0, 2.0, 0.3, reduced=True)
-    q = btz_point(1.5, 2.0, 0.3, reduced=True)
-    assert btz_causal_relation(p, q) is CausalOrder.CAUSAL_ONLY
 
 
 def test_model_point_validation():

@@ -288,6 +288,25 @@ def test_triangulation_validation(gamma2):
         with pytest.raises(InvalidTriangulation, match=f"references triangle {index}"):
             IdealTriangulationData.from_json(broken)
 
+    # a gluing side is [triangle, [name, name]] with two distinct names
+    good = list(d["gluings"][0]["left"][1])
+    for bad in ([0], [], None, "0", [0, ["a"]], [0, ["a", "b", "c"]], [0, ["a", "a"]],
+                [0, [1, 2]], [0, "ab"], ["0", good], [0.0, good], [True, good], [0, good, 1]):
+        for key in ("left", "right"):
+            broken = copy.deepcopy(d)
+            broken["gluings"][0][key] = bad
+            with pytest.raises(ValueError, match="gluing side"):
+                IdealTriangulationData.from_json(broken)
+    # a triangle has exactly 3 distinct vertex names
+    first = list(d["triangles"][0])
+    for bad in (first + ["extra"], first[:2], first[:2] + first[:1], []):
+        broken = copy.deepcopy(d)
+        broken["triangles"][0] = bad
+        broken["vertex_class"]["extra"] = broken["vertex_class"][first[0]]
+        broken["positions"]["extra"] = 0.5
+        with pytest.raises(InvalidTriangulation, match="3 distinct"):
+            IdealTriangulationData.from_json(broken)
+
     # round trip preserves content
     back = IdealTriangulationData.from_json(d)
     assert back.triangles == tri.triangles

@@ -49,6 +49,11 @@ def test_boundary_profile_validation_and_json():
         BoundaryProfile(R=0.0)
     with pytest.raises(ValueError):
         BoundaryProfile(R=-1.0, const=2.0)
+    for bad in (math.nan, math.inf):
+        for kwargs in ({"R": bad}, {"R": 1.0, "const": bad}, {"R": 1.0, "cos": (0.1, bad)},
+                       {"R": 1.0, "sin": (bad,)}, {"R": 1.0, "const": -bad}):
+            with pytest.raises(ValueError, match="finite"):
+                BoundaryProfile(**kwargs)
     p = BoundaryProfile(R=0.5, const=1.0, cos=(0.1, 0.0), sin=(0.0, 0.05))
     back = BoundaryProfile.from_json(p.to_json())
     assert back == p
