@@ -839,12 +839,15 @@ def model_to_minkowski(pg: PunctureGeometry, point) -> np.ndarray:
     return x @ pg.frame.matrix.T + pg.line_point
 
 
-def minkowski_to_model(pg: PunctureGeometry, x) -> tuple[float, float, float]:
-    """Ambient Minkowski point in J+(axis) -> normalized axis coordinates."""
-    w = pg.frame.inverse().matrix @ (np.asarray(x, dtype=float) - pg.line_point)
-    p = dev0_inverse(w, tol=1e-9)
-    tau, r, theta = h_ell_coords(1.0 / pg.ell, *p.coords)
-    return float(tau), float(r), float(theta)
+def minkowski_to_model(pg: PunctureGeometry, x) -> np.ndarray:
+    """Ambient Minkowski points (..., 3) in J+(axis) -> normalized axis coordinates (..., 3).
+
+    The frame is applied as stacked matrix-vector products, so each point's
+    arithmetic is that of a one-point call.
+    """
+    d = np.asarray(x, dtype=float) - pg.line_point
+    w = (pg.frame.inverse().matrix @ d[..., None])[..., 0]
+    return np.stack(h_ell_coords(1.0 / pg.ell, *dev0_inverse(w, tol=1e-9)), axis=-1)
 
 
 def _in_fan_prisms(pg: PunctureGeometry, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import PolyhedralSpacetime, dev_hat_jacobians, dev_hat_points, minkowski_to_model
+from .builder import (
+    PolyhedralSpacetime, dev_hat_jacobians, dev_hat_points, minkowski_to_model, puncture_geometry,
+)
 from .minkowski import GeometryError, quadratic_form
 from .models import NotInImage
 
@@ -243,14 +245,10 @@ def cross_face(
 
 def _normalized_tau(st: PolyhedralSpacetime, puncture: str, point) -> tuple[float, float]:
     """(tau', r'/2) of a point in the normalized model around one fiber."""
-    pg = st.fans.get(puncture)
-    if pg is None:
-        from .builder import puncture_geometry
-
-        pg = puncture_geometry(st, puncture)
+    pg = st.fans.get(puncture) or puncture_geometry(st, puncture)
     if isinstance(point, FiberPoint):
         return (st.kappa + point.t) / pg.ell, 0.0
-    tau, r, _ = minkowski_to_model(pg, develop(st, point))
+    tau, r, _ = minkowski_to_model(pg, develop(st, point)).tolist()
     return tau, 0.5 * r
 
 
@@ -596,18 +594,20 @@ def cauchy_time_report(
     """Trace random causal curves and check t is a time function with Cauchy leaves.
 
     Each curve must have strictly increasing t, no decomposition violation,
-    and cross each sampled leaf in (t_start, t_stop) exactly once.  Starts
+    and cross each leaf exactly once; the leaves must be non-empty and lie
+    strictly inside (t_start, t_stop), so every curve checks one.  Starts
     and curve seeds are drawn up front from ``seed``; the curves are then
     traced in lockstep, each exactly as trace_causal_curve traces it alone.
     """
     if n_curves < 1:
         raise ValueError("n_curves must be >= 1")
-    if not all(math.isfinite(x) and x > 0 for x in (t_start, t_stop, *leaves)):
-        raise ValueError("t_start, t_stop and leaves must be finite and > 0")
+    if not all(math.isfinite(x) and x > 0 for x in (t_start, t_stop)):
+        raise ValueError("t_start and t_stop must be finite and > 0")
     if t_start >= t_stop:
         raise ValueError("t_start must be < t_stop")
+    if not leaves or not all(t_start < leaf < t_stop for leaf in leaves):
+        raise ValueError(f"leaves must be non-empty and inside (t_start, t_stop), got {leaves!r}")
     rng = np.random.default_rng(seed)
-    inner = [leaf for leaf in leaves if t_start < leaf < t_stop]
     starts, seeds = [], []
     for _ in range(n_curves):
         simplex = int(rng.integers(len(st.simplices)))
@@ -619,8 +619,8 @@ def cauchy_time_report(
     traces = _trace_lockstep(st, starts, seeds, t_stop)
     for k, (start, ((_, t, _, transition), rejected)) in enumerate(zip(starts, traces)):
         monotone, counts = _time_checks(np.concatenate([[start.t], t]),
-                                        np.concatenate([[False], transition]), inner)
-        crossings = {repr(leaf): c for leaf, c in zip(inner, counts)}
+                                        np.concatenate([[False], transition]), leaves)
+        crossings = {repr(leaf): c for leaf, c in zip(leaves, counts)}
         ok = monotone and all(c == 1 for c in crossings.values())
         failures += 0 if ok else 1
         curves.append(

@@ -444,7 +444,7 @@ class Gluing(JsonRecord):
 
 
 class InvalidTriangulation(GeometryError):
-    """Combinatorial or positional defect in an ideal triangulation."""
+    """Geometric inconsistency of an ideal triangulation; malformed data is ValueError."""
 
 
 @dataclass
@@ -471,22 +471,22 @@ class IdealTriangulationData:
     def __post_init__(self):
         self.triangles = [tuple(t) for t in self.triangles]
         if not all(len(t) == 3 == len(set(map(str, t))) for t in self.triangles):
-            raise InvalidTriangulation("every triangle needs 3 distinct vertex names")
+            raise ValueError("every triangle needs 3 distinct vertex names")
         verts = {v for t in self.triangles for v in t}
         if set(self.vertex_class) != verts or set(self.positions) != verts:
-            raise InvalidTriangulation("vertex_class/positions must cover the triangle vertices")
+            raise ValueError("vertex_class/positions must cover the triangle vertices")
         self.sides = {}
         for g in self.gluings:
             for (tri, pair), (nbr, nbr_pair), word in (
                 (g.left, g.right, g.word), (g.right, g.left, invert_word(g.word))
             ):
                 if not 0 <= tri < len(self.triangles):
-                    raise InvalidTriangulation(f"gluing references triangle {tri}")
+                    raise ValueError(f"gluing references triangle {tri}")
                 if not set(pair) <= set(self.triangles[tri]):
-                    raise InvalidTriangulation(f"edge {pair} not in triangle {tri}")
+                    raise ValueError(f"edge {pair} not in triangle {tri}")
                 key = (tri, frozenset(pair))
                 if key in self.sides:
-                    raise InvalidTriangulation("every edge must be glued exactly once")
+                    raise ValueError("every edge must be glued exactly once")
                 self.sides[key] = (nbr, dict(zip(pair, nbr_pair)), word)
         expected = {
             (i, frozenset((t[k], t[(k + 1) % 3])))
@@ -494,7 +494,7 @@ class IdealTriangulationData:
             for k in range(3)
         }
         if set(self.sides) != expected:
-            raise InvalidTriangulation("every edge must be glued exactly once")
+            raise ValueError("every edge must be glued exactly once")
 
     def to_json(self) -> dict:
         return {

@@ -396,13 +396,13 @@ def test_fan_theta_matches_holonomy_parameter(torus_zero):
 def test_model_round_trip(gamma2_zero):
     pg = gamma2_zero.fans["c1"]
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        tau = rng.uniform(-1.0, 3.0)
-        r = rng.uniform(1e-3, 2.0)
-        theta = rng.uniform(-5.0, 5.0)
-        x = model_to_minkowski(pg, (tau, r, theta))
-        back = minkowski_to_model(pg, x)
-        assert back == pytest.approx((tau, r, theta), abs=1e-8)
+    coords = rng.uniform((-1.0, 1e-3, -5.0), (3.0, 2.0, 5.0), size=(200, 3))
+    x = model_to_minkowski(pg, coords)
+    back = minkowski_to_model(pg, x)
+    assert back.shape == (200, 3)
+    assert back == pytest.approx(coords, abs=1e-8)
+    for row, xi in zip(back, x):
+        assert row.tobytes() == minkowski_to_model(pg, xi).tobytes()
 
 
 def test_spears(gamma2_zero, torus_deformed):

@@ -369,6 +369,9 @@ def test_uniform_is_scaled_random_bit_for_bit(lo, hi):
     {"leaves": (0.5, math.inf)},
     {"leaves": (0.0,)},
     {"leaves": (1.0, -2.0)},
+    {"leaves": ()},
+    {"leaves": (9.0,)},
+    {"leaves": (0.5, 4.0)},
 ])
 def test_cauchy_time_report_rejects_bad_input(gamma2_zero, kwargs):
     with pytest.raises(ValueError):

@@ -171,6 +171,16 @@ def test_bundle_with_bad_settings_is_input_error(bundle_path, tmp_path):
     assert "t_count" in json.loads(stderr)["message"]
 
 
+def test_causal_leaves_outside_the_run_are_input_error(bundle_path, tmp_path):
+    cfg = tmp_path / "leaves.cfg"
+    for leaves in ("9.0", ""):
+        cfg.write_text(f"leaves = {leaves}\n")
+        code, stdout, stderr = run_cli(
+            ["causal", str(bundle_path), "--config", str(cfg), "--curves", "1"])
+        assert code == 2 and stdout == ""
+        assert "leaves" in json.loads(stderr)["message"]
+
+
 def test_readme_config_block_matches_run_config(tmp_path):
     # the README key block is the only other copy of the --config schema
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -275,14 +285,13 @@ def test_bad_triangulation_shapes_are_one_json_error(cli_dir, tmp_path):
     four_names["triangles"][0].append("extra")
     four_names["vertex_class"]["extra"] = four_names["vertex_class"][tri["triangles"][0][0]]
     four_names["positions"]["extra"] = 0.5
-    for data, code_want, error in ((short_side, 2, "ValueError"),
-                                   (four_names, 1, "InvalidTriangulation")):
+    for data in (short_side, four_names):
         path = tmp_path / "bad-tri.json"
         path.write_text(canonical_dumps(data))
         code, stdout, stderr = run_cli(
             ["build", str(cli_dir / "rep.json"), str(path), "--out", str(tmp_path / "b.json")])
-        assert code == code_want and stdout == "" and "Traceback" not in stderr
-        assert json.loads(stderr)["error"] == error
+        assert code == 2 and stdout == "" and "Traceback" not in stderr
+        assert json.loads(stderr)["error"] == "ValueError"
         assert not (tmp_path / "b.json").exists()
 
 

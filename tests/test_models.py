@@ -12,14 +12,11 @@ from btzgeo.minkowski import (
 )
 from btzgeo.models import (
     TWO_PI,
-    ModelPoint,
     NotInImage,
     axis_deck_generator,
-    btz_point,
-    dev0,
     dev0_array,
     dev0_inverse,
-    h_ell,
+    h_ell_coords,
     holonomy_around_axis,
     in_image_dev0,
     metric_btz,
@@ -28,20 +25,20 @@ from btzgeo.models import (
 
 
 def test_metric_btz_examples():
-    g = metric_btz(btz_point(0, 1, 0))
+    g = metric_btz(1.0)
     assert np.linalg.det(g) == pytest.approx(-1.0)
-    assert np.linalg.det(metric_btz(btz_point(0, 0, 0))) == 0.0
+    assert np.linalg.det(metric_btz(0.0)) == 0.0
     # the axis-parallel direction is lightlike
     e_tau = np.array([1.0, 0.0, 0.0])
     assert e_tau @ g @ e_tau == 0.0
     # determinant identity det = -r^2 at samples
     for r in (0.3, 1.7, 9.0):
-        assert np.linalg.det(metric_btz(btz_point(0, r, 0))) == pytest.approx(-r * r)
+        assert np.linalg.det(metric_btz(r)) == pytest.approx(-r * r)
 
 
 def test_dev0_examples():
-    assert dev0(btz_point(2.5, 0, 7.0)) == pytest.approx([2.5, 2.5, 0])
-    assert dev0(btz_point(0, 1, 0)) == pytest.approx([0, -1, 0])
+    assert dev0_array(2.5, 0, 7.0) == pytest.approx([2.5, 2.5, 0])
+    assert dev0_array(0, 1, 0) == pytest.approx([0, -1, 0])
 
 
 def _fd_pullback(f, coords, h=1e-5):
@@ -65,7 +62,7 @@ def test_dev0_metric_pullback():
     for _ in range(100):
         tau, r, theta = rng.uniform(-2, 2), rng.uniform(0.2, 3), rng.uniform(-7, 7)
         got = _fd_pullback(f, (tau, r, theta))
-        want = metric_btz(btz_point(tau, r, theta))
+        want = metric_btz(r)
         assert np.abs(got - want).max() < 1e-6
 
 
@@ -74,27 +71,42 @@ def test_in_image_dev0_examples():
     assert not in_image_dev0((0, 1, 0))
     assert in_image_dev0((1, 1, 0))
     assert not in_image_dev0((1, 1, 0.5))
+    batch = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 0.5)]
+    assert in_image_dev0(batch).tolist() == [True, False, True, False]
 
 
 def test_dev0_inverse_round_trip():
     rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(10_000):
-        tau, r, theta = rng.uniform(-5, 5), rng.uniform(1e-3, 5), rng.uniform(-9, 9)
-        p = dev0_inverse(dev0(btz_point(tau, r, theta)))
-        worst = max(worst, abs(p.coords[0] - tau), abs(p.coords[1] - r),
-                    abs(r * (p.coords[2] - theta)))
+    tau, r, theta = rng.uniform((-5, 1e-3, -9), (5, 5, 9), size=(10_000, 3)).T
+    q = dev0_array(tau, r, theta)
+    tau_b, r_b, theta_b = dev0_inverse(q)
+    worst = max(np.abs(tau_b - tau).max(), np.abs(r_b - r).max(),
+                np.abs(r * (theta_b - theta)).max())
     assert worst <= 1e-9 * 10  # scaled coordinates up to ~10
+    # axis points (r = 0, any theta) come back with r = theta = 0, the rest unchanged
+    mixed = q[:20].copy()
+    mixed[::2] = dev0_array(tau[:20:2], 0.0, theta[:20:2])
+    mixed[0, 2] = 1e-13  # off the axis line but inside its tolerance band
+    tau_m, r_m, theta_m = dev0_inverse(mixed)
+    assert tau_m[::2].tolist() == tau[:20:2].tolist()
+    assert not np.any(r_m[::2]) and not np.any(theta_m[::2])
+    assert np.array_equal(np.column_stack([tau_m, r_m, theta_m])[1::2],
+                          np.column_stack([tau_b, r_b, theta_b])[1:20:2])
     with pytest.raises(NotInImage):
         dev0_inverse((0, 1, 0))
+    outside = q[:20].copy()
+    outside[7] = (0, 1, 0)
+    with pytest.raises(NotInImage):
+        dev0_inverse(outside)
 
 
 def test_h_ell_examples():
-    p = btz_point(0.3, 1.2, 4.0)
-    q = h_ell(1.0, p)
-    assert q.coords == pytest.approx(p.coords)
-    q = h_ell(2.0, btz_point(0, 2, math.pi))
-    assert q.coords == pytest.approx((-1.5, 1.0, 2 * math.pi))
+    p = (0.3, 1.2, 4.0)
+    assert h_ell_coords(1.0, *p) == pytest.approx(p)
+    assert h_ell_coords(2.0, 0, 2, math.pi) == pytest.approx((-1.5, 1.0, 2 * math.pi))
+    for ell in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            h_ell_coords(ell, *p)
 
 
 def test_h_ell_metric_invariance():
@@ -102,33 +114,30 @@ def test_h_ell_metric_invariance():
     for _ in range(100):
         ell = rng.uniform(0.3, 3.0)
         c = (rng.uniform(-2, 2), rng.uniform(0.3, 3), rng.uniform(-6, 6))
-        f = lambda x: dev0_array(*(h_ell(ell, btz_point(*x)).coords))
+        f = lambda x: dev0_array(*h_ell_coords(ell, *x))
         got = _fd_pullback(f, c)
-        want = metric_btz(btz_point(*c))
+        want = metric_btz(c[1])
         assert np.abs(got - want).max() < 1e-6
 
 
 @given(st_.floats(0.25, 4.0), st_.floats(0.25, 4.0))
 @settings(max_examples=100)
 def test_h_ell_group_law(ell, m):
-    p = btz_point(0.7, 1.3, 2.1)
-    lhs = h_ell(ell, h_ell(m, p)).coords
-    rhs = h_ell(ell * m, p).coords
+    p = (0.7, 1.3, 2.1)
+    lhs = h_ell_coords(ell, *h_ell_coords(m, *p))
+    rhs = h_ell_coords(ell * m, *p)
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def test_holonomy_around_axis_btz():
-    with pytest.raises(ValueError):
-        holonomy_around_axis(math.pi)  # only the BTZ (alpha = 0) holonomy exists
-    g = holonomy_around_axis(0.0)
+    g = holonomy_around_axis()
     assert classify_isometry(g).kind is IsometryKind.PARABOLIC
     assert g.apply([1, 1, 0]) == pytest.approx([1, 1, 0], abs=1e-12)
     rng = np.random.default_rng(3)
-    for _ in range(1000):
-        tau, r, theta = rng.uniform(-3, 3), rng.uniform(0, 3), rng.uniform(-6, 6)
-        lhs = g.apply(dev0(btz_point(tau, r, theta)))
-        rhs = dev0(btz_point(tau, r, theta + TWO_PI))
-        assert np.abs(lhs - rhs).max() < 1e-8
+    tau, r, theta = rng.uniform((-3, 0, -6), (3, 3, 6), size=(1000, 3)).T
+    lhs = dev0_array(tau, r, theta) @ g.matrix.T
+    rhs = dev0_array(tau, r, theta + TWO_PI)
+    assert np.abs(lhs - rhs).max() < 1e-8
 
 
 def test_axis_deck_generator_exponentiates():
@@ -136,23 +145,8 @@ def test_axis_deck_generator_exponentiates():
     assert np.abs(n @ n @ n).max() < 1e-15  # nilpotent of order 3
     s = TWO_PI
     exact = np.eye(3) + s * n + 0.5 * s * s * (n @ n)
-    assert np.abs(exact - holonomy_around_axis(0.0).matrix).max() < 1e-12
-    assert parabolic_parameter(holonomy_around_axis(0.0)) == pytest.approx(TWO_PI)
-
-
-def test_model_point_validation():
-    with pytest.raises(ValueError):
-        ModelPoint(0.0, (0.0, -1.0, 0.0))
-    with pytest.raises(ValueError):
-        ModelPoint(-1.0, (0.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        ModelPoint(0.0, (math.nan, 1.0, 0.0))
-
-
-def test_model_point_json_round_trip():
-    p = btz_point(0.5, 1.5, 2.5, reduced=True)
-    q = ModelPoint.from_json(p.to_json())
-    assert q.alpha == p.alpha and q.coords == p.coords and q.reduced == p.reduced
+    assert np.abs(exact - holonomy_around_axis().matrix).max() < 1e-12
+    assert parabolic_parameter(holonomy_around_axis()) == pytest.approx(TWO_PI)
 
 
 def test_dev0_image_is_future_of_axis():
@@ -161,7 +155,7 @@ def test_dev0_image_is_future_of_axis():
     rng = np.random.default_rng(4)
     for _ in range(200):
         tau, r, theta = rng.uniform(-3, 3), rng.uniform(0, 2), rng.uniform(-6, 6)
-        q = dev0(btz_point(tau, r, theta))
+        q = dev0_array(tau, r, theta)
         assert in_image_dev0(q)
         # the axis point (s, s, 0) with s = tau - r/2 realizes lightlike contact
         s = tau - r / 2

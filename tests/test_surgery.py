@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from btzgeo.minkowski import GeometryError
-from btzgeo.models import ModelPoint, TWO_PI, metric_btz
+from btzgeo.models import TWO_PI, metric_btz
 from btzgeo.surgery import (
     BoundaryProfile,
     CompletenessCertificate,
@@ -212,7 +212,7 @@ def test_induced_metric_matches_ambient_pullback():
                 (emb(r, th + h) - emb(r, th - h)) / (2 * h),
             ]
         )
-        g_ambient = metric_btz(ModelPoint(0.0, (sg.value(r, th), r, th)))
+        g_ambient = metric_btz(r)
         pullback = j.T @ g_ambient @ j
         assert np.abs(pullback - induced_metric(sg, r, th)).max() < 1e-6
 
