@@ -28,7 +28,6 @@ from functools import cached_property
 import numpy as np
 
 from .minkowski import (
-    AffineIsometry,
     GeometryError,
     LinearIsometry,
     minkowski_inner,
@@ -401,11 +400,7 @@ class SingularFiber(JsonRecord):
 class FanEntry:
     """One corner of the fan walk: the half-plane through the neighbor decoration."""
 
-    index: int
     triangle: int
-    vertex: str
-    word: str
-    u: np.ndarray      # neighbor lightlike vector in the cover
     anchor: np.ndarray  # kappa u + p of the neighbor corner in the cover
     theta: float
 
@@ -488,6 +483,7 @@ class PolyhedralSpacetime:
 
     representation: AffineRepresentation
     triangulation: IdealTriangulationData
+    gluing: tuple[np.ndarray, np.ndarray]  # gluing_isometries, not serialized
     decorations_u: dict[str, np.ndarray]
     decorations_p: dict[str, np.ndarray]
     simplices: list[DecoratedSimplex]
@@ -531,15 +527,19 @@ class PolyhedralSpacetime:
 
     @classmethod
     def from_json(cls, d) -> "PolyhedralSpacetime":
-        if d.get("format") != "spacetime-bundle":
-            raise ValueError("not a spacetime bundle")
+        if d.get("format") != "spacetime-bundle" or d.get("version") != 1:
+            raise ValueError("not a version 1 spacetime bundle")
+        blend = HexagonBlend()
+        if d.get("blend") != blend.to_json():
+            raise ValueError(f"bundle blend {d.get('blend')!r} is not {blend.to_json()!r}")
         rep = AffineRepresentation.from_json(d["representation"])
         tri = IdealTriangulationData.from_json(d["triangulation"])
         settings = BuildSettings.from_json(d["settings"])
         kappa = d["kappa"]
         if not (kappa == d["certification"]["kappa"] and math.isfinite(kappa) and kappa > 0):
             raise ValueError(f"kappa {kappa!r} must be finite, > 0 and the certificate's kappa")
-        dec_u, dec_p, _ = decorate_vertices(rep, tri)
+        gluing = gluing_isometries(rep, tri)
+        dec_u, dec_p, _ = decorate_vertices(rep, tri, gluing)
         for v, entry in d["decorations"].items():
             if (
                 np.abs(dec_u[v] - np.array(entry["u"])).max() > 1e-9
@@ -550,11 +550,12 @@ class PolyhedralSpacetime:
         st = cls(
             representation=rep,
             triangulation=tri,
+            gluing=gluing,
             decorations_u=dec_u,
             decorations_p=dec_p,
             simplices=simplices,
             kappa=float(kappa),
-            blend=HexagonBlend(),
+            blend=blend,
             fibers={k: SingularFiber.from_json(v) for k, v in d["fibers"].items()},
             certification=CertificationRecord.from_json(d["certification"]),
             settings=settings,
@@ -564,14 +565,23 @@ class PolyhedralSpacetime:
         return st
 
 
+def gluing_isometries(rep: AffineRepresentation, tri: IdealTriangulationData):
+    """The gluing table's side words as stacked isometries x = m @ x' + b,
+    m (S, 3, 3, 3) and b (S, 3, 3), each distinct word evaluated once."""
+    isos = {w: rep.evaluate(w) for w in {w for row in tri.word for w in row}}
+    return (np.array([[isos[w].linear.matrix for w in row] for row in tri.word]),
+            np.array([[isos[w].translation for w in row] for row in tri.word]))
+
+
 def decorate_vertices(
-    rep: AffineRepresentation, tri: IdealTriangulationData, tol: float = 1e-6
+    rep: AffineRepresentation, tri: IdealTriangulationData,
+    gluing: tuple[np.ndarray, np.ndarray], tol: float = 1e-6,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, str]]:
     """Assign (u, p) to every triangulation vertex, equivariantly.
 
     Base vertices (one per puncture, located at the fixed boundary point of
     their peripheral) carry the peripheral fixed data; the rest is propagated
-    through the gluing words.  Revisits must agree, which pins the input
+    through the gluing isometries.  Revisits must agree, which pins the input
     convention: gluing words multiply positions on the left.  Returns the
     decorations and the base vertex chosen per puncture.
     """
@@ -595,18 +605,19 @@ def decorate_vertices(
         dec_u[v] = fixed[name].u
         dec_p[v] = fixed[name].line_point
 
-    # Identification edges: (target vertex, source vertex, word) meaning
-    # decoration(target) = word . decoration(source).
-    edges = [(v, vmap[v], word) for _, vmap, word in tri.sides.values() for v in vmap]
+    # Identification edges: (target vertex, source vertex, m, b) meaning
+    # decoration(target) = m . decoration(source) + b, per glued facet and slot.
+    m, b = gluing
+    edges = [(tri.triangles[i][j], tri.triangles[n][tri.slot[i, k, j]], m[i, k], b[i, k])
+             for (i, k), n in np.ndenumerate(tri.neighbour) for j in range(3) if j != k]
 
     frontier = sorted(dec_u)
     while frontier:
         nxt = []
-        for target, source, word in edges:
+        for target, source, m_e, b_e in edges:
             if source in frontier and target not in dec_u:
-                iso = rep.evaluate(word)
-                dec_u[target] = iso.linear.matrix @ dec_u[source]
-                dec_p[target] = iso.apply(dec_p[source])
+                dec_u[target] = m_e @ dec_u[source]
+                dec_p[target] = m_e @ dec_p[source] + b_e
                 nxt.append(target)
         frontier = nxt
     missing = set(tri.vertex_class) - set(dec_u)
@@ -614,10 +625,9 @@ def decorate_vertices(
         raise InvalidTriangulation(
             f"vertices unreachable from base points: {sorted(missing)}"
         )
-    for target, source, word in edges:
-        iso = rep.evaluate(word)
-        u_new = iso.linear.matrix @ dec_u[source]
-        p_new = iso.apply(dec_p[source])
+    for target, source, m_e, b_e in edges:
+        u_new = m_e @ dec_u[source]
+        p_new = m_e @ dec_p[source] + b_e
         scale = max(1.0, float(np.abs(u_new).max()), float(np.abs(p_new).max()))
         if (
             np.abs(u_new - dec_u[target]).max() > 1e-8 * scale
@@ -648,29 +658,26 @@ def decorate_simplices(
     ]
 
 
-def verify_face_equivariance(
-    rep: AffineRepresentation,
-    tri: IdealTriangulationData,
-    simplices: list[DecoratedSimplex],
-    kappa: float,
-    blend: HexagonBlend,
-    settings: BuildSettings,
-) -> float:
-    """Max residual of dev_hat matching across glued faces; raises FaceMismatch."""
+def verify_face_equivariance(st: PolyhedralSpacetime) -> float:
+    """Max residual of dev_hat matching across glued faces; raises FaceMismatch.
+
+    One kernel call samples each gluing's left side at the edge points
+    s v0 + (1 - s) v1 (slots v0 < v1), and the same points across it."""
+    tri, settings = st.triangulation, st.settings
     t_values = np.geomspace(settings.t_min, settings.t_max, settings.equiv_t_count)
     s_values = (np.arange(settings.equiv_edge_count) + 0.5) / settings.equiv_edge_count
     ts = np.tile(t_values, len(s_values))
     s = np.repeat(s_values, len(t_values))
-    # both sides of every gluing, in one kernel call: the edge point s v0 + (1 - s) v1
-    sides = [side for g in tri.gluings for side in (g.left, g.right)]
-    ends = np.eye(3)[[[simplices[i].vertices.index(v) for v in pair] for i, pair in sides]]
-    alpha = s[:, None] * ends[:, None, 0] + (1.0 - s)[:, None] * ends[:, None, 1]
-    x = dev_hat_points(*stack_charts(simplices), np.array([i for i, _ in sides])[:, None],
-                       ts, alpha, kappa, blend)
+    i, k = tri.left.T
+    v = np.sort((k[:, None] + [1, 2]) % 3)  # (G, 2): v0 < v1, then their slots across
+    ends = np.eye(3)[np.stack([v, np.take_along_axis(tri.slot[i, k], v, axis=1)], axis=1)]
+    alpha = s[:, None] * ends[..., None, 0, :] + (1.0 - s)[:, None] * ends[..., None, 1, :]
+    x = dev_hat_points(*st.charts, np.stack([i, tri.neighbour[i, k]], axis=1)[..., None],
+                       ts, alpha, st.kappa, st.blend)
+    m, b = st.gluing
     worst = 0.0
-    for g, xl, xr in zip(tri.gluings, x[0::2], x[1::2]):
-        iso = rep.evaluate(g.word)
-        xr = (iso.linear.matrix @ xr.T).T + iso.translation
+    for (xl, xr), m_g, b_g in zip(x, m[i, k], b[i, k]):
+        xr = (m_g @ xr.T).T + b_g
         worst = max(worst, float(np.abs(xl - xr).max()))
     if worst > settings.equiv_tol:
         raise FaceMismatch(f"glued faces disagree by {worst:.3e}")
@@ -686,24 +693,19 @@ def build(
     report = check_admissible(rep)
     if not report.verdict:
         raise NotAdmissible(report)
-    dec_u, dec_p, base_of = decorate_vertices(rep, tri)
+    gluing = gluing_isometries(rep, tri)
+    dec_u, dec_p, base_of = decorate_vertices(rep, tri, gluing)
     simplices = decorate_simplices(tri, dec_u, dec_p)
     blend = HexagonBlend()
     cert = choose_kappa(simplices, blend, settings)
-    residual = verify_face_equivariance(rep, tri, simplices, cert.kappa, blend, settings)
-    cert = replace(cert, equivariance_residual=residual)
-    fixed = peripheral_fixed_data(rep)
-    fibers = {}
-    for name, data in fixed.items():
-        fibers[name] = SingularFiber(
-            puncture=name,
-            base_vertex=base_of[name],
-            line_point=data.line_point,
-            line_direction=data.u,
-        )
+    fibers = {
+        name: SingularFiber(name, base_of[name], line_point=data.line_point, line_direction=data.u)
+        for name, data in peripheral_fixed_data(rep).items()
+    }
     st = PolyhedralSpacetime(
         representation=rep,
         triangulation=tri,
+        gluing=gluing,
         decorations_u=dec_u,
         decorations_p=dec_p,
         simplices=simplices,
@@ -713,6 +715,7 @@ def build(
         certification=cert,
         settings=settings,
     )
+    st.certification = replace(cert, equivariance_residual=verify_face_equivariance(st))
     st.fans = {name: puncture_geometry(st, name) for name in fibers}
     if settings.with_spears:
         st.spears = {name: find_spear(st, name) for name in fibers}
@@ -750,43 +753,41 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
     anchor = st.kappa * fiber.line_direction + fiber.line_point
     frame = rotation_about_t(math.atan2(fiber.line_direction[2], fiber.line_direction[1]))
     frame_inv = frame.inverse().matrix
+    m, b = st.gluing
 
-    def corner(deck: AffineIsometry, tri_i: int, v: str, word: str):
-        u_n = deck.linear.matrix @ st.decorations_u[v]
-        q_n = deck.apply(st.kappa * st.decorations_u[v] + st.decorations_p[v])
-        return (tri_i, v, word, u_n, q_n, _axis_angle(frame_inv, q_n - anchor))
+    def corner(tri_i: int, j: int):
+        v = tri.triangles[tri_i][j]
+        q_n = deck_m @ (st.kappa * st.decorations_u[v] + st.decorations_p[v]) + deck_b
+        return (tri_i, j, q_n, _axis_angle(frame_inv, q_n - anchor))
 
+    # the walk runs in vertex slots: cur is the puncture's, out the corner it
+    # leaves through, and the facet crossed is the third slot
     start = min(i for i, t in enumerate(tri.triangles) if base in t)
-    cur_tri, cur_v = start, base
-    deck = AffineIsometry.identity()
-    words: list[str] = []
-    entries = sorted(
-        (corner(deck, cur_tri, w, "") for w in tri.triangles[cur_tri] if w != cur_v),
-        key=lambda e: e[5],
-    )
-    exit_v = entries[-1][1]
+    cur_tri, cur = start_state = start, tri.triangles[start].index(base)
+    deck_m, deck_b = np.eye(3), np.zeros(3)
+    entries = sorted((corner(cur_tri, j) for j in range(3) if j != cur), key=lambda e: e[3])
+    out = entries[-1][1]
     for crossing in range(1, 2 * r):
-        cur_tri, vmap, word = tri.sides[(cur_tri, frozenset((cur_v, exit_v)))]
-        entered, cur_v = vmap[exit_v], vmap[cur_v]
-        if cur_v not in orbit:
+        i, k = cur_tri, 3 - cur - out
+        cur_tri, (entered, cur) = int(tri.neighbour[i, k]), tri.slot[i, k, [out, cur]]
+        if tri.triangles[cur_tri][cur] not in orbit:
             raise NonMonotoneAngles(
                 f"fan walk left the vertex orbit of {puncture} at triangle {cur_tri}"
             )
-        if word:
-            deck = deck.compose(st.representation.evaluate(word))
-            words.append(word)
+        if tri.word[i][k]:
+            deck_m, deck_b = deck_m @ m[i, k], deck_m @ b[i, k] + deck_b
         if crossing == r:
-            period, period_state = deck, (cur_tri, cur_v)
-        exit_v = next(w for w in tri.triangles[cur_tri] if w not in (cur_v, entered))
-        entries.append(corner(deck, cur_tri, exit_v, " ".join(words)))
+            period_m, period_b, period_state = deck_m, deck_b, (cur_tri, cur)
+        out = 3 - cur - entered
+        entries.append(corner(cur_tri, out))
 
-    thetas = [e[5] for e in entries]
+    thetas = [e[3] for e in entries]
     if not np.all(np.diff(thetas) > 0):
         raise NonMonotoneAngles(
             f"fan angles around {puncture} are not strictly increasing"
         )
     # After r crossings the walk must close up on the starting corner.
-    if period_state != (start, base):
+    if period_state != start_state:
         raise NonMonotoneAngles(
             f"fan walk around {puncture} did not close after {r} corners"
         )
@@ -799,23 +800,15 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
         )
     # The period must be the peripheral holonomy (either orientation).
     hol = st.representation.generator(puncture)
-    residual = min(
-        max(
-            float(np.abs(h.linear.matrix - period.linear.matrix).max()),
-            float(np.abs(h.translation - period.translation).max()),
-        )
-        for h in (hol, hol.inverse())
-    )
-    scale = max(1.0, float(np.abs(period.linear.matrix).max()))
+    residual = min(max(float(np.abs(h.linear.matrix - period_m).max()),
+                       float(np.abs(h.translation - period_b).max()))
+                   for h in (hol, hol.inverse()))
+    scale = max(1.0, float(np.abs(period_m).max()))
     if residual > 10 * st.settings.fan_tol * scale:
         raise NonMonotoneAngles(
             f"fan period around {puncture} is not the peripheral holonomy "
             f"(residual {residual:.3e})"
         )
-    fan = tuple(
-        FanEntry(n, t_i, v, w, u, a, th)
-        for n, (t_i, v, w, u, a, th) in enumerate(entries)
-    )
     return PunctureGeometry(
         puncture=puncture,
         base_vertex=base,
@@ -823,7 +816,7 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
         line_point=fiber.line_point,
         line_direction=fiber.line_direction,
         anchor=anchor,
-        fan=fan,
+        fan=tuple(FanEntry(t_i, a, th) for t_i, _, a, th in entries),
         r=r,
         theta=tuple(thetas),
         Theta=Theta,

@@ -16,11 +16,11 @@ monotonicity check in the report is a real assertion, not a tautology.
 
 Curves are traced in lockstep: one pass per step tests the 8 proposals of
 every live curve with builder's stacked chart kernel, evaluating each curve's
-start Jacobian once and the later samples only where the start passes; face
-crossings stay scalar.  Each curve reads its own random stream in the order a
-one-curve trace reads it (3 doubles per proposal, proposals in order until
-the first accepted one), so a curve traced in a batch equals the same curve
-traced alone, node for node.
+start Jacobian once and the later samples only where the start passes, and
+one cross_face call moves every curve that ended on a face.  Each curve reads
+its own random stream in the order a one-curve trace reads it (3 doubles per
+proposal, proposals in order until the first accepted one), so a curve traced
+in a batch equals the same curve traced alone, node for node.
 """
 
 from __future__ import annotations
@@ -50,11 +50,15 @@ class AbsentFiber(GeometryError):
     """A fiber point on an unknown puncture or on a fiber marked absent."""
 
 
-def _index(value, bound: float = math.inf, what: str = "chart simplex") -> int:
-    """``value`` as an int in [0, bound), so no negative index wraps in a gather."""
-    if not 0 <= operator.index(value) < bound:
+def _index(value, bound: float = math.inf, what: str = "chart simplex"):
+    """``value``, an int or an integer array, with every entry in [0, bound), so
+    no negative index wraps in a gather; anything else is a TypeError."""
+    v = np.asarray(value) if np.ndim(value) else int(operator.index(value))
+    if np.ndim(v) and v.dtype.kind not in "iu":
+        raise TypeError(f"{what} indices must be integers, got {v.dtype}")
+    if not np.all((v >= 0) & (v < bound)):
         raise ValueError(f"{what} {value!r} is outside [0, {bound})")
-    return int(value)
+    return v
 
 
 @dataclass(frozen=True)
@@ -214,33 +218,26 @@ def segment_is_causal(
 
 
 def cross_face(
-    st: PolyhedralSpacetime, point: ChartPoint, facet: int, tol: float = 1e-8
-) -> ChartPoint:
-    """Re-express a face point in the neighboring chart across facet ``facet``.
+    st: PolyhedralSpacetime, simplex, t, alpha, facet, tol: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re-express face points in the neighbouring charts across their facets.
 
-    The facet is the zero-weight slot; the shared edge is the other two
-    vertices.  The developed positions must agree through the gluing word.
+    Chart indices simplex (n,), times t (n,), barycentric points alpha (n, 3)
+    and facets (n,), each the zero-weight slot of its point.  Returns the
+    neighbour charts (n,), the points there (n, 3), t unchanged, and a mask
+    (n,) of the crossings whose developed positions disagree through the
+    gluing isometry by more than tol (relative).
     """
-    sx = st.simplices[_index(point.simplex, len(st.simplices))]
-    edge_names = list(sx.vertices)
-    del edge_names[_index(facet, 3, "facet")]
-    other_tri, mapped, word = st.triangulation.sides[(point.simplex, frozenset(edge_names))]
-    other_sx = st.simplices[other_tri]
-    alpha_new = np.zeros(3)
-    for name in edge_names:
-        w = float(point.alpha[sx.vertices.index(name)])
-        alpha_new[other_sx.vertices.index(mapped[name])] = w
-    new_point = ChartPoint(other_tri, point.t, alpha_new)
-    iso = st.representation.evaluate(word)
-    x, x_new = dev_hat_points(*st.charts, np.array([point.simplex, other_tri]), point.t,
-                              np.stack([point.alpha, alpha_new]), st.kappa, st.blend)
-    err = float(np.abs(x - (iso.linear.matrix @ x_new + iso.translation)).max())
-    if err > tol * max(1.0, float(np.abs(x).max())):
-        raise GeometryError(
-            f"face transition mismatch {err:.3e} between charts "
-            f"{point.simplex} and {other_tri}"
-        )
-    return new_point
+    simplex, facet = _index(simplex, len(st.simplices)), _index(facet, 3, "facet")
+    alpha = np.asarray(alpha, dtype=float)
+    nbr = st.triangulation.neighbour[simplex, facet]
+    alpha_new = np.zeros_like(alpha)
+    alpha_new[np.arange(len(alpha))[:, None], st.triangulation.slot[simplex, facet]] = alpha
+    x, x_new = dev_hat_points(*st.charts, np.array([simplex, nbr]), t,
+                              np.array([alpha, alpha_new]), st.kappa, st.blend)
+    m, b = st.gluing
+    err = np.abs(x - ((m[simplex, facet] @ x_new[..., None])[..., 0] + b[simplex, facet]))
+    return nbr, alpha_new, err.max(axis=-1) > tol * np.maximum(1.0, np.abs(x).max(axis=-1))
 
 
 def _normalized_tau(st: PolyhedralSpacetime, puncture: str, point) -> tuple[float, float]:
@@ -403,19 +400,16 @@ def _trace_lockstep(
             alpha[live] = np.where(has[:, None], a1[lane, k], alpha[live])
             cross_facet = np.where(has & crossed[lane, k], facet[lane, k], -1)
         record(live, False)
-        moved = []
-        for i, f in zip(live[cross_facet >= 0], cross_facet[cross_facet >= 0]):
-            try:
-                nxt = cross_face(st, ChartPoint(int(simplex[i]), float(t[i]), alpha[i]), int(f))
-            except (GeometryError, ValueError) as exc:
-                errors[int(i)] = exc
-                failed[i] = True
-                continue
-            simplex[i] = nxt.simplex
-            alpha[i] = nxt.alpha
-            moved.append(i)
-        if moved:
-            record(np.array(moved), True)
+        crossing = live[cross_facet >= 0]
+        if crossing.size:
+            nbr, alpha_new, bad = cross_face(st, simplex[crossing], t[crossing],
+                                             alpha[crossing], cross_facet[cross_facet >= 0])
+            for i, j in zip(crossing[bad], nbr[bad]):
+                errors[int(i)] = GeometryError(
+                    f"face transition mismatch between charts {simplex[i]} and {j}")
+            failed[crossing[bad]] = True
+            simplex[crossing[~bad]], alpha[crossing[~bad]] = nbr[~bad], alpha_new[~bad]
+            record(crossing[~bad], True)
         live = live[(t[live] < t_stop) & ~failed[live]]
     for i in live:
         errors[int(i)] = GeometryError(f"tracer exhausted {max_steps} steps below t_stop")

@@ -423,8 +423,8 @@ class Gluing(JsonRecord):
     the Moebius action of the word's linear part, for k = 0, 1; in the
     universal cover the left fundamental simplex is adjacent to the right
     simplex translated by the word.  Seen from the right edge the same
-    pairing reads with the inverse word; ``IdealTriangulationData.sides``
-    holds both readings.
+    pairing reads with the inverse word; the gluing table of
+    ``IdealTriangulationData`` holds both readings.
     """
 
     left: tuple[int, tuple[str, str]]
@@ -456,17 +456,22 @@ class IdealTriangulationData:
     generator of its puncture.  Every undirected triangle edge is glued
     exactly once.
 
-    ``sides`` is the gluing table read from either side: it sends
-    ``(triangle, frozenset(edge))`` to ``(neighbour, vertex map, word)`` with
-    position(v) = word . position(map[v]) for both vertices v of the edge.
-    The left edge of a ``Gluing`` takes its word, the right edge the inverse.
+    The gluing table reads each gluing from both sides, by (triangle i, facet
+    k), the edge opposite vertex slot k: across it lie triangle neighbour[i, k]
+    and its slot slot[i, k, j] of each vertex slot j (slot k: its facet), with
+    position(vertex j) = word[i][k] . position(neighbour vertex slot[i, k, j]).
+    Left sides take the gluing's word, right sides the inverse; ``left`` (G, 2)
+    holds the (triangle, facet) of each gluing's left side.
     """
 
     triangles: list[tuple[str, str, str]]
     gluings: list[Gluing]
     vertex_class: dict[str, str]
     positions: dict[str, float]
-    sides: dict = field(init=False, repr=False, compare=False)
+    neighbour: np.ndarray = field(init=False, repr=False, compare=False)  # (S, 3)
+    slot: np.ndarray = field(init=False, repr=False, compare=False)  # (S, 3, 3)
+    word: list[list[str]] = field(init=False, repr=False, compare=False)
+    left: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.triangles = [tuple(t) for t in self.triangles]
@@ -475,25 +480,30 @@ class IdealTriangulationData:
         verts = {v for t in self.triangles for v in t}
         if set(self.vertex_class) != verts or set(self.positions) != verts:
             raise ValueError("vertex_class/positions must cover the triangle vertices")
-        self.sides = {}
-        for g in self.gluings:
+        n = len(self.triangles)
+        self.neighbour, self.slot = np.full((n, 3), -1), np.zeros((n, 3, 3), dtype=int)
+        self.word, self.left = [[""] * 3 for _ in range(n)], np.zeros((len(self.gluings), 2), int)
+
+        def facet(tri, pair) -> int:
+            if not 0 <= tri < n:
+                raise ValueError(f"gluing references triangle {tri}")
+            if len(set(pair)) != 2 or not set(pair) <= set(self.triangles[tri]):
+                raise ValueError(f"edge {pair} not in triangle {tri}")
+            return 3 - sum(map(self.triangles[tri].index, pair))
+
+        for g_i, g in enumerate(self.gluings):
+            self.left[g_i] = g.left[0], facet(*g.left)
             for (tri, pair), (nbr, nbr_pair), word in (
                 (g.left, g.right, g.word), (g.right, g.left, invert_word(g.word))
             ):
-                if not 0 <= tri < len(self.triangles):
-                    raise ValueError(f"gluing references triangle {tri}")
-                if not set(pair) <= set(self.triangles[tri]):
-                    raise ValueError(f"edge {pair} not in triangle {tri}")
-                key = (tri, frozenset(pair))
-                if key in self.sides:
+                k = facet(tri, pair)
+                if self.neighbour[tri, k] >= 0:
                     raise ValueError("every edge must be glued exactly once")
-                self.sides[key] = (nbr, dict(zip(pair, nbr_pair)), word)
-        expected = {
-            (i, frozenset((t[k], t[(k + 1) % 3])))
-            for i, t in enumerate(self.triangles)
-            for k in range(3)
-        }
-        if set(self.sides) != expected:
+                self.neighbour[tri, k], self.word[tri][k] = nbr, word
+                self.slot[tri, k, k] = facet(nbr, nbr_pair)
+                for v, w in zip(pair, nbr_pair):
+                    self.slot[tri, k, self.triangles[tri].index(v)] = self.triangles[nbr].index(w)
+        if (self.neighbour < 0).any():
             raise ValueError("every edge must be glued exactly once")
 
     def to_json(self) -> dict:

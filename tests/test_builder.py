@@ -603,6 +603,12 @@ def test_bundle_kappa_must_match_its_certificate(gamma2_zero):
         tampered = {**d, "kappa": bad, "certification": {**d["certification"], "kappa": bad}}
         with pytest.raises(ValueError, match="kappa"):
             PolyhedralSpacetime.from_json(tampered)
+    # so are a foreign blend and a bundle version other than 1
+    for key, bad in (("blend", {"name": "linear", "threshold": 0.25}),
+                     ("blend", {**d["blend"], "threshold": 0.5}), ("blend", None),
+                     ("version", 7), ("version", None)):
+        with pytest.raises(ValueError, match=key):
+            PolyhedralSpacetime.from_json({**d, key: bad})
     assert PolyhedralSpacetime.from_json(d).dumps() == gamma2_zero.dumps()
 
 

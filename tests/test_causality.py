@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from btzgeo.builder import dev_hat, dev_hat_jacobians, dev_hat_points, extend_btz, strip_btz
+from btzgeo.builder import (
+    FaceMismatch, dev_hat, dev_hat_jacobians, dev_hat_points, extend_btz, strip_btz,
+    verify_face_equivariance,
+)
 from btzgeo.causality import (
     AbsentFiber,
     CausalPolyline,
@@ -79,22 +82,25 @@ def test_segment_is_causal_basics(gamma2_zero):
 
 
 def test_cross_face_round_trip(request):
-    # every facet of every simplex, so both sides of every gluing are crossed
+    # every facet of every simplex, so both sides of every gluing are crossed,
+    # in one batched call there and one back
     for name in ("gamma2_zero", "gamma2_deformed", "torus_zero", "torus_deformed"):
         st_ = request.getfixturevalue(name)
-        for sx in st_.simplices:
-            for facet in range(3):
-                alpha = np.zeros(3)
-                alpha[[k for k in range(3) if k != facet]] = (0.6, 0.4)
-                pt = ChartPoint(sx.triangle, 1.1, alpha)
-                other = cross_face(st_, pt, facet)
-                edge = frozenset(v for k, v in enumerate(sx.vertices) if k != facet)
-                assert other.simplex == st_.triangulation.sides[(sx.triangle, edge)][0]
-                assert other.t == pt.t
-                assert np.isclose(other.alpha.sum(), 1.0)
-                back = cross_face(st_, other, int(np.flatnonzero(other.alpha == 0.0)[0]))
-                assert back.simplex == sx.triangle
-                assert back.alpha == pytest.approx(alpha, abs=1e-12)
+        simplex, facet = (a.ravel() for a in np.indices((len(st_.simplices), 3)))
+        alpha = np.zeros((len(facet), 3))
+        for row, f in zip(alpha, facet):
+            row[[k for k in range(3) if k != f]] = (0.6, 0.4)
+        t = np.full(len(facet), 1.1)
+        other, other_alpha, bad = cross_face(st_, simplex, t, alpha, facet)
+        assert not bad.any()
+        assert np.array_equal(other, st_.triangulation.neighbour[simplex, facet])
+        assert np.allclose(other_alpha.sum(axis=1), 1.0)
+        back_facet = np.argmax(other_alpha == 0.0, axis=1)
+        assert np.array_equal(back_facet, st_.triangulation.slot[simplex, facet, facet])
+        back, back_alpha, bad = cross_face(st_, other, t, other_alpha, back_facet)
+        assert not bad.any()
+        assert np.array_equal(back, simplex)
+        assert back_alpha == pytest.approx(alpha, abs=1e-12)
 
 
 def test_trace_vertical(gamma2_zero):
@@ -498,7 +504,11 @@ def _sequential_trace(st_, start, t_stop, seed, alpha_step=0.4, cone_margin=1e-6
         cur = ChartPoint(cur.simplex, t1, alpha1)
         nodes.append(CurveNode(cur))
         if facet is not None:
-            cur = cross_face(st_, cur, facet)
+            (nbr,), (alpha_new,), (bad,) = cross_face(
+                st_, np.array([cur.simplex]), np.array([cur.t]), cur.alpha[None],
+                np.array([facet]))
+            assert not bad
+            cur = ChartPoint(nbr, cur.t, alpha_new)
             nodes.append(CurveNode(cur, transition=True))
     return nodes, rejected
 
@@ -525,6 +535,26 @@ def test_trace_matches_sequential_reference_below_scale_floor(torus_deformed):
         curve = trace_causal_curve(torus_deformed, start, t_stop=3.0, seed=seed, alpha_step=0.005)
         assert [n.to_json() for n in curve.nodes] == [n.to_json() for n in nodes]
         assert curve.rejected_proposals == rejected
+
+
+def test_face_mismatch_is_caught(gamma2_zero):
+    # one glued face, both of its table entries, moved off by a translation
+    st_ = gamma2_zero
+    tri = st_.triangulation
+    assert verify_face_equivariance(st_) == st_.certification.equivariance_residual
+    i, k = tri.left[0]
+    nbr, back = tri.neighbour[i, k], tri.slot[i, k, k]
+    m, b = st_.gluing
+    b = b.copy()
+    b[i, k, 1] += 1e-3
+    b[nbr, back, 1] -= 1e-3
+    broken = replace(st_, gluing=(m, b))
+    with pytest.raises(FaceMismatch):
+        verify_face_equivariance(broken)
+    assert cauchy_time_report(st_, n_curves=20)["pass"]
+    with pytest.raises(GeometryError,
+                       match=f"mismatch between charts ({i} and {nbr}|{nbr} and {i})$"):
+        cauchy_time_report(broken, n_curves=20)
 
 
 def test_cauchy_time_report_catches_broken_leaves(examples):
@@ -723,16 +753,19 @@ def test_chart_indices_are_checked(gamma2_zero):
         lambda: trace_causal_curve(st_, beyond, t_stop=2.0),
         lambda: validate_polyline(st_, curve),
         lambda: fiber_hop_is_causal(st_, FiberPoint("c1", 0.5), beyond),
-        lambda: cross_face(st_, beyond, 0),
+        lambda: cross_face(st_, [beyond.simplex], [1.0], CENTER[None], [0]),
         lambda: segment_is_causal(st_, 2, (1.0, CENTER), (1.5, CENTER)),
         lambda: segment_is_causal(st_, -1, (1.0, CENTER), (1.5, CENTER)),
     ]
-    calls += [lambda f=f: cross_face(st_, inside, f) for f in (-1, 3, 5)]
+    calls += [lambda f=f: cross_face(st_, [inside.simplex], [1.0], CENTER[None], [f])
+              for f in (-1, 3, 5)]
     for call in calls:
         with pytest.raises(ValueError):
             call()
     with pytest.raises(TypeError):
         segment_is_causal(st_, 1.5, (1.0, CENTER), (1.5, CENTER))
+    with pytest.raises(TypeError):
+        cross_face(st_, [1.0], [1.0], CENTER[None], [0])
     # the last chart is still reachable
     assert segment_is_causal(st_, 1, (1.0, CENTER), (1.5, CENTER))
     assert np.array_equal(develop(st_, inside), dev_hat_points(

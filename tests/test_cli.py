@@ -298,13 +298,15 @@ def test_bad_triangulation_shapes_are_one_json_error(cli_dir, tmp_path):
 def test_bundle_with_foreign_kappa_is_input_error(bundle_path, tmp_path):
     bundle = json.loads(bundle_path.read_text())
     bad = tmp_path / "bad-bundle.json"
-    for kappa in (1e-3, math.nan, math.inf, 0.0, -5.0):
-        bad.write_text(json.dumps({**bundle, "kappa": kappa}))
+    foreign = [("kappa", kappa) for kappa in (1e-3, math.nan, math.inf, 0.0, -5.0)]
+    foreign += [("blend", {"name": "linear", "threshold": 0.25}), ("version", 7)]
+    for key, value in foreign:
+        bad.write_text(json.dumps({**bundle, key: value}))
         for argv in (["causal", str(bad), "--curves", "1"],
                      ["mesh", str(bad), "--out", str(tmp_path / "m.obj")]):
             code, stdout, stderr = run_cli(argv)
             assert code == 2 and stdout == ""
-            assert "kappa" in json.loads(stderr)["message"]
+            assert key in json.loads(stderr)["message"]
     assert not (tmp_path / "m.obj").exists()
 
 

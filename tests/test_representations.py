@@ -327,24 +327,36 @@ def test_representation_json_round_trip(gamma2):
 )
 def test_sides_reverse_with_inverse_word(request, fixture):
     st_ = request.getfixturevalue(fixture)
-    sides = st_.triangulation.sides
-    assert len(sides) == 3 * len(st_.triangulation.triangles)
-    for (tri, edge), (nbr, vmap, word) in sides.items():
-        assert set(vmap) == edge
-        back_tri, back_map, back_word = sides[(nbr, frozenset(vmap.values()))]
-        assert back_tri == tri
-        assert {w: v for v, w in back_map.items()} == vmap
-        assert back_word == invert_word(word)
-        # position(v) = word . position(map[v]), read on the decorations
+    tri = st_.triangulation
+    m, b = st_.gluing
+    assert tri.neighbour.shape == (len(tri.triangles), 3)
+    assert tri.slot.shape == (len(tri.triangles), 3, 3)
+    for i, k in np.ndindex(tri.neighbour.shape):
+        nbr, vmap, word = tri.neighbour[i, k], tri.slot[i, k], tri.word[i][k]
+        assert sorted(vmap) == [0, 1, 2]
+        back = vmap[k]  # slot k goes to the neighbour's facet slot
+        assert tri.neighbour[nbr, back] == i
+        assert np.array_equal(tri.slot[nbr, back][vmap], np.arange(3))
+        assert tri.word[nbr][back] == invert_word(word)
+        # each stacked isometry is the word's, bit for bit
         iso = st_.representation.evaluate(word)
-        loop = iso.compose(st_.representation.evaluate(back_word))
+        assert m[i, k].tobytes() == iso.linear.matrix.tobytes()
+        assert b[i, k].tobytes() == iso.translation.tobytes()
+        loop = iso.compose(st_.representation.evaluate(tri.word[nbr][back]))
         assert np.allclose(loop.linear.matrix, np.eye(3), atol=1e-12)
         assert np.allclose(loop.translation, 0.0, atol=1e-12)
-        for v in edge:
-            src = vmap[v]
+        # position(v) = word . position(map[v]), read on the decorations
+        for j in range(3):
+            if j == k:
+                continue
+            v, src = tri.triangles[i][j], tri.triangles[nbr][vmap[j]]
             assert np.allclose(
                 st_.decorations_u[v], iso.linear.matrix @ st_.decorations_u[src], atol=1e-9
             )
             assert np.allclose(
                 st_.decorations_p[v], iso.apply(st_.decorations_p[src]), atol=1e-9
             )
+    # each gluing's left side carries its word
+    for g, (i, k) in zip(tri.gluings, tri.left):
+        assert i == g.left[0] and tri.triangles[i][k] not in g.left[1]
+        assert tri.word[i][k] == g.word and tri.neighbour[i, k] == g.right[0]
