@@ -22,8 +22,7 @@ and re-attaching the singular fibers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -72,33 +71,6 @@ def as_barycentric(alpha, tol: float = 1e-12) -> np.ndarray:
     if a.shape != (3,) or np.any(a < -tol) or abs(float(a.sum()) - 1.0) > tol:
         raise ValueError(f"not a barycentric point: {alpha}")
     return a
-
-
-@dataclass(frozen=True)
-class DecoratedSimplex:
-    """One fundamental-domain triangle with corner decorations in vertex order.
-
-    u rows are future lightlike (t component 1 at base corners, group
-    translates elsewhere); the ordered triple must be a direct basis.
-    """
-
-    triangle: int
-    vertices: tuple[str, str, str]
-    u: np.ndarray  # (3, 3), rows u_1, u_2, u_3
-    p: np.ndarray  # (3, 3), rows p_1, p_2, p_3
-
-    def __post_init__(self):
-        u = np.array(self.u, dtype=float)
-        p = np.array(self.p, dtype=float)
-        det = float(np.linalg.det(u))
-        if det <= 1e-9:
-            raise DegenerateDecoration(
-                f"triangle {self.triangle}: corner vectors not a direct basis (det={det!r})"
-            )
-        u.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "p", p)
 
 
 class HexagonBlend:
@@ -175,22 +147,35 @@ class HexagonBlend:
         return {"name": self.name, "threshold": self.threshold}
 
 
-def p_map(sx: DecoratedSimplex, t: float, alpha, beta, kappa: float) -> np.ndarray:
-    """The ruled chart: t-scaled alpha slot over u, affine beta slot over (kappa u + p)."""
+def p_map(u, p, t: float, alpha, beta, kappa: float) -> np.ndarray:
+    """The ruled chart of one chart's corners u, p (3, 3): t-scaled alpha slot
+    over u, affine beta slot over (kappa u + p)."""
     a = as_barycentric(alpha)
     b = as_barycentric(beta)
-    return (t * a + kappa * b) @ sx.u + b @ sx.p
+    return (t * a + kappa * b) @ u + b @ p
 
 
-def dev_hat(sx: DecoratedSimplex, t: float, alpha, kappa: float,
-            blend: HexagonBlend) -> np.ndarray:
+def dev_hat(u, p, t: float, alpha, kappa: float, blend: HexagonBlend) -> np.ndarray:
     a = as_barycentric(alpha)
-    return p_map(sx, t, blend(a), a, kappa)
+    return p_map(u, p, t, blend(a), a, kappa)
 
 
-def stack_charts(simplices) -> tuple[np.ndarray, np.ndarray]:
-    """Corner decorations u, p of the charts stacked as two (S, 3, 3) arrays."""
-    return np.stack([sx.u for sx in simplices]), np.stack([sx.p for sx in simplices])
+def decorate_charts(triangles, dec_u: dict[str, np.ndarray],
+                    dec_p: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Corner decorations u, p of every triangle in vertex order, stacked as two
+    read-only (S, 3, 3) arrays; DegenerateDecoration unless each u triple is a
+    direct basis.  u rows are future lightlike (t component 1 at base corners,
+    group translates elsewhere)."""
+    u = np.array([[dec_u[v] for v in t] for t in triangles], dtype=float)
+    p = np.array([[dec_p[v] for v in t] for t in triangles], dtype=float)
+    dets = np.linalg.det(u)
+    bad = np.flatnonzero(dets <= 1e-9)
+    if bad.size:
+        raise DegenerateDecoration(f"triangle {bad[0]}: corner vectors not a direct basis "
+                                   f"(det={float(dets[bad[0]])!r})")
+    u.setflags(write=False)
+    p.setflags(write=False)
+    return u, p
 
 
 def dev_hat_points(u, p, simplex, t, alpha, kappa: float,
@@ -224,16 +209,22 @@ def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float,
     return np.swapaxes(jt, -1, -2)
 
 
-def leaf_gram(sx: DecoratedSimplex, t, kappa: float) -> np.ndarray:
+def leaf_gram(u, p, t, kappa: float) -> np.ndarray:
     """Inner-product matrix of the constant-t leaf edges; independent of alpha.
 
     e_k = (t + kappa)(u_{k+1} - u_1) + p_{k+1} - p_1.  Spacelike leaf means
-    positive definite.  Vectorized over t: returns (..., 2, 2).
+    positive definite.  Charts u, p (..., 3, 3), one or stacked, times t of
+    any shape: returns (charts..., t..., 2, 2).
     """
     t = np.asarray(t, dtype=float)
     s = (t + kappa)[..., None]
-    e1 = s * (sx.u[1] - sx.u[0]) + (sx.p[1] - sx.p[0])
-    e2 = s * (sx.u[2] - sx.u[0]) + (sx.p[2] - sx.p[0])
+    lead = np.shape(u)[:-2] + (1,) * t.ndim + (3,)  # chart axes, then t's
+
+    def edge(k):
+        return (s * (u[..., k, :] - u[..., 0, :]).reshape(lead)
+                + (p[..., k, :] - p[..., 0, :]).reshape(lead))
+
+    e1, e2 = edge(1), edge(2)
     g11 = minkowski_inner(e1, e1)
     g12 = minkowski_inner(e1, e2)
     g22 = minkowski_inner(e2, e2)
@@ -294,7 +285,10 @@ class BuildSettings(JsonRecord):
 
     @classmethod
     def from_json(cls, d) -> "BuildSettings":
-        return cls(**d)
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown settings keys {sorted(unknown)}")
+        return super().from_json(d)
 
 
 @dataclass(frozen=True)
@@ -322,25 +316,25 @@ def barycentric_grid(n: int) -> np.ndarray:
     return pts[pts[:, 0] > 0.0]
 
 
-def _certify_once(simplices, charts, blend, kappa, t_values, grid, margin):
-    """One certification pass over every simplex x t x grid sample; returns (ok, stats).
+def _certify_once(charts, blend, kappa, t_values, grid, margin):
+    """One certification pass over every chart x t x grid sample; returns (ok, stats).
 
     ``worst`` names the lowest Jacobian sample if the Jacobian fails the
     margin, else the lowest leaf-Gram sample if that fails, else None.
     """
     ts = np.repeat(t_values, len(grid))
     alphas = np.tile(grid, (len(t_values), 1))
-    simplex = np.arange(len(simplices))[:, None]
+    simplex = np.arange(len(charts[0]))[:, None]
     dets = np.linalg.det(dev_hat_jacobians(*charts, simplex, ts, alphas, kappa, blend))
-    eigs = np.stack([_gram_min_eig(leaf_gram(sx, t_values, kappa)) for sx in simplices])
+    eigs = _gram_min_eig(leaf_gram(*charts, t_values, kappa))
     min_det, min_eig = float(dets.min()), float(eigs.min())
     worst = None
     if min_det <= margin:
         s, k = np.unravel_index(np.argmin(dets), dets.shape)
-        worst = ("jacobian", simplices[s].triangle, float(ts[k]), tuple(alphas[k].tolist()))
+        worst = ("jacobian", int(s), float(ts[k]), tuple(alphas[k].tolist()))
     elif min_eig <= margin:
         s, k = np.unravel_index(np.argmin(eigs), eigs.shape)
-        worst = ("gram", simplices[s].triangle, float(t_values[k]))
+        worst = ("gram", int(s), float(t_values[k]))
     return min_det > margin and min_eig > margin, {
         "samples": dets.size,
         "min_jacobian_det": min_det,
@@ -349,24 +343,23 @@ def _certify_once(simplices, charts, blend, kappa, t_values, grid, margin):
     }
 
 
-def choose_kappa(simplices, blend: HexagonBlend,
+def choose_kappa(charts, blend: HexagonBlend,
                  settings: BuildSettings = BuildSettings()) -> CertificationRecord:
-    """Doubling search for kappa with a sampled certificate.
+    """Doubling search for kappa with a sampled certificate over the stacked
+    charts (u, p).
 
     Starts at 1 + max corner ||p|| and doubles until, on the whole sample
     grid, the chart Jacobian determinant and the smallest leaf-Gram eigenvalue
     both clear the margin.
     """
-    kappa0 = 1.0 + max(
-        (float(np.linalg.norm(row)) for sx in simplices for row in sx.p), default=0.0
-    )
+    kappa0 = 1.0 + max((float(np.linalg.norm(row)) for row in charts[1].reshape(-1, 3)),
+                       default=0.0)
     t_values = np.geomspace(settings.t_min, settings.t_max, settings.t_count)
     grid = barycentric_grid(settings.bary_n)
-    charts = stack_charts(simplices)
     kappa = kappa0
     last = None
     for doubling in range(settings.max_doublings + 1):
-        ok, stats = _certify_once(simplices, charts, blend, kappa, t_values, grid, settings.margin)
+        ok, stats = _certify_once(charts, blend, kappa, t_values, grid, settings.margin)
         if ok:
             return CertificationRecord(
                 kappa=kappa,
@@ -479,14 +472,17 @@ class SpearDescriptor(JsonRecord):
 
 @dataclass
 class PolyhedralSpacetime:
-    """A built spacetime: decorated charts, kappa, blend, fibers, certificates."""
+    """A built spacetime: decorated charts, kappa, blend, fibers, certificates.
+
+    ``charts`` holds the corner decorations (u, p) of the triangles as two
+    (S, 3, 3) arrays in vertex order, the only copy; the bundle's per-vertex
+    ``decorations`` block is read off them.
+    """
 
     representation: AffineRepresentation
     triangulation: IdealTriangulationData
     gluing: tuple[np.ndarray, np.ndarray]  # gluing_isometries, not serialized
-    decorations_u: dict[str, np.ndarray]
-    decorations_p: dict[str, np.ndarray]
-    simplices: list[DecoratedSimplex]
+    charts: tuple[np.ndarray, np.ndarray]  # decorate_charts
     kappa: float
     blend: HexagonBlend
     fibers: dict[str, SingularFiber]
@@ -496,17 +492,18 @@ class PolyhedralSpacetime:
     spears: dict[str, SpearDescriptor] = field(default_factory=dict)
 
     def to_json(self) -> dict:
+        u, p = self.charts
+        # vertex -> a (triangle, slot) it sits at; all its corners hold the same bits
+        corner = {v: (i, j) for i, t in enumerate(self.triangulation.triangles)
+                  for j, v in enumerate(t)}
         return {
             "format": "spacetime-bundle",
             "version": 1,
             "representation": self.representation.to_json(),
             "triangulation": self.triangulation.to_json(),
             "decorations": {
-                v: {
-                    "u": [float(x) for x in self.decorations_u[v]],
-                    "p": [float(x) for x in self.decorations_p[v]],
-                }
-                for v in sorted(self.decorations_u)
+                v: {"u": [float(x) for x in u[c]], "p": [float(x) for x in p[c]]}
+                for v, c in sorted(corner.items())
             },
             "kappa": self.kappa,
             "blend": self.blend.to_json(),
@@ -519,11 +516,6 @@ class PolyhedralSpacetime:
 
     def dumps(self) -> str:
         return canonical_dumps(self.to_json())
-
-    @cached_property
-    def charts(self) -> tuple[np.ndarray, np.ndarray]:
-        """stack_charts(simplices): the kernels' (u, p) arrays, stacked once."""
-        return stack_charts(self.simplices)
 
     @classmethod
     def from_json(cls, d) -> "PolyhedralSpacetime":
@@ -538,6 +530,9 @@ class PolyhedralSpacetime:
         kappa = d["kappa"]
         if not (kappa == d["certification"]["kappa"] and math.isfinite(kappa) and kappa > 0):
             raise ValueError(f"kappa {kappa!r} must be finite, > 0 and the certificate's kappa")
+        if set(d["fans"]) != set(d["fibers"]):
+            raise ValueError(f"bundle fans {sorted(d['fans'])} are not its fibers "
+                             f"{sorted(d['fibers'])}")
         gluing = gluing_isometries(rep, tri)
         dec_u, dec_p, _ = decorate_vertices(rep, tri, gluing)
         for v, entry in d["decorations"].items():
@@ -546,21 +541,18 @@ class PolyhedralSpacetime:
                 or np.abs(dec_p[v] - np.array(entry["p"])).max() > 1e-9
             ):
                 raise InvalidTriangulation(f"stored decoration for {v} does not replay")
-        simplices = decorate_simplices(tri, dec_u, dec_p)
         st = cls(
             representation=rep,
             triangulation=tri,
             gluing=gluing,
-            decorations_u=dec_u,
-            decorations_p=dec_p,
-            simplices=simplices,
+            charts=decorate_charts(tri.triangles, dec_u, dec_p),
             kappa=float(kappa),
             blend=blend,
             fibers={k: SingularFiber.from_json(v) for k, v in d["fibers"].items()},
             certification=CertificationRecord.from_json(d["certification"]),
             settings=settings,
         )
-        st.fans = {k: puncture_geometry(st, k) for k in d["fans"]}
+        st.fans = {k: puncture_geometry(st, k) for k in st.fibers}
         st.spears = {k: SpearDescriptor.from_json(v) for k, v in d["spears"].items()}
         return st
 
@@ -645,19 +637,6 @@ def _boundary_close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def decorate_simplices(
-    tri: IdealTriangulationData,
-    dec_u: dict[str, np.ndarray],
-    dec_p: dict[str, np.ndarray],
-) -> list[DecoratedSimplex]:
-    return [
-        DecoratedSimplex(
-            i, t, np.stack([dec_u[v] for v in t]), np.stack([dec_p[v] for v in t])
-        )
-        for i, t in enumerate(tri.triangles)
-    ]
-
-
 def verify_face_equivariance(st: PolyhedralSpacetime) -> float:
     """Max residual of dev_hat matching across glued faces; raises FaceMismatch.
 
@@ -695,9 +674,9 @@ def build(
         raise NotAdmissible(report)
     gluing = gluing_isometries(rep, tri)
     dec_u, dec_p, base_of = decorate_vertices(rep, tri, gluing)
-    simplices = decorate_simplices(tri, dec_u, dec_p)
+    charts = decorate_charts(tri.triangles, dec_u, dec_p)
     blend = HexagonBlend()
-    cert = choose_kappa(simplices, blend, settings)
+    cert = choose_kappa(charts, blend, settings)
     fibers = {
         name: SingularFiber(name, base_of[name], line_point=data.line_point, line_direction=data.u)
         for name, data in peripheral_fixed_data(rep).items()
@@ -706,9 +685,7 @@ def build(
         representation=rep,
         triangulation=tri,
         gluing=gluing,
-        decorations_u=dec_u,
-        decorations_p=dec_p,
-        simplices=simplices,
+        charts=charts,
         kappa=cert.kappa,
         blend=blend,
         fibers=fibers,
@@ -754,10 +731,10 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
     frame = rotation_about_t(math.atan2(fiber.line_direction[2], fiber.line_direction[1]))
     frame_inv = frame.inverse().matrix
     m, b = st.gluing
+    u, p = st.charts
 
     def corner(tri_i: int, j: int):
-        v = tri.triangles[tri_i][j]
-        q_n = deck_m @ (st.kappa * st.decorations_u[v] + st.decorations_p[v]) + deck_b
+        q_n = deck_m @ (st.kappa * u[tri_i, j] + p[tri_i, j]) + deck_b
         return (tri_i, j, q_n, _axis_angle(frame_inv, q_n - anchor))
 
     # the walk runs in vertex slots: cur is the puncture's, out the corner it
@@ -880,9 +857,7 @@ def _in_fan_prisms(pg: PunctureGeometry, x: np.ndarray) -> tuple[np.ndarray, np.
     return inside, np.column_stack([np.where(front, n, -1), tab])
 
 
-def find_spear(
-    st: PolyhedralSpacetime, puncture: str, fan: PunctureGeometry | None = None
-) -> SpearDescriptor:
+def find_spear(st: PolyhedralSpacetime, puncture: str) -> SpearDescriptor:
     """Halving search for a spear radius certified by boundary-sample membership.
 
     The vertex is pinned at the developed start of the fiber (normalized
@@ -892,7 +867,7 @@ def find_spear(
     direction.  One radius is one array of samples ordered by radius, then
     angle, then height; a failure reports the first sample outside.
     """
-    pg = fan if fan is not None else st.fans.get(puncture) or puncture_geometry(st, puncture)
+    pg = st.fans[puncture]
     vertex_tau = radius = TWO_PI / pg.Theta * st.kappa
     n_r = st.settings.spear_r_samples
     n_th = st.settings.spear_theta_samples
@@ -968,10 +943,11 @@ def mesh_data(st: PolyhedralSpacetime, t_values, resolution: int):
             if i + j < res - 1:
                 cell.append((b, index_of[(i + 1, j + 1)], c))
     # one kernel call over leaf x simplex x grid point, in that order
-    verts = dev_hat_points(*st.charts, np.arange(len(st.simplices))[:, None],
+    n_charts = len(st.triangulation.triangles)
+    verts = dev_hat_points(*st.charts, np.arange(n_charts)[:, None],
                            np.array(t_values)[:, None, None], bary, st.kappa, st.blend)
     faces = [tuple(k * len(bary) + v for v in f)
-             for k in range(len(t_values) * len(st.simplices)) for f in cell]
+             for k in range(len(t_values) * n_charts) for f in cell]
     return verts.reshape(-1, 3), faces
 
 

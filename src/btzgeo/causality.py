@@ -31,9 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import (
-    PolyhedralSpacetime, dev_hat_jacobians, dev_hat_points, minkowski_to_model, puncture_geometry,
-)
+from .builder import PolyhedralSpacetime, dev_hat_jacobians, dev_hat_points, minkowski_to_model
 from .minkowski import GeometryError, quadratic_form
 from .models import NotInImage
 
@@ -123,7 +121,7 @@ def develop(st: PolyhedralSpacetime, point) -> np.ndarray:
     if isinstance(point, FiberPoint):
         fib = _present_fiber(st, point)
         return fib.line_point + (st.kappa + point.t) * fib.line_direction
-    simplex = _index(point.simplex, len(st.simplices))
+    simplex = _index(point.simplex, len(st.triangulation.triangles))
     return dev_hat_points(*st.charts, simplex, point.t, point.alpha, st.kappa, st.blend)
 
 
@@ -213,7 +211,7 @@ def segment_is_causal(
 ) -> bool:
     """Future-causal test for one straight chart segment at sampled tangents."""
     t0, a0, t1, a1 = (np.asarray(x, dtype=float)[None] for x in (*start, *end))
-    chart = np.array([_index(simplex, len(st.simplices))])
+    chart = np.array([_index(simplex, len(st.triangulation.triangles))])
     return bool(_segments_are_causal(st, chart, t0, a0, t1, a1, band, margin, samples)[0])
 
 
@@ -228,7 +226,7 @@ def cross_face(
     (n,) of the crossings whose developed positions disagree through the
     gluing isometry by more than tol (relative).
     """
-    simplex, facet = _index(simplex, len(st.simplices)), _index(facet, 3, "facet")
+    simplex, facet = _index(simplex, len(st.triangulation.triangles)), _index(facet, 3, "facet")
     alpha = np.asarray(alpha, dtype=float)
     nbr = st.triangulation.neighbour[simplex, facet]
     alpha_new = np.zeros_like(alpha)
@@ -242,7 +240,7 @@ def cross_face(
 
 def _normalized_tau(st: PolyhedralSpacetime, puncture: str, point) -> tuple[float, float]:
     """(tau', r'/2) of a point in the normalized model around one fiber."""
-    pg = st.fans.get(puncture) or puncture_geometry(st, puncture)
+    pg = st.fans[puncture]
     if isinstance(point, FiberPoint):
         return (st.kappa + point.t) / pg.ell, 0.0
     tau, r, _ = minkowski_to_model(pg, develop(st, point)).tolist()
@@ -270,6 +268,11 @@ _FLAT = np.array([False, False, False, True] * 2)
 # the non-flat proposals before it were rejected.
 _SCALE_SLOT = np.array([0, 1, 2, 3, 3, 4, 5, 6])
 _CHUNK = 120  # doubles drawn per refill of one curve's random buffer
+# Each curve steps (t_stop - its start t) / _STEPS_PER_SPAN in t, at least _MIN_T_STEP;
+# accepted tangents stay _CONE_MARGIN inside the causal cone.
+_STEPS_PER_SPAN = 50.0
+_MIN_T_STEP = 1e-3
+_CONE_MARGIN = 1e-6
 
 
 def _clip_to_chart(t0, dt, a0, a1):
@@ -299,8 +302,7 @@ def _clip_to_chart(t0, dt, a0, a1):
 
 def _trace_lockstep(
     st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: list[int], t_stop: float,
-    random: bool = True, max_steps: int = 600, t_step: float | None = None,
-    alpha_step: float = 0.4, cone_margin: float = 1e-6, band: float = 1e-9,
+    max_steps: int = 600, alpha_step: float = 0.4, band: float = 1e-9,
 ):
     """Trace one causal curve per chart start in lockstep; see trace_causal_curve.
 
@@ -315,18 +317,16 @@ def _trace_lockstep(
     the proposals up to it, which is the stream a sequential loop consumes.
     """
     n = len(starts)
-    simplex = np.array([_index(p.simplex, len(st.simplices)) for p in starts])
+    simplex = np.array([_index(p.simplex, len(st.triangulation.triangles)) for p in starts])
     t = np.array([float(p.t) for p in starts])
     alpha = np.array([p.alpha for p in starts])
-    steps_t = (np.full(n, float(t_step)) if t_step is not None
-               else np.maximum((t_stop - t) / 50.0, 1e-3))
-    if random:
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        buf = np.array([rng.random(_CHUNK) for rng in rngs])
-        # persistent transverse drift so traces genuinely wander across charts
-        bias = -1.0 + 2.0 * buf[:, :2]
-        bias /= np.maximum(np.hypot(bias[:, 0], bias[:, 1]), 1e-12)[:, None]
-        cursor = np.full(n, 2)
+    steps_t = np.maximum((t_stop - t) / _STEPS_PER_SPAN, _MIN_T_STEP)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    buf = np.array([rng.random(_CHUNK) for rng in rngs])
+    # persistent transverse drift so traces genuinely wander across charts
+    bias = -1.0 + 2.0 * buf[:, :2]
+    bias /= np.maximum(np.hypot(bias[:, 0], bias[:, 1]), 1e-12)[:, None]
+    cursor = np.full(n, 2)
     # adaptive transverse scale: the causal cone width in barycentric units
     # varies a lot across the simplex, so learn it from accept/reject feedback
     scale = np.full(n, alpha_step)
@@ -356,49 +356,45 @@ def _trace_lockstep(
     for _ in range(max_steps):
         if live.size == 0:
             break
-        cross_facet = np.full(live.size, -1)
-        if not random:
-            t[live] += steps_t[live]
-        else:
-            for i in live[cursor[live] + 24 > _CHUNK]:
-                buf[i] = np.concatenate([buf[i, cursor[i]:], rngs[i].random(cursor[i])])
-                cursor[i] = 0
-            u = buf[live[:, None], cursor[live][:, None] + np.arange(24)]
-            u = u.reshape(live.size, 8, 3)
-            # scale after 0..6 rejections: 0.85 per rejection, then never below 0.02
-            hist = np.full((live.size, 7), 0.85)
-            hist[:, 0] = scale[live]
-            hist = np.multiply.accumulate(hist, axis=1)
-            hist[:, 1:] = np.maximum(hist[:, 1:], 0.02)
-            sc = hist[:, _SCALE_SLOT]
-            ts = steps_t[live][:, None]
-            # uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
-            dt = (-0.25 + np.where(_FLAT, 0.5, 1.25) * u[..., 0]) * ts
-            wobble = -1.0 + 2.0 * u[..., 1:]
-            da = np.where(
-                _FLAT[:, None],
-                wobble * alpha_step * ts[..., None],
-                (0.7 * bias[live][:, None, :] + 0.5 * wobble) * sc[..., None]
-                * np.maximum(dt, 0.0)[..., None],
-            )
-            t0, a0 = t[live][:, None], alpha[live][:, None, :]
-            a1 = a0 + np.stack([-da[..., 0] - da[..., 1], da[..., 0], da[..., 1]], axis=-1)
-            t1, ok, crossed, facet = _clip_to_chart(
-                np.broadcast_to(t0, dt.shape), dt, np.broadcast_to(a0, a1.shape), a1)
-            ok &= _segments_are_causal(st, simplex[live][:, None], t0, a0, t1, a1,
-                                       band=band, margin=cone_margin)
-            has = ok.any(axis=1)
-            k = np.argmax(ok, axis=1)
-            lane = np.arange(live.size)
-            rejected[live] += np.where(has, k, 8)
-            cursor[live] += 3 * np.where(has, k + 1, 8)
-            sk = sc[lane, k]
-            scale[live] = np.where(
-                has, np.where(_FLAT[k], sk, np.minimum(sk * 1.25, 3.0 * alpha_step)), hist[:, 6]
-            )
-            t[live] = np.where(has, t1[lane, k], t[live] + steps_t[live])
-            alpha[live] = np.where(has[:, None], a1[lane, k], alpha[live])
-            cross_facet = np.where(has & crossed[lane, k], facet[lane, k], -1)
+        for i in live[cursor[live] + 24 > _CHUNK]:
+            buf[i] = np.concatenate([buf[i, cursor[i]:], rngs[i].random(cursor[i])])
+            cursor[i] = 0
+        u = buf[live[:, None], cursor[live][:, None] + np.arange(24)]
+        u = u.reshape(live.size, 8, 3)
+        # scale after 0..6 rejections: 0.85 per rejection, then never below 0.02
+        hist = np.full((live.size, 7), 0.85)
+        hist[:, 0] = scale[live]
+        hist = np.multiply.accumulate(hist, axis=1)
+        hist[:, 1:] = np.maximum(hist[:, 1:], 0.02)
+        sc = hist[:, _SCALE_SLOT]
+        ts = steps_t[live][:, None]
+        # uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
+        dt = (-0.25 + np.where(_FLAT, 0.5, 1.25) * u[..., 0]) * ts
+        wobble = -1.0 + 2.0 * u[..., 1:]
+        da = np.where(
+            _FLAT[:, None],
+            wobble * alpha_step * ts[..., None],
+            (0.7 * bias[live][:, None, :] + 0.5 * wobble) * sc[..., None]
+            * np.maximum(dt, 0.0)[..., None],
+        )
+        t0, a0 = t[live][:, None], alpha[live][:, None, :]
+        a1 = a0 + np.stack([-da[..., 0] - da[..., 1], da[..., 0], da[..., 1]], axis=-1)
+        t1, ok, crossed, facet = _clip_to_chart(
+            np.broadcast_to(t0, dt.shape), dt, np.broadcast_to(a0, a1.shape), a1)
+        ok &= _segments_are_causal(st, simplex[live][:, None], t0, a0, t1, a1,
+                                   band=band, margin=_CONE_MARGIN)
+        has = ok.any(axis=1)
+        k = np.argmax(ok, axis=1)
+        lane = np.arange(live.size)
+        rejected[live] += np.where(has, k, 8)
+        cursor[live] += 3 * np.where(has, k + 1, 8)
+        sk = sc[lane, k]
+        scale[live] = np.where(
+            has, np.where(_FLAT[k], sk, np.minimum(sk * 1.25, 3.0 * alpha_step)), hist[:, 6]
+        )
+        t[live] = np.where(has, t1[lane, k], t[live] + steps_t[live])
+        alpha[live] = np.where(has[:, None], a1[lane, k], alpha[live])
+        cross_facet = np.where(has & crossed[lane, k], facet[lane, k], -1)
         record(live, False)
         crossing = live[cross_facet >= 0]
         if crossing.size:
@@ -431,24 +427,22 @@ def trace_causal_curve(
     steering: str = "random",
     seed: int = 0,
     max_steps: int = 600,
-    t_step: float | None = None,
     alpha_step: float = 0.4,
-    cone_margin: float = 1e-6,
     band: float = 1e-9,
 ) -> CausalPolyline:
     """Trace a future causal polyline from ``start`` until t reaches t_stop.
 
-    Steering policies: ``vertical`` follows the chart fibration upward;
-    ``random`` tries causal steps with random transverse motion and all signs
-    of dt, falling back to vertical when rejected; ``axis`` stays on a
-    singular fiber; ``leave_axis`` starts on a fiber and hops into the
-    adjacent chart fan as soon as a causal hop is found.
+    Steering policies: ``random`` tries causal steps with random transverse
+    motion and all signs of dt, falling back to a vertical step when all are
+    rejected; ``axis`` stays on a singular fiber; ``leave_axis`` starts on a
+    fiber and hops into the adjacent chart fan as soon as a causal hop is
+    found, then continues as ``random``.
 
     ``alpha_step`` is the transverse slope: proposals move the barycentric
     point by at most alpha_step * dt per component, matching the linear
     opening of the causal cone in chart coordinates.
     """
-    if steering not in ("vertical", "random", "axis", "leave_axis"):
+    if steering not in ("random", "axis", "leave_axis"):
         raise ValueError(f"unknown steering {steering!r}")
     if not math.isfinite(t_stop):
         raise ValueError("t_stop must be finite")
@@ -473,10 +467,8 @@ def trace_causal_curve(
             )
         pg = st.fans[start.puncture]
         entry = pg.fan[0]
-        sx = st.simplices[entry.triangle]
-        base_slot = sx.vertices.index(pg.base_vertex)
         alpha = np.full(3, 0.1)
-        alpha[base_slot] = 0.8
+        alpha[st.triangulation.triangles[entry.triangle].index(pg.base_vertex)] = 0.8
         hop = None
         gap = t_stop - start.t
         for frac in (0.05, 0.1, 0.2, 0.4, 0.8):
@@ -490,20 +482,16 @@ def trace_causal_curve(
                 f"no causal hop off the fiber {start.puncture} below t_stop"
             )
         nodes.append(CurveNode(hop))
-        steering_rest = "random"
         cur = hop
     elif isinstance(start, ChartPoint):
         if steering in ("axis", "leave_axis"):
             raise StuckAtSingularity(f"steering {steering!r} needs a fiber start")
-        steering_rest = steering
         cur = start
     else:
         raise TypeError(f"unsupported start point {start!r}")
 
     (((sxs, ts, alphas, transitions), rest_rejected),) = _trace_lockstep(
-        st, [cur], [seed], t_stop, random=steering_rest == "random",
-        max_steps=max_steps, t_step=t_step, alpha_step=alpha_step,
-        cone_margin=cone_margin, band=band,
+        st, [cur], [seed], t_stop, max_steps=max_steps, alpha_step=alpha_step, band=band,
     )
     nodes += [CurveNode(ChartPoint(sx, ti, a), transition=tr) for sx, ti, a, tr in
               zip(sxs.tolist(), ts.tolist(), alphas, transitions.tolist())]
@@ -538,7 +526,7 @@ def validate_polyline(st: PolyhedralSpacetime, curve: CausalPolyline,
     if charts:
         index, starts, ends = zip(*charts)
         ok = _segments_are_causal(
-            st, np.array([_index(p.simplex, len(st.simplices)) for p in starts]),
+            st, np.array([_index(p.simplex, len(st.triangulation.triangles)) for p in starts]),
             np.array([p.t for p in starts]), np.stack([p.alpha for p in starts]),
             np.array([p.t for p in ends]), np.stack([p.alpha for p in ends]), band=band,
         )
@@ -604,7 +592,7 @@ def cauchy_time_report(
     rng = np.random.default_rng(seed)
     starts, seeds = [], []
     for _ in range(n_curves):
-        simplex = int(rng.integers(len(st.simplices)))
+        simplex = int(rng.integers(len(st.triangulation.triangles)))
         alpha = 0.7 * rng.dirichlet(np.ones(3)) + 0.3 / 3.0
         starts.append(ChartPoint(simplex, t_start, alpha))
         seeds.append(int(rng.integers(2**32)))

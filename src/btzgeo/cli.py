@@ -322,7 +322,7 @@ def cmd_mesh(args) -> int:
     st = _load_bundle(args.bundle)
     export_mesh(st, cfg.leaves, cfg.resolution, args.out)
     # mesh_data's layout: per leaf and simplex, a triangular grid of side res
-    res, cells = cfg.resolution, len(cfg.leaves) * len(st.simplices)
+    res, cells = cfg.resolution, len(cfg.leaves) * len(st.triangulation.triangles)
     _emit(
         {
             "kind": "mesh-report",

@@ -440,7 +440,9 @@ class Gluing(JsonRecord):
                 raise ValueError(f"a gluing side is [triangle, [name, name]], got {s!r}")
             return s[0], tuple(s[1])
 
-        return cls(side(d["left"]), side(d["right"]), str(d["word"]))
+        if not isinstance(d["word"], str):
+            raise ValueError(f"a gluing word is a string, got {d['word']!r}")
+        return cls(side(d["left"]), side(d["right"]), d["word"])
 
 
 class InvalidTriangulation(GeometryError):

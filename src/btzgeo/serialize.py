@@ -13,13 +13,26 @@ from pathlib import Path
 
 import numpy as np
 
-# Field annotation -> coercion applied when JsonRecord.from_json loads a field.
-_COERCE = {
-    "float": float,
-    "int": int,
-    "bool": bool,
-    "str": str,
-    "np.ndarray": lambda v: np.array(v, dtype=float),
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(v) -> bool:
+    """A list or tuple of numbers, or of such arrays."""
+    return isinstance(v, (list, tuple)) and all(_number(x) or _numbers(x) for x in v)
+
+
+# Field annotation -> (JSON type check, conversion) applied when
+# JsonRecord.from_json loads a field; a value that fails its check is a ValueError.
+_LOAD = {
+    "float": (_number, float),
+    "float | None": (lambda v: v is None or _number(v), lambda v: v if v is None else float(v)),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    "bool": (lambda v: isinstance(v, bool), bool),
+    "str": (lambda v: isinstance(v, str), str),
+    "tuple[float, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_number, v)), tuple),
+    "np.ndarray": (_numbers, lambda v: np.array(v, dtype=float)),
 }
 
 
@@ -33,8 +46,10 @@ def read_json(path):
 
 class JsonRecord:
     """Dataclass mixin: to_json maps the fields (arrays as lists); from_json
-    coerces each field by its annotation, ignoring keys that are not fields
-    (derived extras) and letting absent keys take the field default."""
+    checks each field's JSON type against its annotation (bool fields take
+    booleans, int fields integers, float fields numbers, str fields strings,
+    arrays lists of numbers), ignoring keys that are not fields (derived
+    extras) and letting absent keys take the field default."""
 
     def to_json(self) -> dict:
         return {
@@ -44,8 +59,12 @@ class JsonRecord:
 
     @classmethod
     def from_json(cls, d):
-        return cls(**{
-            f.name: _COERCE.get(f.type, lambda v: v)(d[f.name])
-            for f in dataclasses.fields(cls)
-            if f.name in d
-        })
+        values = {}
+        for f in dataclasses.fields(cls):
+            if f.name in d:
+                check, convert = _LOAD[f.type]
+                if not check(d[f.name]):
+                    raise ValueError(f"{cls.__name__} field {f.name!r} expects {f.type}, "
+                                     f"got {d[f.name]!r}")
+                values[f.name] = convert(d[f.name])
+        return cls(**values)

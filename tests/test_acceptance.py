@@ -20,7 +20,6 @@ import pytest
 
 from btzgeo.builder import (
     BuildSettings,
-    DecoratedSimplex,
     PolyhedralSpacetime,
     build,
     extend_btz,
@@ -192,13 +191,12 @@ def test_leaf_gram_matches_exact_hand_computation():
     with _criterion(5, "leaf Gram hand check"):
         angles = [0.0, 2 * math.pi / 3, 4 * math.pi / 3]
         u = np.array([[1.0, math.cos(a), math.sin(a)] for a in angles])
-        sx = DecoratedSimplex(0, ("x", "y", "z"), u, np.zeros((3, 3)))
         uu = Fraction(-3, 2)  # <u_i | u_j> for i != j; <u_i | u_i> = 0
         e11 = -2 * uu  # <e1|e1> = <u2-u1|u2-u1> = -2<u2|u1>
         e12 = uu - uu - uu  # <u2|u3> - <u2|u1> - <u1|u3> + <u1|u1>
         oracle = [[e11, e12], [e12, e11]]
         assert oracle == [[3, Fraction(3, 2)], [Fraction(3, 2), 3]]
-        g = leaf_gram(sx, 1.0, 0.0)
+        g = leaf_gram(u, np.zeros((3, 3)), 1.0, 0.0)
         assert np.abs(g - np.array(oracle, dtype=float)).max() < 1e-14
 
 

@@ -12,17 +12,20 @@ from hypothesis import strategies as st
 
 from btzgeo.builder import (
     BuildSettings,
-    DecoratedSimplex,
+    CertificationRecord,
     DegenerateDecoration,
     HexagonBlend,
     KappaSearchExhausted,
     NonMonotoneAngles,
     PolyhedralSpacetime,
+    SingularFiber,
+    SpearDescriptor,
     SpearNotFound,
     _in_fan_prisms,
     barycentric_grid,
     build,
     choose_kappa,
+    decorate_charts,
     dev_hat,
     dev_hat_jacobians,
     dev_hat_points,
@@ -35,7 +38,6 @@ from btzgeo.builder import (
     puncture_geometry,
     minkowski_to_model,
     model_to_minkowski,
-    stack_charts,
     strip_btz,
 )
 from btzgeo.minkowski import causal_class, CausalClass, minkowski_inner
@@ -43,42 +45,52 @@ from btzgeo.models import TWO_PI, axis_deck_generator, parabolic_parameter
 from btzgeo.representations import NotAdmissible
 
 
-def _cone_simplex(p=None):
-    """Symmetric lightlike triple at angles 0, 120, 240 degrees."""
-    angles = [0.0, 2 * math.pi / 3, 4 * math.pi / 3]
-    u = np.array([[1.0, math.cos(a), math.sin(a)] for a in angles])
-    if p is None:
-        p = np.zeros((3, 3))
-    return DecoratedSimplex(0, ("x", "y", "z"), u, np.asarray(p, dtype=float))
+# symmetric lightlike triple at angles 0, 120, 240 degrees
+CONE_U = np.array([[1.0, math.cos(a), math.sin(a)]
+                   for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)])
+
+
+def _charts(u):
+    """A one-chart stack (u, p = 0), each (1, 3, 3), through decorate_charts."""
+    return decorate_charts([("x", "y", "z")], dict(zip("xyz", u)),
+                           dict.fromkeys("xyz", np.zeros(3)))
 
 
 def test_degenerate_decoration_rejected():
+    # one batched det over the charts names the first bad triangle
     u = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
-    with pytest.raises(DegenerateDecoration):
-        DecoratedSimplex(0, ("x", "y", "z"), u, np.zeros((3, 3)))
+    dec_u = {**dict(zip("abc", CONE_U)), **dict(zip("xyz", u))}
+    dec_p = dict.fromkeys("abcxyz", np.zeros(3))
+    with pytest.raises(DegenerateDecoration, match="^triangle 1: corner vectors not a direct"):
+        decorate_charts([("a", "b", "c"), ("x", "y", "z")], dec_u, dec_p)
+    # an odd vertex order reverses a direct basis
+    with pytest.raises(DegenerateDecoration, match="^triangle 0: "):
+        decorate_charts([("b", "a", "c")], dec_u, dec_p)
+    u_ok, _ = decorate_charts([("a", "b", "c")], dec_u, dec_p)
+    assert np.array_equal(u_ok[0], CONE_U) and not u_ok.flags.writeable
 
 
 def test_p_map_diagonal_and_corner():
     rng = np.random.default_rng(0)
-    sx = _cone_simplex(p=rng.normal(size=(3, 3)))
+    u, p = CONE_U, rng.normal(size=(3, 3))
     kappa = 2.5
     for _ in range(20):
         a = rng.dirichlet(np.ones(3))
         t = rng.uniform(0.1, 5.0)
-        assert p_map(sx, t, a, a, kappa) == pytest.approx((t + kappa) * (a @ sx.u) + a @ sx.p)
-    corner = p_map(sx, 1.5, (1, 0, 0), (1, 0, 0), kappa)
-    assert corner == pytest.approx((1.5 + kappa) * sx.u[0] + sx.p[0])
+        assert p_map(u, p, t, a, a, kappa) == pytest.approx((t + kappa) * (a @ u) + a @ p)
+    corner = p_map(u, p, 1.5, (1, 0, 0), (1, 0, 0), kappa)
+    assert corner == pytest.approx((1.5 + kappa) * u[0] + p[0])
 
 
 def test_dev_linear_in_t_with_future_causal_direction():
     rng = np.random.default_rng(1)
-    sx = _cone_simplex(p=rng.normal(size=(3, 3)))
+    u, p = CONE_U, rng.normal(size=(3, 3))
     for _ in range(50):
         a = rng.dirichlet(np.ones(3))
-        d1 = p_map(sx, 2.0, a, a, 1.0) - p_map(sx, 1.0, a, a, 1.0)
-        d2 = p_map(sx, 3.0, a, a, 1.0) - p_map(sx, 2.0, a, a, 1.0)
+        d1 = p_map(u, p, 2.0, a, a, 1.0) - p_map(u, p, 1.0, a, a, 1.0)
+        d2 = p_map(u, p, 3.0, a, a, 1.0) - p_map(u, p, 2.0, a, a, 1.0)
         assert d1 == pytest.approx(d2)
-        assert d1 == pytest.approx(a @ sx.u)
+        assert d1 == pytest.approx(a @ u)
         assert causal_class(d1) in (
             CausalClass.FUTURE_TIMELIKE,
             CausalClass.FUTURE_LIGHTLIKE,
@@ -87,7 +99,7 @@ def test_dev_linear_in_t_with_future_causal_direction():
 
 def test_dev_hat_plateau_affine():
     rng = np.random.default_rng(2)
-    sx = _cone_simplex(p=rng.normal(size=(3, 3)))
+    u, p = CONE_U, rng.normal(size=(3, 3))
     blend = HexagonBlend()
     kappa = 3.0
     for _ in range(50):
@@ -96,16 +108,16 @@ def test_dev_hat_plateau_affine():
         a[1] = rng.uniform(0, rest)
         a[2] = rest - a[1]
         t = rng.uniform(0.2, 4.0)
-        expect = t * sx.u[0] + kappa * (a @ sx.u) + a @ sx.p
-        assert dev_hat(sx, t, a, kappa, blend) == pytest.approx(expect, abs=1e-12)
+        expect = t * u[0] + kappa * (a @ u) + a @ p
+        assert dev_hat(u, p, t, a, kappa, blend) == pytest.approx(expect, abs=1e-12)
 
 
 def test_dev_hat_barycenter_equals_dev():
-    sx = _cone_simplex(p=np.arange(9.0).reshape(3, 3) / 10)
+    u, p = CONE_U, np.arange(9.0).reshape(3, 3) / 10
     blend = HexagonBlend()
     center = np.array([1, 1, 1]) / 3
-    assert dev_hat(sx, 1.7, center, 2.0, blend) == pytest.approx(
-        p_map(sx, 1.7, center, center, 2.0)
+    assert dev_hat(u, p, 1.7, center, 2.0, blend) == pytest.approx(
+        p_map(u, p, 1.7, center, center, 2.0)
     )
 
 
@@ -263,8 +275,7 @@ def test_blend_raises_no_warning_on_plateau_edges(alpha, gamma2_zero):
 
 
 def test_leaf_gram_hand_check_exact():
-    sx = _cone_simplex()
-    g = leaf_gram(sx, 1.0, 0.0)  # t + kappa = 1
+    g = leaf_gram(CONE_U, np.zeros((3, 3)), 1.0, 0.0)  # t + kappa = 1
     # exact analytic oracle: <u_i|u_j> = -1 + cos(dtheta) = -3/2 for i != j
     uu = Fraction(-3, 2)
     e11 = -2 * uu  # <u2-u1|u2-u1> = 0 - 2<u1|u2> + 0
@@ -277,21 +288,33 @@ def test_leaf_gram_hand_check_exact():
 
 def test_leaf_gram_scaling_and_degeneracy():
     rng = np.random.default_rng(6)
-    sx = _cone_simplex()
-    g1 = leaf_gram(sx, 1.0, 1.0)  # t + kappa = 2
-    g2 = leaf_gram(sx, 3.0, 1.0)  # t + kappa = 4
+    u, p = CONE_U, np.zeros((3, 3))
+    g1 = leaf_gram(u, p, 1.0, 1.0)  # t + kappa = 2
+    g2 = leaf_gram(u, p, 3.0, 1.0)  # t + kappa = 4
     assert g2 == pytest.approx(4.0 * g1)
     # vectorized over t
     ts = rng.uniform(0.1, 5.0, size=7)
-    gs = leaf_gram(sx, ts, 0.5)
+    gs = leaf_gram(u, p, ts, 0.5)
     assert gs.shape == (7, 2, 2)
     for t, g in zip(ts, gs):
-        assert g == pytest.approx(leaf_gram(sx, float(t), 0.5))
+        assert g == pytest.approx(leaf_gram(u, p, float(t), 0.5))
     # two (nearly) equal u rows cannot form a decorated simplex at all,
     # but the Gram formula itself degenerates: make e1 ~ 0 via tiny gap
     u = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1e-12], [1.0, -1.0, 0.0]])
     g11 = minkowski_inner(u[1] - u[0], u[1] - u[0])
     assert abs(g11) < 1e-20
+
+
+def test_leaf_gram_broadcasts_over_charts(gamma2_deformed, torus_deformed):
+    # one stacked call is bit-equal to one call per chart
+    ts = np.geomspace(0.1, 10.0, 12)
+    for st_ in (gamma2_deformed, torus_deformed):
+        u, p = st_.charts
+        stacked = leaf_gram(u, p, ts, st_.kappa)
+        assert stacked.shape == (len(u), 12, 2, 2)
+        for k in range(len(u)):
+            assert stacked[k].tobytes() == leaf_gram(u[k], p[k], ts, st_.kappa).tobytes()
+        assert leaf_gram(u, p, 1.5, st_.kappa).shape == (len(u), 2, 2)
 
 
 def test_barycentric_grid_avoids_seams():
@@ -302,8 +325,7 @@ def test_barycentric_grid_avoids_seams():
 
 
 def test_choose_kappa_zero_cocycle_immediate():
-    sx = _cone_simplex()
-    cert = choose_kappa([sx], HexagonBlend())
+    cert = choose_kappa(_charts(CONE_U), HexagonBlend())
     assert cert.doublings == 0
     assert cert.kappa == cert.kappa_initial == 1.0
     assert cert.min_gram_eigenvalue > cert.margin
@@ -313,32 +335,31 @@ def test_choose_kappa_zero_cocycle_immediate():
 def test_choose_kappa_exhausts_on_indefinite_leaves():
     # direct lightlike triple whose leaf plane is timelike: no kappa works
     u = np.array([[1.0, 1.0, 0.0], [5.0, 4.0, 3.0], [1.0, -1.0, 0.0]])
-    sx = DecoratedSimplex(0, ("x", "y", "z"), u, np.zeros((3, 3)))
     cfg = BuildSettings(max_doublings=4, bary_n=6, t_count=3)
     with pytest.raises(KappaSearchExhausted) as exc:
-        choose_kappa([sx], HexagonBlend(), cfg)
+        choose_kappa(_charts(u), HexagonBlend(), cfg)
     assert "worst sample ('gram', 0, 10.0)" in str(exc.value)
 
 
 def test_kappa_failure_names_lowest_jacobian_sample():
     # a margin no sample clears: the last pass (kappa = 2) names the Jacobian
     # failure, at its argmin
-    sx = _cone_simplex()
+    charts = _charts(CONE_U)
     cfg = BuildSettings(max_doublings=1, margin=1e6, bary_n=4, t_count=2)
     with pytest.raises(KappaSearchExhausted) as exc:
-        choose_kappa([sx], HexagonBlend(), cfg)
+        choose_kappa(charts, HexagonBlend(), cfg)
     grid = barycentric_grid(cfg.bary_n)
     samples = [(t, tuple(a.tolist())) for t in (cfg.t_min, cfg.t_max) for a in grid]
     ts = np.array([t for t, _ in samples])
     alphas = np.array([a for _, a in samples])
-    dets = np.linalg.det(dev_hat_jacobians(*stack_charts([sx]), 0, ts, alphas, 2.0, HexagonBlend()))
+    dets = np.linalg.det(dev_hat_jacobians(*charts, 0, ts, alphas, 2.0, HexagonBlend()))
     t, a = samples[int(np.argmin(dets))]
     assert f"worst sample ('jacobian', 0, {t!r}, {a!r})" in str(exc.value)
 
 
 def test_build_gamma2(gamma2_zero):
     st_ = gamma2_zero
-    assert len(st_.simplices) == 2
+    assert len(st_.triangulation.triangles) == 2
     assert set(st_.fibers) == {"c1", "c2", "c3"}
     assert set(st_.fans) == set(st_.spears) == set(st_.fibers)
     cert = st_.certification
@@ -528,9 +549,9 @@ def test_spear_search_treats_singular_prism_as_outside(gamma2_zero):
     pg = gamma2_zero.fans["c1"]
     fan = list(pg.fan)
     fan[1] = replace(fan[1], anchor=fan[0].anchor)
-    broken = replace(pg, fan=tuple(fan))
+    broken = replace(gamma2_zero, fans={**gamma2_zero.fans, "c1": replace(pg, fan=tuple(fan))})
     with pytest.raises(SpearNotFound, match=r"\(window, t, a, b\) = \(0\.0, nan"):
-        find_spear(gamma2_zero, "c1", fan=broken)
+        find_spear(broken, "c1")
 
 
 def test_model_to_minkowski_array_matches_rows(gamma2_deformed):
@@ -550,10 +571,11 @@ def test_spear_search_fails_on_broken_fan(gamma2_zero):
     pg = gamma2_zero.fans["c1"]
     broken = replace(pg, anchor=pg.anchor + np.array([0.0, 100.0, 0.0]))
     st_ = replace(
-        gamma2_zero, settings=replace(gamma2_zero.settings, spear_max_shrinks=5)
+        gamma2_zero, settings=replace(gamma2_zero.settings, spear_max_shrinks=5),
+        fans={**gamma2_zero.fans, "c1": broken},
     )
     with pytest.raises(SpearNotFound):
-        find_spear(st_, "c1", fan=broken)
+        find_spear(st_, "c1")
 
 
 def test_fan_walk_rejects_corrupt_decorations(gamma2_zero):
@@ -563,9 +585,9 @@ def test_fan_walk_rejects_corrupt_decorations(gamma2_zero):
     victim = next(
         v for v, c in st_.triangulation.vertex_class.items() if c != "c3"
     )
-    dec_u = dict(st_.decorations_u)
-    dec_u[victim] = dec_u[victim] * -1.0
-    st_.decorations_u = dec_u
+    u = st_.charts[0].copy()
+    u[np.array(st_.triangulation.triangles) == victim] *= -1.0
+    st_.charts = (u, st_.charts[1])
     with pytest.raises(NonMonotoneAngles):
         puncture_geometry(st_, "c3")
 
@@ -582,13 +604,36 @@ def test_strip_extend_round_trip(gamma2_zero):
     assert again.dumps() == gamma2_zero.dumps()
 
 
-def test_bundle_round_trip(gamma2_deformed):
-    text = gamma2_deformed.dumps()
+@pytest.mark.parametrize("fixture", sorted(REFERENCE_CERTIFICATIONS))
+def test_bundle_round_trip(request, fixture):
+    st_ = request.getfixturevalue(fixture)
+    text = st_.dumps()
     import json
 
     back = PolyhedralSpacetime.from_json(json.loads(text))
     assert back.dumps() == text
-    assert back.kappa == gamma2_deformed.kappa
+    assert back.kappa == st_.kappa
+    for mine, theirs in zip(back.charts, st_.charts):
+        assert mine.tobytes() == theirs.tobytes()
+    # the per-vertex decorations block reads every corner of the charts
+    decorations = json.loads(text)["decorations"]
+    for k, t in enumerate(st_.triangulation.triangles):
+        for j, v in enumerate(t):
+            assert decorations[v] == {"u": st_.charts[0][k, j].tolist(),
+                                      "p": st_.charts[1][k, j].tolist()}
+
+
+def test_bundle_fans_are_computed_on_load(gamma2_zero):
+    import json
+
+    d = json.loads(gamma2_zero.dumps())
+    for fans in ({}, {k: v for k, v in d["fans"].items() if k != "c1"},
+                 {**d["fans"], "c9": d["fans"]["c1"]}):
+        with pytest.raises(ValueError, match="fans"):
+            PolyhedralSpacetime.from_json({**d, "fans": fans})
+    # stored fan values are derived: the loaded fans are recomputed from the charts
+    tampered = {**d, "fans": {k: {**v, "Theta": 1.0} for k, v in d["fans"].items()}}
+    assert PolyhedralSpacetime.from_json(tampered).dumps() == gamma2_zero.dumps()
 
 
 def test_bundle_kappa_must_match_its_certificate(gamma2_zero):
@@ -634,6 +679,26 @@ def test_build_settings_range_rules(bad):
         BuildSettings(**bad)
 
 
+def test_json_records_check_field_types(gamma2_zero):
+    fiber = gamma2_zero.fibers["c1"].to_json()
+    spear = gamma2_zero.spears["c1"].to_json()
+    cert = gamma2_zero.certification.to_json()
+    for cls, d in ((SingularFiber, {**fiber, "line_point": ["1.0", 0.0, 0.0]}),
+                   (SingularFiber, {**fiber, "present": 1}),
+                   (SingularFiber, {**fiber, "puncture": 3}),
+                   (SpearDescriptor, {**spear, "samples": True}),
+                   (SpearDescriptor, {**spear, "radius": "0.1"}),
+                   (CertificationRecord, {**cert, "equivariance_residual": "0"}),
+                   (BuildSettings, {"with_spears": "yes"}),
+                   (BuildSettings, {"t_count": 12, "spline": 3})):
+        with pytest.raises(ValueError):
+            cls.from_json(d)
+    # integers are numbers: a float field loads them as floats
+    loaded = CertificationRecord.from_json({**cert, "margin": 1, "equivariance_residual": None})
+    assert type(loaded.margin) is float and loaded.equivariance_residual is None
+    assert SingularFiber.from_json(fiber).to_json() == fiber
+
+
 def test_bundle_settings_are_validated(gamma2_zero):
     d = gamma2_zero.to_json()
     d["settings"]["t_count"] = 0
@@ -645,7 +710,7 @@ def test_mesh_counts_and_determinism(torus_zero, tmp_path):
     res = 4
     verts, faces = mesh_data(torus_zero, [1.0, 2.0], res)
     per_leaf = (res + 1) * (res + 2) // 2
-    n_simplices = len(torus_zero.simplices)
+    n_simplices = len(torus_zero.triangulation.triangles)
     assert verts.shape == (2 * n_simplices * per_leaf, 3)
     assert len(faces) == 2 * n_simplices * res * res
     assert max(max(f) for f in faces) == len(verts) - 1
@@ -674,7 +739,7 @@ def test_mesh_counts_and_determinism(torus_zero, tmp_path):
 
 def test_jacobian_matches_finite_differences(gamma2_deformed):
     st_ = gamma2_deformed
-    sx = st_.simplices[0]
+    u, p = (c[0] for c in st_.charts)
     blend = st_.blend
     rng = np.random.default_rng(8)
     h = 1e-6
@@ -686,7 +751,7 @@ def test_jacobian_matches_finite_differences(gamma2_deformed):
         jac = dev_hat_jacobians(*st_.charts, 0, t, a, st_.kappa, blend)
 
         def chart(tt, aa, bb):
-            return dev_hat(sx, tt, (1 - aa - bb, aa, bb), st_.kappa, blend)
+            return dev_hat(u, p, tt, (1 - aa - bb, aa, bb), st_.kappa, blend)
 
         fd_t = (chart(t + h, a[1], a[2]) - chart(t - h, a[1], a[2])) / (2 * h)
         fd_a = (chart(t, a[1] + h, a[2]) - chart(t, a[1] - h, a[2])) / (2 * h)

@@ -67,7 +67,7 @@ def test_develop(gamma2_zero):
     )
     cp = ChartPoint(0, 1.3, CENTER)
     assert develop(st_, cp) == pytest.approx(
-        dev_hat(st_.simplices[0], 1.3, CENTER, st_.kappa, st_.blend)
+        dev_hat(st_.charts[0][0], st_.charts[1][0], 1.3, CENTER, st_.kappa, st_.blend)
     )
 
 
@@ -86,7 +86,7 @@ def test_cross_face_round_trip(request):
     # in one batched call there and one back
     for name in ("gamma2_zero", "gamma2_deformed", "torus_zero", "torus_deformed"):
         st_ = request.getfixturevalue(name)
-        simplex, facet = (a.ravel() for a in np.indices((len(st_.simplices), 3)))
+        simplex, facet = (a.ravel() for a in np.indices((len(st_.triangulation.triangles), 3)))
         alpha = np.zeros((len(facet), 3))
         for row, f in zip(alpha, facet):
             row[[k for k in range(3) if k != f]] = (0.6, 0.4)
@@ -101,16 +101,6 @@ def test_cross_face_round_trip(request):
         assert not bad.any()
         assert np.array_equal(back, simplex)
         assert back_alpha == pytest.approx(alpha, abs=1e-12)
-
-
-def test_trace_vertical(gamma2_zero):
-    start = ChartPoint(0, 0.2, CENTER)
-    curve = trace_causal_curve(gamma2_zero, start, t_stop=2.0, steering="vertical")
-    assert curve.strictly_increasing_t()
-    assert curve.nodes[-1].point.t >= 2.0
-    assert all(n.point.simplex == 0 for n in curve.nodes)
-    assert all(np.array_equal(n.point.alpha, CENTER) for n in curve.nodes)
-    assert validate_polyline(gamma2_zero, curve) == []
 
 
 def test_trace_random_produces_valid_causal_curves(gamma2_zero, torus_zero):
@@ -179,9 +169,8 @@ def test_fiber_hop_criterion(gamma2_zero):
     st_ = gamma2_zero
     pg = st_.fans["c1"]
     entry = pg.fan[0]
-    sx = st_.simplices[entry.triangle]
     alpha = np.full(3, 0.1)
-    alpha[sx.vertices.index(pg.base_vertex)] = 0.8
+    alpha[st_.triangulation.triangles[entry.triangle].index(pg.base_vertex)] = 0.8
     fiber = FiberPoint("c1", 0.3)
     assert fiber_hop_is_causal(st_, fiber, ChartPoint(entry.triangle, 50.0, alpha))
     assert not fiber_hop_is_causal(st_, fiber, ChartPoint(entry.triangle, 0.3, alpha))
@@ -391,7 +380,7 @@ def test_lockstep_batch_matches_one_curve_traces(request, fixture):
     st_ = request.getfixturevalue(fixture)
     rng = np.random.default_rng(11)
     starts = [
-        ChartPoint(k % len(st_.simplices), 0.2 + 0.1 * k, rng.dirichlet(np.ones(3)))
+        ChartPoint(k % len(st_.triangulation.triangles), 0.2 + 0.1 * k, rng.dirichlet(np.ones(3)))
         for k in range(6)
     ]
     seeds = [int(x) for x in rng.integers(2**32, size=len(starts))]
@@ -517,7 +506,7 @@ def test_trace_matches_sequential_reference(gamma2_deformed, torus_zero):
     transitions = 0
     for st_ in (gamma2_deformed, torus_zero):
         for seed in range(3):
-            start = ChartPoint(seed % len(st_.simplices), 0.2, np.array([0.5, 0.3, 0.2]))
+            start = ChartPoint(seed % len(st_.charts[0]), 0.2, np.array([0.5, 0.3, 0.2]))
             nodes, rejected = _sequential_trace(st_, start, 3.0, seed)
             curve = trace_causal_curve(st_, start, t_stop=3.0, seed=seed)
             assert [n.to_json() for n in curve.nodes] == [n.to_json() for n in nodes]
@@ -598,29 +587,30 @@ def _kernel_points(st_, rng, n=60):
                (seam, 1.0 / 6.0, 1.0 / 6.0), (below, 0.1, 0.9 - below)]
     special = [np.roll(c, k) for c in corners for k in range(3)] + [CENTER]
     alpha = np.concatenate([rng.dirichlet(np.ones(3), size=n), special])
-    alpha = np.tile(alpha, (len(st_.simplices), 1))
-    simplex = np.repeat(np.arange(len(st_.simplices)), len(alpha) // len(st_.simplices))
+    n_charts = len(st_.charts[0])
+    alpha = np.tile(alpha, (n_charts, 1))
+    simplex = np.repeat(np.arange(n_charts), len(alpha) // n_charts)
     return simplex, rng.uniform(0.1, 4.0, size=len(alpha)), alpha
 
 
-def _per_simplex_points(sx, t, alpha, kappa, blend):
+def _per_simplex_points(u, p, t, alpha, kappa, blend):
     """dev_hat_points as it was before the charts were stacked: one chart, t (n,)."""
     t = np.asarray(t, dtype=float)
     a = np.asarray(alpha, dtype=float)
     phi = blend(a)
-    return (t[:, None] * phi + kappa * a) @ sx.u + a @ sx.p
+    return (t[:, None] * phi + kappa * a) @ u + a @ p
 
 
-def _per_simplex_jacobians(sx, t, alpha, kappa, blend):
+def _per_simplex_jacobians(u, p, t, alpha, kappa, blend):
     """dev_hat_jacobians as it was before the charts were stacked: one chart, t (n,)."""
     t = np.asarray(t, dtype=float)
     a = np.asarray(alpha, dtype=float)
     phi, dphi = blend.value_and_partials(a)
-    col_t = phi @ sx.u
+    col_t = phi @ u
     d_a = dphi[:, :, 1] - dphi[:, :, 0]
     d_b = dphi[:, :, 2] - dphi[:, :, 0]
-    col_a = t[:, None] * (d_a @ sx.u) + kappa * (sx.u[1] - sx.u[0]) + (sx.p[1] - sx.p[0])
-    col_b = t[:, None] * (d_b @ sx.u) + kappa * (sx.u[2] - sx.u[0]) + (sx.p[2] - sx.p[0])
+    col_a = t[:, None] * (d_a @ u) + kappa * (u[1] - u[0]) + (p[1] - p[0])
+    col_b = t[:, None] * (d_b @ u) + kappa * (u[2] - u[0]) + (p[2] - p[0])
     return np.stack([col_t, col_a, col_b], axis=-1)
 
 
@@ -630,8 +620,8 @@ def _one_chart_at_a_time(kernel, st_, simplex, t, alpha):
     sim = np.broadcast_to(simplex, shape).ravel()
     t = np.broadcast_to(t, shape).ravel()
     alpha = np.broadcast_to(alpha, shape + (3,)).reshape(-1, 3)
-    parts = {k: kernel(sx, t[sim == k], alpha[sim == k], st_.kappa, st_.blend)
-             for k, sx in enumerate(st_.simplices)}
+    parts = {k: kernel(u, p, t[sim == k], alpha[sim == k], st_.kappa, st_.blend)
+             for k, (u, p) in enumerate(zip(*st_.charts))}
     out = np.empty((len(sim),) + parts[0].shape[1:])
     for k, part in parts.items():
         out[sim == k] = part
@@ -665,12 +655,12 @@ def test_stacked_kernels_bit_equal_to_per_simplex_kernels(request, fixture):
     # simplex (): one point of one chart
     for k in range(0, n, 7):
         args = (int(simplex[k]), float(t[k]), alpha[k])
-        sx = st_.simplices[args[0]]
-        assert dev_hat_points(u, p, *args, st_.kappa, st_.blend).tobytes() == (
-            _per_simplex_points(sx, t[k:k + 1], alpha[k:k + 1], st_.kappa, st_.blend)[0].tobytes())
+        chart = u[args[0]], p[args[0]]
+        assert dev_hat_points(u, p, *args, st_.kappa, st_.blend).tobytes() == _per_simplex_points(
+            *chart, t[k:k + 1], alpha[k:k + 1], st_.kappa, st_.blend)[0].tobytes()
         assert np.ascontiguousarray(
             dev_hat_jacobians(u, p, *args, st_.kappa, st_.blend)).tobytes() == (
-            _per_simplex_jacobians(sx, t[k:k + 1], alpha[k:k + 1], st_.kappa, st_.blend)[0]
+            _per_simplex_jacobians(*chart, t[k:k + 1], alpha[k:k + 1], st_.kappa, st_.blend)[0]
             .tobytes())
 
 
@@ -682,9 +672,9 @@ def test_kernel_tangents_match_dev_hat_jacobians(request, fixture):
     step = rng.normal(size=(len(t), 3))
     v = _tangents(dev_hat_jacobians(*st_.charts, simplex, t, alpha, st_.kappa, st_.blend),
                   step[:, 0], step[:, 1:])
-    for k, sx in enumerate(st_.simplices):
+    for k, (u, p) in enumerate(zip(*st_.charts)):
         m = simplex == k
-        jac = _per_simplex_jacobians(sx, t[m], alpha[m], st_.kappa, st_.blend)
+        jac = _per_simplex_jacobians(u, p, t[m], alpha[m], st_.kappa, st_.blend)
         scale = (np.abs(jac) @ np.abs(step[m])[:, :, None])[..., 0].max(axis=-1, keepdims=True)
         assert np.all(np.abs(v[m] - (jac @ step[m][:, :, None])[..., 0]) <= 1e-12 * scale)
 

@@ -171,6 +171,40 @@ def test_bundle_with_bad_settings_is_input_error(bundle_path, tmp_path):
     assert "t_count" in json.loads(stderr)["message"]
 
 
+def _tamper_fiber_present(bundle):
+    bundle["fibers"]["c1"]["present"] = "false"  # a JSON string, not a boolean
+    return "present"
+
+
+def _tamper_spear_samples(bundle):
+    bundle["spears"]["c1"]["samples"] = 2.7
+    return "samples"
+
+
+def _tamper_settings_t_count(bundle):
+    bundle["settings"]["t_count"] = 2.5
+    return "t_count"
+
+
+def _tamper_fans(bundle):
+    bundle["fans"] = {}
+    return "fans"
+
+
+@pytest.mark.parametrize("tamper", [_tamper_fiber_present, _tamper_spear_samples,
+                                    _tamper_settings_t_count, _tamper_fans])
+def test_bundle_with_mistyped_field_is_input_error(bundle_path, tmp_path, tamper):
+    # bundle fields are checked against their JSON types, never coerced
+    bundle = json.loads(bundle_path.read_text())
+    key = tamper(bundle)
+    bad = tmp_path / "bad-bundle.json"
+    bad.write_text(canonical_dumps(bundle))
+    code, stdout, stderr = run_cli(["causal", str(bad), "--curves", "1"])
+    assert code == 2 and stdout == ""
+    error = json.loads(stderr)
+    assert error["error"] == "ValueError" and key in error["message"]
+
+
 def test_causal_leaves_outside_the_run_are_input_error(bundle_path, tmp_path):
     cfg = tmp_path / "leaves.cfg"
     for leaves in ("9.0", ""):

@@ -296,6 +296,12 @@ def test_triangulation_validation(gamma2):
             broken["gluings"][0][key] = bad
             with pytest.raises(ValueError, match="gluing side"):
                 IdealTriangulationData.from_json(broken)
+    # a gluing word is a JSON string, never coerced
+    for bad in (5, None, ["a"]):
+        broken = copy.deepcopy(d)
+        broken["gluings"][0]["word"] = bad
+        with pytest.raises(ValueError, match="gluing word"):
+            IdealTriangulationData.from_json(broken)
     # a triangle has exactly 3 distinct vertex names
     first = list(d["triangles"][0])
     for bad in (first + ["extra"], first[:2], first[:2] + first[:1], []):
@@ -345,17 +351,13 @@ def test_sides_reverse_with_inverse_word(request, fixture):
         loop = iso.compose(st_.representation.evaluate(tri.word[nbr][back]))
         assert np.allclose(loop.linear.matrix, np.eye(3), atol=1e-12)
         assert np.allclose(loop.translation, 0.0, atol=1e-12)
-        # position(v) = word . position(map[v]), read on the decorations
+        # position(v) = word . position(map[v]), read on the chart decorations
+        u, p = st_.charts
         for j in range(3):
             if j == k:
                 continue
-            v, src = tri.triangles[i][j], tri.triangles[nbr][vmap[j]]
-            assert np.allclose(
-                st_.decorations_u[v], iso.linear.matrix @ st_.decorations_u[src], atol=1e-9
-            )
-            assert np.allclose(
-                st_.decorations_p[v], iso.apply(st_.decorations_p[src]), atol=1e-9
-            )
+            assert np.allclose(u[i, j], iso.linear.matrix @ u[nbr, vmap[j]], atol=1e-9)
+            assert np.allclose(p[i, j], iso.apply(p[nbr, vmap[j]]), atol=1e-9)
     # each gluing's left side carries its word
     for g, (i, k) in zip(tri.gluings, tri.left):
         assert i == g.left[0] and tri.triangles[i][k] not in g.left[1]
