@@ -21,6 +21,8 @@ and re-attaching the singular fibers.
 
 from __future__ import annotations
 
+import copy
+import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -41,7 +43,7 @@ from .representations import (
     check_admissible,
     peripheral_fixed_data,
 )
-from .serialize import JsonRecord, canonical_dumps
+from .serialize import JsonRecord, canonical_dumps, json_mismatch
 
 BLEND_THRESHOLD = 2.0 / 3.0
 
@@ -519,41 +521,24 @@ class PolyhedralSpacetime:
 
     @classmethod
     def from_json(cls, d) -> "PolyhedralSpacetime":
-        if d.get("format") != "spacetime-bundle" or d.get("version") != 1:
+        """Rebuild a bundle from its representation, triangulation and settings,
+        with each fiber's ``present`` flag taken from the bundle.  Every other
+        field is derived, so the bundle must match the rebuild's JSON exactly;
+        else a ValueError names the first field that differs."""
+        if not (isinstance(d, dict) and d.get("format") == "spacetime-bundle"
+                and d.get("version") == 1):
             raise ValueError("not a version 1 spacetime bundle")
-        blend = HexagonBlend()
-        if d.get("blend") != blend.to_json():
-            raise ValueError(f"bundle blend {d.get('blend')!r} is not {blend.to_json()!r}")
-        rep = AffineRepresentation.from_json(d["representation"])
-        tri = IdealTriangulationData.from_json(d["triangulation"])
-        settings = BuildSettings.from_json(d["settings"])
-        kappa = d["kappa"]
-        if not (kappa == d["certification"]["kappa"] and math.isfinite(kappa) and kappa > 0):
-            raise ValueError(f"kappa {kappa!r} must be finite, > 0 and the certificate's kappa")
-        if set(d["fans"]) != set(d["fibers"]):
-            raise ValueError(f"bundle fans {sorted(d['fans'])} are not its fibers "
-                             f"{sorted(d['fibers'])}")
-        gluing = gluing_isometries(rep, tri)
-        dec_u, dec_p, _ = decorate_vertices(rep, tri, gluing)
-        for v, entry in d["decorations"].items():
-            if (
-                np.abs(dec_u[v] - np.array(entry["u"])).max() > 1e-9
-                or np.abs(dec_p[v] - np.array(entry["p"])).max() > 1e-9
-            ):
-                raise InvalidTriangulation(f"stored decoration for {v} does not replay")
-        st = cls(
-            representation=rep,
-            triangulation=tri,
-            gluing=gluing,
-            charts=decorate_charts(tri.triangles, dec_u, dec_p),
-            kappa=float(kappa),
-            blend=blend,
-            fibers={k: SingularFiber.from_json(v) for k, v in d["fibers"].items()},
-            certification=CertificationRecord.from_json(d["certification"]),
-            settings=settings,
-        )
-        st.fans = {k: puncture_geometry(st, k) for k in st.fibers}
-        st.spears = {k: SpearDescriptor.from_json(v) for k, v in d["spears"].items()}
+        st = build(AffineRepresentation.from_json(d["representation"]),
+                   IdealTriangulationData.from_json(d["triangulation"]),
+                   BuildSettings.from_json(d["settings"]))
+        fibers = d.get("fibers") if isinstance(d.get("fibers"), dict) else {}
+        for name, fiber in st.fibers.items():
+            entry = fibers.get(name)
+            if isinstance(entry, dict) and isinstance(entry.get("present"), bool):
+                st.fibers[name] = replace(fiber, present=entry["present"])
+        path = json_mismatch(d, json.loads(st.dumps()), "bundle")
+        if path:
+            raise ValueError(f"{path} does not match the bundle's rebuild")
         return st
 
 
@@ -897,7 +882,7 @@ def find_spear(st: PolyhedralSpacetime, puncture: str) -> SpearDescriptor:
 
 def strip_btz(st: PolyhedralSpacetime) -> PolyhedralSpacetime:
     """Mark every singular fiber absent; charts then cover only radial > 0."""
-    out = replace(st)
+    out = copy.copy(st)
     out.fibers = {k: replace(f, present=False) for k, f in st.fibers.items()}
     return out
 
@@ -919,7 +904,7 @@ def extend_btz(st: PolyhedralSpacetime) -> tuple[PolyhedralSpacetime, dict[str, 
             continue
         fibers[name] = replace(fib, present=True)
         report[name] = "reattached"
-    out = replace(st)
+    out = copy.copy(st)
     out.fibers = fibers
     return out, report
 

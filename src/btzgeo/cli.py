@@ -151,11 +151,12 @@ def _load_json(path: str):
         raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
 
 
-def _emit(report: dict, out: str | None) -> None:
+def _emit(report: dict, code: int, out: str | None) -> int:
     text = canonical_dumps(report)
     sys.stdout.write(text)
     if out:
         Path(out).write_text(text)
+    return code
 
 
 def _load_bundle(path: str) -> PolyhedralSpacetime:
@@ -163,24 +164,25 @@ def _load_bundle(path: str) -> PolyhedralSpacetime:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each cmd_* reads its arguments and files and hands them to a
+# *_report function, (config, objects, paths) -> (report, exit code); so does the demo.
+
+
+def validate_report(cfg: RunConfig, rep: AffineRepresentation, rep_path: str):
+    report = check_admissible(rep, tol=cfg.admissibility_tol)
+    return {
+        "kind": "admissibility-report",
+        "input": rep_path,
+        "config": cfg.to_json(),
+        "seed": cfg.seed,
+        "report": report.to_json(),
+    }, 0 if report.verdict else 1
 
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config, args.seed)
     rep = AffineRepresentation.from_json(_load_json(args.representation))
-    report = check_admissible(rep, tol=cfg.admissibility_tol)
-    _emit(
-        {
-            "kind": "admissibility-report",
-            "input": args.representation,
-            "config": cfg.to_json(),
-            "seed": cfg.seed,
-            "report": report.to_json(),
-        },
-        args.out,
-    )
-    return 0 if report.verdict else 1
+    return _emit(*validate_report(cfg, rep, args.representation), args.out)
 
 
 def _fan_summary(st: PolyhedralSpacetime, normalize: bool) -> dict:
@@ -199,28 +201,30 @@ def _fan_summary(st: PolyhedralSpacetime, normalize: bool) -> dict:
     return out
 
 
-def cmd_build(args) -> int:
-    cfg = load_config(args.config, args.seed, args.normalize_theta)
-    rep = AffineRepresentation.from_json(_load_json(args.representation))
-    tri = IdealTriangulationData.from_json(_load_json(args.triangulation))
+def build_report(cfg: RunConfig, rep: AffineRepresentation, tri: IdealTriangulationData,
+                 rep_path: str, tri_path: str, out: str):
+    """Build, write the bundle to ``out`` and report on it."""
     st = build(rep, tri, cfg.build_settings())
-    Path(args.out).write_text(st.dumps())
-    report = {
+    Path(out).write_text(st.dumps())
+    return {
         "kind": "build-report",
-        "inputs": {
-            "representation": args.representation,
-            "triangulation": args.triangulation,
-        },
-        "out": args.out,
+        "inputs": {"representation": rep_path, "triangulation": tri_path},
+        "out": out,
         "config": cfg.to_json(),
         "seed": cfg.seed,
         "certification": st.certification.to_json(),
         "fans": _fan_summary(st, cfg.normalize_theta),
         "spears": {s.puncture: {"radius": s.radius, "vertex_tau": s.vertex_tau}
                    for s in st.spears.values()},
-    }
-    _emit(report, None)
-    return 0
+    }, 0
+
+
+def cmd_build(args) -> int:
+    cfg = load_config(args.config, args.seed, args.normalize_theta)
+    rep = AffineRepresentation.from_json(_load_json(args.representation))
+    tri = IdealTriangulationData.from_json(_load_json(args.triangulation))
+    return _emit(*build_report(cfg, rep, tri, args.representation, args.triangulation,
+                               args.out), None)
 
 
 def _delta_samples(sg, rng, n: int):
@@ -234,11 +238,9 @@ def _delta_samples(sg, rng, n: int):
     return r, theta, delta(sg, r, theta)
 
 
-def cmd_surgery(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    st = _load_bundle(args.bundle)
-    profile = BoundaryProfile.from_json(_load_json(args.profile))
-    if args.mode == "complete":
+def surgery_report(cfg: RunConfig, st: PolyhedralSpacetime, profile: BoundaryProfile,
+                   mode: str, bundle_path: str):
+    if mode == "complete":
         sg = extend_complete(profile)
     else:
         sg = extend_compact(profile, margin=cfg.surgery_margin)
@@ -256,7 +258,7 @@ def cmd_surgery(args) -> int:
     )
     report = {
         "kind": "surgery-report",
-        "input": args.bundle,
+        "input": bundle_path,
         "profile": profile.to_json(),
         "mode": sg.mode,
         "M": sg.M,
@@ -288,15 +290,17 @@ def cmd_surgery(args) -> int:
             p: fits_spear(sg, s) for p, s in sorted(st.spears.items())
         }
     report["pass"] = ok
-    _emit(report, args.out)
-    return 0 if ok else 1
+    return report, 0 if ok else 1
 
 
-def cmd_causal(args) -> int:
+def cmd_surgery(args) -> int:
     cfg = load_config(args.config, args.seed)
-    if args.curves is not None:
-        cfg = dataclasses.replace(cfg, n_curves=args.curves)
     st = _load_bundle(args.bundle)
+    profile = BoundaryProfile.from_json(_load_json(args.profile))
+    return _emit(*surgery_report(cfg, st, profile, args.mode, args.bundle), args.out)
+
+
+def causal_report(cfg: RunConfig, st: PolyhedralSpacetime, bundle_path: str):
     report = cauchy_time_report(
         st,
         n_curves=cfg.n_curves,
@@ -305,39 +309,47 @@ def cmd_causal(args) -> int:
         t_stop=cfg.t_stop,
         leaves=cfg.leaves,
     )
-    report["input"] = args.bundle
+    report["input"] = bundle_path
     report["config"] = cfg.to_json()
-    _emit(report, args.out)
-    return 0 if report["pass"] else 1
+    return report, 0 if report["pass"] else 1
+
+
+def cmd_causal(args) -> int:
+    cfg = load_config(args.config, args.seed)
+    if args.curves is not None:
+        cfg = dataclasses.replace(cfg, n_curves=args.curves)
+    st = _load_bundle(args.bundle)
+    return _emit(*causal_report(cfg, st, args.bundle), args.out)
+
+
+def mesh_report(cfg: RunConfig, st: PolyhedralSpacetime, bundle_path: str, out: str):
+    """Write the leaf meshes to ``out`` and report their counts."""
+    if not cfg.leaves:
+        raise ValueError("mesh needs at least one leaf t value")
+    export_mesh(st, cfg.leaves, cfg.resolution, out)
+    # mesh_data's layout: per leaf and simplex, a triangular grid of side res
+    res, cells = cfg.resolution, len(cfg.leaves) * len(st.triangulation.triangles)
+    return {
+        "kind": "mesh-report",
+        "input": bundle_path,
+        "out": out,
+        "config": cfg.to_json(),
+        "seed": cfg.seed,
+        "leaves": list(cfg.leaves),
+        "resolution": cfg.resolution,
+        "vertices": cells * (res + 1) * (res + 2) // 2,
+        "faces": cells * res * res,
+    }, 0
 
 
 def cmd_mesh(args) -> int:
     cfg = load_config(args.config, args.seed)
     if args.leaves is not None:
         cfg = dataclasses.replace(cfg, leaves=[x for x in args.leaves.split(",") if x.strip()])
-    if not cfg.leaves:
-        raise ValueError("mesh needs at least one leaf t value")
     if args.resolution is not None:
         cfg = dataclasses.replace(cfg, resolution=args.resolution)
     st = _load_bundle(args.bundle)
-    export_mesh(st, cfg.leaves, cfg.resolution, args.out)
-    # mesh_data's layout: per leaf and simplex, a triangular grid of side res
-    res, cells = cfg.resolution, len(cfg.leaves) * len(st.triangulation.triangles)
-    _emit(
-        {
-            "kind": "mesh-report",
-            "input": args.bundle,
-            "out": args.out,
-            "config": cfg.to_json(),
-            "seed": cfg.seed,
-            "leaves": list(cfg.leaves),
-            "resolution": cfg.resolution,
-            "vertices": cells * (res + 1) * (res + 2) // 2,
-            "faces": cells * res * res,
-        },
-        None,
-    )
-    return 0
+    return _emit(*mesh_report(cfg, st, args.bundle, args.out), None)
 
 
 def _demo_profile(st: PolyhedralSpacetime) -> BoundaryProfile:
@@ -351,20 +363,10 @@ def _demo_profile(st: PolyhedralSpacetime) -> BoundaryProfile:
     )
 
 
-def _run_stage(argv: list[str], save_stdout: Path | None = None) -> int:
-    """Run a subcommand with stdout captured (reports go to files, not the table)."""
-    import contextlib
-    import io
-
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(argv)
-    if save_stdout is not None:
-        save_stdout.write_text(buf.getvalue())
-    return code
-
-
 def cmd_demo(args) -> int:
+    """Every stage on one builtin example: the inputs are written and read back
+    like any input file, the bundle is loaded once for the stages after build,
+    and each stage's report goes to its file and one row of the summary."""
     cfg = load_config(args.config, args.seed, args.normalize_theta)
     examples = builtin_examples()
     if args.name not in examples:
@@ -374,61 +376,50 @@ def cmd_demo(args) -> int:
     ex = examples[args.name]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    common = (["--config", args.config] if args.config else []) \
-        + ["--seed", str(cfg.seed)]
+    rep_path, tri_path, bundle = (str(outdir / f) for f in ("rep.json", "tri.json", "bundle.json"))
+    Path(rep_path).write_text(canonical_dumps(ex.representation.to_json()))
+    Path(tri_path).write_text(canonical_dumps(ex.triangulation.to_json()))
+    rep = AffineRepresentation.from_json(_load_json(rep_path))
+    tri = IdealTriangulationData.from_json(_load_json(tri_path))
     rows = []
 
-    rep_path = outdir / "rep.json"
-    tri_path = outdir / "tri.json"
-    rep_path.write_text(canonical_dumps(ex.representation.to_json()))
-    tri_path.write_text(canonical_dumps(ex.triangulation.to_json()))
+    def stage(name: str, detail: str, report_name: str, run) -> int:
+        try:
+            report, code = run()
+        except _ERRORS as e:
+            code = _report_error(e)
+        else:
+            (outdir / report_name).write_text(canonical_dumps(report))
+        rows.append((name, code, detail))
+        return code
 
-    code = _run_stage(
-        ["validate", str(rep_path), "--out", str(outdir / "validate-report.json")]
-        + common
-    )
-    rows.append(("validate", code, f"report {outdir / 'validate-report.json'}"))
+    code = stage("validate", f"report {outdir / 'validate-report.json'}", "validate-report.json",
+                 lambda: validate_report(cfg, rep, rep_path))
     if code == 0:
-        bundle = outdir / "bundle.json"
-        code = _run_stage(
-            ["build", str(rep_path), str(tri_path), "--out", str(bundle)]
-            + common
-            + (["--normalize-theta"] if cfg.normalize_theta else []),
-            save_stdout=outdir / "build-report.json",
-        )
-        rows.append(("build", code, f"bundle {bundle}"))
+        code = stage("build", f"bundle {bundle}", "build-report.json",
+                     lambda: build_report(cfg, rep, tri, rep_path, tri_path, bundle))
     if code == 0:
-        st = _load_bundle(str(bundle))
-        profile_path = outdir / "profile.json"
-        profile_path.write_text(canonical_dumps(_demo_profile(st).to_json()))
+        st = _load_bundle(bundle)
+        profile = _demo_profile(st)
+        (outdir / "profile.json").write_text(canonical_dumps(profile.to_json()))
         for mode in ("complete", "compact"):
-            sub = _run_stage(
-                ["surgery", str(bundle), str(profile_path), "--mode", mode,
-                 "--out", str(outdir / f"surgery-{mode}.json")] + common
-            )
-            rows.append((f"surgery[{mode}]", sub, f"report {outdir}/surgery-{mode}.json"))
+            sub = stage(f"surgery[{mode}]", f"report {outdir}/surgery-{mode}.json",
+                        f"surgery-{mode}.json",
+                        lambda: surgery_report(cfg, st, profile, mode, bundle))
             code = code or sub
     if code == 0:
-        sub = _run_stage(
-            ["causal", str(bundle), "--out", str(outdir / "causal-report.json")]
-            + common
-        )
-        rows.append(("causal", sub, f"report {outdir}/causal-report.json"))
-        code = code or sub
+        code = stage("causal", f"report {outdir}/causal-report.json", "causal-report.json",
+                     lambda: causal_report(cfg, st, bundle))
     if code == 0:
         mesh_path = outdir / "leaves.obj"
-        sub = _run_stage(
-            ["mesh", str(bundle), "--out", str(mesh_path)] + common,
-            save_stdout=outdir / "mesh-report.json",
-        )
-        rows.append(("mesh", sub, f"obj {mesh_path}"))
-        code = code or sub
+        code = stage("mesh", f"obj {mesh_path}", "mesh-report.json",
+                     lambda: mesh_report(cfg, st, bundle, str(mesh_path)))
 
     width = max(len(r[0]) for r in rows)
     print(f"demo {args.name}: summary")
-    for stage, rc, detail in rows:
+    for stage_name, rc, detail in rows:
         status = "ok" if rc == 0 else f"FAIL({rc})"
-        print(f"  {stage:<{width}}  {status:<8} {detail}")
+        print(f"  {stage_name:<{width}}  {status:<8} {detail}")
     return code
 
 
@@ -492,26 +483,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exceptions a command reports as one JSON error object: GeometryError is a
+# mathematical failure (exit 1), the rest input errors (exit 2)
+_ERRORS = (GeometryError, OSError, KeyError, TypeError, ValueError)
+
+
+def _report_error(e: Exception) -> int:
+    """Write e to stderr as one JSON error object; returns its exit code."""
+    code = 1 if isinstance(e, GeometryError) else 2
+    sys.stderr.write(canonical_dumps({
+        "kind": "error",
+        "category": "mathematical-failure" if code == 1 else "input-error",
+        "error": type(e).__name__,
+        "message": str(e),
+    }))
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GeometryError as e:
-        sys.stderr.write(canonical_dumps({
-            "kind": "error",
-            "category": "mathematical-failure",
-            "error": type(e).__name__,
-            "message": str(e),
-        }))
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        sys.stderr.write(canonical_dumps({
-            "kind": "error",
-            "category": "input-error",
-            "error": type(e).__name__,
-            "message": str(e),
-        }))
-        return 2
+    except _ERRORS as e:
+        return _report_error(e)
 
 
 if __name__ == "__main__":

@@ -32,9 +32,16 @@ from .minkowski import (
     is_tangent,
     minkowski_inner,
 )
-from .serialize import JsonRecord
+from .serialize import JsonRecord, _integer, _number, _numbers
 
 RELATOR_TOL = 1e-9
+
+
+def _checked(value, ok, what: str):
+    """value itself if ``ok`` accepts its JSON type, else a ValueError naming ``what``."""
+    if not ok(value):
+        raise ValueError(f"{what} has the wrong JSON type: {value!r}")
+    return value
 
 
 class UnknownGenerator(GeometryError):
@@ -236,13 +243,17 @@ class AffineRepresentation:
 
     @classmethod
     def from_json(cls, d) -> "AffineRepresentation":
-        pres = SurfaceGroupPresentation(int(d["genus"]), int(d["punctures"]))
+        pres = SurfaceGroupPresentation(*(_checked(d[k], _integer, k)
+                                          for k in ("genus", "punctures")))
         linear, trans, sl2 = {}, {}, {}
         gens = d["generators"]
         for name in pres.generator_names:
             if name not in gens:
                 raise UnknownGenerator(f"missing generator {name}")
             entry = gens[name]
+            for key in ("sl2", "so12", "translation"):
+                if key in entry:
+                    _checked(entry[key], _numbers, f"{name}.{key}")
             if "sl2" in entry:
                 sl2[name] = np.array(entry["sl2"], dtype=float)
                 linear[name] = sl2_to_so12(sl2[name])
@@ -523,11 +534,10 @@ class IdealTriangulationData:
         return cls(
             [tuple(t) for t in d["triangles"]],
             [Gluing.from_json(g) for g in d["gluings"]],
-            {str(k): str(v) for k, v in d["vertex_class"].items()},
-            {
-                str(k): (math.inf if v == "inf" else float(v))
-                for k, v in d["positions"].items()
-            },
+            {k: _checked(v, lambda c: isinstance(c, str), f"vertex_class.{k}")
+             for k, v in d["vertex_class"].items()},
+            {k: math.inf if v == "inf" else float(_checked(v, _number, f"positions.{k}"))
+             for k, v in d["positions"].items()},
         )
 
 

@@ -18,6 +18,10 @@ def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _numbers(v) -> bool:
     """A list or tuple of numbers, or of such arrays."""
     return isinstance(v, (list, tuple)) and all(_number(x) or _numbers(x) for x in v)
@@ -27,12 +31,9 @@ def _numbers(v) -> bool:
 # JsonRecord.from_json loads a field; a value that fails its check is a ValueError.
 _LOAD = {
     "float": (_number, float),
-    "float | None": (lambda v: v is None or _number(v), lambda v: v if v is None else float(v)),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    "int": (_integer, int),
     "bool": (lambda v: isinstance(v, bool), bool),
-    "str": (lambda v: isinstance(v, str), str),
     "tuple[float, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_number, v)), tuple),
-    "np.ndarray": (_numbers, lambda v: np.array(v, dtype=float)),
 }
 
 
@@ -44,11 +45,30 @@ def read_json(path):
     return json.loads(Path(path).read_text())
 
 
+def json_mismatch(given, expected, path: str) -> str | None:
+    """Path of the first place where JSON value ``given`` differs from
+    ``expected`` (keys and indices in sorted order), or None if they are equal.
+    Types are strict: a bool is not a number and an int is not a float."""
+    if type(given) is not type(expected):
+        return path
+    if isinstance(expected, list):
+        given, expected = dict(enumerate(given)), dict(enumerate(expected))
+    if isinstance(expected, dict):
+        for key in sorted(set(given) | set(expected)):
+            if key not in given or key not in expected:
+                return f"{path}.{key}"
+            found = json_mismatch(given[key], expected[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    return None if given == expected else path
+
+
 class JsonRecord:
     """Dataclass mixin: to_json maps the fields (arrays as lists); from_json
     checks each field's JSON type against its annotation (bool fields take
-    booleans, int fields integers, float fields numbers, str fields strings,
-    arrays lists of numbers), ignoring keys that are not fields (derived
+    booleans, int fields integers, float fields numbers, float tuples lists
+    of numbers), ignoring keys that are not fields (derived
     extras) and letting absent keys take the field default."""
 
     def to_json(self) -> dict:

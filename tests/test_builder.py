@@ -1,6 +1,9 @@
 import bisect
+import copy
 import itertools
+import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -12,14 +15,11 @@ from hypothesis import strategies as st
 
 from btzgeo.builder import (
     BuildSettings,
-    CertificationRecord,
     DegenerateDecoration,
     HexagonBlend,
     KappaSearchExhausted,
     NonMonotoneAngles,
     PolyhedralSpacetime,
-    SingularFiber,
-    SpearDescriptor,
     SpearNotFound,
     _in_fan_prisms,
     barycentric_grid,
@@ -43,6 +43,7 @@ from btzgeo.builder import (
 from btzgeo.minkowski import causal_class, CausalClass, minkowski_inner
 from btzgeo.models import TWO_PI, axis_deck_generator, parabolic_parameter
 from btzgeo.representations import NotAdmissible
+from btzgeo.serialize import canonical_dumps
 
 
 # symmetric lightlike triple at angles 0, 120, 240 degrees
@@ -631,9 +632,10 @@ def test_bundle_fans_are_computed_on_load(gamma2_zero):
                  {**d["fans"], "c9": d["fans"]["c1"]}):
         with pytest.raises(ValueError, match="fans"):
             PolyhedralSpacetime.from_json({**d, "fans": fans})
-    # stored fan values are derived: the loaded fans are recomputed from the charts
+    # stored fan values are derived: a tampered one differs from the rebuild's
     tampered = {**d, "fans": {k: {**v, "Theta": 1.0} for k, v in d["fans"].items()}}
-    assert PolyhedralSpacetime.from_json(tampered).dumps() == gamma2_zero.dumps()
+    with pytest.raises(ValueError, match=r"^bundle\.fans\.c1\.Theta does not match"):
+        PolyhedralSpacetime.from_json(tampered)
 
 
 def test_bundle_kappa_must_match_its_certificate(gamma2_zero):
@@ -679,24 +681,93 @@ def test_build_settings_range_rules(bad):
         BuildSettings(**bad)
 
 
+_DELETE = object()
+
+
+def _tampered(d: dict, path: str, value) -> dict:
+    """A deep copy of the JSON object d with the entry at a dotted key path
+    replaced (deleted if value is _DELETE)."""
+    out = copy.deepcopy(d)
+    *head, last = path.split(".")
+    node = out
+    for key in head:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return out
+
+
 def test_json_records_check_field_types(gamma2_zero):
-    fiber = gamma2_zero.fibers["c1"].to_json()
-    spear = gamma2_zero.spears["c1"].to_json()
-    cert = gamma2_zero.certification.to_json()
-    for cls, d in ((SingularFiber, {**fiber, "line_point": ["1.0", 0.0, 0.0]}),
-                   (SingularFiber, {**fiber, "present": 1}),
-                   (SingularFiber, {**fiber, "puncture": 3}),
-                   (SpearDescriptor, {**spear, "samples": True}),
-                   (SpearDescriptor, {**spear, "radius": "0.1"}),
-                   (CertificationRecord, {**cert, "equivariance_residual": "0"}),
-                   (BuildSettings, {"with_spears": "yes"}),
-                   (BuildSettings, {"t_count": 12, "spline": 3})):
+    # bundle records are compared with the rebuild's JSON, types included, so
+    # a mistyped field is refused even where its value is equal
+    d = json.loads(gamma2_zero.dumps())
+    for path, bad, named in (("fibers.c1.line_point", ["0.0", 0.0, 0.0], "fibers.c1.line_point.0"),
+                             ("fibers.c1.present", 1, "fibers.c1.present"),
+                             ("fibers.c1.puncture", 3, "fibers.c1.puncture"),
+                             ("spears.c1.samples", True, "spears.c1.samples"),
+                             ("spears.c1.radius", "0.1", "spears.c1.radius"),
+                             ("certification.equivariance_residual", "0",
+                              "certification.equivariance_residual"),
+                             ("certification.doublings", False, "certification.doublings"),
+                             ("kappa", 1, "kappa"), ("kappa", True, "kappa")):
+        with pytest.raises(ValueError, match=rf"^bundle\.{re.escape(named)} does not match"):
+            PolyhedralSpacetime.from_json(_tampered(d, path, bad))
+    for cls, bad in ((BuildSettings, {"with_spears": "yes"}),
+                     (BuildSettings, {"t_count": 12, "spline": 3})):
         with pytest.raises(ValueError):
-            cls.from_json(d)
-    # integers are numbers: a float field loads them as floats
-    loaded = CertificationRecord.from_json({**cert, "margin": 1, "equivariance_residual": None})
-    assert type(loaded.margin) is float and loaded.equivariance_residual is None
-    assert SingularFiber.from_json(fiber).to_json() == fiber
+            cls.from_json(bad)
+    # integers are numbers: a float setting loads them as floats
+    assert BuildSettings.from_json({"t_max": 10}).t_max == 10.0
+    assert type(BuildSettings.from_json({"t_max": 10}).t_max) is float
+
+
+@pytest.mark.parametrize("path, bad, named", [
+    # each of these loaded before bundles were rebuilt on load
+    ("kappa", 1e-3, "certification.kappa"),  # with the certificate's kappa, below
+    ("spears.c1.radius", 1e6, "spears.c1.radius"),
+    ("decorations", {}, "decorations.-1"),
+    ("fans.c1.Theta", 1.0, "fans.c1.Theta"),
+    ("fans.c2", _DELETE, "fans.c2"),
+    ("fibers.c2", _DELETE, "fibers.c2"),
+    ("spears.c9", {}, "spears.c9"),
+    ("certification.samples", 7, "certification.samples"),
+    ("settings.t_count", 13, "certification.samples"),  # a valid setting the build did not use
+])
+def test_bundle_loads_only_what_its_rebuild_writes(gamma2_zero, path, bad, named):
+    d = json.loads(gamma2_zero.dumps())
+    tampered = _tampered(d, path, bad)
+    if path == "kappa":
+        tampered["certification"]["kappa"] = bad
+    with pytest.raises(ValueError, match=rf"^bundle\.{re.escape(named)} does not match"):
+        PolyhedralSpacetime.from_json(tampered)
+
+
+def test_bundle_input_blocks_are_type_checked(gamma2_zero):
+    # the representation and triangulation blocks are parsed, never coerced
+    d = json.loads(gamma2_zero.dumps())
+    for path, bad, named in (("triangulation.positions.0", "0.0", "positions.0"),
+                             ("triangulation.vertex_class.0", ["c2"], "vertex_class.0"),
+                             ("representation.genus", "0", "genus"),
+                             ("representation.generators.c1.translation", ["0", 0, 0],
+                              "c1.translation")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(named)} has the wrong JSON type"):
+            PolyhedralSpacetime.from_json(_tampered(d, path, bad))
+
+
+def test_bundle_fiber_flags_come_from_the_bundle(gamma2_zero):
+    # present is the one recorded field no rebuild derives: a bundle with one
+    # fiber stripped loads with exactly that fiber absent
+    d = json.loads(gamma2_zero.dumps())
+    d["fibers"]["c2"]["present"] = False
+    text = canonical_dumps(d)
+    loaded = PolyhedralSpacetime.from_json(json.loads(text))
+    assert {k: f.present for k, f in loaded.fibers.items()} == {"c1": True, "c2": False,
+                                                                 "c3": True}
+    assert loaded.dumps() == text
+    assert PolyhedralSpacetime.from_json(json.loads(strip_btz(gamma2_zero).dumps())).dumps() \
+        == strip_btz(gamma2_zero).dumps()
 
 
 def test_bundle_settings_are_validated(gamma2_zero):

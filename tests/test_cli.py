@@ -344,6 +344,78 @@ def test_bundle_with_foreign_kappa_is_input_error(bundle_path, tmp_path):
     assert not (tmp_path / "m.obj").exists()
 
 
+def test_bundle_with_a_consistent_foreign_kappa_is_input_error(bundle_path, tmp_path):
+    # both kappa fields agree, so only the rebuild on load tells them from the
+    # certified kappa
+    bundle = json.loads(bundle_path.read_text())
+    bundle["kappa"] = bundle["certification"]["kappa"] = 1e-3
+    bad = tmp_path / "bad-bundle.json"
+    bad.write_text(canonical_dumps(bundle))
+    code, stdout, stderr = run_cli(["causal", str(bad), "--curves", "2"])
+    assert code == 2 and stdout == ""
+    error = json.loads(stderr)
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith("bundle.certification.kappa ")
+
+
+def test_bundle_with_an_uncertified_spear_is_input_error(bundle_path, tmp_path):
+    # a spear radius the search never certified, and a profile that fits it
+    bundle = json.loads(bundle_path.read_text())
+    bundle["spears"]["c1"]["radius"] = 1e6
+    bad = tmp_path / "bad-bundle.json"
+    bad.write_text(canonical_dumps(bundle))
+    profile = tmp_path / "wide-profile.json"
+    profile.write_text(canonical_dumps({"R": 1e6, "const": 1e7, "cos": [], "sin": []}))
+    code, stdout, stderr = run_cli(["surgery", str(bad), str(profile)])
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr)["message"].startswith("bundle.spears.c1.radius ")
+
+
+def _positions_as_strings(rep, tri):
+    tri["positions"]["0"] = "0.0"
+    return "positions.0"
+
+
+def _vertex_class_as_list(rep, tri):
+    tri["vertex_class"]["0"] = ["c2"]
+    return "vertex_class.0"
+
+
+def _genus_as_string(rep, tri):
+    rep["genus"] = "0"
+    return "genus"
+
+
+def _sl2_as_strings(rep, tri):
+    rep["generators"]["c1"]["sl2"] = [[str(x) for x in row] for row in
+                                      rep["generators"]["c1"]["sl2"]]
+    return "c1.sl2"
+
+
+def _translation_as_strings(rep, tri):
+    rep["generators"]["c1"]["translation"] = ["0.0", "0.0", "0.0"]
+    return "c1.translation"
+
+
+@pytest.mark.parametrize("tamper", [_positions_as_strings, _vertex_class_as_list,
+                                    _genus_as_string, _sl2_as_strings,
+                                    _translation_as_strings])
+def test_build_inputs_are_type_checked(cli_dir, tmp_path, tamper):
+    # input files are checked against their JSON types, never coerced
+    rep = json.loads((cli_dir / "rep.json").read_text())
+    tri = json.loads((cli_dir / "tri.json").read_text())
+    named = tamper(rep, tri)
+    (tmp_path / "rep.json").write_text(canonical_dumps(rep))
+    (tmp_path / "tri.json").write_text(canonical_dumps(tri))
+    out = tmp_path / "b.json"
+    code, stdout, stderr = run_cli(
+        ["build", str(tmp_path / "rep.json"), str(tmp_path / "tri.json"), "--out", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    error = json.loads(stderr)
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith(f"{named} has the wrong JSON type")
+
+
 def test_mesh_counts(bundle_path, tmp_path):
     obj = tmp_path / "leaves.obj"
     code, stdout, _ = run_cli(
@@ -424,6 +496,25 @@ def test_demo_full_pipeline(tmp_path):
     for mode in ("complete", "compact"):
         surgery = json.loads((outdir / f"surgery-{mode}.json").read_text())
         assert surgery["pass"] is True
+
+
+def test_demo_failed_stage_is_one_row_and_one_error(tmp_path):
+    # an uncertifiable margin fails the build: the stage gets a FAIL row, the
+    # error is one JSON object on stderr, and no later stage runs
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text("margin = 1e6\nmax_doublings = 1\n")
+    outdir = tmp_path / "demo-out"
+    code, stdout, stderr = run_cli(
+        ["demo", "gamma2", "--out", str(outdir), "--config", str(cfg)]
+    )
+    assert code == 1
+    rows = stdout.splitlines()[1:]
+    assert [row.split()[:2] for row in rows] == [["validate", "ok"], ["build", "FAIL(1)"]]
+    error = json.loads(stderr)
+    assert error["category"] == "mathematical-failure"
+    assert error["error"] == "KappaSearchExhausted"
+    assert sorted(p.name for p in outdir.iterdir()) == ["rep.json", "tri.json",
+                                                       "validate-report.json"]
 
 
 def test_demo_unknown_name(tmp_path):
