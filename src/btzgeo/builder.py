@@ -43,7 +43,7 @@ from .representations import (
     check_admissible,
     peripheral_fixed_data,
 )
-from .serialize import JsonRecord, canonical_dumps, json_mismatch
+from .serialize import JsonRecord, canonical_dumps, json_mismatch, read
 
 BLEND_THRESHOLD = 2.0 / 3.0
 
@@ -248,8 +248,8 @@ class BuildSettings(JsonRecord):
     """Sampling and tolerance knobs; defaults meet the certification contracts.
 
     Every certificate must rest on a non-empty sample set, so counts are
-    >= 1, tolerances finite and > 0 and t_min < t_max; anything else is a
-    ValueError.
+    >= 1, spear_max_shrinks >= 0, tolerances finite and > 0 and t_min < t_max;
+    anything else is a ValueError.
     """
 
     margin: float = 1e-6
@@ -282,15 +282,10 @@ class BuildSettings(JsonRecord):
         for name in self._COUNTS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.spear_max_shrinks < 0:
+            raise ValueError("spear_max_shrinks must be >= 0")
         if self.t_min >= self.t_max:
             raise ValueError("t_min must be < t_max")
-
-    @classmethod
-    def from_json(cls, d) -> "BuildSettings":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown settings keys {sorted(unknown)}")
-        return super().from_json(d)
 
 
 @dataclass(frozen=True)
@@ -472,6 +467,17 @@ class SpearDescriptor(JsonRecord):
         }
 
 
+# JSON schema of a bundle's envelope.  The input blocks are read by their own
+# from_json; every other value is derived and compared with the rebuild's.
+_BUNDLE = {
+    "format": "spacetime-bundle",
+    "version": 1,
+    "fibers": {str: {**{f.name: object for f in fields(SingularFiber)}, "present": bool}},
+    **dict.fromkeys(("representation", "triangulation", "settings", "decorations", "kappa",
+                     "blend", "certification", "fans", "spears"), object),
+}
+
+
 @dataclass
 class PolyhedralSpacetime:
     """A built spacetime: decorated charts, kappa, blend, fibers, certificates.
@@ -525,17 +531,13 @@ class PolyhedralSpacetime:
         with each fiber's ``present`` flag taken from the bundle.  Every other
         field is derived, so the bundle must match the rebuild's JSON exactly;
         else a ValueError names the first field that differs."""
-        if not (isinstance(d, dict) and d.get("format") == "spacetime-bundle"
-                and d.get("version") == 1):
-            raise ValueError("not a version 1 spacetime bundle")
-        st = build(AffineRepresentation.from_json(d["representation"]),
-                   IdealTriangulationData.from_json(d["triangulation"]),
-                   BuildSettings.from_json(d["settings"]))
-        fibers = d.get("fibers") if isinstance(d.get("fibers"), dict) else {}
+        read(d, _BUNDLE, "bundle")
+        st = build(AffineRepresentation.from_json(d["representation"], "bundle.representation"),
+                   IdealTriangulationData.from_json(d["triangulation"], "bundle.triangulation"),
+                   BuildSettings.from_json(d["settings"], "bundle.settings"))
         for name, fiber in st.fibers.items():
-            entry = fibers.get(name)
-            if isinstance(entry, dict) and isinstance(entry.get("present"), bool):
-                st.fibers[name] = replace(fiber, present=entry["present"])
+            if name in d["fibers"]:
+                st.fibers[name] = replace(fiber, present=d["fibers"][name]["present"])
         path = json_mismatch(d, json.loads(st.dumps()), "bundle")
         if path:
             raise ValueError(f"{path} does not match the bundle's rebuild")

@@ -254,7 +254,7 @@ def surgery_report(cfg: RunConfig, st: PolyhedralSpacetime, profile: BoundaryPro
     cert = completeness_certificate(sg)
     boundary = profile.value(theta[:100])
     boundary_exact = bool(
-        np.array_equal(sg.value(np.full(100, sg.R), theta[:100]), boundary)
+        np.array_equal(sg.value(np.full_like(boundary, sg.R), theta[:100]), boundary)
     )
     report = {
         "kind": "surgery-report",
@@ -295,8 +295,8 @@ def surgery_report(cfg: RunConfig, st: PolyhedralSpacetime, profile: BoundaryPro
 
 def cmd_surgery(args) -> int:
     cfg = load_config(args.config, args.seed)
-    st = _load_bundle(args.bundle)
     profile = BoundaryProfile.from_json(_load_json(args.profile))
+    st = _load_bundle(args.bundle)
     return _emit(*surgery_report(cfg, st, profile, args.mode, args.bundle), args.out)
 
 

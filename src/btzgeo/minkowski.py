@@ -153,10 +153,6 @@ class LinearIsometry:
     def to_json(self) -> list:
         return [[float(x) for x in row] for row in self.matrix]
 
-    @classmethod
-    def from_json(cls, rows) -> "LinearIsometry":
-        return cls(np.array(rows, dtype=float))
-
 
 @dataclass(frozen=True)
 class AffineIsometry:
@@ -191,16 +187,6 @@ class AffineIsometry:
 
     def __matmul__(self, other: "AffineIsometry") -> "AffineIsometry":
         return self.compose(other)
-
-    def to_json(self) -> dict:
-        return {
-            "linear": self.linear.to_json(),
-            "translation": [float(x) for x in self.translation],
-        }
-
-    @classmethod
-    def from_json(cls, d) -> "AffineIsometry":
-        return cls(LinearIsometry.from_json(d["linear"]), np.array(d["translation"], dtype=float))
 
 
 class IsometryKind(enum.Enum):

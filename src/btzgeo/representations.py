@@ -32,16 +32,24 @@ from .minkowski import (
     is_tangent,
     minkowski_inner,
 )
-from .serialize import JsonRecord, _integer, _number, _numbers
+from .serialize import Default, JsonRecord, read
 
 RELATOR_TOL = 1e-9
 
-
-def _checked(value, ok, what: str):
-    """value itself if ``ok`` accepts its JSON type, else a ValueError naming ``what``."""
-    if not ok(value):
-        raise ValueError(f"{what} has the wrong JSON type: {value!r}")
-    return value
+# JSON schemas of a representation's generator entry and of a triangulation;
+# the generator names a representation needs depend on its genus and punctures.
+_GENERATOR = {
+    "sl2": Default(((float,) * 2,) * 2, None),
+    "so12": Default(((float,) * 3,) * 3, None),
+    "translation": Default((float,) * 3, (0.0, 0.0, 0.0)),
+}
+_SIDE = (int, (str, str))
+_TRIANGULATION = {
+    "triangles": [(str, str, str)],
+    "gluings": [{"left": _SIDE, "right": _SIDE, "word": str}],
+    "vertex_class": {str: str},
+    "positions": {str: {float, "inf"}},
+}
 
 
 class UnknownGenerator(GeometryError):
@@ -82,8 +90,6 @@ def sl2_to_so12(m) -> LinearIsometry:
     is {+-I} and the image is the orthochronous group.
     """
     m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise NotUnimodular(f"expected 2x2 matrix, got {m.shape}")
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if abs(det - 1.0) > 1e-9 * max(1.0, float(np.abs(m).max()) ** 2):
         raise NotUnimodular(f"det = {det!r}")
@@ -152,9 +158,6 @@ class SurfaceGroupPresentation:
         parts += self.peripheral_names
         return " ".join(parts)
 
-    def to_json(self) -> dict:
-        return {"genus": self.genus, "punctures": self.punctures}
-
 
 def parse_word(word: str) -> list[tuple[str, int]]:
     """Split a whitespace-separated word into (generator, +-1) letters."""
@@ -184,13 +187,10 @@ class AffineRepresentation:
     discreteness_certified: bool = False
 
     def __post_init__(self):
-        names = set(self.presentation.generator_names)
-        if set(self.linear) != names:
-            raise ValueError(f"linear parts must cover exactly {sorted(names)}")
         trs = {}
         for name in self.presentation.generator_names:
             v = np.array(self.translations.get(name, np.zeros(3)), dtype=float)
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
+            if not np.all(np.isfinite(v)):
                 raise ValueError(f"bad translation for {name}")
             trs[name] = v
         self.translations = trs
@@ -242,31 +242,22 @@ class AffineRepresentation:
         }
 
     @classmethod
-    def from_json(cls, d) -> "AffineRepresentation":
-        pres = SurfaceGroupPresentation(*(_checked(d[k], _integer, k)
-                                          for k in ("genus", "punctures")))
-        linear, trans, sl2 = {}, {}, {}
-        gens = d["generators"]
-        for name in pres.generator_names:
-            if name not in gens:
-                raise UnknownGenerator(f"missing generator {name}")
-            entry = gens[name]
-            for key in ("sl2", "so12", "translation"):
-                if key in entry:
-                    _checked(entry[key], _numbers, f"{name}.{key}")
-            if "sl2" in entry:
-                sl2[name] = np.array(entry["sl2"], dtype=float)
-                linear[name] = sl2_to_so12(sl2[name])
-                if "so12" in entry:
-                    given = LinearIsometry.from_json(entry["so12"])
-                    if np.abs(given.matrix - linear[name].matrix).max() > 1e-8:
-                        raise ValueError(f"sl2 and so12 disagree for {name}")
-            elif "so12" in entry:
-                linear[name] = LinearIsometry.from_json(entry["so12"])
-            else:
-                raise ValueError(f"generator {name} needs an sl2 or so12 matrix")
-            trans[name] = np.array(entry.get("translation", [0.0, 0.0, 0.0]), dtype=float)
-        return cls(pres, linear, trans, sl2=sl2 or None)
+    def from_json(cls, d, path: str = "") -> "AffineRepresentation":
+        """Read a representation; when both are given, the so12 image is the
+        linear part and must agree with the sl2 lift."""
+        d = read(d, {"genus": int, "punctures": int, "generators": object}, path)
+        pres = SurfaceGroupPresentation(d["genus"], d["punctures"])
+        at = f"{path}.generators" if path else "generators"
+        gens = read(d["generators"], dict.fromkeys(pres.generator_names, _GENERATOR), at)
+        linear = {}
+        for name, g in gens.items():
+            if g["so12"] is None and g["sl2"] is None:
+                raise ValueError(f"{at}.{name} needs an sl2 or so12 matrix")
+            linear[name] = (sl2_to_so12(g["sl2"]) if g["so12"] is None
+                            else LinearIsometry(g["so12"]))
+        sl2 = {name: np.array(g["sl2"]) for name, g in gens.items() if g["sl2"] is not None}
+        return cls(pres, linear, {name: g["translation"] for name, g in gens.items()},
+                   sl2=sl2 or None)
 
 
 class Discreteness(enum.Enum):
@@ -442,19 +433,6 @@ class Gluing(JsonRecord):
     right: tuple[int, tuple[str, str]]
     word: str
 
-    @classmethod
-    def from_json(cls, d) -> "Gluing":
-        def side(s):
-            if not (isinstance(s, (list, tuple)) and len(s) == 2 and type(s[0]) is int
-                    and isinstance(s[1], (list, tuple)) and len(s[1]) == 2
-                    and all(isinstance(v, str) for v in s[1]) and s[1][0] != s[1][1]):
-                raise ValueError(f"a gluing side is [triangle, [name, name]], got {s!r}")
-            return s[0], tuple(s[1])
-
-        if not isinstance(d["word"], str):
-            raise ValueError(f"a gluing word is a string, got {d['word']!r}")
-        return cls(side(d["left"]), side(d["right"]), d["word"])
-
 
 class InvalidTriangulation(GeometryError):
     """Geometric inconsistency of an ideal triangulation; malformed data is ValueError."""
@@ -487,12 +465,13 @@ class IdealTriangulationData:
     left: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.triangles = [tuple(t) for t in self.triangles]
-        if not all(len(t) == 3 == len(set(map(str, t))) for t in self.triangles):
+        if not all(len(t) == 3 == len(set(t)) for t in self.triangles):
             raise ValueError("every triangle needs 3 distinct vertex names")
         verts = {v for t in self.triangles for v in t}
         if set(self.vertex_class) != verts or set(self.positions) != verts:
             raise ValueError("vertex_class/positions must cover the triangle vertices")
+        if not all(math.isfinite(x) or x == math.inf for x in self.positions.values()):
+            raise ValueError("positions must be finite or inf")
         n = len(self.triangles)
         self.neighbour, self.slot = np.full((n, 3), -1), np.zeros((n, 3, 3), dtype=int)
         self.word, self.left = [[""] * 3 for _ in range(n)], np.zeros((len(self.gluings), 2), int)
@@ -530,15 +509,10 @@ class IdealTriangulationData:
         }
 
     @classmethod
-    def from_json(cls, d) -> "IdealTriangulationData":
-        return cls(
-            [tuple(t) for t in d["triangles"]],
-            [Gluing.from_json(g) for g in d["gluings"]],
-            {k: _checked(v, lambda c: isinstance(c, str), f"vertex_class.{k}")
-             for k, v in d["vertex_class"].items()},
-            {k: math.inf if v == "inf" else float(_checked(v, _number, f"positions.{k}"))
-             for k, v in d["positions"].items()},
-        )
+    def from_json(cls, d, path: str = "") -> "IdealTriangulationData":
+        d = read(d, _TRIANGULATION, path)
+        return cls(d["triangles"], [Gluing(**g) for g in d["gluings"]], d["vertex_class"],
+                   {k: math.inf if v == "inf" else v for k, v in d["positions"].items()})
 
 
 @dataclass(frozen=True)

@@ -1,40 +1,97 @@
-"""Canonical JSON helpers.
+"""Canonical JSON helpers and the one reader of JSON input.
 
 Every artifact the package writes goes through canonical_dumps so a rebuilt
 file is byte-identical: keys sorted, two-space indent, floats in shortest
 round-trip form (Python repr), NaN/Inf rejected.
+
+Every JSON input goes through ``read``, which checks a value against a small
+declarative schema and raises one ValueError naming the path of the first
+value that breaks it, such as ``generators.c1.so12.2``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
+# schema of an optional object key: the schema of its value, and the value it
+# takes when absent
+Default = namedtuple("Default", "schema value")
 
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _numbers(v) -> bool:
-    """A list or tuple of numbers, or of such arrays."""
-    return isinstance(v, (list, tuple)) and all(_number(x) or _numbers(x) for x in v)
+# scalar schema -> (Python types of its JSON values, description)
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
+            bool: (bool, "a boolean"), str: (str, "a string")}
 
 
-# Field annotation -> (JSON type check, conversion) applied when
-# JsonRecord.from_json loads a field; a value that fails its check is a ValueError.
-_LOAD = {
-    "float": (_number, float),
-    "int": (_integer, int),
-    "bool": (lambda v: isinstance(v, bool), bool),
-    "tuple[float, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_number, v)), tuple),
-}
+def read(value, schema, path: str = ""):
+    """``value`` checked against ``schema``, returned with numbers as floats,
+    fixed lists as tuples and absent optional keys filled in.  A schema is a
+    JSON scalar type (``float``, ``int``, ``bool``, ``str``; an integer is a
+    number, a boolean is not), ``object`` (any value), a string or integer
+    literal, a set of scalar schemas (any one of them), a tuple (one schema per
+    list item), ``[s]`` (a list of any length), ``{str: s}`` (an object with any
+    keys) or a dict (exactly its keys, each required unless its schema is a
+    Default).  A failure is a ValueError naming ``path`` and the keys and list
+    indices below it that lead to the failing value."""
+    where = path or "the top level"
+    if schema is object:
+        return value
+    if isinstance(schema, type):
+        kinds, expected = _SCALARS[schema]
+        if isinstance(value, kinds) and isinstance(value, bool) == (schema is bool):
+            return float(value) if schema is float else value
+    elif isinstance(schema, set):
+        for alternative in schema:
+            try:
+                return read(value, alternative, path)
+            except ValueError:
+                pass
+        expected = " or ".join(sorted(_SCALARS[s][1] if isinstance(s, type) else repr(s)
+                                      for s in schema))
+    elif isinstance(schema, (tuple, list)):
+        expected = "a list"
+        if isinstance(value, (list, tuple)):
+            if isinstance(schema, tuple) and len(value) != len(schema):
+                raise ValueError(f"{where} has the wrong length: expected {len(schema)} "
+                                 f"items, got {len(value)}")
+            schemas = schema if isinstance(schema, tuple) else schema * len(value)
+            items = [read(v, s, _join(path, i)) for i, (v, s) in enumerate(zip(value, schemas))]
+            return tuple(items) if isinstance(schema, tuple) else items
+    elif isinstance(schema, dict):
+        expected = "an object"
+        if isinstance(value, dict):
+            return _read_object(value, schema, path)
+    elif type(value) is type(schema) and value == schema:
+        return value
+    else:
+        raise ValueError(f"{where} must be {schema!r}, got {value!r}")
+    raise ValueError(f"{where} has the wrong JSON type: expected {expected}, got {value!r}")
+
+
+def _read_object(value: dict, schema: dict, path: str) -> dict:
+    if str in schema:
+        return {k: read(v, schema[str], _join(path, k)) for k, v in value.items()}
+    for key in value:
+        if key not in schema:
+            raise ValueError(f"{_join(path, key)} is not a known key")
+    out = {}
+    for key, s in schema.items():
+        if key in value:
+            out[key] = read(value[key], s.schema if isinstance(s, Default) else s,
+                            _join(path, key))
+        elif isinstance(s, Default):
+            out[key] = s.value
+        else:
+            raise ValueError(f"{_join(path, key)} is missing")
+    return out
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
 def canonical_dumps(obj) -> str:
@@ -64,12 +121,14 @@ def json_mismatch(given, expected, path: str) -> str | None:
     return None if given == expected else path
 
 
+# JsonRecord field annotation -> schema of its JSON value
+_ANNOTATION_SCHEMA = {"float": float, "int": int, "bool": bool, "tuple[float, ...]": [float]}
+
+
 class JsonRecord:
     """Dataclass mixin: to_json maps the fields (arrays as lists); from_json
-    checks each field's JSON type against its annotation (bool fields take
-    booleans, int fields integers, float fields numbers, float tuples lists
-    of numbers), ignoring keys that are not fields (derived
-    extras) and letting absent keys take the field default."""
+    reads an object whose keys are the fields, with the schemas of their
+    annotations, a field with a default being an optional key."""
 
     def to_json(self) -> dict:
         return {
@@ -78,13 +137,8 @@ class JsonRecord:
         }
 
     @classmethod
-    def from_json(cls, d):
-        values = {}
-        for f in dataclasses.fields(cls):
-            if f.name in d:
-                check, convert = _LOAD[f.type]
-                if not check(d[f.name]):
-                    raise ValueError(f"{cls.__name__} field {f.name!r} expects {f.type}, "
-                                     f"got {d[f.name]!r}")
-                values[f.name] = convert(d[f.name])
-        return cls(**values)
+    def from_json(cls, d, path: str = ""):
+        schema = {f.name: _ANNOTATION_SCHEMA[f.type] if f.default is dataclasses.MISSING
+                  else Default(_ANNOTATION_SCHEMA[f.type], f.default)
+                  for f in dataclasses.fields(cls)}
+        return cls(**read(d, schema, path))

@@ -176,13 +176,6 @@ class SurfaceGraph:
             return dr, dth
         return float(dr), float(dth)
 
-    def to_json(self) -> dict:
-        return {"profile": self.profile.to_json(), "mode": self.mode, "M": self.M}
-
-    @classmethod
-    def from_json(cls, d) -> "SurfaceGraph":
-        return cls(BoundaryProfile.from_json(d["profile"]), d["mode"], float(d["M"]))
-
 
 def delta(sg: SurfaceGraph, r, theta):
     """Spacelike margin 1 - 2 dtau/dr - ((1/r) dtau/dtheta)^2; positive = spacelike."""
@@ -332,16 +325,6 @@ class ModelCurve:
                 f"segment {i} is not future causal: interval {q[i]!r}, dtau {d[i, 0]!r}"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "points": [[float(c) for c in row] for row in self.points],
-            "extends_to_infinity": self.extends_to_infinity,
-        }
-
-    @classmethod
-    def from_json(cls, d) -> "ModelCurve":
-        return cls(np.array(d["points"], dtype=float), bool(d.get("extends_to_infinity", False)))
-
 
 @dataclass(frozen=True)
 class IntersectionReport(JsonRecord):
@@ -353,9 +336,6 @@ class IntersectionReport(JsonRecord):
     @property
     def agree(self) -> bool:
         return self.count == self.prediction
-
-    def to_json(self) -> dict:
-        return {**super().to_json(), "agree": self.agree}
 
 
 def intersection_count(

@@ -663,6 +663,7 @@ def test_bundle_kappa_must_match_its_certificate(gamma2_zero):
     "bad",
     [
         {"spear_r_samples": 0},
+        {"spear_max_shrinks": -1},
         {"equiv_edge_count": 0},
         {"t_count": 0},
         {"margin": -1.0},
@@ -704,7 +705,6 @@ def test_json_records_check_field_types(gamma2_zero):
     # a mistyped field is refused even where its value is equal
     d = json.loads(gamma2_zero.dumps())
     for path, bad, named in (("fibers.c1.line_point", ["0.0", 0.0, 0.0], "fibers.c1.line_point.0"),
-                             ("fibers.c1.present", 1, "fibers.c1.present"),
                              ("fibers.c1.puncture", 3, "fibers.c1.puncture"),
                              ("spears.c1.samples", True, "spears.c1.samples"),
                              ("spears.c1.radius", "0.1", "spears.c1.radius"),
@@ -745,14 +745,23 @@ def test_bundle_loads_only_what_its_rebuild_writes(gamma2_zero, path, bad, named
 
 
 def test_bundle_input_blocks_are_type_checked(gamma2_zero):
-    # the representation and triangulation blocks are parsed, never coerced
+    # the input blocks and the fibers' present flags are read, never coerced
     d = json.loads(gamma2_zero.dumps())
-    for path, bad, named in (("triangulation.positions.0", "0.0", "positions.0"),
-                             ("triangulation.vertex_class.0", ["c2"], "vertex_class.0"),
-                             ("representation.genus", "0", "genus"),
+    for path, bad, named in (("triangulation.positions.0", "0.0", "triangulation.positions.0"),
+                             ("triangulation.vertex_class.0", ["c2"],
+                              "triangulation.vertex_class.0"),
+                             ("triangulation.vertex_class", "x", "triangulation.vertex_class"),
+                             ("representation.genus", "0", "representation.genus"),
                              ("representation.generators.c1.translation", ["0", 0, 0],
-                              "c1.translation")):
-        with pytest.raises(ValueError, match=rf"^{re.escape(named)} has the wrong JSON type"):
+                              "representation.generators.c1.translation.0"),
+                             ("fibers.c1.present", 1, "fibers.c1.present")):
+        with pytest.raises(ValueError,
+                           match=rf"^bundle\.{re.escape(named)} has the wrong JSON type"):
+            PolyhedralSpacetime.from_json(_tampered(d, path, bad))
+    for path, bad, message in (("representation.generators.c2", _DELETE, "is missing"),
+                               ("settings.spline", 3, "is not a known key"),
+                               ("representation.generators.c1.so12", [1], "has the wrong length")):
+        with pytest.raises(ValueError, match=rf"^bundle\.{re.escape(path)} {message}"):
             PolyhedralSpacetime.from_json(_tampered(d, path, bad))
 
 

@@ -4,12 +4,14 @@ import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from btzgeo.cli import RunConfig, build_parser, load_config, main
+from btzgeo.builder import BuildSettings
+from btzgeo.cli import RunConfig, _demo_profile, _load_bundle, build_parser, load_config, main
 from btzgeo.serialize import canonical_dumps
 
 
@@ -302,13 +304,17 @@ def test_surgery_compact(bundle_path, profile_path):
 
 def test_surgery_invalid_profile(bundle_path, tmp_path):
     bad = tmp_path / "bad-profile.json"
-    for profile in ('{"R": -1.0}', '{"R": NaN}', '{"R": 0.1, "const": Infinity}',
-                    '{"R": 0.1, "sin": [-Infinity]}'):
+    for profile, expected in (('{"R": -1.0}', "finite"), ('{"R": NaN}', "finite"),
+                              ('{"R": 0.1, "const": Infinity}', "finite"),
+                              ('{"R": 0.1, "sin": [-Infinity]}', "finite"),
+                              ('{"R": 0.1, "coss": [5.0]}', "coss is not a known key"),
+                              ('{"cos": [5.0]}', "R is missing"),
+                              ('{"R": 0.1, "sin": 1.0}', "sin has the wrong JSON type")):
         bad.write_text(profile)
         code, stdout, stderr = run_cli(["surgery", str(bundle_path), str(bad)])
         assert code == 2 and stdout == ""
         err = json.loads(stderr)
-        assert err["category"] == "input-error" and "finite" in err["message"]
+        assert err["category"] == "input-error" and expected in err["message"]
 
 
 def test_bad_triangulation_shapes_are_one_json_error(cli_dir, tmp_path):
@@ -373,38 +379,82 @@ def test_bundle_with_an_uncertified_spear_is_input_error(bundle_path, tmp_path):
 
 def _positions_as_strings(rep, tri):
     tri["positions"]["0"] = "0.0"
-    return "positions.0"
+    return "positions.0 has the wrong JSON type"
+
+
+def _positions_as_list(rep, tri):
+    tri["positions"] = [1]
+    return "positions has the wrong JSON type"
 
 
 def _vertex_class_as_list(rep, tri):
     tri["vertex_class"]["0"] = ["c2"]
-    return "vertex_class.0"
+    return "vertex_class.0 has the wrong JSON type"
+
+
+def _vertex_class_as_string(rep, tri):
+    tri["vertex_class"] = "x"
+    return "vertex_class has the wrong JSON type"
+
+
+def _unknown_triangulation_key(rep, tri):
+    tri["orientation"] = 1
+    return "orientation is not a known key"
+
+
+def _unknown_gluing_key(rep, tri):
+    tri["gluings"][1]["twist"] = 0
+    return "gluings.1.twist is not a known key"
 
 
 def _genus_as_string(rep, tri):
     rep["genus"] = "0"
-    return "genus"
+    return "genus has the wrong JSON type"
 
 
 def _sl2_as_strings(rep, tri):
     rep["generators"]["c1"]["sl2"] = [[str(x) for x in row] for row in
                                       rep["generators"]["c1"]["sl2"]]
-    return "c1.sl2"
+    return "generators.c1.sl2.0.0 has the wrong JSON type"
+
+
+def _sl2_one_row(rep, tri):
+    rep["generators"]["c1"]["sl2"] = [[1, 2]]
+    return "generators.c1.sl2 has the wrong length"
+
+
+def _so12_one_entry(rep, tri):
+    rep["generators"]["c1"]["so12"] = [1]
+    return "generators.c1.so12 has the wrong length"
 
 
 def _translation_as_strings(rep, tri):
     rep["generators"]["c1"]["translation"] = ["0.0", "0.0", "0.0"]
-    return "c1.translation"
+    return "generators.c1.translation.0 has the wrong JSON type"
 
 
-@pytest.mark.parametrize("tamper", [_positions_as_strings, _vertex_class_as_list,
-                                    _genus_as_string, _sl2_as_strings,
-                                    _translation_as_strings])
+def _missing_generator(rep, tri):
+    del rep["generators"]["c2"]
+    return "generators.c2 is missing"
+
+
+def _unknown_generator_key(rep, tri):
+    rep["generators"]["c1"]["trace"] = 2.0
+    return "generators.c1.trace is not a known key"
+
+
+@pytest.mark.parametrize("tamper", [_positions_as_strings, _positions_as_list,
+                                    _vertex_class_as_list, _vertex_class_as_string,
+                                    _unknown_triangulation_key, _unknown_gluing_key,
+                                    _genus_as_string, _sl2_as_strings, _sl2_one_row,
+                                    _so12_one_entry, _translation_as_strings,
+                                    _missing_generator, _unknown_generator_key])
 def test_build_inputs_are_type_checked(cli_dir, tmp_path, tamper):
-    # input files are checked against their JSON types, never coerced
+    # input files are read against their schemas, never coerced: a wrong type,
+    # a wrong shape, a missing or an unknown key is one input error naming its path
     rep = json.loads((cli_dir / "rep.json").read_text())
     tri = json.loads((cli_dir / "tri.json").read_text())
-    named = tamper(rep, tri)
+    expected = tamper(rep, tri)
     (tmp_path / "rep.json").write_text(canonical_dumps(rep))
     (tmp_path / "tri.json").write_text(canonical_dumps(tri))
     out = tmp_path / "b.json"
@@ -413,7 +463,123 @@ def test_build_inputs_are_type_checked(cli_dir, tmp_path, tamper):
     assert code == 2 and stdout == "" and not out.exists()
     error = json.loads(stderr)
     assert error["error"] == "ValueError"
-    assert error["message"].startswith(f"{named} has the wrong JSON type")
+    assert error["message"].startswith(expected)
+
+
+_DELETE = object()
+_MUTANTS = ("x", None, True, [], {}, [1], 1.5, -1, math.nan)
+# keys an input may leave out, objects whose keys the input chooses, and lists
+# whose length the input chooses
+_OPTIONAL = {"sl2", "so12", "translation", "const", "cos", "sin",
+             *(f.name for f in dataclasses.fields(BuildSettings))}
+_MAPS = {"vertex_class", "positions"}
+_FREE_LENGTH = {"triangles", "gluings", "cos", "sin"}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _same_type(old, new, slot) -> bool:
+    """Whether an input may hold ``new`` where it holds ``old`` in ``slot``: a
+    position is a number or "inf", a number may stand for a float, a list keeps
+    its length unless it is free, and any other value keeps its JSON type."""
+    if slot == "positions":
+        return _is_number(new) or new == "inf"
+    if isinstance(old, float):
+        return _is_number(new)
+    if isinstance(old, list):
+        return isinstance(new, list) and (slot in _FREE_LENGTH or len(new) == len(old)) \
+            and (not old or not new or _same_type(old[0], new[0], slot))
+    return type(new) is type(old)
+
+
+def _mutations(doc) -> list:
+    """(path, value, must be refused) for every single mutation of the JSON
+    document ``doc``: each object gains an unknown key, and each key or list
+    position is deleted or set to each of _MUTANTS.  In a list of one JSON
+    type and in the generators, whose entries share one schema, only the first
+    entry is mutated."""
+    found = []
+
+    def visit(node, path, slot):
+        if isinstance(node, dict):
+            found.append((path + ("unknown_key",), 1, True))
+            items = list(node.items())
+        elif isinstance(node, list):
+            items = list(enumerate(node))
+        else:
+            return
+        if slot == "generators" or isinstance(node, list) and len(set(map(type, node))) == 1:
+            items = items[:1]  # the entries share one schema
+        for key, old in items:
+            held = slot if isinstance(key, int) or slot in _MAPS else key
+            free = (key in _OPTIONAL or slot in _MAPS) if isinstance(node, dict) \
+                else slot in _FREE_LENGTH
+            found.append((path + (key,), _DELETE, not free))
+            found.extend((path + (key,), new, not _same_type(old, new, held)) for new in _MUTANTS)
+            visit(old, path + (key,), held)
+
+    visit(doc, (), None)
+    return found
+
+
+def _mutated(doc, path, value):
+    """A copy of the JSON document ``doc`` with ``path`` set to ``value`` or deleted."""
+    out = json.loads(json.dumps(doc))
+    *head, last = path
+    node = out
+    for key in head:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return out
+
+
+def test_mutated_inputs_exit_with_one_typed_error(cli_dir, tmp_path, monkeypatch):
+    # every single mutation of gamma2's input files and of a bundle's input
+    # blocks exits 0, 1 or 2 without a RuntimeWarning, a nonzero exit with
+    # exactly one JSON error object; a wrong type or shape, a missing required
+    # key or an unknown key exits 2.  The parser is built once: building it is
+    # half the time of a call that fails early.
+    parser = build_parser()
+    monkeypatch.setattr("btzgeo.cli.build_parser", lambda: parser)
+    config = tmp_path / "fast.cfg"
+    config.write_text("t_count=2\nbary_n=4\nequiv_t_count=2\nequiv_edge_count=2\n"
+                      "spear_r_samples=2\nspear_theta_samples=4\nsurgery_samples=50\n"
+                      "resolution=1\nleaves=1.0\n")
+    fast = ["--config", str(config)]
+    rep, tri, bundle = (tmp_path / name for name in ("rep.json", "tri.json", "bundle.json"))
+    rep.write_bytes((cli_dir / "rep.json").read_bytes())
+    tri.write_bytes((cli_dir / "tri.json").read_bytes())
+    assert run_cli(["build", str(rep), str(tri), "--out", str(bundle), *fast])[0] == 0
+    profile = tmp_path / "profile.json"
+    profile.write_text(canonical_dumps(_demo_profile(_load_bundle(str(bundle))).to_json()))
+    bundle_doc = json.loads(bundle.read_text())
+    bad, out = tmp_path / "bad.json", str(tmp_path / "out.json")
+    cases = [
+        (json.loads(rep.read_text()), (), ["build", str(bad), str(tri), "--out", out]),
+        (json.loads(tri.read_text()), (), ["build", str(rep), str(bad), "--out", out]),
+        (json.loads(profile.read_text()), (), ["surgery", str(bundle), str(bad)]),
+    ] + [
+        (bundle_doc, (block,), ["mesh", str(bad), "--out", str(tmp_path / "m.obj")])
+        for block in ("representation", "triangulation", "settings")
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for doc, block, argv in cases:
+            node = doc
+            for key in block:
+                node = node[key]
+            for path, value, refused in _mutations(node):
+                bad.write_text(json.dumps(_mutated(doc, block + path, value)))
+                code, stdout, stderr = run_cli(argv + fast)
+                where = (".".join(map(str, block + path)), value)
+                assert code in ((2,) if refused else (0, 1, 2)), (where, code, stderr)
+                if code:
+                    assert stdout == "" and json.loads(stderr)["kind"] == "error", where
 
 
 def test_mesh_counts(bundle_path, tmp_path):

@@ -229,10 +229,3 @@ def test_fixed_line_iff_tangent():
         except NoFixedPoints:
             found = False
         assert found == tangent
-
-
-def test_serialization_round_trip():
-    phi = AffineIsometry(boost_x(0.3) @ rotation_about_t(1.1), np.array([1.0, 2.0, 3.0]))
-    back = AffineIsometry.from_json(phi.to_json())
-    assert back.linear.matrix == pytest.approx(phi.linear.matrix)
-    assert back.translation == pytest.approx(phi.translation)

@@ -287,20 +287,28 @@ def test_triangulation_validation(gamma2):
         with pytest.raises(ValueError, match=f"references triangle {index}"):
             IdealTriangulationData.from_json(broken)
 
+    # a position is a finite number or "inf"
+    for bad in (math.nan, -math.inf):
+        broken = copy.deepcopy(d)
+        broken["positions"]["0"] = bad
+        with pytest.raises(ValueError, match="finite or inf"):
+            IdealTriangulationData.from_json(broken)
+
     # a gluing side is [triangle, [name, name]] with two distinct names
     good = list(d["gluings"][0]["left"][1])
-    for bad in ([0], [], None, "0", [0, ["a"]], [0, ["a", "b", "c"]], [0, ["a", "a"]],
+    for bad in ([0], [], None, "0", [0, ["a"]], [0, ["a", "b", "c"]], [0, [good[0]] * 2],
                 [0, [1, 2]], [0, "ab"], ["0", good], [0.0, good], [True, good], [0, good, 1]):
         for key in ("left", "right"):
             broken = copy.deepcopy(d)
             broken["gluings"][0][key] = bad
-            with pytest.raises(ValueError, match="gluing side"):
+            named = "not in triangle 0" if bad == [0, [good[0]] * 2] else rf"^gluings\.0\.{key}"
+            with pytest.raises(ValueError, match=named):
                 IdealTriangulationData.from_json(broken)
     # a gluing word is a JSON string, never coerced
     for bad in (5, None, ["a"]):
         broken = copy.deepcopy(d)
         broken["gluings"][0]["word"] = bad
-        with pytest.raises(ValueError, match="gluing word"):
+        with pytest.raises(ValueError, match=r"^gluings\.0\.word has the wrong JSON type"):
             IdealTriangulationData.from_json(broken)
     # a triangle has exactly 3 distinct vertex names
     first = list(d["triangles"][0])
@@ -309,7 +317,8 @@ def test_triangulation_validation(gamma2):
         broken["triangles"][0] = bad
         broken["vertex_class"]["extra"] = broken["vertex_class"][first[0]]
         broken["positions"]["extra"] = 0.5
-        with pytest.raises(ValueError, match="3 distinct"):
+        named = "3 distinct" if len(bad) == 3 else r"^triangles\.0 has the wrong length"
+        with pytest.raises(ValueError, match=named):
             IdealTriangulationData.from_json(broken)
 
     # round trip preserves content

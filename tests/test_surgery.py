@@ -160,8 +160,6 @@ def test_surface_graph_validation():
     sg = SurfaceGraph(profile=p, mode="compact", M=1.0)
     with pytest.raises(ValueError):
         sg.value(-0.1, 0.0)
-    back = SurfaceGraph.from_json(sg.to_json())
-    assert back == sg
 
 
 def test_partials_on_seam_rejected():
@@ -277,10 +275,6 @@ def test_model_curve_validation():
     spacelike = ModelCurve([[0.0, 0.1, 0.0], [0.1, 0.9, 0.0]])
     with pytest.raises(NotCausal):
         spacelike.validate_causal()
-
-    back = ModelCurve.from_json(vertical.to_json())
-    assert np.array_equal(back.points, vertical.points)
-    assert back.extends_to_infinity is False
 
 
 def test_intersection_vertical_ray_crosses_once():
