@@ -41,6 +41,7 @@ from .representations import (
     InvalidTriangulation,
     NotAdmissible,
     check_admissible,
+    parse_word,
     peripheral_fixed_data,
 )
 from .serialize import JsonRecord, canonical_dumps, json_mismatch, read
@@ -112,9 +113,9 @@ class HexagonBlend:
         phi, h, s, gap, plateau = self._value(alpha)
         hp = self.threshold / gap**2
         # d(h_k/S)/da_j = delta_kj hp_j / S - h_k hp_j / S^2, as 0 - term so zeros stay +0
-        dphi = np.einsum("...k,...j->...kj", h, hp) / (s**2)[..., None]
+        dphi = h[..., :, None] * hp[..., None, :] / (s**2)[..., None]
         np.subtract(0.0, dphi, out=dphi)
-        diagonal = np.einsum("...kk->...k", dphi)  # a writeable view
+        diagonal = dphi.reshape(dphi.shape[:-2] + (9,))[..., ::4]  # a writeable view
         diagonal += hp / s
         if plateau is not None:
             dphi[plateau] = 0.0
@@ -201,14 +202,15 @@ def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float,
     """
     t = np.asarray(t, dtype=float)
     phi, dphi = blend.value_and_partials(alpha)
-    d_ab = np.swapaxes(dphi[..., 1:] - dphi[..., :1], -1, -2)  # rows d phi/da, d phi/db
-    rows = np.concatenate([phi[..., None, :], d_ab], axis=-2)
+    rows = np.empty(dphi.shape)  # phi, then d phi/da and d phi/db written transposed
+    rows[..., 0, :] = phi
+    np.subtract(dphi[..., 1:], dphi[..., :1], out=rows[..., 1:, :].swapaxes(-1, -2))
     ug, pg = u[simplex], p[simplex]
     jt = rows @ ug
     jt[..., 1:, :] *= t[..., None, None]
     jt[..., 1:, :] += kappa * (ug[..., 1:, :] - ug[..., :1, :])
     jt[..., 1:, :] += pg[..., 1:, :] - pg[..., :1, :]
-    return np.swapaxes(jt, -1, -2)
+    return jt.swapaxes(-1, -2)
 
 
 def leaf_gram(u, p, t, kappa: float) -> np.ndarray:
@@ -546,7 +548,12 @@ class PolyhedralSpacetime:
 
 def gluing_isometries(rep: AffineRepresentation, tri: IdealTriangulationData):
     """The gluing table's side words as stacked isometries x = m @ x' + b,
-    m (S, 3, 3, 3) and b (S, 3, 3), each distinct word evaluated once."""
+    m (S, 3, 3, 3) and b (S, 3, 3), each distinct word evaluated once; a word
+    with a generator the representation lacks is a ValueError."""
+    for i, g in enumerate(tri.gluings):
+        if missing := sorted({name for name, _ in parse_word(g.word)} - set(rep.linear)):
+            raise ValueError(f"gluings.{i}.word {g.word!r}: no generator {missing[0]!r} "
+                             "in the representation")
     isos = {w: rep.evaluate(w) for w in {w for row in tri.word for w in row}}
     return (np.array([[isos[w].linear.matrix for w in row] for row in tri.word]),
             np.array([[isos[w].translation for w in row] for row in tri.word]))

@@ -14,10 +14,12 @@ The tracer deliberately proposes steps with all signs of dt; on a certified
 build only dt > 0 proposals can be causal (t is a time function), so the
 monotonicity check in the report is a real assertion, not a tautology.
 
-Curves are traced in lockstep: one pass per step tests the 8 proposals of
-every live curve with builder's stacked chart kernel, evaluating each curve's
-start Jacobian once and the later samples only where the start passes, and
-one cross_face call moves every curve that ended on a face.  Each curve reads
+Curves are traced in lockstep over arrays of live-curve state, compressed as
+curves finish.  One pass per step tests the 8 proposals of every live curve
+with builder's stacked chart kernel, the later samples only where the start
+passes; a start Jacobian is carried over from the accepted segment's last
+sample when that sample is the new start bit for bit, else evaluated afresh.
+One cross_face call moves every curve that ended on a face.  Each curve reads
 its own random stream in the order a one-curve trace reads it (3 doubles per
 proposal, proposals in order until the first accepted one), so a curve traced
 in a batch equals the same curve traced alone, node for node.
@@ -171,32 +173,40 @@ def _tangents(jac, dt, da) -> np.ndarray:
 
 def _future_causal(v: np.ndarray, band: float, margin: float) -> np.ndarray:
     """Future causal within the band, at least margin inside the cone."""
-    bound = band * np.maximum(np.sum(v * v, axis=-1), 1.0) - margin * v[..., 0] ** 2
+    bound = band * np.maximum((v * v).sum(axis=-1), 1.0) - margin * v[..., 0] ** 2
     return (v[..., 0] > 0) & (quadratic_form(v) <= bound)
 
 
 def _segments_are_causal(
     st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, band: float = 1e-9,
-    margin: float = 0.0, samples: int = 3,
+    margin: float = 0.0, samples: int = 3, start=None, end_jacobians=None,
 ) -> np.ndarray:
     """Future-causal test for straight chart segments at sampled tangents.
 
     Segments run from (t0, a0) to (t1, a1) in chart ``simplex``.  The end
-    arrays carry the batch shape; simplex and start arrays broadcast against
-    them, so a start shared by many segments is passed once.  The later
-    samples are evaluated only where the start sample passes; all must pass.
+    arrays carry the batch shape; simplex and start arrays, and the start's
+    Jacobians ``start`` if the caller has them, broadcast against them, so a
+    start shared by many segments is passed once.  The later samples are
+    evaluated only where the start sample passes; all must pass.  A last
+    sample that is (t1, a1) bit for bit writes its Jacobians to ``end_jacobians``.
     """
     dt, d = t1 - t0, a1 - a0
-    s = np.linspace(0.0, 1.0, samples)
+    s = _FRACTIONS if samples == 3 else np.linspace(0.0, 1.0, samples)
     ts = t0[..., None] + s * dt[..., None]
     ok = ((dt != 0) | (d[..., 1:] != 0).any(axis=-1)) & ~(ts <= 0).any(axis=-1)
-    start = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa, st.blend)
+    if start is None:
+        start = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa, st.blend)
     ok &= _future_causal(_tangents(start, dt, d[..., 1:]), band, margin)
-    alphas = (a0[..., None, :] + s[1:, None] * d[..., None, :])[ok]
-    later = dev_hat_jacobians(*st.charts, np.broadcast_to(simplex, ok.shape)[ok][:, None],
-                              ts[ok][:, 1:], alphas, st.kappa, st.blend)
-    v = _tangents(later, dt[ok][:, None], d[ok][:, None, 1:])
-    ok[ok] = _future_causal(v, band, margin).all(axis=1)
+    idx = np.nonzero(ok)
+    lead = idx[ok.ndim - simplex.ndim:]  # the passing segments' charts: simplex broadcasts
+    sx = simplex[tuple(i if n > 1 else 0 for n, i in zip(simplex.shape, lead))]
+    ts, alphas = ts[idx][:, 1:], (a0[..., None, :] + s[1:, None] * d[..., None, :])[idx]
+    later = dev_hat_jacobians(*st.charts, sx[..., None], ts, alphas, st.kappa, st.blend)
+    ok[idx] = _future_causal(_tangents(later, dt[idx][:, None], d[idx][:, None, 1:]),
+                             band, margin).all(axis=1)
+    if end_jacobians is not None:
+        exact = (ts[:, -1] == t1[idx]) & (alphas[:, -1] == a1[idx]).all(axis=-1)
+        end_jacobians[tuple(i[exact] for i in idx)] = later[exact, -1]
     return ok
 
 
@@ -267,6 +277,7 @@ _FLAT = np.array([False, False, False, True] * 2)
 # Index into the adaptive-scale history that proposal k reads: how many of
 # the non-flat proposals before it were rejected.
 _SCALE_SLOT = np.array([0, 1, 2, 3, 3, 4, 5, 6])
+_FRACTIONS = np.linspace(0.0, 1.0, 3)  # where a segment is sampled, by default
 _CHUNK = 120  # doubles drawn per refill of one curve's random buffer
 # Each curve steps (t_stop - its start t) / _STEPS_PER_SPAN in t, at least _MIN_T_STEP;
 # accepted tangents stay _CONE_MARGIN inside the causal cone.
@@ -279,21 +290,22 @@ def _clip_to_chart(t0, dt, a0, a1):
     """End points of proposed chart steps, cut at the first face they cross.
 
     A step moves (t0, a0) by dt to barycentric a1, which is clipped in place;
-    arrays of any batch shape, barycentric ones with a trailing axis of 3.
+    arrays of any batch shape (t0, a0 broadcast), barycentric ones with a trailing axis of 3.
     Returns (t1, usable, crossed, facet): the end times, the steps that stay
     usable (t > 0, not stalled on a face, not near a corner), those that end
     on a face, and that face's zero-weight slot, the lowest one on ties.
     """
     d = a1 - a0
     hits = np.divide(a0, -d, out=np.full(d.shape, np.inf), where=(d < 0) & (a1 < 0))
-    facet = np.argmin(hits, axis=-1)
+    facet = hits.argmin(axis=-1)
     s = hits.min(axis=-1)
     crossed = s < 1.0
     t1 = t0 + dt
     usable = (t1 > 0) & (~crossed | (s >= 1e-6))
-    a1[crossed] = a0[crossed] + s[crossed][:, None] * (a1[crossed] - a0[crossed])
-    a1[crossed, facet[crossed]] = 0.0
-    t1[crossed] = t0[crossed] + s[crossed] * dt[crossed]
+    cut, s = crossed[..., None], np.minimum(s, 1.0)  # crossings end at s, on their face
+    a1[...] = np.where(cut & (facet[..., None] == np.arange(3)), 0.0,
+                       np.where(cut, a0 + s[..., None] * d, a1))
+    t1 = np.where(crossed, t0 + s * dt, t1)
     lo, mid, hi = a1[..., 0], a1[..., 1], a1[..., 2]
     median = np.maximum(np.minimum(lo, mid), np.minimum(np.maximum(lo, mid), hi))
     usable &= ~crossed | (median >= 1e-6)
@@ -330,85 +342,96 @@ def _trace_lockstep(
     # adaptive transverse scale: the causal cone width in barycentric units
     # varies a lot across the simplex, so learn it from accept/reject feedback
     scale = np.full(n, alpha_step)
-    rejected = np.zeros(n, dtype=int)
+    rejected = np.zeros(n, dtype=int)  # per curve, not per row
+    jac = np.full((n, 3, 3), np.nan)  # each start's Jacobians, NaN until evaluated
+    ids = np.arange(n)  # the curve of each state row
     errors: dict[int, Exception] = {}
-    failed = np.zeros(n, dtype=bool)
     # traced nodes in trace order, (curve, simplex, transition) and (t, alpha)
     # per row; room for 128 nodes per curve before the tables grow
     tags = np.empty((128 * n, 3), dtype=np.int32)
     rows = np.empty((128 * n, 4))
     size = 0
 
-    def record(curves, transition):
+    def record(lanes, transition):
         nonlocal tags, rows, size
+        curves = ids[lanes]
         end = size + curves.size
         if end > len(rows):
             tags = np.concatenate([tags, np.empty_like(tags)])
             rows = np.concatenate([rows, np.empty_like(rows)])
         tags[size:end, 0] = curves
-        tags[size:end, 1] = simplex[curves]
+        tags[size:end, 1] = simplex[lanes]
         tags[size:end, 2] = transition
-        rows[size:end, 0] = t[curves]
-        rows[size:end, 1:] = alpha[curves]
+        rows[size:end, 0] = t[lanes]
+        rows[size:end, 1:] = alpha[lanes]
         size = end
 
-    live = np.flatnonzero(t < t_stop)
+    keep = t < t_stop
     for _ in range(max_steps):
-        if live.size == 0:
+        if not keep.all():
+            ids, simplex, t, alpha, steps_t, buf, bias, cursor, scale, jac = (
+                x[keep] for x in (ids, simplex, t, alpha, steps_t, buf, bias, cursor, scale, jac))
+        if ids.size == 0:
             break
-        for i in live[cursor[live] + 24 > _CHUNK]:
-            buf[i] = np.concatenate([buf[i, cursor[i]:], rngs[i].random(cursor[i])])
+        lane = np.arange(ids.size)
+        for i in (cursor + 24 > _CHUNK).nonzero()[0]:
+            buf[i] = np.concatenate([buf[i, cursor[i]:], rngs[ids[i]].random(cursor[i])])
             cursor[i] = 0
-        u = buf[live[:, None], cursor[live][:, None] + np.arange(24)]
-        u = u.reshape(live.size, 8, 3)
+        stale = np.isnan(jac[:, 0, 0]).nonzero()[0]
+        if stale.size:
+            jac[stale] = dev_hat_jacobians(*st.charts, simplex[stale], t[stale], alpha[stale],
+                                           st.kappa, st.blend)
+        u = buf[lane[:, None], cursor[:, None] + np.arange(24)].reshape(-1, 8, 3)
         # scale after 0..6 rejections: 0.85 per rejection, then never below 0.02
-        hist = np.full((live.size, 7), 0.85)
-        hist[:, 0] = scale[live]
+        hist = np.full((ids.size, 7), 0.85)
+        hist[:, 0] = scale
         hist = np.multiply.accumulate(hist, axis=1)
         hist[:, 1:] = np.maximum(hist[:, 1:], 0.02)
         sc = hist[:, _SCALE_SLOT]
-        ts = steps_t[live][:, None]
+        ts = steps_t[:, None]
         # uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
         dt = (-0.25 + np.where(_FLAT, 0.5, 1.25) * u[..., 0]) * ts
         wobble = -1.0 + 2.0 * u[..., 1:]
         da = np.where(
             _FLAT[:, None],
             wobble * alpha_step * ts[..., None],
-            (0.7 * bias[live][:, None, :] + 0.5 * wobble) * sc[..., None]
+            (0.7 * bias[:, None, :] + 0.5 * wobble) * sc[..., None]
             * np.maximum(dt, 0.0)[..., None],
         )
-        t0, a0 = t[live][:, None], alpha[live][:, None, :]
-        a1 = a0 + np.stack([-da[..., 0] - da[..., 1], da[..., 0], da[..., 1]], axis=-1)
-        t1, ok, crossed, facet = _clip_to_chart(
-            np.broadcast_to(t0, dt.shape), dt, np.broadcast_to(a0, a1.shape), a1)
-        ok &= _segments_are_causal(st, simplex[live][:, None], t0, a0, t1, a1,
-                                   band=band, margin=_CONE_MARGIN)
+        t0, a0 = t[:, None], alpha[:, None, :]
+        a1 = a0 + np.concatenate([(-da[..., 0] - da[..., 1])[..., None], da], axis=-1)
+        t1, ok, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
+        end = np.full(a1.shape + (3,), np.nan)
+        ok &= _segments_are_causal(st, simplex[:, None], t0, a0, t1, a1, band=band,
+                                   margin=_CONE_MARGIN, start=jac[:, None], end_jacobians=end)
         has = ok.any(axis=1)
-        k = np.argmax(ok, axis=1)
-        lane = np.arange(live.size)
-        rejected[live] += np.where(has, k, 8)
-        cursor[live] += 3 * np.where(has, k + 1, 8)
+        k = ok.argmax(axis=1)
+        rejected[ids] += np.where(has, k, 8)
+        cursor += 3 * np.where(has, k + 1, 8)
         sk = sc[lane, k]
-        scale[live] = np.where(
+        scale = np.where(
             has, np.where(_FLAT[k], sk, np.minimum(sk * 1.25, 3.0 * alpha_step)), hist[:, 6]
         )
-        t[live] = np.where(has, t1[lane, k], t[live] + steps_t[live])
-        alpha[live] = np.where(has[:, None], a1[lane, k], alpha[live])
-        cross_facet = np.where(has & crossed[lane, k], facet[lane, k], -1)
-        record(live, False)
-        crossing = live[cross_facet >= 0]
+        t = np.where(has, t1[lane, k], t + steps_t)
+        alpha = np.where(has[:, None], a1[lane, k], alpha)
+        moved = has & crossed[lane, k]
+        # the accepted end's Jacobians start the next step, unless the chart changes
+        jac = np.where((has & ~moved)[:, None, None], end[lane, k], np.nan)
+        record(slice(None), False)
+        keep = t < t_stop
+        crossing = moved.nonzero()[0]
         if crossing.size:
             nbr, alpha_new, bad = cross_face(st, simplex[crossing], t[crossing],
-                                             alpha[crossing], cross_facet[cross_facet >= 0])
+                                             alpha[crossing], facet[crossing, k[crossing]])
             for i, j in zip(crossing[bad], nbr[bad]):
-                errors[int(i)] = GeometryError(
+                errors[int(ids[i])] = GeometryError(
                     f"face transition mismatch between charts {simplex[i]} and {j}")
-            failed[crossing[bad]] = True
+            keep[crossing[bad]] = False
             simplex[crossing[~bad]], alpha[crossing[~bad]] = nbr[~bad], alpha_new[~bad]
             record(crossing[~bad], True)
-        live = live[(t[live] < t_stop) & ~failed[live]]
-    for i in live:
-        errors[int(i)] = GeometryError(f"tracer exhausted {max_steps} steps below t_stop")
+    else:
+        for i in ids[keep]:
+            errors[int(i)] = GeometryError(f"tracer exhausted {max_steps} steps below t_stop")
 
     order = np.argsort(tags[:size, 0], kind="stable")
     tags, rows = tags[order], rows[order]

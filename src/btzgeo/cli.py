@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -100,20 +102,21 @@ class RunConfig(BuildSettings):
         })
 
 
-def _coerce(field: dataclasses.Field, raw: str):
+def _coerce(field: dataclasses.Field, raw: str, where: str):
+    """A config value as its field's type: bool, int, float or (comma separated)
+    a non-empty tuple of floats; a ValueError at ``where`` if it does not parse."""
     raw = raw.strip()
-    if field.type in ("bool", bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"config {field.name} expects a boolean, got {raw!r}")
-    if field.type in ("int", int):
-        return int(raw)
-    if field.type in ("float", float):
-        return float(raw)
-    # comma separated floats
-    return tuple(float(x) for x in raw.split(",") if x.strip())
+    try:
+        if field.type == "bool":
+            return {"true": True, "1": True, "yes": True,
+                    "false": False, "0": False, "no": False}[raw.lower()]
+        if field.type in ("int", "float"):
+            return int(raw) if field.type == "int" else float(raw)
+        if values := tuple(float(x) for x in raw.split(",") if x.strip()):
+            return values
+    except (KeyError, ValueError):
+        pass
+    raise ValueError(f"{where}: {field.name} expects {field.type}, got {raw!r}")
 
 
 def load_config(path: str | None, seed: int | None = None,
@@ -123,6 +126,7 @@ def load_config(path: str | None, seed: int | None = None,
     Command line --seed / --normalize-theta override the file.
     """
     values: dict = {}
+    lines: dict = {}  # key -> the line that set it
     if path is not None:
         fields = {f.name: f for f in dataclasses.fields(RunConfig)}
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -135,8 +139,12 @@ def load_config(path: str | None, seed: int | None = None,
             key = key.strip()
             if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(fields[key], raw)
-    cfg = RunConfig(**values)
+            values[key], lines[key] = _coerce(fields[key], raw, f"{path}:{lineno}"), lineno
+    try:
+        cfg = RunConfig(**values)
+    except ValueError as e:  # each range rule's message names a key it checks
+        key = next((k for k in re.findall(r"\w+", str(e)) if k in lines), None)
+        raise ValueError(f"{path}:{lines[key]}: {e}" if key else str(e)) from None
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     if normalize_theta:
@@ -433,6 +441,7 @@ def _add_common(p, out):
     p.add_argument("--out", default=out[0], help=out[1])
 
 
+@functools.cache  # built once: building it is most of a call that fails early
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="btzgeo",

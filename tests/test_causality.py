@@ -8,6 +8,7 @@ from btzgeo.builder import (
     FaceMismatch, dev_hat, dev_hat_jacobians, dev_hat_points, extend_btz, strip_btz,
     verify_face_equivariance,
 )
+from btzgeo import causality
 from btzgeo.causality import (
     AbsentFiber,
     CausalPolyline,
@@ -334,6 +335,47 @@ def test_cauchy_time_report_matches_pinned_totals_at_demo_size(request, fixture)
     totals = (sum(c["nodes"] for c in rep["curves"]),
               sum(c["rejected_proposals"] for c in rep["curves"]))
     assert totals == PINNED_DEMO_SIZE_TOTALS[fixture]
+
+
+# The same sums for cauchy_time_report(st, n_curves=2, seed=7), the size of
+# one op of the bench's cauchy_trace workload.
+PINNED_BENCH_SIZE_TOTALS = {
+    "gamma2_zero": (204, 340),
+    "gamma2_deformed": (206, 339),
+    "torus_zero": (199, 326),
+    "torus_deformed": (201, 327),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_BENCH_SIZE_TOTALS))
+def test_cauchy_time_report_matches_pinned_totals_at_bench_size(request, fixture):
+    rep = cauchy_time_report(request.getfixturevalue(fixture), n_curves=2, seed=7)
+    assert rep["pass"] is True and all(c["pass"] for c in rep["curves"])
+    totals = (sum(c["nodes"] for c in rep["curves"]),
+              sum(c["rejected_proposals"] for c in rep["curves"]))
+    assert totals == PINNED_BENCH_SIZE_TOTALS[fixture]
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_BENCH_SIZE_TOTALS))
+def test_lockstep_carries_start_jacobians(request, fixture, monkeypatch):
+    # each lockstep step makes one _segments_are_causal call; the start
+    # Jacobians carried from the step before leave the later samples' kernel
+    # call and only now and then a fresh start (2 calls a step without the carry)
+    calls = {"dev_hat_jacobians": 0, "_segments_are_causal": 0}
+
+    def counted(name):
+        inner = getattr(causality, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(causality, name, call)
+
+    counted("dev_hat_jacobians")
+    counted("_segments_are_causal")
+    rep = cauchy_time_report(request.getfixturevalue(fixture), n_curves=2, seed=7)
+    assert rep["pass"] is True and calls["_segments_are_causal"] >= 50
+    assert calls["dev_hat_jacobians"] <= 1.3 * calls["_segments_are_causal"], calls
 
 
 @pytest.mark.parametrize("lo, hi", [(-0.25, 1.0), (-0.25, 0.25), (-1.0, 1.0)])

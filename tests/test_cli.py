@@ -443,12 +443,18 @@ def _unknown_generator_key(rep, tri):
     return "generators.c1.trace is not a known key"
 
 
+def _unknown_generator_in_word(rep, tri):
+    tri["gluings"][0]["word"] = "x"
+    return "gluings.0.word 'x': no generator 'x'"
+
+
 @pytest.mark.parametrize("tamper", [_positions_as_strings, _positions_as_list,
                                     _vertex_class_as_list, _vertex_class_as_string,
                                     _unknown_triangulation_key, _unknown_gluing_key,
                                     _genus_as_string, _sl2_as_strings, _sl2_one_row,
                                     _so12_one_entry, _translation_as_strings,
-                                    _missing_generator, _unknown_generator_key])
+                                    _missing_generator, _unknown_generator_key,
+                                    _unknown_generator_in_word])
 def test_build_inputs_are_type_checked(cli_dir, tmp_path, tamper):
     # input files are read against their schemas, never coerced: a wrong type,
     # a wrong shape, a missing or an unknown key is one input error naming its path
@@ -538,14 +544,11 @@ def _mutated(doc, path, value):
     return out
 
 
-def test_mutated_inputs_exit_with_one_typed_error(cli_dir, tmp_path, monkeypatch):
+def test_mutated_inputs_exit_with_one_typed_error(cli_dir, tmp_path):
     # every single mutation of gamma2's input files and of a bundle's input
     # blocks exits 0, 1 or 2 without a RuntimeWarning, a nonzero exit with
     # exactly one JSON error object; a wrong type or shape, a missing required
-    # key or an unknown key exits 2.  The parser is built once: building it is
-    # half the time of a call that fails early.
-    parser = build_parser()
-    monkeypatch.setattr("btzgeo.cli.build_parser", lambda: parser)
+    # key or an unknown key exits 2.
     config = tmp_path / "fast.cfg"
     config.write_text("t_count=2\nbary_n=4\nequiv_t_count=2\nequiv_edge_count=2\n"
                       "spear_r_samples=2\nspear_theta_samples=4\nsurgery_samples=50\n"
@@ -580,6 +583,30 @@ def test_mutated_inputs_exit_with_one_typed_error(cli_dir, tmp_path, monkeypatch
                 assert code in ((2,) if refused else (0, 1, 2)), (where, code, stderr)
                 if code:
                     assert stdout == "" and json.loads(stderr)["kind"] == "error", where
+
+
+# Per config value type: a wrong type, an empty, a non-finite and an
+# out-of-range value.
+_BAD_CONFIG_VALUES = {
+    "bool": ("1.5", "", "nan", "2"),
+    "int": ("1.5", "", "inf", "-1"),
+    "float": ("x", "", "nan", "-1"),
+    "tuple[float, ...]": ("a,b", "", "inf", "-1"),
+}
+
+
+def test_mutated_config_values_exit_with_one_typed_error(cli_dir, tmp_path):
+    # each bad value of each RunConfig key exits 2 with one JSON error object
+    # that names the config file, the line and the key
+    cfg = tmp_path / "bad.cfg"
+    for field in dataclasses.fields(RunConfig):
+        for value in _BAD_CONFIG_VALUES[field.type]:
+            cfg.write_text(f"# one bad value\nseed = 3\n{field.name} = {value}\n")
+            code, stdout, stderr = run_cli(
+                ["validate", str(cli_dir / "rep.json"), "--config", str(cfg)])
+            message = json.loads(stderr)["message"]
+            assert code == 2 and stdout == "", (field.name, value, message)
+            assert message.startswith(f"{cfg}:3: ") and field.name in message, message
 
 
 def test_mesh_counts(bundle_path, tmp_path):
