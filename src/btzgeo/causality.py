@@ -173,7 +173,7 @@ def _tangents(jac, dt, da) -> np.ndarray:
 
 def _future_causal(v: np.ndarray, band: float, margin: float) -> np.ndarray:
     """Future causal within the band, at least margin inside the cone."""
-    bound = band * np.maximum((v * v).sum(axis=-1), 1.0) - margin * v[..., 0] ** 2
+    bound = band * (v * v).sum(axis=-1) - margin * v[..., 0] ** 2
     return (v[..., 0] > 0) & (quadratic_form(v) <= bound)
 
 

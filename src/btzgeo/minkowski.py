@@ -90,7 +90,7 @@ def causal_class(v, tol: float = LIGHTLIKE_TOL) -> CausalClass:
     if math.sqrt(n2) <= tol:
         return CausalClass.ZERO
     q = quadratic_form(a)
-    band = tol * max(1.0, n2)
+    band = tol * n2
     if abs(q) <= band:
         return CausalClass.FUTURE_LIGHTLIKE if a[0] > 0 else CausalClass.PAST_LIGHTLIKE
     if q > 0:

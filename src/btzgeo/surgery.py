@@ -317,7 +317,7 @@ class ModelCurve:
         d = np.diff(p, axis=0)
         r_max = np.maximum(p[:-1, 1], p[1:, 1])
         q = -2.0 * d[:, 0] * d[:, 1] + d[:, 1] ** 2 + r_max**2 * d[:, 2] ** 2
-        scale = np.maximum(1.0, np.sum(d * d, axis=1))
+        scale = np.sum(d * d, axis=1)
         bad = np.where((q > band * scale) | (d[:, 0] <= 0))[0]
         if len(bad):
             i = int(bad[0])

@@ -65,6 +65,13 @@ def test_causal_class_examples():
     assert causal_class((0, 0, 0)) is CausalClass.ZERO
 
 
+def test_causal_class_band_is_relative_for_short_vectors():
+    # Q(v) / |v|^2 is about 0.1: spacelike at any length, not inside the band
+    assert causal_class((1e-5, 0, 1.1e-5)) is CausalClass.SPACELIKE
+    assert causal_class((1e5, 0, 1.1e5)) is CausalClass.SPACELIKE
+    assert causal_class((1e-5, 0, 1e-5)) is CausalClass.FUTURE_LIGHTLIKE
+
+
 def test_causal_relation_examples():
     o = (0, 0, 0)
     assert causal_relation(o, (1, 0, 0)) is CausalOrder.CHRONOLOGICAL

@@ -275,6 +275,10 @@ def test_model_curve_validation():
     spacelike = ModelCurve([[0.0, 0.1, 0.0], [0.1, 0.9, 0.0]])
     with pytest.raises(NotCausal):
         spacelike.validate_causal()
+    # a short spacelike segment: the band is relative to its length
+    short = ModelCurve([[0.0, 1.0, 0.0], [1e-6, 1.0, 1e-5]])
+    with pytest.raises(NotCausal):
+        short.validate_causal()
 
 
 def test_intersection_vertical_ray_crosses_once():
