@@ -561,7 +561,7 @@ def gluing_isometries(rep: AffineRepresentation, tri: IdealTriangulationData):
 
 def decorate_vertices(
     rep: AffineRepresentation, tri: IdealTriangulationData,
-    gluing: tuple[np.ndarray, np.ndarray], tol: float = 1e-6,
+    gluing: tuple[np.ndarray, np.ndarray],
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, str]]:
     """Assign (u, p) to every triangulation vertex, equivariantly.
 
@@ -577,7 +577,7 @@ def decorate_vertices(
         xi = data.boundary_position
         candidates = sorted(
             v for v, cls_ in tri.vertex_class.items()
-            if cls_ == name and _boundary_close(tri.positions[v], xi, tol)
+            if cls_ == name and _boundary_close(tri.positions[v], xi)
         )
         if not candidates:
             raise InvalidTriangulation(
@@ -625,10 +625,10 @@ def decorate_vertices(
     return dec_u, dec_p, base_of
 
 
-def _boundary_close(a: float, b: float, tol: float) -> bool:
+def _boundary_close(a: float, b: float) -> bool:
     if math.isinf(a) or math.isinf(b):
         return math.isinf(a) and math.isinf(b)
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= 1e-6 * max(1.0, abs(a), abs(b))
 
 
 def verify_face_equivariance(st: PolyhedralSpacetime) -> float:

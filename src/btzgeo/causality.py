@@ -10,6 +10,15 @@ as future causal when the developed tangent J . (dt, da, db) is future causal
 at sampled points along it.  Chart changes happen on shared faces and insert
 a transition node: same manifold point, new coordinates, t unchanged.
 
+Every causal test reads the one light-cone band LIGHTLIKE_TOL = 1e-9: v is
+future causal when v_t > 0 and Q(v) <= 1e-9 |v|^2; a fiber hop needs the chart
+point's tau - r/2 >= the fiber's tau - 1e-9.  Tracer constants: segments are
+sampled at _FRACTIONS (ends and midpoint); accepted tangents stay _CONE_MARGIN
+= 1e-6 inside the cone; a curve steps (t_stop - start t) / _STEPS_PER_SPAN =
+50 in t, at least _MIN_T_STEP = 1e-3, moving alpha by at most _ALPHA_STEP =
+0.4 times dt per component, and fails after _MAX_STEPS = 600 steps below
+t_stop, as does a face crossing off by more than 1e-8 (relative).
+
 The tracer deliberately proposes steps with all signs of dt; on a certified
 build only dt > 0 proposals can be causal (t is a time function), so the
 monotonicity check in the report is a real assertion, not a tautology.
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import PolyhedralSpacetime, dev_hat_jacobians, dev_hat_points, minkowski_to_model
-from .minkowski import GeometryError, quadratic_form
+from .minkowski import LIGHTLIKE_TOL, GeometryError, quadratic_form
 from .models import NotInImage
 
 
@@ -143,18 +152,14 @@ class CausalPolyline:
     def t_values(self) -> list[float]:
         return [n.point.t for n in self.nodes]
 
+    def _times(self):
+        return np.array(self.t_values()), np.array([n.transition for n in self.nodes], bool)
+
     def leaf_crossings(self, leaf: float) -> int:
-        f = [t - leaf for t in self.t_values()]
-        return sum(1 for a, b in zip(f, f[1:]) if a * b < 0)
+        return _time_checks(*self._times(), [leaf])[1][0]
 
     def strictly_increasing_t(self) -> bool:
-        for prev, node in zip(self.nodes, self.nodes[1:]):
-            if node.transition:
-                if node.point.t != prev.point.t:
-                    return False
-            elif node.point.t <= prev.point.t:
-                return False
-        return True
+        return _time_checks(*self._times(), [])[0]
 
     def to_json(self) -> dict:
         return {
@@ -171,15 +176,15 @@ def _tangents(jac, dt, da) -> np.ndarray:
             + da[..., 1:] * jac[..., :, 2])
 
 
-def _future_causal(v: np.ndarray, band: float, margin: float) -> np.ndarray:
-    """Future causal within the band, at least margin inside the cone."""
-    bound = band * (v * v).sum(axis=-1) - margin * v[..., 0] ** 2
+def _future_causal(v: np.ndarray, margin: float) -> np.ndarray:
+    """Future causal within the light-cone band, at least margin inside the cone."""
+    bound = LIGHTLIKE_TOL * (v * v).sum(axis=-1) - margin * v[..., 0] ** 2
     return (v[..., 0] > 0) & (quadratic_form(v) <= bound)
 
 
 def _segments_are_causal(
-    st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, band: float = 1e-9,
-    margin: float = 0.0, samples: int = 3, start=None, end_jacobians=None,
+    st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: float = 0.0,
+    start=None, end_jacobians=None,
 ) -> np.ndarray:
     """Future-causal test for straight chart segments at sampled tangents.
 
@@ -191,50 +196,41 @@ def _segments_are_causal(
     sample that is (t1, a1) bit for bit writes its Jacobians to ``end_jacobians``.
     """
     dt, d = t1 - t0, a1 - a0
-    s = _FRACTIONS if samples == 3 else np.linspace(0.0, 1.0, samples)
-    ts = t0[..., None] + s * dt[..., None]
+    ts = t0[..., None] + _FRACTIONS * dt[..., None]
     ok = ((dt != 0) | (d[..., 1:] != 0).any(axis=-1)) & ~(ts <= 0).any(axis=-1)
     if start is None:
         start = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa, st.blend)
-    ok &= _future_causal(_tangents(start, dt, d[..., 1:]), band, margin)
+    ok &= _future_causal(_tangents(start, dt, d[..., 1:]), margin)
     idx = np.nonzero(ok)
     lead = idx[ok.ndim - simplex.ndim:]  # the passing segments' charts: simplex broadcasts
     sx = simplex[tuple(i if n > 1 else 0 for n, i in zip(simplex.shape, lead))]
-    ts, alphas = ts[idx][:, 1:], (a0[..., None, :] + s[1:, None] * d[..., None, :])[idx]
+    ts, alphas = ts[idx][:, 1:], (a0[..., None, :] + _FRACTIONS[1:, None] * d[..., None, :])[idx]
     later = dev_hat_jacobians(*st.charts, sx[..., None], ts, alphas, st.kappa, st.blend)
     ok[idx] = _future_causal(_tangents(later, dt[idx][:, None], d[idx][:, None, 1:]),
-                             band, margin).all(axis=1)
+                             margin).all(axis=1)
     if end_jacobians is not None:
         exact = (ts[:, -1] == t1[idx]) & (alphas[:, -1] == a1[idx]).all(axis=-1)
         end_jacobians[tuple(i[exact] for i in idx)] = later[exact, -1]
     return ok
 
 
-def segment_is_causal(
-    st: PolyhedralSpacetime,
-    simplex: int,
-    start: tuple[float, np.ndarray],
-    end: tuple[float, np.ndarray],
-    band: float = 1e-9,
-    margin: float = 0.0,
-    samples: int = 3,
-) -> bool:
+def segment_is_causal(st: PolyhedralSpacetime, simplex: int, start: tuple[float, np.ndarray],
+                      end: tuple[float, np.ndarray]) -> bool:
     """Future-causal test for one straight chart segment at sampled tangents."""
     t0, a0, t1, a1 = (np.asarray(x, dtype=float)[None] for x in (*start, *end))
     chart = np.array([_index(simplex, len(st.triangulation.triangles))])
-    return bool(_segments_are_causal(st, chart, t0, a0, t1, a1, band, margin, samples)[0])
+    return bool(_segments_are_causal(st, chart, t0, a0, t1, a1)[0])
 
 
-def cross_face(
-    st: PolyhedralSpacetime, simplex, t, alpha, facet, tol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cross_face(st: PolyhedralSpacetime, simplex, t, alpha, facet
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Re-express face points in the neighbouring charts across their facets.
 
     Chart indices simplex (n,), times t (n,), barycentric points alpha (n, 3)
     and facets (n,), each the zero-weight slot of its point.  Returns the
     neighbour charts (n,), the points there (n, 3), t unchanged, and a mask
     (n,) of the crossings whose developed positions disagree through the
-    gluing isometry by more than tol (relative).
+    gluing isometry by more than 1e-8 (relative).
     """
     simplex, facet = _index(simplex, len(st.triangulation.triangles)), _index(facet, 3, "facet")
     alpha = np.asarray(alpha, dtype=float)
@@ -245,7 +241,7 @@ def cross_face(
                               np.array([alpha, alpha_new]), st.kappa, st.blend)
     m, b = st.gluing
     err = np.abs(x - ((m[simplex, facet] @ x_new[..., None])[..., 0] + b[simplex, facet]))
-    return nbr, alpha_new, err.max(axis=-1) > tol * np.maximum(1.0, np.abs(x).max(axis=-1))
+    return nbr, alpha_new, err.max(axis=-1) > 1e-8 * np.maximum(1.0, np.abs(x).max(axis=-1))
 
 
 def _normalized_tau(st: PolyhedralSpacetime, puncture: str, point) -> tuple[float, float]:
@@ -257,10 +253,8 @@ def _normalized_tau(st: PolyhedralSpacetime, puncture: str, point) -> tuple[floa
     return tau, 0.5 * r
 
 
-def fiber_hop_is_causal(
-    st: PolyhedralSpacetime, fiber_pt: FiberPoint, chart_pt: ChartPoint,
-    band: float = 1e-9,
-) -> bool:
+def fiber_hop_is_causal(st: PolyhedralSpacetime, fiber_pt: FiberPoint,
+                        chart_pt: ChartPoint) -> bool:
     """Singular causal test: the chart point must lie in J+ of the fiber point."""
     _present_fiber(st, fiber_pt)
     tau_f, _ = _normalized_tau(st, fiber_pt.puncture, fiber_pt)
@@ -268,7 +262,7 @@ def fiber_hop_is_causal(
         tau_x, half_r = _normalized_tau(st, fiber_pt.puncture, chart_pt)
     except NotInImage:
         return False
-    return tau_x - half_r >= tau_f - band
+    return tau_x - half_r >= tau_f - LIGHTLIKE_TOL
 
 
 # Proposals 3 and 7 of each step are flat probes: transverse motion not tied
@@ -277,13 +271,14 @@ _FLAT = np.array([False, False, False, True] * 2)
 # Index into the adaptive-scale history that proposal k reads: how many of
 # the non-flat proposals before it were rejected.
 _SCALE_SLOT = np.array([0, 1, 2, 3, 3, 4, 5, 6])
-_FRACTIONS = np.linspace(0.0, 1.0, 3)  # where a segment is sampled, by default
 _CHUNK = 120  # doubles drawn per refill of one curve's random buffer
-# Each curve steps (t_stop - its start t) / _STEPS_PER_SPAN in t, at least _MIN_T_STEP;
-# accepted tangents stay _CONE_MARGIN inside the causal cone.
+# the tracer's constants, described in the module docstring
+_FRACTIONS = np.linspace(0.0, 1.0, 3)
 _STEPS_PER_SPAN = 50.0
 _MIN_T_STEP = 1e-3
 _CONE_MARGIN = 1e-6
+_ALPHA_STEP = 0.4
+_MAX_STEPS = 600
 
 
 def _clip_to_chart(t0, dt, a0, a1):
@@ -312,10 +307,8 @@ def _clip_to_chart(t0, dt, a0, a1):
     return t1, usable, crossed, facet
 
 
-def _trace_lockstep(
-    st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: list[int], t_stop: float,
-    max_steps: int = 600, alpha_step: float = 0.4, band: float = 1e-9,
-):
+def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: list[int],
+                    t_stop: float):
     """Trace one causal curve per chart start in lockstep; see trace_causal_curve.
 
     Yields ``((simplex, t, alpha, transition), rejected_proposals)`` per curve
@@ -341,7 +334,7 @@ def _trace_lockstep(
     cursor = np.full(n, 2)
     # adaptive transverse scale: the causal cone width in barycentric units
     # varies a lot across the simplex, so learn it from accept/reject feedback
-    scale = np.full(n, alpha_step)
+    scale = np.full(n, _ALPHA_STEP)
     rejected = np.zeros(n, dtype=int)  # per curve, not per row
     jac = np.full((n, 3, 3), np.nan)  # each start's Jacobians, NaN until evaluated
     ids = np.arange(n)  # the curve of each state row
@@ -367,7 +360,7 @@ def _trace_lockstep(
         size = end
 
     keep = t < t_stop
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if not keep.all():
             ids, simplex, t, alpha, steps_t, buf, bias, cursor, scale, jac = (
                 x[keep] for x in (ids, simplex, t, alpha, steps_t, buf, bias, cursor, scale, jac))
@@ -394,7 +387,7 @@ def _trace_lockstep(
         wobble = -1.0 + 2.0 * u[..., 1:]
         da = np.where(
             _FLAT[:, None],
-            wobble * alpha_step * ts[..., None],
+            wobble * _ALPHA_STEP * ts[..., None],
             (0.7 * bias[:, None, :] + 0.5 * wobble) * sc[..., None]
             * np.maximum(dt, 0.0)[..., None],
         )
@@ -402,15 +395,15 @@ def _trace_lockstep(
         a1 = a0 + np.concatenate([(-da[..., 0] - da[..., 1])[..., None], da], axis=-1)
         t1, ok, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
         end = np.full(a1.shape + (3,), np.nan)
-        ok &= _segments_are_causal(st, simplex[:, None], t0, a0, t1, a1, band=band,
-                                   margin=_CONE_MARGIN, start=jac[:, None], end_jacobians=end)
+        ok &= _segments_are_causal(st, simplex[:, None], t0, a0, t1, a1, margin=_CONE_MARGIN,
+                                   start=jac[:, None], end_jacobians=end)
         has = ok.any(axis=1)
         k = ok.argmax(axis=1)
         rejected[ids] += np.where(has, k, 8)
         cursor += 3 * np.where(has, k + 1, 8)
         sk = sc[lane, k]
         scale = np.where(
-            has, np.where(_FLAT[k], sk, np.minimum(sk * 1.25, 3.0 * alpha_step)), hist[:, 6]
+            has, np.where(_FLAT[k], sk, np.minimum(sk * 1.25, 3.0 * _ALPHA_STEP)), hist[:, 6]
         )
         t = np.where(has, t1[lane, k], t + steps_t)
         alpha = np.where(has[:, None], a1[lane, k], alpha)
@@ -431,7 +424,7 @@ def _trace_lockstep(
             record(crossing[~bad], True)
     else:
         for i in ids[keep]:
-            errors[int(i)] = GeometryError(f"tracer exhausted {max_steps} steps below t_stop")
+            errors[int(i)] = GeometryError(f"tracer exhausted {_MAX_STEPS} steps below t_stop")
 
     order = np.argsort(tags[:size, 0], kind="stable")
     tags, rows = tags[order], rows[order]
@@ -443,34 +436,22 @@ def _trace_lockstep(
         yield (tg[:, 1], row[:, 0], row[:, 1:], tg[:, 2] == 1), int(rejected[i])
 
 
-def trace_causal_curve(
-    st: PolyhedralSpacetime,
-    start,
-    t_stop: float,
-    steering: str = "random",
-    seed: int = 0,
-    max_steps: int = 600,
-    alpha_step: float = 0.4,
-    band: float = 1e-9,
-) -> CausalPolyline:
+def trace_causal_curve(st: PolyhedralSpacetime, start, t_stop: float, steering: str = "random",
+                       seed: int = 0) -> CausalPolyline:
     """Trace a future causal polyline from ``start`` until t reaches t_stop.
 
     Steering policies: ``random`` tries causal steps with random transverse
     motion and all signs of dt, falling back to a vertical step when all are
     rejected; ``axis`` stays on a singular fiber; ``leave_axis`` starts on a
     fiber and hops into the adjacent chart fan as soon as a causal hop is
-    found, then continues as ``random``.
-
-    ``alpha_step`` is the transverse slope: proposals move the barycentric
-    point by at most alpha_step * dt per component, matching the linear
-    opening of the causal cone in chart coordinates.
+    found, then continues as ``random``.  Proposals move the barycentric point
+    by at most _ALPHA_STEP * dt per component, matching the linear opening of
+    the causal cone in chart coordinates.
     """
     if steering not in ("random", "axis", "leave_axis"):
         raise ValueError(f"unknown steering {steering!r}")
     if not math.isfinite(t_stop):
         raise ValueError("t_stop must be finite")
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     nodes = [CurveNode(start)]
     rejected = 0
 
@@ -496,7 +477,7 @@ def trace_causal_curve(
         gap = t_stop - start.t
         for frac in (0.05, 0.1, 0.2, 0.4, 0.8):
             candidate = ChartPoint(entry.triangle, start.t + frac * gap, alpha)
-            if fiber_hop_is_causal(st, start, candidate, band=band):
+            if fiber_hop_is_causal(st, start, candidate):
                 hop = candidate
                 break
             rejected += 1
@@ -513,17 +494,14 @@ def trace_causal_curve(
     else:
         raise TypeError(f"unsupported start point {start!r}")
 
-    (((sxs, ts, alphas, transitions), rest_rejected),) = _trace_lockstep(
-        st, [cur], [seed], t_stop, max_steps=max_steps, alpha_step=alpha_step, band=band,
-    )
+    (((sxs, ts, alphas, transitions), rest_rejected),) = _trace_lockstep(st, [cur], [seed], t_stop)
     nodes += [CurveNode(ChartPoint(sx, ti, a), transition=tr) for sx, ti, a, tr in
               zip(sxs.tolist(), ts.tolist(), alphas, transitions.tolist())]
     return CausalPolyline(nodes, seed=seed, steering=steering,
                           rejected_proposals=rejected + rest_rejected)
 
 
-def validate_polyline(st: PolyhedralSpacetime, curve: CausalPolyline,
-                      band: float = 1e-9) -> list[int]:
+def validate_polyline(st: PolyhedralSpacetime, curve: CausalPolyline) -> list[int]:
     """Indices of curve segments that fail the causal test (empty = valid).
 
     Chart segments within one simplex go through one batched causal test.
@@ -538,7 +516,7 @@ def validate_polyline(st: PolyhedralSpacetime, curve: CausalPolyline,
             if pa.puncture != pb.puncture or pb.t <= pa.t:
                 bad.append(i)
         elif isinstance(pa, FiberPoint):
-            if not fiber_hop_is_causal(st, pa, pb, band=band):
+            if not fiber_hop_is_causal(st, pa, pb):
                 bad.append(i)
         elif isinstance(pb, FiberPoint) or pa.simplex != pb.simplex:
             # chart points never causally precede fiber points, and a chart
@@ -551,8 +529,7 @@ def validate_polyline(st: PolyhedralSpacetime, curve: CausalPolyline,
         ok = _segments_are_causal(
             st, np.array([_index(p.simplex, len(st.triangulation.triangles)) for p in starts]),
             np.array([p.t for p in starts]), np.stack([p.alpha for p in starts]),
-            np.array([p.t for p in ends]), np.stack([p.alpha for p in ends]), band=band,
-        )
+            np.array([p.t for p in ends]), np.stack([p.alpha for p in ends]))
         bad += [i for i, good in zip(index, ok) if not good]
     return sorted(bad)
 
@@ -580,8 +557,8 @@ def btz_decomposition(
 
 
 def _time_checks(t, transition, leaves) -> tuple[bool, list[int]]:
-    """CausalPolyline.strictly_increasing_t and leaf_crossings (per leaf) of node
-    times t (n,) and transition flags (n,)."""
+    """Whether node times t (n,) strictly increase, staying equal across the
+    nodes flagged in transition (n,), and how often t crosses each leaf."""
     prev, nxt = t[:-1], t[1:]
     monotone = bool(np.all(np.where(transition[1:], nxt == prev, nxt > prev)))
     f = t - np.asarray(leaves, dtype=float)[:, None]

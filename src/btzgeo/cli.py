@@ -102,6 +102,9 @@ class RunConfig(BuildSettings):
         })
 
 
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+
+
 def _coerce(field: dataclasses.Field, raw: str, where: str):
     """A config value as its field's type: bool, int, float or (comma separated)
     a non-empty tuple of floats; a ValueError at ``where`` if it does not parse."""
@@ -128,7 +131,6 @@ def load_config(path: str | None, seed: int | None = None,
     values: dict = {}
     lines: dict = {}  # key -> the line that set it
     if path is not None:
-        fields = {f.name: f for f in dataclasses.fields(RunConfig)}
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -137,9 +139,9 @@ def load_config(path: str | None, seed: int | None = None,
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in fields:
+            if key not in _FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key], lines[key] = _coerce(fields[key], raw, f"{path}:{lineno}"), lineno
+            values[key], lines[key] = _coerce(_FIELDS[key], raw, f"{path}:{lineno}"), lineno
     try:
         cfg = RunConfig(**values)
     except ValueError as e:  # each range rule's message names a key it checks
@@ -332,8 +334,6 @@ def cmd_causal(args) -> int:
 
 def mesh_report(cfg: RunConfig, st: PolyhedralSpacetime, bundle_path: str, out: str):
     """Write the leaf meshes to ``out`` and report their counts."""
-    if not cfg.leaves:
-        raise ValueError("mesh needs at least one leaf t value")
     export_mesh(st, cfg.leaves, cfg.resolution, out)
     # mesh_data's layout: per leaf and simplex, a triangular grid of side res
     res, cells = cfg.resolution, len(cfg.leaves) * len(st.triangulation.triangles)
@@ -353,7 +353,7 @@ def mesh_report(cfg: RunConfig, st: PolyhedralSpacetime, bundle_path: str, out: 
 def cmd_mesh(args) -> int:
     cfg = load_config(args.config, args.seed)
     if args.leaves is not None:
-        cfg = dataclasses.replace(cfg, leaves=[x for x in args.leaves.split(",") if x.strip()])
+        cfg = dataclasses.replace(cfg, leaves=_coerce(_FIELDS["leaves"], args.leaves, "--leaves"))
     if args.resolution is not None:
         cfg = dataclasses.replace(cfg, resolution=args.resolution)
     st = _load_bundle(args.bundle)

@@ -20,7 +20,7 @@ G = np.diag([-1.0, 1.0, 1.0])
 G.setflags(write=False)
 
 ISOMETRY_TOL = 1e-9
-LIGHTLIKE_TOL = 1e-9
+LIGHTLIKE_TOL = 1e-9  # the package's one light-cone band: |Q(v)| <= LIGHTLIKE_TOL |v|^2
 TRACE_BAND = 1e-7
 TANGENT_TOL = 1e-9
 FIXED_LINE_TOL = 1e-9
@@ -83,25 +83,23 @@ def minkowski_inner(u, v):
     return float(res) if np.ndim(res) == 0 else res
 
 
-def causal_class(v, tol: float = LIGHTLIKE_TOL) -> CausalClass:
-    """Classify v by sign of Q(v) and of t, with a scale-aware lightlike band."""
+def causal_class(v) -> CausalClass:
+    """Classify v by sign of Q(v) and of t; |Q(v)| <= LIGHTLIKE_TOL |v|^2 is lightlike."""
     a = _as_vec(v)
     n2 = float(a @ a)
-    if math.sqrt(n2) <= tol:
+    if math.sqrt(n2) <= LIGHTLIKE_TOL:
         return CausalClass.ZERO
     q = quadratic_form(a)
-    band = tol * n2
-    if abs(q) <= band:
+    if abs(q) <= LIGHTLIKE_TOL * n2:
         return CausalClass.FUTURE_LIGHTLIKE if a[0] > 0 else CausalClass.PAST_LIGHTLIKE
     if q > 0:
         return CausalClass.SPACELIKE
     return CausalClass.FUTURE_TIMELIKE if a[0] > 0 else CausalClass.PAST_TIMELIKE
 
 
-def causal_relation(p, q, tol: float = LIGHTLIKE_TOL) -> CausalOrder:
+def causal_relation(p, q) -> CausalOrder:
     """Order of p against q in Minkowski space: classify q - p."""
-    d = _as_vec(q) - _as_vec(p)
-    cls = causal_class(d, tol=tol)
+    cls = causal_class(_as_vec(q) - _as_vec(p))
     if cls is CausalClass.ZERO:
         return CausalOrder.EQUAL
     if cls is CausalClass.FUTURE_TIMELIKE:
@@ -202,10 +200,10 @@ class IsometryClassification:
     angle: float | None = None  # set for elliptic only
 
 
-def classify_isometry(m: LinearIsometry, trace_band: float = TRACE_BAND) -> IsometryClassification:
+def classify_isometry(m: LinearIsometry) -> IsometryClassification:
     """Classify by trace: 1+2cos(angle) elliptic, 3 parabolic/identity, >3 hyperbolic.
 
-    Inside the ambiguous band |trace-3| <= trace_band the call is resolved by
+    Inside the ambiguous band |trace-3| <= TRACE_BAND the call is resolved by
     norms: identity when ||A-I|| is tiny, parabolic when ||(A-I)^2|| is
     macroscopic, else a near-identity elliptic.  Boundary cases at the scale of
     the band itself are inherently ambiguous in floating point.
@@ -213,9 +211,9 @@ def classify_isometry(m: LinearIsometry, trace_band: float = TRACE_BAND) -> Isom
     a = m.matrix
     tr = float(np.trace(a))
     n = a - np.eye(3)
-    if tr > 3.0 + trace_band:
+    if tr > 3.0 + TRACE_BAND:
         return IsometryClassification(IsometryKind.HYPERBOLIC)
-    if abs(tr - 3.0) <= trace_band:
+    if abs(tr - 3.0) <= TRACE_BAND:
         norm_n = float(np.linalg.norm(n))
         if norm_n <= ISOMETRY_TOL:
             return IsometryClassification(IsometryKind.IDENTITY)
@@ -244,15 +242,15 @@ def fixed_lightlike_direction(m: LinearIsometry) -> np.ndarray:
     return u
 
 
-def is_tangent(phi: AffineIsometry, tol: float = TANGENT_TOL) -> bool:
+def is_tangent(phi: AffineIsometry) -> bool:
     """True when the translation part is Minkowski-orthogonal to the parabolic fixed direction."""
     u = fixed_lightlike_direction(phi.linear)
     tau = phi.translation
     scale = max(1.0, float(np.linalg.norm(tau)) * float(np.linalg.norm(u)))
-    return abs(minkowski_inner(tau, u)) <= tol * scale
+    return abs(minkowski_inner(tau, u)) <= TANGENT_TOL * scale
 
 
-def fixed_line(phi: AffineIsometry, tol: float = FIXED_LINE_TOL) -> tuple[np.ndarray, np.ndarray]:
+def fixed_line(phi: AffineIsometry) -> tuple[np.ndarray, np.ndarray]:
     """Fixed line (point, direction) of a parabolic-with-tangent-translation.
 
     Solves (A - I) x = -tau; the returned point is the minimum-Euclidean-norm
@@ -263,7 +261,7 @@ def fixed_line(phi: AffineIsometry, tol: float = FIXED_LINE_TOL) -> tuple[np.nda
     n = phi.linear.matrix - np.eye(3)
     x0, *_ = np.linalg.lstsq(n, -phi.translation, rcond=None)
     resid = float(np.linalg.norm(n @ x0 + phi.translation))
-    if resid > tol * max(1.0, float(np.linalg.norm(phi.translation))):
+    if resid > FIXED_LINE_TOL * max(1.0, float(np.linalg.norm(phi.translation))):
         raise NoFixedPoints(f"no fixed points (residual {resid:.3e})")
     return x0, u
 

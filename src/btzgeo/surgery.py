@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import GeometryError
+from .minkowski import LIGHTLIKE_TOL, GeometryError
 from .models import TWO_PI
 from .serialize import JsonRecord
 
-DEFAULT_SAMPLES = 10_000
+_GRID = 4096  # boundary-profile grid points behind min_value and max_abs_derivative
+_TANGENCY_TOL = 1e-8  # a gap to the cap this small makes a crossing count undecidable
 
 
 class OnSeam(GeometryError):
@@ -86,20 +87,20 @@ class BoundaryProfile(JsonRecord):
             out = out + c * (k + 1) * np.cos((k + 1) * theta)
         return out if out.ndim else float(out)
 
-    def min_value(self, n: int = 4096) -> float:
-        grid = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    def min_value(self) -> float:
+        grid = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
         lip = sum(
             (k + 1) * abs(c) for k, c in enumerate(self.cos)
         ) + sum((k + 1) * abs(c) for k, c in enumerate(self.sin))
-        return float(self.value(grid).min()) - lip * (TWO_PI / n) / 2.0
+        return float(self.value(grid).min()) - lip * (TWO_PI / _GRID) / 2.0
 
-    def max_abs_derivative(self, n: int = 4096) -> float:
+    def max_abs_derivative(self) -> float:
         """Upper bound on sup |d tau^R / d theta| via dense grid plus Lipschitz slack."""
-        grid = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        grid = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
         lip2 = sum(
             (k + 1) ** 2 * abs(c) for k, c in enumerate(self.cos)
         ) + sum((k + 1) ** 2 * abs(c) for k, c in enumerate(self.sin))
-        return float(np.abs(self.derivative(grid)).max()) + lip2 * (TWO_PI / n) / 2.0
+        return float(np.abs(self.derivative(grid)).max()) + lip2 * (TWO_PI / _GRID) / 2.0
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,6 @@ class SurfaceGraph:
     profile: BoundaryProfile
     mode: str  # "complete" or "compact"
     M: float
-    seam_tol: float = 1e-12
 
     def __post_init__(self):
         if self.mode not in ("complete", "compact"):
@@ -154,7 +154,7 @@ class SurfaceGraph:
         if self.mode != "compact":
             return np.zeros(np.shape(np.asarray(r)), dtype=bool)
         r = np.asarray(r, dtype=float)
-        return np.abs(r - self.R / 2) <= self.seam_tol * self.R
+        return np.abs(r - self.R / 2) <= 1e-12 * self.R  # within rounding of the seam
 
     def partials(self, r, theta) -> tuple[np.ndarray, np.ndarray]:
         """(d tau / d r, d tau / d theta); raises OnSeam on the compact crease."""
@@ -211,32 +211,26 @@ def extend_complete(profile: BoundaryProfile) -> SurfaceGraph:
     return SurfaceGraph(profile=profile, mode="complete", M=m)
 
 
-def extend_compact(
-    profile: BoundaryProfile,
-    margin: float = 1e-6,
-    samples: int = 200,
-    max_doublings: int = 40,
-) -> SurfaceGraph:
+def extend_compact(profile: BoundaryProfile, margin: float = 1e-6) -> SurfaceGraph:
     """Compact spacelike cap: quadratically damped boundary term plus constant core.
 
-    The slope constant M starts at 1 + sup |tau^R'|^2 and doubles until the
-    sampled spacelike margin delta clears ``margin`` on the outer annulus
-    (the inner constant piece has delta = 1 identically).
+    The slope constant M starts at 1 + sup |tau^R'|^2 and doubles, up to 40
+    times, until the spacelike margin delta clears ``margin`` on a 200 x 200
+    (r, theta) grid of the outer annulus (the inner constant piece has
+    delta = 1 identically).
     """
     m = 1.0 + profile.max_abs_derivative() ** 2
-    radii = profile.R / 2 + (profile.R / 2) * (np.arange(1, samples + 1) / samples)
+    radii = profile.R / 2 + (profile.R / 2) * (np.arange(1, 201) / 200)
     radii[-1] = profile.R
-    thetas = TWO_PI * (np.arange(samples) + 0.5) / samples
+    thetas = TWO_PI * (np.arange(200) + 0.5) / 200
     rr, tt = np.meshgrid(radii, thetas, indexing="ij")
-    for _ in range(max_doublings + 1):
+    for _ in range(41):
         sg = SurfaceGraph(profile=profile, mode="compact", M=m)
         dval = delta(sg, rr.ravel(), tt.ravel())
         if float(np.min(dval)) > margin:
             return sg
         m *= 2.0
-    raise MSearchExhausted(
-        f"no M made the compact cap spacelike after {max_doublings} doublings"
-    )
+    raise MSearchExhausted("no M made the compact cap spacelike after 40 doublings")
 
 
 @dataclass(frozen=True)
@@ -266,12 +260,12 @@ def completeness_certificate(sg: SurfaceGraph) -> CompletenessCertificate:
     return CompletenessCertificate(True, c, "delta >= C^2 / r^2 on the punctured disk")
 
 
-def divergence_check(sg: SurfaceGraph, probe_r: float = 1e-9) -> bool:
+def divergence_check(sg: SurfaceGraph) -> bool:
     """True when tau_Sigma tends to +infinity at the puncture (uniformly in theta)."""
     if sg.mode != "complete":
         return False
     thetas = TWO_PI * (np.arange(64) + 0.5) / 64
-    near = float(np.min(sg.value(np.full_like(thetas, probe_r), thetas)))
+    near = float(np.min(sg.value(np.full_like(thetas, 1e-9), thetas)))  # just off the puncture
     far = float(np.max(sg.value(np.full_like(thetas, sg.R), thetas)))
     return sg.M > 0 and near > far
 
@@ -311,14 +305,14 @@ class ModelCurve:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    def validate_causal(self, band: float = 1e-9) -> None:
-        """Segments must be future causal for -2 dtau dr + dr^2 + r^2 dtheta^2."""
+    def validate_causal(self) -> None:
+        """Segments must be future causal for -2 dtau dr + dr^2 + r^2 dtheta^2,
+        within the light-cone band LIGHTLIKE_TOL |d|^2 of each step d."""
         p = self.points
         d = np.diff(p, axis=0)
         r_max = np.maximum(p[:-1, 1], p[1:, 1])
         q = -2.0 * d[:, 0] * d[:, 1] + d[:, 1] ** 2 + r_max**2 * d[:, 2] ** 2
-        scale = np.sum(d * d, axis=1)
-        bad = np.where((q > band * scale) | (d[:, 0] <= 0))[0]
+        bad = np.where((q > LIGHTLIKE_TOL * np.sum(d * d, axis=1)) | (d[:, 0] <= 0))[0]
         if len(bad):
             i = int(bad[0])
             raise NotCausal(
@@ -338,13 +332,7 @@ class IntersectionReport(JsonRecord):
         return self.count == self.prediction
 
 
-def intersection_count(
-    sg: SurfaceGraph,
-    curve: ModelCurve,
-    refine: int = 32,
-    tangency_tol: float = 1e-8,
-    band: float = 1e-9,
-) -> IntersectionReport:
+def intersection_count(sg: SurfaceGraph, curve: ModelCurve) -> IntersectionReport:
     """Count transversal crossings of the cap and compare with the causal prediction.
 
     The prediction is 1 exactly when the future end of the curve is in the
@@ -356,7 +344,7 @@ def intersection_count(
     """
     if sg.mode == "complete" and not divergence_check(sg):
         raise GeometryError("complete cap does not diverge; count is undefined")
-    curve.validate_causal(band=band)
+    curve.validate_causal()
     pts = curve.points
     if np.any(pts[:, 1] > sg.R * (1 + 1e-9)):
         raise ValueError("curve leaves the disk r <= R")
@@ -366,14 +354,14 @@ def intersection_count(
     # Refined gap samples f = tau_curve - tau_Sigma along every segment.
     fs = []
     for i in range(len(pts) - 1):
-        s = np.linspace(0.0, 1.0, refine + 1)
+        s = np.linspace(0.0, 1.0, 33)  # 32 gap samples per segment
         if i > 0:
             s = s[1:]
         seg = pts[i][None, :] + s[:, None] * (pts[i + 1] - pts[i])[None, :]
         fs.append(seg[:, 0] - sg.value(seg[:, 1], np.mod(seg[:, 2], TWO_PI)))
     f = np.concatenate(fs)
     min_gap = float(np.abs(f).min())
-    if min_gap <= tangency_tol:
+    if min_gap <= _TANGENCY_TOL:
         raise Tangency(f"curve grazes the cap: smallest gap {min_gap!r}")
     count = int(np.sum(f[:-1] * f[1:] < 0))
 
@@ -386,7 +374,7 @@ def intersection_count(
     elif abs(end[1] - sg.R) <= 1e-9 * sg.R:
         exit_kind = "shaft"
         boundary = float(sg.profile.value(np.mod(end[2], TWO_PI)))
-        if abs(end[0] - boundary) <= tangency_tol:
+        if abs(end[0] - boundary) <= _TANGENCY_TOL:
             raise Tangency("curve exits the shaft exactly on the boundary circle")
         prediction = 1 if end[0] > boundary else 0
     else:

@@ -117,7 +117,7 @@ def test_trace_random_produces_valid_causal_curves(gamma2_zero, torus_zero):
             btz_decomposition(st_, curve)  # must not raise
 
 
-def test_trace_rejects_bad_steering(gamma2_zero):
+def test_trace_rejects_bad_steering(gamma2_zero, monkeypatch):
     start = ChartPoint(0, 0.5, CENTER)
     with pytest.raises(ValueError):
         trace_causal_curve(gamma2_zero, start, t_stop=1.0, steering="sideways")
@@ -131,10 +131,9 @@ def test_trace_rejects_bad_steering(gamma2_zero):
     for t_stop in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             trace_causal_curve(gamma2_zero, start, t_stop=t_stop)
-    with pytest.raises(ValueError):
-        trace_causal_curve(gamma2_zero, start, t_stop=1.0, max_steps=0)
-    with pytest.raises(GeometryError, match="exhausted"):
-        trace_causal_curve(gamma2_zero, start, t_stop=1.0, max_steps=2)
+    monkeypatch.setattr(causality, "_MAX_STEPS", 2)
+    with pytest.raises(GeometryError, match="exhausted 2 steps"):
+        trace_causal_curve(gamma2_zero, start, t_stop=1.0)
 
 
 def test_trace_axis(gamma2_zero):
@@ -358,7 +357,7 @@ def test_cauchy_time_report_matches_pinned_totals_at_bench_size(request, fixture
 
 def test_short_backward_step_is_not_causal(gamma2_deformed):
     # A clipped step of length ~2e-6 that goes back in t: an absolute band of
-    # 1e-9 on Q(v) accepted it, and the report passed on a non-monotone curve.
+    # 1e-9 on Q(v) accepted it, and the report failed on the non-monotone curve.
     start = (1.4034952877835, [2.618532795559725e-06, 0.2345130128195352, 0.7654843686476691])
     end = (1.403495283932287, [0.0, 0.23451379787272328, 0.7654862021272766])
     assert not segment_is_causal(gamma2_deformed, 1, start, end)
@@ -497,9 +496,9 @@ def test_clip_to_chart_matches_scalar_reference():
     assert outcomes == {"unusable", "crossed", "inside"}
 
 
-def _sequential_trace(st_, start, t_stop, seed, alpha_step=0.4, cone_margin=1e-6,
-                      band=1e-9):
+def _sequential_trace(st_, start, t_stop, seed):
     """Reference: the one-proposal-at-a-time random tracer, scalar throughout."""
+    alpha_step, cone_margin, band = 0.4, 1e-6, 1e-9
     rng = np.random.default_rng(seed)
     nodes, rejected, cur = [CurveNode(start)], 0, start
     t_step = max((t_stop - cur.t) / 50.0, 1e-3)
@@ -564,17 +563,6 @@ def test_trace_matches_sequential_reference(gamma2_deformed, torus_zero):
             assert curve.rejected_proposals == rejected
             transitions += sum(n.transition for n in nodes)
     assert transitions > 0
-
-
-def test_trace_matches_sequential_reference_below_scale_floor(torus_deformed):
-    # alpha_step < 0.02/3 caps the adaptive scale below its 0.02 floor, which
-    # only rejected proposals apply
-    for seed in range(2):
-        start = ChartPoint(seed, 0.2, np.array([0.5, 0.3, 0.2]))
-        nodes, rejected = _sequential_trace(torus_deformed, start, 3.0, seed, alpha_step=0.005)
-        curve = trace_causal_curve(torus_deformed, start, t_stop=3.0, seed=seed, alpha_step=0.005)
-        assert [n.to_json() for n in curve.nodes] == [n.to_json() for n in nodes]
-        assert curve.rejected_proposals == rejected
 
 
 def test_face_mismatch_is_caught(gamma2_zero):
@@ -730,9 +718,9 @@ def test_kernel_tangents_match_dev_hat_jacobians(request, fixture):
         assert np.all(np.abs(v[m] - (jac @ step[m][:, :, None])[..., 0]) <= 1e-12 * scale)
 
 
-def _unpruned(st_, simplex, t0, a0, t1, a1, band, margin, samples=3):
+def _unpruned(st_, simplex, t0, a0, t1, a1, margin):
     """Every sample of every segment evaluated, as before the start-sample pruning."""
-    s = np.linspace(0.0, 1.0, samples)
+    s = np.linspace(0.0, 1.0, 3)
     dt, d = t1 - t0, a1 - a0
     ts = t0[..., None] + s * dt[..., None]
     alphas = a0[..., None, :] + s[:, None] * d[..., None, :]
@@ -740,7 +728,7 @@ def _unpruned(st_, simplex, t0, a0, t1, a1, band, margin, samples=3):
                                     st_.blend),
                   dt[..., None], d[..., None, 1:])
     ok = ((dt != 0) | np.any(d[..., 1:] != 0, axis=-1)) & ~np.any(ts <= 0, axis=-1)
-    return ok & np.all(_future_causal(v, band, margin), axis=-1), _future_causal(v, band, margin)
+    return ok & np.all(_future_causal(v, margin), axis=-1), _future_causal(v, margin)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -761,18 +749,17 @@ def test_kernel_broadcast_start_and_pruning_keep_decisions(request, fixture):
     a1 = a0 + np.stack([-da[..., 0] - da[..., 1], da[..., 0], da[..., 1]], axis=-1)
     t1, _, _, _ = _clip_to_chart(np.broadcast_to(t0, dt.shape), dt,
                                  np.broadcast_to(a0, a1.shape), a1)
-    for band, margin in ((1e-9, 1e-6), (1e-9, 0.0)):
-        got = _segments_are_causal(st_, simplex[:, None], t0, a0, t1, a1,
-                                   band=band, margin=margin)
+    for margin in (1e-6, 0.0):
+        got = _segments_are_causal(st_, simplex[:, None], t0, a0, t1, a1, margin=margin)
         # the same start repeated per proposal: the same bits
         rep = [np.repeat(x, 8, axis=1) for x in (simplex[:, None], t0, a0)]
         assert np.array_equal(got, _segments_are_causal(st_, rep[0], rep[1], rep[2],
-                                                        t1, a1, band=band, margin=margin))
+                                                        t1, a1, margin=margin))
         v_start = _tangents(jacobians(simplex[:, None], t0, a0), t1 - t0, (a1 - a0)[..., 1:])
         v_rep = _tangents(jacobians(*rep), t1 - t0, (a1 - a0)[..., 1:])
         assert v_start.tobytes() == v_rep.tobytes()
         # pruning after the start sample decides as testing every sample does
-        expect, per_sample = _unpruned(st_, simplex[:, None], t0, a0, t1, a1, band, margin)
+        expect, per_sample = _unpruned(st_, simplex[:, None], t0, a0, t1, a1, margin)
         assert np.array_equal(got, expect)
         start_only = per_sample[..., 0] & ~per_sample[..., 1:].all(axis=-1)
         assert got.any() and (~per_sample[..., 0]).any() and start_only.any()

@@ -643,12 +643,18 @@ def test_mesh_json_output(bundle_path, tmp_path):
     assert len(payload["faces"]) == report["faces"]
 
 
-def test_mesh_requires_leaves(bundle_path, tmp_path):
-    code, _, stderr = run_cli(
-        ["mesh", str(bundle_path), "--leaves", ",", "--out", str(tmp_path / "m.obj")]
-    )
-    assert code == 2
-    assert "leaf" in json.loads(stderr)["message"]
+def test_mesh_requires_leaves(bundle_path, tmp_path, monkeypatch):
+    def load(path):
+        raise AssertionError("the bundle was loaded before --leaves was checked")
+    monkeypatch.setattr("btzgeo.cli._load_bundle", load)
+    out = tmp_path / "m.obj"
+    for leaves in (",", "a,1", ""):
+        code, stdout, stderr = run_cli(["mesh", str(bundle_path), "--leaves", leaves,
+                                        "--out", str(out)])
+        assert code == 2 and stdout == "" and not out.exists()
+        error = json.loads(stderr)
+        assert error["error"] == "ValueError"
+        assert error["message"] == f"--leaves: leaves expects tuple[float, ...], got {leaves!r}"
 
 
 def test_mesh_rejects_non_finite_leaves(bundle_path, tmp_path):

@@ -150,7 +150,7 @@ def test_extend_compact_spacelike_margin():
 
 def test_extend_compact_exhaustion():
     with pytest.raises(MSearchExhausted):
-        extend_compact(BoundaryProfile(R=1.0, sin=(0.3,)), margin=1e12, max_doublings=3)
+        extend_compact(BoundaryProfile(R=1.0, sin=(0.3,)), margin=1e15)
 
 
 def test_surface_graph_validation():
