@@ -122,6 +122,14 @@ def _coerce(field: dataclasses.Field, raw: str, where: str):
     raise ValueError(f"{where}: {field.name} expects {field.type}, got {raw!r}")
 
 
+def _with_flag(cfg: RunConfig, flag: str, **change) -> RunConfig:
+    """cfg with the fields that a command line flag sets; a range error names the flag."""
+    try:
+        return dataclasses.replace(cfg, **change)
+    except ValueError as e:
+        raise ValueError(f"{flag}: {e}") from None
+
+
 def load_config(path: str | None, seed: int | None = None,
                 normalize_theta: bool = False) -> RunConfig:
     """Parse a flat key=value file (# comments allowed) into a RunConfig.
@@ -148,7 +156,7 @@ def load_config(path: str | None, seed: int | None = None,
         key = next((k for k in re.findall(r"\w+", str(e)) if k in lines), None)
         raise ValueError(f"{path}:{lines[key]}: {e}" if key else str(e)) from None
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+        cfg = _with_flag(cfg, "--seed", seed=seed)
     if normalize_theta:
         cfg = dataclasses.replace(cfg, normalize_theta=True)
     return cfg
@@ -327,7 +335,7 @@ def causal_report(cfg: RunConfig, st: PolyhedralSpacetime, bundle_path: str):
 def cmd_causal(args) -> int:
     cfg = load_config(args.config, args.seed)
     if args.curves is not None:
-        cfg = dataclasses.replace(cfg, n_curves=args.curves)
+        cfg = _with_flag(cfg, "--curves", n_curves=args.curves)
     st = _load_bundle(args.bundle)
     return _emit(*causal_report(cfg, st, args.bundle), args.out)
 
@@ -353,9 +361,10 @@ def mesh_report(cfg: RunConfig, st: PolyhedralSpacetime, bundle_path: str, out: 
 def cmd_mesh(args) -> int:
     cfg = load_config(args.config, args.seed)
     if args.leaves is not None:
-        cfg = dataclasses.replace(cfg, leaves=_coerce(_FIELDS["leaves"], args.leaves, "--leaves"))
+        cfg = _with_flag(cfg, "--leaves",
+                         leaves=_coerce(_FIELDS["leaves"], args.leaves, "--leaves"))
     if args.resolution is not None:
-        cfg = dataclasses.replace(cfg, resolution=args.resolution)
+        cfg = _with_flag(cfg, "--resolution", resolution=args.resolution)
     st = _load_bundle(args.bundle)
     return _emit(*mesh_report(cfg, st, args.bundle, args.out), None)
 

@@ -21,17 +21,22 @@ from btzgeo.builder import (
     NonMonotoneAngles,
     PolyhedralSpacetime,
     SpearNotFound,
+    _certify_once,
+    _det3,
+    _gram_min_eig,
     _in_fan_prisms,
     barycentric_grid,
     build,
     choose_kappa,
     decorate_charts,
+    decorate_vertices,
     dev_hat,
     dev_hat_jacobians,
     dev_hat_points,
     export_mesh,
     find_spear,
     extend_btz,
+    gluing_isometries,
     leaf_gram,
     mesh_data,
     p_map,
@@ -42,7 +47,11 @@ from btzgeo.builder import (
 )
 from btzgeo.minkowski import causal_class, CausalClass, minkowski_inner
 from btzgeo.models import TWO_PI, axis_deck_generator, parabolic_parameter
-from btzgeo.representations import NotAdmissible
+from btzgeo.representations import (
+    NotAdmissible,
+    cocycle_from_tangent_vector,
+    tangent_cocycle_basis,
+)
 from btzgeo.serialize import canonical_dumps
 
 
@@ -356,6 +365,118 @@ def test_kappa_failure_names_lowest_jacobian_sample():
     dets = np.linalg.det(dev_hat_jacobians(*charts, 0, ts, alphas, 2.0, HexagonBlend()))
     t, a = samples[int(np.argmin(dets))]
     assert f"worst sample ('jacobian', 0, {t!r}, {a!r})" in str(exc.value)
+
+
+def _certify_once_per_sample(charts, blend, kappa, t_values, grid, margin):
+    """_certify_once as it was before the screened pass: the Jacobian of every
+    chart x t x grid sample, each blended and given to LAPACK."""
+    ts = np.repeat(t_values, len(grid))
+    alphas = np.tile(grid, (len(t_values), 1))
+    simplex = np.arange(len(charts[0]))[:, None]
+    dets = np.linalg.det(dev_hat_jacobians(*charts, simplex, ts, alphas, kappa, blend))
+    eigs = _gram_min_eig(leaf_gram(*charts, t_values, kappa))
+    min_det, min_eig = float(dets.min()), float(eigs.min())
+    worst = None
+    if min_det <= margin:
+        s, k = np.unravel_index(np.argmin(dets), dets.shape)
+        worst = ("jacobian", int(s), float(ts[k]), tuple(alphas[k].tolist()))
+    elif min_eig <= margin:
+        s, k = np.unravel_index(np.argmin(eigs), eigs.shape)
+        worst = ("gram", int(s), float(t_values[k]))
+    return min_det > margin and min_eig > margin, {
+        "samples": dets.size,
+        "min_jacobian_det": min_det,
+        "min_gram_eigenvalue": min_eig,
+        "worst": worst,
+    }
+
+
+def _pass_samples(cfg):
+    """The t values and alpha grid that choose_kappa samples under cfg."""
+    return np.geomspace(cfg.t_min, cfg.t_max, cfg.t_count), barycentric_grid(cfg.bary_n)
+
+
+def _sweep_charts(examples, rng, n):
+    """Stacked charts of n seeded inputs drawn as the build_sweep benchmark draws
+    them: either builtin, with a coboundary, deformed(s) or a unit tangent-basis
+    cocycle, s log-uniform in [0.1, 100]."""
+    for k in range(n):
+        ex = examples[("gamma2", "punctured_torus")[k % 2]]
+        rep0 = ex.representation
+        scale = float(np.exp(rng.uniform(math.log(0.1), math.log(100.0))))
+        kind = k // 2 % 3
+        if kind == 0:
+            v = rng.normal(size=3)
+            v *= 0.25 * scale / np.linalg.norm(v)
+            rep = rep0.with_translations({g: v - lin.matrix @ v for g, lin in rep0.linear.items()})
+        elif kind == 1:
+            rep = ex.deformed(scale)
+        else:
+            basis = tangent_cocycle_basis(rep0)
+            c = rng.normal(size=len(basis))
+            c /= np.linalg.norm(c)
+            rep = rep0.with_translations(cocycle_from_tangent_vector(
+                rep0, {g: 0.25 * scale * sum(ci * b[g] for ci, b in zip(c, basis))
+                       for g in basis[0]}))
+        dec_u, dec_p, _ = decorate_vertices(rep, ex.triangulation,
+                                            gluing_isometries(rep, ex.triangulation))
+        yield decorate_charts(ex.triangulation.triangles, dec_u, dec_p)
+
+
+def test_screened_pass_equals_per_sample_pass(examples):
+    # certified, failing and far-failing kappas, and p x 40, which moves the
+    # minimum off the corner plateaus: the same (ok, stats), worst samples included
+    cfg, blend = BuildSettings(), HexagonBlend()
+    t_values, grid = _pass_samples(cfg)
+    worst = []
+    for u, p in _sweep_charts(examples, np.random.default_rng(31), 12):
+        for charts in ((u, p), (u, 40.0 * p)):
+            kappa = choose_kappa(charts, blend, cfg).kappa
+            for k in (kappa, 0.5 * kappa, 1e-3):
+                got = _certify_once(charts, blend, k, t_values, grid, cfg.margin)
+                assert got == _certify_once_per_sample(charts, blend, k, t_values, grid,
+                                                       cfg.margin)
+                worst.append(got[1]["worst"])
+    jacobian = [w for w in worst if w is not None and w[0] == "jacobian"]
+    assert len(jacobian) >= 24
+    assert any(max(w[3]) < blend.threshold for w in jacobian)  # off the plateaus
+
+
+def test_screen_window_keeps_near_ties():
+    # the corner plateaus of a symmetric chart share one determinant; with 1e-16
+    # noise in p they differ by rounding, where the cofactor screen and LAPACK
+    # can rank them differently, and LAPACK's ranking names the worst sample
+    cfg, blend = BuildSettings(), HexagonBlend()
+    t_values, grid = _pass_samples(cfg)
+    rng = np.random.default_rng(32)
+    reranked = 0
+    for _ in range(40):
+        theta = rng.uniform(0.0, 2 * math.pi)
+        u = np.array([[[1.0, math.cos(a + theta), math.sin(a + theta)]
+                       for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]])
+        charts = (u, 1e-16 * rng.normal(size=(1, 3, 3)))
+        jac = dev_hat_jacobians(*charts, np.zeros((1, 1, 1), int), t_values[:, None], grid,
+                                1.0, blend)
+        reranked += np.argmin(np.linalg.det(jac)) != np.argmin(_det3(jac))
+        assert _certify_once(charts, blend, 1.0, t_values, grid, 1e9) == (
+            _certify_once_per_sample(charts, blend, 1.0, t_values, grid, 1e9))
+    assert reranked > 0
+
+
+def test_non_finite_sample_fails_the_pass(gamma2_zero):
+    u, p = gamma2_zero.charts
+    p = p.copy()
+    p[1, 2] = np.nan
+    cfg, blend = BuildSettings(max_doublings=2), HexagonBlend()
+    t_values, grid = _pass_samples(cfg)
+    got = _certify_once((u, p), blend, gamma2_zero.kappa, t_values, grid, cfg.margin)
+    assert not got[0] and math.isnan(got[1]["min_jacobian_det"])
+    with np.errstate(invalid="ignore"):
+        want = _certify_once_per_sample((u, p), blend, gamma2_zero.kappa, t_values, grid,
+                                        cfg.margin)
+    assert repr(got) == repr(want)
+    with pytest.raises(KappaSearchExhausted, match="no kappa certified after 2 doublings"):
+        choose_kappa((u, p), blend, cfg)
 
 
 def test_build_gamma2(gamma2_zero):

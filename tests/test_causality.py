@@ -674,12 +674,15 @@ def test_stacked_kernels_bit_equal_to_per_simplex_kernels(request, fixture):
     rng = np.random.default_rng(23)
     simplex, t, alpha = _kernel_points(st_, rng)
     n, lanes = len(t), 12
+    charts = np.arange(len(u))
     cases = [
         (simplex, t, alpha),  # simplex (n,)
-        (np.arange(len(u))[:, None], t, alpha),  # (S, 1) against the whole grid
+        (charts[:, None], t, alpha),  # (S, 1) against the whole grid
         # (L, 1) against (L, 8): one start per lane, 8 proposals each
         (simplex[:lanes, None], t[:lanes, None] + rng.uniform(0.0, 1.0, size=(lanes, 8)),
          alpha[rng.integers(n, size=(lanes, 8))]),
+        # (S, 1, 1) x (T, 1) x (G, 3): t widens the batch, as in certification
+        (charts[:, None, None], t[:lanes, None], alpha),
     ]
     for sim, ts, alphas in cases:
         for kernel, reference in ((dev_hat_points, _per_simplex_points),
@@ -691,6 +694,12 @@ def test_stacked_kernels_bit_equal_to_per_simplex_kernels(request, fixture):
         dets = np.linalg.det(dev_hat_jacobians(u, p, sim, ts, alphas, st_.kappa, st_.blend))
         assert dets.tobytes() == np.linalg.det(
             _one_chart_at_a_time(_per_simplex_jacobians, st_, sim, ts, alphas)).tobytes()
+    # the broadcast call has the bytes of the flat call on repeated t and tiled alpha
+    wide = dev_hat_jacobians(u, p, charts[:, None, None], t[:lanes, None], alpha, st_.kappa,
+                             st_.blend)
+    flat = dev_hat_jacobians(u, p, charts[:, None], np.repeat(t[:lanes], n),
+                             np.tile(alpha, (lanes, 1)), st_.kappa, st_.blend)
+    assert np.ascontiguousarray(wide).tobytes() == np.ascontiguousarray(flat).tobytes()
     # simplex (): one point of one chart
     for k in range(0, n, 7):
         args = (int(simplex[k]), float(t[k]), alpha[k])

@@ -268,6 +268,19 @@ def test_causal_rejects_bad_curve_count(bundle_path):
     assert "curves" in json.loads(stderr)["message"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mesh", "--leaves=-1"], "--leaves: leaves must be finite and > 0, got (-1.0,)"),
+    (["mesh", "--resolution", "0"], "--resolution: resolution must be >= 1"),
+    (["causal", "--curves", "0"], "--curves: n_curves must be >= 1"),
+    (["causal", "--seed", "-1"], "--seed: seed must be >= 0"),
+])
+def test_flag_range_errors_name_the_flag(bundle_path, tmp_path, argv, message):
+    out = tmp_path / "out.obj"
+    code, stdout, stderr = run_cli([argv[0], str(bundle_path), *argv[1:], "--out", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    assert json.loads(stderr)["message"] == message
+
+
 def test_surgery_complete(bundle_path, profile_path, tmp_path):
     out_file = tmp_path / "surgery.json"
     code, stdout, _ = run_cli(
