@@ -15,8 +15,8 @@ Around each puncture the charts assemble into a fan of half-planes attached
 to a lightlike axis; walking the fan gives strictly increasing angles whose
 period Theta is the rotational part of the peripheral holonomy.  A spear
 neighborhood (cone head plus cylindrical shaft around the axis) is certified
-inside the fan by sampled prism membership, which is what licenses detaching
-and re-attaching the singular fibers.
+inside the fan prisms in closed form, one prism solve per fan window, which is
+what licenses detaching and re-attaching the singular fibers.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class NonMonotoneAngles(GeometryError):
 
 
 class SpearNotFound(GeometryError):
-    """No sampled radius gave a spear inside the chart fan."""
+    """A fan window breaks the sign conditions of a spear inside its prism."""
 
 
 def as_barycentric(alpha, tol: float = 1e-12) -> np.ndarray:
@@ -258,9 +258,8 @@ def _gram_min_eig(g: np.ndarray) -> np.ndarray:
 class BuildSettings(JsonRecord):
     """Sampling and tolerance knobs; defaults meet the certification contracts.
 
-    Every certificate must rest on a non-empty sample set, so counts are
-    >= 1, spear_max_shrinks >= 0, tolerances finite and > 0 and t_min < t_max;
-    anything else is a ValueError.
+    Every certificate must rest on a non-empty sample set, so counts are >= 1,
+    tolerances finite and > 0 and t_min < t_max; anything else is a ValueError.
     """
 
     margin: float = 1e-6
@@ -273,17 +272,11 @@ class BuildSettings(JsonRecord):
     equiv_edge_count: int = 10
     equiv_tol: float = 1e-8
     fan_tol: float = 1e-8
-    spear_max_shrinks: int = 25
-    spear_r_samples: int = 10
-    spear_theta_samples: int = 16
     with_spears: bool = True
 
     # range rules; subclasses with more keys extend these tuples
     _POSITIVE = ("margin", "t_min", "t_max", "equiv_tol", "fan_tol")
-    _COUNTS = (
-        "max_doublings", "t_count", "bary_n", "equiv_t_count",
-        "equiv_edge_count", "spear_r_samples", "spear_theta_samples",
-    )
+    _COUNTS = ("max_doublings", "t_count", "bary_n", "equiv_t_count", "equiv_edge_count")
 
     def __post_init__(self):
         for name in self._POSITIVE:
@@ -293,8 +286,6 @@ class BuildSettings(JsonRecord):
         for name in self._COUNTS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.spear_max_shrinks < 0:
-            raise ValueError("spear_max_shrinks must be >= 0")
         if self.t_min >= self.t_max:
             raise ValueError("t_min must be < t_max")
 
@@ -497,7 +488,8 @@ class SpearDescriptor(JsonRecord):
 
     The vertex sits on the axis; the head is the cone piece
     tau = vertex_tau + r/2 over 0 < r < R, the shaft is the cylinder r = R
-    from tau = vertex_tau + R/2 upward.
+    from tau = vertex_tau + R/2 upward.  R is 0.99 times the exact largest radius
+    in the fan prisms (find_spear); ``samples`` counts its prism solves, 3 per window.
     """
 
     puncture: str
@@ -905,42 +897,49 @@ def _in_fan_prisms(pg: PunctureGeometry, x: np.ndarray) -> tuple[np.ndarray, np.
     return inside, np.column_stack([np.where(front, n, -1), tab])
 
 
-def find_spear(st: PolyhedralSpacetime, puncture: str) -> SpearDescriptor:
-    """Halving search for a spear radius certified by boundary-sample membership.
+SPEAR_FACTOR = 0.99  # the recorded spear radius over R*; the rest covers rounding
 
-    The vertex is pinned at the developed start of the fiber (normalized
-    tau = ell_norm * kappa on the axis).  Head samples cover the cone piece,
-    shaft samples cover the base ring; points further up the shaft stay inside
-    because prisms are closed under adding positive multiples of the axis
-    direction.  One radius is one array of samples ordered by radius, then
-    angle, then height; a failure reports the first sample outside.
+
+def find_spear(st: PolyhedralSpacetime, puncture: str) -> SpearDescriptor:
+    """The spear of radius SPEAR_FACTOR * R*, R* the exact largest radius whose
+    head cone lies in the fan prisms at every angle.
+
+    The vertex is the developed start of the fiber (tau = kappa / ell).  On the
+    head cone tau = vertex_tau + r/2 the prism coordinates (t, a, b) at angle
+    theta are r B(theta), B quadratic on each fan window (so is dev0; the deck
+    shift and the prism solve are linear), fitted from one _in_fan_prisms call
+    at r = 1 and 3 angles per window; ``samples`` counts them.  Where t > 0,
+    a >= 0 and b >= 0 (in the band _in_fan_prisms uses) at the window ends and
+    the quadratics' vertices, they hold on the closed window, and a + b <= 1/3
+    for r <= R* = 1 / (3 max (B_a + B_b)).  The rest of the spear is head-cone
+    points plus positive multiples of the axis direction, which keep prism
+    points inside.  A sample in another window (the fit keeps its index exact)
+    or a broken sign condition raises SpearNotFound naming its (tau, r, theta)
+    and (window, t, a, b).
     """
     pg = st.fans[puncture]
-    vertex_tau = radius = TWO_PI / pg.Theta * st.kappa
-    n_r = st.settings.spear_r_samples
-    n_th = st.settings.spear_theta_samples
-    thetas = pg.theta[0] / pg.ell + TWO_PI * (np.arange(n_th) + 0.5) / n_th
-    failure = None
-    for _ in range(st.settings.spear_max_shrinks + 1):
-        # the head cone over radii radius k / n_r, k < n_r, then at r = radius
-        # the ring and a shaft point above it
-        head = np.arange(1.0, n_r) / n_r * radius
-        ring = [(vertex_tau + 0.5 * radius, radius), (vertex_tau + 0.75 * radius, radius)]
-        pts = np.vstack([
-            np.column_stack([np.repeat(vertex_tau + 0.5 * head, n_th),
-                             np.repeat(head, n_th), np.tile(thetas, n_r - 1)]),
-            np.column_stack([np.tile(ring, (n_th, 1)), np.repeat(thetas, 2)]),
-        ])
-        inside, info = _in_fan_prisms(pg, model_to_minkowski(pg, pts))
-        if inside.all():
-            return SpearDescriptor(puncture, vertex_tau, radius, pg.ell, samples=len(pts))
-        first = int(np.argmin(inside))
-        failure = (tuple(pts[first].tolist()), tuple(info[first].tolist()))
-        radius *= 0.5
-    raise SpearNotFound(
-        f"no spear radius certified around {puncture}; last failure at "
-        f"(tau, r, theta) = {failure[0]}, (window, t, a, b) = {failure[1]}"
-    )
+    vertex_tau = TWO_PI / pg.Theta * st.kappa
+    ends = np.array(pg.theta[: pg.r + 1]) / pg.ell
+    mid, width = 0.5 * (ends[:-1] + ends[1:])[:, None], np.diff(ends)[:, None]
+    u = np.broadcast_to([-0.25, 0.0, 0.25], (pg.r, 3))
+    pts = np.stack(np.broadcast_arrays(vertex_tau + 0.5, 1.0, mid + width * u), axis=-1)
+    _, info = _in_fan_prisms(pg, model_to_minkowski(pg, pts.reshape(-1, 3)))
+    b1, b2, b3 = info.reshape(pg.r, 3, 4).swapaxes(0, 1)
+    # (window, t, a, b) = c0 + c1 u + c2 u^2, u = (theta - mid) / width in [-1/2, 1/2]
+    c0, c1, c2 = b2, 2.0 * (b3 - b1), 8.0 * (b1 - 2.0 * b2 + b3)
+    q1, q2 = (np.column_stack([c[:, 1:], c[:, 2] + c[:, 3]]) for c in (c1, c2))
+    vertex = np.divide(-q1, 2.0 * q2, out=np.full_like(q1, 0.5), where=q2 != 0.0)
+    u = np.hstack([u, np.full((pg.r, 2), [-0.5, 0.5]), np.clip(vertex, -0.5, 0.5)])
+    tab = c0[:, None] + (c1[:, None] + c2[:, None] * u[..., None]) * u[..., None]
+    window, t, a, b = np.moveaxis(tab, -1, 0)
+    ok = (window == np.arange(pg.r)[:, None]) & (t > 1e-12) & (a >= -1e-9) & (b >= -1e-9)
+    if not ok.all():
+        n, k = np.argwhere(~ok)[0]
+        raise SpearNotFound(f"no spear radius certified around {puncture}: at (tau, r, theta) = "
+                            f"{(vertex_tau + 0.5, 1.0, float(mid[n, 0] + u[n, k] * width[n, 0]))}, "
+                            f"(window, t, a, b) = {tuple(tab[n, k].tolist())}")
+    return SpearDescriptor(puncture, vertex_tau, float(SPEAR_FACTOR / (3.0 * (a + b).max())),
+                           pg.ell, samples=3 * pg.r)
 
 
 def strip_btz(st: PolyhedralSpacetime) -> PolyhedralSpacetime:

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+import btzgeo.builder as builder_module
 from btzgeo.builder import (
     BuildSettings,
     DegenerateDecoration,
     HexagonBlend,
     KappaSearchExhausted,
     NonMonotoneAngles,
+    SPEAR_FACTOR,
     PolyhedralSpacetime,
     SpearNotFound,
     _certify_once,
@@ -396,10 +398,10 @@ def _pass_samples(cfg):
     return np.geomspace(cfg.t_min, cfg.t_max, cfg.t_count), barycentric_grid(cfg.bary_n)
 
 
-def _sweep_charts(examples, rng, n):
-    """Stacked charts of n seeded inputs drawn as the build_sweep benchmark draws
-    them: either builtin, with a coboundary, deformed(s) or a unit tangent-basis
-    cocycle, s log-uniform in [0.1, 100]."""
+def _sweep_inputs(examples, rng, n):
+    """n seeded (representation, example) pairs drawn as the build_sweep benchmark
+    draws them: either builtin, with a coboundary, deformed(s) or a unit
+    tangent-basis cocycle, s log-uniform in [0.1, 100]."""
     for k in range(n):
         ex = examples[("gamma2", "punctured_torus")[k % 2]]
         rep0 = ex.representation
@@ -418,6 +420,12 @@ def _sweep_charts(examples, rng, n):
             rep = rep0.with_translations(cocycle_from_tangent_vector(
                 rep0, {g: 0.25 * scale * sum(ci * b[g] for ci, b in zip(c, basis))
                        for g in basis[0]}))
+        yield rep, ex
+
+
+def _sweep_charts(examples, rng, n):
+    """Stacked charts of n seeded inputs drawn by _sweep_inputs."""
+    for rep, ex in _sweep_inputs(examples, rng, n):
         dec_u, dec_p, _ = decorate_vertices(rep, ex.triangulation,
                                             gluing_isometries(rep, ex.triangulation))
         yield decorate_charts(ex.triangulation.triangles, dec_u, dec_p)
@@ -561,21 +569,21 @@ def test_spears(gamma2_zero, torus_deformed):
             assert not sp.contains((sp.vertex_tau + 10.0, 2 * sp.radius, 0.0))
 
 
-# Spear descriptors of the reference builds, recorded from the scalar search
-# that tested one sample at a time: (puncture, vertex_tau, radius, ell).
+# Spear descriptors of the reference builds, recorded from the closed-form
+# spear: (puncture, vertex_tau, radius, ell, samples = 3 per fan window).
 REFERENCE_SPEARS = {
     "gamma2_zero": [
-        ("c1", 3.141592653589793, 0.09817477042468103, 0.3183098861837907),
-        ("c2", 3.141592653589798, 0.09817477042468119, 0.3183098861837902),
-        ("c3", 1.5707963267948941, 0.19634954084936176, 0.6366197723675824),
+        ("c1", 3.141592653589793, 0.10504226244065072, 0.3183098861837907, 6),
+        ("c2", 3.141592653589798, 0.10504226244065083, 0.3183098861837902, 6),
+        ("c3", 1.5707963267948941, 0.21008452488130178, 0.6366197723675824, 6),
     ],
     "gamma2_deformed": [
-        ("c1", 3.4969934454562788, 0.10928104517050871, 0.31830988618379064),
-        ("c2", 3.4969934454562845, 0.10928104517050889, 0.31830988618379),
-        ("c3", 1.7484967227281354, 0.21856209034101692, 0.6366197723675826),
+        ("c1", 3.4969934454562788, 0.11515940117573126, 0.31830988618379064, 6),
+        ("c2", 3.4969934454562845, 0.1151594011757313, 0.31830988618379, 6),
+        ("c3", 1.7484967227281354, 0.23320720307244605, 0.6366197723675826, 6),
     ],
-    "torus_zero": [("c1", 1.0471975511965974, 0.5235987755982987, 0.9549296585513724)],
-    "torus_deformed": [("c1", 1.1916867453973128, 0.5958433726986564, 0.9549296585513715)],
+    "torus_zero": [("c1", 1.0471975511965974, 0.6302535746438991, 0.9549296585513724, 18)],
+    "torus_deformed": [("c1", 1.1916867453973128, 0.7086013449974533, 0.9549296585513715, 18)],
 }
 
 
@@ -608,11 +616,11 @@ def test_reference_spears_are_pinned(fixture, request):
     want = {
         name: {
             "puncture": name, "vertex_tau": tau, "radius": radius, "ell": ell,
-            "samples": 176, "ring_tau": tau + 0.5 * radius,
+            "samples": samples, "ring_tau": tau + 0.5 * radius,
             "head": "tau = vertex_tau + r/2 for 0 < r < radius",
             "shaft": "r = radius, tau >= ring_tau",
         }
-        for name, tau, radius, ell in REFERENCE_SPEARS[fixture]
+        for name, tau, radius, ell, samples in REFERENCE_SPEARS[fixture]
     }
     assert {k: sp.to_json() for k, sp in st_.spears.items()} == want
 
@@ -659,12 +667,11 @@ def test_fan_prisms_match_one_point_reference(fixture, request):
         np.testing.assert_allclose(info, [r for _, r in ref], rtol=1e-12, atol=1e-12)
 
 
-def test_spear_samples_count_head_and_shaft(gamma2_zero):
-    # (n_r - 1) head radii at one height, the ring radius at two, per angle
-    st_ = replace(gamma2_zero, settings=replace(
-        gamma2_zero.settings, spear_r_samples=3, spear_theta_samples=5
-    ))
-    assert find_spear(st_, "c1").samples == 20
+def test_spear_samples_count_three_points_per_window(gamma2_zero, torus_zero):
+    for st_ in (gamma2_zero, torus_zero):
+        for name, sp in st_.spears.items():
+            assert sp.samples == 3 * st_.fans[name].r
+            assert type(sp.radius) is float
 
 
 def test_spear_search_treats_singular_prism_as_outside(gamma2_zero):
@@ -692,12 +699,96 @@ def test_model_to_minkowski_array_matches_rows(gamma2_deformed):
 def test_spear_search_fails_on_broken_fan(gamma2_zero):
     pg = gamma2_zero.fans["c1"]
     broken = replace(pg, anchor=pg.anchor + np.array([0.0, 100.0, 0.0]))
-    st_ = replace(
-        gamma2_zero, settings=replace(gamma2_zero.settings, spear_max_shrinks=5),
-        fans={**gamma2_zero.fans, "c1": broken},
-    )
+    st_ = replace(gamma2_zero, fans={**gamma2_zero.fans, "c1": broken})
     with pytest.raises(SpearNotFound):
         find_spear(st_, "c1")
+
+
+def _ring_inside(st_, name, radius, n=2880):
+    """Fan-prism membership of n angles on the head-cone ring of a spear at radius."""
+    pg, sp = st_.fans[name], st_.spears[name]
+    theta = pg.theta[0] / pg.ell + TWO_PI * (np.arange(n) + 0.5) / n
+    ring = np.column_stack([np.full(n, sp.vertex_tau + 0.5 * radius), np.full(n, radius), theta])
+    return _in_fan_prisms(pg, model_to_minkowski(pg, ring))[0]
+
+
+def _assert_spears_tight(st_):
+    # inside at every one of 2880 angles at the recorded radius, and outside
+    # somewhere 1% beyond the exact bound R* = radius / SPEAR_FACTOR
+    for name, sp in st_.spears.items():
+        assert _ring_inside(st_, name, sp.radius).all(), name
+        assert not _ring_inside(st_, name, 1.01 * sp.radius / SPEAR_FACTOR).all(), name
+
+
+@pytest.mark.parametrize("example", ["gamma2", "punctured_torus"])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 10.0, 25.0])
+def test_spear_ring_is_inside_at_every_angle(examples, example, scale):
+    ex = examples[example]
+    rep = ex.deformed(scale) if scale else ex.representation
+    _assert_spears_tight(build(rep, ex.triangulation))
+
+
+def test_spear_is_smaller_than_the_sampled_search_gave(examples):
+    # a 16-angle search certified radius 0.37583 around c1 of gamma2 at
+    # deformed(25); between its angles that ring leaves the fan prisms
+    ex = examples["gamma2"]
+    st_ = build(ex.deformed(25.0), ex.triangulation)
+    assert not _ring_inside(st_, "c1", 0.37583).all()
+    assert st_.spears["c1"].radius == pytest.approx(0.35797, abs=1e-5)
+
+
+def test_spear_ring_is_inside_on_sweep_inputs(examples):
+    for rep, ex in _sweep_inputs(examples, np.random.default_rng(17), 40):
+        _assert_spears_tight(build(rep, ex.triangulation))
+
+
+def _fake_prisms(rows):
+    """An _in_fan_prisms stand-in whose 3 samples in every window, in order, have
+    prism coordinates rows (3, 3) = (t, a, b) each."""
+    def prisms(pg, x):
+        window = np.repeat(np.arange(pg.r), 3)
+        return np.ones(len(x), bool), np.column_stack([window, np.tile(rows, (pg.r, 1))])
+    return prisms
+
+
+# samples at u = (theta - mid) / width = -1/4, 0, 1/4 of each window, and the
+# max (a + b) of their quadratics over -1/2 <= u <= 1/2
+@pytest.mark.parametrize("rows, peak", [
+    # linear a = 1/2 + u and constant t, b: the zero leading coefficients put
+    # the maximum at an end, with no RuntimeWarning
+    ([[1.0, 0.25, 0.25], [1.0, 0.5, 0.25], [1.0, 0.75, 0.25]], 1.25),
+    # a = 0.6 + 0.2 u - 0.8 u^2 peaks at u = 1/8, between the samples
+    ([[1.0, 0.5, 0.25], [1.0, 0.6, 0.25], [1.0, 0.6, 0.25]], 0.8625),
+])
+def test_spear_radius_is_the_quadratics_maximum(gamma2_zero, monkeypatch, rows, peak):
+    monkeypatch.setattr(builder_module, "_in_fan_prisms", _fake_prisms(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sp = find_spear(gamma2_zero, "c1")
+    assert sp.radius == pytest.approx(SPEAR_FACTOR / (3.0 * peak), rel=1e-12)
+
+
+def test_spear_fails_where_t_dips_between_samples(gamma2_zero, monkeypatch):
+    # t = 0.001 + 0.3 u + 1.984 u^2 is positive at the samples and the ends of
+    # the window, and negative at its vertex u = -0.0756
+    rows = [[0.05, 0.1, 0.1], [0.001, 0.1, 0.1], [0.2, 0.1, 0.1]]
+    monkeypatch.setattr(builder_module, "_in_fan_prisms", _fake_prisms(rows))
+    with pytest.raises(SpearNotFound, match=r"\(window, t, a, b\) = \(0\.0, -0\.010"):
+        find_spear(gamma2_zero, "c1")
+
+
+def test_spear_fails_on_a_sample_in_another_window(gamma2_zero, monkeypatch):
+    # the middle sample of window 0 reported behind the axis (window -1)
+    fake = _fake_prisms([[1.0, 0.1, 0.1]] * 3)
+
+    def behind(pg, x):
+        inside, info = fake(pg, x)
+        info[1, 0] = -1.0
+        return inside, info
+
+    monkeypatch.setattr(builder_module, "_in_fan_prisms", behind)
+    with pytest.raises(SpearNotFound, match=r"\(window, t, a, b\) = \(-1\.0, 1\.0, 0\.1, 0\.1\)"):
+        find_spear(gamma2_zero, "c1")
 
 
 def test_fan_walk_rejects_corrupt_decorations(gamma2_zero):
@@ -783,8 +874,8 @@ def test_bundle_kappa_must_match_its_certificate(gamma2_zero):
 @pytest.mark.parametrize(
     "bad",
     [
-        {"spear_r_samples": 0},
-        {"spear_max_shrinks": -1},
+        {"bary_n": 0},
+        {"equiv_t_count": 0},
         {"equiv_edge_count": 0},
         {"t_count": 0},
         {"margin": -1.0},

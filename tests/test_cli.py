@@ -144,13 +144,39 @@ def test_config_unknown_key(cli_dir, tmp_path):
 
 def test_config_range_rules_cover_build_keys(cli_dir, tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("spear_r_samples = 0\n")
+    cfg.write_text("t_count = 0\n")
     code, _, stderr = run_cli(
         ["build", str(cli_dir / "rep.json"), str(cli_dir / "tri.json"),
          "--config", str(cfg), "--out", str(tmp_path / "bundle.json")]
     )
     assert code == 2
-    assert "spear_r_samples" in json.loads(stderr)["message"]
+    assert "t_count" in json.loads(stderr)["message"]
+
+
+def test_config_refuses_removed_spear_keys(cli_dir, tmp_path):
+    # the spear radius is exact, so the keys that tuned its sampled search are gone
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("t_count = 12\nspear_r_samples = 10\n")
+    code, _, stderr = run_cli(
+        ["build", str(cli_dir / "rep.json"), str(cli_dir / "tri.json"),
+         "--config", str(cfg), "--out", str(tmp_path / "bundle.json")]
+    )
+    assert code == 2
+    assert json.loads(stderr)["message"] == f"{cfg}:2: unknown config key 'spear_r_samples'"
+
+
+def test_bundle_with_a_removed_settings_key_is_input_error(bundle_path, tmp_path):
+    bundle = json.loads(bundle_path.read_text())
+    bundle["settings"]["spear_max_shrinks"] = 25
+    bad = tmp_path / "old-bundle.json"
+    bad.write_text(canonical_dumps(bundle))
+    with pytest.raises(ValueError, match=r"^bundle\.settings\.spear_max_shrinks is not a known key"):
+        _load_bundle(str(bad))
+    code, _, stderr = run_cli(["causal", str(bad), "--curves", "1"])
+    assert code == 2
+    error = json.loads(stderr)
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith("bundle.settings.spear_max_shrinks ")
 
 
 def test_config_rejects_non_finite_values(cli_dir, tmp_path):
@@ -564,8 +590,7 @@ def test_mutated_inputs_exit_with_one_typed_error(cli_dir, tmp_path):
     # key or an unknown key exits 2.
     config = tmp_path / "fast.cfg"
     config.write_text("t_count=2\nbary_n=4\nequiv_t_count=2\nequiv_edge_count=2\n"
-                      "spear_r_samples=2\nspear_theta_samples=4\nsurgery_samples=50\n"
-                      "resolution=1\nleaves=1.0\n")
+                      "surgery_samples=50\nresolution=1\nleaves=1.0\n")
     fast = ["--config", str(config)]
     rep, tri, bundle = (tmp_path / name for name in ("rep.json", "tri.json", "bundle.json"))
     rep.write_bytes((cli_dir / "rep.json").read_bytes())
