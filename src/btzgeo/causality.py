@@ -24,12 +24,16 @@ build only dt > 0 proposals can be causal (t is a time function), so the
 monotonicity check in the report is a real assertion, not a tautology.
 
 Curves are traced in lockstep over arrays of live-curve state, compressed as
-curves finish.  One pass per step tests the 8 proposals of every live curve
-with builder's stacked chart kernel, the later samples only where the start
-passes; a start Jacobian is carried over from the accepted segment's last
-sample when that sample is the new start bit for bit, else evaluated afresh.
-One cross_face call moves every curve that ended on a face.  Each curve reads
-its own random stream in the order a one-curve trace reads it (3 doubles per
+curves finish.  A step tests the start sample of all 8 proposals of every live
+curve against the start Jacobians it carries.  One call of builder's stacked
+chart kernel then takes the later samples of each curve's first start-passing
+proposal and the starts of the next step; a second call, only for curves whose
+first one failed, takes their other start-passing proposals (_trace_lockstep).
+Every decision and carried Jacobian keeps the bits of testing each proposal in
+full and evaluating each start afresh.  Per step that is 1.09 kernel calls and
+4.4 points at 2 curves, 1.77 calls and 171 points at 100 curves.  One
+cross_face call moves every curve that ended on a face.  Each curve reads its
+own random stream in the order a one-curve trace reads it (3 doubles per
 proposal, proposals in order until the first accepted one), so a curve traced
 in a batch equals the same curve traced alone, node for node.
 """
@@ -182,35 +186,57 @@ def _future_causal(v: np.ndarray, margin: float) -> np.ndarray:
     return (v[..., 0] > 0) & (quadratic_form(v) <= bound)
 
 
-def _segments_are_causal(
-    st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: float = 0.0,
-    start=None, end_jacobians=None,
-) -> np.ndarray:
-    """Future-causal test for straight chart segments at sampled tangents.
+def _start_passes(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: float,
+                  start=None) -> np.ndarray:
+    """The start test of straight chart segments from (t0, a0) to (t1, a1).
 
-    Segments run from (t0, a0) to (t1, a1) in chart ``simplex``.  The end
-    arrays carry the batch shape; simplex and start arrays, and the start's
-    Jacobians ``start`` if the caller has them, broadcast against them, so a
-    start shared by many segments is passed once.  The later samples are
-    evaluated only where the start sample passes; all must pass.  A last
-    sample that is (t1, a1) bit for bit writes its Jacobians to ``end_jacobians``.
+    A segment passes when it moves, keeps t > 0 at every sample, and its
+    tangent is future causal at the start sample.  The end arrays carry the
+    batch shape; simplex and start arrays, and the start's Jacobians
+    ``start`` if the caller has them, broadcast against them.
     """
     dt, d = t1 - t0, a1 - a0
-    ts = t0[..., None] + _FRACTIONS * dt[..., None]
-    ok = ((dt != 0) | (d[..., 1:] != 0).any(axis=-1)) & ~(ts <= 0).any(axis=-1)
+    ok = (((dt != 0) | (d[..., 1:] != 0).any(axis=-1))
+          & ~(t0[..., None] + _FRACTIONS * dt[..., None] <= 0).any(axis=-1))
     if start is None:
         start = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa, st.blend)
-    ok &= _future_causal(_tangents(start, dt, d[..., 1:]), margin)
+    return ok & _future_causal(_tangents(start, dt, d[..., 1:]), margin)
+
+
+def _later_samples(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: float,
+                   extra=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The test at the later samples (all but the start) of segments (m,).
+
+    One kernel call evaluates those samples and the ``extra`` points, given
+    as groups of (simplex, t, alpha) arrays.  Returns whether each segment
+    is future causal at all its later samples (m,), the Jacobians at each
+    segment's last sample (m, 3, 3) and at the extra points, in group order.
+    """
+    dt, d = t1 - t0, a1 - a0
+    later = len(_FRACTIONS) - 1
+    points = [(np.repeat(simplex, later), (t0[:, None] + _FRACTIONS[1:] * dt[:, None]).ravel(),
+               (a0[:, None, :] + _FRACTIONS[1:, None] * d[:, None, :]).reshape(-1, 3)), *extra]
+    sx, ts, alphas = [np.concatenate(x) for x in zip(*points)] if extra else points[0]
+    jac = dev_hat_jacobians(*st.charts, sx, ts, alphas, st.kappa, st.blend)
+    samples = jac[:later * len(t0)].reshape(len(t0), later, 3, 3)
+    ok = _future_causal(_tangents(samples, dt[:, None], d[:, None, 1:]), margin).all(axis=1)
+    return ok, samples[:, -1], jac[later * len(t0):]
+
+
+def _segments_are_causal(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1,
+                         margin: float = 0.0) -> np.ndarray:
+    """Future-causal test for straight chart segments at sampled tangents.
+
+    Segments run from (t0, a0) to (t1, a1) in chart ``simplex``; the end
+    arrays carry the batch shape, and simplex and start arrays broadcast
+    against them.  The later samples are evaluated only where the start
+    sample passes; all must pass.
+    """
+    ok = _start_passes(st, simplex, t0, a0, t1, a1, margin)
     idx = np.nonzero(ok)
-    lead = idx[ok.ndim - simplex.ndim:]  # the passing segments' charts: simplex broadcasts
-    sx = simplex[tuple(i if n > 1 else 0 for n, i in zip(simplex.shape, lead))]
-    ts, alphas = ts[idx][:, 1:], (a0[..., None, :] + _FRACTIONS[1:, None] * d[..., None, :])[idx]
-    later = dev_hat_jacobians(*st.charts, sx[..., None], ts, alphas, st.kappa, st.blend)
-    ok[idx] = _future_causal(_tangents(later, dt[idx][:, None], d[idx][:, None, 1:]),
-                             margin).all(axis=1)
-    if end_jacobians is not None:
-        exact = (ts[:, -1] == t1[idx]) & (alphas[:, -1] == a1[idx]).all(axis=-1)
-        end_jacobians[tuple(i[exact] for i in idx)] = later[exact, -1]
+    ok[idx] = _later_samples(st, np.broadcast_to(simplex, ok.shape)[idx],
+                             np.broadcast_to(t0, ok.shape)[idx], np.broadcast_to(a0, a1.shape)[idx],
+                             t1[idx], a1[idx], margin)[0]
     return ok
 
 
@@ -220,6 +246,13 @@ def segment_is_causal(st: PolyhedralSpacetime, simplex: int, start: tuple[float,
     t0, a0, t1, a1 = (np.asarray(x, dtype=float)[None] for x in (*start, *end))
     chart = np.array([_index(simplex, len(st.triangulation.triangles))])
     return bool(_segments_are_causal(st, chart, t0, a0, t1, a1)[0])
+
+
+def _across(st: PolyhedralSpacetime, simplex, facet, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbour charts across facets (n,) and face points alpha (n, 3) there."""
+    alpha_new = np.zeros_like(alpha)
+    alpha_new[np.arange(len(alpha))[:, None], st.triangulation.slot[simplex, facet]] = alpha
+    return st.triangulation.neighbour[simplex, facet], alpha_new
 
 
 def cross_face(st: PolyhedralSpacetime, simplex, t, alpha, facet
@@ -234,9 +267,7 @@ def cross_face(st: PolyhedralSpacetime, simplex, t, alpha, facet
     """
     simplex, facet = _index(simplex, len(st.triangulation.triangles)), _index(facet, 3, "facet")
     alpha = np.asarray(alpha, dtype=float)
-    nbr = st.triangulation.neighbour[simplex, facet]
-    alpha_new = np.zeros_like(alpha)
-    alpha_new[np.arange(len(alpha))[:, None], st.triangulation.slot[simplex, facet]] = alpha
+    nbr, alpha_new = _across(st, simplex, facet, alpha)
     x, x_new = dev_hat_points(*st.charts, np.array([simplex, nbr]), t,
                               np.array([alpha, alpha_new]), st.kappa, st.blend)
     m, b = st.gluing
@@ -317,9 +348,18 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     raised is the lowest-index curve's.
 
     Curve i draws from ``default_rng(seeds[i])``: 2 doubles for its drift,
-    then 3 per proposal.  A step evaluates all 8 proposals of every live
-    curve, accepts the first causal one and advances the curve's stream past
-    the proposals up to it, which is the stream a sequential loop consumes.
+    then 3 per proposal.  A step draws all 8 proposals of every live curve,
+    accepts the first causal one and advances the curve's stream past the
+    proposals up to it, which is the stream a sequential loop consumes.
+
+    The start test runs on all proposals.  Round 1, one kernel call, takes
+    the later samples of each curve's first start-passing proposal and the
+    next step's start of every curve that its last sample does not give: a
+    face crossing's point in the neighbour chart, or the vertical fallback of
+    a curve with no start-passing proposal.  Round 2, one more call, runs
+    only for curves whose candidate failed: their other start-passing
+    proposals, with the same next starts and their fallbacks.  The accepted
+    proposal's next start, or the fallback's, is carried into the next step.
     """
     n = len(starts)
     simplex = np.array([_index(p.simplex, len(st.triangulation.triangles)) for p in starts])
@@ -336,7 +376,7 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     # varies a lot across the simplex, so learn it from accept/reject feedback
     scale = np.full(n, _ALPHA_STEP)
     rejected = np.zeros(n, dtype=int)  # per curve, not per row
-    jac = np.full((n, 3, 3), np.nan)  # each start's Jacobians, NaN until evaluated
+    jac = dev_hat_jacobians(*st.charts, simplex, t, alpha, st.kappa, st.blend)  # per start
     ids = np.arange(n)  # the curve of each state row
     errors: dict[int, Exception] = {}
     # traced nodes in trace order, (curve, simplex, transition) and (t, alpha)
@@ -359,6 +399,28 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
         rows[size:end, 1:] = alpha[lanes]
         size = end
 
+    def evaluate(lanes, cols, fallback):
+        # One kernel call for proposals (lanes, cols) and the fallbacks of lanes
+        # ``fallback``: the proposals' verdicts and next-start Jacobians, and the
+        # fallbacks'.  A next start is the last sample unless the proposal ends
+        # on a face or its last sample rounds off its end, rare but possible.
+        sx, t0, a0 = simplex[lanes], t[lanes], alpha[lanes]
+        te, ae, cross = t1[lanes, cols], a1[lanes, cols], crossed[lanes, cols]
+        fresh = cross | (t0 + _FRACTIONS[-1] * (te - t0) != te) | (
+            a0 + _FRACTIONS[-1] * (ae - a0) != ae).any(axis=-1)
+        fresh = fresh.nonzero()[0]
+        extra = []
+        if fresh.size:
+            nx, na, c = sx[fresh], ae[fresh], cross[fresh]
+            if c.any():
+                nx[c], na[c] = _across(st, nx[c], facet[lanes, cols][fresh[c]], na[c])
+            extra.append((nx, te[fresh], na))
+        if fallback.size:
+            extra.append((simplex[fallback], t[fallback] + steps_t[fallback], alpha[fallback]))
+        ok, nxt, starts = _later_samples(st, sx, t0, a0, te, ae, _CONE_MARGIN, extra)
+        nxt[fresh] = starts[:fresh.size]
+        return ok, nxt, starts[fresh.size:]
+
     keep = t < t_stop
     for _ in range(_MAX_STEPS):
         if not keep.all():
@@ -370,10 +432,6 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
         for i in (cursor + 24 > _CHUNK).nonzero()[0]:
             buf[i] = np.concatenate([buf[i, cursor[i]:], rngs[ids[i]].random(cursor[i])])
             cursor[i] = 0
-        stale = np.isnan(jac[:, 0, 0]).nonzero()[0]
-        if stale.size:
-            jac[stale] = dev_hat_jacobians(*st.charts, simplex[stale], t[stale], alpha[stale],
-                                           st.kappa, st.blend)
         u = buf[lane[:, None], cursor[:, None] + np.arange(24)].reshape(-1, 8, 3)
         # scale after 0..6 rejections: 0.85 per rejection, then never below 0.02
         hist = np.full((ids.size, 7), 0.85)
@@ -393,12 +451,24 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
         )
         t0, a0 = t[:, None], alpha[:, None, :]
         a1 = a0 + np.concatenate([(-da[..., 0] - da[..., 1])[..., None], da], axis=-1)
-        t1, ok, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
-        end = np.full(a1.shape + (3,), np.nan)
-        ok &= _segments_are_causal(st, simplex[:, None], t0, a0, t1, a1, margin=_CONE_MARGIN,
-                                   start=jac[:, None], end_jacobians=end)
-        has = ok.any(axis=1)
-        k = ok.argmax(axis=1)
+        t1, passing, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
+        passing &= _start_passes(st, simplex[:, None], t0, a0, t1, a1, _CONE_MARGIN,
+                                 jac[:, None])
+        has, k = passing.any(axis=1), passing.argmax(axis=1)
+        # round 1: each curve's first start-passing proposal, accepted in most
+        # steps, and the vertical fallback of each curve without one
+        first = has.nonzero()[0]
+        ok, nxt, fallback = evaluate(first, k[first], (~has).nonzero()[0])
+        jac[~has], jac[first[ok]] = fallback, nxt[ok]  # round 2 sets the failed lanes
+        # round 2: the later start-passing proposals of the curves whose first failed
+        failed = first[~ok]
+        if failed.size:
+            has[failed] = False
+            r, c = (passing[failed] & (np.arange(8) > k[failed, None])).nonzero()
+            ok, nxt, jac[failed] = evaluate(failed[r], c, failed)
+            won, pick = np.unique(r[ok], return_index=True)  # the first accepted per curve
+            won, pick = failed[won], ok.nonzero()[0][pick]
+            has[won], k[won], jac[won] = True, c[pick], nxt[pick]
         rejected[ids] += np.where(has, k, 8)
         cursor += 3 * np.where(has, k + 1, 8)
         sk = sc[lane, k]
@@ -408,8 +478,6 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
         t = np.where(has, t1[lane, k], t + steps_t)
         alpha = np.where(has[:, None], a1[lane, k], alpha)
         moved = has & crossed[lane, k]
-        # the accepted end's Jacobians start the next step, unless the chart changes
-        jac = np.where((has & ~moved)[:, None, None], end[lane, k], np.nan)
         record(slice(None), False)
         keep = t < t_stop
         crossing = moved.nonzero()[0]
@@ -581,8 +649,14 @@ def cauchy_time_report(
     and curve seeds are drawn up front from ``seed``; the curves are then
     traced in lockstep, each exactly as trace_causal_curve traces it alone.
     """
+    for name, value in (("n_curves", n_curves), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    n_curves, seed = int(n_curves), int(seed)
     if n_curves < 1:
         raise ValueError("n_curves must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if not all(math.isfinite(x) and x > 0 for x in (t_start, t_stop)):
         raise ValueError("t_start and t_stop must be finite and > 0")
     if t_start >= t_stop:

@@ -16,6 +16,7 @@ arithmetic groups.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -522,7 +523,11 @@ class BuiltinExample:
     name: str
     representation: AffineRepresentation
     triangulation: IdealTriangulationData
-    nonzero_tangent: dict[str, np.ndarray]
+
+    @functools.cached_property
+    def nonzero_tangent(self) -> dict[str, np.ndarray]:
+        """A quarter of the first tangent_cocycle_basis vector, computed on first use."""
+        return {k: 0.25 * v for k, v in tangent_cocycle_basis(self.representation)[0].items()}
 
     def deformed(self, scale: float = 1.0) -> AffineRepresentation:
         """Representation with the nonzero tangent cocycle installed (scaled)."""
@@ -553,9 +558,7 @@ def _gamma2_example() -> BuiltinExample:
         vertex_class={"inf": "c1", "0": "c2", "1": "c3", "-1": "c3"},
         positions={"inf": math.inf, "0": 0.0, "1": 1.0, "-1": -1.0},
     )
-    basis = tangent_cocycle_basis(rep)
-    nonzero = {k: 0.25 * v for k, v in basis[0].items()}
-    return BuiltinExample("gamma2", rep, tri, nonzero)
+    return BuiltinExample("gamma2", rep, tri)
 
 
 def _punctured_torus_example() -> BuiltinExample:
@@ -581,9 +584,7 @@ def _punctured_torus_example() -> BuiltinExample:
         vertex_class={"inf": "c1", "0": "c1", "1": "c1", "-1": "c1"},
         positions={"inf": math.inf, "0": 0.0, "1": 1.0, "-1": -1.0},
     )
-    basis = tangent_cocycle_basis(rep)
-    nonzero = {k: 0.25 * v for k, v in basis[0].items()}
-    return BuiltinExample("punctured_torus", rep, tri, nonzero)
+    return BuiltinExample("punctured_torus", rep, tri)
 
 
 def builtin_examples() -> dict[str, BuiltinExample]:

@@ -364,26 +364,89 @@ def test_short_backward_step_is_not_causal(gamma2_deformed):
     assert cauchy_time_report(gamma2_deformed, n_curves=2, seed=3757123044)["pass"] is True
 
 
+# Kernel points of a 100-curve seed-0 report before the step tested only the
+# samples its first-accept rule reads (mid and end of every start-passing proposal).
+POINTS_AT_100_CURVES_BEFORE = {
+    "gamma2_zero": 59847,
+    "gamma2_deformed": 59628,
+    "torus_zero": 60998,
+    "torus_deformed": 61378,
+}
+
+
+def _count_kernel_work(monkeypatch):
+    # lockstep steps (one _clip_to_chart call each), kernel calls and kernel points
+    work = {"steps": 0, "calls": 0, "points": 0}
+    clip, kernel = causality._clip_to_chart, causality.dev_hat_jacobians
+
+    def step(*args):
+        work["steps"] += 1
+        return clip(*args)
+
+    def call(*args):
+        out = kernel(*args)
+        work["calls"] += 1
+        work["points"] += out[..., 0, 0].size
+        return out
+    monkeypatch.setattr(causality, "_clip_to_chart", step)
+    monkeypatch.setattr(causality, "dev_hat_jacobians", call)
+    return work
+
+
 @pytest.mark.parametrize("fixture", sorted(PINNED_BENCH_SIZE_TOTALS))
 def test_lockstep_carries_start_jacobians(request, fixture, monkeypatch):
-    # each lockstep step makes one _segments_are_causal call; the start
-    # Jacobians carried from the step before leave the later samples' kernel
-    # call and only now and then a fresh start (2 calls a step without the carry)
-    calls = {"dev_hat_jacobians": 0, "_segments_are_causal": 0}
+    # A step's kernel call covers the later samples and the next step's start,
+    # so only a step whose first start-passing proposal fails calls twice.
+    st_ = request.getfixturevalue(fixture)
+    work = _count_kernel_work(monkeypatch)
+    rep = cauchy_time_report(st_, n_curves=2, seed=7)
+    assert rep["pass"] is True and work["steps"] >= 50
+    assert work["calls"] <= 1.3 * work["steps"], work
+    # at 100 curves only each curve's first start-passing proposal has its
+    # later samples evaluated in most steps
+    work.update(steps=0, calls=0, points=0)
+    assert cauchy_time_report(st_, n_curves=100, seed=0)["pass"] is True
+    assert work["points"] <= 0.4 * POINTS_AT_100_CURVES_BEFORE[fixture], work
 
-    def counted(name):
-        inner = getattr(causality, name)
 
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(causality, name, call)
+def test_lockstep_rounds_carry_fresh_start_jacobians(gamma2_deformed, monkeypatch):
+    # One curve whose trace has a first start-passing proposal failing at its
+    # midpoint with a later proposal accepted (round 2), vertical fallbacks and
+    # a face crossing: every start the tracer carries into a step, whether an
+    # accepted end, a folded crossing or a fallback, has the bits of a fresh
+    # kernel call there.
+    st_ = gamma2_deformed
+    start_passes, later_samples = causality._start_passes, causality._later_samples
+    log = []  # None per start test, then the later-sample calls of the step
 
-    counted("dev_hat_jacobians")
-    counted("_segments_are_causal")
-    rep = cauchy_time_report(request.getfixturevalue(fixture), n_curves=2, seed=7)
-    assert rep["pass"] is True and calls["_segments_are_causal"] >= 50
-    assert calls["dev_hat_jacobians"] <= 1.3 * calls["_segments_are_causal"], calls
+    def checked_start(st, simplex, t0, a0, t1, a1, margin, start=None):
+        fresh = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa, st.blend)
+        assert start.tobytes() == fresh.tobytes()
+        log.append(None)
+        return start_passes(st, simplex, t0, a0, t1, a1, margin, start)
+
+    def logged_later(st, simplex, t0, a0, t1, a1, margin, extra=()):
+        out = later_samples(st, simplex, t0, a0, t1, a1, margin, extra)
+        log.append((simplex, t0, a0, t1, a1, out[0]))
+        return out
+    monkeypatch.setattr(causality, "_start_passes", checked_start)
+    monkeypatch.setattr(causality, "_later_samples", logged_later)
+    curve = trace_causal_curve(st_, ChartPoint(1, 0.2, np.array([0.02, 0.49, 0.49])), 3.0,
+                               seed=5)
+    seen = {"mid_fails_then_later_accepted": 0, "fallback": 0,
+            "crossing": sum(n.transition for n in curve.nodes)}
+    for prev, cur in zip(log, log[1:]):
+        if prev is None and not len(cur[1]):
+            seen["fallback"] += 1  # round 1 held no proposal, only the fallback start
+        elif prev is not None and cur is not None and cur[5].any():
+            simplex, t0, a0, t1, a1, _ = prev
+            mid = dev_hat_jacobians(*st_.charts, simplex, t0 + 0.5 * (t1 - t0),
+                                    a0 + 0.5 * (a1 - a0), st_.kappa, st_.blend)
+            seen["mid_fails_then_later_accepted"] += int(
+                not _future_causal(_tangents(mid, t1 - t0, (a1 - a0)[:, 1:]), 1e-6)[0])
+    assert all(seen.values()), seen
+    monkeypatch.undo()
+    assert validate_polyline(st_, curve) == []
 
 
 @pytest.mark.parametrize("lo, hi", [(-0.25, 1.0), (-0.25, 0.25), (-1.0, 1.0)])
@@ -417,10 +480,24 @@ def test_uniform_is_scaled_random_bit_for_bit(lo, hi):
     {"leaves": ()},
     {"leaves": (9.0,)},
     {"leaves": (0.5, 4.0)},
+    {"n_curves": True},
+    {"n_curves": 2.5},
+    {"n_curves": "3"},
+    {"n_curves": np.bool_(True)},
+    {"seed": 2.5},
+    {"seed": False},
+    {"seed": -1},
 ])
 def test_cauchy_time_report_rejects_bad_input(gamma2_zero, kwargs):
-    with pytest.raises(ValueError):
+    named = [k for k in ("n_curves", "seed") if k in kwargs]  # the error names the bad argument
+    with pytest.raises(ValueError, match="|".join(named) or None):
         cauchy_time_report(gamma2_zero, **kwargs)
+
+
+def test_cauchy_time_report_takes_numpy_integers(gamma2_zero):
+    rep = cauchy_time_report(gamma2_zero, n_curves=np.int64(2), seed=np.uint32(7))
+    assert rep == cauchy_time_report(gamma2_zero, n_curves=2, seed=7)
+    assert type(rep["n_curves"]) is int and type(rep["seed"]) is int
 
 
 @pytest.mark.parametrize(
