@@ -40,6 +40,7 @@ from .representations import (
     IdealTriangulationData,
     InvalidTriangulation,
     NotAdmissible,
+    PeripheralFixedData,
     check_admissible,
     parse_word,
     peripheral_fixed_data,
@@ -98,7 +99,7 @@ class HexagonBlend:
         ac = np.minimum(a, self._below)
         gap = self.threshold - ac
         h = ac / gap
-        s = h.sum(axis=-1, keepdims=True)
+        s = (h[..., 0] + h[..., 1] + h[..., 2])[..., None]
         phi = h / s
         plateau = None
         if (a >= self.threshold).any():
@@ -606,18 +607,18 @@ def gluing_isometries(rep: AffineRepresentation, tri: IdealTriangulationData):
 
 
 def decorate_vertices(
-    rep: AffineRepresentation, tri: IdealTriangulationData,
+    fixed: dict[str, PeripheralFixedData], tri: IdealTriangulationData,
     gluing: tuple[np.ndarray, np.ndarray],
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, str]]:
     """Assign (u, p) to every triangulation vertex, equivariantly.
 
     Base vertices (one per puncture, located at the fixed boundary point of
-    their peripheral) carry the peripheral fixed data; the rest is propagated
+    their peripheral) carry the peripheral fixed data ``fixed`` (from
+    peripheral_fixed_data, keyed by puncture); the rest is propagated
     through the gluing isometries.  Revisits must agree, which pins the input
     convention: gluing words multiply positions on the left.  Returns the
     decorations and the base vertex chosen per puncture.
     """
-    fixed = peripheral_fixed_data(rep)
     base_of = {}
     for name, data in fixed.items():
         xi = data.boundary_position
@@ -713,13 +714,14 @@ def build(
     if not report.verdict:
         raise NotAdmissible(report)
     gluing = gluing_isometries(rep, tri)
-    dec_u, dec_p, base_of = decorate_vertices(rep, tri, gluing)
+    fixed = peripheral_fixed_data(rep)
+    dec_u, dec_p, base_of = decorate_vertices(fixed, tri, gluing)
     charts = decorate_charts(tri.triangles, dec_u, dec_p)
     blend = HexagonBlend()
     cert = choose_kappa(charts, blend, settings)
     fibers = {
         name: SingularFiber(name, base_of[name], line_point=data.line_point, line_direction=data.u)
-        for name, data in peripheral_fixed_data(rep).items()
+        for name, data in fixed.items()
     }
     st = PolyhedralSpacetime(
         representation=rep,

@@ -13,25 +13,27 @@ a transition node: same manifold point, new coordinates, t unchanged.
 Every causal test reads the one light-cone band LIGHTLIKE_TOL = 1e-9: v is
 future causal when v_t > 0 and Q(v) <= 1e-9 |v|^2; a fiber hop needs the chart
 point's tau - r/2 >= the fiber's tau - 1e-9.  Tracer constants: segments are
-sampled at _FRACTIONS (ends and midpoint); accepted tangents stay _CONE_MARGIN
+sampled at their start, midpoint and end; accepted tangents stay _CONE_MARGIN
 = 1e-6 inside the cone; a curve steps (t_stop - start t) / _STEPS_PER_SPAN =
 50 in t, at least _MIN_T_STEP = 1e-3, moving alpha by at most _ALPHA_STEP =
-0.4 times dt per component, and fails after _MAX_STEPS = 600 steps below
-t_stop, as does a face crossing off by more than 1e-8 (relative).
+0.4 times dt per component, and fails after _MAX_STEPS = 600 completed steps
+below t_stop, as does a face crossing off by more than 1e-8 (relative).
 
 The tracer deliberately proposes steps with all signs of dt; on a certified
 build only dt > 0 proposals can be causal (t is a time function), so the
 monotonicity check in the report is a real assertion, not a tautology.
 
 Curves are traced in lockstep over arrays of live-curve state, compressed as
-curves finish.  A step tests the start sample of all 8 proposals of every live
+curves finish.  A pass tests the start sample of all 8 proposals of every live
 curve against the start Jacobians it carries.  One call of builder's stacked
-chart kernel then takes the later samples of each curve's first start-passing
-proposal and the starts of the next step; a second call, only for curves whose
-first one failed, takes their other start-passing proposals (_trace_lockstep).
-Every decision and carried Jacobian keeps the bits of testing each proposal in
-full and evaluating each start afresh.  Per step that is 1.09 kernel calls and
-4.4 points at 2 curves, 1.77 calls and 171 points at 100 curves.  One
+chart kernel then takes the later samples of each curve's first untried
+start-passing proposal and the next starts that its end does not give.  A
+curve whose candidate fails stays put and retries from the next proposal in
+the next pass, which redraws the same proposals (_trace_lockstep).  Every
+decision and carried Jacobian keeps the bits of testing each proposal in full
+and evaluating each start afresh.  Each pass makes exactly one kernel call, and
+one more evaluates the first starts: over the four reference builds (seeds
+0-2) a pass takes 3.4 points at 2 curves and 153 at 100 curves.  One
 cross_face call moves every curve that ended on a face.  Each curve reads its
 own random stream in the order a one-curve trace reads it (3 doubles per
 proposal, proposals in order until the first accepted one), so a curve traced
@@ -41,13 +43,14 @@ in a batch equals the same curve traced alone, node for node.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .builder import PolyhedralSpacetime, dev_hat_jacobians, dev_hat_points, minkowski_to_model
-from .minkowski import LIGHTLIKE_TOL, GeometryError, quadratic_form
+from .minkowski import LIGHTLIKE_TOL, GeometryError
 from .models import NotInImage
 
 
@@ -182,8 +185,12 @@ def _tangents(jac, dt, da) -> np.ndarray:
 
 def _future_causal(v: np.ndarray, margin: float) -> np.ndarray:
     """Future causal within the light-cone band, at least margin inside the cone."""
-    bound = LIGHTLIKE_TOL * (v * v).sum(axis=-1) - margin * v[..., 0] ** 2
-    return (v[..., 0] > 0) & (quadratic_form(v) <= bound)
+    sq = v * v
+    sq_t, sq_x, sq_y = sq[..., 0], sq[..., 1], sq[..., 2]
+    # Q(v) <= 1e-9 |v|^2 - margin v_t^2, each sum in the order quadratic_form and
+    # numpy's sum over the last axis add, so every verdict keeps its bits
+    return (v[..., 0] > 0) & (-sq_t + sq_x + sq_y <= LIGHTLIKE_TOL * (sq_t + sq_x + sq_y)
+                              - margin * sq_t)
 
 
 def _start_passes(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: float,
@@ -196,8 +203,8 @@ def _start_passes(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: floa
     ``start`` if the caller has them, broadcast against them.
     """
     dt, d = t1 - t0, a1 - a0
-    ok = (((dt != 0) | (d[..., 1:] != 0).any(axis=-1))
-          & ~(t0[..., None] + _FRACTIONS * dt[..., None] <= 0).any(axis=-1))
+    ok = (((dt != 0) | (d[..., 1] != 0) | (d[..., 2] != 0))
+          & ~((t0 <= 0) | (t0 + 0.5 * dt <= 0) | (t1 <= 0)))
     if start is None:
         start = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa, st.blend)
     return ok & _future_causal(_tangents(start, dt, d[..., 1:]), margin)
@@ -205,22 +212,22 @@ def _start_passes(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: floa
 
 def _later_samples(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: float,
                    extra=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The test at the later samples (all but the start) of segments (m,).
+    """The test at the later samples (midpoint and end) of segments (m,).
 
-    One kernel call evaluates those samples and the ``extra`` points, given
-    as groups of (simplex, t, alpha) arrays.  Returns whether each segment
-    is future causal at all its later samples (m,), the Jacobians at each
-    segment's last sample (m, 3, 3) and at the extra points, in group order.
+    One kernel call evaluates those samples, the end being (t1, a1) itself,
+    and the ``extra`` points, given as groups of (simplex, t, alpha) arrays.
+    Returns whether each segment is future causal at both samples (m,), the
+    Jacobians at each segment's end (m, 3, 3) and at the extra points, in
+    group order.
     """
     dt, d = t1 - t0, a1 - a0
-    later = len(_FRACTIONS) - 1
-    points = [(np.repeat(simplex, later), (t0[:, None] + _FRACTIONS[1:] * dt[:, None]).ravel(),
-               (a0[:, None, :] + _FRACTIONS[1:, None] * d[:, None, :]).reshape(-1, 3)), *extra]
-    sx, ts, alphas = [np.concatenate(x) for x in zip(*points)] if extra else points[0]
+    m = len(t0)
+    sx, ts, alphas = (np.concatenate(x) for x in zip(
+        (simplex, t0 + 0.5 * dt, a0 + 0.5 * d), (simplex, t1, a1), *extra))
     jac = dev_hat_jacobians(*st.charts, sx, ts, alphas, st.kappa, st.blend)
-    samples = jac[:later * len(t0)].reshape(len(t0), later, 3, 3)
-    ok = _future_causal(_tangents(samples, dt[:, None], d[:, None, 1:]), margin).all(axis=1)
-    return ok, samples[:, -1], jac[later * len(t0):]
+    samples = jac[:2 * m].reshape(2, m, 3, 3)  # midpoints, then ends
+    ok = _future_causal(_tangents(samples, dt, d[:, 1:]), margin)
+    return ok[0] & ok[1], samples[1], jac[2 * m:]
 
 
 def _segments_are_causal(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1,
@@ -304,7 +311,6 @@ _FLAT = np.array([False, False, False, True] * 2)
 _SCALE_SLOT = np.array([0, 1, 2, 3, 3, 4, 5, 6])
 _CHUNK = 120  # doubles drawn per refill of one curve's random buffer
 # the tracer's constants, described in the module docstring
-_FRACTIONS = np.linspace(0.0, 1.0, 3)
 _STEPS_PER_SPAN = 50.0
 _MIN_T_STEP = 1e-3
 _CONE_MARGIN = 1e-6
@@ -323,8 +329,8 @@ def _clip_to_chart(t0, dt, a0, a1):
     """
     d = a1 - a0
     hits = np.divide(a0, -d, out=np.full(d.shape, np.inf), where=(d < 0) & (a1 < 0))
-    facet = hits.argmin(axis=-1)
-    s = hits.min(axis=-1)
+    s = np.minimum(np.minimum(hits[..., 0], hits[..., 1]), hits[..., 2])
+    facet = np.where(hits[..., 0] == s, 0, np.where(hits[..., 1] == s, 1, 2))
     crossed = s < 1.0
     t1 = t0 + dt
     usable = (t1 > 0) & (~crossed | (s >= 1e-6))
@@ -348,18 +354,20 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     raised is the lowest-index curve's.
 
     Curve i draws from ``default_rng(seeds[i])``: 2 doubles for its drift,
-    then 3 per proposal.  A step draws all 8 proposals of every live curve,
-    accepts the first causal one and advances the curve's stream past the
-    proposals up to it, which is the stream a sequential loop consumes.
+    then 3 per proposal.  A pass draws all 8 proposals of every live curve; a
+    step accepts the first causal one and advances the curve's stream past
+    the proposals up to it, which is the stream a sequential loop consumes.
 
-    The start test runs on all proposals.  Round 1, one kernel call, takes
-    the later samples of each curve's first start-passing proposal and the
-    next step's start of every curve that its last sample does not give: a
-    face crossing's point in the neighbour chart, or the vertical fallback of
-    a curve with no start-passing proposal.  Round 2, one more call, runs
-    only for curves whose candidate failed: their other start-passing
-    proposals, with the same next starts and their fallbacks.  The accepted
-    proposal's next start, or the fallback's, is carried into the next step.
+    The start test runs on all proposals.  One kernel call per pass takes the
+    mid and end samples of each curve's first start-passing proposal after
+    ``tried`` and the next starts that an accepted end does not give: a face
+    crossing's point in the neighbour chart, or the vertical fallback of a
+    curve with no such proposal left.  A curve whose candidate fails there
+    does not step: it records the candidate in ``tried``, and its cursor,
+    scale, drift, start and carried Jacobian stay as they are, so the next
+    pass redraws the same 8 proposals bit for bit and tries the ones after
+    it.  The accepted proposal's next start, or the fallback's, is carried
+    into the next pass.  _MAX_STEPS counts each curve's steps, not passes.
     """
     n = len(starts)
     simplex = np.array([_index(p.simplex, len(st.triangulation.triangles)) for p in starts])
@@ -378,6 +386,8 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     rejected = np.zeros(n, dtype=int)  # per curve, not per row
     jac = dev_hat_jacobians(*st.charts, simplex, t, alpha, st.kappa, st.blend)  # per start
     ids = np.arange(n)  # the curve of each state row
+    tried = np.full(n, -1)  # the proposal a held curve failed in the last pass, else -1
+    steps = np.zeros(n, dtype=int)  # completed steps per curve
     errors: dict[int, Exception] = {}
     # traced nodes in trace order, (curve, simplex, transition) and (t, alpha)
     # per row; room for 128 nodes per curve before the tables grow
@@ -402,30 +412,28 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     def evaluate(lanes, cols, fallback):
         # One kernel call for proposals (lanes, cols) and the fallbacks of lanes
         # ``fallback``: the proposals' verdicts and next-start Jacobians, and the
-        # fallbacks'.  A next start is the last sample unless the proposal ends
-        # on a face or its last sample rounds off its end, rare but possible.
-        sx, t0, a0 = simplex[lanes], t[lanes], alpha[lanes]
-        te, ae, cross = t1[lanes, cols], a1[lanes, cols], crossed[lanes, cols]
-        fresh = cross | (t0 + _FRACTIONS[-1] * (te - t0) != te) | (
-            a0 + _FRACTIONS[-1] * (ae - a0) != ae).any(axis=-1)
-        fresh = fresh.nonzero()[0]
+        # fallbacks'.  A next start is the proposal's end unless it ends on a
+        # face, where it is the face point in the neighbour chart.
+        te, ae = t1[lanes, cols], a1[lanes, cols]
+        cross = crossed[lanes, cols].nonzero()[0]
         extra = []
-        if fresh.size:
-            nx, na, c = sx[fresh], ae[fresh], cross[fresh]
-            if c.any():
-                nx[c], na[c] = _across(st, nx[c], facet[lanes, cols][fresh[c]], na[c])
-            extra.append((nx, te[fresh], na))
+        if cross.size:
+            nbr, face = _across(st, simplex[lanes[cross]], facet[lanes[cross], cols[cross]],
+                                ae[cross])
+            extra.append((nbr, te[cross], face))
         if fallback.size:
             extra.append((simplex[fallback], t[fallback] + steps_t[fallback], alpha[fallback]))
-        ok, nxt, starts = _later_samples(st, sx, t0, a0, te, ae, _CONE_MARGIN, extra)
-        nxt[fresh] = starts[:fresh.size]
-        return ok, nxt, starts[fresh.size:]
+        ok, nxt, starts = _later_samples(st, simplex[lanes], t[lanes], alpha[lanes], te, ae,
+                                         _CONE_MARGIN, extra)
+        nxt[cross] = starts[:cross.size]
+        return ok, nxt, starts[cross.size:]
 
     keep = t < t_stop
-    for _ in range(_MAX_STEPS):
+    while True:
         if not keep.all():
-            ids, simplex, t, alpha, steps_t, buf, bias, cursor, scale, jac = (
-                x[keep] for x in (ids, simplex, t, alpha, steps_t, buf, bias, cursor, scale, jac))
+            ids, simplex, t, alpha, steps_t, buf, bias, cursor, scale, jac, tried, steps = (
+                x[keep] for x in (ids, simplex, t, alpha, steps_t, buf, bias, cursor, scale, jac,
+                                  tried, steps))
         if ids.size == 0:
             break
         lane = np.arange(ids.size)
@@ -454,45 +462,45 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
         t1, passing, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
         passing &= _start_passes(st, simplex[:, None], t0, a0, t1, a1, _CONE_MARGIN,
                                  jac[:, None])
+        passing &= np.arange(8) > tried[:, None]  # a retry skips the proposals it tried
         has, k = passing.any(axis=1), passing.argmax(axis=1)
-        # round 1: each curve's first start-passing proposal, accepted in most
-        # steps, and the vertical fallback of each curve without one
+        # each curve's first untried start-passing proposal, accepted in most
+        # passes, and the vertical fallback of each curve without one
         first = has.nonzero()[0]
         ok, nxt, fallback = evaluate(first, k[first], (~has).nonzero()[0])
-        jac[~has], jac[first[ok]] = fallback, nxt[ok]  # round 2 sets the failed lanes
-        # round 2: the later start-passing proposals of the curves whose first failed
-        failed = first[~ok]
-        if failed.size:
-            has[failed] = False
-            r, c = (passing[failed] & (np.arange(8) > k[failed, None])).nonzero()
-            ok, nxt, jac[failed] = evaluate(failed[r], c, failed)
-            won, pick = np.unique(r[ok], return_index=True)  # the first accepted per curve
-            won, pick = failed[won], ok.nonzero()[0][pick]
-            has[won], k[won], jac[won] = True, c[pick], nxt[pick]
-        rejected[ids] += np.where(has, k, 8)
-        cursor += 3 * np.where(has, k + 1, 8)
-        sk = sc[lane, k]
-        scale = np.where(
-            has, np.where(_FLAT[k], sk, np.minimum(sk * 1.25, 3.0 * _ALPHA_STEP)), hist[:, 6]
+        jac[~has], jac[first[ok]] = fallback, nxt[ok]
+        # a failed candidate holds its curve, which retries from the next proposal;
+        # the other curves step
+        held = first[~ok]
+        tried[:] = -1
+        tried[held] = k[held]
+        go = (tried < 0).nonzero()[0]
+        has, k = has[go], k[go]
+        rejected[ids[go]] += np.where(has, k, 8)
+        cursor[go] += 3 * np.where(has, k + 1, 8)
+        sk = sc[go, k]
+        scale[go] = np.where(
+            has, np.where(_FLAT[k], sk, np.minimum(sk * 1.25, 3.0 * _ALPHA_STEP)), hist[go, 6]
         )
-        t = np.where(has, t1[lane, k], t + steps_t)
-        alpha = np.where(has[:, None], a1[lane, k], alpha)
-        moved = has & crossed[lane, k]
-        record(slice(None), False)
+        t[go] = np.where(has, t1[go, k], t[go] + steps_t[go])
+        alpha[go] = np.where(has[:, None], a1[go, k], alpha[go])
+        steps[go] += 1
+        record(go, False)
         keep = t < t_stop
-        crossing = moved.nonzero()[0]
+        moved = has & crossed[go, k]
+        crossing = go[moved]
         if crossing.size:
             nbr, alpha_new, bad = cross_face(st, simplex[crossing], t[crossing],
-                                             alpha[crossing], facet[crossing, k[crossing]])
+                                             alpha[crossing], facet[crossing, k[moved]])
             for i, j in zip(crossing[bad], nbr[bad]):
                 errors[int(ids[i])] = GeometryError(
                     f"face transition mismatch between charts {simplex[i]} and {j}")
             keep[crossing[bad]] = False
             simplex[crossing[~bad]], alpha[crossing[~bad]] = nbr[~bad], alpha_new[~bad]
             record(crossing[~bad], True)
-    else:
-        for i in ids[keep]:
-            errors[int(i)] = GeometryError(f"tracer exhausted {_MAX_STEPS} steps below t_stop")
+        for i in (keep & (steps >= _MAX_STEPS)).nonzero()[0]:
+            errors[int(ids[i])] = GeometryError(f"tracer exhausted {_MAX_STEPS} steps below t_stop")
+            keep[i] = False
 
     order = np.argsort(tags[:size, 0], kind="stable")
     tags, rows = tags[order], rows[order]
@@ -645,7 +653,9 @@ def cauchy_time_report(
 
     Each curve must have strictly increasing t, no decomposition violation,
     and cross each leaf exactly once; the leaves must be non-empty and lie
-    strictly inside (t_start, t_stop), so every curve checks one.  Starts
+    strictly inside (t_start, t_stop), so every curve checks one.  t_start,
+    t_stop and every leaf must be a real number other than a bool, and the
+    report stores each as a float, so a leaf 2 is keyed '2.0'.  Starts
     and curve seeds are drawn up front from ``seed``; the curves are then
     traced in lockstep, each exactly as trace_causal_curve traces it alone.
     """
@@ -657,6 +667,14 @@ def cauchy_time_report(
         raise ValueError("n_curves must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    try:
+        leaves = tuple(leaves)
+    except TypeError:
+        raise ValueError(f"leaves must be an iterable of numbers, got {leaves!r}") from None
+    for name, value in (("t_start", t_start), ("t_stop", t_stop), *(("leaves", x) for x in leaves)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+    t_start, t_stop, leaves = float(t_start), float(t_stop), tuple(map(float, leaves))
     if not all(math.isfinite(x) and x > 0 for x in (t_start, t_stop)):
         raise ValueError("t_start and t_stop must be finite and > 0")
     if t_start >= t_stop:

@@ -52,6 +52,7 @@ from btzgeo.models import TWO_PI, axis_deck_generator, parabolic_parameter
 from btzgeo.representations import (
     NotAdmissible,
     cocycle_from_tangent_vector,
+    peripheral_fixed_data,
     tangent_cocycle_basis,
 )
 from btzgeo.serialize import canonical_dumps
@@ -426,7 +427,7 @@ def _sweep_inputs(examples, rng, n):
 def _sweep_charts(examples, rng, n):
     """Stacked charts of n seeded inputs drawn by _sweep_inputs."""
     for rep, ex in _sweep_inputs(examples, rng, n):
-        dec_u, dec_p, _ = decorate_vertices(rep, ex.triangulation,
+        dec_u, dec_p, _ = decorate_vertices(peripheral_fixed_data(rep), ex.triangulation,
                                             gluing_isometries(rep, ex.triangulation))
         yield decorate_charts(ex.triangulation.triangles, dec_u, dec_p)
 

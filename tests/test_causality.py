@@ -375,12 +375,12 @@ POINTS_AT_100_CURVES_BEFORE = {
 
 
 def _count_kernel_work(monkeypatch):
-    # lockstep steps (one _clip_to_chart call each), kernel calls and kernel points
-    work = {"steps": 0, "calls": 0, "points": 0}
+    # lockstep passes (one _clip_to_chart call each), kernel calls and kernel points
+    work = {"passes": 0, "calls": 0, "points": 0}
     clip, kernel = causality._clip_to_chart, causality.dev_hat_jacobians
 
     def step(*args):
-        work["steps"] += 1
+        work["passes"] += 1
         return clip(*args)
 
     def call(*args):
@@ -395,58 +395,112 @@ def _count_kernel_work(monkeypatch):
 
 @pytest.mark.parametrize("fixture", sorted(PINNED_BENCH_SIZE_TOTALS))
 def test_lockstep_carries_start_jacobians(request, fixture, monkeypatch):
-    # A step's kernel call covers the later samples and the next step's start,
-    # so only a step whose first start-passing proposal fails calls twice.
+    # A pass's one kernel call covers the later samples and the next pass's
+    # starts; a failed candidate retries in the next pass, never in a second
+    # call.  The only other call evaluates the first starts.
     st_ = request.getfixturevalue(fixture)
     work = _count_kernel_work(monkeypatch)
     rep = cauchy_time_report(st_, n_curves=2, seed=7)
-    assert rep["pass"] is True and work["steps"] >= 50
-    assert work["calls"] <= 1.3 * work["steps"], work
-    # at 100 curves only each curve's first start-passing proposal has its
-    # later samples evaluated in most steps
-    work.update(steps=0, calls=0, points=0)
+    assert rep["pass"] is True and work["passes"] >= 50
+    assert work["calls"] == work["passes"] + 1, work
+    # at 100 curves only each curve's first untried start-passing proposal
+    # has its later samples evaluated in a pass
+    work.update(passes=0, calls=0, points=0)
     assert cauchy_time_report(st_, n_curves=100, seed=0)["pass"] is True
+    assert work["calls"] == work["passes"] + 1, work
     assert work["points"] <= 0.4 * POINTS_AT_100_CURVES_BEFORE[fixture], work
 
 
-def test_lockstep_rounds_carry_fresh_start_jacobians(gamma2_deformed, monkeypatch):
-    # One curve whose trace has a first start-passing proposal failing at its
-    # midpoint with a later proposal accepted (round 2), vertical fallbacks and
-    # a face crossing: every start the tracer carries into a step, whether an
-    # accepted end, a folded crossing or a fallback, has the bits of a fresh
-    # kernel call there.
+def test_lockstep_retries_carry_fresh_start_jacobians(gamma2_deformed, monkeypatch):
+    # One curve whose trace has a candidate failing at its midpoint, so the
+    # curve holds and the next pass accepts a later proposal of the same draw,
+    # vertical fallbacks and a face crossing: every start the tracer carries
+    # into a pass, whether an accepted end, a folded crossing, a held start or
+    # a fallback, has the bits of a fresh kernel call there.
     st_ = gamma2_deformed
     start_passes, later_samples = causality._start_passes, causality._later_samples
-    log = []  # None per start test, then the later-sample calls of the step
+    passes = []  # per pass: the proposals' ends (t1, a1), then the later-sample call
 
     def checked_start(st, simplex, t0, a0, t1, a1, margin, start=None):
         fresh = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa, st.blend)
         assert start.tobytes() == fresh.tobytes()
-        log.append(None)
+        passes.append([t1.copy(), a1.copy()])
         return start_passes(st, simplex, t0, a0, t1, a1, margin, start)
 
     def logged_later(st, simplex, t0, a0, t1, a1, margin, extra=()):
         out = later_samples(st, simplex, t0, a0, t1, a1, margin, extra)
-        log.append((simplex, t0, a0, t1, a1, out[0]))
+        passes[-1].append((simplex, t0, a0, t1, a1, out[0]))
         return out
     monkeypatch.setattr(causality, "_start_passes", checked_start)
     monkeypatch.setattr(causality, "_later_samples", logged_later)
     curve = trace_causal_curve(st_, ChartPoint(1, 0.2, np.array([0.02, 0.49, 0.49])), 3.0,
                                seed=5)
-    seen = {"mid_fails_then_later_accepted": 0, "fallback": 0,
+    seen = {"mid_fails_then_later_accepted": 0, "fallback": 0, "held": 0,
             "crossing": sum(n.transition for n in curve.nodes)}
-    for prev, cur in zip(log, log[1:]):
-        if prev is None and not len(cur[1]):
-            seen["fallback"] += 1  # round 1 held no proposal, only the fallback start
-        elif prev is not None and cur is not None and cur[5].any():
-            simplex, t0, a0, t1, a1, _ = prev
-            mid = dev_hat_jacobians(*st_.charts, simplex, t0 + 0.5 * (t1 - t0),
-                                    a0 + 0.5 * (a1 - a0), st_.kappa, st_.blend)
-            seen["mid_fails_then_later_accepted"] += int(
-                not _future_causal(_tangents(mid, t1 - t0, (a1 - a0)[:, 1:]), 1e-6)[0])
+    for (ends, ends_a, cand), (again, again_a, retry) in zip(passes, passes[1:]):
+        simplex, t0, a0, t1, a1, ok = cand
+        if not len(t1):
+            seen["fallback"] += 1  # no start-passing proposal: only the fallback start
+            continue
+        if ok[0]:
+            continue
+        # a held curve redraws the same proposals from the same start
+        seen["held"] += 1
+        assert again.tobytes() == ends.tobytes() and again_a.tobytes() == ends_a.tobytes()
+        assert retry[1].tobytes() == t0.tobytes() and retry[2].tobytes() == a0.tobytes()
+        if not (len(retry[3]) and retry[5][0]):
+            continue
+
+        def column(t_end, a_end):  # the proposal a candidate is
+            return [k for k in range(8)
+                    if ends[0, k] == t_end[0] and np.array_equal(ends_a[0, k], a_end[0])][0]
+        assert column(retry[3], retry[4]) > column(t1, a1)
+        mid = dev_hat_jacobians(*st_.charts, simplex, t0 + 0.5 * (t1 - t0),
+                                a0 + 0.5 * (a1 - a0), st_.kappa, st_.blend)
+        seen["mid_fails_then_later_accepted"] += int(
+            not _future_causal(_tangents(mid, t1 - t0, (a1 - a0)[:, 1:]), 1e-6)[0])
     assert all(seen.values()), seen
+    # a pass is a step of the curve unless it held the curve
+    assert len(passes) == sum(not n.transition for n in curve.nodes[1:]) + seen["held"]
     monkeypatch.undo()
     assert validate_polyline(st_, curve) == []
+
+
+def test_max_steps_counts_steps_per_curve(gamma2_deformed, monkeypatch):
+    # _MAX_STEPS bounds each curve's completed steps, not the passes of a
+    # batch: a held pass is not a step, so a curve whose retries make its
+    # passes exceed the bound still finishes, and the first curve that needs
+    # more steps raises the error its one-curve trace raises.
+    st_ = gamma2_deformed
+    rng = np.random.default_rng(11)
+    starts = [ChartPoint(k % 2, 0.2, rng.dirichlet(np.ones(3))) for k in range(6)]
+    seeds = [int(x) for x in rng.integers(2**32, size=len(starts))]
+    full = list(_trace_lockstep(st_, starts, seeds, t_stop=3.0))
+    steps = [int(np.count_nonzero(~transition)) for (_, _, _, transition), _ in full]
+    work = _count_kernel_work(monkeypatch)
+    passes = []
+    for start, seed in zip(starts, seeds):
+        work["passes"] = 0
+        trace_causal_curve(st_, start, t_stop=3.0, seed=seed)
+        passes.append(work["passes"])
+    held = [i for i in range(len(starts)) if passes[i] > steps[i]]
+    assert held, (steps, passes)
+    retried = min(held, key=steps.__getitem__)
+    limit = steps[retried]
+    over = [i for i in range(len(starts)) if steps[i] > limit]
+    assert over, steps
+    monkeypatch.setattr(causality, "_MAX_STEPS", limit)
+    batch = _trace_lockstep(st_, starts, seeds, t_stop=3.0)
+    for i in range(over[0]):
+        (simplex, t, _, _), rejected = next(batch)
+        assert t.tobytes() == full[i][0][1].tobytes() and rejected == full[i][1]
+    message = f"tracer exhausted {limit} steps below t_stop"
+    with pytest.raises(GeometryError, match=message):
+        next(batch)
+    with pytest.raises(GeometryError, match=message):
+        trace_causal_curve(st_, starts[over[0]], t_stop=3.0, seed=seeds[over[0]])
+    curve = trace_causal_curve(st_, starts[retried], t_stop=3.0, seed=seeds[retried])
+    assert curve.nodes[-1].point.t >= 3.0 and passes[retried] > limit
 
 
 @pytest.mark.parametrize("lo, hi", [(-0.25, 1.0), (-0.25, 0.25), (-1.0, 1.0)])
@@ -492,6 +546,29 @@ def test_cauchy_time_report_rejects_bad_input(gamma2_zero, kwargs):
     named = [k for k in ("n_curves", "seed") if k in kwargs]  # the error names the bad argument
     with pytest.raises(ValueError, match="|".join(named) or None):
         cauchy_time_report(gamma2_zero, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_start": True},
+    {"t_start": np.bool_(True)},
+    {"t_stop": "4"},
+    {"leaves": (1.5, None)},
+    {"leaves": (True,)},
+    {"leaves": 0.5},
+    {"leaves": "1"},
+])
+def test_cauchy_time_report_rejects_non_real_times(gamma2_zero, kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
+        cauchy_time_report(gamma2_zero, **kwargs)
+
+
+def test_cauchy_time_report_stores_floats(gamma2_zero):
+    rep = cauchy_time_report(gamma2_zero, n_curves=2, seed=7, t_start=np.float64(0.2), t_stop=4,
+                             leaves=[0.5, 1, np.int64(2)])
+    assert rep == cauchy_time_report(gamma2_zero, n_curves=2, seed=7)
+    assert type(rep["t_stop"]) is float and [type(x) for x in rep["leaves"]] == [float] * 3
+    assert list(rep["curves"][0]["leaf_crossings"]) == ["0.5", "1.0", "2.0"]
 
 
 def test_cauchy_time_report_takes_numpy_integers(gamma2_zero):
