@@ -59,7 +59,8 @@ class KappaSearchExhausted(GeometryError):
 
 
 class FaceMismatch(GeometryError):
-    """Glued faces disagree beyond tolerance: decoration or gluing data is wrong."""
+    """Glued faces disagree beyond tolerance: decoration or gluing data is wrong.
+    The message names the worst corner as (triangle, facet, slot)."""
 
 
 class NonMonotoneAngles(GeometryError):
@@ -259,8 +260,11 @@ def _gram_min_eig(g: np.ndarray) -> np.ndarray:
 class BuildSettings(JsonRecord):
     """Sampling and tolerance knobs; defaults meet the certification contracts.
 
-    Every certificate must rest on a non-empty sample set, so counts are >= 1,
-    tolerances finite and > 0 and t_min < t_max; anything else is a ValueError.
+    The kappa certificate samples t_count values of t in [t_min, t_max] and
+    the bary_n alpha grid.  Face equivariance is not sampled: equiv_tol bounds
+    its corner bound at t_max (verify_face_equivariance).  Every certificate
+    must rest on a non-empty sample set, so counts are >= 1, tolerances finite
+    and > 0 and t_min < t_max; anything else is a ValueError.
     """
 
     margin: float = 1e-6
@@ -269,15 +273,13 @@ class BuildSettings(JsonRecord):
     t_max: float = 10.0
     t_count: int = 12
     bary_n: int = 32
-    equiv_t_count: int = 10
-    equiv_edge_count: int = 10
     equiv_tol: float = 1e-8
     fan_tol: float = 1e-8
     with_spears: bool = True
 
     # range rules; subclasses with more keys extend these tuples
     _POSITIVE = ("margin", "t_min", "t_max", "equiv_tol", "fan_tol")
-    _COUNTS = ("max_doublings", "t_count", "bary_n", "equiv_t_count", "equiv_edge_count")
+    _COUNTS = ("max_doublings", "t_count", "bary_n")
 
     def __post_init__(self):
         for name in self._POSITIVE:
@@ -293,7 +295,15 @@ class BuildSettings(JsonRecord):
 
 @dataclass(frozen=True)
 class CertificationRecord(JsonRecord):
-    """Sampled immersion/spacelike-leaf certificate for the chosen kappa."""
+    """Sampled immersion/spacelike-leaf certificate for the chosen kappa, and
+    the face-equivariance bound (verify_face_equivariance).
+
+    ``equivariance_du`` and ``equivariance_dp`` are the largest corner
+    residuals |u_j - m u'_j| and |p_j - m p'_j - b| (max norm) over every
+    glued facet; the glued charts then differ by at most
+    (t + kappa) du + dp at every t > 0, and ``equivariance_residual`` is that
+    bound at t = t_max.
+    """
 
     kappa: float
     kappa_initial: float
@@ -303,6 +313,8 @@ class CertificationRecord(JsonRecord):
     min_gram_eigenvalue: float
     margin: float
     equivariance_residual: float | None = None
+    equivariance_du: float | None = None
+    equivariance_dp: float | None = None
 
 
 def barycentric_grid(n: int) -> np.ndarray:
@@ -449,12 +461,15 @@ class PunctureGeometry:
 
     theta values cover two periods plus one entry (2r + 1 angles); Theta is
     the holonomy angle advance per period.  ell = Theta / 2pi is the
-    hyperbolic rescaling that normalizes the period to 2pi.
+    hyperbolic rescaling that normalizes the period to 2pi.  ``frame`` rotates
+    the axis direction into the (t, x) plane; ``frame_inverse`` is its
+    inverse, which minkowski_to_model and _in_fan_prisms share.
     """
 
     puncture: str
     base_vertex: str
     frame: LinearIsometry
+    frame_inverse: LinearIsometry
     line_point: np.ndarray
     line_direction: np.ndarray
     anchor: np.ndarray
@@ -678,30 +693,41 @@ def _boundary_close(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-6 * max(1.0, abs(a), abs(b))
 
 
-def verify_face_equivariance(st: PolyhedralSpacetime) -> float:
-    """Max residual of dev_hat matching across glued faces; raises FaceMismatch.
+def corner_residuals(st: PolyhedralSpacetime) -> tuple[np.ndarray, np.ndarray]:
+    """Largest entries |u_j - m u'_s(j)| and |p_j - m p'_s(j) - b|, (S, 3, 3)
+    over (triangle, facet k, slot j): the corner decorations against the
+    neighbour's across facet k, through the gluing x = m x' + b, with s =
+    slot[i, k] (0 at j = k, where the facet has no corner)."""
+    tri, (u, p), (m, b) = st.triangulation, st.charts, st.gluing
+    across = (tri.neighbour[..., None], tri.slot)
+    du = u[:, None] - (m @ u[across].swapaxes(-1, -2)).swapaxes(-1, -2)
+    dp = p[:, None] - (m @ p[across].swapaxes(-1, -2)).swapaxes(-1, -2) - b[:, :, None]
+    off_facet = ~np.eye(3, dtype=bool)
+    return (np.where(off_facet, np.abs(du).max(axis=-1), 0.0),
+            np.where(off_facet, np.abs(dp).max(axis=-1), 0.0))
 
-    One kernel call samples each gluing's left side at the edge points
-    s v0 + (1 - s) v1 (slots v0 < v1), and the same points across it."""
-    tri, settings = st.triangulation, st.settings
-    t_values = np.geomspace(settings.t_min, settings.t_max, settings.equiv_t_count)
-    s_values = (np.arange(settings.equiv_edge_count) + 0.5) / settings.equiv_edge_count
-    ts = np.tile(t_values, len(s_values))
-    s = np.repeat(s_values, len(t_values))
-    i, k = tri.left.T
-    v = np.sort((k[:, None] + [1, 2]) % 3)  # (G, 2): v0 < v1, then their slots across
-    ends = np.eye(3)[np.stack([v, np.take_along_axis(tri.slot[i, k], v, axis=1)], axis=1)]
-    alpha = s[:, None] * ends[..., None, 0, :] + (1.0 - s)[:, None] * ends[..., None, 1, :]
-    x = dev_hat_points(*st.charts, np.stack([i, tri.neighbour[i, k]], axis=1)[..., None],
-                       ts, alpha, st.kappa, st.blend)
-    m, b = st.gluing
-    worst = 0.0
-    for (xl, xr), m_g, b_g in zip(x, m[i, k], b[i, k]):
-        xr = (m_g @ xr.T).T + b_g
-        worst = max(worst, float(np.abs(xl - xr).max()))
-    if worst > settings.equiv_tol:
-        raise FaceMismatch(f"glued faces disagree by {worst:.3e}")
-    return worst
+
+def verify_face_equivariance(st: PolyhedralSpacetime,
+                             residuals: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+    """Bound at t = t_max on dev_hat's mismatch across glued faces; raises FaceMismatch.
+
+    On facet k, alpha_k = phi_k = 0, phi is permutation-equivariant and alpha
+    and phi each sum to 1, so at (t, alpha) the two charts differ by
+    sum_j (t phi_j + kappa alpha_j) du_j + alpha_j dp_j, j != k, with du_j
+    and dp_j the corner residuals: at most (t + kappa) max|du| + max|dp| at
+    every t > 0, exactly, with no sampling.  ``residuals`` are
+    corner_residuals(st) if the caller holds them, else computed here.
+    FaceMismatch names the corner with the largest share of the bound.
+    """
+    du, dp = corner_residuals(st) if residuals is None else residuals
+    scale = st.settings.t_max + st.kappa
+    bound = scale * float(du.max()) + float(dp.max())
+    if not bound <= st.settings.equiv_tol:  # NaN fails too
+        i, k, j = np.unravel_index(np.argmax(scale * du + dp), du.shape)
+        raise FaceMismatch(f"glued faces disagree by up to {bound:.3e} at t = "
+                           f"{st.settings.t_max!r}; worst corner: triangle {i}, facet {k}, "
+                           f"slot {j} (|du| {du[i, k, j]:.3e}, |dp| {dp[i, k, j]:.3e})")
+    return bound
 
 
 def build(
@@ -714,7 +740,7 @@ def build(
     if not report.verdict:
         raise NotAdmissible(report)
     gluing = gluing_isometries(rep, tri)
-    fixed = peripheral_fixed_data(rep)
+    fixed = peripheral_fixed_data(rep, {c.name: c.fixed_direction for c in report.peripheral})
     dec_u, dec_p, base_of = decorate_vertices(fixed, tri, gluing)
     charts = decorate_charts(tri.triangles, dec_u, dec_p)
     blend = HexagonBlend()
@@ -734,7 +760,9 @@ def build(
         certification=cert,
         settings=settings,
     )
-    st.certification = replace(cert, equivariance_residual=verify_face_equivariance(st))
+    du, dp = corner_residuals(st)
+    st.certification = replace(cert, equivariance_residual=verify_face_equivariance(st, (du, dp)),
+                               equivariance_du=float(du.max()), equivariance_dp=float(dp.max()))
     st.fans = {name: puncture_geometry(st, name) for name in fibers}
     if settings.with_spears:
         st.spears = {name: find_spear(st, name) for name in fibers}
@@ -771,7 +799,8 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
     r = sum(1 for t in tri.triangles for v in t if v in orbit)
     anchor = st.kappa * fiber.line_direction + fiber.line_point
     frame = rotation_about_t(math.atan2(fiber.line_direction[2], fiber.line_direction[1]))
-    frame_inv = frame.inverse().matrix
+    frame_inverse = frame.inverse()
+    frame_inv = frame_inverse.matrix
     m, b = st.gluing
     u, p = st.charts
 
@@ -832,6 +861,7 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
         puncture=puncture,
         base_vertex=base,
         frame=frame,
+        frame_inverse=frame_inverse,
         line_point=fiber.line_point,
         line_direction=fiber.line_direction,
         anchor=anchor,
@@ -858,7 +888,7 @@ def minkowski_to_model(pg: PunctureGeometry, x) -> np.ndarray:
     arithmetic is that of a one-point call.
     """
     d = np.asarray(x, dtype=float) - pg.line_point
-    w = (pg.frame.inverse().matrix @ d[..., None])[..., 0]
+    w = (pg.frame_inverse.matrix @ d[..., None])[..., 0]
     return np.stack(h_ell_coords(1.0 / pg.ell, *dev0_inverse(w, tol=1e-9)), axis=-1)
 
 
@@ -872,7 +902,7 @@ def _in_fan_prisms(pg: PunctureGeometry, x: np.ndarray) -> tuple[np.ndarray, np.
     and (t, a, b) is NaN there or where the window's prism is singular, and
     both count as outside.
     """
-    frame_inv = pg.frame.inverse().matrix
+    frame_inv = pg.frame_inverse.matrix
     d = x - pg.anchor
     w = d @ frame_inv.T
     gap = w[:, 0] - w[:, 1]

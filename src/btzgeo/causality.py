@@ -77,6 +77,13 @@ def _index(value, bound: float = math.inf, what: str = "chart simplex"):
     return v
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; ValueError if it is a bool or not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ChartPoint:
     simplex: int
@@ -90,9 +97,11 @@ class ChartPoint:
         if (a.shape != (3,) or not all(map(math.isfinite, w))
                 or abs(w[0] + w[1] + w[2] - 1.0) > 1e-9 or min(w) < -1e-12):
             raise ValueError(f"bad barycentric point {self.alpha}")
-        if not (math.isfinite(self.t) and self.t > 0):
+        t = _real("chart t", self.t)
+        if not (math.isfinite(t) and t > 0):
             raise ValueError("chart t must be finite and positive")
         a.setflags(write=False)
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "alpha", a)
 
     def to_json(self) -> dict:
@@ -110,8 +119,10 @@ class FiberPoint:
     t: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t > 0):
+        t = _real("fiber t", self.t)
+        if not (math.isfinite(t) and t > 0):
             raise ValueError("fiber t must be finite and positive")
+        object.__setattr__(self, "t", t)
 
     def to_json(self) -> dict:
         return {"kind": "fiber", "puncture": self.puncture, "t": self.t}
@@ -526,6 +537,7 @@ def trace_causal_curve(st: PolyhedralSpacetime, start, t_stop: float, steering: 
     """
     if steering not in ("random", "axis", "leave_axis"):
         raise ValueError(f"unknown steering {steering!r}")
+    t_stop = _real("t_stop", t_stop)
     if not math.isfinite(t_stop):
         raise ValueError("t_stop must be finite")
     nodes = [CurveNode(start)]
@@ -671,10 +683,8 @@ def cauchy_time_report(
         leaves = tuple(leaves)
     except TypeError:
         raise ValueError(f"leaves must be an iterable of numbers, got {leaves!r}") from None
-    for name, value in (("t_start", t_start), ("t_stop", t_stop), *(("leaves", x) for x in leaves)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-    t_start, t_stop, leaves = float(t_start), float(t_stop), tuple(map(float, leaves))
+    t_start, t_stop = _real("t_start", t_start), _real("t_stop", t_stop)
+    leaves = tuple(_real("leaves", x) for x in leaves)
     if not all(math.isfinite(x) and x > 0 for x in (t_start, t_stop)):
         raise ValueError("t_start and t_stop must be finite and > 0")
     if t_start >= t_stop:

@@ -229,6 +229,12 @@ def fixed_lightlike_direction(m: LinearIsometry) -> np.ndarray:
     """Future lightlike eigenvector of a parabolic, normalized to t component 1."""
     if classify_isometry(m).kind is not IsometryKind.PARABOLIC:
         raise NotParabolic("fixed lightlike direction requires a parabolic")
+    return parabolic_fixed_direction(m)
+
+
+def parabolic_fixed_direction(m: LinearIsometry) -> np.ndarray:
+    """fixed_lightlike_direction of a linear part its caller has already
+    classified parabolic: one SVD, no second classification."""
     n = m.matrix - np.eye(3)
     # The eigenspace for eigenvalue 1 is the kernel of A - I (rank 2 for parabolics).
     _, _, vt = np.linalg.svd(n)
@@ -242,22 +248,26 @@ def fixed_lightlike_direction(m: LinearIsometry) -> np.ndarray:
     return u
 
 
-def is_tangent(phi: AffineIsometry) -> bool:
-    """True when the translation part is Minkowski-orthogonal to the parabolic fixed direction."""
-    u = fixed_lightlike_direction(phi.linear)
+def is_tangent(phi: AffineIsometry, u: np.ndarray | None = None) -> bool:
+    """True when the translation part is Minkowski-orthogonal to the parabolic
+    fixed direction u, computed here unless the caller holds it."""
+    if u is None:
+        u = fixed_lightlike_direction(phi.linear)
     tau = phi.translation
     scale = max(1.0, float(np.linalg.norm(tau)) * float(np.linalg.norm(u)))
     return abs(minkowski_inner(tau, u)) <= TANGENT_TOL * scale
 
 
-def fixed_line(phi: AffineIsometry) -> tuple[np.ndarray, np.ndarray]:
+def fixed_line(phi: AffineIsometry, u: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Fixed line (point, direction) of a parabolic-with-tangent-translation.
 
     Solves (A - I) x = -tau; the returned point is the minimum-Euclidean-norm
-    solution, the direction is the fixed lightlike vector (t component 1).
-    Raises NoFixedPoints when the system is inconsistent (non-tangent part).
+    solution, the direction is the fixed lightlike vector u (t component 1),
+    computed here unless the caller holds it.  Raises NoFixedPoints when the
+    system is inconsistent (non-tangent part).
     """
-    u = fixed_lightlike_direction(phi.linear)
+    if u is None:
+        u = fixed_lightlike_direction(phi.linear)
     n = phi.linear.matrix - np.eye(3)
     x0, *_ = np.linalg.lstsq(n, -phi.translation, rcond=None)
     resid = float(np.linalg.norm(n @ x0 + phi.translation))

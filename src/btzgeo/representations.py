@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .minkowski import (
+    G,
     AffineIsometry,
     GeometryError,
     IsometryKind,
@@ -32,6 +33,7 @@ from .minkowski import (
     fixed_line,
     is_tangent,
     minkowski_inner,
+    parabolic_fixed_direction,
 )
 from .serialize import Default, JsonRecord, read
 
@@ -191,7 +193,7 @@ class AffineRepresentation:
         trs = {}
         for name in self.presentation.generator_names:
             v = np.array(self.translations.get(name, np.zeros(3)), dtype=float)
-            if not np.all(np.isfinite(v)):
+            if v.shape != (3,) or not np.all(np.isfinite(v)):
                 raise ValueError(f"bad translation for {name}")
             trs[name] = v
         self.translations = trs
@@ -207,12 +209,24 @@ class AffineRepresentation:
         return AffineIsometry(self.linear[name], self.translations[name])
 
     def evaluate(self, word: str) -> AffineIsometry:
-        """Left-to-right composition of generator images: rho(xy) = rho(x) rho(y)."""
-        out = AffineIsometry.identity()
+        """Left-to-right composition of generator images: rho(xy) = rho(x) rho(y).
+
+        The letters' raw matrices are multiplied from the identity in the
+        order and with the arithmetic of chained AffineIsometry.compose and
+        .inverse calls, so the result has their bits; only the product is
+        validated as an isometry.
+        """
+        out_m, out_b = np.eye(3), np.zeros(3)
         for name, exp in parse_word(word):
-            g = self.generator(name)
-            out = out.compose(g if exp == 1 else g.inverse())
-        return out
+            if name not in self.linear:
+                raise UnknownGenerator(name)
+            m, b = self.linear[name].matrix, self.translations[name]
+            if exp != 1:
+                m = G @ m.T @ G
+                b = -(m @ b)
+            out_b = out_m @ b + out_b
+            out_m = out_m @ m
+        return AffineIsometry(LinearIsometry(out_m), out_b)
 
     def evaluate_linear(self, word: str) -> LinearIsometry:
         return self.evaluate(word).linear
@@ -318,12 +332,8 @@ def check_admissible(rep: AffineRepresentation, tol: float = RELATOR_TOL) -> Adm
     for name in rep.presentation.peripheral_names:
         g = rep.generator(name)
         parab = classify_isometry(g.linear).kind is IsometryKind.PARABOLIC
-        if parab:
-            u = fixed_lightlike_direction(g.linear)
-            tang = is_tangent(g)
-        else:
-            u, tang = None, False
-        checks.append(PeripheralCheck(name, parab, tang, u))
+        u = parabolic_fixed_direction(g.linear) if parab else None
+        checks.append(PeripheralCheck(name, parab, parab and is_tangent(g, u), u))
     verdict = residual <= tol and all(p.parabolic and p.tangent for p in checks)
     disc = (
         Discreteness.CERTIFIED_BY_CONSTRUCTION
@@ -347,13 +357,20 @@ class PeripheralFixedData:
         return lightlike_to_boundary(self.u)
 
 
-def peripheral_fixed_data(rep: AffineRepresentation) -> dict[str, PeripheralFixedData]:
-    """Fixed direction u_j and minimum-norm fixed point p_j for each peripheral."""
+def peripheral_fixed_data(
+    rep: AffineRepresentation, directions: dict[str, np.ndarray] | None = None,
+) -> dict[str, PeripheralFixedData]:
+    """Fixed direction u_j and minimum-norm fixed point p_j for each peripheral.
+
+    ``directions`` holds the u_j the caller already has, such as the fixed
+    directions of an admissible check_admissible report; else each is
+    computed here.
+    """
     out = {}
     for name in rep.presentation.peripheral_names:
         g = rep.generator(name)
-        u = fixed_lightlike_direction(g.linear)
-        point, direction = fixed_line(g)
+        u = fixed_lightlike_direction(g.linear) if directions is None else directions[name]
+        point, direction = fixed_line(g, u)
         out[name] = PeripheralFixedData(name, u, point, direction)
     return out
 

@@ -17,6 +17,7 @@ import btzgeo.builder as builder_module
 from btzgeo.builder import (
     BuildSettings,
     DegenerateDecoration,
+    FaceMismatch,
     HexagonBlend,
     KappaSearchExhausted,
     NonMonotoneAngles,
@@ -30,6 +31,7 @@ from btzgeo.builder import (
     barycentric_grid,
     build,
     choose_kappa,
+    corner_residuals,
     decorate_charts,
     decorate_vertices,
     dev_hat,
@@ -46,6 +48,7 @@ from btzgeo.builder import (
     minkowski_to_model,
     model_to_minkowski,
     strip_btz,
+    verify_face_equivariance,
 )
 from btzgeo.minkowski import causal_class, CausalClass, minkowski_inner
 from btzgeo.models import TWO_PI, axis_deck_generator, parabolic_parameter
@@ -589,26 +592,83 @@ REFERENCE_SPEARS = {
 
 
 # certification.to_json() of the reference builds, recorded with the per-simplex
-# certification pass: (kappa, min_jacobian_det, min_gram_eigenvalue, equivariance_residual);
-# every build certifies at once (doublings 0, kappa_initial = kappa) on 12672 samples
+# certification pass: (kappa, min_jacobian_det, min_gram_eigenvalue) and the
+# face-equivariance corner bound (equivariance_residual = (t_max + kappa) du + dp,
+# du, dp); every build certifies at once (doublings 0, kappa_initial = kappa)
+# on 12672 samples
 REFERENCE_CERTIFICATIONS = {
-    "gamma2_zero": (1.0, 1.9999999999999982, 0.9243577472252533, 3.552713678800501e-14),
+    "gamma2_zero": (1.0, 1.9999999999999982, 0.9243577472252533,
+                    3.419486915845482e-14, 3.1086244689504383e-15, 0.0),
     "gamma2_deformed": (1.1131275856086498, 2.4339588072597063, 1.0871892516094137,
-                        3.375077994860476e-14),
-    "torus_zero": (1.0, 3.9999999999999885, 2.419999999999997, 3.197442310920451e-14),
+                        3.7155564447060273e-14, 3.1086244689504383e-15, 2.609024107869118e-15),
+    "torus_zero": (1.0, 3.9999999999999885, 2.419999999999997,
+                   1.1235457009206584e-13, 1.021405182655144e-14, 0.0),
     "torus_deformed": (1.137977016882451, 5.243674011824025, 2.997850690834214,
-                       3.319566843629218e-14),
+                       1.1558186469619986e-13, 1.021405182655144e-14, 1.817990202823694e-15),
 }
 
 
 @pytest.mark.parametrize("fixture", sorted(REFERENCE_CERTIFICATIONS))
 def test_reference_certifications_are_pinned(fixture, request):
-    kappa, det, eig, residual = REFERENCE_CERTIFICATIONS[fixture]
+    kappa, det, eig, residual, du, dp = REFERENCE_CERTIFICATIONS[fixture]
     assert request.getfixturevalue(fixture).certification.to_json() == {
         "kappa": kappa, "kappa_initial": kappa, "doublings": 0, "samples": 12672,
         "min_jacobian_det": det, "min_gram_eigenvalue": eig, "margin": 1e-6,
-        "equivariance_residual": residual,
+        "equivariance_residual": residual, "equivariance_du": du, "equivariance_dp": dp,
     }
+
+
+def _developed_face_mismatch(st_, t, edge_count=10):
+    """The sampled face check the corner bound replaced: across every glued
+    facet (both readings), the largest |x_left - (m x_right + b)| at time t
+    over edge_count points of the edge, and the largest |x| developed."""
+    tri = st_.triangulation
+    i, k = np.nonzero(tri.neighbour >= 0)
+    s = (np.arange(edge_count) + 0.5) / edge_count
+    v = np.sort((k[:, None] + [1, 2]) % 3)
+    ends = np.eye(3)[np.stack([v, np.take_along_axis(tri.slot[i, k], v, axis=1)], axis=1)]
+    alpha = s[:, None] * ends[..., None, 0, :] + (1.0 - s)[:, None] * ends[..., None, 1, :]
+    x = dev_hat_points(*st_.charts, np.stack([i, tri.neighbour[i, k]], axis=1)[..., None],
+                       t, alpha, st_.kappa, st_.blend)
+    m, b = st_.gluing
+    right = np.einsum("gab,gsb->gsa", m[i, k], x[:, 1]) + b[i, k][:, None]
+    return float(np.abs(x[:, 0] - right).max()), float(np.abs(x).max())
+
+
+@pytest.mark.parametrize("fixture", sorted(REFERENCE_CERTIFICATIONS))
+def test_corner_bound_covers_sampled_face_mismatch(fixture, request):
+    # the developed mismatch at any t is within (t + kappa) du + dp, up to the
+    # rounding of developing both points (a few ulps of |x|), also past t_max
+    st_ = request.getfixturevalue(fixture)
+    cert = st_.certification
+    du, dp = corner_residuals(st_)
+    assert (cert.equivariance_du, cert.equivariance_dp) == (float(du.max()), float(dp.max()))
+    assert cert.equivariance_residual == (10.0 + st_.kappa) * cert.equivariance_du + \
+        cert.equivariance_dp
+    assert verify_face_equivariance(st_) == cert.equivariance_residual
+    for t in [*np.geomspace(0.1, 10.0, 10), 1e3]:
+        mismatch, size = _developed_face_mismatch(st_, t)
+        bound = (t + st_.kappa) * cert.equivariance_du + cert.equivariance_dp
+        assert mismatch <= bound + 4 * np.finfo(float).eps * size, (t, mismatch, bound)
+
+
+def test_face_mismatch_names_its_corner(gamma2_deformed, torus_zero):
+    # one reading of one glued facet moved: the error names that triangle and
+    # facet and a corner of it, where the developed charts differ by the move
+    for st_, (i, k), shift in ((gamma2_deformed, (0, 1), 1e-3), (torus_zero, (1, 2), 4e-4)):
+        m, b = st_.gluing
+        b = b.copy()
+        b[i, k, 2] += shift
+        broken = replace(st_, gluing=(m, b))
+        with pytest.raises(FaceMismatch, match=rf"triangle {i}, facet {k}, slot \d") as err:
+            verify_face_equivariance(broken)
+        j = int(re.search(r"slot (\d)", str(err.value)).group(1))
+        assert j != k
+        n, jn = st_.triangulation.neighbour[i, k], st_.triangulation.slot[i, k, j]
+        t = st_.settings.t_max
+        x = dev_hat_points(*st_.charts, np.array([i, n]), t, np.eye(3)[[j, jn]], st_.kappa,
+                           st_.blend)
+        assert np.abs(x[0] - (m[i, k] @ x[1] + b[i, k])).max() == pytest.approx(shift)
 
 
 @pytest.mark.parametrize("fixture", sorted(REFERENCE_SPEARS))
@@ -876,8 +936,8 @@ def test_bundle_kappa_must_match_its_certificate(gamma2_zero):
     "bad",
     [
         {"bary_n": 0},
-        {"equiv_t_count": 0},
-        {"equiv_edge_count": 0},
+        {"max_doublings": 0},
+        {"equiv_tol": 0.0},
         {"t_count": 0},
         {"margin": -1.0},
         {"t_min": 5.0, "t_max": 1.0},

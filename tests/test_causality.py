@@ -571,6 +571,31 @@ def test_cauchy_time_report_stores_floats(gamma2_zero):
     assert list(rep["curves"][0]["leaf_crossings"]) == ["0.5", "1.0", "2.0"]
 
 
+@pytest.mark.parametrize("bad", [True, False, "1", None, 1j])
+def test_points_and_t_stop_reject_non_real_times(gamma2_zero, bad):
+    # the rule of cauchy_time_report: a bool or a non-real is a ValueError, not
+    # a stored True or a raw TypeError from math.isfinite
+    start = ChartPoint(0, 0.2, CENTER)
+    with pytest.raises(ValueError, match="chart t must be a real number"):
+        ChartPoint(0, bad, CENTER)
+    with pytest.raises(ValueError, match="fiber t must be a real number"):
+        FiberPoint("c1", bad)
+    with pytest.raises(ValueError, match="t_stop must be a real number"):
+        trace_causal_curve(gamma2_zero, start, t_stop=bad)
+
+
+def test_points_store_times_as_floats(gamma2_zero):
+    for t in (1, np.int64(1), np.float64(1.0), np.float32(1.0)):
+        point = ChartPoint(0, t, CENTER)
+        assert type(point.t) is float and point.to_json()["t"] == 1.0
+        assert type(FiberPoint("c1", t).t) is float
+    start = ChartPoint(0, 0.2, CENTER)
+    curve = trace_causal_curve(gamma2_zero, start, t_stop=np.int64(1), seed=3)
+    want = trace_causal_curve(gamma2_zero, start, t_stop=1.0, seed=3)
+    assert [n.to_json() for n in curve.nodes] == [n.to_json() for n in want.nodes]
+    assert type(curve.nodes[-1].point.t) is float
+
+
 def test_cauchy_time_report_takes_numpy_integers(gamma2_zero):
     rep = cauchy_time_report(gamma2_zero, n_curves=np.int64(2), seed=np.uint32(7))
     assert rep == cauchy_time_report(gamma2_zero, n_curves=2, seed=7)

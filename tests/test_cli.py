@@ -589,7 +589,7 @@ def test_mutated_inputs_exit_with_one_typed_error(cli_dir, tmp_path):
     # exactly one JSON error object; a wrong type or shape, a missing required
     # key or an unknown key exits 2.
     config = tmp_path / "fast.cfg"
-    config.write_text("t_count=2\nbary_n=4\nequiv_t_count=2\nequiv_edge_count=2\n"
+    config.write_text("t_count=2\nbary_n=4\n"
                       "surgery_samples=50\nresolution=1\nleaves=1.0\n")
     fast = ["--config", str(config)]
     rep, tri, bundle = (tmp_path / name for name in ("rep.json", "tri.json", "bundle.json"))

@@ -69,6 +69,42 @@ def test_evaluate_word(gamma2):
         rep.evaluate("z1")
 
 
+def _chained_evaluate(rep, word):
+    """rho(word) as chained AffineIsometry.compose and .inverse calls, each
+    step a validated isometry."""
+    out = AffineIsometry.identity()
+    for name, exp in parse_word(word):
+        g = rep.generator(name)
+        out = out.compose(g if exp == 1 else g.inverse())
+    return out
+
+
+def test_evaluate_matches_chained_compose_bitwise(gamma2, torus, monkeypatch):
+    # evaluate multiplies raw matrices in the chained order and arithmetic, so
+    # its bits are the chained ones, and it validates only the product
+    rng = np.random.default_rng(5)
+    validated = []
+    post_init = LinearIsometry.__post_init__
+    for ex in (gamma2, torus):
+        names = ex.representation.presentation.generator_names
+        for scale in (0.0, 1.0, 30.0):
+            rep = ex.representation.with_translations(
+                {g: scale * rng.normal(size=3) for g in names})
+            for length in list(range(9)) * 12:
+                word = " ".join(f"{names[i]}{'^-1' * int(e)}" for i, e in
+                                zip(rng.integers(len(names), size=length),
+                                    rng.integers(2, size=length)))
+                want = _chained_evaluate(rep, word)
+                monkeypatch.setattr(LinearIsometry, "__post_init__",
+                                    lambda self: validated.append(1) or post_init(self))
+                got = rep.evaluate(word)
+                monkeypatch.setattr(LinearIsometry, "__post_init__", post_init)
+                assert got.linear.matrix.tobytes() == want.linear.matrix.tobytes(), word
+                assert got.translation.tobytes() == want.translation.tobytes(), word
+                assert not got.linear.matrix.flags.writeable
+    assert len(validated) == 2 * 3 * 9 * 12
+
+
 def test_sl2_to_so12_basics():
     assert np.allclose(sl2_to_so12(np.eye(2)).matrix, np.eye(3))
     shear = sl2_to_so12(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -156,6 +192,13 @@ def test_check_admissible_trivial_rep():
     assert report.relator_residual < 1e-12
     assert not any(p.parabolic for p in report.peripheral)
     assert not report.verdict
+
+
+@pytest.mark.parametrize("bad", [[1.0, 2.0], [[1.0], [2.0], [3.0]], 1.0, [0.0, math.nan, 0.0]])
+def test_representation_rejects_bad_translations(gamma2, bad):
+    # evaluate composes the raw translations, so they are checked once here
+    with pytest.raises(ValueError, match="bad translation for c2"):
+        gamma2.representation.with_translations({"c2": bad})
 
 
 def test_builtin_gamma2_traces(gamma2):
