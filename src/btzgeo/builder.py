@@ -103,8 +103,8 @@ class HexagonBlend:
         s = (h[..., 0] + h[..., 1] + h[..., 2])[..., None]
         phi = h / s
         plateau = None
-        if (a >= self.threshold).any():
-            plateau = a.max(axis=-1) >= self.threshold
+        if (corner := a >= self.threshold).any():
+            plateau = corner[..., 0] | corner[..., 1] | corner[..., 2]
             phi[plateau] = np.eye(3)[np.argmax(a[plateau], axis=-1)]
         return phi, h, s, gap, plateau
 
@@ -673,17 +673,17 @@ def decorate_vertices(
         raise InvalidTriangulation(
             f"vertices unreachable from base points: {sorted(missing)}"
         )
-    for target, source, m_e, b_e in edges:
-        u_new = m_e @ dec_u[source]
-        p_new = m_e @ dec_p[source] + b_e
-        scale = max(1.0, float(np.abs(u_new).max()), float(np.abs(p_new).max()))
-        if (
-            np.abs(u_new - dec_u[target]).max() > 1e-8 * scale
-            or np.abs(p_new - dec_p[target]).max() > 1e-8 * scale
-        ):
-            raise InvalidTriangulation(
-                f"decoration of vertex {target} is inconsistent across gluings"
-            )
+    # every glued edge at once, over (triangle i, facet k, slot j != k): the
+    # decorations (u, p) of vertex j against (m u', m p' + b) from the neighbour
+    up = np.array([[[dec[v] for v in t] for t in tri.triangles] for dec in (dec_u, dec_p)])
+    new = (m @ up[:, tri.neighbour[..., None], tri.slot].swapaxes(-1, -2)).swapaxes(-1, -2)
+    new[1] += b[:, :, None]
+    scale = 1e-8 * np.maximum(1.0, np.abs(new).max(axis=(0, -1)))
+    bad = (np.abs(new - up[:, :, None]).max(axis=-1) > scale).any(axis=0) & ~np.eye(3, dtype=bool)
+    if bad.any():  # the first failing edge in (i, k, j) order
+        i, _, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise InvalidTriangulation(
+            f"decoration of vertex {tri.triangles[i][j]} is inconsistent across gluings")
     return dec_u, dec_p, base_of
 
 

@@ -24,20 +24,21 @@ build only dt > 0 proposals can be causal (t is a time function), so the
 monotonicity check in the report is a real assertion, not a tautology.
 
 Curves are traced in lockstep over arrays of live-curve state, compressed as
-curves finish.  A pass tests the start sample of all 8 proposals of every live
-curve against the start Jacobians it carries.  One call of builder's stacked
-chart kernel then takes the later samples of each curve's first untried
-start-passing proposal and the next starts that its end does not give.  A
-curve whose candidate fails stays put and retries from the next proposal in
-the next pass, which redraws the same proposals (_trace_lockstep).  Every
-decision and carried Jacobian keeps the bits of testing each proposal in full
-and evaluating each start afresh.  Each pass makes exactly one kernel call, and
-one more evaluates the first starts: over the four reference builds (seeds
-0-2) a pass takes 3.4 points at 2 curves and 153 at 100 curves.  One
-cross_face call moves every curve that ended on a face.  Each curve reads its
-own random stream in the order a one-curve trace reads it (3 doubles per
-proposal, proposals in order until the first accepted one), so a curve traced
-in a batch equals the same curve traced alone, node for node.
+curves finish.  A pass clips its proposals to the chart, cutting only those
+that cross a face, and screens all 8 proposals of every live curve with the
+cone test at the start sample, against the start Jacobians it carries.  One
+call of builder's stacked chart kernel then takes the later samples of each
+curve's first untried start-passing proposal and the next starts that its end
+does not give.  A curve whose candidate fails stays put and retries from the
+next proposal in the next pass, which redraws the same proposals
+(_trace_lockstep).  Every decision and carried Jacobian keeps the bits of
+testing each proposal in full and evaluating each start afresh.  Each pass
+makes one kernel call, and one more evaluates the first starts: over the four
+reference builds (seeds 0-2) a pass takes 3.4 points at 2 curves and 153 at
+100 curves.  One cross_face call moves every curve that ended on a face.  Each
+curve reads its own random stream in the order a one-curve trace reads it (3
+doubles per proposal, proposals in order until the first accepted one), so a
+curve traced in a batch equals the same curve traced alone, node for node.
 """
 
 from __future__ import annotations
@@ -199,8 +200,8 @@ def _future_causal(v: np.ndarray, margin: float) -> np.ndarray:
     sq = v * v
     sq_t, sq_x, sq_y = sq[..., 0], sq[..., 1], sq[..., 2]
     # Q(v) <= 1e-9 |v|^2 - margin v_t^2, each sum in the order quadratic_form and
-    # numpy's sum over the last axis add, so every verdict keeps its bits
-    return (v[..., 0] > 0) & (-sq_t + sq_x + sq_y <= LIGHTLIKE_TOL * (sq_t + sq_x + sq_y)
+    # numpy's sum over the last axis add (-a + b is b - a), so every verdict keeps its bits
+    return (v[..., 0] > 0) & (sq_x - sq_t + sq_y <= LIGHTLIKE_TOL * (sq_t + sq_x + sq_y)
                               - margin * sq_t)
 
 
@@ -208,17 +209,14 @@ def _start_passes(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: floa
                   start=None) -> np.ndarray:
     """The start test of straight chart segments from (t0, a0) to (t1, a1).
 
-    A segment passes when it moves, keeps t > 0 at every sample, and its
-    tangent is future causal at the start sample.  The end arrays carry the
-    batch shape; simplex and start arrays, and the start's Jacobians
-    ``start`` if the caller has them, broadcast against them.
+    A segment passes when its tangent is future causal at the start sample, so
+    a segment that does not move fails.  Callers check t > 0 along it.  The
+    end arrays carry the batch shape; simplex and start arrays, and the
+    start's Jacobians ``start`` if the caller has them, broadcast against them.
     """
-    dt, d = t1 - t0, a1 - a0
-    ok = (((dt != 0) | (d[..., 1] != 0) | (d[..., 2] != 0))
-          & ~((t0 <= 0) | (t0 + 0.5 * dt <= 0) | (t1 <= 0)))
     if start is None:
         start = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa, st.blend)
-    return ok & _future_causal(_tangents(start, dt, d[..., 1:]), margin)
+    return _future_causal(_tangents(start, t1 - t0, (a1 - a0)[..., 1:]), margin)
 
 
 def _later_samples(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: float,
@@ -247,10 +245,11 @@ def _segments_are_causal(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1,
 
     Segments run from (t0, a0) to (t1, a1) in chart ``simplex``; the end
     arrays carry the batch shape, and simplex and start arrays broadcast
-    against them.  The later samples are evaluated only where the start
-    sample passes; all must pass.
+    against them.  t must be > 0 at every sample.  The later samples are
+    evaluated only where the start sample passes; all must pass.
     """
-    ok = _start_passes(st, simplex, t0, a0, t1, a1, margin)
+    ok = (_start_passes(st, simplex, t0, a0, t1, a1, margin)
+          & ~((t0 <= 0) | (t0 + 0.5 * (t1 - t0) <= 0) | (t1 <= 0)))
     idx = np.nonzero(ok)
     ok[idx] = _later_samples(st, np.broadcast_to(simplex, ok.shape)[idx],
                              np.broadcast_to(t0, ok.shape)[idx], np.broadcast_to(a0, a1.shape)[idx],
@@ -317,10 +316,11 @@ def fiber_hop_is_causal(st: PolyhedralSpacetime, fiber_pt: FiberPoint,
 # Proposals 3 and 7 of each step are flat probes: transverse motion not tied
 # to dt, so broken (non-spacelike) leaves are actually detectable.
 _FLAT = np.array([False, False, False, True] * 2)
-# Index into the adaptive-scale history that proposal k reads: how many of
-# the non-flat proposals before it were rejected.
-_SCALE_SLOT = np.array([0, 1, 2, 3, 3, 4, 5, 6])
-_CHUNK = 120  # doubles drawn per refill of one curve's random buffer
+_DT_SPAN = np.where(_FLAT, 0.5, 1.25)  # dt / t-step is uniform in [-0.25, -0.25 + span)
+# Proposal k's scale factor, accumulated from the curve's scale: 0.85 per
+# rejected non-flat proposal before it
+_DECAY = np.where(np.roll(_FLAT, 1), 1.0, 0.85)
+_CHUNK = 480  # doubles per refill of a curve's random buffer: 20 passes, 0.38 MB at 100 curves
 # the tracer's constants, described in the module docstring
 _STEPS_PER_SPAN = 50.0
 _MIN_T_STEP = 1e-3
@@ -336,22 +336,30 @@ def _clip_to_chart(t0, dt, a0, a1):
     arrays of any batch shape (t0, a0 broadcast), barycentric ones with a trailing axis of 3.
     Returns (t1, usable, crossed, facet): the end times, the steps that stay
     usable (t > 0, not stalled on a face, not near a corner), those that end
-    on a face, and that face's zero-weight slot, the lowest one on ties.
+    on a face, and that face's zero-weight slot, the lowest one on ties (else
+    0).  Only a step with a negative end weight can cross, so the face hits
+    run on those steps alone and the cut on the crossing ones.
     """
-    d = a1 - a0
-    hits = np.divide(a0, -d, out=np.full(d.shape, np.inf), where=(d < 0) & (a1 < 0))
-    s = np.minimum(np.minimum(hits[..., 0], hits[..., 1]), hits[..., 2])
-    facet = np.where(hits[..., 0] == s, 0, np.where(hits[..., 1] == s, 1, 2))
-    crossed = s < 1.0
     t1 = t0 + dt
-    usable = (t1 > 0) & (~crossed | (s >= 1e-6))
-    cut, s = crossed[..., None], np.minimum(s, 1.0)  # crossings end at s, on their face
-    a1[...] = np.where(cut & (facet[..., None] == np.arange(3)), 0.0,
-                       np.where(cut, a0 + s[..., None] * d, a1))
-    t1 = np.where(crossed, t0 + s * dt, t1)
-    lo, mid, hi = a1[..., 0], a1[..., 1], a1[..., 2]
-    median = np.maximum(np.minimum(lo, mid), np.minimum(np.maximum(lo, mid), hi))
-    usable &= ~crossed | (median >= 1e-6)
+    usable = t1 > 0
+    crossed, facet = np.zeros(usable.shape, dtype=bool), np.zeros(usable.shape, dtype=np.intp)
+    neg = a1 < 0
+    if neg.any():
+        near = (neg[..., 0] | neg[..., 1] | neg[..., 2]).nonzero()
+        a0n, a1n = np.broadcast_to(a0, a1.shape)[near], a1[near]
+        d = a1n - a0n
+        hits = np.divide(a0n, -d, out=np.full(d.shape, np.inf), where=(d < 0) & (a1n < 0))
+        s = np.minimum(np.minimum(hits[:, 0], hits[:, 1]), hits[:, 2])
+        cut = (s < 1.0).nonzero()[0]  # a0 / -d can round to 1.0, which stays inside
+        at, s, k = tuple(i[cut] for i in near), s[cut], hits[cut].argmin(axis=-1)
+        # crossings end at s, on their face
+        a_cut = a0n[cut] + s[:, None] * d[cut]
+        a_cut[np.arange(cut.size), k] = 0.0
+        lo, mid, hi = a_cut[:, 0], a_cut[:, 1], a_cut[:, 2]
+        median = np.maximum(np.minimum(lo, mid), np.minimum(np.maximum(lo, mid), hi))
+        usable[at] &= (s >= 1e-6) & (median >= 1e-6)
+        t1[at] = np.broadcast_to(t0, t1.shape)[at] + s * np.broadcast_to(dt, t1.shape)[at]
+        a1[at], crossed[at], facet[at] = a_cut, True, k
     return t1, usable, crossed, facet
 
 
@@ -364,12 +372,14 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     A curve's error is raised where that curve comes up, so the first error
     raised is the lowest-index curve's.
 
-    Curve i draws from ``default_rng(seeds[i])``: 2 doubles for its drift,
-    then 3 per proposal.  A pass draws all 8 proposals of every live curve; a
-    step accepts the first causal one and advances the curve's stream past
-    the proposals up to it, which is the stream a sequential loop consumes.
+    Curve i draws from ``default_rng(seeds[i])``, _CHUNK doubles per refill:
+    2 doubles for its drift, then 3 per proposal.  A pass draws all 8
+    proposals of every live curve; a step accepts the first causal one and
+    advances the curve's stream past the proposals up to it, which is the
+    stream a sequential loop consumes.
 
-    The start test runs on all proposals.  One kernel call per pass takes the
+    The start test is the cone test alone: a live curve has t > 0, and so do
+    a usable proposal's midpoint and end.  One kernel call per pass takes the
     mid and end samples of each curve's first start-passing proposal after
     ``tried`` and the next starts that an accepted end does not give: a face
     crossing's point in the neighbour chart, or the vertical fallback of a
@@ -378,7 +388,8 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     scale, drift, start and carried Jacobian stay as they are, so the next
     pass redraws the same 8 proposals bit for bit and tries the ones after
     it.  The accepted proposal's next start, or the fallback's, is carried
-    into the next pass.  _MAX_STEPS counts each curve's steps, not passes.
+    into the next pass.  _MAX_STEPS counts each curve's steps: its passes
+    but those that held it.
     """
     n = len(starts)
     simplex = np.array([_index(p.simplex, len(st.triangulation.triangles)) for p in starts])
@@ -389,118 +400,105 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     buf = np.array([rng.random(_CHUNK) for rng in rngs])
     # persistent transverse drift so traces genuinely wander across charts
     bias = -1.0 + 2.0 * buf[:, :2]
-    bias /= np.maximum(np.hypot(bias[:, 0], bias[:, 1]), 1e-12)[:, None]
+    drift = 0.7 * (bias / np.maximum(np.hypot(bias[:, 0], bias[:, 1]), 1e-12)[:, None])
     cursor = np.full(n, 2)
     # adaptive transverse scale: the causal cone width in barycentric units
     # varies a lot across the simplex, so learn it from accept/reject feedback
     scale = np.full(n, _ALPHA_STEP)
+    decay = np.tile(_DECAY, (n, 1))  # column 0 takes each pass's scale
     rejected = np.zeros(n, dtype=int)  # per curve, not per row
     jac = dev_hat_jacobians(*st.charts, simplex, t, alpha, st.kappa, st.blend)  # per start
-    ids = np.arange(n)  # the curve of each state row
+    ids = lane = np.arange(n)  # the curve of each state row, and the rows
     tried = np.full(n, -1)  # the proposal a held curve failed in the last pass, else -1
-    steps = np.zeros(n, dtype=int)  # completed steps per curve
+    holds = np.zeros(n, dtype=int)  # passes that held each curve
+    passes, retrying = 0, False
     errors: dict[int, Exception] = {}
-    # traced nodes in trace order, (curve, simplex, transition) and (t, alpha)
-    # per row; room for 128 nodes per curve before the tables grow
-    tags = np.empty((128 * n, 3), dtype=np.int32)
-    rows = np.empty((128 * n, 4))
-    size = 0
+    log = []  # traced nodes in trace order: curve, simplex, t, alpha, transition
 
     def record(lanes, transition):
-        nonlocal tags, rows, size
-        curves = ids[lanes]
-        end = size + curves.size
-        if end > len(rows):
-            tags = np.concatenate([tags, np.empty_like(tags)])
-            rows = np.concatenate([rows, np.empty_like(rows)])
-        tags[size:end, 0] = curves
-        tags[size:end, 1] = simplex[lanes]
-        tags[size:end, 2] = transition
-        rows[size:end, 0] = t[lanes]
-        rows[size:end, 1:] = alpha[lanes]
-        size = end
-
-    def evaluate(lanes, cols, fallback):
-        # One kernel call for proposals (lanes, cols) and the fallbacks of lanes
-        # ``fallback``: the proposals' verdicts and next-start Jacobians, and the
-        # fallbacks'.  A next start is the proposal's end unless it ends on a
-        # face, where it is the face point in the neighbour chart.
-        te, ae = t1[lanes, cols], a1[lanes, cols]
-        cross = crossed[lanes, cols].nonzero()[0]
-        extra = []
-        if cross.size:
-            nbr, face = _across(st, simplex[lanes[cross]], facet[lanes[cross], cols[cross]],
-                                ae[cross])
-            extra.append((nbr, te[cross], face))
-        if fallback.size:
-            extra.append((simplex[fallback], t[fallback] + steps_t[fallback], alpha[fallback]))
-        ok, nxt, starts = _later_samples(st, simplex[lanes], t[lanes], alpha[lanes], te, ae,
-                                         _CONE_MARGIN, extra)
-        nxt[cross] = starts[:cross.size]
-        return ok, nxt, starts[cross.size:]
+        log.append((ids[lanes], simplex[lanes], t[lanes], alpha[lanes],
+                    np.full(lanes.size, transition)))
+    record(lane[:0], False)
 
     keep = t < t_stop
     while True:
         if not keep.all():
-            ids, simplex, t, alpha, steps_t, buf, bias, cursor, scale, jac, tried, steps = (
-                x[keep] for x in (ids, simplex, t, alpha, steps_t, buf, bias, cursor, scale, jac,
-                                  tried, steps))
+            ids, simplex, t, alpha, steps_t, buf, drift, cursor, scale, decay, jac, tried, holds = (
+                x[keep] for x in (ids, simplex, t, alpha, steps_t, buf, drift, cursor, scale,
+                                  decay, jac, tried, holds))
+            lane = np.arange(ids.size)
         if ids.size == 0:
             break
-        lane = np.arange(ids.size)
-        for i in (cursor + 24 > _CHUNK).nonzero()[0]:
+        for i in (cursor > _CHUNK - 24).nonzero()[0]:
             buf[i] = np.concatenate([buf[i, cursor[i]:], rngs[ids[i]].random(cursor[i])])
             cursor[i] = 0
         u = buf[lane[:, None], cursor[:, None] + np.arange(24)].reshape(-1, 8, 3)
-        # scale after 0..6 rejections: 0.85 per rejection, then never below 0.02
-        hist = np.full((ids.size, 7), 0.85)
-        hist[:, 0] = scale
-        hist = np.multiply.accumulate(hist, axis=1)
-        hist[:, 1:] = np.maximum(hist[:, 1:], 0.02)
-        sc = hist[:, _SCALE_SLOT]
+        # each proposal's scale: 0.85 per rejection, then never below 0.02
+        decay[:, 0] = scale
+        sc = np.multiply.accumulate(decay, axis=1)
+        np.maximum(sc[:, 1:], 0.02, out=sc[:, 1:])
         ts = steps_t[:, None]
         # uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
-        dt = (-0.25 + np.where(_FLAT, 0.5, 1.25) * u[..., 0]) * ts
+        dt = (-0.25 + _DT_SPAN * u[..., 0]) * ts
         wobble = -1.0 + 2.0 * u[..., 1:]
         da = np.where(
             _FLAT[:, None],
             wobble * _ALPHA_STEP * ts[..., None],
-            (0.7 * bias[:, None, :] + 0.5 * wobble) * sc[..., None]
-            * np.maximum(dt, 0.0)[..., None],
+            (drift[:, None, :] + 0.5 * wobble) * sc[..., None] * np.maximum(dt, 0.0)[..., None],
         )
         t0, a0 = t[:, None], alpha[:, None, :]
         a1 = a0 + np.concatenate([(-da[..., 0] - da[..., 1])[..., None], da], axis=-1)
         t1, passing, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
+        any_crossed = crossed.any()
         passing &= _start_passes(st, simplex[:, None], t0, a0, t1, a1, _CONE_MARGIN,
                                  jac[:, None])
-        passing &= np.arange(8) > tried[:, None]  # a retry skips the proposals it tried
+        if retrying:  # a retry skips the proposals it tried
+            passing &= np.arange(8) > tried[:, None]
+            tried[:] = -1
         has, k = passing.any(axis=1), passing.argmax(axis=1)
         # each curve's first untried start-passing proposal, accepted in most
         # passes, and the vertical fallback of each curve without one
-        first = has.nonzero()[0]
-        ok, nxt, fallback = evaluate(first, k[first], (~has).nonzero()[0])
-        jac[~has], jac[first[ok]] = fallback, nxt[ok]
+        first, lost = has.nonzero()[0], (~has).nonzero()[0]
+        # one kernel call for the candidates' later samples and the next starts
+        # that an accepted end does not give: the fallbacks', and on a face the
+        # neighbour chart's point, which replaces the end as the next start
+        cols = k[first]
+        te, ae = t1[first, cols], a1[first, cols]
+        extra = [(simplex[lost], t[lost] + steps_t[lost], alpha[lost])] if lost.size else []
+        cross = crossed[first, cols].nonzero()[0] if any_crossed else first[:0]
+        if cross.size:
+            nbr, face = _across(st, simplex[first[cross]], facet[first[cross], cols[cross]],
+                                ae[cross])
+            extra.append((nbr, te[cross], face))
+        ok, nxt, fresh = _later_samples(st, simplex[first], t[first], alpha[first], te, ae,
+                                        _CONE_MARGIN, extra)
+        nxt[cross] = fresh[lost.size:]
+        jac[lost], jac[first[ok]] = fresh[:lost.size], nxt[ok]
         # a failed candidate holds its curve, which retries from the next proposal;
         # the other curves step
         held = first[~ok]
-        tried[:] = -1
-        tried[held] = k[held]
-        go = (tried < 0).nonzero()[0]
-        has, k = has[go], k[go]
-        rejected[ids[go]] += np.where(has, k, 8)
-        cursor[go] += 3 * np.where(has, k + 1, 8)
-        sk = sc[go, k]
-        scale[go] = np.where(
-            has, np.where(_FLAT[k], sk, np.minimum(sk * 1.25, 3.0 * _ALPHA_STEP)), hist[go, 6]
-        )
-        t[go] = np.where(has, t1[go, k], t[go] + steps_t[go])
-        alpha[go] = np.where(has[:, None], a1[go, k], alpha[go])
-        steps[go] += 1
+        retrying = held.size > 0
+        go = lane
+        if retrying:
+            tried[held] = k[held]
+            holds[held] += 1
+            go = (tried < 0).nonzero()[0]
+            has, k = has[go], k[go]
+        # the proposal each stepping curve takes; column 8 of each table is the fallback
+        take = np.where(has, k, 8)
+        rejected[ids[go]] += take
+        cursor[go] += 3 * (take + has)
+        scale[go] = np.concatenate(
+            [np.where(_FLAT, sc, np.minimum(sc * 1.25, 3.0 * _ALPHA_STEP)), sc[:, 7:]], axis=1
+        )[go, take]
+        t[go] = np.concatenate([t1, (t + steps_t)[:, None]], axis=1)[go, take]
+        alpha[go] = np.concatenate([a1, a0], axis=1)[go, take]
+        passes += 1
         record(go, False)
         keep = t < t_stop
-        moved = has & crossed[go, k]
-        crossing = go[moved]
-        if crossing.size:
+        moved = (has & crossed[go, k]).nonzero()[0] if any_crossed else lane[:0]
+        if moved.size:
+            crossing = go[moved]
             nbr, alpha_new, bad = cross_face(st, simplex[crossing], t[crossing],
                                              alpha[crossing], facet[crossing, k[moved]])
             for i, j in zip(crossing[bad], nbr[bad]):
@@ -509,18 +507,20 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
             keep[crossing[bad]] = False
             simplex[crossing[~bad]], alpha[crossing[~bad]] = nbr[~bad], alpha_new[~bad]
             record(crossing[~bad], True)
-        for i in (keep & (steps >= _MAX_STEPS)).nonzero()[0]:
-            errors[int(ids[i])] = GeometryError(f"tracer exhausted {_MAX_STEPS} steps below t_stop")
-            keep[i] = False
+        if passes >= _MAX_STEPS:  # no curve has made more steps than passes
+            for i in (keep & (passes - holds >= _MAX_STEPS)).nonzero()[0]:
+                errors[int(ids[i])] = GeometryError(
+                    f"tracer exhausted {_MAX_STEPS} steps below t_stop")
+                keep[i] = False
 
-    order = np.argsort(tags[:size, 0], kind="stable")
-    tags, rows = tags[order], rows[order]
-    counts = np.bincount(tags[:, 0], minlength=n)
-    for i, (lo, hi) in enumerate(zip(np.cumsum(counts) - counts, np.cumsum(counts))):
+    curves, *table = (np.concatenate(x) for x in zip(*log))
+    order = np.argsort(curves, kind="stable")
+    sxs, ts, alphas, transitions = (x[order] for x in table)
+    bounds = np.searchsorted(curves[order], np.arange(n + 1))
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if i in errors:
             raise errors[i]
-        tg, row = tags[lo:hi], rows[lo:hi]
-        yield (tg[:, 1], row[:, 0], row[:, 1:], tg[:, 2] == 1), int(rejected[i])
+        yield (sxs[lo:hi], ts[lo:hi], alphas[lo:hi], transitions[lo:hi]), int(rejected[i])
 
 
 def trace_causal_curve(st: PolyhedralSpacetime, start, t_stop: float, steering: str = "random",

@@ -53,6 +53,7 @@ from btzgeo.builder import (
 from btzgeo.minkowski import causal_class, CausalClass, minkowski_inner
 from btzgeo.models import TWO_PI, axis_deck_generator, parabolic_parameter
 from btzgeo.representations import (
+    InvalidTriangulation,
     NotAdmissible,
     cocycle_from_tangent_vector,
     peripheral_fixed_data,
@@ -517,6 +518,25 @@ def test_build_rejects_inadmissible(examples):
     translations["c1"] = np.array([1.0, 0.0, 0.0])
     with pytest.raises(NotAdmissible):
         build(rep.with_translations(translations), ex.triangulation)
+
+
+@pytest.mark.parametrize("name, entry, vertex", [
+    ("gamma2", (0, 0), "inf"), ("gamma2", (0, 1), "0"), ("gamma2", (1, 2), "1"),
+    ("punctured_torus", (0, 0), "-1"), ("punctured_torus", (0, 1), "inf"),
+    ("punctured_torus", (1, 2), "1"),
+])
+def test_build_rejects_a_swapped_gluing_slot(examples, name, entry, vertex):
+    # the two off-facet vertex slots of one (triangle, facet) entry swapped: the
+    # decorations propagate, and the first glued edge that disagrees is named
+    ex = examples[name]
+    tri = copy.deepcopy(ex.triangulation)
+    i, k = entry
+    a, b = (j for j in range(3) if j != k)
+    tri.slot[i, k, [a, b]] = tri.slot[i, k, [b, a]]
+    message = f"decoration of vertex {vertex} is inconsistent across gluings"
+    for rep in (ex.representation, ex.deformed(1.0)):
+        with pytest.raises(InvalidTriangulation, match=f"^{re.escape(message)}$"):
+            build(rep, tri)
 
 
 def test_fan_geometry(gamma2_zero, gamma2_deformed):

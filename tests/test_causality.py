@@ -80,6 +80,9 @@ def test_segment_is_causal_basics(gamma2_zero):
     assert not segment_is_causal(st_, 0, (1.5, CENTER), (1.0, CENTER))  # past
     side = np.array([0.8, 0.1, 0.1])
     assert not segment_is_causal(st_, 0, (1.0, CENTER), (1.0, side))  # spacelike
+    # vertical and future-directed, so the tangent passes, but a sample is at t <= 0
+    for t0, t1 in ((0.0, 1.0), (-1.0, 0.5), (-1.0, -0.2)):
+        assert not segment_is_causal(st_, 0, (t0, CENTER), (t1, CENTER)), (t0, t1)
 
 
 def test_cross_face_round_trip(request):
@@ -663,7 +666,21 @@ def test_clip_to_chart_matches_scalar_reference():
     dt = rng.uniform(-0.5, 1.0, size=(400, 4))
     a0 = np.broadcast_to(a0, (400, 4, 3))
     a1 = a0 + np.stack([-da[..., 0] - da[..., 1], da[..., 0], da[..., 1]], axis=-1)
-    expect = [_reference_clip(t0[i], dt[i], a0[i], a1[i].copy()) for i in np.ndindex(dt.shape)]
+    assert _clip_outcomes(t0, dt, a0, a1) == {"unusable", "crossed", "inside"}
+    # a batch with no negative end weight, so no step crosses; starts per row
+    # as the tracer passes them
+    a0 = 0.8 * rng.dirichlet(np.ones(3), size=(100, 1)) + 0.2 / 3
+    da = rng.uniform(-0.03, 0.03, size=(100, 8, 2))
+    a1 = a0 + np.stack([-da[..., 0] - da[..., 1], da[..., 0], da[..., 1]], axis=-1)
+    t0, dt = rng.uniform(0.1, 2.0, size=(100, 1)), rng.uniform(-2.5, 1.0, size=(100, 8))
+    assert not (a1 < 0).any()
+    assert _clip_outcomes(t0, dt, a0, a1) == {"unusable", "inside"}
+
+
+def _clip_outcomes(t0, dt, a0, a1):
+    """_clip_to_chart against _reference_clip per step; the outcomes seen."""
+    t0b, a0b = np.broadcast_to(t0, dt.shape), np.broadcast_to(a0, a1.shape)
+    expect = [_reference_clip(t0b[i], dt[i], a0b[i], a1[i].copy()) for i in np.ndindex(dt.shape)]
     t1, usable, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
     outcomes = set()
     for i, ref in zip(np.ndindex(dt.shape), expect):
@@ -672,7 +689,7 @@ def test_clip_to_chart_matches_scalar_reference():
             assert (t1[i], a1[i].tolist()) == (ref[0], ref[1].tolist())
             assert (facet[i] if crossed[i] else None) == ref[2]
         outcomes.add("unusable" if ref is None else ("crossed" if crossed[i] else "inside"))
-    assert outcomes == {"unusable", "crossed", "inside"}
+    return outcomes
 
 
 def _sequential_trace(st_, start, t_stop, seed):
