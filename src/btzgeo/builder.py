@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .minkowski import (
+    G,
     GeometryError,
     LinearIsometry,
     minkowski_inner,
@@ -846,11 +847,12 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
             f"fan period around {puncture} is not constant: "
             f"spread {max(shifts) - min(shifts):.3e}"
         )
-    # The period must be the peripheral holonomy (either orientation).
+    # The period must be the peripheral holonomy or its inverse (G m^T G, -(m^-1 b)).
     hol = st.representation.generator(puncture)
-    residual = min(max(float(np.abs(h.linear.matrix - period_m).max()),
-                       float(np.abs(h.translation - period_b).max()))
-                   for h in (hol, hol.inverse()))
+    hol_m, hol_b = hol.linear.matrix, hol.translation
+    inv_m = G @ hol_m.T @ G
+    residual = min(max(float(np.abs(h_m - period_m).max()), float(np.abs(h_b - period_b).max()))
+                   for h_m, h_b in ((hol_m, hol_b), (inv_m, -(inv_m @ hol_b))))
     scale = max(1.0, float(np.abs(period_m).max()))
     if residual > 10 * st.settings.fan_tol * scale:
         raise NonMonotoneAngles(

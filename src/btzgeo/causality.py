@@ -44,7 +44,6 @@ curve traced in a batch equals the same curve traced alone, node for node.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -53,6 +52,7 @@ import numpy as np
 from .builder import PolyhedralSpacetime, dev_hat_jacobians, dev_hat_points, minkowski_to_model
 from .minkowski import LIGHTLIKE_TOL, GeometryError
 from .models import NotInImage
+from .serialize import _real
 
 
 class StuckAtSingularity(GeometryError):
@@ -76,13 +76,6 @@ def _index(value, bound: float = math.inf, what: str = "chart simplex"):
     if not np.all((v >= 0) & (v < bound)):
         raise ValueError(f"{what} {value!r} is outside [0, {bound})")
     return v
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float; ValueError if it is a bool or not a real number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from collections import namedtuple
 from pathlib import Path
 
@@ -88,6 +89,13 @@ def _read_object(value: dict, schema: dict, path: str) -> dict:
         else:
             raise ValueError(f"{_join(path, key)} is missing")
     return out
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; ValueError if it is a bool or not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _join(path: str, key) -> str:

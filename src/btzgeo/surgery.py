@@ -25,9 +25,10 @@ import numpy as np
 
 from .minkowski import LIGHTLIKE_TOL, GeometryError
 from .models import TWO_PI
-from .serialize import JsonRecord
+from .serialize import JsonRecord, _real
 
 _GRID = 4096  # boundary-profile grid points behind min_value and max_abs_derivative
+_THETAS = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
 _TANGENCY_TOL = 1e-8  # a gap to the cap this small makes a crossing count undecidable
 
 
@@ -41,10 +42,6 @@ class NotCausal(GeometryError):
 
 class Tangency(GeometryError):
     """The curve grazes the cap within tolerance; the count is not decidable."""
-
-
-class MSearchExhausted(GeometryError):
-    """Doubling search for the compact-cap slope constant ran out."""
 
 
 @dataclass(frozen=True)
@@ -62,8 +59,10 @@ class BoundaryProfile(JsonRecord):
     sin: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "cos", tuple(float(c) for c in self.cos))
-        object.__setattr__(self, "sin", tuple(float(c) for c in self.sin))
+        object.__setattr__(self, "R", _real("R", self.R))
+        object.__setattr__(self, "const", _real("const", self.const))
+        object.__setattr__(self, "cos", tuple(_real("cos", c) for c in self.cos))
+        object.__setattr__(self, "sin", tuple(_real("sin", c) for c in self.sin))
         if not (math.isfinite(self.R) and self.R > 0):
             raise ValueError("R must be finite and > 0")
         if not all(map(math.isfinite, (self.const, *self.cos, *self.sin))):
@@ -87,20 +86,18 @@ class BoundaryProfile(JsonRecord):
             out = out + c * (k + 1) * np.cos((k + 1) * theta)
         return out if out.ndim else float(out)
 
+    def _slack(self, power: int) -> float:
+        # half a grid step times the Lipschitz bound sum (k+1)^power |c_k|
+        lip = sum((k + 1) ** power * abs(c) for k, c in enumerate(self.cos)) + sum(
+            (k + 1) ** power * abs(c) for k, c in enumerate(self.sin))
+        return lip * (TWO_PI / _GRID) / 2.0
+
     def min_value(self) -> float:
-        grid = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
-        lip = sum(
-            (k + 1) * abs(c) for k, c in enumerate(self.cos)
-        ) + sum((k + 1) * abs(c) for k, c in enumerate(self.sin))
-        return float(self.value(grid).min()) - lip * (TWO_PI / _GRID) / 2.0
+        return float(self.value(_THETAS).min()) - self._slack(1)
 
     def max_abs_derivative(self) -> float:
         """Upper bound on sup |d tau^R / d theta| via dense grid plus Lipschitz slack."""
-        grid = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
-        lip2 = sum(
-            (k + 1) ** 2 * abs(c) for k, c in enumerate(self.cos)
-        ) + sum((k + 1) ** 2 * abs(c) for k, c in enumerate(self.sin))
-        return float(np.abs(self.derivative(grid)).max()) + lip2 * (TWO_PI / _GRID) / 2.0
+        return float(np.abs(self.derivative(_THETAS)).max()) + self._slack(2)
 
 
 @dataclass(frozen=True)
@@ -114,6 +111,8 @@ class SurfaceGraph:
     def __post_init__(self):
         if self.mode not in ("complete", "compact"):
             raise ValueError("mode must be 'complete' or 'compact'")
+        if not math.isfinite(self.M):
+            raise ValueError(f"slope constant M must be finite, got {self.M!r}")
 
     @property
     def R(self) -> float:
@@ -150,18 +149,12 @@ class SurfaceGraph:
             )
         return out if out.ndim else float(out)
 
-    def _on_seam(self, r) -> np.ndarray:
-        if self.mode != "compact":
-            return np.zeros(np.shape(np.asarray(r)), dtype=bool)
-        r = np.asarray(r, dtype=float)
-        return np.abs(r - self.R / 2) <= 1e-12 * self.R  # within rounding of the seam
-
     def partials(self, r, theta) -> tuple[np.ndarray, np.ndarray]:
         """(d tau / d r, d tau / d theta); raises OnSeam on the compact crease."""
         self._check_domain(r)
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        if np.any(self._on_seam(r)):
+        if self.mode == "compact" and np.any(np.abs(r - self.R / 2) <= 1e-12 * self.R):
             raise OnSeam(f"derivative undefined on the seam r = {self.R / 2!r}")
         if self.mode == "complete":
             dr = np.broadcast_to(-self.M / r**2, np.broadcast_shapes(r.shape, theta.shape)).copy()
@@ -207,30 +200,30 @@ def extend_complete(profile: BoundaryProfile) -> SurfaceGraph:
     M = 1 + sup |d tau^R / d theta|^2 gives delta = 1 + (2M - (tau^R')^2)/r^2,
     which is > 1/r^2 everywhere, hence spacelike and metrically complete.
     """
-    m = 1.0 + profile.max_abs_derivative() ** 2
-    return SurfaceGraph(profile=profile, mode="complete", M=m)
+    d = profile.max_abs_derivative()
+    return SurfaceGraph(profile=profile, mode="complete", M=1.0 + d * d)
 
 
 def extend_compact(profile: BoundaryProfile, margin: float = 1e-6) -> SurfaceGraph:
-    """Compact spacelike cap: quadratically damped boundary term plus constant core.
+    """Compact spacelike cap: quadratically damped boundary term plus constant
+    core, with the slope constant M in closed form so that delta >= margin.
 
-    The slope constant M starts at 1 + sup |tau^R'|^2 and doubles, up to 40
-    times, until the spacelike margin delta clears ``margin`` on a 200 x 200
-    (r, theta) grid of the outer annulus (the inner constant piece has
-    delta = 1 identically).
+    On r in [R/2, R], with s = (2r - R)/R in [0, 1], the partials give
+        delta = 1 - (8s/R) tau^R + (2M - s^4 tau^R'^2) / r^2.
+    Take T = max(0, const + sum |cos| + sum |sin|) >= sup tau^R and
+    D = max_abs_derivative() >= sup |tau^R'|.  If 2M >= D^2, then s <= 1 and
+    r <= R give delta >= 1 - 8T/R + (2M - D^2)/R^2, which is >= margin once
+    2M >= D^2 + 8TR + R^2 (margin - 1).  The flat core r < R/2 has delta = 1,
+    so 0 < margin <= 1 and M = max(1 + D^2, (D^2 + 8TR + R^2 (margin - 1))/2)
+    prove delta >= margin on the whole disk off the seam r = R/2.
     """
-    m = 1.0 + profile.max_abs_derivative() ** 2
-    radii = profile.R / 2 + (profile.R / 2) * (np.arange(1, 201) / 200)
-    radii[-1] = profile.R
-    thetas = TWO_PI * (np.arange(200) + 0.5) / 200
-    rr, tt = np.meshgrid(radii, thetas, indexing="ij")
-    for _ in range(41):
-        sg = SurfaceGraph(profile=profile, mode="compact", M=m)
-        dval = delta(sg, rr.ravel(), tt.ravel())
-        if float(np.min(dval)) > margin:
-            return sg
-        m *= 2.0
-    raise MSearchExhausted("no M made the compact cap spacelike after 40 doublings")
+    if not 0 < margin <= 1:
+        raise ValueError(f"margin must be in (0, 1], got {margin!r}")
+    r, d = profile.R, profile.max_abs_derivative()
+    top = max(0.0, profile.const + sum(map(abs, profile.cos)) + sum(map(abs, profile.sin)))
+    # an overflowed inf - inf stays nan in this order, and SurfaceGraph refuses it
+    m = max((d * d + 8.0 * top * r + r * r * (margin - 1.0)) / 2.0, 1.0 + d * d)
+    return SurfaceGraph(profile=profile, mode="compact", M=m)
 
 
 @dataclass(frozen=True)
@@ -253,7 +246,7 @@ def completeness_certificate(sg: SurfaceGraph) -> CompletenessCertificate:
         )
     # r^2 delta = r^2 + 2M - (tau^R')^2; minimize the angular part analytically.
     sup_d = sg.profile.max_abs_derivative()
-    floor = 2.0 * sg.M - sup_d**2
+    floor = 2.0 * sg.M - sup_d * sup_d
     if floor <= 0:
         return CompletenessCertificate(False, None, "slope constant too small")
     c = math.sqrt(floor)
@@ -261,13 +254,12 @@ def completeness_certificate(sg: SurfaceGraph) -> CompletenessCertificate:
 
 
 def divergence_check(sg: SurfaceGraph) -> bool:
-    """True when tau_Sigma tends to +infinity at the puncture (uniformly in theta)."""
-    if sg.mode != "complete":
-        return False
-    thetas = TWO_PI * (np.arange(64) + 0.5) / 64
-    near = float(np.min(sg.value(np.full_like(thetas, 1e-9), thetas)))  # just off the puncture
-    far = float(np.max(sg.value(np.full_like(thetas, sg.R), thetas)))
-    return sg.M > 0 and near > far
+    """True when tau_Sigma tends to +infinity at the puncture (uniformly in theta).
+
+    tau^R is a bounded trigonometric polynomial, so the complete cap's
+    M (1/r - 1/R) decides it: it diverges exactly when M > 0.
+    """
+    return sg.mode == "complete" and sg.M > 0
 
 
 def fits_spear(sg: SurfaceGraph, spear) -> dict:

@@ -356,6 +356,27 @@ def test_surgery_invalid_profile(bundle_path, tmp_path):
         assert err["category"] == "input-error" and expected in err["message"]
 
 
+@pytest.mark.parametrize("mode", ["complete", "compact"])
+def test_surgery_overflowing_profile_is_one_json_error(bundle_path, tmp_path, mode):
+    # sup |tau^R'|^2 overflows, so no finite slope constant exists
+    profile = tmp_path / "huge-profile.json"
+    profile.write_text('{"R": 0.1, "const": 1.0, "sin": [1e200]}')
+    code, stdout, stderr = run_cli(["surgery", str(bundle_path), str(profile), "--mode", mode])
+    assert code == 2 and stdout == ""
+    err = json.loads(stderr)
+    assert err["category"] == "input-error" and "slope constant M" in err["message"]
+
+
+def test_surgery_margin_above_one_is_an_input_error(bundle_path, profile_path, tmp_path):
+    # the compact cap's flat core has delta = 1, so no slope constant gives more
+    cfg = tmp_path / "margin.cfg"
+    cfg.write_text("surgery_margin=2\n")
+    code, stdout, stderr = run_cli(["surgery", str(bundle_path), str(profile_path),
+                                    "--mode", "compact", "--config", str(cfg)])
+    assert code == 2 and stdout == ""
+    assert json.loads(stderr)["message"] == "margin must be in (0, 1], got 2.0"
+
+
 def test_bad_triangulation_shapes_are_one_json_error(cli_dir, tmp_path):
     tri = json.loads((cli_dir / "tri.json").read_text())
     short_side = json.loads(json.dumps(tri))

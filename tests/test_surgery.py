@@ -3,14 +3,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from btzgeo.builder import BuildSettings, build
+from btzgeo.cli import _demo_profile
 from btzgeo.minkowski import GeometryError
 from btzgeo.models import TWO_PI, metric_btz
 from btzgeo.surgery import (
     BoundaryProfile,
     CompletenessCertificate,
     ModelCurve,
-    MSearchExhausted,
     NotCausal,
     OnSeam,
     SurfaceGraph,
@@ -148,9 +151,81 @@ def test_extend_compact_spacelike_margin():
     assert float(np.min(delta(sg, r, th))) > 0
 
 
-def test_extend_compact_exhaustion():
-    with pytest.raises(MSearchExhausted):
-        extend_compact(BoundaryProfile(R=1.0, sin=(0.3,)), margin=1e15)
+_COEF = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.05, 5.0), st.floats(-5.0, 5.0), st.lists(_COEF, max_size=3),
+       st.lists(_COEF, max_size=3))
+def test_caps_meet_their_closed_form_floors(R, const, cos, sin):
+    # the compact cap has delta >= margin and the complete one delta r^2 >= 1
+    # on a dense grid of the disk, up to rounding in delta and in the bound
+    p = BoundaryProfile(R=R, const=const, cos=tuple(cos), sin=tuple(sin))
+    margin = 1e-6
+    compact, complete = extend_compact(p, margin=margin), extend_complete(p)
+    top = max(0.0, const + sum(map(abs, cos)) + sum(map(abs, sin)))
+    tol = 1e-12 * (1.0 + 8.0 * top / R + 2.0 * compact.M / R**2)
+    outer = np.linspace(0.5, 1.0, 201)[1:]
+    core = np.linspace(0.0, 0.5, 40, endpoint=False)[1:]
+    rr, tt = np.meshgrid(R * np.concatenate([core, outer]),
+                         np.linspace(0.0, TWO_PI, 192, endpoint=False), indexing="ij")
+    assert float(delta(compact, rr, tt).min()) >= margin - tol
+    assert float((delta(complete, rr, tt) * rr**2).min()) >= 1.0 - tol
+
+
+def test_extend_compact_demo_slope_constants(examples):
+    # M of the compact cap over the demo profile at three cocycle scales
+    pinned = {
+        "gamma2": (1.3500128282307, 1.6469192958460, 17.569258005183),
+        "punctured_torus": (3.7204618163070, 4.7435095624284, 66.483683296452),
+    }
+    for name, ms in pinned.items():
+        ex = examples[name]
+        for scale, m in zip((0.0, 1.0, 25.0), ms):
+            rep = ex.representation if scale == 0 else ex.deformed(scale)
+            profile = _demo_profile(build(rep, ex.triangulation, BuildSettings()))
+            assert extend_compact(profile).M == pytest.approx(m, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, 0.0, -1.0, 1.5])
+def test_extend_compact_refuses_margin(margin):
+    # the flat core has delta = 1, so no M gives a margin above 1
+    with pytest.raises(ValueError, match="margin"):
+        extend_compact(BoundaryProfile(R=1.0, sin=(0.3,)), margin=margin)
+
+
+def test_extend_compact_meets_margin_one():
+    # the largest margin the flat core allows is met on the annulus too
+    sg = extend_compact(BoundaryProfile(R=1.0, const=0.5, sin=(0.3,)), margin=1.0)
+    rr, tt = np.meshgrid(np.linspace(0.501, 1.0, 200), np.linspace(0.0, TWO_PI, 181))
+    assert float(delta(sg, rr, tt).min()) >= 1.0 - 1e-12
+
+
+def test_surface_graph_refuses_non_finite_slope_constant():
+    p = BoundaryProfile(R=1.0)
+    for m in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="slope constant M"):
+            SurfaceGraph(profile=p, mode="complete", M=m)
+    huge = BoundaryProfile(R=0.1, const=1.0, sin=(1e200,))
+    for extend in (extend_complete, extend_compact):
+        with pytest.raises(ValueError, match="slope constant M"):
+            extend(huge)
+    # 8TR and R^2 (margin - 1) overflow to inf and -inf: their nan is not dropped
+    with pytest.raises(ValueError, match="slope constant M"):
+        extend_compact(BoundaryProfile(R=1e200, const=1e200))
+
+
+def test_boundary_profile_refuses_bools_and_non_reals():
+    for field in ("R", "const"):
+        for bad in (True, False, "1", None):
+            kwargs = {"R": 1.0, field: bad}
+            with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+                BoundaryProfile(**kwargs)
+    with pytest.raises(ValueError, match="^sin must be a real number"):
+        BoundaryProfile(R=1.0, sin=(0.1, True))
+    p = BoundaryProfile(R=2, const=1, cos=(np.float64(0.5),))
+    assert [type(v) for v in (p.R, p.const, *p.cos)] == [float, float, float]
+    assert BoundaryProfile.from_json(p.to_json()) == p
 
 
 def test_surface_graph_validation():
