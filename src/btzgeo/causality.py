@@ -35,10 +35,13 @@ next proposal in the next pass, which redraws the same proposals
 testing each proposal in full and evaluating each start afresh.  Each pass
 makes one kernel call, and one more evaluates the first starts: over the four
 reference builds (seeds 0-2) a pass takes 3.4 points at 2 curves and 153 at
-100 curves.  One cross_face call moves every curve that ended on a face.  Each
-curve reads its own random stream in the order a one-curve trace reads it (3
-doubles per proposal, proposals in order until the first accepted one), so a
-curve traced in a batch equals the same curve traced alone, node for node.
+100 curves.  A curve that ended on a face moves to the neighbour chart's point
+that the pass computed for its kernel call; the face's corner bound proves the
+crossing good, and cross_face's developed check decides only where that bound
+exceeds 1e-9, which it does on no reference build.  Each curve reads its own
+random stream in the order a one-curve trace reads it (3 doubles per
+proposal, proposals in order until the first accepted one), so a curve traced
+in a batch equals the same curve traced alone, node for node.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import PolyhedralSpacetime, dev_hat_jacobians, dev_hat_points, minkowski_to_model
+from .builder import (
+    PolyhedralSpacetime, corner_residuals, dev_hat_jacobians, dev_hat_points, minkowski_to_model,
+)
 from .minkowski import LIGHTLIKE_TOL, GeometryError
 from .models import NotInImage
 from .serialize import _real
@@ -69,12 +74,15 @@ class AbsentFiber(GeometryError):
 
 def _index(value, bound: float = math.inf, what: str = "chart simplex"):
     """``value``, an int or an integer array, with every entry in [0, bound), so
-    no negative index wraps in a gather; anything else is a TypeError."""
+    no negative index wraps in a gather; a ValueError names the first entry
+    outside, and anything but integers is a TypeError."""
     v = np.asarray(value) if np.ndim(value) else int(operator.index(value))
     if np.ndim(v) and v.dtype.kind not in "iu":
         raise TypeError(f"{what} indices must be integers, got {v.dtype}")
-    if not np.all((v >= 0) & (v < bound)):
-        raise ValueError(f"{what} {value!r} is outside [0, {bound})")
+    inside = (v >= 0) & (v < bound)
+    if not np.all(inside):
+        bad = int(v[~inside][0]) if np.ndim(v) else v
+        raise ValueError(f"{what} {bad!r} is outside [0, {bound})")
     return v
 
 
@@ -273,7 +281,8 @@ def cross_face(st: PolyhedralSpacetime, simplex, t, alpha, facet
     and facets (n,), each the zero-weight slot of its point.  Returns the
     neighbour charts (n,), the points there (n, 3), t unchanged, and a mask
     (n,) of the crossings whose developed positions disagree through the
-    gluing isometry by more than 1e-8 (relative).
+    gluing isometry by more than 1e-8 (relative).  The tracer calls it only
+    for crossings that the face's corner bound does not prove (_trace_lockstep).
     """
     simplex, facet = _index(simplex, len(st.triangulation.triangles)), _index(facet, 3, "facet")
     alpha = np.asarray(alpha, dtype=float)
@@ -322,11 +331,19 @@ _ALPHA_STEP = 0.4
 _MAX_STEPS = 600
 
 
+def _rows(x, at):
+    """x[at] for an array x with the batch's axes, each of full length or 1, as
+    index arrays ``at`` index the batch: a length-1 axis is read at 0, so
+    per-row starts (n, 1) are read by row."""
+    return x[tuple(i if size > 1 else 0 * i for i, size in zip(at, np.shape(x)))]
+
+
 def _clip_to_chart(t0, dt, a0, a1):
     """End points of proposed chart steps, cut at the first face they cross.
 
     A step moves (t0, a0) by dt to barycentric a1, which is clipped in place;
-    arrays of any batch shape (t0, a0 broadcast), barycentric ones with a trailing axis of 3.
+    arrays of any batch shape, barycentric ones with a trailing axis of 3; t0
+    and a0 have the batch's axes, each of full length or 1 (per-row starts).
     Returns (t1, usable, crossed, facet): the end times, the steps that stay
     usable (t > 0, not stalled on a face, not near a corner), those that end
     on a face, and that face's zero-weight slot, the lowest one on ties (else
@@ -339,7 +356,7 @@ def _clip_to_chart(t0, dt, a0, a1):
     neg = a1 < 0
     if neg.any():
         near = (neg[..., 0] | neg[..., 1] | neg[..., 2]).nonzero()
-        a0n, a1n = np.broadcast_to(a0, a1.shape)[near], a1[near]
+        a0n, a1n = _rows(a0, near), a1[near]
         d = a1n - a0n
         hits = np.divide(a0n, -d, out=np.full(d.shape, np.inf), where=(d < 0) & (a1n < 0))
         s = np.minimum(np.minimum(hits[:, 0], hits[:, 1]), hits[:, 2])
@@ -351,7 +368,7 @@ def _clip_to_chart(t0, dt, a0, a1):
         lo, mid, hi = a_cut[:, 0], a_cut[:, 1], a_cut[:, 2]
         median = np.maximum(np.minimum(lo, mid), np.minimum(np.maximum(lo, mid), hi))
         usable[at] &= (s >= 1e-6) & (median >= 1e-6)
-        t1[at] = np.broadcast_to(t0, t1.shape)[at] + s * np.broadcast_to(dt, t1.shape)[at]
+        t1[at] = _rows(t0, at) + s * _rows(dt, at)
         a1[at], crossed[at], facet[at] = a_cut, True, k
     return t1, usable, crossed, facet
 
@@ -365,9 +382,10 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     A curve's error is raised where that curve comes up, so the first error
     raised is the lowest-index curve's.
 
-    Curve i draws from ``default_rng(seeds[i])``, _CHUNK doubles per refill:
-    2 doubles for its drift, then 3 per proposal.  A pass draws all 8
-    proposals of every live curve; a step accepts the first causal one and
+    Curve i draws from ``default_rng(seeds[i])``, _CHUNK doubles per refill
+    into row i of a buffer that keeps all n rows as curves finish: 2 doubles
+    for its drift, then 3 per proposal.  A pass draws all 8 proposals of
+    every live curve; a step accepts the first causal one and
     advances the curve's stream past the proposals up to it, which is the
     stream a sequential loop consumes.
 
@@ -383,14 +401,31 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     it.  The accepted proposal's next start, or the fallback's, is carried
     into the next pass.  _MAX_STEPS counts each curve's steps: its passes
     but those that held it.
+
+    An accepted candidate that ends on facet k of chart i moves to the
+    neighbour point that the pass computed for its kernel call, once this
+    bound proves the face transition good (verify_face_equivariance's
+    argument).  On the facet alpha_k = phi_k = 0, alpha and phi are >= 0 and
+    each sums to 1, and the neighbour point is alpha permuted by the slot
+    table, so the developed point and the gluing's image of the neighbour's
+    differ by sum_j (t phi_j + kappa alpha_j) du_j + alpha_j dp_j over j != k,
+    du_j and dp_j being the corner residuals of (i, k).  In max norm that is
+    at most (t + kappa) du_f + dp_f, with du_f and dp_f their largest entries.
+    Where that bound is <= 1e-9, a tenth of cross_face's tolerance floor 1e-8
+    (the rest covers rounding), the crossing is proved good; elsewhere, NaN
+    included, cross_face's developed check decides.  The residuals are taken
+    once per call from st.charts and st.gluing, never from the certification
+    record, so a gluing replaced after certification is still caught.
     """
     n = len(starts)
-    simplex = np.array([_index(p.simplex, len(st.triangulation.triangles)) for p in starts])
+    simplex = _index(np.array([p.simplex for p in starts]), len(st.triangulation.triangles))
+    # each glued face's largest corner residuals, from the charts and gluing themselves
+    du, dp = (x.max(axis=-1) for x in corner_residuals(st))
     t = np.array([float(p.t) for p in starts])
     alpha = np.array([p.alpha for p in starts])
     steps_t = np.maximum((t_stop - t) / _STEPS_PER_SPAN, _MIN_T_STEP)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    buf = np.array([rng.random(_CHUNK) for rng in rngs])
+    buf = np.array([rng.random(_CHUNK) for rng in rngs])  # per curve, read through ids
     # persistent transverse drift so traces genuinely wander across charts
     bias = -1.0 + 2.0 * buf[:, :2]
     drift = 0.7 * (bias / np.maximum(np.hypot(bias[:, 0], bias[:, 1]), 1e-12)[:, None])
@@ -416,16 +451,17 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     keep = t < t_stop
     while True:
         if not keep.all():
-            ids, simplex, t, alpha, steps_t, buf, drift, cursor, scale, decay, jac, tried, holds = (
-                x[keep] for x in (ids, simplex, t, alpha, steps_t, buf, drift, cursor, scale,
-                                  decay, jac, tried, holds))
+            ids, simplex, t, alpha, steps_t, drift, cursor, scale, decay, jac, tried, holds = (
+                x[keep] for x in (ids, simplex, t, alpha, steps_t, drift, cursor, scale, decay,
+                                  jac, tried, holds))
             lane = np.arange(ids.size)
         if ids.size == 0:
             break
         for i in (cursor > _CHUNK - 24).nonzero()[0]:
-            buf[i] = np.concatenate([buf[i, cursor[i]:], rngs[ids[i]].random(cursor[i])])
+            c = ids[i]
+            buf[c] = np.concatenate([buf[c, cursor[i]:], rngs[c].random(cursor[i])])
             cursor[i] = 0
-        u = buf[lane[:, None], cursor[:, None] + np.arange(24)].reshape(-1, 8, 3)
+        u = buf[ids[:, None], cursor[:, None] + np.arange(24)].reshape(-1, 8, 3)
         # each proposal's scale: 0.85 per rejection, then never below 0.02
         decay[:, 0] = scale
         sc = np.multiply.accumulate(decay, axis=1)
@@ -460,8 +496,8 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
         extra = [(simplex[lost], t[lost] + steps_t[lost], alpha[lost])] if lost.size else []
         cross = crossed[first, cols].nonzero()[0] if any_crossed else first[:0]
         if cross.size:
-            nbr, face = _across(st, simplex[first[cross]], facet[first[cross], cols[cross]],
-                                ae[cross])
+            from_sx, from_facet = simplex[first[cross]], facet[first[cross], cols[cross]]
+            nbr, face = _across(st, from_sx, from_facet, ae[cross])
             extra.append((nbr, te[cross], face))
         ok, nxt, fresh = _later_samples(st, simplex[first], t[first], alpha[first], te, ae,
                                         _CONE_MARGIN, extra)
@@ -489,16 +525,22 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
         passes += 1
         record(go, False)
         keep = t < t_stop
-        moved = (has & crossed[go, k]).nonzero()[0] if any_crossed else lane[:0]
-        if moved.size:
-            crossing = go[moved]
-            nbr, alpha_new, bad = cross_face(st, simplex[crossing], t[crossing],
-                                             alpha[crossing], facet[crossing, k[moved]])
+        acc = ok[cross]  # the accepted candidates that end on a face
+        if acc.any():
+            crossing, sx, f = first[cross[acc]], from_sx[acc], from_facet[acc]
+            nbr, face = nbr[acc], face[acc]
+            # proved good where the face's corner bound at t is <= 1e-9; elsewhere,
+            # NaN included, cross_face's developed check decides
+            bad = ~((t[crossing] + st.kappa) * du[sx, f] + dp[sx, f] <= 1e-9)
+            if bad.any():
+                check = bad.nonzero()[0]
+                bad[check] = cross_face(st, sx[check], t[crossing[check]],
+                                        alpha[crossing[check]], f[check])[2]
             for i, j in zip(crossing[bad], nbr[bad]):
                 errors[int(ids[i])] = GeometryError(
                     f"face transition mismatch between charts {simplex[i]} and {j}")
             keep[crossing[bad]] = False
-            simplex[crossing[~bad]], alpha[crossing[~bad]] = nbr[~bad], alpha_new[~bad]
+            simplex[crossing[~bad]], alpha[crossing[~bad]] = nbr[~bad], face[~bad]
             record(crossing[~bad], True)
         if passes >= _MAX_STEPS:  # no curve has made more steps than passes
             for i in (keep & (passes - holds >= _MAX_STEPS)).nonzero()[0]:
@@ -646,6 +688,25 @@ def _time_checks(t, transition, leaves) -> tuple[bool, list[int]]:
     return monotone, np.count_nonzero(f[:, :-1] * f[:, 1:] < 0, axis=1).tolist()
 
 
+def _curves_time_checks(t, transition, nodes, leaves) -> tuple[np.ndarray, np.ndarray]:
+    """_time_checks of curves stacked in one table, in one array pass.
+
+    Node times t (N,) and transition flags (N,) hold the curves one after the
+    other, nodes (n,) per curve; a node pair counts only inside one curve.
+    Returns whether each curve's t is monotone (n,) and its crossings of each
+    leaf (n, L), with _time_checks' comparisons in its order.
+    """
+    f = t - np.asarray(leaves, dtype=float)[:, None]
+    flags = np.concatenate([~np.where(transition[1:], t[1:] == t[:-1], t[1:] > t[:-1])[None],
+                            f[:, :-1] * f[:, 1:] < 0])  # per pair: not monotone, leaf crossed
+    # sums[:, j]: flagged pairs before node j; curve i owns the pairs of its nodes but the last
+    sums = np.zeros((len(flags), len(t)), dtype=np.intp)
+    np.cumsum(flags, axis=1, out=sums[:, 1:])
+    last = np.cumsum(nodes) - 1
+    per_curve = sums[:, last] - sums[:, last - (nodes - 1)]
+    return per_curve[0] == 0, per_curve[1:].T
+
+
 def cauchy_time_report(
     st: PolyhedralSpacetime,
     n_curves: int = 100,
@@ -691,26 +752,27 @@ def cauchy_time_report(
         alpha = 0.7 * rng.dirichlet(np.ones(3)) + 0.3 / 3.0
         starts.append(ChartPoint(simplex, t_start, alpha))
         seeds.append(int(rng.integers(2**32)))
+    traces = list(_trace_lockstep(st, starts, seeds, t_stop))
+    nodes = np.array([len(t) + 1 for (_, t, _, _), _ in traces])
+    monotone, counts = _curves_time_checks(
+        np.concatenate([x for p, ((_, t, _, _), _) in zip(starts, traces) for x in ([p.t], t)]),
+        np.concatenate([x for (_, _, _, tr), _ in traces for x in ([False], tr)]), nodes, leaves)
     curves = []
-    failures = 0
-    traces = _trace_lockstep(st, starts, seeds, t_stop)
-    for k, (start, ((_, t, _, transition), rejected)) in enumerate(zip(starts, traces)):
-        monotone, counts = _time_checks(np.concatenate([[start.t], t]),
-                                        np.concatenate([[False], transition]), leaves)
-        crossings = {repr(leaf): c for leaf, c in zip(leaves, counts)}
-        ok = monotone and all(c == 1 for c in crossings.values())
-        failures += 0 if ok else 1
+    for k, (size, mono, row, (_, rejected)) in enumerate(
+            zip(nodes.tolist(), monotone.tolist(), counts.tolist(), traces)):
+        crossings = {repr(leaf): c for leaf, c in zip(leaves, row)}
         curves.append(
             {
                 "index": k,
-                "nodes": len(t) + 1,
+                "nodes": size,
                 "rejected_proposals": rejected,
-                "monotone_t": monotone,
+                "monotone_t": mono,
                 "leaf_crossings": crossings,
                 "decomposition_ok": True,  # the tracer emits regular (chart) nodes only
-                "pass": ok,
+                "pass": mono and all(c == 1 for c in row),
             }
         )
+    failures = sum(not c["pass"] for c in curves)
     return {
         "kind": "cauchy-time-report",
         "seed": seed,

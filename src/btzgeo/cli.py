@@ -91,6 +91,8 @@ class RunConfig(BuildSettings):
             raise ValueError("t_start must be < t_stop")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.surgery_margin > 1:  # the compact cap's flat core has delta = 1
+            raise ValueError(f"surgery_margin must be in (0, 1], got {self.surgery_margin!r}")
         leaves = tuple(float(x) for x in self.leaves)
         if not all(math.isfinite(x) and x > 0 for x in leaves):
             raise ValueError(f"leaves must be finite and > 0, got {leaves!r}")

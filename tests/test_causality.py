@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from btzgeo.causality import (
 )
 from btzgeo.minkowski import GeometryError, quadratic_form
 from btzgeo.representations import builtin_examples
+from btzgeo.serialize import canonical_dumps
 
 CENTER = np.array([1, 1, 1]) / 3.0
 
@@ -356,6 +358,46 @@ def test_cauchy_time_report_matches_pinned_totals_at_bench_size(request, fixture
     totals = (sum(c["nodes"] for c in rep["curves"]),
               sum(c["rejected_proposals"] for c in rep["curves"]))
     assert totals == PINNED_BENCH_SIZE_TOTALS[fixture]
+
+
+# sha256 of the canonical bytes of cauchy_time_report(st, n_curves=2, seed=7)
+# and cauchy_time_report(st, n_curves=100, seed=0): every node count, rejection
+# count, monotone_t and leaf_crossings entry of both sizes.
+PINNED_REPORT_SHA256 = {
+    "gamma2_zero": ("d29ceb7b5171e16b03b86bd741a5e8cd520963d6f1e9fc12449d240057007e18",
+                    "0bf6bc9b5cae2a11507f7f1138f7ea55d3632db5f56641d507a218b43eaca1a3"),
+    "gamma2_deformed": ("0cb6a52a46963c7ace76abb9185858b759087973222f06a0852a2e9fb1838d46",
+                        "d5630c40427a02add7e7c07f3335e8baa3df66631b82bb44e88bcc2bd5f5f370"),
+    "torus_zero": ("8d452684e06bb86a555379dc1a007e71ad15eabfa910d987d5376610c1658a59",
+                   "f32b8d831f54479cc0a4c5c6d38a26e031cfcadb6163ff4cb112156332d46cbc"),
+    "torus_deformed": ("c0d47bc23f8c18abead90e60676e5713b5a8ec288923791c2416c24ba2c02c2e",
+                       "668db8f58fcd150a0a5b7384da48d138827a7a8190f5da1f4b3e4888886b647f"),
+}
+
+
+def _count_cross_face(monkeypatch):
+    # the crossings handed to cross_face: (simplex, facet) per crossing
+    seen = []
+    kernel = causality.cross_face
+
+    def counted(st_, simplex, t, alpha, facet):
+        seen.extend(zip(np.asarray(simplex).tolist(), np.asarray(facet).tolist()))
+        return kernel(st_, simplex, t, alpha, facet)
+    monkeypatch.setattr(causality, "cross_face", counted)
+    return seen
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_REPORT_SHA256))
+def test_cauchy_time_report_bytes_are_pinned(request, fixture, monkeypatch):
+    # every face of a reference build has a corner bound <= 1e-9, so no
+    # crossing needs the developed check
+    st_ = request.getfixturevalue(fixture)
+    seen = _count_cross_face(monkeypatch)
+    digests = tuple(
+        hashlib.sha256(canonical_dumps(cauchy_time_report(st_, n_curves=n, seed=s)).encode())
+        .hexdigest() for n, s in ((2, 7), (100, 0)))
+    assert digests == PINNED_REPORT_SHA256[fixture]
+    assert seen == []
 
 
 def test_short_backward_step_is_not_causal(gamma2_deformed):
@@ -779,6 +821,70 @@ def test_face_mismatch_is_caught(gamma2_zero):
     with pytest.raises(GeometryError,
                        match=f"mismatch between charts ({i} and {nbr}|{nbr} and {i})$"):
         cauchy_time_report(broken, n_curves=20)
+
+
+def test_face_bound_above_tolerance_takes_the_developed_check(gamma2_zero, monkeypatch):
+    # one glued face, both of its table entries, moved off by 5e-9: its corner
+    # bound exceeds 1e-9, so its crossings go through cross_face, whose 1e-8
+    # tolerance passes them, and the report keeps every byte
+    st_ = gamma2_zero
+    tri = st_.triangulation
+    i, k = tri.left[0]
+    nbr, back = tri.neighbour[i, k], tri.slot[i, k, k]
+    m, b = st_.gluing
+    b = b.copy()
+    b[i, k, 1] += 5e-9
+    b[nbr, back, 1] -= 5e-9
+    shifted = replace(st_, gluing=(m, b))
+    seen = _count_cross_face(monkeypatch)
+    expect = cauchy_time_report(st_, n_curves=20)
+    assert seen == [] and expect["pass"] is True
+    assert cauchy_time_report(shifted, n_curves=20) == expect
+    assert seen and set(seen) <= {(i, k), (nbr, back)}, seen
+
+
+def test_face_bound_scales_the_corner_residual_by_t_plus_kappa(gamma2_zero, monkeypatch):
+    # every corner decoration of chart 0 moved by 9e-10, so t du <= 1e-9 at
+    # every crossing below t = 1.1 but (t + kappa) du > 1e-9 (kappa = 1): the
+    # kappa term alone sends those crossings to cross_face, which passes them
+    st_ = gamma2_zero
+    u, p = st_.charts
+    u = u.copy()
+    u[0, :, 1] += 9e-10
+    moved = replace(st_, charts=(u, p))
+    assert st_.kappa == 1.0
+    seen = _count_cross_face(monkeypatch)
+    report = cauchy_time_report(moved, n_curves=40, t_stop=1.0, leaves=(0.5,))
+    assert report["pass"] is True and seen
+
+
+def test_starts_outside_the_charts_are_named(gamma2_zero):
+    starts = [ChartPoint(1, 0.2, CENTER), ChartPoint(5, 0.2, CENTER), ChartPoint(2, 0.2, CENTER)]
+    with pytest.raises(ValueError, match=r"^chart simplex 5 is outside \[0, 2\)$"):
+        next(_trace_lockstep(gamma2_zero, starts, [0, 1, 2], 1.0))
+
+
+def test_curves_time_checks_match_per_curve_checks():
+    # one array pass over stacked curves gives _time_checks of each curve; no
+    # node pair across two curves counts, though each such pair here goes
+    # back in t and most cross leaves
+    leaves = [0.5, 1.0, 2.0]
+    t = [[0.2, 0.6, 1.2, 2.5], [0.3], [0.2, 0.7, 0.7, 0.4, 1.1], [0.3, 3.0], [0.1, 0.1]]
+    transition = [[False] * 4, [False], [False, False, True, False, False], [False] * 2,
+                  [False, True]]
+    rng = np.random.default_rng(8)
+    for size in (1, 2, 30, 60, 3):
+        steps = rng.choice([-0.3, 0.0, 0.2, 0.5], size=size, p=[0.05, 0.15, 0.5, 0.3])
+        t.append(0.1 + np.abs(np.cumsum(steps)))
+        transition.append(np.r_[False, steps[1:] == 0.0] ^ (rng.random(size) < 0.05))
+    t, transition = ([np.asarray(x, dtype=x_type) for x in xs]
+                     for xs, x_type in ((t, float), (transition, bool)))
+    monotone, counts = causality._curves_time_checks(
+        np.concatenate(t), np.concatenate(transition), np.array([len(x) for x in t]), leaves)
+    expect = [_time_checks(ti, tr, leaves) for ti, tr in zip(t, transition)]
+    assert list(zip(monotone.tolist(), counts.tolist())) == expect
+    assert expect[:5] == [(True, [1, 1, 1]), (True, [0, 0, 0]), (False, [3, 1, 0]),
+                          (True, [1, 1, 1]), (True, [0, 0, 0])]
 
 
 def test_cauchy_time_report_catches_broken_leaves(examples):

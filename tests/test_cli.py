@@ -368,13 +368,22 @@ def test_surgery_overflowing_profile_is_one_json_error(bundle_path, tmp_path, mo
 
 
 def test_surgery_margin_above_one_is_an_input_error(bundle_path, profile_path, tmp_path):
-    # the compact cap's flat core has delta = 1, so no slope constant gives more
+    # the compact cap's flat core has delta = 1, so no slope constant gives
+    # more; the config refuses the margin when it loads, before any stage runs
     cfg = tmp_path / "margin.cfg"
     cfg.write_text("surgery_margin=2\n")
-    code, stdout, stderr = run_cli(["surgery", str(bundle_path), str(profile_path),
-                                    "--mode", "compact", "--config", str(cfg)])
-    assert code == 2 and stdout == ""
-    assert json.loads(stderr)["message"] == "margin must be in (0, 1], got 2.0"
+    message = f"{cfg}:1: surgery_margin must be in (0, 1], got 2.0"
+    outdir = tmp_path / "demo-out"
+    for argv in (["surgery", str(bundle_path), str(profile_path), "--mode", "compact",
+                  "--out", str(tmp_path / "surgery.json")],
+                 ["demo", "gamma2", "--out", str(outdir)]):
+        code, stdout, stderr = run_cli(argv + ["--config", str(cfg)])
+        assert code == 2 and stdout == "", argv
+        assert json.loads(stderr)["message"] == message
+    assert not (tmp_path / "surgery.json").exists() and not outdir.exists()
+    with pytest.raises(ValueError, match="surgery_margin"):
+        RunConfig(surgery_margin=1.5)
+    assert RunConfig(surgery_margin=1.0).surgery_margin == 1.0
 
 
 def test_bad_triangulation_shapes_are_one_json_error(cli_dir, tmp_path):
