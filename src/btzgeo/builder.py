@@ -22,8 +22,10 @@ what licenses detaching and re-attaching the singular fibers.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -46,7 +48,7 @@ from .representations import (
     parse_word,
     peripheral_fixed_data,
 )
-from .serialize import JsonRecord, canonical_dumps, json_mismatch, read
+from .serialize import JsonRecord, _real, canonical_dumps, json_mismatch, read
 
 BLEND_THRESHOLD = 2.0 / 3.0
 
@@ -329,6 +331,16 @@ def barycentric_grid(n: int) -> np.ndarray:
     return pts[pts[:, 0] > 0.0]
 
 
+@functools.lru_cache(maxsize=16)
+def _kappa_samples(t_min: float, t_max: float, t_count: int, bary_n: int):
+    """choose_kappa's sample sets, read-only and computed once per settings
+    values: t_count values of t in [t_min, t_max], geometric, and the grid."""
+    t_values, grid = np.geomspace(t_min, t_max, t_count), barycentric_grid(bary_n)
+    t_values.setflags(write=False)
+    grid.setflags(write=False)
+    return t_values, grid
+
+
 def _det3(m: np.ndarray) -> np.ndarray:
     """Determinants of (..., 3, 3) matrices by cofactor expansion along the first row."""
     (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(m, (-2, -1), (0, 1))
@@ -412,8 +424,8 @@ def choose_kappa(charts, blend: HexagonBlend,
     """
     kappa0 = 1.0 + max((float(np.linalg.norm(row)) for row in charts[1].reshape(-1, 3)),
                        default=0.0)
-    t_values = np.geomspace(settings.t_min, settings.t_max, settings.t_count)
-    grid = barycentric_grid(settings.bary_n)
+    t_values, grid = _kappa_samples(settings.t_min, settings.t_max, settings.t_count,
+                                    settings.bary_n)
     kappa = kappa0
     last = None
     for doubling in range(settings.max_doublings + 1):
@@ -463,14 +475,22 @@ class PunctureGeometry:
     theta values cover two periods plus one entry (2r + 1 angles); Theta is
     the holonomy angle advance per period.  ell = Theta / 2pi is the
     hyperbolic rescaling that normalizes the period to 2pi.  ``frame`` rotates
-    the axis direction into the (t, x) plane; ``frame_inverse`` is its
-    inverse, which minkowski_to_model and _in_fan_prisms share.
+    the axis direction into the (t, x) plane; ``frame_inverse`` is its exact
+    inverse G frame^T G as a read-only array, which minkowski_to_model and
+    _in_fan_prisms share.
+
+    The prism tables that _in_fan_prisms reads are derived from the fields on
+    construction (so ``replace`` rebuilds them): ``windows`` (2r + 1,) the fan
+    angles; ``prisms`` (r, 3, 3) with columns (axis direction, anchor n -
+    anchor, anchor n + 1 - anchor) per window n, the identity where that
+    matrix is ``singular`` (r,) (determinant exactly 0); ``deck_generator``
+    the axis deck generator in the ambient frame, frame N frame^-1.
     """
 
     puncture: str
     base_vertex: str
     frame: LinearIsometry
-    frame_inverse: LinearIsometry
+    frame_inverse: np.ndarray
     line_point: np.ndarray
     line_direction: np.ndarray
     anchor: np.ndarray
@@ -480,6 +500,23 @@ class PunctureGeometry:
     Theta: float
     ell: float
     holonomy_residual: float
+    windows: np.ndarray = field(init=False, repr=False, compare=False)
+    prisms: np.ndarray = field(init=False, repr=False, compare=False)
+    singular: np.ndarray = field(init=False, repr=False, compare=False)
+    deck_generator: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        corners = np.array([e.anchor for e in self.fan[: self.r + 1]]) - self.anchor
+        prisms = np.empty((self.r, 3, 3))
+        prisms[..., 0] = self.line_direction
+        prisms[..., 1], prisms[..., 2] = corners[:-1], corners[1:]
+        singular = np.linalg.det(prisms) == 0.0
+        prisms[singular] = np.eye(3)
+        deck_generator = self.frame.matrix @ axis_deck_generator() @ self.frame_inverse
+        for name, table in (("windows", np.array([e.theta for e in self.fan])), ("prisms", prisms),
+                            ("singular", singular), ("deck_generator", deck_generator)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     @property
     def theta_normalized(self) -> tuple[float, ...]:
@@ -770,15 +807,27 @@ def build(
     return st
 
 
-def _axis_angle(frame_inv: np.ndarray, d: np.ndarray) -> float:
-    """theta of a direction transverse to the axis, in the rotated standard frame."""
-    w = frame_inv @ d
-    gap = w[0] - w[1]
-    if gap <= 0:
-        raise NonMonotoneAngles(
-            "fan direction does not point into the future side of the axis"
-        )
-    return float(-w[2] / gap)
+def _known_puncture(st: PolyhedralSpacetime, puncture: str) -> None:
+    """The check puncture_geometry and find_spear share: a KeyError naming a
+    puncture that has no fiber."""
+    if puncture not in st.fibers:
+        raise KeyError(f"unknown puncture {puncture}")
+
+
+def _fan_corners(v: np.ndarray, deck_m: np.ndarray, deck_b: np.ndarray,
+                 frame_inv: np.ndarray, anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fan corners q = deck_m v + deck_b (k, 3) of the corner points v = kappa
+    u + p (k, 3) under their deck isometries (k, 3, 3), (k, 3), and the angles
+    (k,) of the directions q - anchor in the rotated standard frame.  Both
+    products are stacked (k, 3, 3) @ (k, 3, 1), so each row's arithmetic is
+    that of a one-vector product.  Raises NonMonotoneAngles if a direction
+    does not point into the future side of the axis."""
+    q = (deck_m @ v[:, :, None])[:, :, 0] + deck_b
+    w = (frame_inv @ (q - anchor)[:, :, None])[:, :, 0]
+    gap = w[:, 0] - w[:, 1]
+    if (gap <= 0).any():
+        raise NonMonotoneAngles("fan direction does not point into the future side of the axis")
+    return q, -w[:, 2] / gap
 
 
 def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometry:
@@ -790,9 +839,11 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
     most recent corner, so the stored vertex order of triangles is irrelevant.
     Corner decorations map to axis-adapted angles over two periods; Theta is
     the holonomy advance per period and ell = Theta / 2pi normalizes it to 2pi.
+    The walk records each entered corner and its deck isometry (products
+    taken in walk order); one stacked pass after it develops those corners,
+    and the first error in walk order is the one raised.
     """
-    if puncture not in st.fibers:
-        raise KeyError(f"unknown puncture {puncture}")
+    _known_puncture(st, puncture)
     fiber = st.fibers[puncture]
     tri = st.triangulation
     base = fiber.base_vertex
@@ -800,38 +851,49 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
     r = sum(1 for t in tri.triangles for v in t if v in orbit)
     anchor = st.kappa * fiber.line_direction + fiber.line_point
     frame = rotation_about_t(math.atan2(fiber.line_direction[2], fiber.line_direction[1]))
-    frame_inverse = frame.inverse()
-    frame_inv = frame_inverse.matrix
+    frame_inv = G @ frame.matrix.T @ G  # the exact inverse of an isometry
+    frame_inv.setflags(write=False)
     m, b = st.gluing
-    u, p = st.charts
-
-    def corner(tri_i: int, j: int):
-        q_n = deck_m @ (st.kappa * u[tri_i, j] + p[tri_i, j]) + deck_b
-        return (tri_i, j, q_n, _axis_angle(frame_inv, q_n - anchor))
+    corner = st.kappa * st.charts[0] + st.charts[1]  # kappa u + p, (S, 3, 3)
+    neighbour, slot = tri.neighbour.tolist(), tri.slot.tolist()
 
     # the walk runs in vertex slots: cur is the puncture's, out the corner it
     # leaves through, and the facet crossed is the third slot
     start = min(i for i, t in enumerate(tri.triangles) if base in t)
     cur_tri, cur = start_state = start, tri.triangles[start].index(base)
-    deck_m, deck_b = np.eye(3), np.zeros(3)
-    entries = sorted((corner(cur_tri, j) for j in range(3) if j != cur), key=lambda e: e[3])
-    out = entries[-1][1]
+    # entry n of the fan is corner slots[n] of triangle tris[n], moved by deck n
+    tris, slots = [start, start], [j for j in range(3) if j != cur]
+    deck_m, deck_b = np.empty((2 * r + 1, 3, 3)), np.empty((2 * r + 1, 3))
+    deck_m[:2], deck_b[:2] = np.eye(3), 0.0
+    q, theta = _fan_corners(corner[tris, slots], deck_m[:2], deck_b[:2], frame_inv, anchor)
+    if theta[1] < theta[0]:
+        slots, q, theta = slots[::-1], q[::-1], theta[::-1]
+    out = slots[1]
     for crossing in range(1, 2 * r):
         i, k = cur_tri, 3 - cur - out
-        cur_tri, (entered, cur) = int(tri.neighbour[i, k]), tri.slot[i, k, [out, cur]]
+        cur_tri = neighbour[i][k]
+        entered, cur = slot[i][k][out], slot[i][k][cur]
         if tri.triangles[cur_tri][cur] not in orbit:
+            if crossing > 1:  # a corner entered earlier that fails is the first error
+                _fan_corners(corner[tris[2:], slots[2:]], deck_m[2:crossing + 1],
+                             deck_b[2:crossing + 1], frame_inv, anchor)
             raise NonMonotoneAngles(
                 f"fan walk left the vertex orbit of {puncture} at triangle {cur_tri}"
             )
         if tri.word[i][k]:
-            deck_m, deck_b = deck_m @ m[i, k], deck_m @ b[i, k] + deck_b
+            deck_m[crossing + 1] = deck_m[crossing] @ m[i, k]
+            deck_b[crossing + 1] = deck_m[crossing] @ b[i, k] + deck_b[crossing]
+        else:
+            deck_m[crossing + 1], deck_b[crossing + 1] = deck_m[crossing], deck_b[crossing]
         if crossing == r:
-            period_m, period_b, period_state = deck_m, deck_b, (cur_tri, cur)
+            period_m, period_b, period_state = deck_m[r + 1], deck_b[r + 1], (cur_tri, cur)
         out = 3 - cur - entered
-        entries.append(corner(cur_tri, out))
+        tris.append(cur_tri)
+        slots.append(out)
+    walked = _fan_corners(corner[tris[2:], slots[2:]], deck_m[2:], deck_b[2:], frame_inv, anchor)
+    q, theta = np.concatenate([q, walked[0]]), np.concatenate([theta, walked[1]])
 
-    thetas = [e[3] for e in entries]
-    if not np.all(np.diff(thetas) > 0):
+    if not (theta[1:] > theta[:-1]).all():  # as diff > 0, for every float
         raise NonMonotoneAngles(
             f"fan angles around {puncture} are not strictly increasing"
         )
@@ -840,6 +902,7 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
         raise NonMonotoneAngles(
             f"fan walk around {puncture} did not close after {r} corners"
         )
+    thetas = theta.tolist()
     Theta = thetas[r] - thetas[0]
     shifts = [thetas[n + r] - thetas[n] for n in range(len(thetas) - r)]
     if max(shifts) - min(shifts) > st.settings.fan_tol:
@@ -863,11 +926,11 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
         puncture=puncture,
         base_vertex=base,
         frame=frame,
-        frame_inverse=frame_inverse,
+        frame_inverse=frame_inv,
         line_point=fiber.line_point,
         line_direction=fiber.line_direction,
         anchor=anchor,
-        fan=tuple(FanEntry(t_i, a, th) for t_i, _, a, th in entries),
+        fan=tuple(FanEntry(t_i, a, th) for t_i, a, th in zip(tris, q, thetas)),
         r=r,
         theta=tuple(thetas),
         Theta=Theta,
@@ -878,8 +941,8 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
 
 def model_to_minkowski(pg: PunctureGeometry, point) -> np.ndarray:
     """Normalized axis coordinates (..., 3) of (tau, r, theta) -> Minkowski points (..., 3)."""
-    tau, r, theta = np.moveaxis(np.asarray(point, dtype=float), -1, 0)
-    x = dev0_array(*h_ell_coords(pg.ell, tau, r, theta))
+    q = np.asarray(point, dtype=float)
+    x = dev0_array(*h_ell_coords(pg.ell, q[..., 0], q[..., 1], q[..., 2]))
     return x @ pg.frame.matrix.T + pg.line_point
 
 
@@ -890,7 +953,7 @@ def minkowski_to_model(pg: PunctureGeometry, x) -> np.ndarray:
     arithmetic is that of a one-point call.
     """
     d = np.asarray(x, dtype=float) - pg.line_point
-    w = (pg.frame_inverse.matrix @ d[..., None])[..., 0]
+    w = (pg.frame_inverse @ d[..., None])[..., 0]
     return np.stack(h_ell_coords(1.0 / pg.ell, *dev0_inverse(w, tol=1e-9)), axis=-1)
 
 
@@ -899,39 +962,38 @@ def _in_fan_prisms(pg: PunctureGeometry, x: np.ndarray) -> tuple[np.ndarray, np.
 
     A point in front of the axis gets its angle lifted into the first period,
     is moved there by the matching deck shift, and is solved for prism
-    coordinates (t, a, b) over the window's corner anchors.  Returns inside
-    (m,) and info (m, 4) = (window, t, a, b); the window is -1 behind the axis
-    and (t, a, b) is NaN there or where the window's prism is singular, and
-    both count as outside.
+    coordinates (t, a, b) over the window's corner anchors (the prism tables
+    of ``pg``).  Returns inside (m,) and info (m, 4) = (window, t, a, b); the
+    window is -1 behind the axis and (t, a, b) is NaN there or where the
+    window's prism is singular, and both count as outside.
     """
-    frame_inv = pg.frame_inverse.matrix
     d = x - pg.anchor
-    w = d @ frame_inv.T
+    w = d @ pg.frame_inverse.T
     gap = w[:, 0] - w[:, 1]
     front = gap > 0
     theta = -w[:, 2] / np.where(front, gap, 1.0)
-    windows = np.array([e.theta for e in pg.fan])
+    windows = pg.windows
     lo, span = windows[0], windows[pg.r] - windows[0]
     lifted = lo + (theta - lo) % span
-    n = np.clip(np.searchsorted(windows, lifted, side="right") - 1, 0, pg.r - 1)
-    corners = np.array([e.anchor for e in pg.fan[: pg.r + 1]]) - pg.anchor
-    axis = np.broadcast_to(pg.line_direction, (pg.r, 3))
-    prisms = np.stack([axis, corners[:-1], corners[1:]], axis=-1)
-    singular = np.linalg.det(prisms) == 0.0
-    prisms[singular] = np.eye(3)
-    n0 = pg.frame.matrix @ axis_deck_generator() @ frame_inv
-    sn = (lifted - theta)[:, None, None] * n0
+    n = np.minimum(np.maximum(np.searchsorted(windows, lifted, side="right") - 1, 0), pg.r - 1)
+    sn = (lifted - theta)[:, None, None] * pg.deck_generator
     deck = np.eye(3) + sn + 0.5 * (sn @ sn)
-    target = deck @ d[:, :, None]
-    tab = np.linalg.solve(prisms[n], target)[:, :, 0]
-    tab[~front | singular[n]] = np.nan
+    info = np.empty((len(x), 4))
+    info[:, 0] = np.where(front, n, -1)
+    tab = info[:, 1:]
+    tab[:] = np.linalg.solve(pg.prisms[n], deck @ d[:, :, None])[:, :, 0]
+    tab[~front | pg.singular[n]] = np.nan
     t, a, b = tab.T
     # NaN fails every comparison, so undefined coordinates are outside
     inside = (t > 1e-12) & (a >= -1e-9) & (b >= -1e-9) & (a + b <= 1.0 / 3.0 + 1e-9)
-    return inside, np.column_stack([np.where(front, n, -1), tab])
+    return inside, info
 
 
 SPEAR_FACTOR = 0.99  # the recorded spear radius over R*; the rest covers rounding
+# where find_spear evaluates each window's fitted quadratics: u = -1/4, 0, 1/4
+# (the samples) and the window ends; the quadratics' vertices follow
+_SPEAR_U = np.array([-0.25, 0.0, 0.25, -0.5, 0.5])
+_SPEAR_U.setflags(write=False)
 
 
 def find_spear(st: PolyhedralSpacetime, puncture: str) -> SpearDescriptor:
@@ -951,29 +1013,35 @@ def find_spear(st: PolyhedralSpacetime, puncture: str) -> SpearDescriptor:
     or a broken sign condition raises SpearNotFound naming its (tau, r, theta)
     and (window, t, a, b).
     """
+    _known_puncture(st, puncture)
     pg = st.fans[puncture]
+    r = pg.r
     vertex_tau = TWO_PI / pg.Theta * st.kappa
-    ends = np.array(pg.theta[: pg.r + 1]) / pg.ell
-    mid, width = 0.5 * (ends[:-1] + ends[1:])[:, None], np.diff(ends)[:, None]
-    u = np.broadcast_to([-0.25, 0.0, 0.25], (pg.r, 3))
-    pts = np.stack(np.broadcast_arrays(vertex_tau + 0.5, 1.0, mid + width * u), axis=-1)
+    ends = np.array(pg.theta[: r + 1]) / pg.ell
+    mid, width = 0.5 * (ends[:-1] + ends[1:]), ends[1:] - ends[:-1]
+    pts = np.empty((r, 3, 3))
+    pts[..., 0], pts[..., 1] = vertex_tau + 0.5, 1.0
+    pts[..., 2] = mid[:, None] + width[:, None] * _SPEAR_U[:3]
     _, info = _in_fan_prisms(pg, model_to_minkowski(pg, pts.reshape(-1, 3)))
-    b1, b2, b3 = info.reshape(pg.r, 3, 4).swapaxes(0, 1)
+    b1, b2, b3 = info.reshape(r, 3, 4).swapaxes(0, 1)
     # (window, t, a, b) = c0 + c1 u + c2 u^2, u = (theta - mid) / width in [-1/2, 1/2]
     c0, c1, c2 = b2, 2.0 * (b3 - b1), 8.0 * (b1 - 2.0 * b2 + b3)
-    q1, q2 = (np.column_stack([c[:, 1:], c[:, 2] + c[:, 3]]) for c in (c1, c2))
-    vertex = np.divide(-q1, 2.0 * q2, out=np.full_like(q1, 0.5), where=q2 != 0.0)
-    u = np.hstack([u, np.full((pg.r, 2), [-0.5, 0.5]), np.clip(vertex, -0.5, 0.5)])
+    # the vertices of t, a, b and a + b, clipped to the window
+    q1, q2 = (np.concatenate([c[:, 1:], c[:, 2:3] + c[:, 3:]], axis=1) for c in (c1, c2))
+    u = np.empty((r, 9))
+    u[:, :5], u[:, 5:] = _SPEAR_U, 0.5
+    np.divide(-q1, 2.0 * q2, out=u[:, 5:], where=q2 != 0.0)
+    np.minimum(np.maximum(u[:, 5:], -0.5), 0.5, out=u[:, 5:])
     tab = c0[:, None] + (c1[:, None] + c2[:, None] * u[..., None]) * u[..., None]
-    window, t, a, b = np.moveaxis(tab, -1, 0)
-    ok = (window == np.arange(pg.r)[:, None]) & (t > 1e-12) & (a >= -1e-9) & (b >= -1e-9)
+    window, t, a, b = tab.transpose(2, 0, 1)
+    ok = (window == np.arange(r)[:, None]) & (t > 1e-12) & (a >= -1e-9) & (b >= -1e-9)
     if not ok.all():
         n, k = np.argwhere(~ok)[0]
         raise SpearNotFound(f"no spear radius certified around {puncture}: at (tau, r, theta) = "
-                            f"{(vertex_tau + 0.5, 1.0, float(mid[n, 0] + u[n, k] * width[n, 0]))}, "
+                            f"{(vertex_tau + 0.5, 1.0, float(mid[n] + u[n, k] * width[n]))}, "
                             f"(window, t, a, b) = {tuple(tab[n, k].tolist())}")
     return SpearDescriptor(puncture, vertex_tau, float(SPEAR_FACTOR / (3.0 * (a + b).max())),
-                           pg.ell, samples=3 * pg.r)
+                           pg.ell, samples=3 * r)
 
 
 def strip_btz(st: PolyhedralSpacetime) -> PolyhedralSpacetime:
@@ -1006,10 +1074,14 @@ def extend_btz(st: PolyhedralSpacetime) -> tuple[PolyhedralSpacetime, dict[str, 
 
 
 def mesh_data(st: PolyhedralSpacetime, t_values, resolution: int):
-    """Sampled leaf meshes: vertices (n, 3) and triangular faces (m, 3), deterministic."""
+    """Sampled leaf meshes: vertices (n, 3) and triangular faces (m, 3), deterministic.
+    A resolution that is not an integer, or a t value that is not a real
+    number (bools and strings included), is a ValueError."""
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    t_values = [float(t) for t in t_values]
+    t_values = [_real("t_values", t) for t in t_values]
     if not t_values or not all(math.isfinite(t) and t > 0 for t in t_values):
         raise ValueError("t values must be finite, positive and non-empty")
     res = int(resolution)

@@ -35,9 +35,11 @@ def dev0_array(tau, r, theta) -> np.ndarray:
     (tau, r, theta) -> (tau + r theta^2/2, tau + r theta^2/2 - r, -r theta),
     on coordinate arrays; returns shape (..., 3).
     """
-    tau, r, theta = np.broadcast_arrays(np.asarray(tau, float), np.asarray(r, float), np.asarray(theta, float))
-    lead = tau + 0.5 * r * theta * theta
-    return np.stack([lead, lead - r, -r * theta], axis=-1)
+    tau, r, theta = np.asarray(tau, float), np.asarray(r, float), np.asarray(theta, float)
+    lead = tau + 0.5 * r * theta * theta  # broadcast over all three
+    out = np.empty(np.shape(lead) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = lead, lead - r, -r * theta
+    return out
 
 
 def _axis_band(q: np.ndarray, tol: float) -> np.ndarray:

@@ -136,13 +136,16 @@ _ANNOTATION_SCHEMA = {"float": float, "int": int, "bool": bool, "tuple[float, ..
 class JsonRecord:
     """Dataclass mixin: to_json maps the fields (arrays as lists); from_json
     reads an object whose keys are the fields, with the schemas of their
-    annotations, a field with a default being an optional key."""
+    annotations, a field with a default being an optional key.  Fields are
+    read shallowly: no record holds a dataclass, so the copies that
+    ``dataclasses.asdict`` makes would give the same JSON."""
 
     def to_json(self) -> dict:
-        return {
-            name: value.tolist() if isinstance(value, np.ndarray) else value
-            for name, value in dataclasses.asdict(self).items()
-        }
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
 
     @classmethod
     def from_json(cls, d, path: str = ""):

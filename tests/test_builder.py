@@ -1,5 +1,6 @@
 import bisect
 import copy
+import hashlib
 import itertools
 import json
 import math
@@ -23,11 +24,13 @@ from btzgeo.builder import (
     NonMonotoneAngles,
     SPEAR_FACTOR,
     PolyhedralSpacetime,
+    PunctureGeometry,
     SpearNotFound,
     _certify_once,
     _det3,
     _gram_min_eig,
     _in_fan_prisms,
+    _kappa_samples,
     barycentric_grid,
     build,
     choose_kappa,
@@ -50,7 +53,7 @@ from btzgeo.builder import (
     strip_btz,
     verify_face_equivariance,
 )
-from btzgeo.minkowski import causal_class, CausalClass, minkowski_inner
+from btzgeo.minkowski import causal_class, CausalClass, minkowski_inner, rotation_about_t
 from btzgeo.models import TWO_PI, axis_deck_generator, parabolic_parameter
 from btzgeo.representations import (
     InvalidTriangulation,
@@ -341,6 +344,17 @@ def test_barycentric_grid_avoids_seams():
     assert np.abs(grid - 2.0 / 3.0).min() > 1e-4
 
 
+def test_kappa_sample_sets_are_computed_once():
+    cfg = BuildSettings()
+    key = (cfg.t_min, cfg.t_max, cfg.t_count, cfg.bary_n)
+    t_values, grid = _kappa_samples(*key)
+    again = _kappa_samples(*key)
+    assert again[0] is t_values and again[1] is grid
+    assert t_values.tobytes() == np.geomspace(cfg.t_min, cfg.t_max, cfg.t_count).tobytes()
+    assert grid.tobytes() == barycentric_grid(cfg.bary_n).tobytes()
+    assert not t_values.flags.writeable and not grid.flags.writeable
+
+
 def test_choose_kappa_zero_cocycle_immediate():
     cert = choose_kappa(_charts(CONE_U), HexagonBlend())
     assert cert.doublings == 0
@@ -552,6 +566,13 @@ def test_fan_geometry(gamma2_zero, gamma2_deformed):
             assert shifts.max() - shifts.min() <= 1e-8
             normalized = np.array(pg.theta_normalized)
             assert abs((normalized[pg.r] - normalized[0]) - TWO_PI) <= 1e-9
+            # the exact inverse of the frame, and prism tables read off the fan
+            assert pg.frame_inverse.tobytes() == pg.frame.inverse().matrix.tobytes()
+            assert pg.windows.tolist() == list(pg.theta)
+            assert pg.prisms.shape == (pg.r, 3, 3) and not pg.singular.any()
+            for table in (pg.frame_inverse, pg.windows, pg.prisms, pg.singular,
+                          pg.deck_generator):
+                assert not table.flags.writeable
 
 
 def test_fan_angle_advance_is_deformation_invariant(gamma2_zero, gamma2_deformed):
@@ -704,6 +725,27 @@ def test_reference_spears_are_pinned(fixture, request):
         for name, tau, radius, ell, samples in REFERENCE_SPEARS[fixture]
     }
     assert {k: sp.to_json() for k, sp in st_.spears.items()} == want
+
+
+# sha256 of the canonical bundle bytes (build(...).dumps()) of the builtins at
+# deformed(scale), scale 0 being the zero cocycle; the bundles hold the fans'
+# 2r + 1 angles, their holonomy residuals and the spear radii
+REFERENCE_BUNDLE_SHA256 = {
+    ("gamma2", 0.0): "e70b5523be10ba98633bc35602169645770d72b3990218c8af6891faea6f9f1d",
+    ("gamma2", 1.0): "4d27b86c4c4dfdd061279f37cac2ba8c471b5dd0afcd650ddc3bf4abc06d69a8",
+    ("gamma2", 25.0): "f86a034914449ad693c5a88506691655f2d8bc9454c9c7d9474c1fd3eb5cf109",
+    ("punctured_torus", 0.0): "2bf7892f62e4666ec53a4ea4db4db4107dd5f2a24ec7eb27db2c5406a10a0333",
+    ("punctured_torus", 1.0): "786c6617bbc676db0b1af0eb78146c14305abd41d894fb700d8f7d35c193a21c",
+    ("punctured_torus", 25.0): "1e67149e4a4d6e00d323c09b8d4d63cd383b00fee1404b189bb00863cebb7080",
+}
+
+
+@pytest.mark.parametrize("example, scale", sorted(REFERENCE_BUNDLE_SHA256))
+def test_reference_bundle_bytes_are_pinned(examples, example, scale):
+    ex = examples[example]
+    rep = ex.deformed(scale) if scale else ex.representation
+    text = build(rep, ex.triangulation).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_BUNDLE_SHA256[example, scale]
 
 
 def _prism_reference(pg, x):
@@ -882,8 +924,94 @@ def test_fan_walk_rejects_corrupt_decorations(gamma2_zero):
     u = st_.charts[0].copy()
     u[np.array(st_.triangulation.triangles) == victim] *= -1.0
     st_.charts = (u, st_.charts[1])
-    with pytest.raises(NonMonotoneAngles):
+    with pytest.raises(NonMonotoneAngles,
+                       match=r"^fan direction does not point into the future side of the axis$"):
         puncture_geometry(st_, "c3")
+
+
+def _walk_reference(st_, puncture):
+    """One-corner-at-a-time fan walk: the per-corner loop the stacked walk
+    replaced.  Returns the 2r + 1 angles, or raises the walk's first error."""
+    fiber, tri = st_.fibers[puncture], st_.triangulation
+    orbit = {v for v, c in tri.vertex_class.items() if c == puncture}
+    r = sum(v in orbit for t in tri.triangles for v in t)
+    anchor = st_.kappa * fiber.line_direction + fiber.line_point
+    d = fiber.line_direction
+    frame_inv = rotation_about_t(math.atan2(d[2], d[1])).inverse().matrix
+    (m, b), (u, p) = st_.gluing, st_.charts
+    deck_m, deck_b = np.eye(3), np.zeros(3)
+
+    def angle(i, j):
+        w = frame_inv @ (deck_m @ (st_.kappa * u[i, j] + p[i, j]) + deck_b - anchor)
+        if w[0] - w[1] <= 0:
+            raise NonMonotoneAngles(
+                "fan direction does not point into the future side of the axis")
+        return float(-w[2] / (w[0] - w[1]))
+
+    i = min(n for n, t in enumerate(tri.triangles) if fiber.base_vertex in t)
+    cur = tri.triangles[i].index(fiber.base_vertex)
+    first = sorted(((angle(i, j), j) for j in range(3) if j != cur), key=lambda e: e[0])
+    thetas, out = [th for th, _ in first], first[-1][1]
+    for _ in range(2 * r - 1):
+        k = 3 - cur - out
+        nbr, entered, cur = int(tri.neighbour[i, k]), tri.slot[i, k, out], tri.slot[i, k, cur]
+        if tri.triangles[nbr][cur] not in orbit:
+            raise NonMonotoneAngles(
+                f"fan walk left the vertex orbit of {puncture} at triangle {nbr}")
+        if tri.word[i][k]:
+            deck_m, deck_b = deck_m @ m[i, k], deck_m @ b[i, k] + deck_b
+        i, out = nbr, 3 - cur - entered
+        thetas.append(angle(i, out))
+    return thetas
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+# outcomes each build's corrupted walks must include: angles, the first corner
+# behind the axis, and (gamma2 only: the torus has one vertex orbit) leaving it
+@pytest.mark.parametrize("fixture, outcomes", [
+    ("gamma2_deformed", {"angles", "direction", "walk"}),
+    ("torus_deformed", {"angles", "direction"}),
+])
+def test_fan_walk_matches_one_corner_reference(fixture, outcomes, request):
+    # corners flipped to the past cone and permuted gluing slots: the stacked
+    # walk gives the reference's angles bit for bit, or its first error in walk
+    # order (the checks after the walk may still refuse a walk that passes)
+    st0 = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(2)
+    seen = set()
+    for trial in range(80):
+        st_ = replace(st0)
+        u = st0.charts[0].copy()
+        u[rng.random(u.shape[:2]) < 0.2] *= -1.0
+        st_.charts = (u, st0.charts[1])
+        if trial % 2:
+            st_.triangulation = copy.copy(st0.triangulation)
+            st_.triangulation.slot = st0.triangulation.slot.copy()
+            i, k = rng.integers(len(u)), rng.integers(3)
+            st_.triangulation.slot[i, k] = rng.permutation(3)
+        for name in st_.fibers:
+            want = _outcome(_walk_reference, st_, name)
+            got = _outcome(puncture_geometry, st_, name)
+            if isinstance(got, PunctureGeometry):
+                got = list(got.theta)
+            elif isinstance(want, list) and got[0] == "NonMonotoneAngles":
+                assert not got[1].startswith(("fan direction", "fan walk left")), got
+                continue
+            assert got == want
+            seen.add(want[1].split()[1] if isinstance(want, tuple) else "angles")
+    assert outcomes <= seen
+
+
+def test_unknown_puncture_has_one_message(gamma2_zero):
+    for fn in (puncture_geometry, find_spear):
+        with pytest.raises(KeyError, match="unknown puncture zz"):
+            fn(gamma2_zero, "zz")
 
 
 def test_strip_extend_round_trip(gamma2_zero):
@@ -1108,6 +1236,18 @@ def test_mesh_counts_and_determinism(torus_zero, tmp_path):
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             mesh_data(torus_zero, [bad, 1.0], 3)
+
+
+@pytest.mark.parametrize("t_values, resolution, message", [
+    ([True], 3, "t_values must be a real number, got True"),
+    (["1.0"], 3, "t_values must be a real number, got '1.0'"),
+    ([1.0], True, "resolution must be an integer, got True"),
+    ([1.0], 2.5, "resolution must be an integer, got 2.5"),
+    ([1.0], "3", "resolution must be an integer, got '3'"),
+])
+def test_mesh_data_refuses_non_numbers(torus_zero, t_values, resolution, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mesh_data(torus_zero, t_values, resolution)
 
 
 def test_jacobian_matches_finite_differences(gamma2_deformed):

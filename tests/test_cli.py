@@ -12,7 +12,10 @@ import pytest
 
 from btzgeo.builder import BuildSettings
 from btzgeo.cli import RunConfig, _demo_profile, _load_bundle, build_parser, load_config, main
-from btzgeo.serialize import canonical_dumps
+from btzgeo.serialize import JsonRecord, canonical_dumps
+from btzgeo.surgery import (
+    IntersectionReport, completeness_certificate, extend_compact, extend_complete,
+)
 
 
 def run_cli(argv):
@@ -62,6 +65,27 @@ def profile_path(cli_dir, bundle_path):
     path = cli_dir / "profile.json"
     path.write_text(canonical_dumps(profile))
     return path
+
+
+def _all_subclasses(cls):
+    return {c for sub in cls.__subclasses__() for c in {sub} | _all_subclasses(sub)}
+
+
+def test_json_records_give_the_asdict_json(gamma2_deformed):
+    # every JsonRecord the demo writes, read field by field, gives the JSON of
+    # the deep-copying dataclasses.asdict path it replaced
+    st = gamma2_deformed
+    profile = _demo_profile(st)
+    records = [RunConfig(), st.settings, st.certification, *st.fibers.values(),
+               *st.spears.values(), *st.triangulation.gluings, profile,
+               *(completeness_certificate(sg)
+                 for sg in (extend_complete(profile), extend_compact(profile)))]
+    for record in records:
+        legacy = {k: v.tolist() if isinstance(v, np.ndarray) else v
+                  for k, v in dataclasses.asdict(record).items()}
+        assert canonical_dumps(JsonRecord.to_json(record)) == canonical_dumps(legacy)
+    # the demo writes no IntersectionReport; a new record type must join the list
+    assert {type(r) for r in records} == _all_subclasses(JsonRecord) - {IntersectionReport}
 
 
 def test_validate_ok(cli_dir, tmp_path):
