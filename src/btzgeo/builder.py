@@ -196,6 +196,16 @@ def dev_hat_points(u, p, simplex, t, alpha, kappa: float,
     return (row @ u[simplex] + a[..., None, :] @ p[simplex])[..., 0, :]
 
 
+def _blend_rows(blend: HexagonBlend, alpha) -> np.ndarray:
+    """The rows (..., 3, 3) that dev_hat_jacobians multiplies by u: phi, d phi/da
+    and d phi/db, alpha = (1-a-b, a, b)."""
+    phi, dphi = blend.value_and_partials(alpha)
+    rows = np.empty(dphi.shape)  # phi, then d phi/da and d phi/db written transposed
+    rows[..., 0, :] = phi
+    np.subtract(dphi[..., 1:], dphi[..., :1], out=rows[..., 1:, :].swapaxes(-1, -2))
+    return rows
+
+
 def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float,
                       blend: HexagonBlend) -> np.ndarray:
     """Jacobians of dev_hat in chart coordinates (t, a, b), alpha = (1-a-b, a, b).
@@ -208,12 +218,8 @@ def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float,
     in that order, so every entry has the same bits however the batch broadcasts.
     """
     t = np.asarray(t, dtype=float)
-    phi, dphi = blend.value_and_partials(alpha)
-    rows = np.empty(dphi.shape)  # phi, then d phi/da and d phi/db written transposed
-    rows[..., 0, :] = phi
-    np.subtract(dphi[..., 1:], dphi[..., :1], out=rows[..., 1:, :].swapaxes(-1, -2))
     ug, pg = u[simplex], p[simplex]
-    jt = rows @ ug
+    jt = _blend_rows(blend, alpha) @ ug
     if t.shape != jt.shape[:-2]:
         # copy the t-free products along t's axes into a buffer with the batch
         # axes innermost, so the t passes below run long inner loops
@@ -347,55 +353,105 @@ def _det3(m: np.ndarray) -> np.ndarray:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-# numpy's LU determinant (sign times exp of the summed log pivots) and the
-# cofactor sum of a 3 x 3 matrix with entries bounded by M are each within
-# 3e-12 M^3 of the exact determinant anywhere in the double range, and within
-# 1e-14 M^3 at chart scales.  A sample whose LU determinant can be the smallest
-# then has a cofactor value within 4 times that of the smallest cofactor value,
-# so this window keeps every such sample, with a wide reserve.
+# The screen is within E of LAPACK on every sample.  Take one sample, the
+# Jacobian J that dev_hat_jacobians gives it, D its LU determinant (sign times
+# exp of the summed log pivots) and P = c0 + t (c1 + t c2) its screen value.
+# - c, a1 and a2 are rows @ u with the bits of J's t-free products, and J's
+#   last two columns are (t a + kappa du) + dp, rounded three times; the
+#   screen's columns are exactly t a + b, b = kappa du + dp rounded once.  So
+#   every entry of J, and of the screen's matrix, is at most
+#   N = max(|c|, t_max |a| + |kappa du| + |dp|) up to a few ulps (max norms
+#   over every chart and alpha), and the two differ by at most 4 ulps of N.
+# - D is within 3e-12 N^3 of det J anywhere in the double range, and within
+#   1e-14 N^3 at chart scales.  The 4-ulp entries move the determinant by at
+#   most 9 x 4 x 2^-52 N x 2 N^2 < 2e-14 N^3 (cofactors are at most 2 N^2).
+# - The exact matrix's determinant is exactly c2 t^2 + c1 t + c0 of the exact
+#   coefficients.  Each coefficient is a cofactor sum of entries whose
+#   products, scaled by t^2, t or 1, are at most N^3; rounding the four sums
+#   and Horner's rule costs under 1e-13 N^3.
+# So |P - D| <= E < 3.2e-12 N^3.  If D is smallest at sample m and P at k,
+# P_m <= D_m + E <= D_k + E <= P_k + 2E: m, and every sample tied with it,
+# lies within 2E < 7e-12 N^3 of the smallest screen value, and the window
+# 2e-10 N^3 keeps them with a reserve of 28.
 _SCREEN_WINDOW = 2e-10
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_tables(blend_type: type, grid_bytes: bytes):
+    """A certification grid's t-free tables, read-only and computed once per blend
+    type and grid content: its blend rows (G, 3, 3), its corner plateau points
+    (which LAPACK skips after the first t) and those after their corner's
+    first (which it skips at the first t too)."""
+    grid = np.frombuffer(grid_bytes).reshape(-1, 3)
+    plateau = np.flatnonzero(grid.max(axis=1) >= blend_type.threshold)
+    _, first = np.unique(grid[plateau].argmax(axis=1), return_index=True)
+    tables = _blend_rows(blend_type(), grid), plateau, np.delete(plateau, first)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _certify_once(charts, blend, kappa, t_values, grid, margin):
     """One certification pass over every chart x t x grid sample; returns (ok, stats).
 
-    The blend, its partials and their products with u are evaluated once per
-    (chart, alpha), and the t-affine columns broadcast over t; every Jacobian
-    has the bits of a per-sample dev_hat_jacobians call.  A cofactor
-    determinant screens all S x T x G samples, and LAPACK's LU determinant
-    confirms the minimum on the samples within _SCREEN_WINDOW x M^3 of the
-    smallest screen value, M the largest Jacobian entry.  A corner plateau has
-    one Jacobian per (chart, corner) at every t, so LAPACK sees only its first
-    sample.  The candidates stay in flat (chart, t, alpha) order, which keeps
-    argmin's first-occurrence rule: ``min_jacobian_det`` and ``worst`` are
-    those of LAPACK on every sample, bit for bit, and the pass certifies the
-    same sampled statement on the same samples.  If a screen value is not
-    finite, LAPACK runs on every sample.
+    det J(t) = c2 t^2 + c1 t + c0 per (chart, alpha): J's d/dt column c = phi . u
+    is t-free, and its other two columns are a_k t + b_k, with a_k the alpha
+    partials' rows times u and b_k = kappa (u_k - u_0) + (p_k - p_0).  One
+    rows @ u product (the blend rows cached per grid) gives c, a1 and a2; the
+    coefficients are the cofactor determinants of [c; a1 t + b1; a2 t + b2]
+    expanded in its last two rows, so c0 = det J(0).  The screen
+    c0 + t (c1 + t c2) covers all S x T x G samples, and LAPACK's LU
+    determinant confirms the minimum on the samples within _SCREEN_WINDOW x N^3
+    of the smallest screen value (N bounds every Jacobian entry), their
+    Jacobians from one flat dev_hat_jacobians call, which has the bits of any
+    broadcast call.  A corner plateau has one Jacobian per (chart, corner) at
+    every t, so LAPACK sees only its first sample.  The candidates stay in flat
+    (chart, t, alpha) order, which keeps argmin's first-occurrence rule:
+    ``min_jacobian_det`` and ``worst`` are those of LAPACK on every sample, bit
+    for bit.  If a screen value is not finite, LAPACK runs on every sample.
+    Overflow and NaN fail the pass through its minima, never as numpy warnings.
 
     ``worst`` names the lowest Jacobian sample if the Jacobian fails the
-    margin, else the lowest leaf-Gram sample if that fails, else None.
+    margin, else the lowest leaf-Gram sample if that fails, else None, which on
+    a failed pass means that a minimum is NaN.
     """
-    simplex = np.arange(len(charts[0]))[:, None, None]
-    jac = dev_hat_jacobians(*charts, simplex, t_values[:, None], grid, kappa, blend)
-    screen = _det3(jac)
-    if np.isfinite(screen).all():
-        bound = max(float(jac.max()), -float(jac.min()))
-        keep = screen <= screen.min() + _SCREEN_WINDOW * bound * bound * bound
-        plateau = np.flatnonzero(grid.max(axis=1) >= blend.threshold)
-        _, first = np.unique(grid[plateau].argmax(axis=1), return_index=True)
-        keep[:, 1:, plateau] = False
-        keep[:, 0, np.delete(plateau, first)] = False
-        candidates = np.flatnonzero(keep)
-    else:
-        candidates = np.arange(screen.size)
-    with np.errstate(invalid="ignore"):  # a NaN sample fails the pass, not as a warning
-        dets = np.linalg.det(jac[np.unravel_index(candidates, screen.shape)])
-    eigs = _gram_min_eig(leaf_gram(*charts, t_values, kappa))
+    u, p = charts
+    rows, plateau, repeats = _grid_tables(type(blend), grid.tobytes())
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = rows @ u[:, None]  # (S, G, 3, 3), rows c, a1, a2
+        du, dp = kappa * (u[:, 1:] - u[:, :1]), p[:, 1:] - p[:, :1]
+        b = (du + dp)[:, None]  # (S, 1, 2, 3)
+        # the determinants of [c; a1; a2], [c; a1; b2], [c; b1; a2] and [c; b1; b2],
+        # in a buffer whose 3 x 3 entries are contiguous planes for _det3
+        m = np.empty((3, 3, 4) + j.shape[:-2]).transpose(2, 3, 4, 0, 1)
+        m[:] = j
+        m[1, ..., 2, :] = b[..., 1, :]
+        m[2, ..., 1, :] = b[..., 0, :]
+        m[3, ..., 1:, :] = b
+        c2, c1, c1b, c0 = _det3(m)[:, :, None]  # (S, 1, G) each
+        c1 += c1b
+        t = t_values[:, None]
+        screen = c1 + t * c2
+        screen *= t
+        screen += c0  # (S, T, G)
+        if np.isfinite(screen).all():
+            n = max(float(np.abs(j[..., 0, :]).max()),
+                    float(t_values.max() * np.abs(j[..., 1:, :]).max() + np.abs(du).max()
+                          + np.abs(dp).max()))
+            keep = screen <= screen.min() + _SCREEN_WINDOW * n * n * n
+            keep[:, 1:, plateau] = False
+            keep[:, 0, repeats] = False
+            candidates = np.flatnonzero(keep)
+        else:
+            candidates = np.arange(screen.size)
+        s, i, g = np.unravel_index(candidates, screen.shape)
+        dets = np.linalg.det(dev_hat_jacobians(u, p, s, t_values[i], grid[g], kappa, blend))
+        eigs = _gram_min_eig(leaf_gram(u, p, t_values, kappa))
     min_det, min_eig = float(dets.min()), float(eigs.min())
     worst = None
     if min_det <= margin:
-        s, i, g = np.unravel_index(candidates[np.argmin(dets)], screen.shape)
-        worst = ("jacobian", int(s), float(t_values[i]), tuple(grid[g].tolist()))
+        k = np.argmin(dets)
+        worst = ("jacobian", int(s[k]), float(t_values[i[k]]), tuple(grid[g[k]].tolist()))
     elif min_eig <= margin:
         s, k = np.unravel_index(np.argmin(eigs), eigs.shape)
         worst = ("gram", int(s), float(t_values[k]))
@@ -416,11 +472,13 @@ def choose_kappa(charts, blend: HexagonBlend,
     grid, the chart Jacobian determinant and the smallest leaf-Gram eigenvalue
     both clear the margin.  The grid is every chart x t_count values of t in
     [t_min, t_max] x the bary_n alpha grid: 2 x 12 x 528 = 12,672 samples on
-    the builtins.  Each pass evaluates the blend once per (chart, alpha) and
-    LAPACK confirms the smallest determinant on the samples a cofactor screen
-    leaves (_certify_once); the record is the one that one LAPACK determinant
-    per sample gives.  It is a sampled statement: t outside the samples, and
-    t beyond [t_min, t_max], are not proved.
+    the builtins.  Each pass screens every sample's determinant from the three
+    coefficients of det J(t), a quadratic in t, per (chart, alpha), and LAPACK
+    confirms the smallest on the few Jacobians the screen leaves (_certify_once);
+    the record is the one that one LAPACK determinant per sample gives.  It is
+    a sampled statement: t outside the samples, and t beyond [t_min, t_max],
+    are not proved.  A search whose last pass met a non-finite minimum (a NaN
+    sample, or t_max so large that the leaf Gram overflows) says so.
     """
     kappa0 = 1.0 + max((float(np.linalg.norm(row)) for row in charts[1].reshape(-1, 3)),
                        default=0.0)
@@ -442,9 +500,11 @@ def choose_kappa(charts, blend: HexagonBlend,
             )
         last = stats
         kappa *= 2.0
+    worst = (f"worst sample {last['worst']}" if last["worst"] is not None else
+             f"a sample is not finite (min_jacobian_det {last['min_jacobian_det']!r}, "
+             f"min_gram_eigenvalue {last['min_gram_eigenvalue']!r})")
     raise KappaSearchExhausted(
-        f"no kappa certified after {settings.max_doublings} doublings from {kappa0}; "
-        f"worst sample {last['worst']}"
+        f"no kappa certified after {settings.max_doublings} doublings from {kappa0}; {worst}"
     )
 
 
@@ -1076,7 +1136,8 @@ def extend_btz(st: PolyhedralSpacetime) -> tuple[PolyhedralSpacetime, dict[str, 
 def mesh_data(st: PolyhedralSpacetime, t_values, resolution: int):
     """Sampled leaf meshes: vertices (n, 3) and triangular faces (m, 3), deterministic.
     A resolution that is not an integer, or a t value that is not a real
-    number (bools and strings included), is a ValueError."""
+    number (bools and strings included), is a ValueError; so is a leaf whose
+    vertices overflow (t near the largest float), which the message names."""
     if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
         raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 1:
@@ -1097,8 +1158,13 @@ def mesh_data(st: PolyhedralSpacetime, t_values, resolution: int):
                 cell.append((b, index_of[(i + 1, j + 1)], c))
     # one kernel call over leaf x simplex x grid point, in that order
     n_charts = len(st.triangulation.triangles)
-    verts = dev_hat_points(*st.charts, np.arange(n_charts)[:, None],
-                           np.array(t_values)[:, None, None], bary, st.kappa, st.blend)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        verts = dev_hat_points(*st.charts, np.arange(n_charts)[:, None],
+                               np.array(t_values)[:, None, None], bary, st.kappa, st.blend)
+    finite = np.isfinite(verts).reshape(len(t_values), -1).all(axis=1)
+    if not finite.all():
+        t = t_values[int(np.argmin(finite))]
+        raise ValueError(f"leaf t = {t!r} develops vertices that are not finite")
     faces = [tuple(k * len(bary) + v for v in f)
              for k in range(len(t_values) * n_charts) for f in cell]
     return verts.reshape(-1, 3), faces

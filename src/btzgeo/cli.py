@@ -368,7 +368,13 @@ def cmd_mesh(args) -> int:
     if args.resolution is not None:
         cfg = _with_flag(cfg, "--resolution", resolution=args.resolution)
     st = _load_bundle(args.bundle)
-    return _emit(*mesh_report(cfg, st, args.bundle, args.out), None)
+    try:
+        report = mesh_report(cfg, st, args.bundle, args.out)
+    except ValueError as e:  # the config is checked, so only a leaf can fail here
+        if args.leaves is None:
+            raise
+        raise ValueError(f"--leaves: {e}") from None
+    return _emit(*report, None)
 
 
 def _demo_profile(st: PolyhedralSpacetime) -> BoundaryProfile:

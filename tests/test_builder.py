@@ -452,18 +452,22 @@ def _sweep_charts(examples, rng, n):
 
 def test_screened_pass_equals_per_sample_pass(examples):
     # certified, failing and far-failing kappas, and p x 40, which moves the
-    # minimum off the corner plateaus: the same (ok, stats), worst samples included
-    cfg, blend = BuildSettings(), HexagonBlend()
-    t_values, grid = _pass_samples(cfg)
+    # minimum off the corner plateaus: the same (ok, stats), worst samples included;
+    # then p x 1e4 and t_max = 1e4, which put the window's entry bound N far
+    # from the builtins' scale (through kappa, and through t |a|)
+    blend = HexagonBlend()
     worst = []
-    for u, p in _sweep_charts(examples, np.random.default_rng(31), 12):
-        for charts in ((u, p), (u, 40.0 * p)):
-            kappa = choose_kappa(charts, blend, cfg).kappa
-            for k in (kappa, 0.5 * kappa, 1e-3):
-                got = _certify_once(charts, blend, k, t_values, grid, cfg.margin)
-                assert got == _certify_once_per_sample(charts, blend, k, t_values, grid,
-                                                       cfg.margin)
-                worst.append(got[1]["worst"])
+    for cfg, n, scales in ((BuildSettings(), 12, (1.0, 40.0)), (BuildSettings(), 6, (1e4,)),
+                           (BuildSettings(t_max=1e4), 6, (1.0, 1e4))):
+        t_values, grid = _pass_samples(cfg)
+        for u, p in _sweep_charts(examples, np.random.default_rng(31), n):
+            for charts in ((u, scale * p) for scale in scales):
+                kappa = choose_kappa(charts, blend, cfg).kappa
+                for k in (kappa, 0.5 * kappa, 1e-3):
+                    got = _certify_once(charts, blend, k, t_values, grid, cfg.margin)
+                    assert got == _certify_once_per_sample(charts, blend, k, t_values, grid,
+                                                           cfg.margin)
+                    worst.append(got[1]["worst"])
     jacobian = [w for w in worst if w is not None and w[0] == "jacobian"]
     assert len(jacobian) >= 24
     assert any(max(w[3]) < blend.threshold for w in jacobian)  # off the plateaus
@@ -504,6 +508,39 @@ def test_non_finite_sample_fails_the_pass(gamma2_zero):
     assert repr(got) == repr(want)
     with pytest.raises(KappaSearchExhausted, match="no kappa certified after 2 doublings"):
         choose_kappa((u, p), blend, cfg)
+
+
+def test_certification_passes_few_points_to_the_kernel(gamma2_zero, gamma2_deformed, torus_zero,
+                                                      torus_deformed, monkeypatch):
+    # the screen works from det J(t)'s coefficients; only its candidates reach
+    # the chart kernel, not all 12,672 samples
+    points = []
+
+    def counted(*args):
+        out = kernel(*args)
+        points.append(out.size // 9)
+        return out
+
+    kernel = builder_module.dev_hat_jacobians
+    monkeypatch.setattr(builder_module, "dev_hat_jacobians", counted)
+    for st_ in (gamma2_zero, gamma2_deformed, torus_zero, torus_deformed):
+        points.clear()
+        cert = choose_kappa(st_.charts, st_.blend)
+        assert cert.samples == 12_672 and cert.kappa == st_.kappa
+        assert 1 <= sum(points) <= 64, points
+
+
+def test_huge_t_max_fails_the_search_without_warnings(examples):
+    # t_max = 1e80 overflows the leaf Gram into NaN on every pass: the search
+    # exhausts, says that a sample is not finite, and no numpy warning escapes
+    ex = examples["punctured_torus"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(KappaSearchExhausted,
+                           match="no kappa certified after 40 doublings") as exc:
+            build(ex.representation, ex.triangulation, BuildSettings(t_max=1e80))
+    assert "a sample is not finite" in str(exc.value)
+    assert "min_gram_eigenvalue nan" in str(exc.value)
 
 
 def test_build_gamma2(gamma2_zero):

@@ -765,6 +765,25 @@ def test_mesh_rejects_non_finite_leaves(bundle_path, tmp_path):
             RunConfig(leaves=bad)
 
 
+def test_mesh_refuses_a_leaf_that_overflows(examples, tmp_path):
+    # t = 1e308 is finite and > 0, but the torus's vertices overflow at it: no
+    # file, and the error names the flag and the leaf, under warnings-as-errors too
+    ex = examples["punctured_torus"]
+    rep, tri, bundle = (tmp_path / f for f in ("rep.json", "tri.json", "bundle.json"))
+    rep.write_text(canonical_dumps(ex.representation.to_json()))
+    tri.write_text(canonical_dumps(ex.triangulation.to_json()))
+    assert run_cli(["build", str(rep), str(tri), "--out", str(bundle)])[0] == 0
+    for out in (tmp_path / "m.obj", tmp_path / "m.json"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, stderr = run_cli(["mesh", str(bundle), "--leaves", "1.0,1e308",
+                                            "--out", str(out)])
+        assert code == 2 and stdout == "" and not out.exists()
+        error = json.loads(stderr)
+        assert error["error"] == "ValueError"
+        assert error["message"] == "--leaves: leaf t = 1e+308 develops vertices that are not finite"
+
+
 def test_demo_full_pipeline(tmp_path):
     cfg = tmp_path / "demo.cfg"
     cfg.write_text("n_curves = 10\nsurgery_samples = 2000\n")
