@@ -6,10 +6,11 @@ data of an admissible representation.  The chart over a triangle is
 
     P(t, alpha, beta) = t (alpha . u) + kappa (beta . u) + beta . p
 
-and the actual developing chart blends the two simplex slots through a
-hexagonal blend phi: dev_hat(t, alpha) = P(t, phi(alpha), alpha).  For kappa
-large enough the map is an orientation-preserving immersion with spacelike
-constant-t leaves; a sampled certification record stores the margins achieved.
+and the actual developing chart blends the two simplex slots through the one
+hexagonal blend phi, the rational ramp ``blend``: dev_hat(t, alpha) =
+P(t, phi(alpha), alpha).  For kappa large enough the map is an
+orientation-preserving immersion with spacelike constant-t leaves; a sampled
+certification record stores the margins achieved.
 
 Around each puncture the charts assemble into a fan of half-planes attached
 to a lightlike axis; walking the fan gives strictly increasing angles whose
@@ -51,6 +52,7 @@ from .representations import (
 from .serialize import JsonRecord, _real, canonical_dumps, json_mismatch, read
 
 BLEND_THRESHOLD = 2.0 / 3.0
+_BLEND_BELOW = float(np.nextafter(BLEND_THRESHOLD, 0.0))  # largest ramp argument
 
 
 class DegenerateDecoration(GeometryError):
@@ -81,8 +83,26 @@ def as_barycentric(alpha, tol: float = 1e-12) -> np.ndarray:
     return a
 
 
-class HexagonBlend:
-    """Simplex self-map phi built from the ramp h(x) = x / (2/3 - x).
+def _blend_pieces(alpha):
+    """phi (..., 3) and the pieces its partials reuse: h, sum h, gap, plateau mask.
+    The ramp runs on alpha clamped below 2/3, so every entry is finite; the
+    plateau rows (seams alpha_i = 2/3 included) then get e_i; plateau is None if none."""
+    a = np.asarray(alpha, dtype=float)
+    ac = np.minimum(a, _BLEND_BELOW)
+    gap = BLEND_THRESHOLD - ac
+    h = ac / gap
+    s = (h[..., 0] + h[..., 1] + h[..., 2])[..., None]
+    phi = h / s
+    plateau = None
+    if (corner := a >= BLEND_THRESHOLD).any():
+        plateau = corner[..., 0] | corner[..., 1] | corner[..., 2]
+        phi[plateau] = np.eye(3)[np.argmax(a[plateau], axis=-1)]
+    return phi, h, s, gap, plateau
+
+
+def blend(alpha) -> np.ndarray:
+    """The hexagon blend phi (..., 3) of points alpha (..., 3): the simplex
+    self-map built from the ramp h(x) = x / (2/3 - x).
 
     phi = e_i on the corner plateau alpha_i >= 2/3; elsewhere phi_i
     proportional to h(alpha_i), renormalized to sum 1.  The ramp vanishes at 0
@@ -90,69 +110,23 @@ class HexagonBlend:
     the normalized map restricts to a bijection from the open hexagon
     {all alpha_i < 2/3} onto the simplex minus its vertices.
     """
+    return _blend_pieces(alpha)[0]
 
-    name = "rational-ramp"
-    threshold = BLEND_THRESHOLD
-    _below = float(np.nextafter(BLEND_THRESHOLD, 0.0))  # largest ramp argument
 
-    def _value(self, alpha):
-        """phi (..., 3) and the pieces its partials reuse: h, sum h, gap, plateau mask.
-        The ramp runs on alpha clamped below 2/3, so every entry is finite; the
-        plateau rows (seams alpha_i = 2/3 included) then get e_i; plateau is None if none."""
-        a = np.asarray(alpha, dtype=float)
-        ac = np.minimum(a, self._below)
-        gap = self.threshold - ac
-        h = ac / gap
-        s = (h[..., 0] + h[..., 1] + h[..., 2])[..., None]
-        phi = h / s
-        plateau = None
-        if (corner := a >= self.threshold).any():
-            plateau = corner[..., 0] | corner[..., 1] | corner[..., 2]
-            phi[plateau] = np.eye(3)[np.argmax(a[plateau], axis=-1)]
-        return phi, h, s, gap, plateau
-
-    def value_and_partials(self, alpha) -> tuple[np.ndarray, np.ndarray]:
-        """phi (..., 3) and its unconstrained partials d phi_k / d alpha_j (..., 3, 3),
-        zero on the plateaus.  The seams alpha_i = 2/3 take the plateau branch
-        (one-sided value), so callers sampling derivatives stay off the seams."""
-        phi, h, s, gap, plateau = self._value(alpha)
-        hp = self.threshold / gap**2
-        # d(h_k/S)/da_j = delta_kj hp_j / S - h_k hp_j / S^2, as 0 - term so zeros stay +0
-        dphi = h[..., :, None] * hp[..., None, :] / (s**2)[..., None]
-        np.subtract(0.0, dphi, out=dphi)
-        diagonal = dphi.reshape(dphi.shape[:-2] + (9,))[..., ::4]  # a writeable view
-        diagonal += hp / s
-        if plateau is not None:
-            dphi[plateau] = 0.0
-        return phi, dphi
-
-    def __call__(self, alpha) -> np.ndarray:
-        return self._value(alpha)[0]
-
-    def invert(self, phi, iters: int = 200) -> np.ndarray:
-        """Inverse of the hexagon restriction: the alpha in H with phi(alpha) = phi."""
-        f = as_barycentric(phi)
-        if np.max(f) >= 1.0 - 1e-15:
-            raise ValueError("vertices are not in the image of the open hexagon")
-
-        def total(lam: float) -> float:
-            y = lam * f
-            return float(np.sum(self.threshold * y / (1.0 + y)))
-
-        lo, hi = 0.0, 1.0
-        while total(hi) < 1.0:
-            hi *= 2.0
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if total(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-        y = 0.5 * (lo + hi) * f
-        return self.threshold * y / (1.0 + y)
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "threshold": self.threshold}
+def blend_and_partials(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """phi (..., 3) and its unconstrained partials d phi_k / d alpha_j (..., 3, 3),
+    zero on the plateaus.  The seams alpha_i = 2/3 take the plateau branch
+    (one-sided value), so callers sampling derivatives stay off the seams."""
+    phi, h, s, gap, plateau = _blend_pieces(alpha)
+    hp = BLEND_THRESHOLD / gap**2
+    # d(h_k/S)/da_j = delta_kj hp_j / S - h_k hp_j / S^2, as 0 - term so zeros stay +0
+    dphi = h[..., :, None] * hp[..., None, :] / (s**2)[..., None]
+    np.subtract(0.0, dphi, out=dphi)
+    diagonal = dphi.reshape(dphi.shape[:-2] + (9,))[..., ::4]  # a writeable view
+    diagonal += hp / s
+    if plateau is not None:
+        dphi[plateau] = 0.0
+    return phi, dphi
 
 
 def p_map(u, p, t: float, alpha, beta, kappa: float) -> np.ndarray:
@@ -163,7 +137,7 @@ def p_map(u, p, t: float, alpha, beta, kappa: float) -> np.ndarray:
     return (t * a + kappa * b) @ u + b @ p
 
 
-def dev_hat(u, p, t: float, alpha, kappa: float, blend: HexagonBlend) -> np.ndarray:
+def dev_hat(u, p, t: float, alpha, kappa: float) -> np.ndarray:
     a = as_barycentric(alpha)
     return p_map(u, p, t, blend(a), a, kappa)
 
@@ -186,9 +160,9 @@ def decorate_charts(triangles, dec_u: dict[str, np.ndarray],
     return u, p
 
 
-def dev_hat_points(u, p, simplex, t, alpha, kappa: float,
-                   blend: HexagonBlend) -> np.ndarray:
-    """dev_hat over stacked charts u, p (S, 3, 3): points (..., 3); the chart
+def dev_hat_points(u, p, simplex, t, alpha, kappa: float) -> np.ndarray:
+    """dev_hat over stacked charts u, p (S, 3, 3) at scale kappa: points
+    (..., 3), P(t, phi(alpha), alpha) with the module's blend phi; the chart
     index array ``simplex`` broadcasts against t (...) and alpha (..., 3)."""
     t = np.asarray(t, dtype=float)
     a = np.asarray(alpha, dtype=float)
@@ -196,18 +170,17 @@ def dev_hat_points(u, p, simplex, t, alpha, kappa: float,
     return (row @ u[simplex] + a[..., None, :] @ p[simplex])[..., 0, :]
 
 
-def _blend_rows(blend: HexagonBlend, alpha) -> np.ndarray:
+def _blend_rows(alpha) -> np.ndarray:
     """The rows (..., 3, 3) that dev_hat_jacobians multiplies by u: phi, d phi/da
     and d phi/db, alpha = (1-a-b, a, b)."""
-    phi, dphi = blend.value_and_partials(alpha)
+    phi, dphi = blend_and_partials(alpha)
     rows = np.empty(dphi.shape)  # phi, then d phi/da and d phi/db written transposed
     rows[..., 0, :] = phi
     np.subtract(dphi[..., 1:], dphi[..., :1], out=rows[..., 1:, :].swapaxes(-1, -2))
     return rows
 
 
-def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float,
-                      blend: HexagonBlend) -> np.ndarray:
+def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float) -> np.ndarray:
     """Jacobians of dev_hat in chart coordinates (t, a, b), alpha = (1-a-b, a, b).
 
     Stacked charts as in dev_hat_points; t broadcasts against the batch shape of
@@ -219,7 +192,7 @@ def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float,
     """
     t = np.asarray(t, dtype=float)
     ug, pg = u[simplex], p[simplex]
-    jt = _blend_rows(blend, alpha) @ ug
+    jt = _blend_rows(alpha) @ ug
     if t.shape != jt.shape[:-2]:
         # copy the t-free products along t's axes into a buffer with the batch
         # axes innermost, so the t passes below run long inner loops
@@ -377,21 +350,21 @@ _SCREEN_WINDOW = 2e-10
 
 
 @functools.lru_cache(maxsize=16)
-def _grid_tables(blend_type: type, grid_bytes: bytes):
-    """A certification grid's t-free tables, read-only and computed once per blend
-    type and grid content: its blend rows (G, 3, 3), its corner plateau points
+def _grid_tables(grid_bytes: bytes):
+    """A certification grid's t-free tables, read-only and computed once per grid
+    content: its blend rows (G, 3, 3), its corner plateau points
     (which LAPACK skips after the first t) and those after their corner's
     first (which it skips at the first t too)."""
     grid = np.frombuffer(grid_bytes).reshape(-1, 3)
-    plateau = np.flatnonzero(grid.max(axis=1) >= blend_type.threshold)
+    plateau = np.flatnonzero(grid.max(axis=1) >= BLEND_THRESHOLD)
     _, first = np.unique(grid[plateau].argmax(axis=1), return_index=True)
-    tables = _blend_rows(blend_type(), grid), plateau, np.delete(plateau, first)
+    tables = _blend_rows(grid), plateau, np.delete(plateau, first)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _certify_once(charts, blend, kappa, t_values, grid, margin):
+def _certify_once(charts, kappa, t_values, grid, margin):
     """One certification pass over every chart x t x grid sample; returns (ok, stats).
 
     det J(t) = c2 t^2 + c1 t + c0 per (chart, alpha): J's d/dt column c = phi . u
@@ -416,7 +389,7 @@ def _certify_once(charts, blend, kappa, t_values, grid, margin):
     a failed pass means that a minimum is NaN.
     """
     u, p = charts
-    rows, plateau, repeats = _grid_tables(type(blend), grid.tobytes())
+    rows, plateau, repeats = _grid_tables(grid.tobytes())
     with np.errstate(over="ignore", invalid="ignore"):
         j = rows @ u[:, None]  # (S, G, 3, 3), rows c, a1, a2
         du, dp = kappa * (u[:, 1:] - u[:, :1]), p[:, 1:] - p[:, :1]
@@ -445,7 +418,7 @@ def _certify_once(charts, blend, kappa, t_values, grid, margin):
         else:
             candidates = np.arange(screen.size)
         s, i, g = np.unravel_index(candidates, screen.shape)
-        dets = np.linalg.det(dev_hat_jacobians(u, p, s, t_values[i], grid[g], kappa, blend))
+        dets = np.linalg.det(dev_hat_jacobians(u, p, s, t_values[i], grid[g], kappa))
         eigs = _gram_min_eig(leaf_gram(u, p, t_values, kappa))
     min_det, min_eig = float(dets.min()), float(eigs.min())
     worst = None
@@ -463,8 +436,7 @@ def _certify_once(charts, blend, kappa, t_values, grid, margin):
     }
 
 
-def choose_kappa(charts, blend: HexagonBlend,
-                 settings: BuildSettings = BuildSettings()) -> CertificationRecord:
+def choose_kappa(charts, settings: BuildSettings = BuildSettings()) -> CertificationRecord:
     """Doubling search for kappa with a sampled certificate over the stacked
     charts (u, p).
 
@@ -487,7 +459,7 @@ def choose_kappa(charts, blend: HexagonBlend,
     kappa = kappa0
     last = None
     for doubling in range(settings.max_doublings + 1):
-        ok, stats = _certify_once(charts, blend, kappa, t_values, grid, settings.margin)
+        ok, stats = _certify_once(charts, kappa, t_values, grid, settings.margin)
         if ok:
             return CertificationRecord(
                 kappa=kappa,
@@ -642,7 +614,7 @@ _BUNDLE = {
 
 @dataclass
 class PolyhedralSpacetime:
-    """A built spacetime: decorated charts, kappa, blend, fibers, certificates.
+    """A built spacetime: decorated charts, kappa, fibers, certificates.
 
     ``charts`` holds the corner decorations (u, p) of the triangles as two
     (S, 3, 3) arrays in vertex order, the only copy; the bundle's per-vertex
@@ -654,7 +626,6 @@ class PolyhedralSpacetime:
     gluing: tuple[np.ndarray, np.ndarray]  # gluing_isometries, not serialized
     charts: tuple[np.ndarray, np.ndarray]  # decorate_charts
     kappa: float
-    blend: HexagonBlend
     fibers: dict[str, SingularFiber]
     certification: CertificationRecord
     settings: BuildSettings
@@ -676,7 +647,7 @@ class PolyhedralSpacetime:
                 for v, c in sorted(corner.items())
             },
             "kappa": self.kappa,
-            "blend": self.blend.to_json(),
+            "blend": {"name": "rational-ramp", "threshold": BLEND_THRESHOLD},
             "certification": self.certification.to_json(),
             "fibers": {k: f.to_json() for k, f in sorted(self.fibers.items())},
             "fans": {k: f.to_json() for k, f in sorted(self.fans.items())},
@@ -833,7 +804,7 @@ def build(
     tri: IdealTriangulationData,
     settings: BuildSettings = BuildSettings(),
 ) -> PolyhedralSpacetime:
-    """Full pipeline: admissibility gate, decoration, blend, kappa, verification."""
+    """Full pipeline: admissibility gate, decoration, kappa, verification."""
     report = check_admissible(rep)
     if not report.verdict:
         raise NotAdmissible(report)
@@ -841,8 +812,7 @@ def build(
     fixed = peripheral_fixed_data(rep, {c.name: c.fixed_direction for c in report.peripheral})
     dec_u, dec_p, base_of = decorate_vertices(fixed, tri, gluing)
     charts = decorate_charts(tri.triangles, dec_u, dec_p)
-    blend = HexagonBlend()
-    cert = choose_kappa(charts, blend, settings)
+    cert = choose_kappa(charts, settings)
     fibers = {
         name: SingularFiber(name, base_of[name], line_point=data.line_point, line_direction=data.u)
         for name, data in fixed.items()
@@ -853,7 +823,6 @@ def build(
         gluing=gluing,
         charts=charts,
         kappa=cert.kappa,
-        blend=blend,
         fibers=fibers,
         certification=cert,
         settings=settings,
@@ -1160,7 +1129,7 @@ def mesh_data(st: PolyhedralSpacetime, t_values, resolution: int):
     n_charts = len(st.triangulation.triangles)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
         verts = dev_hat_points(*st.charts, np.arange(n_charts)[:, None],
-                               np.array(t_values)[:, None, None], bary, st.kappa, st.blend)
+                               np.array(t_values)[:, None, None], bary, st.kappa)
     finite = np.isfinite(verts).reshape(len(t_values), -1).all(axis=1)
     if not finite.all():
         t = t_values[int(np.argmin(finite))]
@@ -1170,8 +1139,9 @@ def mesh_data(st: PolyhedralSpacetime, t_values, resolution: int):
     return verts.reshape(-1, 3), faces
 
 
-def export_mesh(st: PolyhedralSpacetime, t_values, resolution: int, path) -> str:
-    """Write the sampled leaves as OBJ (``.obj``) or JSON (anything else)."""
+def export_mesh(st: PolyhedralSpacetime, t_values, resolution: int, path) -> tuple[int, int]:
+    """Write the sampled leaves as OBJ (``.obj``) or JSON (anything else);
+    returns the vertex and face counts written."""
     from pathlib import Path
 
     verts, faces = mesh_data(st, t_values, resolution)
@@ -1191,4 +1161,4 @@ def export_mesh(st: PolyhedralSpacetime, t_values, resolution: int, path) -> str
             "faces": [list(f) for f in faces],
         }
         path.write_text(canonical_dumps(payload))
-    return str(path)
+    return len(verts), len(faces)

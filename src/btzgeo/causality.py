@@ -153,7 +153,7 @@ def develop(st: PolyhedralSpacetime, point) -> np.ndarray:
         fib = _present_fiber(st, point)
         return fib.line_point + (st.kappa + point.t) * fib.line_direction
     simplex = _index(point.simplex, len(st.triangulation.triangles))
-    return dev_hat_points(*st.charts, simplex, point.t, point.alpha, st.kappa, st.blend)
+    return dev_hat_points(*st.charts, simplex, point.t, point.alpha, st.kappa)
 
 
 @dataclass
@@ -165,21 +165,18 @@ class CausalPolyline:
     steering: str | None = None
     rejected_proposals: int = 0
 
-    @property
-    def points(self):
-        return [n.point for n in self.nodes]
-
     def t_values(self) -> list[float]:
         return [n.point.t for n in self.nodes]
 
     def _times(self):
-        return np.array(self.t_values()), np.array([n.transition for n in self.nodes], bool)
+        return (np.array(self.t_values()), np.array([n.transition for n in self.nodes], bool),
+                np.array([len(self.nodes)]))
 
     def leaf_crossings(self, leaf: float) -> int:
-        return _time_checks(*self._times(), [leaf])[1][0]
+        return int(_curves_time_checks(*self._times(), [leaf])[1][0, 0])
 
     def strictly_increasing_t(self) -> bool:
-        return _time_checks(*self._times(), [])[0]
+        return bool(_curves_time_checks(*self._times(), [])[0][0])
 
     def to_json(self) -> dict:
         return {
@@ -216,7 +213,7 @@ def _start_passes(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: floa
     start's Jacobians ``start`` if the caller has them, broadcast against them.
     """
     if start is None:
-        start = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa, st.blend)
+        start = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa)
     return _future_causal(_tangents(start, t1 - t0, (a1 - a0)[..., 1:]), margin)
 
 
@@ -234,7 +231,7 @@ def _later_samples(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: flo
     m = len(t0)
     sx, ts, alphas = (np.concatenate(x) for x in zip(
         (simplex, t0 + 0.5 * dt, a0 + 0.5 * d), (simplex, t1, a1), *extra))
-    jac = dev_hat_jacobians(*st.charts, sx, ts, alphas, st.kappa, st.blend)
+    jac = dev_hat_jacobians(*st.charts, sx, ts, alphas, st.kappa)
     samples = jac[:2 * m].reshape(2, m, 3, 3)  # midpoints, then ends
     ok = _future_causal(_tangents(samples, dt, d[:, 1:]), margin)
     return ok[0] & ok[1], samples[1], jac[2 * m:]
@@ -288,7 +285,7 @@ def cross_face(st: PolyhedralSpacetime, simplex, t, alpha, facet
     alpha = np.asarray(alpha, dtype=float)
     nbr, alpha_new = _across(st, simplex, facet, alpha)
     x, x_new = dev_hat_points(*st.charts, np.array([simplex, nbr]), t,
-                              np.array([alpha, alpha_new]), st.kappa, st.blend)
+                              np.array([alpha, alpha_new]), st.kappa)
     m, b = st.gluing
     err = np.abs(x - ((m[simplex, facet] @ x_new[..., None])[..., 0] + b[simplex, facet]))
     return nbr, alpha_new, err.max(axis=-1) > 1e-8 * np.maximum(1.0, np.abs(x).max(axis=-1))
@@ -435,7 +432,7 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     scale = np.full(n, _ALPHA_STEP)
     decay = np.tile(_DECAY, (n, 1))  # column 0 takes each pass's scale
     rejected = np.zeros(n, dtype=int)  # per curve, not per row
-    jac = dev_hat_jacobians(*st.charts, simplex, t, alpha, st.kappa, st.blend)  # per start
+    jac = dev_hat_jacobians(*st.charts, simplex, t, alpha, st.kappa)  # per start
     ids = lane = np.arange(n)  # the curve of each state row, and the rows
     tried = np.full(n, -1)  # the proposal a held curve failed in the last pass, else -1
     holds = np.zeros(n, dtype=int)  # passes that held each curve
@@ -679,29 +676,22 @@ def btz_decomposition(
     return prefix, suffix
 
 
-def _time_checks(t, transition, leaves) -> tuple[bool, list[int]]:
-    """Whether node times t (n,) strictly increase, staying equal across the
-    nodes flagged in transition (n,), and how often t crosses each leaf."""
-    prev, nxt = t[:-1], t[1:]
-    monotone = bool(np.all(np.where(transition[1:], nxt == prev, nxt > prev)))
-    f = t - np.asarray(leaves, dtype=float)[:, None]
-    return monotone, np.count_nonzero(f[:, :-1] * f[:, 1:] < 0, axis=1).tolist()
-
-
 def _curves_time_checks(t, transition, nodes, leaves) -> tuple[np.ndarray, np.ndarray]:
-    """_time_checks of curves stacked in one table, in one array pass.
+    """The time checks of curves stacked in one table, in one array pass.
 
     Node times t (N,) and transition flags (N,) hold the curves one after the
     other, nodes (n,) per curve; a node pair counts only inside one curve.
-    Returns whether each curve's t is monotone (n,) and its crossings of each
-    leaf (n, L), with _time_checks' comparisons in its order.
+    Returns whether each curve's t strictly increases, staying equal across
+    the nodes flagged in transition (n,), and how often it crosses each leaf
+    (n, L).
     """
     f = t - np.asarray(leaves, dtype=float)[:, None]
     flags = np.concatenate([~np.where(transition[1:], t[1:] == t[:-1], t[1:] > t[:-1])[None],
                             f[:, :-1] * f[:, 1:] < 0])  # per pair: not monotone, leaf crossed
-    # sums[:, j]: flagged pairs before node j; curve i owns the pairs of its nodes but the last
-    sums = np.zeros((len(flags), len(t)), dtype=np.intp)
-    np.cumsum(flags, axis=1, out=sums[:, 1:])
+    # sums[:, j]: flagged pairs before node j; curve i owns the pairs of its nodes but the last;
+    # the spare last column keeps index -1, the end of a lone empty curve, at 0
+    sums = np.zeros((len(flags), len(t) + 1), dtype=np.intp)
+    np.cumsum(flags, axis=1, out=sums[:, 1:len(t)])
     last = np.cumsum(nodes) - 1
     per_curve = sums[:, last] - sums[:, last - (nodes - 1)]
     return per_curve[0] == 0, per_curve[1:].T

@@ -344,9 +344,7 @@ def cmd_causal(args) -> int:
 
 def mesh_report(cfg: RunConfig, st: PolyhedralSpacetime, bundle_path: str, out: str):
     """Write the leaf meshes to ``out`` and report their counts."""
-    export_mesh(st, cfg.leaves, cfg.resolution, out)
-    # mesh_data's layout: per leaf and simplex, a triangular grid of side res
-    res, cells = cfg.resolution, len(cfg.leaves) * len(st.triangulation.triangles)
+    vertices, faces = export_mesh(st, cfg.leaves, cfg.resolution, out)
     return {
         "kind": "mesh-report",
         "input": bundle_path,
@@ -355,8 +353,8 @@ def mesh_report(cfg: RunConfig, st: PolyhedralSpacetime, bundle_path: str, out: 
         "seed": cfg.seed,
         "leaves": list(cfg.leaves),
         "resolution": cfg.resolution,
-        "vertices": cells * (res + 1) * (res + 2) // 2,
-        "faces": cells * res * res,
+        "vertices": vertices,
+        "faces": faces,
     }, 0
 
 

@@ -183,9 +183,6 @@ class AffineIsometry:
         inv = self.linear.inverse()
         return AffineIsometry(inv, -(inv.matrix @ self.translation))
 
-    def __matmul__(self, other: "AffineIsometry") -> "AffineIsometry":
-        return self.compose(other)
-
 
 class IsometryKind(enum.Enum):
     IDENTITY = "identity"

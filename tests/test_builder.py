@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 import btzgeo.builder as builder_module
 from btzgeo.builder import (
+    BLEND_THRESHOLD,
     BuildSettings,
     DegenerateDecoration,
     FaceMismatch,
-    HexagonBlend,
     KappaSearchExhausted,
     NonMonotoneAngles,
     SPEAR_FACTOR,
@@ -31,7 +31,10 @@ from btzgeo.builder import (
     _gram_min_eig,
     _in_fan_prisms,
     _kappa_samples,
+    as_barycentric,
     barycentric_grid,
+    blend,
+    blend_and_partials,
     build,
     choose_kappa,
     corner_residuals,
@@ -120,7 +123,6 @@ def test_dev_linear_in_t_with_future_causal_direction():
 def test_dev_hat_plateau_affine():
     rng = np.random.default_rng(2)
     u, p = CONE_U, rng.normal(size=(3, 3))
-    blend = HexagonBlend()
     kappa = 3.0
     for _ in range(50):
         rest = rng.uniform(0, 1 - 2 / 3 - 1e-6)
@@ -129,20 +131,18 @@ def test_dev_hat_plateau_affine():
         a[2] = rest - a[1]
         t = rng.uniform(0.2, 4.0)
         expect = t * u[0] + kappa * (a @ u) + a @ p
-        assert dev_hat(u, p, t, a, kappa, blend) == pytest.approx(expect, abs=1e-12)
+        assert dev_hat(u, p, t, a, kappa) == pytest.approx(expect, abs=1e-12)
 
 
 def test_dev_hat_barycenter_equals_dev():
     u, p = CONE_U, np.arange(9.0).reshape(3, 3) / 10
-    blend = HexagonBlend()
     center = np.array([1, 1, 1]) / 3
-    assert dev_hat(u, p, 1.7, center, 2.0, blend) == pytest.approx(
+    assert dev_hat(u, p, 1.7, center, 2.0) == pytest.approx(
         p_map(u, p, 1.7, center, center, 2.0)
     )
 
 
 def test_blend_vertices_and_permutations():
-    blend = HexagonBlend()
     assert blend((1.0, 0.0, 0.0)) == pytest.approx((1.0, 0.0, 0.0))
     rng = np.random.default_rng(3)
     for _ in range(1000):
@@ -154,7 +154,6 @@ def test_blend_vertices_and_permutations():
 
 
 def test_blend_preserves_edges_and_plateaus():
-    blend = HexagonBlend()
     # plateau: anything with a coordinate >= 2/3 maps to that vertex
     assert blend((0.7, 0.2, 0.1)) == pytest.approx((1.0, 0.0, 0.0))
     assert blend((0.1, 0.2, 0.7)) == pytest.approx((0.0, 0.0, 1.0))
@@ -162,6 +161,29 @@ def test_blend_preserves_edges_and_plateaus():
     out = blend((0.4, 0.6, 0.0))
     assert out[2] == 0.0
     assert out.sum() == pytest.approx(1.0)
+
+
+def blend_invert(phi, iters: int = 200) -> np.ndarray:
+    """Inverse of the hexagon restriction: the alpha in H with phi(alpha) = phi."""
+    f = as_barycentric(phi)
+    if np.max(f) >= 1.0 - 1e-15:
+        raise ValueError("vertices are not in the image of the open hexagon")
+
+    def total(lam: float) -> float:
+        y = lam * f
+        return float(np.sum(BLEND_THRESHOLD * y / (1.0 + y)))
+
+    lo, hi = 0.0, 1.0
+    while total(hi) < 1.0:
+        hi *= 2.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if total(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    y = 0.5 * (lo + hi) * f
+    return BLEND_THRESHOLD * y / (1.0 + y)
 
 
 @hyp_settings(max_examples=200, deadline=None)
@@ -173,23 +195,15 @@ def test_blend_hexagon_bijection(a2, a3):
     a1 = 1.0 - a2 - a3
     if not (0.01 <= a1 <= 0.65):
         return
-    blend = HexagonBlend()
     alpha = np.array([a1, a2, a3])
-    back = blend.invert(blend(alpha))
+    back = blend_invert(blend(alpha))
     assert back == pytest.approx(alpha, abs=1e-10)
 
 
-def test_blend_invert_rejects_vertices():
-    blend = HexagonBlend()
-    with pytest.raises(ValueError):
-        blend.invert((1.0, 0.0, 0.0))
-
-
 def test_blend_differential_spectrum():
-    blend = HexagonBlend()
     rng = np.random.default_rng(4)
     pts = rng.dirichlet(np.ones(3), size=10_000)
-    dphi = blend.value_and_partials(pts)[1]
+    dphi = blend_and_partials(pts)[1]
     # restrict to the simplex tangent plane: directions e2-e1, e3-e1
     d_a = dphi[:, :, 1] - dphi[:, :, 0]
     d_b = dphi[:, :, 2] - dphi[:, :, 0]
@@ -205,29 +219,28 @@ def test_blend_differential_spectrum():
 
 
 def test_blend_partials_match_finite_differences():
-    blend = HexagonBlend()
     rng = np.random.default_rng(5)
     h = 1e-6
     for _ in range(100):
         a = rng.dirichlet(np.ones(3))
         if a.max() > 0.6:  # stay away from the plateau seam
             continue
-        dphi = blend.value_and_partials(a)[1]
+        dphi = blend_and_partials(a)[1]
         for j in range(3):
             step = np.zeros(3)
             step[j] = h
-            fd = (blend_unnormalized(blend, a + step) - blend_unnormalized(blend, a - step)) / (2 * h)
+            fd = (blend_unnormalized(a + step) - blend_unnormalized(a - step)) / (2 * h)
             assert fd == pytest.approx(dphi[:, j], abs=1e-5)
 
 
-def blend_unnormalized(blend, a):
+def blend_unnormalized(a):
     # off-plateau branch of the blend formula, tolerant of sum != 1
-    h = a / (blend.threshold - a)
+    h = a / (BLEND_THRESHOLD - a)
     return h / h.sum()
 
 
 def _masked_blend(a, threshold=2.0 / 3.0):
-    """The blend and its partials as computed before value_and_partials: the
+    """The blend and its partials as computed before blend_and_partials: the
     plateau rows masked out and the ramp evaluated on the rest only."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n = len(a)
@@ -264,19 +277,18 @@ def _blend_test_points():
 
 
 def test_value_and_partials_bit_equal_to_masked_blend():
-    blend = HexagonBlend()
     pts = _blend_test_points()
-    phi, dphi = blend.value_and_partials(pts)
+    phi, dphi = blend_and_partials(pts)
     ref_phi, ref_dphi = _masked_blend(pts)
     assert phi.tobytes() == ref_phi.tobytes()
     assert dphi.tobytes() == ref_dphi.tobytes()
     assert blend(pts).tobytes() == phi.tobytes()
     # one point in, one point out; a stacked batch keeps its shape
     for row in pts[-30:]:
-        one_phi, one_dphi = blend.value_and_partials(row)
+        one_phi, one_dphi = blend_and_partials(row)
         assert blend(row).shape == one_phi.shape == (3,) and one_dphi.shape == (3, 3)
         assert blend(row).tobytes() == _masked_blend(row)[0][0].tobytes()
-    stacked = blend.value_and_partials(pts[-30:].reshape(10, 3, 3))
+    stacked = blend_and_partials(pts[-30:].reshape(10, 3, 3))
     assert stacked[0].shape == (10, 3, 3) and stacked[1].shape == (10, 3, 3, 3)
     assert stacked[0].tobytes() == phi[-30:].tobytes()
     assert stacked[1].tobytes() == dphi[-30:].tobytes()
@@ -284,12 +296,11 @@ def test_value_and_partials_bit_equal_to_masked_blend():
 
 @pytest.mark.parametrize("alpha", [(2.0 / 3.0, 1.0 / 3.0, 0.0), (1.0, 0.0, 0.0)])
 def test_blend_raises_no_warning_on_plateau_edges(alpha, gamma2_zero):
-    blend = HexagonBlend()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phi, dphi = blend.value_and_partials(np.array(alpha))
+        phi, dphi = blend_and_partials(np.array(alpha))
         jac = dev_hat_jacobians(*gamma2_zero.charts, 0, np.array([1.0]), np.array([alpha]),
-                                gamma2_zero.kappa, blend)
+                                gamma2_zero.kappa)
     assert phi.tolist() == [1.0, 0.0, 0.0] and not dphi.any()
     assert np.isfinite(jac).all()
 
@@ -356,7 +367,7 @@ def test_kappa_sample_sets_are_computed_once():
 
 
 def test_choose_kappa_zero_cocycle_immediate():
-    cert = choose_kappa(_charts(CONE_U), HexagonBlend())
+    cert = choose_kappa(_charts(CONE_U))
     assert cert.doublings == 0
     assert cert.kappa == cert.kappa_initial == 1.0
     assert cert.min_gram_eigenvalue > cert.margin
@@ -368,7 +379,7 @@ def test_choose_kappa_exhausts_on_indefinite_leaves():
     u = np.array([[1.0, 1.0, 0.0], [5.0, 4.0, 3.0], [1.0, -1.0, 0.0]])
     cfg = BuildSettings(max_doublings=4, bary_n=6, t_count=3)
     with pytest.raises(KappaSearchExhausted) as exc:
-        choose_kappa(_charts(u), HexagonBlend(), cfg)
+        choose_kappa(_charts(u), cfg)
     assert "worst sample ('gram', 0, 10.0)" in str(exc.value)
 
 
@@ -378,23 +389,23 @@ def test_kappa_failure_names_lowest_jacobian_sample():
     charts = _charts(CONE_U)
     cfg = BuildSettings(max_doublings=1, margin=1e6, bary_n=4, t_count=2)
     with pytest.raises(KappaSearchExhausted) as exc:
-        choose_kappa(charts, HexagonBlend(), cfg)
+        choose_kappa(charts, cfg)
     grid = barycentric_grid(cfg.bary_n)
     samples = [(t, tuple(a.tolist())) for t in (cfg.t_min, cfg.t_max) for a in grid]
     ts = np.array([t for t, _ in samples])
     alphas = np.array([a for _, a in samples])
-    dets = np.linalg.det(dev_hat_jacobians(*charts, 0, ts, alphas, 2.0, HexagonBlend()))
+    dets = np.linalg.det(dev_hat_jacobians(*charts, 0, ts, alphas, 2.0))
     t, a = samples[int(np.argmin(dets))]
     assert f"worst sample ('jacobian', 0, {t!r}, {a!r})" in str(exc.value)
 
 
-def _certify_once_per_sample(charts, blend, kappa, t_values, grid, margin):
+def _certify_once_per_sample(charts, kappa, t_values, grid, margin):
     """_certify_once as it was before the screened pass: the Jacobian of every
     chart x t x grid sample, each blended and given to LAPACK."""
     ts = np.repeat(t_values, len(grid))
     alphas = np.tile(grid, (len(t_values), 1))
     simplex = np.arange(len(charts[0]))[:, None]
-    dets = np.linalg.det(dev_hat_jacobians(*charts, simplex, ts, alphas, kappa, blend))
+    dets = np.linalg.det(dev_hat_jacobians(*charts, simplex, ts, alphas, kappa))
     eigs = _gram_min_eig(leaf_gram(*charts, t_values, kappa))
     min_det, min_eig = float(dets.min()), float(eigs.min())
     worst = None
@@ -455,29 +466,28 @@ def test_screened_pass_equals_per_sample_pass(examples):
     # minimum off the corner plateaus: the same (ok, stats), worst samples included;
     # then p x 1e4 and t_max = 1e4, which put the window's entry bound N far
     # from the builtins' scale (through kappa, and through t |a|)
-    blend = HexagonBlend()
     worst = []
     for cfg, n, scales in ((BuildSettings(), 12, (1.0, 40.0)), (BuildSettings(), 6, (1e4,)),
                            (BuildSettings(t_max=1e4), 6, (1.0, 1e4))):
         t_values, grid = _pass_samples(cfg)
         for u, p in _sweep_charts(examples, np.random.default_rng(31), n):
             for charts in ((u, scale * p) for scale in scales):
-                kappa = choose_kappa(charts, blend, cfg).kappa
+                kappa = choose_kappa(charts, cfg).kappa
                 for k in (kappa, 0.5 * kappa, 1e-3):
-                    got = _certify_once(charts, blend, k, t_values, grid, cfg.margin)
-                    assert got == _certify_once_per_sample(charts, blend, k, t_values, grid,
+                    got = _certify_once(charts, k, t_values, grid, cfg.margin)
+                    assert got == _certify_once_per_sample(charts, k, t_values, grid,
                                                            cfg.margin)
                     worst.append(got[1]["worst"])
     jacobian = [w for w in worst if w is not None and w[0] == "jacobian"]
     assert len(jacobian) >= 24
-    assert any(max(w[3]) < blend.threshold for w in jacobian)  # off the plateaus
+    assert any(max(w[3]) < BLEND_THRESHOLD for w in jacobian)  # off the plateaus
 
 
 def test_screen_window_keeps_near_ties():
     # the corner plateaus of a symmetric chart share one determinant; with 1e-16
     # noise in p they differ by rounding, where the cofactor screen and LAPACK
     # can rank them differently, and LAPACK's ranking names the worst sample
-    cfg, blend = BuildSettings(), HexagonBlend()
+    cfg = BuildSettings()
     t_values, grid = _pass_samples(cfg)
     rng = np.random.default_rng(32)
     reranked = 0
@@ -487,10 +497,10 @@ def test_screen_window_keeps_near_ties():
                        for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]])
         charts = (u, 1e-16 * rng.normal(size=(1, 3, 3)))
         jac = dev_hat_jacobians(*charts, np.zeros((1, 1, 1), int), t_values[:, None], grid,
-                                1.0, blend)
+                                1.0)
         reranked += np.argmin(np.linalg.det(jac)) != np.argmin(_det3(jac))
-        assert _certify_once(charts, blend, 1.0, t_values, grid, 1e9) == (
-            _certify_once_per_sample(charts, blend, 1.0, t_values, grid, 1e9))
+        assert _certify_once(charts, 1.0, t_values, grid, 1e9) == (
+            _certify_once_per_sample(charts, 1.0, t_values, grid, 1e9))
     assert reranked > 0
 
 
@@ -498,16 +508,16 @@ def test_non_finite_sample_fails_the_pass(gamma2_zero):
     u, p = gamma2_zero.charts
     p = p.copy()
     p[1, 2] = np.nan
-    cfg, blend = BuildSettings(max_doublings=2), HexagonBlend()
+    cfg = BuildSettings(max_doublings=2)
     t_values, grid = _pass_samples(cfg)
-    got = _certify_once((u, p), blend, gamma2_zero.kappa, t_values, grid, cfg.margin)
+    got = _certify_once((u, p), gamma2_zero.kappa, t_values, grid, cfg.margin)
     assert not got[0] and math.isnan(got[1]["min_jacobian_det"])
     with np.errstate(invalid="ignore"):
-        want = _certify_once_per_sample((u, p), blend, gamma2_zero.kappa, t_values, grid,
+        want = _certify_once_per_sample((u, p), gamma2_zero.kappa, t_values, grid,
                                         cfg.margin)
     assert repr(got) == repr(want)
     with pytest.raises(KappaSearchExhausted, match="no kappa certified after 2 doublings"):
-        choose_kappa((u, p), blend, cfg)
+        choose_kappa((u, p), cfg)
 
 
 def test_certification_passes_few_points_to_the_kernel(gamma2_zero, gamma2_deformed, torus_zero,
@@ -525,7 +535,7 @@ def test_certification_passes_few_points_to_the_kernel(gamma2_zero, gamma2_defor
     monkeypatch.setattr(builder_module, "dev_hat_jacobians", counted)
     for st_ in (gamma2_zero, gamma2_deformed, torus_zero, torus_deformed):
         points.clear()
-        cert = choose_kappa(st_.charts, st_.blend)
+        cert = choose_kappa(st_.charts)
         assert cert.samples == 12_672 and cert.kappa == st_.kappa
         assert 1 <= sum(points) <= 64, points
 
@@ -707,7 +717,7 @@ def _developed_face_mismatch(st_, t, edge_count=10):
     ends = np.eye(3)[np.stack([v, np.take_along_axis(tri.slot[i, k], v, axis=1)], axis=1)]
     alpha = s[:, None] * ends[..., None, 0, :] + (1.0 - s)[:, None] * ends[..., None, 1, :]
     x = dev_hat_points(*st_.charts, np.stack([i, tri.neighbour[i, k]], axis=1)[..., None],
-                       t, alpha, st_.kappa, st_.blend)
+                       t, alpha, st_.kappa)
     m, b = st_.gluing
     right = np.einsum("gab,gsb->gsa", m[i, k], x[:, 1]) + b[i, k][:, None]
     return float(np.abs(x[:, 0] - right).max()), float(np.abs(x).max())
@@ -744,8 +754,7 @@ def test_face_mismatch_names_its_corner(gamma2_deformed, torus_zero):
         assert j != k
         n, jn = st_.triangulation.neighbour[i, k], st_.triangulation.slot[i, k, j]
         t = st_.settings.t_max
-        x = dev_hat_points(*st_.charts, np.array([i, n]), t, np.eye(3)[[j, jn]], st_.kappa,
-                           st_.blend)
+        x = dev_hat_points(*st_.charts, np.array([i, n]), t, np.eye(3)[[j, jn]], st_.kappa)
         assert np.abs(x[0] - (m[i, k] @ x[1] + b[i, k])).max() == pytest.approx(shift)
 
 
@@ -1254,10 +1263,10 @@ def test_mesh_counts_and_determinism(torus_zero, tmp_path):
     assert max(max(f) for f in faces) == len(verts) - 1
 
     obj = tmp_path / "leaves.obj"
-    text1 = export_mesh(torus_zero, [1.0, 2.0], res, obj)
-    text2 = export_mesh(torus_zero, [1.0, 2.0], res, obj)
-    assert text1 == text2
+    assert export_mesh(torus_zero, [1.0, 2.0], res, obj) == (len(verts), len(faces))
     body = obj.read_text()
+    assert export_mesh(torus_zero, [1.0, 2.0], res, obj) == (len(verts), len(faces))
+    assert obj.read_text() == body
     assert body.count("\nv ") + body.startswith("v ") == len(verts)
     assert body.count("\nf ") == len(faces)
     # every v line is three plain floats, the vertex in (x, y, t) order
@@ -1290,7 +1299,6 @@ def test_mesh_data_refuses_non_numbers(torus_zero, t_values, resolution, message
 def test_jacobian_matches_finite_differences(gamma2_deformed):
     st_ = gamma2_deformed
     u, p = (c[0] for c in st_.charts)
-    blend = st_.blend
     rng = np.random.default_rng(8)
     h = 1e-6
     for _ in range(20):
@@ -1298,10 +1306,10 @@ def test_jacobian_matches_finite_differences(gamma2_deformed):
         if a.max() > 0.6:
             continue
         t = rng.uniform(0.3, 3.0)
-        jac = dev_hat_jacobians(*st_.charts, 0, t, a, st_.kappa, blend)
+        jac = dev_hat_jacobians(*st_.charts, 0, t, a, st_.kappa)
 
         def chart(tt, aa, bb):
-            return dev_hat(u, p, tt, (1 - aa - bb, aa, bb), st_.kappa, blend)
+            return dev_hat(u, p, tt, (1 - aa - bb, aa, bb), st_.kappa)
 
         fd_t = (chart(t + h, a[1], a[2]) - chart(t - h, a[1], a[2])) / (2 * h)
         fd_a = (chart(t, a[1] + h, a[2]) - chart(t, a[1] - h, a[2])) / (2 * h)

@@ -6,8 +6,8 @@ import pytest
 from dataclasses import replace
 
 from btzgeo.builder import (
-    FaceMismatch, dev_hat, dev_hat_jacobians, dev_hat_points, extend_btz, strip_btz,
-    verify_face_equivariance,
+    FaceMismatch, blend, blend_and_partials, dev_hat, dev_hat_jacobians, dev_hat_points,
+    extend_btz, strip_btz, verify_face_equivariance,
 )
 from btzgeo import causality
 from btzgeo.causality import (
@@ -22,7 +22,6 @@ from btzgeo.causality import (
     _future_causal,
     _segments_are_causal,
     _tangents,
-    _time_checks,
     _trace_lockstep,
     btz_decomposition,
     cauchy_time_report,
@@ -70,7 +69,7 @@ def test_develop(gamma2_zero):
     )
     cp = ChartPoint(0, 1.3, CENTER)
     assert develop(st_, cp) == pytest.approx(
-        dev_hat(st_.charts[0][0], st_.charts[1][0], 1.3, CENTER, st_.kappa, st_.blend)
+        dev_hat(st_.charts[0][0], st_.charts[1][0], 1.3, CENTER, st_.kappa)
     )
 
 
@@ -263,6 +262,15 @@ def test_polyline_helpers():
     assert not flat.strictly_increasing_t()
 
 
+def _time_checks(t, transition, leaves) -> tuple[bool, list[int]]:
+    """Whether node times t (n,) strictly increase, staying equal across the
+    nodes flagged in transition (n,), and how often t crosses each leaf."""
+    prev, nxt = t[:-1], t[1:]
+    monotone = bool(np.all(np.where(transition[1:], nxt == prev, nxt > prev)))
+    f = t - np.asarray(leaves, dtype=float)[:, None]
+    return monotone, np.count_nonzero(f[:, :-1] * f[:, 1:] < 0, axis=1).tolist()
+
+
 @pytest.mark.parametrize("t, transition", [
     ([0.5, 1.5, 1.5, 2.5], [False, False, True, False]),  # test_polyline_helpers' curve
     ([0.5, 0.7], [False, True]),  # a transition that jumps in t
@@ -270,6 +278,7 @@ def test_polyline_helpers():
     ([0.5, 1.0, 1.5], [False, False, False]),  # a node exactly on the leaf t = 1
     ([2.5, 1.5, 0.5], [False, False, False]),  # backwards
     ([0.7], [False]),
+    ([], []),  # no nodes
 ])
 def test_time_checks_match_polyline_helpers(t, transition):
     curve = CausalPolyline([CurveNode(ChartPoint(0, ti, CENTER), transition=tr)
@@ -467,7 +476,7 @@ def test_lockstep_retries_carry_fresh_start_jacobians(gamma2_deformed, monkeypat
     passes = []  # per pass: the proposals' ends (t1, a1), then the later-sample call
 
     def checked_start(st, simplex, t0, a0, t1, a1, margin, start=None):
-        fresh = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa, st.blend)
+        fresh = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa)
         assert start.tobytes() == fresh.tobytes()
         passes.append([t1.copy(), a1.copy()])
         return start_passes(st, simplex, t0, a0, t1, a1, margin, start)
@@ -501,7 +510,7 @@ def test_lockstep_retries_carry_fresh_start_jacobians(gamma2_deformed, monkeypat
                     if ends[0, k] == t_end[0] and np.array_equal(ends_a[0, k], a_end[0])][0]
         assert column(retry[3], retry[4]) > column(t1, a1)
         mid = dev_hat_jacobians(*st_.charts, simplex, t0 + 0.5 * (t1 - t0),
-                                a0 + 0.5 * (a1 - a0), st_.kappa, st_.blend)
+                                a0 + 0.5 * (a1 - a0), st_.kappa)
         seen["mid_fails_then_later_accepted"] += int(
             not _future_causal(_tangents(mid, t1 - t0, (a1 - a0)[:, 1:]), 1e-6)[0])
     assert all(seen.values()), seen
@@ -752,8 +761,7 @@ def _sequential_trace(st_, start, t_stop, seed):
         if not np.any(step) or np.any(ts <= 0):
             return False
         alphas = a0[None, :] + s[:, None] * (a1 - a0)[None, :]
-        v = dev_hat_jacobians(*st_.charts, cur.simplex, ts, alphas, st_.kappa,
-                              st_.blend) @ step
+        v = dev_hat_jacobians(*st_.charts, cur.simplex, ts, alphas, st_.kappa) @ step
         bound = band * np.sum(v * v, axis=-1) - cone_margin * v[:, 0] ** 2
         return bool(np.all((v[:, 0] > 0) & (quadratic_form(v) <= bound)))
 
@@ -934,7 +942,7 @@ def _kernel_points(st_, rng, n=60):
     return simplex, rng.uniform(0.1, 4.0, size=len(alpha)), alpha
 
 
-def _per_simplex_points(u, p, t, alpha, kappa, blend):
+def _per_simplex_points(u, p, t, alpha, kappa):
     """dev_hat_points as it was before the charts were stacked: one chart, t (n,)."""
     t = np.asarray(t, dtype=float)
     a = np.asarray(alpha, dtype=float)
@@ -942,11 +950,11 @@ def _per_simplex_points(u, p, t, alpha, kappa, blend):
     return (t[:, None] * phi + kappa * a) @ u + a @ p
 
 
-def _per_simplex_jacobians(u, p, t, alpha, kappa, blend):
+def _per_simplex_jacobians(u, p, t, alpha, kappa):
     """dev_hat_jacobians as it was before the charts were stacked: one chart, t (n,)."""
     t = np.asarray(t, dtype=float)
     a = np.asarray(alpha, dtype=float)
-    phi, dphi = blend.value_and_partials(a)
+    phi, dphi = blend_and_partials(a)
     col_t = phi @ u
     d_a = dphi[:, :, 1] - dphi[:, :, 0]
     d_b = dphi[:, :, 2] - dphi[:, :, 0]
@@ -961,7 +969,7 @@ def _one_chart_at_a_time(kernel, st_, simplex, t, alpha):
     sim = np.broadcast_to(simplex, shape).ravel()
     t = np.broadcast_to(t, shape).ravel()
     alpha = np.broadcast_to(alpha, shape + (3,)).reshape(-1, 3)
-    parts = {k: kernel(u, p, t[sim == k], alpha[sim == k], st_.kappa, st_.blend)
+    parts = {k: kernel(u, p, t[sim == k], alpha[sim == k], st_.kappa)
              for k, (u, p) in enumerate(zip(*st_.charts))}
     out = np.empty((len(sim),) + parts[0].shape[1:])
     for k, part in parts.items():
@@ -989,28 +997,27 @@ def test_stacked_kernels_bit_equal_to_per_simplex_kernels(request, fixture):
     for sim, ts, alphas in cases:
         for kernel, reference in ((dev_hat_points, _per_simplex_points),
                                   (dev_hat_jacobians, _per_simplex_jacobians)):
-            got = kernel(u, p, sim, ts, alphas, st_.kappa, st_.blend)
+            got = kernel(u, p, sim, ts, alphas, st_.kappa)
             want = _one_chart_at_a_time(reference, st_, sim, ts, alphas)
             assert got.shape == want.shape
             assert got.tobytes() == np.ascontiguousarray(got).tobytes() == want.tobytes()
-        dets = np.linalg.det(dev_hat_jacobians(u, p, sim, ts, alphas, st_.kappa, st_.blend))
+        dets = np.linalg.det(dev_hat_jacobians(u, p, sim, ts, alphas, st_.kappa))
         assert dets.tobytes() == np.linalg.det(
             _one_chart_at_a_time(_per_simplex_jacobians, st_, sim, ts, alphas)).tobytes()
     # the broadcast call has the bytes of the flat call on repeated t and tiled alpha
-    wide = dev_hat_jacobians(u, p, charts[:, None, None], t[:lanes, None], alpha, st_.kappa,
-                             st_.blend)
+    wide = dev_hat_jacobians(u, p, charts[:, None, None], t[:lanes, None], alpha, st_.kappa)
     flat = dev_hat_jacobians(u, p, charts[:, None], np.repeat(t[:lanes], n),
-                             np.tile(alpha, (lanes, 1)), st_.kappa, st_.blend)
+                             np.tile(alpha, (lanes, 1)), st_.kappa)
     assert np.ascontiguousarray(wide).tobytes() == np.ascontiguousarray(flat).tobytes()
     # simplex (): one point of one chart
     for k in range(0, n, 7):
         args = (int(simplex[k]), float(t[k]), alpha[k])
         chart = u[args[0]], p[args[0]]
-        assert dev_hat_points(u, p, *args, st_.kappa, st_.blend).tobytes() == _per_simplex_points(
-            *chart, t[k:k + 1], alpha[k:k + 1], st_.kappa, st_.blend)[0].tobytes()
+        assert dev_hat_points(u, p, *args, st_.kappa).tobytes() == _per_simplex_points(
+            *chart, t[k:k + 1], alpha[k:k + 1], st_.kappa)[0].tobytes()
         assert np.ascontiguousarray(
-            dev_hat_jacobians(u, p, *args, st_.kappa, st_.blend)).tobytes() == (
-            _per_simplex_jacobians(*chart, t[k:k + 1], alpha[k:k + 1], st_.kappa, st_.blend)[0]
+            dev_hat_jacobians(u, p, *args, st_.kappa)).tobytes() == (
+            _per_simplex_jacobians(*chart, t[k:k + 1], alpha[k:k + 1], st_.kappa)[0]
             .tobytes())
 
 
@@ -1020,11 +1027,11 @@ def test_kernel_tangents_match_dev_hat_jacobians(request, fixture):
     rng = np.random.default_rng(21)
     simplex, t, alpha = _kernel_points(st_, rng)
     step = rng.normal(size=(len(t), 3))
-    v = _tangents(dev_hat_jacobians(*st_.charts, simplex, t, alpha, st_.kappa, st_.blend),
+    v = _tangents(dev_hat_jacobians(*st_.charts, simplex, t, alpha, st_.kappa),
                   step[:, 0], step[:, 1:])
     for k, (u, p) in enumerate(zip(*st_.charts)):
         m = simplex == k
-        jac = _per_simplex_jacobians(u, p, t[m], alpha[m], st_.kappa, st_.blend)
+        jac = _per_simplex_jacobians(u, p, t[m], alpha[m], st_.kappa)
         scale = (np.abs(jac) @ np.abs(step[m])[:, :, None])[..., 0].max(axis=-1, keepdims=True)
         assert np.all(np.abs(v[m] - (jac @ step[m][:, :, None])[..., 0]) <= 1e-12 * scale)
 
@@ -1035,8 +1042,7 @@ def _unpruned(st_, simplex, t0, a0, t1, a1, margin):
     dt, d = t1 - t0, a1 - a0
     ts = t0[..., None] + s * dt[..., None]
     alphas = a0[..., None, :] + s[:, None] * d[..., None, :]
-    v = _tangents(dev_hat_jacobians(*st_.charts, simplex[..., None], ts, alphas, st_.kappa,
-                                    st_.blend),
+    v = _tangents(dev_hat_jacobians(*st_.charts, simplex[..., None], ts, alphas, st_.kappa),
                   dt[..., None], d[..., None, 1:])
     ok = ((dt != 0) | np.any(d[..., 1:] != 0, axis=-1)) & ~np.any(ts <= 0, axis=-1)
     return ok & np.all(_future_causal(v, margin), axis=-1), _future_causal(v, margin)
@@ -1047,7 +1053,7 @@ def test_kernel_broadcast_start_and_pruning_keep_decisions(request, fixture):
     st_ = request.getfixturevalue(fixture)
 
     def jacobians(simplex, t, alpha):
-        return dev_hat_jacobians(*st_.charts, simplex, t, alpha, st_.kappa, st_.blend)
+        return dev_hat_jacobians(*st_.charts, simplex, t, alpha, st_.kappa)
 
     rng = np.random.default_rng(22)
     simplex, t, alpha = _kernel_points(st_, rng)
@@ -1108,4 +1114,4 @@ def test_chart_indices_are_checked(gamma2_zero):
     # the last chart is still reachable
     assert segment_is_causal(st_, 1, (1.0, CENTER), (1.5, CENTER))
     assert np.array_equal(develop(st_, inside), dev_hat_points(
-        *st_.charts, np.array([1]), np.array([1.0]), CENTER[None], st_.kappa, st_.blend)[0])
+        *st_.charts, np.array([1]), np.array([1.0]), CENTER[None], st_.kappa)[0])
