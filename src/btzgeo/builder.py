@@ -84,9 +84,11 @@ def as_barycentric(alpha, tol: float = 1e-12) -> np.ndarray:
 
 
 def _blend_pieces(alpha):
-    """phi (..., 3) and the pieces its partials reuse: h, sum h, gap, plateau mask.
-    The ramp runs on alpha clamped below 2/3, so every entry is finite; the
-    plateau rows (seams alpha_i = 2/3 included) then get e_i; plateau is None if none."""
+    """phi (..., 3) and the pieces its partials reuse: h, sum h, gap, plateau mask
+    (..., 1).  The ramp runs on alpha clamped below 2/3, so every entry is
+    finite; the plateau rows (seams alpha_i = 2/3 included) then get e_i, which
+    is their row of the alpha >= 2/3 mask, as only one weight of a point can
+    reach 2/3; plateau is None if no row is on one."""
     a = np.asarray(alpha, dtype=float)
     ac = np.minimum(a, _BLEND_BELOW)
     gap = BLEND_THRESHOLD - ac
@@ -95,8 +97,8 @@ def _blend_pieces(alpha):
     phi = h / s
     plateau = None
     if (corner := a >= BLEND_THRESHOLD).any():
-        plateau = corner[..., 0] | corner[..., 1] | corner[..., 2]
-        phi[plateau] = np.eye(3)[np.argmax(a[plateau], axis=-1)]
+        plateau = (corner[..., 0] | corner[..., 1] | corner[..., 2])[..., None]
+        np.copyto(phi, corner, where=plateau)
     return phi, h, s, gap, plateau
 
 
@@ -125,7 +127,7 @@ def blend_and_partials(alpha) -> tuple[np.ndarray, np.ndarray]:
     diagonal = dphi.reshape(dphi.shape[:-2] + (9,))[..., ::4]  # a writeable view
     diagonal += hp / s
     if plateau is not None:
-        dphi[plateau] = 0.0
+        np.copyto(dphi, 0.0, where=plateau[..., None])
     return phi, dphi
 
 
@@ -191,8 +193,7 @@ def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float) -> np.ndarray:
     in that order, so every entry has the same bits however the batch broadcasts.
     """
     t = np.asarray(t, dtype=float)
-    ug, pg = u[simplex], p[simplex]
-    jt = _blend_rows(alpha) @ ug
+    jt = _blend_rows(alpha) @ u[simplex]
     if t.shape != jt.shape[:-2]:
         # copy the t-free products along t's axes into a buffer with the batch
         # axes innermost, so the t passes below run long inner loops
@@ -201,8 +202,8 @@ def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float) -> np.ndarray:
         wide[...] = jt
         jt = wide
     jt[..., 1:, :] *= t[..., None, None]
-    jt[..., 1:, :] += kappa * (ug[..., 1:, :] - ug[..., :1, :])
-    jt[..., 1:, :] += pg[..., 1:, :] - pg[..., :1, :]
+    jt[..., 1:, :] += (kappa * (u[:, 1:] - u[:, :1]))[simplex]
+    jt[..., 1:, :] += (p[:, 1:] - p[:, :1])[simplex]
     return jt.swapaxes(-1, -2)
 
 
@@ -326,27 +327,28 @@ def _det3(m: np.ndarray) -> np.ndarray:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-# The screen is within E of LAPACK on every sample.  Take one sample, the
-# Jacobian J that dev_hat_jacobians gives it, D its LU determinant (sign times
-# exp of the summed log pivots) and P = c0 + t (c1 + t c2) its screen value.
+# The screen is within E(t) of LAPACK on every sample at t.  Take one sample,
+# the Jacobian J that dev_hat_jacobians gives it, D its LU determinant (sign
+# times exp of the summed log pivots) and P = c0 + t (c1 + t c2) its screen value.
 # - c, a1 and a2 are rows @ u with the bits of J's t-free products, and J's
 #   last two columns are (t a + kappa du) + dp, rounded three times; the
 #   screen's columns are exactly t a + b, b = kappa du + dp rounded once.  So
 #   every entry of J, and of the screen's matrix, is at most
-#   N = max(|c|, t_max |a| + |kappa du| + |dp|) up to a few ulps (max norms
-#   over every chart and alpha), and the two differ by at most 4 ulps of N.
-# - D is within 3e-12 N^3 of det J anywhere in the double range, and within
-#   1e-14 N^3 at chart scales.  The 4-ulp entries move the determinant by at
-#   most 9 x 4 x 2^-52 N x 2 N^2 < 2e-14 N^3 (cofactors are at most 2 N^2).
+#   N(t) = max(|c|, t |a| + |kappa du| + |dp|) up to a few ulps (max norms
+#   over every chart and alpha), and the two differ by at most 4 ulps of N(t).
+# - D is within 3e-12 N(t)^3 of det J anywhere in the double range, and within
+#   1e-14 N(t)^3 at chart scales.  The 4-ulp entries move the determinant by
+#   at most 9 x 4 x 2^-52 N x 2 N^2 < 2e-14 N(t)^3 (cofactors are at most 2 N^2).
 # - The exact matrix's determinant is exactly c2 t^2 + c1 t + c0 of the exact
 #   coefficients.  Each coefficient is a cofactor sum of entries whose
-#   products, scaled by t^2, t or 1, are at most N^3; rounding the four sums
-#   and Horner's rule costs under 1e-13 N^3.
-# So |P - D| <= E < 3.2e-12 N^3.  If D is smallest at sample m and P at k,
-# P_m <= D_m + E <= D_k + E <= P_k + 2E: m, and every sample tied with it,
-# lies within 2E < 7e-12 N^3 of the smallest screen value, and the window
-# 2e-10 N^3 keeps them with a reserve of 28.
-_SCREEN_WINDOW = 2e-10
+#   products, scaled by t^2, t or 1, are at most N(t)^3; rounding the four
+#   sums and Horner's rule costs under 1e-13 N(t)^3.
+# So |P - D| <= E(t) < 3.2e-12 N(t)^3.  If D is smallest at sample m, at t_m,
+# and P at k, at t_k: P_m <= D_m + E(t_m) <= D_k + E(t_m) <= P_k + E(t_k) + E(t_m).
+# So m, and every sample tied with it, lies within E(t) + E(t_k) of the
+# smallest screen value, t being its own time; the window
+# 1e-10 (N(t)^3 + N(t_k)^3) keeps them with a reserve of 31.
+_SCREEN_WINDOW = 1e-10
 
 
 @functools.lru_cache(maxsize=16)
@@ -374,11 +376,12 @@ def _certify_once(charts, kappa, t_values, grid, margin):
     coefficients are the cofactor determinants of [c; a1 t + b1; a2 t + b2]
     expanded in its last two rows, so c0 = det J(0).  The screen
     c0 + t (c1 + t c2) covers all S x T x G samples, and LAPACK's LU
-    determinant confirms the minimum on the samples within _SCREEN_WINDOW x N^3
-    of the smallest screen value (N bounds every Jacobian entry), their
-    Jacobians from one flat dev_hat_jacobians call, which has the bits of any
-    broadcast call.  A corner plateau has one Jacobian per (chart, corner) at
-    every t, so LAPACK sees only its first sample.  The candidates stay in flat
+    determinant confirms the minimum on the samples at t within
+    _SCREEN_WINDOW x (N(t)^3 + N(t_k)^3) of the smallest screen value, at t_k
+    (N(t) bounds every Jacobian entry at t), their Jacobians from one flat
+    dev_hat_jacobians call, which has the bits of any broadcast call.  A
+    corner plateau has one Jacobian per (chart, corner) at every t, so LAPACK
+    sees only its first sample.  The candidates stay in flat
     (chart, t, alpha) order, which keeps argmin's first-occurrence rule:
     ``min_jacobian_det`` and ``worst`` are those of LAPACK on every sample, bit
     for bit.  If a screen value is not finite, LAPACK runs on every sample.
@@ -408,10 +411,12 @@ def _certify_once(charts, kappa, t_values, grid, margin):
         screen *= t
         screen += c0  # (S, T, G)
         if np.isfinite(screen).all():
-            n = max(float(np.abs(j[..., 0, :]).max()),
-                    float(t_values.max() * np.abs(j[..., 1:, :]).max() + np.abs(du).max()
-                          + np.abs(dp).max()))
-            keep = screen <= screen.min() + _SCREEN_WINDOW * n * n * n
+            # N(t) per t value, and its cube at the smallest screen value's t
+            n = np.maximum(np.abs(j[..., 0, :]).max(), t_values * np.abs(j[..., 1:, :]).max()
+                           + np.abs(du).max() + np.abs(dp).max())
+            n3 = n * n * n
+            low = np.unravel_index(screen.argmin(), screen.shape)
+            keep = screen <= screen[low] + _SCREEN_WINDOW * (n3[:, None] + n3[low[1]])
             keep[:, 1:, plateau] = False
             keep[:, 0, repeats] = False
             candidates = np.flatnonzero(keep)
@@ -449,15 +454,15 @@ def choose_kappa(charts, settings: BuildSettings = BuildSettings()) -> Certifica
     confirms the smallest on the few Jacobians the screen leaves (_certify_once);
     the record is the one that one LAPACK determinant per sample gives.  It is
     a sampled statement: t outside the samples, and t beyond [t_min, t_max],
-    are not proved.  A search whose last pass met a non-finite minimum (a NaN
-    sample, or t_max so large that the leaf Gram overflows) says so.
+    are not proved.  A pass with a NaN minimum (a NaN sample, or t_max so
+    large that the leaf Gram overflows) ends the search, as no larger kappa
+    changes it, and the error says that a sample is not finite.
     """
     kappa0 = 1.0 + max((float(np.linalg.norm(row)) for row in charts[1].reshape(-1, 3)),
                        default=0.0)
     t_values, grid = _kappa_samples(settings.t_min, settings.t_max, settings.t_count,
                                     settings.bary_n)
     kappa = kappa0
-    last = None
     for doubling in range(settings.max_doublings + 1):
         ok, stats = _certify_once(charts, kappa, t_values, grid, settings.margin)
         if ok:
@@ -470,13 +475,17 @@ def choose_kappa(charts, settings: BuildSettings = BuildSettings()) -> Certifica
                 min_gram_eigenvalue=stats["min_gram_eigenvalue"],
                 margin=settings.margin,
             )
-        last = stats
+        minima = stats["min_jacobian_det"], stats["min_gram_eigenvalue"]
+        not_finite = math.isnan(minima[0]) or math.isnan(minima[1])
+        if not_finite:
+            break  # a NaN in p, or an overflow that a larger kappa only makes worse
         kappa *= 2.0
-    worst = (f"worst sample {last['worst']}" if last["worst"] is not None else
-             f"a sample is not finite (min_jacobian_det {last['min_jacobian_det']!r}, "
-             f"min_gram_eigenvalue {last['min_gram_eigenvalue']!r})")
+    worst = (f"a sample is not finite (min_jacobian_det {minima[0]!r}, "
+             f"min_gram_eigenvalue {minima[1]!r})" if not_finite else
+             f"worst sample {stats['worst']}")
+    passes = f"{doubling + 1} pass" + ("es" if doubling else "")
     raise KappaSearchExhausted(
-        f"no kappa certified after {settings.max_doublings} doublings from {kappa0}; {worst}"
+        f"no kappa certified after {doubling} doublings ({passes}) from {kappa0}; {worst}"
     )
 
 

@@ -24,12 +24,18 @@ build only dt > 0 proposals can be causal (t is a time function), so the
 monotonicity check in the report is a real assertion, not a tautology.
 
 Curves are traced in lockstep over arrays of live-curve state, compressed as
-curves finish.  A pass clips its proposals to the chart, cutting only those
-that cross a face, and screens all 8 proposals of every live curve with the
-cone test at the start sample, against the start Jacobians it carries.  One
-call of builder's stacked chart kernel then takes the later samples of each
-curve's first untried start-passing proposal and the next starts that its end
-does not give.  A curve whose candidate fails stays put and retries from the
+curves finish (_trace_lockstep).  The tracer takes its starts as arrays of
+chart indices, times and barycentric points, so a report validates no
+ChartPoint per curve, and it stores barycentric and vector data component
+first: the live alphas are (3, n), the carried start Jacobians (3, 3, n), and
+a pass's proposal draws, clipped ends and developed tangents (3, n, 8), so
+each component is a contiguous plane.  A pass clips its proposals to the
+chart, cutting only those that cross a face, and screens all 8 proposals of
+every live curve with the cone test at the start sample, against the start
+Jacobians it carries.  One call of builder's stacked chart kernel, which keeps
+its (..., 3) alpha interface, then takes the later samples of each curve's
+first untried start-passing proposal and the next starts that its end does
+not give.  A curve whose candidate fails stays put and retries from the
 next proposal in the next pass, which redraws the same proposals
 (_trace_lockstep).  Every decision and carried Jacobian keeps the bits of
 testing each proposal in full and evaluating each start afresh.  Each pass
@@ -187,20 +193,28 @@ class CausalPolyline:
         }
 
 
+def _jacobians(st: PolyhedralSpacetime, simplex, t, alpha) -> np.ndarray:
+    """dev_hat_jacobians at points alpha (3, ...), component first, returned component
+    first too: (3, 3, ...) indexed [component, column], a view of the kernel's output."""
+    jac = dev_hat_jacobians(*st.charts, simplex, t, alpha.transpose(*range(1, alpha.ndim), 0),
+                            st.kappa)
+    return jac.transpose(-2, -1, *range(jac.ndim - 2))
+
+
 def _tangents(jac, dt, da) -> np.ndarray:
-    """Developed tangents of chart steps (dt, da_1, da_2), from dev_hat_jacobians' columns."""
-    return (dt[..., None] * jac[..., :, 0] + da[..., :1] * jac[..., :, 1]
-            + da[..., 1:] * jac[..., :, 2])
+    """Developed tangents (3, ...) of chart steps dt (...), da = (da_1, da_2) (2, ...),
+    from component-first Jacobians jac (3, 3, ...)."""
+    return dt * jac[:, 0] + da[0] * jac[:, 1] + da[1] * jac[:, 2]
 
 
 def _future_causal(v: np.ndarray, margin: float) -> np.ndarray:
-    """Future causal within the light-cone band, at least margin inside the cone."""
-    sq = v * v
-    sq_t, sq_x, sq_y = sq[..., 0], sq[..., 1], sq[..., 2]
+    """Future causal within the light-cone band, at least margin inside the cone;
+    vectors v (3, ...), component first."""
+    sq_t, sq_x, sq_y = v * v
     # Q(v) <= 1e-9 |v|^2 - margin v_t^2, each sum in the order quadratic_form and
     # numpy's sum over the last axis add (-a + b is b - a), so every verdict keeps its bits
-    return (v[..., 0] > 0) & (sq_x - sq_t + sq_y <= LIGHTLIKE_TOL * (sq_t + sq_x + sq_y)
-                              - margin * sq_t)
+    return (v[0] > 0) & (sq_x - sq_t + sq_y <= LIGHTLIKE_TOL * (sq_t + sq_x + sq_y)
+                         - margin * sq_t)
 
 
 def _start_passes(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: float,
@@ -209,12 +223,13 @@ def _start_passes(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: floa
 
     A segment passes when its tangent is future causal at the start sample, so
     a segment that does not move fails.  Callers check t > 0 along it.  The
-    end arrays carry the batch shape; simplex and start arrays, and the
-    start's Jacobians ``start`` if the caller has them, broadcast against them.
+    end arrays carry the batch shape, barycentric ones component first
+    (3, ...); simplex and start arrays, and the start's component-first
+    Jacobians ``start`` if the caller has them, broadcast against them.
     """
     if start is None:
-        start = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa)
-    return _future_causal(_tangents(start, t1 - t0, (a1 - a0)[..., 1:]), margin)
+        start = _jacobians(st, simplex, t0, a0)
+    return _future_causal(_tangents(start, t1 - t0, a1[1:] - a0[1:]), margin)
 
 
 def _later_samples(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: float,
@@ -222,19 +237,20 @@ def _later_samples(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: flo
     """The test at the later samples (midpoint and end) of segments (m,).
 
     One kernel call evaluates those samples, the end being (t1, a1) itself,
-    and the ``extra`` points, given as groups of (simplex, t, alpha) arrays.
-    Returns whether each segment is future causal at both samples (m,), the
-    Jacobians at each segment's end (m, 3, 3) and at the extra points, in
+    and the ``extra`` points, given as groups of (simplex, t, alpha) arrays;
+    barycentric arrays are component first, a0 and a1 (3, m).  Returns whether
+    each segment is future causal at both samples (m,), and the component-first
+    Jacobians at each segment's end (3, 3, m) and at the extra points, in
     group order.
     """
     dt, d = t1 - t0, a1 - a0
     m = len(t0)
-    sx, ts, alphas = (np.concatenate(x) for x in zip(
+    sx, ts, alphas = (np.concatenate(x, axis=-1) for x in zip(
         (simplex, t0 + 0.5 * dt, a0 + 0.5 * d), (simplex, t1, a1), *extra))
-    jac = dev_hat_jacobians(*st.charts, sx, ts, alphas, st.kappa)
-    samples = jac[:2 * m].reshape(2, m, 3, 3)  # midpoints, then ends
-    ok = _future_causal(_tangents(samples, dt, d[:, 1:]), margin)
-    return ok[0] & ok[1], samples[1], jac[2 * m:]
+    jac = _jacobians(st, sx, ts, alphas)
+    samples = jac[..., :2 * m].reshape(3, 3, 2, m)  # midpoints, then ends
+    ok = _future_causal(_tangents(samples, dt, d[1:]), margin)
+    return ok[0] & ok[1], samples[..., 1, :], jac[..., 2 * m:]
 
 
 def _segments_are_causal(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1,
@@ -242,31 +258,33 @@ def _segments_are_causal(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1,
     """Future-causal test for straight chart segments at sampled tangents.
 
     Segments run from (t0, a0) to (t1, a1) in chart ``simplex``; the end
-    arrays carry the batch shape, and simplex and start arrays broadcast
-    against them.  t must be > 0 at every sample.  The later samples are
-    evaluated only where the start sample passes; all must pass.
+    arrays carry the batch shape, barycentric ones component first (3, ...),
+    and simplex and start arrays broadcast against them.  t must be > 0 at
+    every sample.  The later samples are evaluated only where the start
+    sample passes; all must pass.
     """
     ok = (_start_passes(st, simplex, t0, a0, t1, a1, margin)
           & ~((t0 <= 0) | (t0 + 0.5 * (t1 - t0) <= 0) | (t1 <= 0)))
     idx = np.nonzero(ok)
+    at = (slice(None), *idx)
     ok[idx] = _later_samples(st, np.broadcast_to(simplex, ok.shape)[idx],
-                             np.broadcast_to(t0, ok.shape)[idx], np.broadcast_to(a0, a1.shape)[idx],
-                             t1[idx], a1[idx], margin)[0]
+                             np.broadcast_to(t0, ok.shape)[idx], np.broadcast_to(a0, a1.shape)[at],
+                             t1[idx], a1[at], margin)[0]
     return ok
 
 
 def segment_is_causal(st: PolyhedralSpacetime, simplex: int, start: tuple[float, np.ndarray],
                       end: tuple[float, np.ndarray]) -> bool:
     """Future-causal test for one straight chart segment at sampled tangents."""
-    t0, a0, t1, a1 = (np.asarray(x, dtype=float)[None] for x in (*start, *end))
+    t0, a0, t1, a1 = (np.asarray(x, dtype=float)[..., None] for x in (*start, *end))
     chart = np.array([_index(simplex, len(st.triangulation.triangles))])
     return bool(_segments_are_causal(st, chart, t0, a0, t1, a1)[0])
 
 
 def _across(st: PolyhedralSpacetime, simplex, facet, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """The neighbour charts across facets (n,) and face points alpha (n, 3) there."""
+    """The neighbour charts across facets (n,) and face points alpha (3, n) there."""
     alpha_new = np.zeros_like(alpha)
-    alpha_new[np.arange(len(alpha))[:, None], st.triangulation.slot[simplex, facet]] = alpha
+    alpha_new[st.triangulation.slot[simplex, facet].T, np.arange(alpha.shape[1])] = alpha
     return st.triangulation.neighbour[simplex, facet], alpha_new
 
 
@@ -283,7 +301,8 @@ def cross_face(st: PolyhedralSpacetime, simplex, t, alpha, facet
     """
     simplex, facet = _index(simplex, len(st.triangulation.triangles)), _index(facet, 3, "facet")
     alpha = np.asarray(alpha, dtype=float)
-    nbr, alpha_new = _across(st, simplex, facet, alpha)
+    nbr, alpha_new = _across(st, simplex, facet, alpha.T)
+    alpha_new = alpha_new.T
     x, x_new = dev_hat_points(*st.charts, np.array([simplex, nbr]), t,
                               np.array([alpha, alpha_new]), st.kappa)
     m, b = st.gluing
@@ -314,11 +333,14 @@ def fiber_hop_is_causal(st: PolyhedralSpacetime, fiber_pt: FiberPoint,
 
 # Proposals 3 and 7 of each step are flat probes: transverse motion not tied
 # to dt, so broken (non-spacelike) leaves are actually detectable.
-_FLAT = np.array([False, False, False, True] * 2)
+_FLAT = np.arange(8) % 4 == 3
+_PROBES = slice(3, 8, 4)  # the columns of _FLAT
 _DT_SPAN = np.where(_FLAT, 0.5, 1.25)  # dt / t-step is uniform in [-0.25, -0.25 + span)
 # Proposal k's scale factor, accumulated from the curve's scale: 0.85 per
 # rejected non-flat proposal before it
 _DECAY = np.where(np.roll(_FLAT, 1), 1.0, 0.85)
+# the buffer offsets of each proposal's 3 draws, component first: (3, 1, 8)
+_DRAWS = 3 * np.arange(8) + np.arange(3)[:, None, None]
 _CHUNK = 480  # doubles per refill of a curve's random buffer: 20 passes, 0.38 MB at 100 curves
 # the tracer's constants, described in the module docstring
 _STEPS_PER_SPAN = 50.0
@@ -329,62 +351,68 @@ _MAX_STEPS = 600
 
 
 def _rows(x, at):
-    """x[at] for an array x with the batch's axes, each of full length or 1, as
-    index arrays ``at`` index the batch: a length-1 axis is read at 0, so
-    per-row starts (n, 1) are read by row."""
-    return x[tuple(i if size > 1 else 0 * i for i, size in zip(at, np.shape(x)))]
+    """x[..., *at] for an array x whose trailing axes are the batch's, each of
+    full length or 1, as index arrays ``at`` index the batch: a length-1 axis
+    is read at 0, so per-row starts (n, 1) and (3, n, 1) are read by row."""
+    return x[(..., *(i if size > 1 else 0 * i for i, size in zip(at, x.shape[-len(at):])))]
 
 
 def _clip_to_chart(t0, dt, a0, a1):
     """End points of proposed chart steps, cut at the first face they cross.
 
-    A step moves (t0, a0) by dt to barycentric a1, which is clipped in place;
-    arrays of any batch shape, barycentric ones with a trailing axis of 3; t0
-    and a0 have the batch's axes, each of full length or 1 (per-row starts).
-    Returns (t1, usable, crossed, facet): the end times, the steps that stay
-    usable (t > 0, not stalled on a face, not near a corner), those that end
-    on a face, and that face's zero-weight slot, the lowest one on ties (else
-    0).  Only a step with a negative end weight can cross, so the face hits
-    run on those steps alone and the cut on the crossing ones.
+    A step moves (t0, a0) by dt to barycentric a1, which is clipped in place.
+    dt and a1 carry the batch shape, a1 and a0 component first (3, ...); t0
+    and a0 broadcast against them (per-row starts).  Returns (t1, usable,
+    crossed, facet): the end times, the steps that stay usable (t > 0, not
+    stalled on a face, not near a corner), those that end on a face, and that
+    face's zero-weight slot, the lowest one on ties (else 0).  Only a step
+    with a negative end weight can cross, so the face hits run on those steps
+    alone and the cut on the crossing ones.
     """
     t1 = t0 + dt
     usable = t1 > 0
     crossed, facet = np.zeros(usable.shape, dtype=bool), np.zeros(usable.shape, dtype=np.intp)
     neg = a1 < 0
     if neg.any():
-        near = (neg[..., 0] | neg[..., 1] | neg[..., 2]).nonzero()
-        a0n, a1n = _rows(a0, near), a1[near]
+        near = (neg[0] | neg[1] | neg[2]).nonzero()
+        a0n, a1n = _rows(a0, near), a1[(slice(None), *near)]
         d = a1n - a0n
         hits = np.divide(a0n, -d, out=np.full(d.shape, np.inf), where=(d < 0) & (a1n < 0))
-        s = np.minimum(np.minimum(hits[:, 0], hits[:, 1]), hits[:, 2])
+        s = np.minimum(np.minimum(hits[0], hits[1]), hits[2])
         cut = (s < 1.0).nonzero()[0]  # a0 / -d can round to 1.0, which stays inside
-        at, s, k = tuple(i[cut] for i in near), s[cut], hits[cut].argmin(axis=-1)
+        at, s, k = tuple(i[cut] for i in near), s[cut], hits[:, cut].argmin(axis=0)
         # crossings end at s, on their face
-        a_cut = a0n[cut] + s[:, None] * d[cut]
-        a_cut[np.arange(cut.size), k] = 0.0
-        lo, mid, hi = a_cut[:, 0], a_cut[:, 1], a_cut[:, 2]
+        a_cut = a0n[:, cut] + s * d[:, cut]
+        a_cut[k, np.arange(cut.size)] = 0.0
+        lo, mid, hi = a_cut
         median = np.maximum(np.minimum(lo, mid), np.minimum(np.maximum(lo, mid), hi))
         usable[at] &= (s >= 1e-6) & (median >= 1e-6)
-        t1[at] = _rows(t0, at) + s * _rows(dt, at)
-        a1[at], crossed[at], facet[at] = a_cut, True, k
+        t1[at] = _rows(t0, at) + s * dt[at]
+        a1[(slice(None), *at)], crossed[at], facet[at] = a_cut, True, k
     return t1, usable, crossed, facet
 
 
-def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: list[int],
+def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int],
                     t_stop: float):
     """Trace one causal curve per chart start in lockstep; see trace_causal_curve.
 
-    Yields ``((simplex, t, alpha, transition), rejected_proposals)`` per curve
-    in start order: the curve's node table, the start node itself excluded.
-    A curve's error is raised where that curve comes up, so the first error
+    Starts are arrays: chart indices simplex (n,), times t (n,) and
+    barycentric points alpha (n, 3), which callers have validated; only the
+    chart indices are checked here.  Yields ``((simplex, t, alpha,
+    transition), rejected_proposals)`` per curve in start order: the curve's
+    node table, alpha as rows (k, 3), the start node itself excluded.  A
+    curve's error is raised where that curve comes up, so the first error
     raised is the lowest-index curve's.
 
     Curve i draws from ``default_rng(seeds[i])``, _CHUNK doubles per refill
     into row i of a buffer that keeps all n rows as curves finish: 2 doubles
     for its drift, then 3 per proposal.  A pass draws all 8 proposals of
-    every live curve; a step accepts the first causal one and
-    advances the curve's stream past the proposals up to it, which is the
-    stream a sequential loop consumes.
+    every live curve with one gather from the buffer; a step accepts the
+    first causal one and advances the curve's stream past the proposals up to
+    it, which is the stream a sequential loop consumes.  The live state keeps
+    barycentric and vector data component first, so every pass reads
+    contiguous planes: alpha (3, n), the carried Jacobians (3, 3, n), and the
+    draws, clipped ends and tangents of the proposal tables (3, n, 8).
 
     The start test is the cone test alone: a live curve has t > 0, and so do
     a usable proposal's midpoint and end.  One kernel call per pass takes the
@@ -414,25 +442,27 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     once per call from st.charts and st.gluing, never from the certification
     record, so a gluing replaced after certification is still caught.
     """
-    n = len(starts)
-    simplex = _index(np.array([p.simplex for p in starts]), len(st.triangulation.triangles))
+    n = len(seeds)
+    simplex = _index(np.asarray(simplex), len(st.triangulation.triangles))
     # each glued face's largest corner residuals, from the charts and gluing themselves
     du, dp = (x.max(axis=-1) for x in corner_residuals(st))
-    t = np.array([float(p.t) for p in starts])
-    alpha = np.array([p.alpha for p in starts])
+    t = np.array(t, dtype=float)
+    alpha = np.array(np.transpose(alpha), dtype=float, order="C")  # (3, n)
     steps_t = np.maximum((t_stop - t) / _STEPS_PER_SPAN, _MIN_T_STEP)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    buf = np.array([rng.random(_CHUNK) for rng in rngs])  # per curve, read through ids
+    buf = np.empty((n, _CHUNK))  # per curve, read through ids
+    for rng, row in zip(rngs, buf):
+        rng.random(out=row)
     # persistent transverse drift so traces genuinely wander across charts
-    bias = -1.0 + 2.0 * buf[:, :2]
-    drift = 0.7 * (bias / np.maximum(np.hypot(bias[:, 0], bias[:, 1]), 1e-12)[:, None])
+    bias = -1.0 + 2.0 * buf[:, :2].T
+    drift = 0.7 * (bias / np.maximum(np.hypot(bias[0], bias[1]), 1e-12))  # (2, n)
     cursor = np.full(n, 2)
     # adaptive transverse scale: the causal cone width in barycentric units
     # varies a lot across the simplex, so learn it from accept/reject feedback
     scale = np.full(n, _ALPHA_STEP)
     decay = np.tile(_DECAY, (n, 1))  # column 0 takes each pass's scale
     rejected = np.zeros(n, dtype=int)  # per curve, not per row
-    jac = dev_hat_jacobians(*st.charts, simplex, t, alpha, st.kappa)  # per start
+    jac = np.ascontiguousarray(_jacobians(st, simplex, t, alpha))  # per start, (3, 3, n)
     ids = lane = np.arange(n)  # the curve of each state row, and the rows
     tried = np.full(n, -1)  # the proposal a held curve failed in the last pass, else -1
     holds = np.zeros(n, dtype=int)  # passes that held each curve
@@ -441,43 +471,45 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
     log = []  # traced nodes in trace order: curve, simplex, t, alpha, transition
 
     def record(lanes, transition):
-        log.append((ids[lanes], simplex[lanes], t[lanes], alpha[lanes],
+        log.append((ids[lanes], simplex[lanes], t[lanes], alpha[:, lanes],
                     np.full(lanes.size, transition)))
     record(lane[:0], False)
 
     keep = t < t_stop
     while True:
         if not keep.all():
-            ids, simplex, t, alpha, steps_t, drift, cursor, scale, decay, jac, tried, holds = (
-                x[keep] for x in (ids, simplex, t, alpha, steps_t, drift, cursor, scale, decay,
-                                  jac, tried, holds))
+            ids, simplex, t, steps_t, cursor, scale, decay, tried, holds = (
+                x[keep] for x in (ids, simplex, t, steps_t, cursor, scale, decay, tried, holds))
+            alpha, drift, jac = alpha[:, keep], drift[:, keep], jac[..., keep]
             lane = np.arange(ids.size)
         if ids.size == 0:
             break
         for i in (cursor > _CHUNK - 24).nonzero()[0]:
-            c = ids[i]
-            buf[c] = np.concatenate([buf[c, cursor[i]:], rngs[c].random(cursor[i])])
+            row, used = buf[ids[i]], cursor[i]
+            row[:_CHUNK - used] = row[used:]
+            rngs[ids[i]].random(out=row[_CHUNK - used:])
             cursor[i] = 0
-        u = buf[ids[:, None], cursor[:, None] + np.arange(24)].reshape(-1, 8, 3)
+        u = buf.take((ids * _CHUNK + cursor)[:, None] + _DRAWS)  # (3, n, 8)
         # each proposal's scale: 0.85 per rejection, then never below 0.02
         decay[:, 0] = scale
         sc = np.multiply.accumulate(decay, axis=1)
         np.maximum(sc[:, 1:], 0.02, out=sc[:, 1:])
         ts = steps_t[:, None]
         # uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit
-        dt = (-0.25 + _DT_SPAN * u[..., 0]) * ts
-        wobble = -1.0 + 2.0 * u[..., 1:]
-        da = np.where(
-            _FLAT[:, None],
-            wobble * _ALPHA_STEP * ts[..., None],
-            (drift[:, None, :] + 0.5 * wobble) * sc[..., None] * np.maximum(dt, 0.0)[..., None],
-        )
-        t0, a0 = t[:, None], alpha[:, None, :]
-        a1 = a0 + np.concatenate([(-da[..., 0] - da[..., 1])[..., None], da], axis=-1)
+        dt = (-0.25 + _DT_SPAN * u[0]) * ts
+        wobble = -1.0 + 2.0 * u[1:]
+        # the ends: rows 1 and 2 take the weight steps (da_1, da_2), the flat
+        # probes' in their columns, row 0 takes -da_1 - da_2, then all add the start
+        a1 = np.empty((3,) + dt.shape)
+        np.multiply((drift[..., None] + 0.5 * wobble) * sc, np.maximum(dt, 0.0), out=a1[1:])
+        a1[1:, :, _PROBES] = wobble[..., _PROBES] * _ALPHA_STEP * ts
+        np.subtract(-a1[1], a1[2], out=a1[0])
+        t0, a0 = t[:, None], alpha[..., None]
+        a1 += a0
         t1, passing, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
         any_crossed = crossed.any()
         passing &= _start_passes(st, simplex[:, None], t0, a0, t1, a1, _CONE_MARGIN,
-                                 jac[:, None])
+                                 jac[..., None])
         if retrying:  # a retry skips the proposals it tried
             passing &= np.arange(8) > tried[:, None]
             tried[:] = -1
@@ -489,55 +521,60 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
         # that an accepted end does not give: the fallbacks', and on a face the
         # neighbour chart's point, which replaces the end as the next start
         cols = k[first]
-        te, ae = t1[first, cols], a1[first, cols]
-        extra = [(simplex[lost], t[lost] + steps_t[lost], alpha[lost])] if lost.size else []
+        te, ae = t1[first, cols], a1[:, first, cols]
+        extra = [(simplex[lost], t[lost] + steps_t[lost], alpha[:, lost])] if lost.size else []
         cross = crossed[first, cols].nonzero()[0] if any_crossed else first[:0]
         if cross.size:
             from_sx, from_facet = simplex[first[cross]], facet[first[cross], cols[cross]]
-            nbr, face = _across(st, from_sx, from_facet, ae[cross])
+            nbr, face = _across(st, from_sx, from_facet, ae[:, cross])
             extra.append((nbr, te[cross], face))
-        ok, nxt, fresh = _later_samples(st, simplex[first], t[first], alpha[first], te, ae,
+        ok, nxt, fresh = _later_samples(st, simplex[first], t[first], alpha[:, first], te, ae,
                                         _CONE_MARGIN, extra)
-        nxt[cross] = fresh[lost.size:]
-        jac[lost], jac[first[ok]] = fresh[:lost.size], nxt[ok]
+        nxt[..., cross] = fresh[..., lost.size:]
+        taken = ok.nonzero()[0]
+        moved, took = first[taken], cols[taken]
+        jac[..., lost], jac[..., moved] = fresh[..., :lost.size], nxt[..., taken]
         # a failed candidate holds its curve, which retries from the next proposal;
         # the other curves step
-        held = first[~ok]
-        retrying = held.size > 0
+        retrying = taken.size < first.size
         go = lane
         if retrying:
+            held = first[~ok]
             tried[held] = k[held]
             holds[held] += 1
             go = (tried < 0).nonzero()[0]
-            has, k = has[go], k[go]
-        # the proposal each stepping curve takes; column 8 of each table is the fallback
-        take = np.where(has, k, 8)
-        rejected[ids[go]] += take
-        cursor[go] += 3 * (take + has)
-        scale[go] = np.concatenate(
-            [np.where(_FLAT, sc, np.minimum(sc * 1.25, 3.0 * _ALPHA_STEP)), sc[:, 7:]], axis=1
-        )[go, take]
-        t[go] = np.concatenate([t1, (t + steps_t)[:, None]], axis=1)[go, take]
-        alpha[go] = np.concatenate([a1, a0], axis=1)[go, take]
+        # an accepted proposal's curve moves to its end, past the draws up to it
+        # and a rejection per proposal before it; a fallback steps up in t, past all 8
+        rejected[ids[moved]] += took
+        cursor[moved] += 3 * took + 3
+        sc_took = sc[moved, took]
+        scale[moved] = np.where(_FLAT[took], sc_took,
+                                np.minimum(sc_took * 1.25, 3.0 * _ALPHA_STEP))
+        t[moved], alpha[:, moved] = te[taken], ae[:, taken]
+        if lost.size:
+            rejected[ids[lost]] += 8
+            cursor[lost] += 24
+            scale[lost] = sc[lost, 7]
+            t[lost] += steps_t[lost]
         passes += 1
         record(go, False)
         keep = t < t_stop
         acc = ok[cross]  # the accepted candidates that end on a face
         if acc.any():
             crossing, sx, f = first[cross[acc]], from_sx[acc], from_facet[acc]
-            nbr, face = nbr[acc], face[acc]
+            nbr, face = nbr[acc], face[:, acc]
             # proved good where the face's corner bound at t is <= 1e-9; elsewhere,
             # NaN included, cross_face's developed check decides
             bad = ~((t[crossing] + st.kappa) * du[sx, f] + dp[sx, f] <= 1e-9)
             if bad.any():
                 check = bad.nonzero()[0]
                 bad[check] = cross_face(st, sx[check], t[crossing[check]],
-                                        alpha[crossing[check]], f[check])[2]
+                                        alpha[:, crossing[check]].T, f[check])[2]
             for i, j in zip(crossing[bad], nbr[bad]):
                 errors[int(ids[i])] = GeometryError(
                     f"face transition mismatch between charts {simplex[i]} and {j}")
             keep[crossing[bad]] = False
-            simplex[crossing[~bad]], alpha[crossing[~bad]] = nbr[~bad], face[~bad]
+            simplex[crossing[~bad]], alpha[:, crossing[~bad]] = nbr[~bad], face[:, ~bad]
             record(crossing[~bad], True)
         if passes >= _MAX_STEPS:  # no curve has made more steps than passes
             for i in (keep & (passes - holds >= _MAX_STEPS)).nonzero()[0]:
@@ -545,9 +582,9 @@ def _trace_lockstep(st: PolyhedralSpacetime, starts: list[ChartPoint], seeds: li
                     f"tracer exhausted {_MAX_STEPS} steps below t_stop")
                 keep[i] = False
 
-    curves, *table = (np.concatenate(x) for x in zip(*log))
+    curves, sxs, ts, alphas, transitions = (np.concatenate(x, axis=-1) for x in zip(*log))
     order = np.argsort(curves, kind="stable")
-    sxs, ts, alphas, transitions = (x[order] for x in table)
+    sxs, ts, alphas, transitions = sxs[order], ts[order], alphas[:, order].T, transitions[order]
     bounds = np.searchsorted(curves[order], np.arange(n + 1))
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if i in errors:
@@ -614,7 +651,8 @@ def trace_causal_curve(st: PolyhedralSpacetime, start, t_stop: float, steering: 
     else:
         raise TypeError(f"unsupported start point {start!r}")
 
-    (((sxs, ts, alphas, transitions), rest_rejected),) = _trace_lockstep(st, [cur], [seed], t_stop)
+    (((sxs, ts, alphas, transitions), rest_rejected),) = _trace_lockstep(
+        st, [cur.simplex], [cur.t], cur.alpha[None], [seed], t_stop)
     nodes += [CurveNode(ChartPoint(sx, ti, a), transition=tr) for sx, ti, a, tr in
               zip(sxs.tolist(), ts.tolist(), alphas, transitions.tolist())]
     return CausalPolyline(nodes, seed=seed, steering=steering,
@@ -648,8 +686,8 @@ def validate_polyline(st: PolyhedralSpacetime, curve: CausalPolyline) -> list[in
         index, starts, ends = zip(*charts)
         ok = _segments_are_causal(
             st, np.array([_index(p.simplex, len(st.triangulation.triangles)) for p in starts]),
-            np.array([p.t for p in starts]), np.stack([p.alpha for p in starts]),
-            np.array([p.t for p in ends]), np.stack([p.alpha for p in ends]))
+            np.array([p.t for p in starts]), np.stack([p.alpha for p in starts], axis=-1),
+            np.array([p.t for p in ends]), np.stack([p.alpha for p in ends], axis=-1))
         bad += [i for i, good in zip(index, ok) if not good]
     return sorted(bad)
 
@@ -736,16 +774,18 @@ def cauchy_time_report(
     if not leaves or not all(t_start < leaf < t_stop for leaf in leaves):
         raise ValueError(f"leaves must be non-empty and inside (t_start, t_stop), got {leaves!r}")
     rng = np.random.default_rng(seed)
-    starts, seeds = [], []
-    for _ in range(n_curves):
-        simplex = int(rng.integers(len(st.triangulation.triangles)))
-        alpha = 0.7 * rng.dirichlet(np.ones(3)) + 0.3 / 3.0
-        starts.append(ChartPoint(simplex, t_start, alpha))
+    simplex, alpha, seeds = np.empty(n_curves, dtype=np.intp), np.empty((n_curves, 3)), []
+    charts, ones = len(st.triangulation.triangles), np.ones(3)
+    for i in range(n_curves):
+        simplex[i] = rng.integers(charts)
+        alpha[i] = rng.dirichlet(ones)
         seeds.append(int(rng.integers(2**32)))
-    traces = list(_trace_lockstep(st, starts, seeds, t_stop))
+    alpha *= 0.7
+    alpha += 0.3 / 3.0
+    traces = list(_trace_lockstep(st, simplex, np.full(n_curves, t_start), alpha, seeds, t_stop))
     nodes = np.array([len(t) + 1 for (_, t, _, _), _ in traces])
     monotone, counts = _curves_time_checks(
-        np.concatenate([x for p, ((_, t, _, _), _) in zip(starts, traces) for x in ([p.t], t)]),
+        np.concatenate([x for (_, t, _, _), _ in traces for x in ([t_start], t)]),
         np.concatenate([x for (_, _, _, tr), _ in traces for x in ([False], tr)]), nodes, leaves)
     curves = []
     for k, (size, mono, row, (_, rejected)) in enumerate(

@@ -516,7 +516,9 @@ def test_non_finite_sample_fails_the_pass(gamma2_zero):
         want = _certify_once_per_sample((u, p), gamma2_zero.kappa, t_values, grid,
                                         cfg.margin)
     assert repr(got) == repr(want)
-    with pytest.raises(KappaSearchExhausted, match="no kappa certified after 2 doublings"):
+    # no larger kappa changes a NaN, so the search stops after its first pass
+    with pytest.raises(KappaSearchExhausted,
+                       match=r"no kappa certified after 0 doublings \(1 pass\)"):
         choose_kappa((u, p), cfg)
 
 
@@ -538,19 +540,34 @@ def test_certification_passes_few_points_to_the_kernel(gamma2_zero, gamma2_defor
         cert = choose_kappa(st_.charts)
         assert cert.samples == 12_672 and cert.kappa == st_.kappa
         assert 1 <= sum(points) <= 64, points
+        # at t_max = 1e4 the window follows each t's entry bound N(t); one bound
+        # N at t_max sent 5,320-5,576 samples of each pass to the kernel
+        points.clear()
+        cert = choose_kappa(st_.charts, BuildSettings(t_max=1e4))
+        assert cert.samples == 12_672 and cert.kappa == st_.kappa
+        assert len(points) == cert.doublings + 1 and 1 <= min(points) <= max(points) <= 64, points
 
 
-def test_huge_t_max_fails_the_search_without_warnings(examples):
-    # t_max = 1e80 overflows the leaf Gram into NaN on every pass: the search
-    # exhausts, says that a sample is not finite, and no numpy warning escapes
+def test_huge_t_max_fails_the_search_without_warnings(examples, monkeypatch):
+    # t_max = 1e80 overflows the leaf Gram into NaN on the first pass, which no
+    # larger kappa changes: the search stops after that pass (it ran all 41
+    # before), says that a sample is not finite, and no numpy warning escapes
     ex = examples["punctured_torus"]
+    passes = []
+    certify = builder_module._certify_once
+
+    def counted(*args):
+        passes.append(args[1])
+        return certify(*args)
+    monkeypatch.setattr(builder_module, "_certify_once", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(KappaSearchExhausted,
-                           match="no kappa certified after 40 doublings") as exc:
+                           match=r"no kappa certified after 0 doublings \(1 pass\)") as exc:
             build(ex.representation, ex.triangulation, BuildSettings(t_max=1e80))
     assert "a sample is not finite" in str(exc.value)
     assert "min_gram_eigenvalue nan" in str(exc.value)
+    assert len(passes) == 1, passes
 
 
 def test_build_gamma2(gamma2_zero):

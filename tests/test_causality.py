@@ -20,6 +20,7 @@ from btzgeo.causality import (
     StuckAtSingularity,
     _clip_to_chart,
     _future_causal,
+    _jacobians,
     _segments_are_causal,
     _tangents,
     _trace_lockstep,
@@ -409,6 +410,19 @@ def test_cauchy_time_report_bytes_are_pinned(request, fixture, monkeypatch):
     assert seen == []
 
 
+def test_report_validates_no_chart_point_per_curve(gamma2_deformed, monkeypatch):
+    # cauchy_time_report draws its starts into arrays and hands them to the
+    # tracer as they are; it built and validated one ChartPoint per curve before
+    post_init, calls = ChartPoint.__post_init__, []
+
+    def counted(self):
+        calls.append(self.simplex)
+        post_init(self)
+    monkeypatch.setattr(ChartPoint, "__post_init__", counted)
+    assert cauchy_time_report(gamma2_deformed, n_curves=100, seed=0)["pass"] is True
+    assert calls == []
+
+
 def test_short_backward_step_is_not_causal(gamma2_deformed):
     # A clipped step of length ~2e-6 that goes back in t: an absolute band of
     # 1e-9 on Q(v) accepted it, and the report failed on the non-monotone curve.
@@ -476,7 +490,7 @@ def test_lockstep_retries_carry_fresh_start_jacobians(gamma2_deformed, monkeypat
     passes = []  # per pass: the proposals' ends (t1, a1), then the later-sample call
 
     def checked_start(st, simplex, t0, a0, t1, a1, margin, start=None):
-        fresh = dev_hat_jacobians(*st.charts, simplex, t0, a0, st.kappa)
+        fresh = _jacobians(st, simplex, t0, a0)
         assert start.tobytes() == fresh.tobytes()
         passes.append([t1.copy(), a1.copy()])
         return start_passes(st, simplex, t0, a0, t1, a1, margin, start)
@@ -507,17 +521,27 @@ def test_lockstep_retries_carry_fresh_start_jacobians(gamma2_deformed, monkeypat
 
         def column(t_end, a_end):  # the proposal a candidate is
             return [k for k in range(8)
-                    if ends[0, k] == t_end[0] and np.array_equal(ends_a[0, k], a_end[0])][0]
+                    if ends[0, k] == t_end[0] and np.array_equal(ends_a[:, 0, k], a_end[:, 0])][0]
         assert column(retry[3], retry[4]) > column(t1, a1)
-        mid = dev_hat_jacobians(*st_.charts, simplex, t0 + 0.5 * (t1 - t0),
-                                a0 + 0.5 * (a1 - a0), st_.kappa)
+        mid = _jacobians(st_, simplex, t0 + 0.5 * (t1 - t0), a0 + 0.5 * (a1 - a0))
         seen["mid_fails_then_later_accepted"] += int(
-            not _future_causal(_tangents(mid, t1 - t0, (a1 - a0)[:, 1:]), 1e-6)[0])
+            not _future_causal(_tangents(mid, t1 - t0, (a1 - a0)[1:]), 1e-6)[0])
     assert all(seen.values()), seen
     # a pass is a step of the curve unless it held the curve
     assert len(passes) == sum(not n.transition for n in curve.nodes[1:]) + seen["held"]
     monkeypatch.undo()
     assert validate_polyline(st_, curve) == []
+
+
+def _start_arrays(starts):
+    """Chart points as the start arrays of _trace_lockstep: simplex, t and alpha rows."""
+    return (np.array([p.simplex for p in starts]), np.array([p.t for p in starts]),
+            np.array([p.alpha for p in starts]))
+
+
+def _component_first(x):
+    """A view of x with its trailing component axis moved first, as the tracer stores it."""
+    return np.moveaxis(x, -1, 0)
 
 
 def test_max_steps_counts_steps_per_curve(gamma2_deformed, monkeypatch):
@@ -529,7 +553,7 @@ def test_max_steps_counts_steps_per_curve(gamma2_deformed, monkeypatch):
     rng = np.random.default_rng(11)
     starts = [ChartPoint(k % 2, 0.2, rng.dirichlet(np.ones(3))) for k in range(6)]
     seeds = [int(x) for x in rng.integers(2**32, size=len(starts))]
-    full = list(_trace_lockstep(st_, starts, seeds, t_stop=3.0))
+    full = list(_trace_lockstep(st_, *_start_arrays(starts), seeds, t_stop=3.0))
     steps = [int(np.count_nonzero(~transition)) for (_, _, _, transition), _ in full]
     work = _count_kernel_work(monkeypatch)
     passes = []
@@ -544,7 +568,7 @@ def test_max_steps_counts_steps_per_curve(gamma2_deformed, monkeypatch):
     over = [i for i in range(len(starts)) if steps[i] > limit]
     assert over, steps
     monkeypatch.setattr(causality, "_MAX_STEPS", limit)
-    batch = _trace_lockstep(st_, starts, seeds, t_stop=3.0)
+    batch = _trace_lockstep(st_, *_start_arrays(starts), seeds, t_stop=3.0)
     for i in range(over[0]):
         (simplex, t, _, _), rejected = next(batch)
         assert t.tobytes() == full[i][0][1].tobytes() and rejected == full[i][1]
@@ -667,7 +691,7 @@ def test_lockstep_batch_matches_one_curve_traces(request, fixture):
         for k in range(6)
     ]
     seeds = [int(x) for x in rng.integers(2**32, size=len(starts))]
-    batch = list(_trace_lockstep(st_, starts, seeds, t_stop=3.0))
+    batch = list(_trace_lockstep(st_, *_start_arrays(starts), seeds, t_stop=3.0))
     transitions = 0
     for start, seed, ((simplex, t, alpha, transition), rejected) in zip(starts, seeds, batch):
         nodes = [CurveNode(ChartPoint(int(sx), float(ti), a), transition=bool(tr))
@@ -732,7 +756,8 @@ def _clip_outcomes(t0, dt, a0, a1):
     """_clip_to_chart against _reference_clip per step; the outcomes seen."""
     t0b, a0b = np.broadcast_to(t0, dt.shape), np.broadcast_to(a0, a1.shape)
     expect = [_reference_clip(t0b[i], dt[i], a0b[i], a1[i].copy()) for i in np.ndindex(dt.shape)]
-    t1, usable, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
+    # the component-first view of a1 is clipped in place, so a1 reads the ends
+    t1, usable, crossed, facet = _clip_to_chart(t0, dt, _component_first(a0), _component_first(a1))
     outcomes = set()
     for i, ref in zip(np.ndindex(dt.shape), expect):
         assert usable[i] == (ref is not None), i
@@ -869,7 +894,7 @@ def test_face_bound_scales_the_corner_residual_by_t_plus_kappa(gamma2_zero, monk
 def test_starts_outside_the_charts_are_named(gamma2_zero):
     starts = [ChartPoint(1, 0.2, CENTER), ChartPoint(5, 0.2, CENTER), ChartPoint(2, 0.2, CENTER)]
     with pytest.raises(ValueError, match=r"^chart simplex 5 is outside \[0, 2\)$"):
-        next(_trace_lockstep(gamma2_zero, starts, [0, 1, 2], 1.0))
+        next(_trace_lockstep(gamma2_zero, *_start_arrays(starts), [0, 1, 2], 1.0))
 
 
 def test_curves_time_checks_match_per_curve_checks():
@@ -1027,8 +1052,7 @@ def test_kernel_tangents_match_dev_hat_jacobians(request, fixture):
     rng = np.random.default_rng(21)
     simplex, t, alpha = _kernel_points(st_, rng)
     step = rng.normal(size=(len(t), 3))
-    v = _tangents(dev_hat_jacobians(*st_.charts, simplex, t, alpha, st_.kappa),
-                  step[:, 0], step[:, 1:])
+    v = _tangents(_jacobians(st_, simplex, t, alpha.T), step[:, 0], step[:, 1:].T).T
     for k, (u, p) in enumerate(zip(*st_.charts)):
         m = simplex == k
         jac = _per_simplex_jacobians(u, p, t[m], alpha[m], st_.kappa)
@@ -1042,8 +1066,8 @@ def _unpruned(st_, simplex, t0, a0, t1, a1, margin):
     dt, d = t1 - t0, a1 - a0
     ts = t0[..., None] + s * dt[..., None]
     alphas = a0[..., None, :] + s[:, None] * d[..., None, :]
-    v = _tangents(dev_hat_jacobians(*st_.charts, simplex[..., None], ts, alphas, st_.kappa),
-                  dt[..., None], d[..., None, 1:])
+    v = _tangents(_jacobians(st_, simplex[..., None], ts, _component_first(alphas)),
+                  dt[..., None], _component_first(d[..., None, 1:]))
     ok = ((dt != 0) | np.any(d[..., 1:] != 0, axis=-1)) & ~np.any(ts <= 0, axis=-1)
     return ok & np.all(_future_causal(v, margin), axis=-1), _future_causal(v, margin)
 
@@ -1053,7 +1077,7 @@ def test_kernel_broadcast_start_and_pruning_keep_decisions(request, fixture):
     st_ = request.getfixturevalue(fixture)
 
     def jacobians(simplex, t, alpha):
-        return dev_hat_jacobians(*st_.charts, simplex, t, alpha, st_.kappa)
+        return _jacobians(st_, simplex, t, _component_first(alpha))
 
     rng = np.random.default_rng(22)
     simplex, t, alpha = _kernel_points(st_, rng)
@@ -1064,16 +1088,20 @@ def test_kernel_broadcast_start_and_pruning_keep_decisions(request, fixture):
           * np.abs(dt)[..., None])
     t0, a0 = t[:, None], alpha[:, None, :]
     a1 = a0 + np.stack([-da[..., 0] - da[..., 1], da[..., 0], da[..., 1]], axis=-1)
+    a0_first, a1_first = _component_first(a0), _component_first(a1)
     t1, _, _, _ = _clip_to_chart(np.broadcast_to(t0, dt.shape), dt,
-                                 np.broadcast_to(a0, a1.shape), a1)
+                                 np.broadcast_to(a0_first, a1_first.shape), a1_first)
     for margin in (1e-6, 0.0):
-        got = _segments_are_causal(st_, simplex[:, None], t0, a0, t1, a1, margin=margin)
+        got = _segments_are_causal(st_, simplex[:, None], t0, a0_first, t1, a1_first,
+                                   margin=margin)
         # the same start repeated per proposal: the same bits
         rep = [np.repeat(x, 8, axis=1) for x in (simplex[:, None], t0, a0)]
-        assert np.array_equal(got, _segments_are_causal(st_, rep[0], rep[1], rep[2],
-                                                        t1, a1, margin=margin))
-        v_start = _tangents(jacobians(simplex[:, None], t0, a0), t1 - t0, (a1 - a0)[..., 1:])
-        v_rep = _tangents(jacobians(*rep), t1 - t0, (a1 - a0)[..., 1:])
+        assert np.array_equal(got, _segments_are_causal(st_, rep[0], rep[1],
+                                                        _component_first(rep[2]), t1, a1_first,
+                                                        margin=margin))
+        da = _component_first((a1 - a0)[..., 1:])
+        v_start = _tangents(jacobians(simplex[:, None], t0, a0), t1 - t0, da)
+        v_rep = _tangents(jacobians(*rep), t1 - t0, da)
         assert v_start.tobytes() == v_rep.tobytes()
         # pruning after the start sample decides as testing every sample does
         expect, per_sample = _unpruned(st_, simplex[:, None], t0, a0, t1, a1, margin)
