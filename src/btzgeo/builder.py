@@ -96,7 +96,7 @@ def _blend_pieces(alpha):
     s = (h[..., 0] + h[..., 1] + h[..., 2])[..., None]
     phi = h / s
     plateau = None
-    if (corner := a >= BLEND_THRESHOLD).any():
+    if np.count_nonzero(corner := a >= BLEND_THRESHOLD):
         plateau = (corner[..., 0] | corner[..., 1] | corner[..., 2])[..., None]
         np.copyto(phi, corner, where=plateau)
     return phi, h, s, gap, plateau
@@ -182,7 +182,14 @@ def _blend_rows(alpha) -> np.ndarray:
     return rows
 
 
-def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float) -> np.ndarray:
+def chart_offsets(u, p, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """The per-chart offsets kappa (u_k - u_0) and p_k - p_0, k = 1, 2, of stacked
+    charts u, p (S, 3, 3): two (S, 2, 3) arrays, the terms dev_hat_jacobians adds
+    to its d/da and d/db columns."""
+    return kappa * (u[:, 1:] - u[:, :1]), p[:, 1:] - p[:, :1]
+
+
+def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float, offsets=None) -> np.ndarray:
     """Jacobians of dev_hat in chart coordinates (t, a, b), alpha = (1-a-b, a, b).
 
     Stacked charts as in dev_hat_points; t broadcasts against the batch shape of
@@ -191,6 +198,8 @@ def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float) -> np.ndarray:
     Returns (..., 3, 3) with columns (d/dt, d/da, d/db): rows phi, d phi/da,
     d phi/db times u, then the last two x t, + kappa (u_k - u_0), + (p_k - p_0),
     in that order, so every entry has the same bits however the batch broadcasts.
+    A caller that makes many calls on the same charts passes ``offsets``, the
+    chart_offsets(u, p, kappa) it took once; the bits are those of a call without.
     """
     t = np.asarray(t, dtype=float)
     jt = _blend_rows(alpha) @ u[simplex]
@@ -201,9 +210,11 @@ def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float) -> np.ndarray:
         wide = np.empty((3, 3) + batch).transpose(tuple(range(2, len(batch) + 2)) + (0, 1))
         wide[...] = jt
         jt = wide
-    jt[..., 1:, :] *= t[..., None, None]
-    jt[..., 1:, :] += (kappa * (u[:, 1:] - u[:, :1]))[simplex]
-    jt[..., 1:, :] += (p[:, 1:] - p[:, :1])[simplex]
+    du, dp = chart_offsets(u, p, kappa) if offsets is None else offsets
+    ab = jt[..., 1:, :]  # the d/da and d/db rows, a view
+    ab *= t[..., None, None]
+    ab += du[simplex]
+    ab += dp[simplex]
     return jt.swapaxes(-1, -2)
 
 
@@ -395,7 +406,7 @@ def _certify_once(charts, kappa, t_values, grid, margin):
     rows, plateau, repeats = _grid_tables(grid.tobytes())
     with np.errstate(over="ignore", invalid="ignore"):
         j = rows @ u[:, None]  # (S, G, 3, 3), rows c, a1, a2
-        du, dp = kappa * (u[:, 1:] - u[:, :1]), p[:, 1:] - p[:, :1]
+        du, dp = chart_offsets(u, p, kappa)
         b = (du + dp)[:, None]  # (S, 1, 2, 3)
         # the determinants of [c; a1; a2], [c; a1; b2], [c; b1; a2] and [c; b1; b2],
         # in a buffer whose 3 x 3 entries are contiguous planes for _det3
@@ -423,7 +434,7 @@ def _certify_once(charts, kappa, t_values, grid, margin):
         else:
             candidates = np.arange(screen.size)
         s, i, g = np.unravel_index(candidates, screen.shape)
-        dets = np.linalg.det(dev_hat_jacobians(u, p, s, t_values[i], grid[g], kappa))
+        dets = np.linalg.det(dev_hat_jacobians(u, p, s, t_values[i], grid[g], kappa, (du, dp)))
         eigs = _gram_min_eig(leaf_gram(u, p, t_values, kappa))
     min_det, min_eig = float(dets.min()), float(eigs.min())
     worst = None

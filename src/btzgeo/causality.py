@@ -41,8 +41,14 @@ next proposal in the next pass, which redraws the same proposals
 testing each proposal in full and evaluating each start afresh.  Each pass
 makes one kernel call, and one more evaluates the first starts: over the four
 reference builds (seeds 0-2) a pass takes 3.4 points at 2 curves and 153 at
-100 curves.  A curve that ended on a face moves to the neighbour chart's point
-that the pass computed for its kernel call; the face's corner bound proves the
+100 curves.  At 2 curves a pass's cost is almost all the fixed cost of numpy
+calls on tiny arrays, so the tracer takes the kernel's per-chart offsets
+kappa (u_k - u_0) and p_k - p_0 once per call (chart_offsets), builds a
+pass's sample tables with direct concatenations, skips scatters over empty
+index sets, and logs its nodes one record per pass and kind: curve, chart, t
+and alpha arrays and one scalar transition flag, expanded once at the end.
+A curve that ended on a face moves to the neighbour chart's point that the
+pass computed for its kernel call; the face's corner bound proves the
 crossing good, and cross_face's developed check decides only where that bound
 exceeds 1e-9, which it does on no reference build.  Each curve reads its own
 random stream in the order a one-curve trace reads it (3 doubles per
@@ -55,11 +61,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .builder import (
-    PolyhedralSpacetime, corner_residuals, dev_hat_jacobians, dev_hat_points, minkowski_to_model,
+    PolyhedralSpacetime, chart_offsets, corner_residuals, dev_hat_jacobians, dev_hat_points,
+    minkowski_to_model,
 )
 from .minkowski import LIGHTLIKE_TOL, GeometryError
 from .models import NotInImage
@@ -193,11 +201,22 @@ class CausalPolyline:
         }
 
 
-def _jacobians(st: PolyhedralSpacetime, simplex, t, alpha) -> np.ndarray:
+class _Charts(NamedTuple):
+    """What the chart kernel reads of a spacetime, its charts and kappa, with the
+    per-chart offsets taken once (chart_offsets).  _trace_lockstep hands one to
+    the sample tests in place of the spacetime, so its kernel calls only gather
+    the offsets."""
+
+    charts: tuple[np.ndarray, np.ndarray]
+    kappa: float
+    offsets: tuple[np.ndarray, np.ndarray]
+
+
+def _jacobians(st: PolyhedralSpacetime | _Charts, simplex, t, alpha) -> np.ndarray:
     """dev_hat_jacobians at points alpha (3, ...), component first, returned component
     first too: (3, 3, ...) indexed [component, column], a view of the kernel's output."""
     jac = dev_hat_jacobians(*st.charts, simplex, t, alpha.transpose(*range(1, alpha.ndim), 0),
-                            st.kappa)
+                            st.kappa, st.offsets if isinstance(st, _Charts) else None)
     return jac.transpose(-2, -1, *range(jac.ndim - 2))
 
 
@@ -217,7 +236,7 @@ def _future_causal(v: np.ndarray, margin: float) -> np.ndarray:
                          - margin * sq_t)
 
 
-def _start_passes(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: float,
+def _start_passes(st: PolyhedralSpacetime | _Charts, simplex, t0, a0, t1, a1, margin: float,
                   start=None) -> np.ndarray:
     """The start test of straight chart segments from (t0, a0) to (t1, a1).
 
@@ -232,7 +251,7 @@ def _start_passes(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: floa
     return _future_causal(_tangents(start, t1 - t0, a1[1:] - a0[1:]), margin)
 
 
-def _later_samples(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: float,
+def _later_samples(st: PolyhedralSpacetime | _Charts, simplex, t0, a0, t1, a1, margin: float,
                    extra=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The test at the later samples (midpoint and end) of segments (m,).
 
@@ -245,8 +264,12 @@ def _later_samples(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: flo
     """
     dt, d = t1 - t0, a1 - a0
     m = len(t0)
-    sx, ts, alphas = (np.concatenate(x, axis=-1) for x in zip(
-        (simplex, t0 + 0.5 * dt, a0 + 0.5 * d), (simplex, t1, a1), *extra))
+    # the tables by direct concatenations: a generator over zip costs about 1 us,
+    # which at 2 curves is nearly 1% of a tracer pass
+    xs, xt, xa = zip(*extra) if extra else ((), (), ())
+    sx = np.concatenate((simplex, simplex, *xs))
+    ts = np.concatenate((t0 + 0.5 * dt, t1, *xt))
+    alphas = np.concatenate((a0 + 0.5 * d, a1, *xa), axis=1)
     jac = _jacobians(st, sx, ts, alphas)
     samples = jac[..., :2 * m].reshape(3, 3, 2, m)  # midpoints, then ends
     ok = _future_causal(_tangents(samples, dt, d[1:]), margin)
@@ -373,7 +396,7 @@ def _clip_to_chart(t0, dt, a0, a1):
     usable = t1 > 0
     crossed, facet = np.zeros(usable.shape, dtype=bool), np.zeros(usable.shape, dtype=np.intp)
     neg = a1 < 0
-    if neg.any():
+    if np.count_nonzero(neg):
         near = (neg[0] | neg[1] | neg[2]).nonzero()
         a0n, a1n = _rows(a0, near), a1[(slice(None), *near)]
         d = a1n - a0n
@@ -446,6 +469,7 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
     simplex = _index(np.asarray(simplex), len(st.triangulation.triangles))
     # each glued face's largest corner residuals, from the charts and gluing themselves
     du, dp = (x.max(axis=-1) for x in corner_residuals(st))
+    kernel = _Charts(st.charts, st.kappa, chart_offsets(*st.charts, st.kappa))
     t = np.array(t, dtype=float)
     alpha = np.array(np.transpose(alpha), dtype=float, order="C")  # (3, n)
     steps_t = np.maximum((t_stop - t) / _STEPS_PER_SPAN, _MIN_T_STEP)
@@ -462,22 +486,23 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
     scale = np.full(n, _ALPHA_STEP)
     decay = np.tile(_DECAY, (n, 1))  # column 0 takes each pass's scale
     rejected = np.zeros(n, dtype=int)  # per curve, not per row
-    jac = np.ascontiguousarray(_jacobians(st, simplex, t, alpha))  # per start, (3, 3, n)
+    jac = np.ascontiguousarray(_jacobians(kernel, simplex, t, alpha))  # per start, (3, 3, n)
     ids = lane = np.arange(n)  # the curve of each state row, and the rows
     tried = np.full(n, -1)  # the proposal a held curve failed in the last pass, else -1
     holds = np.zeros(n, dtype=int)  # passes that held each curve
     passes, retrying = 0, False
     errors: dict[int, Exception] = {}
-    log = []  # traced nodes in trace order: curve, simplex, t, alpha, transition
+    # traced nodes in trace order, one record per pass and kind: curve, simplex, t,
+    # alpha, and one transition flag for the record's nodes
+    log = []
 
     def record(lanes, transition):
-        log.append((ids[lanes], simplex[lanes], t[lanes], alpha[:, lanes],
-                    np.full(lanes.size, transition)))
+        log.append((ids[lanes], simplex[lanes], t[lanes], alpha[:, lanes], transition))
     record(lane[:0], False)
 
     keep = t < t_stop
     while True:
-        if not keep.all():
+        if np.count_nonzero(keep) < keep.size:
             ids, simplex, t, steps_t, cursor, scale, decay, tried, holds = (
                 x[keep] for x in (ids, simplex, t, steps_t, cursor, scale, decay, tried, holds))
             alpha, drift, jac = alpha[:, keep], drift[:, keep], jac[..., keep]
@@ -507,8 +532,8 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
         t0, a0 = t[:, None], alpha[..., None]
         a1 += a0
         t1, passing, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
-        any_crossed = crossed.any()
-        passing &= _start_passes(st, simplex[:, None], t0, a0, t1, a1, _CONE_MARGIN,
+        any_crossed = np.count_nonzero(crossed)
+        passing &= _start_passes(kernel, simplex[:, None], t0, a0, t1, a1, _CONE_MARGIN,
                                  jac[..., None])
         if retrying:  # a retry skips the proposals it tried
             passing &= np.arange(8) > tried[:, None]
@@ -528,12 +553,13 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
             from_sx, from_facet = simplex[first[cross]], facet[first[cross], cols[cross]]
             nbr, face = _across(st, from_sx, from_facet, ae[:, cross])
             extra.append((nbr, te[cross], face))
-        ok, nxt, fresh = _later_samples(st, simplex[first], t[first], alpha[:, first], te, ae,
-                                        _CONE_MARGIN, extra)
-        nxt[..., cross] = fresh[..., lost.size:]
+        ok, nxt, fresh = _later_samples(kernel, simplex[first], t[first], alpha[:, first], te,
+                                        ae, _CONE_MARGIN, extra)
+        if cross.size:
+            nxt[..., cross] = fresh[..., lost.size:]
         taken = ok.nonzero()[0]
         moved, took = first[taken], cols[taken]
-        jac[..., lost], jac[..., moved] = fresh[..., :lost.size], nxt[..., taken]
+        jac[..., moved] = nxt[..., taken]
         # a failed candidate holds its curve, which retries from the next proposal;
         # the other curves step
         retrying = taken.size < first.size
@@ -552,6 +578,7 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
                                 np.minimum(sc_took * 1.25, 3.0 * _ALPHA_STEP))
         t[moved], alpha[:, moved] = te[taken], ae[:, taken]
         if lost.size:
+            jac[..., lost] = fresh[..., :lost.size]
             rejected[ids[lost]] += 8
             cursor[lost] += 24
             scale[lost] = sc[lost, 7]
@@ -560,7 +587,7 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
         record(go, False)
         keep = t < t_stop
         acc = ok[cross]  # the accepted candidates that end on a face
-        if acc.any():
+        if np.count_nonzero(acc):
             crossing, sx, f = first[cross[acc]], from_sx[acc], from_facet[acc]
             nbr, face = nbr[acc], face[:, acc]
             # proved good where the face's corner bound at t is <= 1e-9; elsewhere,
@@ -582,7 +609,9 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
                     f"tracer exhausted {_MAX_STEPS} steps below t_stop")
                 keep[i] = False
 
-    curves, sxs, ts, alphas, transitions = (np.concatenate(x, axis=-1) for x in zip(*log))
+    *columns, flags = zip(*log)
+    curves, sxs, ts, alphas = (np.concatenate(x, axis=-1) for x in columns)
+    transitions = np.repeat(flags, [x.size for x in columns[0]])
     order = np.argsort(curves, kind="stable")
     sxs, ts, alphas, transitions = sxs[order], ts[order], alphas[:, order].T, transitions[order]
     bounds = np.searchsorted(curves[order], np.arange(n + 1))

@@ -20,6 +20,9 @@ G = np.diag([-1.0, 1.0, 1.0])
 G.setflags(write=False)
 
 ISOMETRY_TOL = 1e-9
+# The largest entry M a LinearIsometry takes: below it M^T G M (entries <= 3 M^2)
+# and det M (<= 8 M^3 through LU with partial pivoting) stay finite.
+ISOMETRY_MAX_ENTRY = 1e100
 LIGHTLIKE_TOL = 1e-9  # the package's one light-cone band: |Q(v)| <= LIGHTLIKE_TOL |v|^2
 TRACE_BAND = 1e-7
 TANGENT_TOL = 1e-9
@@ -111,7 +114,11 @@ def causal_relation(p, q) -> CausalOrder:
 
 @dataclass(frozen=True)
 class LinearIsometry:
-    """Orthochronous special linear isometry; validity is checked at construction."""
+    """Orthochronous special linear isometry; validity is checked at construction.
+
+    A matrix with an entry beyond ISOMETRY_MAX_ENTRY = 1e100 in absolute value
+    is refused before any product is taken, so the checks never overflow.
+    """
 
     matrix: np.ndarray
 
@@ -121,7 +128,10 @@ class LinearIsometry:
             raise InvalidIsometry(f"expected 3x3 matrix, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InvalidIsometry("non-finite entries")
-        scale = max(1.0, float(np.abs(m).max()) ** 2)
+        largest = float(np.abs(m).max())
+        if largest > ISOMETRY_MAX_ENTRY:
+            raise InvalidIsometry(f"entry magnitude {largest!r} exceeds {ISOMETRY_MAX_ENTRY!r}")
+        scale = max(1.0, largest ** 2)
         if np.abs(m.T @ G @ m - G).max() > ISOMETRY_TOL * scale:
             raise InvalidIsometry("M^T G M != G")
         if abs(np.linalg.det(m) - 1.0) > 1e-6 * scale:

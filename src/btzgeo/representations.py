@@ -24,6 +24,7 @@ import numpy as np
 
 from .minkowski import (
     G,
+    ISOMETRY_MAX_ENTRY,
     AffineIsometry,
     GeometryError,
     IsometryKind,
@@ -71,6 +72,8 @@ class NotAdmissible(GeometryError):
         self.report = report
 
 
+SL2_MAX_ENTRY = math.sqrt(ISOMETRY_MAX_ENTRY / 2)  # see sl2_to_so12
+
 # sl2(R) basis orthonormal for the form Q(X) = -det(X) of signature (-,+,+):
 # E0 timelike (rotation generator), E1 and E2 spacelike.
 SL2_BASIS = (
@@ -90,11 +93,19 @@ def sl2_to_so12(m) -> LinearIsometry:
     """Adjoint action of SL(2,R) on sl2, expressed in the fixed orthonormal basis.
 
     The basis (E0, E1, E2) above is pinned for bit-reproducibility; the kernel
-    is {+-I} and the image is the orthochronous group.
+    is {+-I} and the image is the orthochronous group.  A matrix with an entry
+    beyond SL2_MAX_ENTRY = sqrt(ISOMETRY_MAX_ENTRY / 2), about 7.1e49, in
+    absolute value, or a non-finite one, is NotUnimodular before any product is
+    taken: below it the determinant stays finite, and at det 1 the image's
+    entries, at most 2 M^2, stay within ISOMETRY_MAX_ENTRY.
     """
     m = np.asarray(m, dtype=float)
+    largest = float(np.abs(m).max())
+    if not largest <= SL2_MAX_ENTRY:
+        raise NotUnimodular(
+            f"entry magnitude {largest!r} is not finite or exceeds {SL2_MAX_ENTRY!r}")
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det - 1.0) > 1e-9 * max(1.0, float(np.abs(m).max()) ** 2):
+    if abs(det - 1.0) > 1e-9 * max(1.0, largest ** 2):
         raise NotUnimodular(f"det = {det!r}")
     minv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
     cols = [_sl2_coords(m @ e @ minv) for e in SL2_BASIS]

@@ -6,9 +6,10 @@ import pytest
 from dataclasses import replace
 
 from btzgeo.builder import (
-    FaceMismatch, blend, blend_and_partials, dev_hat, dev_hat_jacobians, dev_hat_points,
-    extend_btz, strip_btz, verify_face_equivariance,
+    FaceMismatch, blend, blend_and_partials, chart_offsets, dev_hat, dev_hat_jacobians,
+    dev_hat_points, extend_btz, strip_btz, verify_face_equivariance,
 )
+from btzgeo import builder as builder_module
 from btzgeo import causality
 from btzgeo.causality import (
     AbsentFiber,
@@ -385,6 +386,48 @@ PINNED_REPORT_SHA256 = {
 }
 
 
+# sha256 of trace_causal_curve's whole node table, (simplex int64, t, alpha rows,
+# transition) bytes in that order, from chart 1 at t = 0.2, alpha (0.02, 0.49,
+# 0.49), to t_stop = 3.0 at seeds 3, 5 and 8, with each table's node and
+# transition counts: the report pins read only t, transitions and counts, so
+# these catch a node whose chart or alpha moves.
+PINNED_NODE_TABLES = {
+    "gamma2_zero": (
+        ("382f265eabea2de78227cca5879361d99149d8be340b6442d05d6d5f6fe96a06", 105, 0),
+        ("84661a6217d7071a34b01ee27f6f27952ae12e3ee52d634b24d18978180ce98c", 113, 1),
+        ("c5ff18d2ee5ee09331e84882bd21032613814b8699ace40a6f5e3886d1327613", 185, 47)),
+    "gamma2_deformed": (
+        ("d9d3d61a06c12e7d813ab1d177687bbe7386325b16e2bbf136e9513c5a435dd9", 102, 0),
+        ("602f63e473372457d536e3c2ed793a32d377ab7b10d7b5bf777b7a33ae24509a", 110, 1),
+        ("34411aa654a6a198b866c928b0fd88617f75145af4e26a9fb30479665cc52f16", 183, 46)),
+    "torus_zero": (
+        ("4528982aa438c54a384cddc647be8e75bc0cb499f42c0c151bd2dafb99623fa8", 101, 0),
+        ("d2b9fdbb684f3a2f44bf03f4f44f85094673011849a83e65057e8cc47d26bfc0", 115, 1),
+        ("3ba4d2d99afba8cfb5c5b7039dd377b83b57465ad3615ba0945717bc2593f9e9", 154, 31)),
+    "torus_deformed": (
+        ("474a552aa9b518f09946171eae015915a4e97a78c6801098490db2ac44c3f55d", 98, 0),
+        ("d306f98172deac667d3908b9a696dddbf6f1f9c0c19b6a803185f65ce99929c7", 116, 1),
+        ("c5ec5c6381bb5009459eb216cdaef58ff109f085ef01603016587e97c8008f8f", 157, 32)),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_NODE_TABLES))
+def test_node_tables_are_pinned(request, fixture):
+    st_ = request.getfixturevalue(fixture)
+    start = ChartPoint(1, 0.2, np.array([0.02, 0.49, 0.49]))
+    tables = []
+    for seed in (3, 5, 8):
+        nodes = trace_causal_curve(st_, start, 3.0, seed=seed).nodes
+        digest = hashlib.sha256()
+        for column in (np.array([n.point.simplex for n in nodes], dtype=np.int64),
+                       np.array([n.point.t for n in nodes]),
+                       np.array([n.point.alpha for n in nodes]),
+                       np.array([n.transition for n in nodes])):
+            digest.update(column.tobytes())
+        tables.append((digest.hexdigest(), len(nodes), sum(n.transition for n in nodes)))
+    assert tuple(tables) == PINNED_NODE_TABLES[fixture]
+
+
 def _count_cross_face(monkeypatch):
     # the crossings handed to cross_face: (simplex, facet) per crossing
     seen = []
@@ -477,6 +520,25 @@ def test_lockstep_carries_start_jacobians(request, fixture, monkeypatch):
     assert cauchy_time_report(st_, n_curves=100, seed=0)["pass"] is True
     assert work["calls"] == work["passes"] + 1, work
     assert work["points"] <= 0.4 * POINTS_AT_100_CURVES_BEFORE[fixture], work
+
+
+def test_lockstep_takes_chart_offsets_once(gamma2_deformed, monkeypatch):
+    # _trace_lockstep takes the per-chart offsets once per call and hands them
+    # to every kernel call, which then takes none of its own
+    taken = []
+    offsets = builder_module.chart_offsets
+
+    def counted(*args):
+        taken.append(args)
+        return offsets(*args)
+    monkeypatch.setattr(causality, "chart_offsets", counted)
+    monkeypatch.setattr(builder_module, "chart_offsets", counted)
+    work = _count_kernel_work(monkeypatch)
+    for n in (2, 100):
+        taken.clear()
+        work.update(passes=0, calls=0)
+        assert cauchy_time_report(gamma2_deformed, n_curves=n, seed=7)["pass"] is True
+        assert len(taken) == 1 and work["calls"] == work["passes"] + 1 >= 50, (taken, work)
 
 
 def test_lockstep_retries_carry_fresh_start_jacobians(gamma2_deformed, monkeypatch):
@@ -1044,6 +1106,32 @@ def test_stacked_kernels_bit_equal_to_per_simplex_kernels(request, fixture):
             dev_hat_jacobians(u, p, *args, st_.kappa)).tobytes() == (
             _per_simplex_jacobians(*chart, t[k:k + 1], alpha[k:k + 1], st_.kappa)[0]
             .tobytes())
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_precomputed_offsets_keep_kernel_bytes(request, fixture):
+    # the offsets a caller took once give the bytes of a call that takes its
+    # own, on flat, stacked and (S, T, G) broadcast calls
+    st_ = request.getfixturevalue(fixture)
+    u, p = st_.charts
+    offsets = chart_offsets(u, p, st_.kappa)
+    rng = np.random.default_rng(24)
+    simplex, t, alpha = _kernel_points(st_, rng)
+    lanes = 12
+    cases = [
+        (simplex, t, alpha),  # flat
+        (int(simplex[0]), float(t[0]), alpha[0]),  # one point
+        # (L, 1) against (L, 8): one start per lane, 8 proposals each
+        (simplex[:lanes, None], t[:lanes, None] + rng.uniform(0.0, 1.0, size=(lanes, 8)),
+         alpha[rng.integers(len(t), size=(lanes, 8))]),
+        # (S, 1, 1) x (T, 1) x (G, 3): t widens the batch, as in certification
+        (np.arange(len(u))[:, None, None], t[:lanes, None], alpha),
+    ]
+    for args in cases:
+        want = dev_hat_jacobians(u, p, *args, st_.kappa)
+        got = dev_hat_jacobians(u, p, *args, st_.kappa, offsets)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

@@ -428,6 +428,29 @@ def test_bad_triangulation_shapes_are_one_json_error(cli_dir, tmp_path):
         assert not (tmp_path / "b.json").exists()
 
 
+@pytest.mark.parametrize("key, error", [("so12", "InvalidIsometry"), ("sl2", "NotUnimodular")])
+def test_overflowing_matrix_entry_is_one_json_error(cli_dir, bundle_path, tmp_path, key, error):
+    # an so12 or sl2 entry of 1e308, in rep.json or in a bundle's representation,
+    # exits 1 with one JSON error object under warnings-as-errors; the isometry
+    # checks' scale (largest entry)^2 raised a raw OverflowError before
+    rep = json.loads((cli_dir / "rep.json").read_text())
+    rep["generators"]["c1"][key][0][1] = 1e308
+    bundle = json.loads(bundle_path.read_text())
+    bundle["representation"]["generators"]["c1"][key][0][1] = 1e308
+    (tmp_path / "rep.json").write_text(json.dumps(rep))
+    (tmp_path / "bundle.json").write_text(json.dumps(bundle))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["build", str(tmp_path / "rep.json"), str(cli_dir / "tri.json")],
+                     ["causal", str(tmp_path / "bundle.json"), "--curves", "1"]):
+            code, stdout, stderr = run_cli(argv + ["--out", str(out)])
+            assert code == 1 and stdout == "", (argv, stderr)
+            err = json.loads(stderr)  # exactly one object: trailing text fails the parse
+            assert err["kind"] == "error" and err["error"] == error, err
+            assert "exceeds" in err["message"] and not out.exists()
+
+
 def test_bundle_with_foreign_kappa_is_input_error(bundle_path, tmp_path):
     bundle = json.loads(bundle_path.read_text())
     bad = tmp_path / "bad-bundle.json"

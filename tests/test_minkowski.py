@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,23 @@ def test_linear_isometry_rejects_bad_matrices():
         LinearIsometry(2 * np.eye(3))
     with pytest.raises(InvalidIsometry):
         LinearIsometry(np.diag([-1.0, -1.0, 1.0]))  # time reversal
+
+
+def test_linear_isometry_refuses_entries_beyond_its_bound():
+    # an entry above ISOMETRY_MAX_ENTRY = 1e100 is refused before any product,
+    # so M^T G M, det M and the tolerance scale M^2 never overflow; 1e308
+    # raised a raw OverflowError from the scale before
+    c = 1e99  # a boost just inside the bound is still an isometry
+    boost = np.array([[c, math.sqrt(c * c - 1.0), 0.0], [math.sqrt(c * c - 1.0), c, 0.0],
+                      [0.0, 0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert LinearIsometry(boost).matrix[0, 0] == c
+        for big in (2e100, 1e308, -1e308):
+            m = np.eye(3)
+            m[1, 2] = big
+            with pytest.raises(InvalidIsometry, match="exceeds 1e\\+100"):
+                LinearIsometry(m)
 
 
 def test_fixed_lightlike_direction_examples():

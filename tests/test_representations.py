@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from btzgeo.minkowski import (
+    ISOMETRY_MAX_ENTRY,
     AffineIsometry,
     IsometryKind,
     LinearIsometry,
@@ -111,6 +113,20 @@ def test_sl2_to_so12_basics():
     assert classify_isometry(shear).kind is IsometryKind.PARABOLIC
     with pytest.raises(NotUnimodular):
         sl2_to_so12(np.array([[2.0, 0.0], [0.0, 1.0]]))
+
+
+def test_sl2_to_so12_refuses_entries_beyond_its_bound():
+    # an entry above SL2_MAX_ENTRY, about 7.1e49, or a non-finite one is
+    # NotUnimodular before any product; 1e308 raised a raw OverflowError from
+    # the determinant check's scale before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # diag(a, 1/a) just inside the bound: its image's largest entry is (a^2 + a^-2) / 2
+        image = sl2_to_so12(np.diag([7e49, 1 / 7e49]))
+        assert np.abs(image.matrix).max() <= ISOMETRY_MAX_ENTRY
+        for big in (1e50, 1e308, math.inf, math.nan):
+            with pytest.raises(NotUnimodular, match="not finite or exceeds"):
+                sl2_to_so12(np.array([[1.0, big], [0.0, 1.0]]))
 
 
 def test_sl2_rotation_doubles_angle():
