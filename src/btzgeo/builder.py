@@ -189,17 +189,18 @@ def chart_offsets(u, p, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     return kappa * (u[:, 1:] - u[:, :1]), p[:, 1:] - p[:, :1]
 
 
-def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float, offsets=None) -> np.ndarray:
+def dev_hat_jacobians(u, offsets, simplex, t, alpha) -> np.ndarray:
     """Jacobians of dev_hat in chart coordinates (t, a, b), alpha = (1-a-b, a, b).
 
-    Stacked charts as in dev_hat_points; t broadcasts against the batch shape of
-    simplex and alpha and may widen it, so (S, 1, 1) charts x (T, 1) times x
-    (G, 3) alphas give (S, T, G, 3, 3) from one blend evaluation per alpha.
-    Returns (..., 3, 3) with columns (d/dt, d/da, d/db): rows phi, d phi/da,
-    d phi/db times u, then the last two x t, + kappa (u_k - u_0), + (p_k - p_0),
-    in that order, so every entry has the same bits however the batch broadcasts.
-    A caller that makes many calls on the same charts passes ``offsets``, the
-    chart_offsets(u, p, kappa) it took once; the bits are those of a call without.
+    Stacked charts u (S, 3, 3) and their offsets chart_offsets(u, p, kappa),
+    the only way p and kappa enter: a built spacetime holds them as
+    ``offsets``.  Chart indices ``simplex`` as in dev_hat_points; t
+    broadcasts against the batch shape of simplex and alpha and may widen it,
+    so (S, 1, 1) charts x (T, 1) times x (G, 3) alphas give (S, T, G, 3, 3)
+    from one blend evaluation per alpha.  Returns (..., 3, 3) with columns
+    (d/dt, d/da, d/db): rows phi, d phi/da, d phi/db times u, then the last
+    two x t, + kappa (u_k - u_0), + (p_k - p_0), in that order, so every entry
+    has the same bits however the batch broadcasts.
     """
     t = np.asarray(t, dtype=float)
     jt = _blend_rows(alpha) @ u[simplex]
@@ -210,7 +211,7 @@ def dev_hat_jacobians(u, p, simplex, t, alpha, kappa: float, offsets=None) -> np
         wide = np.empty((3, 3) + batch).transpose(tuple(range(2, len(batch) + 2)) + (0, 1))
         wide[...] = jt
         jt = wide
-    du, dp = chart_offsets(u, p, kappa) if offsets is None else offsets
+    du, dp = offsets
     ab = jt[..., 1:, :]  # the d/da and d/db rows, a view
     ab *= t[..., None, None]
     ab += du[simplex]
@@ -434,7 +435,7 @@ def _certify_once(charts, kappa, t_values, grid, margin):
         else:
             candidates = np.arange(screen.size)
         s, i, g = np.unravel_index(candidates, screen.shape)
-        dets = np.linalg.det(dev_hat_jacobians(u, p, s, t_values[i], grid[g], kappa, (du, dp)))
+        dets = np.linalg.det(dev_hat_jacobians(u, (du, dp), s, t_values[i], grid[g]))
         eigs = _gram_min_eig(leaf_gram(u, p, t_values, kappa))
     min_det, min_eig = float(dets.min()), float(eigs.min())
     worst = None
@@ -639,6 +640,12 @@ class PolyhedralSpacetime:
     ``charts`` holds the corner decorations (u, p) of the triangles as two
     (S, 3, 3) arrays in vertex order, the only copy; the bundle's per-vertex
     ``decorations`` block is read off them.
+
+    Two read-only tables are derived from the fields on construction, so
+    ``replace`` rebuilds them: ``offsets``, chart_offsets(u, p, kappa), which
+    dev_hat_jacobians takes, and ``residuals``, corner_residuals of the charts
+    and gluing, which verify_face_equivariance and the tracer's face bound
+    read.  Assigning charts, kappa or gluing in place leaves them stale.
     """
 
     representation: AffineRepresentation
@@ -651,6 +658,14 @@ class PolyhedralSpacetime:
     settings: BuildSettings
     fans: dict[str, PunctureGeometry] = field(default_factory=dict)
     spears: dict[str, SpearDescriptor] = field(default_factory=dict)
+    offsets: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    residuals: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.offsets = chart_offsets(*self.charts, self.kappa)
+        self.residuals = corner_residuals(self)
+        for table in (*self.offsets, *self.residuals):
+            table.setflags(write=False)
 
     def to_json(self) -> dict:
         u, p = self.charts
@@ -796,19 +811,17 @@ def corner_residuals(st: PolyhedralSpacetime) -> tuple[np.ndarray, np.ndarray]:
             np.where(off_facet, np.abs(dp).max(axis=-1), 0.0))
 
 
-def verify_face_equivariance(st: PolyhedralSpacetime,
-                             residuals: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+def verify_face_equivariance(st: PolyhedralSpacetime) -> float:
     """Bound at t = t_max on dev_hat's mismatch across glued faces; raises FaceMismatch.
 
     On facet k, alpha_k = phi_k = 0, phi is permutation-equivariant and alpha
     and phi each sum to 1, so at (t, alpha) the two charts differ by
     sum_j (t phi_j + kappa alpha_j) du_j + alpha_j dp_j, j != k, with du_j
-    and dp_j the corner residuals: at most (t + kappa) max|du| + max|dp| at
-    every t > 0, exactly, with no sampling.  ``residuals`` are
-    corner_residuals(st) if the caller holds them, else computed here.
+    and dp_j the corner residuals ``st.residuals``: at most
+    (t + kappa) max|du| + max|dp| at every t > 0, exactly, with no sampling.
     FaceMismatch names the corner with the largest share of the bound.
     """
-    du, dp = corner_residuals(st) if residuals is None else residuals
+    du, dp = st.residuals
     scale = st.settings.t_max + st.kappa
     bound = scale * float(du.max()) + float(dp.max())
     if not bound <= st.settings.equiv_tol:  # NaN fails too
@@ -847,8 +860,8 @@ def build(
         certification=cert,
         settings=settings,
     )
-    du, dp = corner_residuals(st)
-    st.certification = replace(cert, equivariance_residual=verify_face_equivariance(st, (du, dp)),
+    du, dp = st.residuals
+    st.certification = replace(cert, equivariance_residual=verify_face_equivariance(st),
                                equivariance_du=float(du.max()), equivariance_dp=float(dp.max()))
     st.fans = {name: puncture_geometry(st, name) for name in fibers}
     if settings.with_spears:

@@ -39,16 +39,15 @@ not give.  A curve whose candidate fails stays put and retries from the
 next proposal in the next pass, which redraws the same proposals
 (_trace_lockstep).  Every decision and carried Jacobian keeps the bits of
 testing each proposal in full and evaluating each start afresh.  Each pass
-makes one kernel call, and one more evaluates the first starts: over the four
-reference builds (seeds 0-2) a pass takes 3.4 points at 2 curves and 153 at
-100 curves.  At 2 curves a pass's cost is almost all the fixed cost of numpy
-calls on tiny arrays, so the tracer takes the kernel's per-chart offsets
-kappa (u_k - u_0) and p_k - p_0 once per call (chart_offsets), builds a
-pass's sample tables with direct concatenations, skips scatters over empty
-index sets, and logs its nodes one record per pass and kind: curve, chart, t
-and alpha arrays and one scalar transition flag, expanded once at the end.
-A curve that ended on a face moves to the neighbour chart's point that the
-pass computed for its kernel call; the face's corner bound proves the
+makes one kernel call, and one more evaluates the first starts; every call
+reads the per-chart offsets that the spacetime derived on construction.  At 2
+curves a pass's cost is almost all the fixed cost of numpy calls on tiny
+arrays, so a pass builds its sample tables with direct concatenations, skips
+scatters over empty index sets, and logs its nodes one record per pass and
+kind: curve, chart, t and alpha arrays and one scalar transition flag.  The
+tracer returns all curves' nodes, starts included, as one table sorted by
+curve.  A curve that ended on a face moves to the neighbour chart's point
+that the pass computed for its kernel call; the face's corner bound proves the
 crossing good, and cross_face's developed check decides only where that bound
 exceeds 1e-9, which it does on no reference build.  Each curve reads its own
 random stream in the order a one-curve trace reads it (3 doubles per
@@ -61,14 +60,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .builder import (
-    PolyhedralSpacetime, chart_offsets, corner_residuals, dev_hat_jacobians, dev_hat_points,
-    minkowski_to_model,
-)
+from .builder import PolyhedralSpacetime, dev_hat_jacobians, dev_hat_points, minkowski_to_model
 from .minkowski import LIGHTLIKE_TOL, GeometryError
 from .models import NotInImage
 from .serialize import _real
@@ -201,22 +196,11 @@ class CausalPolyline:
         }
 
 
-class _Charts(NamedTuple):
-    """What the chart kernel reads of a spacetime, its charts and kappa, with the
-    per-chart offsets taken once (chart_offsets).  _trace_lockstep hands one to
-    the sample tests in place of the spacetime, so its kernel calls only gather
-    the offsets."""
-
-    charts: tuple[np.ndarray, np.ndarray]
-    kappa: float
-    offsets: tuple[np.ndarray, np.ndarray]
-
-
-def _jacobians(st: PolyhedralSpacetime | _Charts, simplex, t, alpha) -> np.ndarray:
+def _jacobians(st: PolyhedralSpacetime, simplex, t, alpha) -> np.ndarray:
     """dev_hat_jacobians at points alpha (3, ...), component first, returned component
     first too: (3, 3, ...) indexed [component, column], a view of the kernel's output."""
-    jac = dev_hat_jacobians(*st.charts, simplex, t, alpha.transpose(*range(1, alpha.ndim), 0),
-                            st.kappa, st.offsets if isinstance(st, _Charts) else None)
+    jac = dev_hat_jacobians(st.charts[0], st.offsets, simplex, t,
+                            alpha.transpose(*range(1, alpha.ndim), 0))
     return jac.transpose(-2, -1, *range(jac.ndim - 2))
 
 
@@ -236,22 +220,19 @@ def _future_causal(v: np.ndarray, margin: float) -> np.ndarray:
                          - margin * sq_t)
 
 
-def _start_passes(st: PolyhedralSpacetime | _Charts, simplex, t0, a0, t1, a1, margin: float,
-                  start=None) -> np.ndarray:
+def _start_passes(start, t0, a0, t1, a1, margin: float) -> np.ndarray:
     """The start test of straight chart segments from (t0, a0) to (t1, a1).
 
-    A segment passes when its tangent is future causal at the start sample, so
-    a segment that does not move fails.  Callers check t > 0 along it.  The
-    end arrays carry the batch shape, barycentric ones component first
-    (3, ...); simplex and start arrays, and the start's component-first
-    Jacobians ``start`` if the caller has them, broadcast against them.
+    A segment passes when its tangent is future causal at the start sample,
+    where the component-first Jacobians are ``start`` (3, 3, ...), so a
+    segment that does not move fails.  Callers check t > 0 along it.  The end
+    arrays carry the batch shape, barycentric ones component first (3, ...);
+    start arrays broadcast against them.
     """
-    if start is None:
-        start = _jacobians(st, simplex, t0, a0)
     return _future_causal(_tangents(start, t1 - t0, a1[1:] - a0[1:]), margin)
 
 
-def _later_samples(st: PolyhedralSpacetime | _Charts, simplex, t0, a0, t1, a1, margin: float,
+def _later_samples(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1, margin: float,
                    extra=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The test at the later samples (midpoint and end) of segments (m,).
 
@@ -286,7 +267,7 @@ def _segments_are_causal(st: PolyhedralSpacetime, simplex, t0, a0, t1, a1,
     every sample.  The later samples are evaluated only where the start
     sample passes; all must pass.
     """
-    ok = (_start_passes(st, simplex, t0, a0, t1, a1, margin)
+    ok = (_start_passes(_jacobians(st, simplex, t0, a0), t0, a0, t1, a1, margin)
           & ~((t0 <= 0) | (t0 + 0.5 * (t1 - t0) <= 0) | (t1 <= 0)))
     idx = np.nonzero(ok)
     at = (slice(None), *idx)
@@ -421,11 +402,12 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
 
     Starts are arrays: chart indices simplex (n,), times t (n,) and
     barycentric points alpha (n, 3), which callers have validated; only the
-    chart indices are checked here.  Yields ``((simplex, t, alpha,
-    transition), rejected_proposals)`` per curve in start order: the curve's
-    node table, alpha as rows (k, 3), the start node itself excluded.  A
-    curve's error is raised where that curve comes up, so the first error
-    raised is the lowest-index curve's.
+    chart indices are checked here.  Returns one node table for all curves,
+    ``(simplex, t, alpha, transition)`` with alpha as rows (N, 3), stably
+    sorted by curve, so each curve's nodes follow in trace order from its
+    start node; the node count of each curve (n,); and the rejected proposals
+    of each curve (n,).  If any curve failed, the lowest-index failed curve's
+    error is raised instead, once every curve has been traced.
 
     Curve i draws from ``default_rng(seeds[i])``, _CHUNK doubles per refill
     into row i of a buffer that keeps all n rows as curves finish: 2 doubles
@@ -461,15 +443,15 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
     at most (t + kappa) du_f + dp_f, with du_f and dp_f their largest entries.
     Where that bound is <= 1e-9, a tenth of cross_face's tolerance floor 1e-8
     (the rest covers rounding), the crossing is proved good; elsewhere, NaN
-    included, cross_face's developed check decides.  The residuals are taken
-    once per call from st.charts and st.gluing, never from the certification
-    record, so a gluing replaced after certification is still caught.
+    included, cross_face's developed check decides.  The residuals are the
+    spacetime's own (st.residuals, derived from its charts and gluing), never
+    the certification record's, so a gluing replaced after certification is
+    still caught.
     """
     n = len(seeds)
     simplex = _index(np.asarray(simplex), len(st.triangulation.triangles))
     # each glued face's largest corner residuals, from the charts and gluing themselves
-    du, dp = (x.max(axis=-1) for x in corner_residuals(st))
-    kernel = _Charts(st.charts, st.kappa, chart_offsets(*st.charts, st.kappa))
+    du, dp = (x.max(axis=-1) for x in st.residuals)
     t = np.array(t, dtype=float)
     alpha = np.array(np.transpose(alpha), dtype=float, order="C")  # (3, n)
     steps_t = np.maximum((t_stop - t) / _STEPS_PER_SPAN, _MIN_T_STEP)
@@ -486,19 +468,19 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
     scale = np.full(n, _ALPHA_STEP)
     decay = np.tile(_DECAY, (n, 1))  # column 0 takes each pass's scale
     rejected = np.zeros(n, dtype=int)  # per curve, not per row
-    jac = np.ascontiguousarray(_jacobians(kernel, simplex, t, alpha))  # per start, (3, 3, n)
+    jac = np.ascontiguousarray(_jacobians(st, simplex, t, alpha))  # per start, (3, 3, n)
     ids = lane = np.arange(n)  # the curve of each state row, and the rows
     tried = np.full(n, -1)  # the proposal a held curve failed in the last pass, else -1
     holds = np.zeros(n, dtype=int)  # passes that held each curve
     passes, retrying = 0, False
     errors: dict[int, Exception] = {}
-    # traced nodes in trace order, one record per pass and kind: curve, simplex, t,
-    # alpha, and one transition flag for the record's nodes
+    # the nodes in trace order, starts first, one record per pass and kind: curve,
+    # simplex, t, alpha, and one transition flag for the record's nodes
     log = []
 
     def record(lanes, transition):
         log.append((ids[lanes], simplex[lanes], t[lanes], alpha[:, lanes], transition))
-    record(lane[:0], False)
+    record(lane, False)
 
     keep = t < t_stop
     while True:
@@ -533,8 +515,7 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
         a1 += a0
         t1, passing, crossed, facet = _clip_to_chart(t0, dt, a0, a1)
         any_crossed = np.count_nonzero(crossed)
-        passing &= _start_passes(kernel, simplex[:, None], t0, a0, t1, a1, _CONE_MARGIN,
-                                 jac[..., None])
+        passing &= _start_passes(jac[..., None], t0, a0, t1, a1, _CONE_MARGIN)
         if retrying:  # a retry skips the proposals it tried
             passing &= np.arange(8) > tried[:, None]
             tried[:] = -1
@@ -553,7 +534,7 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
             from_sx, from_facet = simplex[first[cross]], facet[first[cross], cols[cross]]
             nbr, face = _across(st, from_sx, from_facet, ae[:, cross])
             extra.append((nbr, te[cross], face))
-        ok, nxt, fresh = _later_samples(kernel, simplex[first], t[first], alpha[:, first], te,
+        ok, nxt, fresh = _later_samples(st, simplex[first], t[first], alpha[:, first], te,
                                         ae, _CONE_MARGIN, extra)
         if cross.size:
             nxt[..., cross] = fresh[..., lost.size:]
@@ -609,16 +590,14 @@ def _trace_lockstep(st: PolyhedralSpacetime, simplex, t, alpha, seeds: list[int]
                     f"tracer exhausted {_MAX_STEPS} steps below t_stop")
                 keep[i] = False
 
+    if errors:
+        raise errors[min(errors)]
     *columns, flags = zip(*log)
     curves, sxs, ts, alphas = (np.concatenate(x, axis=-1) for x in columns)
     transitions = np.repeat(flags, [x.size for x in columns[0]])
     order = np.argsort(curves, kind="stable")
-    sxs, ts, alphas, transitions = sxs[order], ts[order], alphas[:, order].T, transitions[order]
-    bounds = np.searchsorted(curves[order], np.arange(n + 1))
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if i in errors:
-            raise errors[i]
-        yield (sxs[lo:hi], ts[lo:hi], alphas[lo:hi], transitions[lo:hi]), int(rejected[i])
+    return ((sxs[order], ts[order], alphas[:, order].T, transitions[order]),
+            np.bincount(curves, minlength=n), rejected)
 
 
 def trace_causal_curve(st: PolyhedralSpacetime, start, t_stop: float, steering: str = "random",
@@ -680,12 +659,13 @@ def trace_causal_curve(st: PolyhedralSpacetime, start, t_stop: float, steering: 
     else:
         raise TypeError(f"unsupported start point {start!r}")
 
-    (((sxs, ts, alphas, transitions), rest_rejected),) = _trace_lockstep(
+    (sxs, ts, alphas, transitions), _, (rest_rejected,) = _trace_lockstep(
         st, [cur.simplex], [cur.t], cur.alpha[None], [seed], t_stop)
+    # the table's first node is the start, cur itself
     nodes += [CurveNode(ChartPoint(sx, ti, a), transition=tr) for sx, ti, a, tr in
-              zip(sxs.tolist(), ts.tolist(), alphas, transitions.tolist())]
+              zip(sxs[1:].tolist(), ts[1:].tolist(), alphas[1:], transitions[1:].tolist())]
     return CausalPolyline(nodes, seed=seed, steering=steering,
-                          rejected_proposals=rejected + rest_rejected)
+                          rejected_proposals=rejected + int(rest_rejected))
 
 
 def validate_polyline(st: PolyhedralSpacetime, curve: CausalPolyline) -> list[int]:
@@ -811,20 +791,18 @@ def cauchy_time_report(
         seeds.append(int(rng.integers(2**32)))
     alpha *= 0.7
     alpha += 0.3 / 3.0
-    traces = list(_trace_lockstep(st, simplex, np.full(n_curves, t_start), alpha, seeds, t_stop))
-    nodes = np.array([len(t) + 1 for (_, t, _, _), _ in traces])
-    monotone, counts = _curves_time_checks(
-        np.concatenate([x for (_, t, _, _), _ in traces for x in ([t_start], t)]),
-        np.concatenate([x for (_, _, _, tr), _ in traces for x in ([False], tr)]), nodes, leaves)
+    (_, t, _, transition), nodes, rejected = _trace_lockstep(
+        st, simplex, np.full(n_curves, t_start), alpha, seeds, t_stop)
+    monotone, counts = _curves_time_checks(t, transition, nodes, leaves)
     curves = []
-    for k, (size, mono, row, (_, rejected)) in enumerate(
-            zip(nodes.tolist(), monotone.tolist(), counts.tolist(), traces)):
+    for k, (size, mono, row, rej) in enumerate(
+            zip(nodes.tolist(), monotone.tolist(), counts.tolist(), rejected.tolist())):
         crossings = {repr(leaf): c for leaf, c in zip(leaves, row)}
         curves.append(
             {
                 "index": k,
                 "nodes": size,
-                "rejected_proposals": rejected,
+                "rejected_proposals": rej,
                 "monotone_t": mono,
                 "leaf_crossings": crossings,
                 "decomposition_ok": True,  # the tracer emits regular (chart) nodes only

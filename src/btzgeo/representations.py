@@ -97,7 +97,9 @@ def sl2_to_so12(m) -> LinearIsometry:
     beyond SL2_MAX_ENTRY = sqrt(ISOMETRY_MAX_ENTRY / 2), about 7.1e49, in
     absolute value, or a non-finite one, is NotUnimodular before any product is
     taken: below it the determinant stays finite, and at det 1 the image's
-    entries, at most 2 M^2, stay within ISOMETRY_MAX_ENTRY.
+    entries, at most 2 M^2, stay within ISOMETRY_MAX_ENTRY.  det must then be
+    within min(0.5, 1e-9 max(1, M^2)) of 1: the relative band covers the
+    rounding of det, and the cap keeps det 0 out of it once M^2 > 5e8.
     """
     m = np.asarray(m, dtype=float)
     largest = float(np.abs(m).max())
@@ -105,8 +107,8 @@ def sl2_to_so12(m) -> LinearIsometry:
         raise NotUnimodular(
             f"entry magnitude {largest!r} is not finite or exceeds {SL2_MAX_ENTRY!r}")
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det - 1.0) > 1e-9 * max(1.0, largest ** 2):
-        raise NotUnimodular(f"det = {det!r}")
+    if not abs(det - 1.0) <= min(0.5, 1e-9 * max(1.0, largest ** 2)):
+        raise NotUnimodular(f"det = {float(det)!r}")
     minv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
     cols = [_sl2_coords(m @ e @ minv) for e in SL2_BASIS]
     return LinearIsometry(np.column_stack(cols))
@@ -204,7 +206,8 @@ class AffineRepresentation:
         trs = {}
         for name in self.presentation.generator_names:
             v = np.array(self.translations.get(name, np.zeros(3)), dtype=float)
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
+            # the bound of an isometry's entries, so no norm of a translation overflows
+            if v.shape != (3,) or not np.abs(v).max() <= ISOMETRY_MAX_ENTRY:
                 raise ValueError(f"bad translation for {name}")
             trs[name] = v
         self.translations = trs

@@ -36,6 +36,7 @@ from btzgeo.builder import (
     blend,
     blend_and_partials,
     build,
+    chart_offsets,
     choose_kappa,
     corner_residuals,
     decorate_charts,
@@ -299,8 +300,8 @@ def test_blend_raises_no_warning_on_plateau_edges(alpha, gamma2_zero):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         phi, dphi = blend_and_partials(np.array(alpha))
-        jac = dev_hat_jacobians(*gamma2_zero.charts, 0, np.array([1.0]), np.array([alpha]),
-                                gamma2_zero.kappa)
+        jac = dev_hat_jacobians(gamma2_zero.charts[0], gamma2_zero.offsets, 0, np.array([1.0]),
+                                np.array([alpha]))
     assert phi.tolist() == [1.0, 0.0, 0.0] and not dphi.any()
     assert np.isfinite(jac).all()
 
@@ -394,7 +395,7 @@ def test_kappa_failure_names_lowest_jacobian_sample():
     samples = [(t, tuple(a.tolist())) for t in (cfg.t_min, cfg.t_max) for a in grid]
     ts = np.array([t for t, _ in samples])
     alphas = np.array([a for _, a in samples])
-    dets = np.linalg.det(dev_hat_jacobians(*charts, 0, ts, alphas, 2.0))
+    dets = np.linalg.det(dev_hat_jacobians(charts[0], chart_offsets(*charts, 2.0), 0, ts, alphas))
     t, a = samples[int(np.argmin(dets))]
     assert f"worst sample ('jacobian', 0, {t!r}, {a!r})" in str(exc.value)
 
@@ -405,7 +406,8 @@ def _certify_once_per_sample(charts, kappa, t_values, grid, margin):
     ts = np.repeat(t_values, len(grid))
     alphas = np.tile(grid, (len(t_values), 1))
     simplex = np.arange(len(charts[0]))[:, None]
-    dets = np.linalg.det(dev_hat_jacobians(*charts, simplex, ts, alphas, kappa))
+    dets = np.linalg.det(dev_hat_jacobians(charts[0], chart_offsets(*charts, kappa), simplex, ts,
+                                           alphas))
     eigs = _gram_min_eig(leaf_gram(*charts, t_values, kappa))
     min_det, min_eig = float(dets.min()), float(eigs.min())
     worst = None
@@ -496,8 +498,8 @@ def test_screen_window_keeps_near_ties():
         u = np.array([[[1.0, math.cos(a + theta), math.sin(a + theta)]
                        for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]])
         charts = (u, 1e-16 * rng.normal(size=(1, 3, 3)))
-        jac = dev_hat_jacobians(*charts, np.zeros((1, 1, 1), int), t_values[:, None], grid,
-                                1.0)
+        jac = dev_hat_jacobians(charts[0], chart_offsets(*charts, 1.0), np.zeros((1, 1, 1), int),
+                                t_values[:, None], grid)
         reranked += np.argmin(np.linalg.det(jac)) != np.argmin(_det3(jac))
         assert _certify_once(charts, 1.0, t_values, grid, 1e9) == (
             _certify_once_per_sample(charts, 1.0, t_values, grid, 1e9))
@@ -1323,7 +1325,7 @@ def test_jacobian_matches_finite_differences(gamma2_deformed):
         if a.max() > 0.6:
             continue
         t = rng.uniform(0.3, 3.0)
-        jac = dev_hat_jacobians(*st_.charts, 0, t, a, st_.kappa)
+        jac = dev_hat_jacobians(st_.charts[0], st_.offsets, 0, t, a)
 
         def chart(tt, aa, bb):
             return dev_hat(u, p, tt, (1 - aa - bb, aa, bb), st_.kappa)

@@ -6,8 +6,8 @@ import pytest
 from dataclasses import replace
 
 from btzgeo.builder import (
-    FaceMismatch, blend, blend_and_partials, chart_offsets, dev_hat, dev_hat_jacobians,
-    dev_hat_points, extend_btz, strip_btz, verify_face_equivariance,
+    FaceMismatch, blend, blend_and_partials, chart_offsets, corner_residuals, dev_hat,
+    dev_hat_jacobians, dev_hat_points, extend_btz, strip_btz, verify_face_equivariance,
 )
 from btzgeo import builder as builder_module
 from btzgeo import causality
@@ -523,22 +523,27 @@ def test_lockstep_carries_start_jacobians(request, fixture, monkeypatch):
 
 
 def test_lockstep_takes_chart_offsets_once(gamma2_deformed, monkeypatch):
-    # _trace_lockstep takes the per-chart offsets once per call and hands them
-    # to every kernel call, which then takes none of its own
+    # the spacetime took its chart offsets and corner residuals once, when it
+    # was built: a report takes neither, and every kernel call reads the
+    # spacetime's own offsets
+    st_ = gamma2_deformed
     taken = []
-    offsets = builder_module.chart_offsets
-
-    def counted(*args):
-        taken.append(args)
-        return offsets(*args)
-    monkeypatch.setattr(causality, "chart_offsets", counted)
-    monkeypatch.setattr(builder_module, "chart_offsets", counted)
+    for name in ("chart_offsets", "corner_residuals"):
+        def counted(*args, name=name, table=getattr(builder_module, name)):
+            taken.append(name)
+            return table(*args)
+        monkeypatch.setattr(builder_module, name, counted)
     work = _count_kernel_work(monkeypatch)
+    kernel = causality.dev_hat_jacobians
+
+    def gathered(u, offsets, *args):
+        assert u is st_.charts[0] and offsets is st_.offsets
+        return kernel(u, offsets, *args)
+    monkeypatch.setattr(causality, "dev_hat_jacobians", gathered)
     for n in (2, 100):
-        taken.clear()
         work.update(passes=0, calls=0)
-        assert cauchy_time_report(gamma2_deformed, n_curves=n, seed=7)["pass"] is True
-        assert len(taken) == 1 and work["calls"] == work["passes"] + 1 >= 50, (taken, work)
+        assert cauchy_time_report(st_, n_curves=n, seed=7)["pass"] is True
+        assert taken == [] and work["calls"] == work["passes"] + 1 >= 50, (taken, work)
 
 
 def test_lockstep_retries_carry_fresh_start_jacobians(gamma2_deformed, monkeypatch):
@@ -550,12 +555,12 @@ def test_lockstep_retries_carry_fresh_start_jacobians(gamma2_deformed, monkeypat
     st_ = gamma2_deformed
     start_passes, later_samples = causality._start_passes, causality._later_samples
     passes = []  # per pass: the proposals' ends (t1, a1), then the later-sample call
+    starts = []  # per pass: the carried start Jacobians and the start (t0, a0)
 
-    def checked_start(st, simplex, t0, a0, t1, a1, margin, start=None):
-        fresh = _jacobians(st, simplex, t0, a0)
-        assert start.tobytes() == fresh.tobytes()
+    def checked_start(start, t0, a0, t1, a1, margin):
+        starts.append((start.copy(), t0.copy(), a0.copy()))
         passes.append([t1.copy(), a1.copy()])
-        return start_passes(st, simplex, t0, a0, t1, a1, margin, start)
+        return start_passes(start, t0, a0, t1, a1, margin)
 
     def logged_later(st, simplex, t0, a0, t1, a1, margin, extra=()):
         out = later_samples(st, simplex, t0, a0, t1, a1, margin, extra)
@@ -591,6 +596,17 @@ def test_lockstep_retries_carry_fresh_start_jacobians(gamma2_deformed, monkeypat
     assert all(seen.values()), seen
     # a pass is a step of the curve unless it held the curve
     assert len(passes) == sum(not n.transition for n in curve.nodes[1:]) + seen["held"]
+    # each pass starts from the curve's latest node, which is not followed by a
+    # transition node, and a held pass from the same node again
+    points = [a.point for a, b in zip(curve.nodes, curve.nodes[1:]) if not b.transition]
+    k = 0
+    for (start, t0, a0), (_, _, (_, _, _, t1, _, ok)) in zip(starts, passes):
+        point = points[k]
+        assert (t0.item(), a0.ravel().tolist()) == (point.t, point.alpha.tolist())
+        fresh = _jacobians(st_, np.array([[point.simplex]]), t0, a0)
+        assert start.tobytes() == fresh.tobytes()
+        k += not (len(t1) and not ok[0])
+    assert k == len(points)
     monkeypatch.undo()
     assert validate_polyline(st_, curve) == []
 
@@ -615,8 +631,11 @@ def test_max_steps_counts_steps_per_curve(gamma2_deformed, monkeypatch):
     rng = np.random.default_rng(11)
     starts = [ChartPoint(k % 2, 0.2, rng.dirichlet(np.ones(3))) for k in range(6)]
     seeds = [int(x) for x in rng.integers(2**32, size=len(starts))]
-    full = list(_trace_lockstep(st_, *_start_arrays(starts), seeds, t_stop=3.0))
-    steps = [int(np.count_nonzero(~transition)) for (_, _, _, transition), _ in full]
+    full, nodes, rejected = _trace_lockstep(st_, *_start_arrays(starts), seeds, t_stop=3.0)
+    ends = np.cumsum(nodes)
+    # a curve's steps are its nodes that are neither its start nor a transition
+    steps = [int(np.count_nonzero(~transition)) - 1
+             for transition in np.split(full[3], ends[:-1])]
     work = _count_kernel_work(monkeypatch)
     passes = []
     for start, seed in zip(starts, seeds):
@@ -630,13 +649,18 @@ def test_max_steps_counts_steps_per_curve(gamma2_deformed, monkeypatch):
     over = [i for i in range(len(starts)) if steps[i] > limit]
     assert over, steps
     monkeypatch.setattr(causality, "_MAX_STEPS", limit)
-    batch = _trace_lockstep(st_, *_start_arrays(starts), seeds, t_stop=3.0)
-    for i in range(over[0]):
-        (simplex, t, _, _), rejected = next(batch)
-        assert t.tobytes() == full[i][0][1].tobytes() and rejected == full[i][1]
+    # a batch of the curves that need no more steps, the retried one included,
+    # finishes as in the full run
+    fit = [i for i in range(len(starts)) if i not in over]
+    table, sizes, rejections = _trace_lockstep(
+        st_, *_start_arrays([starts[i] for i in fit]), [seeds[i] for i in fit], t_stop=3.0)
+    rows = np.concatenate([np.arange(ends[i] - nodes[i], ends[i]) for i in fit])
+    assert [x.tobytes() for x in table] == [x[rows].tobytes() for x in full]
+    assert sizes.tolist() == nodes[fit].tolist()
+    assert rejections.tolist() == rejected[fit].tolist()
     message = f"tracer exhausted {limit} steps below t_stop"
     with pytest.raises(GeometryError, match=message):
-        next(batch)
+        _trace_lockstep(st_, *_start_arrays(starts), seeds, t_stop=3.0)
     with pytest.raises(GeometryError, match=message):
         trace_causal_curve(st_, starts[over[0]], t_stop=3.0, seed=seeds[over[0]])
     curve = trace_causal_curve(st_, starts[retried], t_stop=3.0, seed=seeds[retried])
@@ -753,16 +777,16 @@ def test_lockstep_batch_matches_one_curve_traces(request, fixture):
         for k in range(6)
     ]
     seeds = [int(x) for x in rng.integers(2**32, size=len(starts))]
-    batch = list(_trace_lockstep(st_, *_start_arrays(starts), seeds, t_stop=3.0))
+    (simplex, t, alpha, transition), sizes, rejected = _trace_lockstep(
+        st_, *_start_arrays(starts), seeds, t_stop=3.0)
+    rows = np.split(np.arange(len(t)), np.cumsum(sizes)[:-1])  # each curve's, start first
     transitions = 0
-    for start, seed, ((simplex, t, alpha, transition), rejected) in zip(starts, seeds, batch):
-        nodes = [CurveNode(ChartPoint(int(sx), float(ti), a), transition=bool(tr))
-                 for sx, ti, a, tr in zip(simplex, t, alpha, transition)]
+    for start, seed, at, rej in zip(starts, seeds, rows, rejected.tolist()):
+        nodes = [CurveNode(ChartPoint(int(simplex[i]), float(t[i]), alpha[i]),
+                           transition=bool(transition[i])) for i in at]
         alone = trace_causal_curve(st_, start, t_stop=3.0, seed=seed)
-        assert [n.to_json() for n in alone.nodes] == [
-            n.to_json() for n in [CurveNode(start)] + nodes
-        ]
-        assert alone.rejected_proposals == rejected
+        assert [n.to_json() for n in alone.nodes] == [n.to_json() for n in nodes]
+        assert alone.rejected_proposals == rej
         transitions += sum(n.transition for n in nodes)
     assert transitions > 0  # the batch exercises face crossings
 
@@ -836,6 +860,7 @@ def _sequential_trace(st_, start, t_stop, seed):
     rng = np.random.default_rng(seed)
     nodes, rejected, cur = [CurveNode(start)], 0, start
     t_step = max((t_stop - cur.t) / 50.0, 1e-3)
+    offsets = chart_offsets(*st_.charts, st_.kappa)
     bias = rng.uniform(-1.0, 1.0, size=2)
     bias /= max(float(np.hypot(*bias)), 1e-12)
     scale = alpha_step
@@ -848,7 +873,7 @@ def _sequential_trace(st_, start, t_stop, seed):
         if not np.any(step) or np.any(ts <= 0):
             return False
         alphas = a0[None, :] + s[:, None] * (a1 - a0)[None, :]
-        v = dev_hat_jacobians(*st_.charts, cur.simplex, ts, alphas, st_.kappa) @ step
+        v = dev_hat_jacobians(st_.charts[0], offsets, cur.simplex, ts, alphas) @ step
         bound = band * np.sum(v * v, axis=-1) - cone_margin * v[:, 0] ** 2
         return bool(np.all((v[:, 0] > 0) & (quadratic_form(v) <= bound)))
 
@@ -956,7 +981,7 @@ def test_face_bound_scales_the_corner_residual_by_t_plus_kappa(gamma2_zero, monk
 def test_starts_outside_the_charts_are_named(gamma2_zero):
     starts = [ChartPoint(1, 0.2, CENTER), ChartPoint(5, 0.2, CENTER), ChartPoint(2, 0.2, CENTER)]
     with pytest.raises(ValueError, match=r"^chart simplex 5 is outside \[0, 2\)$"):
-        next(_trace_lockstep(gamma2_zero, *_start_arrays(starts), [0, 1, 2], 1.0))
+        _trace_lockstep(gamma2_zero, *_start_arrays(starts), [0, 1, 2], 1.0)
 
 
 def test_curves_time_checks_match_per_curve_checks():
@@ -1081,20 +1106,26 @@ def test_stacked_kernels_bit_equal_to_per_simplex_kernels(request, fixture):
         # (S, 1, 1) x (T, 1) x (G, 3): t widens the batch, as in certification
         (charts[:, None, None], t[:lanes, None], alpha),
     ]
+
+    def points(*args):
+        return dev_hat_points(u, p, *args, st_.kappa)
+
+    def jacobians(*args):
+        return dev_hat_jacobians(u, st_.offsets, *args)
+
     for sim, ts, alphas in cases:
-        for kernel, reference in ((dev_hat_points, _per_simplex_points),
-                                  (dev_hat_jacobians, _per_simplex_jacobians)):
-            got = kernel(u, p, sim, ts, alphas, st_.kappa)
+        for kernel, reference in ((points, _per_simplex_points),
+                                  (jacobians, _per_simplex_jacobians)):
+            got = kernel(sim, ts, alphas)
             want = _one_chart_at_a_time(reference, st_, sim, ts, alphas)
             assert got.shape == want.shape
             assert got.tobytes() == np.ascontiguousarray(got).tobytes() == want.tobytes()
-        dets = np.linalg.det(dev_hat_jacobians(u, p, sim, ts, alphas, st_.kappa))
+        dets = np.linalg.det(jacobians(sim, ts, alphas))
         assert dets.tobytes() == np.linalg.det(
             _one_chart_at_a_time(_per_simplex_jacobians, st_, sim, ts, alphas)).tobytes()
     # the broadcast call has the bytes of the flat call on repeated t and tiled alpha
-    wide = dev_hat_jacobians(u, p, charts[:, None, None], t[:lanes, None], alpha, st_.kappa)
-    flat = dev_hat_jacobians(u, p, charts[:, None], np.repeat(t[:lanes], n),
-                             np.tile(alpha, (lanes, 1)), st_.kappa)
+    wide = jacobians(charts[:, None, None], t[:lanes, None], alpha)
+    flat = jacobians(charts[:, None], np.repeat(t[:lanes], n), np.tile(alpha, (lanes, 1)))
     assert np.ascontiguousarray(wide).tobytes() == np.ascontiguousarray(flat).tobytes()
     # simplex (): one point of one chart
     for k in range(0, n, 7):
@@ -1102,36 +1133,40 @@ def test_stacked_kernels_bit_equal_to_per_simplex_kernels(request, fixture):
         chart = u[args[0]], p[args[0]]
         assert dev_hat_points(u, p, *args, st_.kappa).tobytes() == _per_simplex_points(
             *chart, t[k:k + 1], alpha[k:k + 1], st_.kappa)[0].tobytes()
-        assert np.ascontiguousarray(
-            dev_hat_jacobians(u, p, *args, st_.kappa)).tobytes() == (
+        assert np.ascontiguousarray(jacobians(*args)).tobytes() == (
             _per_simplex_jacobians(*chart, t[k:k + 1], alpha[k:k + 1], st_.kappa)[0]
             .tobytes())
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_precomputed_offsets_keep_kernel_bytes(request, fixture):
-    # the offsets a caller took once give the bytes of a call that takes its
-    # own, on flat, stacked and (S, T, G) broadcast calls
+    # a spacetime derives its kernel tables on construction: read-only, with
+    # the bits of chart_offsets and corner_residuals, and rebuilt by replace
+    # after a change to kappa, charts or gluing, so the kernel reading the
+    # offsets keeps the per-simplex reference's bytes at the new kappa
     st_ = request.getfixturevalue(fixture)
-    u, p = st_.charts
-    offsets = chart_offsets(u, p, st_.kappa)
-    rng = np.random.default_rng(24)
-    simplex, t, alpha = _kernel_points(st_, rng)
-    lanes = 12
-    cases = [
-        (simplex, t, alpha),  # flat
-        (int(simplex[0]), float(t[0]), alpha[0]),  # one point
-        # (L, 1) against (L, 8): one start per lane, 8 proposals each
-        (simplex[:lanes, None], t[:lanes, None] + rng.uniform(0.0, 1.0, size=(lanes, 8)),
-         alpha[rng.integers(len(t), size=(lanes, 8))]),
-        # (S, 1, 1) x (T, 1) x (G, 3): t widens the batch, as in certification
-        (np.arange(len(u))[:, None, None], t[:lanes, None], alpha),
-    ]
-    for args in cases:
-        want = dev_hat_jacobians(u, p, *args, st_.kappa)
-        got = dev_hat_jacobians(u, p, *args, st_.kappa, offsets)
-        assert got.shape == want.shape
-        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    (u, p), (m, b) = st_.charts, st_.gluing
+    u, b = u.copy(), b.copy()
+    u[0, :, 1] += 1e-3
+    b[0, 0, 1] += 1e-3
+    simplex, t, alpha = _kernel_points(st_, np.random.default_rng(24))
+    for case, moved in ((st_, ()), (replace(st_, kappa=2.0 * st_.kappa), ("offsets",)),
+                        (replace(st_, charts=(u, p)), ("offsets", "residuals")),
+                        (replace(st_, gluing=(m, b)), ("residuals",))):
+        for name, want in (("offsets", chart_offsets(*case.charts, case.kappa)),
+                           ("residuals", corner_residuals(case))):
+            got = getattr(case, name)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+            assert [x.shape for x in got] == [x.shape for x in want]
+            assert not any(x.flags.writeable for x in got)
+            assert (got is not getattr(st_, name)) is (case is not st_)
+            same = [x.tobytes() for x in got] == [x.tobytes() for x in getattr(st_, name)]
+            assert same is (name not in moved), (name, moved)
+        with pytest.raises(ValueError, match="read-only"):
+            case.offsets[0][0] = 0.0
+        got = dev_hat_jacobians(case.charts[0], case.offsets, simplex, t, alpha)
+        want = _one_chart_at_a_time(_per_simplex_jacobians, case, simplex, t, alpha)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

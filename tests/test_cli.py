@@ -451,6 +451,35 @@ def test_overflowing_matrix_entry_is_one_json_error(cli_dir, bundle_path, tmp_pa
             assert "exceeds" in err["message"] and not out.exists()
 
 
+@pytest.mark.parametrize("key, value, code, error, message", [
+    ("sl2", [[1e5, 1e5], [1e5, 1e5]], 1, "NotUnimodular", "det = 0.0"),
+    ("translation", [0.0, 1e200, 0.0], 2, "ValueError", "bad translation for c1"),
+])
+def test_singular_sl2_and_huge_translation_are_one_json_error(cli_dir, bundle_path, tmp_path,
+                                                              key, value, code, error, message):
+    # a singular sl2 with entries of 1e5 passed the det band 1e-9 M^2 and met a
+    # division by det 0; a translation entry of 1e200 overflowed the norm of
+    # the tangency check: in rep.json or in a bundle, each now exits with one
+    # JSON error object under warnings-as-errors
+    rep = json.loads((cli_dir / "rep.json").read_text())
+    rep["generators"]["c1"][key] = value
+    bundle = json.loads(bundle_path.read_text())
+    bundle["representation"]["generators"]["c1"][key] = value
+    (tmp_path / "rep.json").write_text(json.dumps(rep))
+    (tmp_path / "bundle.json").write_text(json.dumps(bundle))
+    out = tmp_path / "out.json"
+    category = "mathematical-failure" if code == 1 else "input-error"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["build", str(tmp_path / "rep.json"), str(cli_dir / "tri.json")],
+                     ["causal", str(tmp_path / "bundle.json"), "--curves", "1"]):
+            got, stdout, stderr = run_cli(argv + ["--out", str(out)])
+            assert got == code and stdout == "", (argv, stderr)
+            err = json.loads(stderr)  # exactly one object: trailing text fails the parse
+            assert (err["error"], err["category"]) == (error, category), err
+            assert message in err["message"] and not out.exists()
+
+
 def test_bundle_with_foreign_kappa_is_input_error(bundle_path, tmp_path):
     bundle = json.loads(bundle_path.read_text())
     bad = tmp_path / "bad-bundle.json"

@@ -115,6 +115,23 @@ def test_sl2_to_so12_basics():
         sl2_to_so12(np.array([[2.0, 0.0], [0.0, 1.0]]))
 
 
+def test_sl2_to_so12_caps_the_determinant_band():
+    # the band 1e-9 M^2 around det 1 is capped at 0.5, so a singular matrix
+    # with entries of 1e5 is refused before the division by its det; below
+    # M of about 2.2e4 the cap changes nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in ([[1e5, 1e5], [1e5, 1e5]], [[3.2e4, 0.0], [0.0, 0.0]]):
+            with pytest.raises(NotUnimodular, match=r"^det = 0\.0$"):
+                sl2_to_so12(np.array(m))
+        assert np.isfinite(sl2_to_so12(np.diag([1e5, 1e-5])).matrix).all()
+        # det about 1.3 at M = 2e4, inside the band 0.4 and the cap
+        sl2_to_so12(np.diag([2e4, 1.3 / 2e4]))
+        # det about 1.6 at M = 1e5, inside the band 10 but not the cap
+        with pytest.raises(NotUnimodular, match=r"^det = 1\.[56]"):
+            sl2_to_so12(np.diag([1e5, 1.6e-5]))
+
+
 def test_sl2_to_so12_refuses_entries_beyond_its_bound():
     # an entry above SL2_MAX_ENTRY, about 7.1e49, or a non-finite one is
     # NotUnimodular before any product; 1e308 raised a raw OverflowError from
@@ -210,9 +227,11 @@ def test_check_admissible_trivial_rep():
     assert not report.verdict
 
 
-@pytest.mark.parametrize("bad", [[1.0, 2.0], [[1.0], [2.0], [3.0]], 1.0, [0.0, math.nan, 0.0]])
+@pytest.mark.parametrize("bad", [[1.0, 2.0], [[1.0], [2.0], [3.0]], 1.0, [0.0, math.nan, 0.0],
+                                 [0.0, -math.inf, 0.0], [0.0, 1e200, 0.0]])
 def test_representation_rejects_bad_translations(gamma2, bad):
-    # evaluate composes the raw translations, so they are checked once here
+    # evaluate composes the raw translations, so they are checked once here;
+    # an entry beyond ISOMETRY_MAX_ENTRY is refused like a non-finite one
     with pytest.raises(ValueError, match="bad translation for c2"):
         gamma2.representation.with_translations({"c2": bad})
 
