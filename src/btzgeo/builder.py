@@ -633,6 +633,10 @@ _BUNDLE = {
 }
 
 
+# the fields a PolyhedralSpacetime's derived tables are computed from, and the tables
+_DERIVED_FROM = frozenset({"charts", "kappa", "gluing", "triangulation", "offsets", "residuals"})
+
+
 @dataclass
 class PolyhedralSpacetime:
     """A built spacetime: decorated charts, kappa, fibers, certificates.
@@ -645,7 +649,8 @@ class PolyhedralSpacetime:
     ``replace`` rebuilds them: ``offsets``, chart_offsets(u, p, kappa), which
     dev_hat_jacobians takes, and ``residuals``, corner_residuals of the charts
     and gluing, which verify_face_equivariance and the tracer's face bound
-    read.  Assigning charts, kappa or gluing in place leaves them stale.
+    read.  So the fields they derive from, and the tables themselves, cannot
+    be assigned once constructed: a copy with new ones is a ``replace``.
     """
 
     representation: AffineRepresentation
@@ -666,6 +671,13 @@ class PolyhedralSpacetime:
         self.residuals = corner_residuals(self)
         for table in (*self.offsets, *self.residuals):
             table.setflags(write=False)
+
+    def __setattr__(self, name, value):
+        if name in _DERIVED_FROM and "residuals" in self.__dict__:
+            raise AttributeError(f"{name} of a constructed PolyhedralSpacetime cannot be "
+                                 "assigned, since offsets and residuals derive from it; "
+                                 "use dataclasses.replace")
+        object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
         u, p = self.charts

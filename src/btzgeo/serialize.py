@@ -2,7 +2,10 @@
 
 Every artifact the package writes goes through canonical_dumps so a rebuilt
 file is byte-identical: keys sorted, two-space indent, floats in shortest
-round-trip form (Python repr), NaN/Inf rejected.
+round-trip form (Python repr), NaN/Inf rejected: the bytes of
+``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, written
+directly, since json's C encoder ignores ``indent`` and its Python encoder
+takes about 1.4 us per item, where this writer joins a list of floats at once.
 
 Every JSON input goes through ``read``, which checks a value against a small
 declarative schema and raises one ValueError naming the path of the first
@@ -13,8 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +108,45 @@ def _join(path: str, key) -> str:
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``obj`` in canonical JSON plus a newline; a non-finite float raises
+    json's ValueError, any other object or a key that is not a str TypeError."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, newline: str) -> str:
+    # ``newline`` is "\n" plus obj's indent; floats, the most common, first
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_quote(k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if type(obj[0]) is float:  # most lists hold floats only: one join
+            try:
+                text = ("," + inner).join(map(float.__repr__, obj))
+            except TypeError:  # an item that is not a float
+                pass
+            else:
+                if "n" in text:  # inf or nan: json's error for the first one
+                    _encode(next(x for x in obj if not math.isfinite(x)), inner)
+                return "[" + inner + text + newline + "]"
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in obj]) + newline + "]"
+    if obj is None:
+        return "null"
+    if type(obj) is bool:  # before int, as in json; no other JSON types overlap
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def read_json(path):

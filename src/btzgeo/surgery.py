@@ -30,6 +30,13 @@ from .serialize import JsonRecord, _real
 _GRID = 4096  # boundary-profile grid points behind min_value and max_abs_derivative
 _THETAS = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
 _TANGENCY_TOL = 1e-8  # a gap to the cap this small makes a crossing count undecidable
+# A cap's largest terms are fourth powers of the profile's scale: delta holds
+# M / r^2 and (tau^R' / r)^2, with M ~ D^2 and D <= sum (k+1)^2 |c_k|.  With
+# R, 1 / R and every |coefficient| <= _CAP_SCALE, _CAP_SCALE^4 = 1e200 leaves a
+# factor 1e108 for sample radii down to 1e-10 R and the weights of up to 1e14
+# harmonics.
+_CAP_SCALE = 1e50
+_CAP_R_MIN = 1e-50
 
 
 class OnSeam(GeometryError):
@@ -194,12 +201,28 @@ def induced_metric(sg: SurfaceGraph, r, theta) -> np.ndarray:
     )
 
 
+def _check_cap_scale(profile: BoundaryProfile) -> None:
+    """ValueError naming the first field of ``profile`` outside the caps' range:
+    R in [_CAP_R_MIN, _CAP_SCALE] and |const|, |cos[k]|, |sin[k]| <= _CAP_SCALE,
+    within which every cap has a finite M and finite margins delta at radii
+    down to 1e-10 R."""
+    fields = [("R", profile.R), ("const", profile.const),
+              *((f"cos.{k}", c) for k, c in enumerate(profile.cos)),
+              *((f"sin.{k}", c) for k, c in enumerate(profile.sin))]
+    for name, value in fields:
+        low = _CAP_R_MIN if name == "R" else -_CAP_SCALE
+        if not low <= value <= _CAP_SCALE:
+            raise ValueError(f"{name} must be in [{low!r}, {_CAP_SCALE!r}] for a cap, got "
+                             f"{value!r}: beyond that the slope constant M or delta overflows")
+
+
 def extend_complete(profile: BoundaryProfile) -> SurfaceGraph:
     """Complete spacelike cap over the punctured disk with the given boundary.
 
     M = 1 + sup |d tau^R / d theta|^2 gives delta = 1 + (2M - (tau^R')^2)/r^2,
     which is > 1/r^2 everywhere, hence spacelike and metrically complete.
     """
+    _check_cap_scale(profile)
     d = profile.max_abs_derivative()
     return SurfaceGraph(profile=profile, mode="complete", M=1.0 + d * d)
 
@@ -219,9 +242,9 @@ def extend_compact(profile: BoundaryProfile, margin: float = 1e-6) -> SurfaceGra
     """
     if not 0 < margin <= 1:
         raise ValueError(f"margin must be in (0, 1], got {margin!r}")
+    _check_cap_scale(profile)
     r, d = profile.R, profile.max_abs_derivative()
     top = max(0.0, profile.const + sum(map(abs, profile.cos)) + sum(map(abs, profile.sin)))
-    # an overflowed inf - inf stays nan in this order, and SurfaceGraph refuses it
     m = max((d * d + 8.0 * top * r + r * r * (margin - 1.0)) / 2.0, 1.0 + d * d)
     return SurfaceGraph(profile=profile, mode="compact", M=m)
 

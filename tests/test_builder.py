@@ -980,18 +980,35 @@ def test_spear_fails_on_a_sample_in_another_window(gamma2_zero, monkeypatch):
 
 
 def test_fan_walk_rejects_corrupt_decorations(gamma2_zero):
-    st_ = replace(gamma2_zero)
     # flip a corner vertex to the past cone: the fan walk around c3 reads the
     # decorations of the non-axis corners, which must point into the future side
     victim = next(
-        v for v, c in st_.triangulation.vertex_class.items() if c != "c3"
+        v for v, c in gamma2_zero.triangulation.vertex_class.items() if c != "c3"
     )
-    u = st_.charts[0].copy()
-    u[np.array(st_.triangulation.triangles) == victim] *= -1.0
-    st_.charts = (u, st_.charts[1])
+    u = gamma2_zero.charts[0].copy()
+    u[np.array(gamma2_zero.triangulation.triangles) == victim] *= -1.0
+    st_ = replace(gamma2_zero, charts=(u, gamma2_zero.charts[1]))
     with pytest.raises(NonMonotoneAngles,
                        match=r"^fan direction does not point into the future side of the axis$"):
         puncture_geometry(st_, "c3")
+
+
+def test_derived_tables_cannot_go_stale(gamma2_zero):
+    # offsets and residuals derive from charts, kappa, gluing and triangulation
+    # on construction, so those cannot be assigned; a replace copy rederives them
+    u, p = gamma2_zero.charts
+    for name, value in (("charts", (2.0 * u, p)), ("kappa", 2.0),
+                        ("gluing", gamma2_zero.gluing), ("offsets", gamma2_zero.offsets),
+                        ("triangulation", gamma2_zero.triangulation)):
+        with pytest.raises(AttributeError, match=rf"^{name} of a constructed .*dataclasses\.replace$"):
+            setattr(gamma2_zero, name, value)
+    assert gamma2_zero.charts[0] is u and gamma2_zero.kappa == 1.0
+    copy_ = replace(gamma2_zero, charts=(2.0 * u, p), kappa=3.0)
+    for got, want in zip(copy_.offsets, chart_offsets(2.0 * u, p, 3.0)):
+        assert np.array_equal(got, want)
+    assert not np.array_equal(copy_.offsets[0], gamma2_zero.offsets[0])
+    copy_.spears = {}  # build's own assignments stay allowed
+    assert copy_.spears == {}
 
 
 def _walk_reference(st_, puncture):
@@ -1051,15 +1068,15 @@ def test_fan_walk_matches_one_corner_reference(fixture, outcomes, request):
     rng = np.random.default_rng(2)
     seen = set()
     for trial in range(80):
-        st_ = replace(st0)
         u = st0.charts[0].copy()
         u[rng.random(u.shape[:2]) < 0.2] *= -1.0
-        st_.charts = (u, st0.charts[1])
+        tri = st0.triangulation
         if trial % 2:
-            st_.triangulation = copy.copy(st0.triangulation)
-            st_.triangulation.slot = st0.triangulation.slot.copy()
+            tri = copy.copy(st0.triangulation)
+            tri.slot = st0.triangulation.slot.copy()
             i, k = rng.integers(len(u)), rng.integers(3)
-            st_.triangulation.slot[i, k] = rng.permutation(3)
+            tri.slot[i, k] = rng.permutation(3)
+        st_ = replace(st0, charts=(u, st0.charts[1]), triangulation=tri)
         for name in st_.fibers:
             want = _outcome(_walk_reference, st_, name)
             got = _outcome(puncture_geometry, st_, name)

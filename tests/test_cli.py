@@ -382,13 +382,46 @@ def test_surgery_invalid_profile(bundle_path, tmp_path):
 
 @pytest.mark.parametrize("mode", ["complete", "compact"])
 def test_surgery_overflowing_profile_is_one_json_error(bundle_path, tmp_path, mode):
-    # sup |tau^R'|^2 overflows, so no finite slope constant exists
+    # sup |tau^R'|^2 would overflow, so the caps refuse sin.0
     profile = tmp_path / "huge-profile.json"
     profile.write_text('{"R": 0.1, "const": 1.0, "sin": [1e200]}')
     code, stdout, stderr = run_cli(["surgery", str(bundle_path), str(profile), "--mode", mode])
     assert code == 2 and stdout == ""
     err = json.loads(stderr)
     assert err["category"] == "input-error" and "slope constant M" in err["message"]
+
+
+@pytest.mark.parametrize("mode", ["complete", "compact"])
+@pytest.mark.parametrize("profile, field", [
+    ('{"R": 1e-320}', "R"),  # was a divide-by-zero warning or OnSeam
+    ('{"R": 0.1, "const": 1e308}', "const"),  # was an unnamed non-finite M
+    ('{"R": 0.1, "cos": [0.5, -1e51]}', "cos.1"),
+    ('{"R": 1e51, "const": 1.0}', "R"),
+])
+def test_surgery_profile_beyond_the_cap_scale_names_its_field(bundle_path, tmp_path, mode,
+                                                              profile, field):
+    path = tmp_path / "profile.json"
+    path.write_text(profile)
+    out = tmp_path / "report.json"
+    code, stdout, stderr = run_cli(["surgery", str(bundle_path), str(path), "--mode", mode,
+                                    "--out", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    err = json.loads(stderr)
+    assert err["category"] == "input-error" and err["message"].startswith(f"{field} must be in [")
+
+
+@pytest.mark.parametrize("mode", ["complete", "compact"])
+def test_surgery_profile_at_the_cap_scale_has_finite_reports(bundle_path, tmp_path, mode):
+    # the corners of the admitted range give a finite M and finite delta samples
+    for profile in ({"R": 1e-50, "const": 1e50, "cos": [1e50, -1e50], "sin": [1e50] * 3},
+                    {"R": 1e50, "const": 1e50, "cos": [1e50, -1e50], "sin": [1e50] * 3},
+                    {"R": 1e-50, "const": -1e50, "cos": [], "sin": []}):
+        path = tmp_path / "profile.json"
+        path.write_text(canonical_dumps(profile))
+        code, stdout, stderr = run_cli(["surgery", str(bundle_path), str(path), "--mode", mode])
+        assert code in (0, 1) and stderr == ""
+        report = json.loads(stdout)
+        assert math.isfinite(report["M"]) and math.isfinite(report["delta"]["min"])
 
 
 def test_surgery_margin_above_one_is_an_input_error(bundle_path, profile_path, tmp_path):

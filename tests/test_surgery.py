@@ -206,11 +206,13 @@ def test_surface_graph_refuses_non_finite_slope_constant():
     for m in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="slope constant M"):
             SurfaceGraph(profile=p, mode="complete", M=m)
+    # a profile is admitted at any finite scale; the caps refuse the scales at
+    # which M would overflow, naming the field and the slope constant
     huge = BoundaryProfile(R=0.1, const=1.0, sin=(1e200,))
     for extend in (extend_complete, extend_compact):
         with pytest.raises(ValueError, match="slope constant M"):
             extend(huge)
-    # 8TR and R^2 (margin - 1) overflow to inf and -inf: their nan is not dropped
+    # 8TR and R^2 (margin - 1) would overflow to inf and -inf
     with pytest.raises(ValueError, match="slope constant M"):
         extend_compact(BoundaryProfile(R=1e200, const=1e200))
 
