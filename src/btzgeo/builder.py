@@ -31,23 +31,17 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .minkowski import (
-    G,
-    GeometryError,
-    LinearIsometry,
-    minkowski_inner,
-    rotation_about_t,
-)
+from .minkowski import G, GeometryError, minkowski_inner
 from .models import TWO_PI, axis_deck_generator, dev0_array, dev0_inverse, h_ell_coords
 from .representations import (
     AffineRepresentation,
     IdealTriangulationData,
     InvalidTriangulation,
     NotAdmissible,
-    PeripheralFixedData,
+    PeripheralCheck,
     check_admissible,
+    lightlike_to_boundary,
     parse_word,
-    peripheral_fixed_data,
 )
 from .serialize import JsonRecord, _real, canonical_dumps, json_mismatch, read
 
@@ -513,74 +507,69 @@ class SingularFiber(JsonRecord):
 
 
 @dataclass(frozen=True)
-class FanEntry:
-    """One corner of the fan walk: the half-plane through the neighbor decoration."""
-
-    triangle: int
-    anchor: np.ndarray  # kappa u + p of the neighbor corner in the cover
-    theta: float
-
-
-@dataclass(frozen=True)
 class PunctureGeometry:
     """Developed fan around one puncture in axis-adapted coordinates.
 
-    theta values cover two periods plus one entry (2r + 1 angles); Theta is
-    the holonomy angle advance per period.  ell = Theta / 2pi is the
-    hyperbolic rescaling that normalizes the period to 2pi.  ``frame`` rotates
-    the axis direction into the (t, x) plane; ``frame_inverse`` is its exact
-    inverse G frame^T G as a read-only array, which minkowski_to_model and
-    _in_fan_prisms share.
+    The fan is three read-only arrays over its 2r + 1 entries, two periods
+    plus one: ``triangles`` the triangle each entry's corner lies in,
+    ``corners`` (2r + 1, 3) the corner points kappa u + p moved into the
+    cover, and ``theta`` their strictly increasing angles.  Theta is the
+    holonomy angle advance per period.  ell = Theta / 2pi is the hyperbolic
+    rescaling that normalizes the period to 2pi.  ``frame`` is the rotation
+    about the t axis that takes the (t, x) plane to the axis direction;
+    ``frame_inverse`` is its exact inverse G frame^T G.
 
     The prism tables that _in_fan_prisms reads are derived from the fields on
-    construction (so ``replace`` rebuilds them): ``windows`` (2r + 1,) the fan
-    angles; ``prisms`` (r, 3, 3) with columns (axis direction, anchor n -
-    anchor, anchor n + 1 - anchor) per window n, the identity where that
-    matrix is ``singular`` (r,) (determinant exactly 0); ``deck_generator``
-    the axis deck generator in the ambient frame, frame N frame^-1.
+    construction (so ``replace`` rebuilds them): ``prisms`` (r, 3, 3) with
+    columns (axis direction, corner n - anchor, corner n + 1 - anchor) per
+    window n, the identity where that matrix is ``singular`` (r,)
+    (determinant exactly 0); ``deck_generator`` the axis deck generator in the
+    ambient frame, frame N frame^-1.
     """
 
     puncture: str
     base_vertex: str
-    frame: LinearIsometry
+    frame: np.ndarray
     frame_inverse: np.ndarray
     line_point: np.ndarray
     line_direction: np.ndarray
     anchor: np.ndarray
-    fan: tuple[FanEntry, ...]
+    triangles: np.ndarray
+    corners: np.ndarray
+    theta: np.ndarray
     r: int
-    theta: tuple[float, ...]
     Theta: float
     ell: float
     holonomy_residual: float
-    windows: np.ndarray = field(init=False, repr=False, compare=False)
     prisms: np.ndarray = field(init=False, repr=False, compare=False)
     singular: np.ndarray = field(init=False, repr=False, compare=False)
     deck_generator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        corners = np.array([e.anchor for e in self.fan[: self.r + 1]]) - self.anchor
+        corners = self.corners[: self.r + 1] - self.anchor
         prisms = np.empty((self.r, 3, 3))
         prisms[..., 0] = self.line_direction
         prisms[..., 1], prisms[..., 2] = corners[:-1], corners[1:]
         singular = np.linalg.det(prisms) == 0.0
         prisms[singular] = np.eye(3)
-        deck_generator = self.frame.matrix @ axis_deck_generator() @ self.frame_inverse
-        for name, table in (("windows", np.array([e.theta for e in self.fan])), ("prisms", prisms),
-                            ("singular", singular), ("deck_generator", deck_generator)):
-            table.setflags(write=False)
+        deck_generator = self.frame @ axis_deck_generator() @ self.frame_inverse
+        for name, table in (("prisms", prisms), ("singular", singular),
+                            ("deck_generator", deck_generator)):
             object.__setattr__(self, name, table)
+        for table in (self.frame, self.frame_inverse, self.triangles, self.corners, self.theta,
+                      prisms, singular, deck_generator):
+            table.setflags(write=False)
 
     @property
     def theta_normalized(self) -> tuple[float, ...]:
-        return tuple(v / self.ell for v in self.theta)
+        return tuple(v / self.ell for v in self.theta.tolist())
 
     def to_json(self) -> dict:
         return {
             "puncture": self.puncture,
             "base_vertex": self.base_vertex,
             "r": self.r,
-            "theta": list(self.theta),
+            "theta": self.theta.tolist(),
             "Theta": self.Theta,
             "ell": self.ell,
             "theta_normalized": list(self.theta_normalized),
@@ -738,36 +727,34 @@ def gluing_isometries(rep: AffineRepresentation, tri: IdealTriangulationData):
 
 
 def decorate_vertices(
-    fixed: dict[str, PeripheralFixedData], tri: IdealTriangulationData,
+    cusps: tuple[PeripheralCheck, ...], tri: IdealTriangulationData,
     gluing: tuple[np.ndarray, np.ndarray],
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, str]]:
     """Assign (u, p) to every triangulation vertex, equivariantly.
 
     Base vertices (one per puncture, located at the fixed boundary point of
-    their peripheral) carry the peripheral fixed data ``fixed`` (from
-    peripheral_fixed_data, keyed by puncture); the rest is propagated
-    through the gluing isometries.  Revisits must agree, which pins the input
-    convention: gluing words multiply positions on the left.  Returns the
-    decorations and the base vertex chosen per puncture.
+    their peripheral) carry (u, line_point) of their cusp's record in
+    ``cusps``, the peripheral records of an admissible check_admissible
+    report; the rest is propagated through the gluing isometries.  Revisits
+    must agree, which pins the input convention: gluing words multiply
+    positions on the left.  Returns the decorations and the base vertex
+    chosen per puncture.
     """
-    base_of = {}
-    for name, data in fixed.items():
-        xi = data.boundary_position
+    base_of: dict[str, str] = {}
+    dec_u: dict[str, np.ndarray] = {}
+    dec_p: dict[str, np.ndarray] = {}
+    for cusp in cusps:
+        xi = lightlike_to_boundary(cusp.u)
         candidates = sorted(
             v for v, cls_ in tri.vertex_class.items()
-            if cls_ == name and _boundary_close(tri.positions[v], xi)
+            if cls_ == cusp.name and _boundary_close(tri.positions[v], xi)
         )
         if not candidates:
             raise InvalidTriangulation(
-                f"puncture {name}: no vertex at its fixed boundary point {xi!r}"
+                f"puncture {cusp.name}: no vertex at its fixed boundary point {xi!r}"
             )
-        base_of[name] = candidates[0]
-
-    dec_u: dict[str, np.ndarray] = {}
-    dec_p: dict[str, np.ndarray] = {}
-    for name, v in base_of.items():
-        dec_u[v] = fixed[name].u
-        dec_p[v] = fixed[name].line_point
+        base_of[cusp.name] = v = candidates[0]
+        dec_u[v], dec_p[v] = cusp.u, cusp.line_point
 
     # Identification edges: (target vertex, source vertex, m, b) meaning
     # decoration(target) = m . decoration(source) + b, per glued facet and slot.
@@ -854,14 +841,11 @@ def build(
     if not report.verdict:
         raise NotAdmissible(report)
     gluing = gluing_isometries(rep, tri)
-    fixed = peripheral_fixed_data(rep, {c.name: c.fixed_direction for c in report.peripheral})
-    dec_u, dec_p, base_of = decorate_vertices(fixed, tri, gluing)
+    dec_u, dec_p, base_of = decorate_vertices(report.peripheral, tri, gluing)
     charts = decorate_charts(tri.triangles, dec_u, dec_p)
     cert = choose_kappa(charts, settings)
-    fibers = {
-        name: SingularFiber(name, base_of[name], line_point=data.line_point, line_direction=data.u)
-        for name, data in fixed.items()
-    }
+    fibers = {c.name: SingularFiber(c.name, base_of[c.name], line_point=c.line_point,
+                                    line_direction=c.u) for c in report.peripheral}
     st = PolyhedralSpacetime(
         representation=rep,
         triangulation=tri,
@@ -924,9 +908,10 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
     orbit = {v for v, c in tri.vertex_class.items() if c == puncture}
     r = sum(1 for t in tri.triangles for v in t if v in orbit)
     anchor = st.kappa * fiber.line_direction + fiber.line_point
-    frame = rotation_about_t(math.atan2(fiber.line_direction[2], fiber.line_direction[1]))
-    frame_inv = G @ frame.matrix.T @ G  # the exact inverse of an isometry
-    frame_inv.setflags(write=False)
+    angle = math.atan2(fiber.line_direction[2], fiber.line_direction[1])
+    c, s = math.cos(angle), math.sin(angle)
+    frame = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    frame_inv = G @ frame.T @ G  # the exact inverse of an isometry
     m, b = st.gluing
     corner = st.kappa * st.charts[0] + st.charts[1]  # kappa u + p, (S, 3, 3)
     neighbour, slot = tri.neighbour.tolist(), tri.slot.tolist()
@@ -985,8 +970,8 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
             f"spread {max(shifts) - min(shifts):.3e}"
         )
     # The period must be the peripheral holonomy or its inverse (G m^T G, -(m^-1 b)).
-    hol = st.representation.generator(puncture)
-    hol_m, hol_b = hol.linear.matrix, hol.translation
+    rep = st.representation
+    hol_m, hol_b = rep.linear[puncture].matrix, rep.translations[puncture]
     inv_m = G @ hol_m.T @ G
     residual = min(max(float(np.abs(h_m - period_m).max()), float(np.abs(h_b - period_b).max()))
                    for h_m, h_b in ((hol_m, hol_b), (inv_m, -(inv_m @ hol_b))))
@@ -1004,9 +989,10 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
         line_point=fiber.line_point,
         line_direction=fiber.line_direction,
         anchor=anchor,
-        fan=tuple(FanEntry(t_i, a, th) for t_i, a, th in zip(tris, q, thetas)),
+        triangles=np.array(tris),
+        corners=q,
+        theta=theta,
         r=r,
-        theta=tuple(thetas),
         Theta=Theta,
         ell=Theta / TWO_PI,
         holonomy_residual=residual,
@@ -1017,7 +1003,7 @@ def model_to_minkowski(pg: PunctureGeometry, point) -> np.ndarray:
     """Normalized axis coordinates (..., 3) of (tau, r, theta) -> Minkowski points (..., 3)."""
     q = np.asarray(point, dtype=float)
     x = dev0_array(*h_ell_coords(pg.ell, q[..., 0], q[..., 1], q[..., 2]))
-    return x @ pg.frame.matrix.T + pg.line_point
+    return x @ pg.frame.T + pg.line_point
 
 
 def minkowski_to_model(pg: PunctureGeometry, x) -> np.ndarray:
@@ -1046,10 +1032,9 @@ def _in_fan_prisms(pg: PunctureGeometry, x: np.ndarray) -> tuple[np.ndarray, np.
     gap = w[:, 0] - w[:, 1]
     front = gap > 0
     theta = -w[:, 2] / np.where(front, gap, 1.0)
-    windows = pg.windows
-    lo, span = windows[0], windows[pg.r] - windows[0]
+    lo, span = pg.theta[0], pg.theta[pg.r] - pg.theta[0]
     lifted = lo + (theta - lo) % span
-    n = np.minimum(np.maximum(np.searchsorted(windows, lifted, side="right") - 1, 0), pg.r - 1)
+    n = np.minimum(np.maximum(np.searchsorted(pg.theta, lifted, side="right") - 1, 0), pg.r - 1)
     sn = (lifted - theta)[:, None, None] * pg.deck_generator
     deck = np.eye(3) + sn + 0.5 * (sn @ sn)
     info = np.empty((len(x), 4))
@@ -1091,7 +1076,7 @@ def find_spear(st: PolyhedralSpacetime, puncture: str) -> SpearDescriptor:
     pg = st.fans[puncture]
     r = pg.r
     vertex_tau = TWO_PI / pg.Theta * st.kappa
-    ends = np.array(pg.theta[: r + 1]) / pg.ell
+    ends = pg.theta[: r + 1] / pg.ell
     mid, width = 0.5 * (ends[:-1] + ends[1:]), ends[1:] - ends[:-1]
     pts = np.empty((r, 3, 3))
     pts[..., 0], pts[..., 1] = vertex_tau + 0.5, 1.0

@@ -635,13 +635,13 @@ def trace_causal_curve(st: PolyhedralSpacetime, start, t_stop: float, steering: 
                 "use 'axis' or 'leave_axis'"
             )
         pg = st.fans[start.puncture]
-        entry = pg.fan[0]
+        first = int(pg.triangles[0])
         alpha = np.full(3, 0.1)
-        alpha[st.triangulation.triangles[entry.triangle].index(pg.base_vertex)] = 0.8
+        alpha[st.triangulation.triangles[first].index(pg.base_vertex)] = 0.8
         hop = None
         gap = t_stop - start.t
         for frac in (0.05, 0.1, 0.2, 0.4, 0.8):
-            candidate = ChartPoint(entry.triangle, start.t + frac * gap, alpha)
+            candidate = ChartPoint(first, start.t + frac * gap, alpha)
             if fiber_hop_is_causal(st, start, candidate):
                 hop = candidate
                 break

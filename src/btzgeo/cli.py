@@ -64,7 +64,7 @@ class RunConfig(BuildSettings):
     adds the run keys.  Seeds are recorded in every report this tool emits.
     """
 
-    # admissibility gate
+    # validate's relator-residual gate; build and bundle loads use RELATOR_TOL
     admissibility_tol: float = 1e-9
     # causal tracing
     n_curves: int = 100

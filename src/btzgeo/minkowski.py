@@ -233,15 +233,9 @@ def classify_isometry(m: LinearIsometry) -> IsometryClassification:
 
 
 def fixed_lightlike_direction(m: LinearIsometry) -> np.ndarray:
-    """Future lightlike eigenvector of a parabolic, normalized to t component 1."""
-    if classify_isometry(m).kind is not IsometryKind.PARABOLIC:
-        raise NotParabolic("fixed lightlike direction requires a parabolic")
-    return parabolic_fixed_direction(m)
-
-
-def parabolic_fixed_direction(m: LinearIsometry) -> np.ndarray:
-    """fixed_lightlike_direction of a linear part its caller has already
-    classified parabolic: one SVD, no second classification."""
+    """Future lightlike eigenvector of a parabolic, normalized to t component 1,
+    from one SVD and without classifying m: NotParabolic when the kernel of
+    A - I is not a lightlike line."""
     n = m.matrix - np.eye(3)
     # The eigenspace for eigenvalue 1 is the kernel of A - I (rank 2 for parabolics).
     _, _, vt = np.linalg.svd(n)
@@ -255,32 +249,27 @@ def parabolic_fixed_direction(m: LinearIsometry) -> np.ndarray:
     return u
 
 
-def is_tangent(phi: AffineIsometry, u: np.ndarray | None = None) -> bool:
+def is_tangent(phi: AffineIsometry, u: np.ndarray) -> bool:
     """True when the translation part is Minkowski-orthogonal to the parabolic
-    fixed direction u, computed here unless the caller holds it."""
-    if u is None:
-        u = fixed_lightlike_direction(phi.linear)
+    fixed direction u of the linear part."""
     tau = phi.translation
     scale = max(1.0, float(np.linalg.norm(tau)) * float(np.linalg.norm(u)))
     return abs(minkowski_inner(tau, u)) <= TANGENT_TOL * scale
 
 
-def fixed_line(phi: AffineIsometry, u: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed line (point, direction) of a parabolic-with-tangent-translation.
+def fixed_line(phi: AffineIsometry) -> np.ndarray:
+    """Minimum-Euclidean-norm point of the fixed line of a parabolic with
+    tangent translation; the line's direction is the fixed lightlike vector.
 
-    Solves (A - I) x = -tau; the returned point is the minimum-Euclidean-norm
-    solution, the direction is the fixed lightlike vector u (t component 1),
-    computed here unless the caller holds it.  Raises NoFixedPoints when the
-    system is inconsistent (non-tangent part).
+    Solves (A - I) x = -tau.  Raises NoFixedPoints when the system is
+    inconsistent (non-tangent part).
     """
-    if u is None:
-        u = fixed_lightlike_direction(phi.linear)
     n = phi.linear.matrix - np.eye(3)
     x0, *_ = np.linalg.lstsq(n, -phi.translation, rcond=None)
     resid = float(np.linalg.norm(n @ x0 + phi.translation))
     if resid > FIXED_LINE_TOL * max(1.0, float(np.linalg.norm(phi.translation))):
         raise NoFixedPoints(f"no fixed points (residual {resid:.3e})")
-    return x0, u
+    return x0
 
 
 def rotation_about_t(theta: float) -> LinearIsometry:

@@ -8,9 +8,11 @@ translation parts form a cocycle: tau(gh) = tau(g) + rho(g) tau(h).
 Admissibility, the gate for the spacetime builder, requires: relator residual
 at float precision; every peripheral image parabolic; every peripheral
 translation part tangent (Minkowski-orthogonal to the fixed lightlike
-direction of its linear part).  Discreteness has no desk-scale algorithm and
-is only certified for the builtin examples, which come from classical
-arithmetic groups.
+direction of its linear part).  check_admissible keeps one record per cusp,
+which also carries what the builder decorates the cusp with: the fixed
+lightlike direction u and a point of the affine image's fixed line.
+Discreteness has no desk-scale algorithm and is only certified for the
+builtin examples, which come from classical arithmetic groups.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .minkowski import (
     fixed_line,
     is_tangent,
     minkowski_inner,
-    parabolic_fixed_direction,
 )
 from .serialize import Default, JsonRecord, read
 
@@ -296,10 +297,16 @@ class Discreteness(enum.Enum):
 
 @dataclass(frozen=True)
 class PeripheralCheck:
+    """One cusp's record: whether its linear part is parabolic and its
+    translation tangent; u, the fixed lightlike direction (t component 1),
+    where parabolic; and line_point, the minimum-norm point of the fixed line
+    u spans, where the cusp is admissible (parabolic and tangent)."""
+
     name: str
     parabolic: bool
     tangent: bool
-    fixed_direction: np.ndarray | None
+    u: np.ndarray | None
+    line_point: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -324,9 +331,7 @@ class AdmissibilityReport:
                 p.name: {
                     "parabolic": p.parabolic,
                     "tangent": p.tangent,
-                    "fixed_direction": None
-                    if p.fixed_direction is None
-                    else [float(x) for x in p.fixed_direction],
+                    "fixed_direction": None if p.u is None else [float(x) for x in p.u],
                 }
                 for p in self.peripheral
             },
@@ -336,7 +341,8 @@ class AdmissibilityReport:
 
 
 def check_admissible(rep: AffineRepresentation, tol: float = RELATOR_TOL) -> AdmissibilityReport:
-    """Relator residual, peripheral parabolicity and tangency, discreteness status."""
+    """Relator residual, discreteness status and one record per peripheral,
+    in one pass: each generator is built and its linear part classified once."""
     rel = rep.evaluate(rep.presentation.relator)
     residual = float(
         np.abs(rel.linear.matrix - np.eye(3)).max()
@@ -345,9 +351,12 @@ def check_admissible(rep: AffineRepresentation, tol: float = RELATOR_TOL) -> Adm
     checks = []
     for name in rep.presentation.peripheral_names:
         g = rep.generator(name)
-        parab = classify_isometry(g.linear).kind is IsometryKind.PARABOLIC
-        u = parabolic_fixed_direction(g.linear) if parab else None
-        checks.append(PeripheralCheck(name, parab, parab and is_tangent(g, u), u))
+        u = point = None
+        if parab := classify_isometry(g.linear).kind is IsometryKind.PARABOLIC:
+            u = fixed_lightlike_direction(g.linear)
+        if tangent := parab and is_tangent(g, u):
+            point = fixed_line(g)
+        checks.append(PeripheralCheck(name, parab, tangent, u, point))
     verdict = residual <= tol and all(p.parabolic and p.tangent for p in checks)
     disc = (
         Discreteness.CERTIFIED_BY_CONSTRUCTION
@@ -355,38 +364,6 @@ def check_admissible(rep: AffineRepresentation, tol: float = RELATOR_TOL) -> Adm
         else Discreteness.NOT_CHECKED
     )
     return AdmissibilityReport(residual, tuple(checks), disc, verdict)
-
-
-@dataclass(frozen=True)
-class PeripheralFixedData:
-    """Per-puncture decoration data: fixed lightlike direction and anchor on the fixed line."""
-
-    name: str
-    u: np.ndarray           # future lightlike, t component 1
-    line_point: np.ndarray  # minimum-norm point of the fixed line
-    line_direction: np.ndarray
-
-    @property
-    def boundary_position(self) -> float:
-        return lightlike_to_boundary(self.u)
-
-
-def peripheral_fixed_data(
-    rep: AffineRepresentation, directions: dict[str, np.ndarray] | None = None,
-) -> dict[str, PeripheralFixedData]:
-    """Fixed direction u_j and minimum-norm fixed point p_j for each peripheral.
-
-    ``directions`` holds the u_j the caller already has, such as the fixed
-    directions of an admissible check_admissible report; else each is
-    computed here.
-    """
-    out = {}
-    for name in rep.presentation.peripheral_names:
-        g = rep.generator(name)
-        u = fixed_lightlike_direction(g.linear) if directions is None else directions[name]
-        point, direction = fixed_line(g, u)
-        out[name] = PeripheralFixedData(name, u, point, direction)
-    return out
 
 
 def cocycle_from_tangent_vector(
@@ -420,11 +397,12 @@ def tangent_cocycle_basis(rep: AffineRepresentation) -> list[dict[str, np.ndarra
     Variables are the translations of the free generators; constraints are one
     linear tangency condition per peripheral (the forced last peripheral
     depends linearly on the variables).  The kernel is extracted by SVD with a
-    deterministic sign convention.
+    deterministic sign convention.  Only the linear parts are read, so the
+    basis is that of the zero cocycle whatever the translations are.
     """
     pres = rep.presentation
     free = pres.free_generator_names
-    fixed = peripheral_fixed_data(rep)
+    us = [fixed_lightlike_direction(rep.linear[name]) for name in pres.peripheral_names]
     dim = 3 * len(free)
 
     def tangency_values(vec: np.ndarray) -> np.ndarray:
@@ -433,7 +411,7 @@ def tangent_cocycle_basis(rep: AffineRepresentation) -> list[dict[str, np.ndarra
         }
         full = cocycle_from_tangent_vector(rep, assignment)
         return np.array(
-            [minkowski_inner(full[name], fixed[name].u) for name in pres.peripheral_names]
+            [minkowski_inner(full[name], u) for name, u in zip(pres.peripheral_names, us)]
         )
 
     rows = np.column_stack([tangency_values(e) for e in np.eye(dim)])
@@ -508,23 +486,26 @@ class IdealTriangulationData:
         self.neighbour, self.slot = np.full((n, 3), -1), np.zeros((n, 3, 3), dtype=int)
         self.word, self.left = [[""] * 3 for _ in range(n)], np.zeros((len(self.gluings), 2), int)
 
-        def facet(tri, pair) -> int:
+        def facet(g_i, side) -> int:
+            tri, pair = getattr(self.gluings[g_i], side)
             if not 0 <= tri < n:
-                raise ValueError(f"gluing references triangle {tri}")
+                raise ValueError(f"gluings.{g_i}.{side} references triangle {tri}")
             if len(set(pair)) != 2 or not set(pair) <= set(self.triangles[tri]):
-                raise ValueError(f"edge {pair} not in triangle {tri}")
+                raise ValueError(f"gluings.{g_i}.{side}: edge {pair} not in triangle {tri}")
             return 3 - sum(map(self.triangles[tri].index, pair))
 
-        for g_i, g in enumerate(self.gluings):
-            self.left[g_i] = g.left[0], facet(*g.left)
-            for (tri, pair), (nbr, nbr_pair), word in (
-                (g.left, g.right, g.word), (g.right, g.left, invert_word(g.word))
+        # both sides of every gluing are checked before any table entry is written
+        facets = [(facet(g_i, "left"), facet(g_i, "right")) for g_i in range(len(self.gluings))]
+        for g_i, (g, (k_left, k_right)) in enumerate(zip(self.gluings, facets)):
+            self.left[g_i] = g.left[0], k_left
+            for (tri, pair), k, (nbr, nbr_pair), k_nbr, word in (
+                (g.left, k_left, g.right, k_right, g.word),
+                (g.right, k_right, g.left, k_left, invert_word(g.word)),
             ):
-                k = facet(tri, pair)
                 if self.neighbour[tri, k] >= 0:
                     raise ValueError("every edge must be glued exactly once")
                 self.neighbour[tri, k], self.word[tri][k] = nbr, word
-                self.slot[tri, k, k] = facet(nbr, nbr_pair)
+                self.slot[tri, k, k] = k_nbr
                 for v, w in zip(pair, nbr_pair):
                     self.slot[tri, k, self.triangles[tri].index(v)] = self.triangles[nbr].index(w)
         if (self.neighbour < 0).any():

@@ -57,13 +57,16 @@ from btzgeo.builder import (
     strip_btz,
     verify_face_equivariance,
 )
-from btzgeo.minkowski import causal_class, CausalClass, minkowski_inner, rotation_about_t
+from btzgeo.minkowski import (
+    LinearIsometry, causal_class, CausalClass, minkowski_inner, rotation_about_t,
+)
 from btzgeo.models import TWO_PI, axis_deck_generator, parabolic_parameter
 from btzgeo.representations import (
+    AffineRepresentation,
     InvalidTriangulation,
     NotAdmissible,
+    check_admissible,
     cocycle_from_tangent_vector,
-    peripheral_fixed_data,
     tangent_cocycle_basis,
 )
 from btzgeo.serialize import canonical_dumps
@@ -458,7 +461,7 @@ def _sweep_inputs(examples, rng, n):
 def _sweep_charts(examples, rng, n):
     """Stacked charts of n seeded inputs drawn by _sweep_inputs."""
     for rep, ex in _sweep_inputs(examples, rng, n):
-        dec_u, dec_p, _ = decorate_vertices(peripheral_fixed_data(rep), ex.triangulation,
+        dec_u, dec_p, _ = decorate_vertices(check_admissible(rep).peripheral, ex.triangulation,
                                             gluing_isometries(rep, ex.triangulation))
         yield decorate_charts(ex.triangulation.triangles, dec_u, dec_p)
 
@@ -600,6 +603,28 @@ def test_build_rejects_inadmissible(examples):
         build(rep.with_translations(translations), ex.triangulation)
 
 
+def test_build_reads_each_cusp_once(examples, monkeypatch):
+    # one admissibility pass: a build classifies each peripheral's linear part
+    # once and constructs each peripheral generator once
+    import btzgeo.minkowski as minkowski_module
+    import btzgeo.representations as representations_module
+
+    classified, built = [], []
+    classify, generator = minkowski_module.classify_isometry, AffineRepresentation.generator
+    for module in (minkowski_module, representations_module):
+        monkeypatch.setattr(module, "classify_isometry",
+                            lambda m: classified.append(m) or classify(m))
+    monkeypatch.setattr(AffineRepresentation, "generator",
+                        lambda rep, name: built.append(name) or generator(rep, name))
+    for ex in examples.values():
+        for rep in (ex.representation, ex.deformed(1.0)):
+            classified.clear()
+            built.clear()
+            build(rep, ex.triangulation)
+            assert built == rep.presentation.peripheral_names
+            assert len(classified) == len(built)
+
+
 @pytest.mark.parametrize("name, entry, vertex", [
     ("gamma2", (0, 0), "inf"), ("gamma2", (0, 1), "0"), ("gamma2", (1, 2), "1"),
     ("punctured_torus", (0, 0), "-1"), ("punctured_torus", (0, 1), "inf"),
@@ -632,12 +657,16 @@ def test_fan_geometry(gamma2_zero, gamma2_deformed):
             assert shifts.max() - shifts.min() <= 1e-8
             normalized = np.array(pg.theta_normalized)
             assert abs((normalized[pg.r] - normalized[0]) - TWO_PI) <= 1e-9
-            # the exact inverse of the frame, and prism tables read off the fan
-            assert pg.frame_inverse.tobytes() == pg.frame.inverse().matrix.tobytes()
-            assert pg.windows.tolist() == list(pg.theta)
+            # the frame is rotation_about_t's matrix, its exact inverse, and the
+            # fan and prism tables as read-only arrays
+            d = pg.line_direction
+            frame = rotation_about_t(math.atan2(d[2], d[1]))
+            assert pg.frame.tobytes() == frame.matrix.tobytes()
+            assert pg.frame_inverse.tobytes() == frame.inverse().matrix.tobytes()
+            assert pg.triangles.shape == (2 * pg.r + 1,) and pg.corners.shape == (2 * pg.r + 1, 3)
             assert pg.prisms.shape == (pg.r, 3, 3) and not pg.singular.any()
-            for table in (pg.frame_inverse, pg.windows, pg.prisms, pg.singular,
-                          pg.deck_generator):
+            for table in (pg.frame, pg.frame_inverse, pg.triangles, pg.corners, pg.theta,
+                          pg.prisms, pg.singular, pg.deck_generator):
                 assert not table.flags.writeable
 
 
@@ -651,7 +680,7 @@ def test_fan_angle_advance_is_deformation_invariant(gamma2_zero, gamma2_deformed
 def test_fan_theta_matches_holonomy_parameter(torus_zero):
     pg = torus_zero.fans["c1"]
     hol = torus_zero.representation.generator("c1").linear
-    conj = pg.frame.inverse() @ hol @ pg.frame
+    conj = LinearIsometry(pg.frame_inverse @ hol.matrix @ pg.frame)
     assert abs(parabolic_parameter(conj)) == pytest.approx(pg.Theta, abs=1e-8)
 
 
@@ -818,16 +847,16 @@ def _prism_reference(pg, x):
     d = x - pg.anchor
     if minkowski_inner(d, pg.line_direction) >= 0:
         return False, (-1, math.nan, math.nan, math.nan)
-    frame_inv = pg.frame.inverse().matrix
+    frame_inv = pg.frame_inverse
     w = frame_inv @ d
     theta = -w[2] / (w[0] - w[1])
-    windows = [e.theta for e in pg.fan]
+    windows = pg.theta.tolist()
     lo, span = windows[0], windows[pg.r] - windows[0]
     lifted = lo + (theta - lo) % span
     n = min(max(bisect.bisect_right(windows, lifted) - 1, 0), pg.r - 1)
-    m = np.column_stack([pg.line_direction, pg.fan[n].anchor - pg.anchor,
-                         pg.fan[n + 1].anchor - pg.anchor])
-    sn = (lifted - theta) * (pg.frame.matrix @ axis_deck_generator() @ frame_inv)
+    m = np.column_stack([pg.line_direction, pg.corners[n] - pg.anchor,
+                         pg.corners[n + 1] - pg.anchor])
+    sn = (lifted - theta) * (pg.frame @ axis_deck_generator() @ frame_inv)
     t, a, b = np.linalg.solve(m, (np.eye(3) + sn + 0.5 * (sn @ sn)) @ d)
     inside = t > 1e-12 and a >= -1e-9 and b >= -1e-9 and a + b <= 1.0 / 3.0 + 1e-9
     return inside, (n, t, a, b)
@@ -864,9 +893,9 @@ def test_spear_samples_count_three_points_per_window(gamma2_zero, torus_zero):
 
 def test_spear_search_treats_singular_prism_as_outside(gamma2_zero):
     pg = gamma2_zero.fans["c1"]
-    fan = list(pg.fan)
-    fan[1] = replace(fan[1], anchor=fan[0].anchor)
-    broken = replace(gamma2_zero, fans={**gamma2_zero.fans, "c1": replace(pg, fan=tuple(fan))})
+    corners = pg.corners.copy()
+    corners[1] = corners[0]
+    broken = replace(gamma2_zero, fans={**gamma2_zero.fans, "c1": replace(pg, corners=corners)})
     with pytest.raises(SpearNotFound, match=r"\(window, t, a, b\) = \(0\.0, nan"):
         find_spear(broken, "c1")
 
@@ -1081,7 +1110,7 @@ def test_fan_walk_matches_one_corner_reference(fixture, outcomes, request):
             want = _outcome(_walk_reference, st_, name)
             got = _outcome(puncture_geometry, st_, name)
             if isinstance(got, PunctureGeometry):
-                got = list(got.theta)
+                got = got.theta.tolist()
             elif isinstance(want, list) and got[0] == "NonMonotoneAngles":
                 assert not got[1].startswith(("fan direction", "fan walk left")), got
                 continue

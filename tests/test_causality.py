@@ -174,12 +174,12 @@ def test_trace_leave_axis(gamma2_zero):
 def test_fiber_hop_criterion(gamma2_zero):
     st_ = gamma2_zero
     pg = st_.fans["c1"]
-    entry = pg.fan[0]
+    first = int(pg.triangles[0])
     alpha = np.full(3, 0.1)
-    alpha[st_.triangulation.triangles[entry.triangle].index(pg.base_vertex)] = 0.8
+    alpha[st_.triangulation.triangles[first].index(pg.base_vertex)] = 0.8
     fiber = FiberPoint("c1", 0.3)
-    assert fiber_hop_is_causal(st_, fiber, ChartPoint(entry.triangle, 50.0, alpha))
-    assert not fiber_hop_is_causal(st_, fiber, ChartPoint(entry.triangle, 0.3, alpha))
+    assert fiber_hop_is_causal(st_, fiber, ChartPoint(first, 50.0, alpha))
+    assert not fiber_hop_is_causal(st_, fiber, ChartPoint(first, 0.3, alpha))
 
 
 def _segment_by_segment(st_, curve):

@@ -513,6 +513,30 @@ def test_singular_sl2_and_huge_translation_are_one_json_error(cli_dir, bundle_pa
             assert message in err["message"] and not out.exists()
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("index", [2**70, -2**70])
+def test_huge_gluing_index_is_one_json_error(cli_dir, bundle_path, tmp_path, side, index):
+    # a triangle index past every numpy integer on either side of a gluing, in
+    # tri.json or in a bundle's triangulation, exits 2 naming the side; the
+    # right side's index was written into the gluing table before its range
+    # check, which raised a raw OverflowError
+    tri = json.loads((cli_dir / "tri.json").read_text())
+    tri["gluings"][1][side][0] = index
+    bundle = json.loads(bundle_path.read_text())
+    bundle["triangulation"]["gluings"][1][side][0] = index
+    (tmp_path / "tri.json").write_text(json.dumps(tri))
+    (tmp_path / "bundle.json").write_text(json.dumps(bundle))
+    out = tmp_path / "out.json"
+    for argv in (["build", str(cli_dir / "rep.json"), str(tmp_path / "tri.json")],
+                 ["causal", str(tmp_path / "bundle.json"), "--curves", "1"]):
+        code, stdout, stderr = run_cli(argv + ["--out", str(out)])
+        assert code == 2 and stdout == "", (argv, stderr)
+        err = json.loads(stderr)  # exactly one object: trailing text fails the parse
+        assert err["category"] == "input-error", err
+        assert err["message"] == f"gluings.1.{side} references triangle {index}"
+        assert not out.exists()
+
+
 def test_bundle_with_foreign_kappa_is_input_error(bundle_path, tmp_path):
     bundle = json.loads(bundle_path.read_text())
     bad = tmp_path / "bad-bundle.json"

@@ -190,9 +190,10 @@ def test_fixed_lightlike_direction_examples():
 
 def test_is_tangent_examples():
     lin = parabolic_fixing_110()
-    assert is_tangent(AffineIsometry(lin, np.array([0.0, 0.0, 1.0])))
-    assert not is_tangent(AffineIsometry(lin, np.array([1.0, 0.0, 0.0])))
-    assert is_tangent(AffineIsometry(lin, np.array([1.0, 1.0, 0.0])))
+    u = fixed_lightlike_direction(lin)
+    assert is_tangent(AffineIsometry(lin, np.array([0.0, 0.0, 1.0])), u)
+    assert not is_tangent(AffineIsometry(lin, np.array([1.0, 0.0, 0.0])), u)
+    assert is_tangent(AffineIsometry(lin, np.array([1.0, 1.0, 0.0])), u)
 
 
 def test_affine_group_laws():
@@ -222,14 +223,15 @@ def test_homomorphism_property_random_pairs():
 
 def test_fixed_line_examples():
     lin = parabolic_fixing_110()
-    point, direction = fixed_line(AffineIsometry(lin, np.zeros(3)))
-    assert direction == pytest.approx([1, 1, 0], abs=1e-9)
+    point = fixed_line(AffineIsometry(lin, np.zeros(3)))
     assert point == pytest.approx(np.zeros(3), abs=1e-9)
 
     phi = AffineIsometry(lin, np.array([0.0, 0.0, 1.0]))
-    point, direction = fixed_line(phi)
+    point = fixed_line(phi)
     assert phi.apply(point) == pytest.approx(point, abs=1e-9)
-    # minimum-norm representative is orthogonal to the line direction
+    # minimum-norm representative is orthogonal to the line direction u
+    direction = fixed_lightlike_direction(lin)
+    assert direction == pytest.approx([1, 1, 0], abs=1e-9)
     assert abs(point @ direction) < 1e-9 * max(1.0, float(np.linalg.norm(point)))
 
     with pytest.raises(NoFixedPoints):
@@ -243,9 +245,9 @@ def test_fixed_line_iff_tangent():
         conj = rotation_about_t(rng.uniform(0, 6)) @ boost_x(rng.uniform(-1, 1))
         lin = conj @ base @ conj.inverse()
         phi = AffineIsometry(lin, rng.normal(size=3))
-        tangent = is_tangent(phi)
+        tangent = is_tangent(phi, fixed_lightlike_direction(lin))
         try:
-            point, _ = fixed_line(phi)
+            point = fixed_line(phi)
             found = True
             assert phi.apply(point) == pytest.approx(point, abs=1e-6)
         except NoFixedPoints:

@@ -25,7 +25,6 @@ from btzgeo.representations import (
     invert_word,
     lightlike_to_boundary,
     parse_word,
-    peripheral_fixed_data,
     sl2_to_so12,
     tangent_cocycle_basis,
 )
@@ -223,7 +222,8 @@ def test_check_admissible_trivial_rep():
     )
     report = check_admissible(rep)
     assert report.relator_residual < 1e-12
-    assert not any(p.parabolic for p in report.peripheral)
+    for cusp in report.peripheral:  # no direction and no point without a parabolic
+        assert (cusp.parabolic, cusp.tangent, cusp.u, cusp.line_point) == (False, False, None, None)
     assert not report.verdict
 
 
@@ -254,17 +254,16 @@ def test_builtin_torus_commutator(torus):
 
 def test_zero_cocycle_tangent_everywhere(gamma2, torus):
     for ex in (gamma2, torus):
-        rep = ex.representation
-        fixed = peripheral_fixed_data(rep)
-        for name, data in fixed.items():
-            assert abs(minkowski_inner(np.zeros(3), data.u)) == 0.0
-        report = check_admissible(rep)
+        report = check_admissible(ex.representation)
+        for cusp in report.peripheral:
+            assert abs(minkowski_inner(np.zeros(3), cusp.u)) == 0.0
         assert report.verdict
 
 
 def test_peripheral_fixed_data(gamma2):
+    # the report's one record per cusp carries the decoration data
     rep = gamma2.representation
-    fixed = peripheral_fixed_data(rep)
+    fixed = {c.name: c for c in check_admissible(rep).peripheral}
     # zero cocycle: fixed lines through the origin, minimum-norm point is 0
     for data in fixed.values():
         assert data.line_point == pytest.approx(np.zeros(3), abs=1e-9)
@@ -275,12 +274,14 @@ def test_peripheral_fixed_data(gamma2):
         for j in range(i + 1, len(us)):
             assert np.abs(us[i].u - us[j].u).max() > 1e-6
 
-    from btzgeo.minkowski import NoFixedPoints
-
+    # a non-tangent cusp keeps its direction, reads tangent False and has no point
     translations = {n: np.zeros(3) for n in rep.presentation.generator_names}
     translations["c1"] = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(NoFixedPoints):
-        peripheral_fixed_data(rep.with_translations(translations))
+    report = check_admissible(rep.with_translations(translations))
+    c1 = report.peripheral[0]
+    assert (c1.name, c1.parabolic, c1.tangent, c1.line_point) == ("c1", True, False, None)
+    assert c1.u.tobytes() == fixed["c1"].u.tobytes()
+    assert not report.verdict
 
 
 def test_cocycle_extension(gamma2):
@@ -323,13 +324,25 @@ def test_tangent_cocycle_basis(gamma2, torus):
         rep = ex.representation
         basis = tangent_cocycle_basis(rep)
         assert basis  # deformation space is positive-dimensional
-        fixed = peripheral_fixed_data(rep)
         for vec in basis:
             full = cocycle_from_tangent_vector(rep, vec)
             deformed = rep.with_translations(full)
-            for name, data in fixed.items():
-                tau = deformed.generator(name).translation
-                assert abs(minkowski_inner(tau, data.u)) < 1e-8
+            for cusp in check_admissible(rep).peripheral:
+                tau = deformed.generator(cusp.name).translation
+                assert abs(minkowski_inner(tau, cusp.u)) < 1e-8
+
+
+def test_tangent_cocycle_basis_reads_only_linear_parts(gamma2):
+    # the basis depends on rho alone: a non-tangent translation part, which
+    # has no fixed line, gives the zero cocycle's basis bit for bit
+    rep = gamma2.representation
+    translations = {n: np.zeros(3) for n in rep.presentation.generator_names}
+    translations["c1"] = np.array([1.0, 0.0, 0.0])
+    got = tangent_cocycle_basis(rep.with_translations(translations))
+    want = tangent_cocycle_basis(rep)
+    assert [list(v) for v in got] == [list(v) for v in want]
+    for g, w in zip(got, want):
+        assert all(g[name].tobytes() == w[name].tobytes() for name in w)
 
 
 def test_triangulation_validation(gamma2):
@@ -359,11 +372,15 @@ def test_triangulation_validation(gamma2):
     broken["gluings"][0]["left"] = [0, ["0", "1"]]
     with pytest.raises(ValueError, match="not in triangle 0"):
         IdealTriangulationData.from_json(broken)
-    for index in (2, -1):
-        broken = copy.deepcopy(d)
-        broken["gluings"][1]["right"] = [index, broken["gluings"][1]["right"][1]]
-        with pytest.raises(ValueError, match=f"references triangle {index}"):
-            IdealTriangulationData.from_json(broken)
+    # either side of a gluing, with an index past every numpy integer too:
+    # both sides are checked before the gluing table is written
+    for side in ("left", "right"):
+        for index in (2, -1, 2**70, -2**70):
+            broken = copy.deepcopy(d)
+            broken["gluings"][1][side] = [index, broken["gluings"][1][side][1]]
+            with pytest.raises(ValueError, match=rf"^gluings\.1\.{side} references triangle "
+                                                 f"{index}$"):
+                IdealTriangulationData.from_json(broken)
 
     # a position is a finite number or "inf"
     for bad in (math.nan, -math.inf):
