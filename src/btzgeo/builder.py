@@ -253,7 +253,8 @@ class BuildSettings(JsonRecord):
     the bary_n alpha grid.  Face equivariance is not sampled: equiv_tol bounds
     its corner bound at t_max (verify_face_equivariance).  Every certificate
     must rest on a non-empty sample set, so counts are >= 1, tolerances finite
-    and > 0 and t_min < t_max; anything else is a ValueError.
+    and > 0 and t_min < t_max; anything else is a ValueError.  No setting
+    skips a certificate: every build certifies a fan and a spear per puncture.
     """
 
     margin: float = 1e-6
@@ -263,11 +264,9 @@ class BuildSettings(JsonRecord):
     t_count: int = 12
     bary_n: int = 32
     equiv_tol: float = 1e-8
-    fan_tol: float = 1e-8
-    with_spears: bool = True
 
     # range rules; subclasses with more keys extend these tuples
-    _POSITIVE = ("margin", "t_min", "t_max", "equiv_tol", "fan_tol")
+    _POSITIVE = ("margin", "t_min", "t_max", "equiv_tol")
     _COUNTS = ("max_doublings", "t_count", "bary_n")
 
     def __post_init__(self):
@@ -860,8 +859,7 @@ def build(
     st.certification = replace(cert, equivariance_residual=verify_face_equivariance(st),
                                equivariance_du=float(du.max()), equivariance_dp=float(dp.max()))
     st.fans = {name: puncture_geometry(st, name) for name in fibers}
-    if settings.with_spears:
-        st.spears = {name: find_spear(st, name) for name in fibers}
+    st.spears = {name: find_spear(st, name) for name in fibers}
     return st
 
 
@@ -886,6 +884,9 @@ def _fan_corners(v: np.ndarray, deck_m: np.ndarray, deck_b: np.ndarray,
     if (gap <= 0).any():
         raise NonMonotoneAngles("fan direction does not point into the future side of the axis")
     return q, -w[:, 2] / gap
+
+
+FAN_TOL = 1e-8  # bound on the spread of a fan's period shifts; 10x it on its holonomy residual
 
 
 def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometry:
@@ -964,7 +965,7 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
     thetas = theta.tolist()
     Theta = thetas[r] - thetas[0]
     shifts = [thetas[n + r] - thetas[n] for n in range(len(thetas) - r)]
-    if max(shifts) - min(shifts) > st.settings.fan_tol:
+    if max(shifts) - min(shifts) > FAN_TOL:
         raise NonMonotoneAngles(
             f"fan period around {puncture} is not constant: "
             f"spread {max(shifts) - min(shifts):.3e}"
@@ -976,7 +977,7 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
     residual = min(max(float(np.abs(h_m - period_m).max()), float(np.abs(h_b - period_b).max()))
                    for h_m, h_b in ((hol_m, hol_b), (inv_m, -(inv_m @ hol_b))))
     scale = max(1.0, float(np.abs(period_m).max()))
-    if residual > 10 * st.settings.fan_tol * scale:
+    if residual > 10 * FAN_TOL * scale:
         raise NonMonotoneAngles(
             f"fan period around {puncture} is not the peripheral holonomy "
             f"(residual {residual:.3e})"
@@ -1111,25 +1112,12 @@ def strip_btz(st: PolyhedralSpacetime) -> PolyhedralSpacetime:
 
 
 def extend_btz(st: PolyhedralSpacetime) -> tuple[PolyhedralSpacetime, dict[str, str]]:
-    """Re-attach the fibers whose fans admit a spear; report per puncture."""
-    report = {}
-    fibers = {}
-    for name, fib in st.fibers.items():
-        if fib.present:
-            fibers[name] = fib
-            report[name] = "already-present"
-            continue
-        try:
-            find_spear(st, name)
-        except (SpearNotFound, NonMonotoneAngles) as exc:
-            fibers[name] = fib
-            report[name] = f"left-absent: {exc}"
-            continue
-        fibers[name] = replace(fib, present=True)
-        report[name] = "reattached"
+    """Re-attach every absent fiber; report per puncture.  The build certified a
+    spear on each fiber's fan at this kappa, and that spear licenses it."""
     out = copy.copy(st)
-    out.fibers = fibers
-    return out, report
+    out.fibers = {k: replace(f, present=True) for k, f in st.fibers.items()}
+    return out, {k: "already-present" if f.present else "reattached"
+                 for k, f in st.fibers.items()}
 
 
 def mesh_data(st: PolyhedralSpacetime, t_values, resolution: int):

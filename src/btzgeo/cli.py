@@ -64,8 +64,6 @@ class RunConfig(BuildSettings):
     adds the run keys.  Seeds are recorded in every report this tool emits.
     """
 
-    # validate's relator-residual gate; build and bundle loads use RELATOR_TOL
-    admissibility_tol: float = 1e-9
     # causal tracing
     n_curves: int = 100
     t_start: float = 0.2
@@ -80,9 +78,7 @@ class RunConfig(BuildSettings):
     seed: int = 0
     normalize_theta: bool = False
 
-    _POSITIVE = BuildSettings._POSITIVE + (
-        "admissibility_tol", "t_start", "t_stop", "surgery_margin",
-    )
+    _POSITIVE = BuildSettings._POSITIVE + ("t_start", "t_stop", "surgery_margin")
     _COUNTS = BuildSettings._COUNTS + ("n_curves", "surgery_samples", "resolution")
 
     def __post_init__(self):
@@ -189,7 +185,7 @@ def _load_bundle(path: str) -> PolyhedralSpacetime:
 
 
 def validate_report(cfg: RunConfig, rep: AffineRepresentation, rep_path: str):
-    report = check_admissible(rep, tol=cfg.admissibility_tol)
+    report = check_admissible(rep)
     return {
         "kind": "admissibility-report",
         "input": rep_path,
@@ -305,10 +301,7 @@ def surgery_report(cfg: RunConfig, st: PolyhedralSpacetime, profile: BoundaryPro
     else:
         ok = spacelike and cert.conclusive and report["divergence_at_puncture"] \
             and boundary_exact
-    if st.spears:
-        report["spear_fit"] = {
-            p: fits_spear(sg, s) for p, s in sorted(st.spears.items())
-        }
+    report["spear_fit"] = {p: fits_spear(sg, s) for p, s in sorted(st.spears.items())}
     report["pass"] = ok
     return report, 0 if ok else 1
 
@@ -508,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # exceptions a command reports as one JSON error object: GeometryError is a
-# mathematical failure (exit 1), the rest input errors (exit 2)
-_ERRORS = (GeometryError, OSError, KeyError, TypeError, ValueError)
+# mathematical failure (exit 1), the rest input errors (exit 2); any other
+# exception is a bug in the program and propagates as a traceback
+_ERRORS = (GeometryError, OSError, ValueError)
 
 
 def _report_error(e: Exception) -> int:

@@ -37,12 +37,13 @@ from .minkowski import (
     is_tangent,
     minkowski_inner,
 )
-from .serialize import Default, JsonRecord, read
+from .serialize import Default, JsonRecord, constructing, read
 
 RELATOR_TOL = 1e-9
 
-# JSON schemas of a representation's generator entry and of a triangulation;
+# JSON schemas of a representation, its generator entry and a triangulation;
 # the generator names a representation needs depend on its genus and punctures.
+_REPRESENTATION = {"genus": int, "punctures": int, "generators": {str: object}}
 _GENERATOR = {
     "sl2": Default(((float,) * 2,) * 2, None),
     "so12": Default(((float,) * 3,) * 3, None),
@@ -152,11 +153,12 @@ class SurfaceGroupPresentation:
 
     @property
     def generator_names(self) -> list[str]:
-        names = []
-        for i in range(1, self.genus + 1):
-            names += [f"a{i}", f"b{i}"]
-        names += [f"c{j}" for j in range(1, self.punctures + 1)]
-        return names
+        return list(self.iter_generator_names())
+
+    def iter_generator_names(self):
+        """a1, b1, ..., ag, bg, c1, ..., cs, one name at a time."""
+        yield from (f"{x}{i}" for i in range(1, self.genus + 1) for x in "ab")
+        yield from (f"c{j}" for j in range(1, self.punctures + 1))
 
     @property
     def peripheral_names(self) -> list[str]:
@@ -274,10 +276,18 @@ class AffineRepresentation:
     @classmethod
     def from_json(cls, d, path: str = "") -> "AffineRepresentation":
         """Read a representation; when both are given, the so12 image is the
-        linear part and must agree with the sl2 lift."""
-        d = read(d, {"genus": int, "punctures": int, "generators": object}, path)
-        pres = SurfaceGroupPresentation(d["genus"], d["punctures"])
+        linear part and must agree with the sl2 lift.  Fewer generators than
+        2 genus + punctures is a ValueError naming the first missing one,
+        found before any list of names is built, so a huge genus or puncture
+        count costs no memory."""
+        d = read(d, _REPRESENTATION, path)
+        with constructing(path, _REPRESENTATION):
+            pres = SurfaceGroupPresentation(d["genus"], d["punctures"])
         at = f"{path}.generators" if path else "generators"
+        if (need := 2 * pres.genus + pres.punctures) > (got := len(d["generators"])):
+            missing = next(n for n in pres.iter_generator_names() if n not in d["generators"])
+            raise ValueError(f"{at}.{missing} is missing: genus {pres.genus} and punctures "
+                             f"{pres.punctures} need {need} generators, got {got}")
         gens = read(d["generators"], dict.fromkeys(pres.generator_names, _GENERATOR), at)
         linear = {}
         for name, g in gens.items():
@@ -286,8 +296,9 @@ class AffineRepresentation:
             linear[name] = (sl2_to_so12(g["sl2"]) if g["so12"] is None
                             else LinearIsometry(g["so12"]))
         sl2 = {name: np.array(g["sl2"]) for name, g in gens.items() if g["sl2"] is not None}
-        return cls(pres, linear, {name: g["translation"] for name, g in gens.items()},
-                   sl2=sl2 or None)
+        with constructing(path, _REPRESENTATION):
+            return cls(pres, linear, {name: g["translation"] for name, g in gens.items()},
+                       sl2=sl2 or None)
 
 
 class Discreteness(enum.Enum):
@@ -340,9 +351,11 @@ class AdmissibilityReport:
         }
 
 
-def check_admissible(rep: AffineRepresentation, tol: float = RELATOR_TOL) -> AdmissibilityReport:
+def check_admissible(rep: AffineRepresentation) -> AdmissibilityReport:
     """Relator residual, discreteness status and one record per peripheral,
-    in one pass: each generator is built and its linear part classified once."""
+    in one pass: each generator is built and its linear part classified once.
+    The relator residual must be <= RELATOR_TOL, the one gate of validate,
+    build and every bundle load."""
     rel = rep.evaluate(rep.presentation.relator)
     residual = float(
         np.abs(rel.linear.matrix - np.eye(3)).max()
@@ -357,7 +370,7 @@ def check_admissible(rep: AffineRepresentation, tol: float = RELATOR_TOL) -> Adm
         if tangent := parab and is_tangent(g, u):
             point = fixed_line(g)
         checks.append(PeripheralCheck(name, parab, tangent, u, point))
-    verdict = residual <= tol and all(p.parabolic and p.tangent for p in checks)
+    verdict = residual <= RELATOR_TOL and all(p.parabolic and p.tangent for p in checks)
     disc = (
         Discreteness.CERTIFIED_BY_CONSTRUCTION
         if rep.discreteness_certified
@@ -524,8 +537,9 @@ class IdealTriangulationData:
     @classmethod
     def from_json(cls, d, path: str = "") -> "IdealTriangulationData":
         d = read(d, _TRIANGULATION, path)
-        return cls(d["triangles"], [Gluing(**g) for g in d["gluings"]], d["vertex_class"],
-                   {k: math.inf if v == "inf" else v for k, v in d["positions"].items()})
+        with constructing(path, _TRIANGULATION):
+            return cls(d["triangles"], [Gluing(**g) for g in d["gluings"]], d["vertex_class"],
+                       {k: math.inf if v == "inf" else v for k, v in d["positions"].items()})
 
 
 @dataclass(frozen=True)

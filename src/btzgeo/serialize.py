@@ -14,10 +14,12 @@ value that breaks it, such as ``generators.c1.so12.2``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import numbers
+import re
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -94,6 +96,23 @@ def _read_object(value: dict, schema: dict, path: str) -> dict:
         else:
             raise ValueError(f"{_join(path, key)} is missing")
     return out
+
+
+@contextlib.contextmanager
+def constructing(path: str, keys):
+    """Run a record's constructor for the reader at ``path``: a ValueError it
+    raises names that path, joined as a key path where its message starts with
+    one of the record's JSON ``keys`` (``gluings.1.right references ...``
+    becomes ``bundle.triangulation.gluings.1.right references ...``), else as
+    a prefix (``bundle.triangulation: every edge ...``).  At the top level,
+    path "", the message is unchanged."""
+    try:
+        yield
+    except ValueError as e:
+        if not path:
+            raise
+        head = re.match(r"(\w+)[ .:]", str(e))
+        raise ValueError(f"{path}{'.' if head and head[1] in keys else ': '}{e}") from None
 
 
 def _real(name: str, value) -> float:

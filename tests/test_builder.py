@@ -825,12 +825,12 @@ def test_reference_spears_are_pinned(fixture, request):
 # deformed(scale), scale 0 being the zero cocycle; the bundles hold the fans'
 # 2r + 1 angles, their holonomy residuals and the spear radii
 REFERENCE_BUNDLE_SHA256 = {
-    ("gamma2", 0.0): "e70b5523be10ba98633bc35602169645770d72b3990218c8af6891faea6f9f1d",
-    ("gamma2", 1.0): "4d27b86c4c4dfdd061279f37cac2ba8c471b5dd0afcd650ddc3bf4abc06d69a8",
-    ("gamma2", 25.0): "f86a034914449ad693c5a88506691655f2d8bc9454c9c7d9474c1fd3eb5cf109",
-    ("punctured_torus", 0.0): "2bf7892f62e4666ec53a4ea4db4db4107dd5f2a24ec7eb27db2c5406a10a0333",
-    ("punctured_torus", 1.0): "786c6617bbc676db0b1af0eb78146c14305abd41d894fb700d8f7d35c193a21c",
-    ("punctured_torus", 25.0): "1e67149e4a4d6e00d323c09b8d4d63cd383b00fee1404b189bb00863cebb7080",
+    ("gamma2", 0.0): "e7365b91b1b7345c0d45652bdb31a433533a3193bf7c7696ca4e31597468bc4d",
+    ("gamma2", 1.0): "d5184074302c95271758d748d86149028b8dd6fff391c2db9769dd26ee37f133",
+    ("gamma2", 25.0): "5cb8251507c91557961879c7e3f87baf5f8aeaf6db03b1d0788f4bedc618b655",
+    ("punctured_torus", 0.0): "f89cbfddcfbd9cecc43980b18552c2dc528d9862fee4f7d8b70e73c9ff88fe99",
+    ("punctured_torus", 1.0): "1efc6f676c7e7cabdd8311237c7a67fa016266c8d16d229cc9c6e93d168b2652",
+    ("punctured_torus", 25.0): "3ba6d297c228deb2b03c0c77ae82aa16140cc1424b1f8e5cd2e2fdf3448047e5",
 }
 
 
@@ -1137,6 +1137,20 @@ def test_strip_extend_round_trip(gamma2_zero):
     assert again.dumps() == gamma2_zero.dumps()
 
 
+def test_extend_btz_reattaches_from_the_certified_spears(monkeypatch, gamma2_zero,
+                                                         gamma2_deformed, torus_zero,
+                                                         torus_deformed):
+    # every build certifies a spear per fiber, so re-extending searches no spear
+    calls = []
+    monkeypatch.setattr(builder_module, "find_spear", lambda *args: calls.append(args))
+    for st_ in (gamma2_zero, gamma2_deformed, torus_zero, torus_deformed):
+        assert set(st_.spears) == set(st_.fibers)
+        restored, report = extend_btz(strip_btz(st_))
+        assert set(report.values()) == {"reattached"}
+        assert restored.dumps() == st_.dumps()
+    assert calls == []
+
+
 @pytest.mark.parametrize("fixture", sorted(REFERENCE_CERTIFICATIONS))
 def test_bundle_round_trip(request, fixture):
     st_ = request.getfixturevalue(fixture)
@@ -1204,7 +1218,7 @@ def test_bundle_kappa_must_match_its_certificate(gamma2_zero):
         {"t_max": math.inf},
         {"t_min": math.nan},
         {"equiv_tol": math.inf},
-        {"fan_tol": -math.inf},
+        {"equiv_tol": -1e-8},
     ],
 )
 def test_build_settings_range_rules(bad):
@@ -1246,7 +1260,7 @@ def test_json_records_check_field_types(gamma2_zero):
                              ("kappa", 1, "kappa"), ("kappa", True, "kappa")):
         with pytest.raises(ValueError, match=rf"^bundle\.{re.escape(named)} does not match"):
             PolyhedralSpacetime.from_json(_tampered(d, path, bad))
-    for cls, bad in ((BuildSettings, {"with_spears": "yes"}),
+    for cls, bad in ((BuildSettings, {"t_count": "12"}),
                      (BuildSettings, {"t_count": 12, "spline": 3})):
         with pytest.raises(ValueError):
             cls.from_json(bad)

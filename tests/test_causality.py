@@ -1011,7 +1011,7 @@ def test_cauchy_time_report_catches_broken_leaves(examples):
     from btzgeo.builder import BuildSettings, build
 
     ex = examples["gamma2"]
-    st_ = build(ex.deformed(25.0), ex.triangulation, BuildSettings(with_spears=False))
+    st_ = build(ex.deformed(25.0), ex.triangulation, BuildSettings())
     broken = replace(st_, kappa=st_.kappa * 0.05)
     report = cauchy_time_report(broken, n_curves=40, seed=0)
     assert report["failures"] > 0

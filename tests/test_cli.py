@@ -3,15 +3,21 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import btzgeo
 from btzgeo.builder import BuildSettings
 from btzgeo.cli import RunConfig, _demo_profile, _load_bundle, build_parser, load_config, main
+from btzgeo.representations import RELATOR_TOL, check_admissible
 from btzgeo.serialize import JsonRecord, canonical_dumps
 from btzgeo.surgery import (
     IntersectionReport, completeness_certificate, extend_compact, extend_complete,
@@ -178,29 +184,144 @@ def test_config_range_rules_cover_build_keys(cli_dir, tmp_path):
 
 
 def test_config_refuses_removed_spear_keys(cli_dir, tmp_path):
-    # the spear radius is exact, so the keys that tuned its sampled search are gone
+    # the spear radius is exact, so the keys that tuned its sampled search are
+    # gone; every build certifies its spears at one fan tolerance, and validate
+    # and build share one relator gate, so the keys that set those are gone too:
+    # build and the demo exit 2 before any stage runs, naming file, line and key
     cfg = tmp_path / "old.cfg"
-    cfg.write_text("t_count = 12\nspear_r_samples = 10\n")
-    code, _, stderr = run_cli(
-        ["build", str(cli_dir / "rep.json"), str(cli_dir / "tri.json"),
-         "--config", str(cfg), "--out", str(tmp_path / "bundle.json")]
-    )
-    assert code == 2
-    assert json.loads(stderr)["message"] == f"{cfg}:2: unknown config key 'spear_r_samples'"
+    out, outdir = tmp_path / "bundle.json", tmp_path / "demo-out"
+    for key, value in (("spear_r_samples", "10"), ("with_spears", "false"),
+                       ("fan_tol", "1e-8"), ("admissibility_tol", "1e-6")):
+        cfg.write_text(f"t_count = 12\n{key} = {value}\n")
+        for argv in (["build", str(cli_dir / "rep.json"), str(cli_dir / "tri.json"),
+                      "--out", str(out)], ["demo", "gamma2", "--out", str(outdir)]):
+            code, stdout, stderr = run_cli(argv + ["--config", str(cfg)])
+            assert code == 2 and stdout == "" and not out.exists() and not outdir.exists()
+            assert json.loads(stderr)["message"] == f"{cfg}:2: unknown config key {key!r}"
 
 
 def test_bundle_with_a_removed_settings_key_is_input_error(bundle_path, tmp_path):
+    for key, value in (("spear_max_shrinks", 25), ("with_spears", False), ("fan_tol", 1e-8)):
+        bundle = json.loads(bundle_path.read_text())
+        bundle["settings"][key] = value
+        bad = tmp_path / "old-bundle.json"
+        bad.write_text(canonical_dumps(bundle))
+        with pytest.raises(ValueError, match=rf"^bundle\.settings\.{key} is not a known key"):
+            _load_bundle(str(bad))
+        code, _, stderr = run_cli(["causal", str(bad), "--curves", "1"])
+        assert code == 2
+        error = json.loads(stderr)
+        assert error["error"] == "ValueError"
+        assert error["message"].startswith(f"bundle.settings.{key} ")
+
+
+def test_validate_and_build_share_the_relator_gate(cli_dir, examples, tmp_path):
+    # gamma2 with tau(c3) = 1e-7 u, u the fixed lightlike direction of c3: the
+    # cusps stay tangent but the relator residual is about 1e-7, so validate
+    # and build both refuse it (validate once passed it at a looser setting)
+    rep = examples["gamma2"].representation
+    u = next(c.u for c in check_admissible(rep).peripheral if c.name == "c3")
+    translations = {n: np.zeros(3) for n in rep.presentation.generator_names}
+    translations["c3"] = 1e-7 * u
+    path = tmp_path / "rep.json"
+    path.write_text(canonical_dumps(rep.with_translations(translations).to_json()))
+    code, stdout, _ = run_cli(["validate", str(path)])
+    report = json.loads(stdout)["report"]
+    assert code == 1 and report["verdict"] is False
+    assert report["relator_residual"] > RELATOR_TOL
+    assert all(c["tangent"] for c in report["peripheral"].values())
+    out = tmp_path / "bundle.json"
+    code, stdout, stderr = run_cli(["build", str(path), str(cli_dir / "tri.json"),
+                                    "--out", str(out)])
+    assert code == 1 and stdout == "" and not out.exists()
+    assert json.loads(stderr)["error"] == "NotAdmissible"
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_library_bugs_are_not_input_errors(cli_dir, monkeypatch, error):
+    # only GeometryError, OSError and ValueError are reported; anything else
+    # is a bug in the program and propagates out of main
+    def broken(*args):
+        raise error("a bug")
+    monkeypatch.setattr("btzgeo.cli.validate_report", broken)
+    with pytest.raises(error, match="a bug"):
+        run_cli(["validate", str(cli_dir / "rep.json")])
+
+
+def _run_capped(argv):
+    """The CLI in a subprocess whose address space is capped at 3 GiB, so that
+    a regression fails on a MemoryError, not by filling the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+    env = {**os.environ, "PYTHONPATH": str(Path(btzgeo.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "btzgeo.cli", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=cap, timeout=120)
+
+
+@pytest.mark.parametrize("command, block, key, missing", [
+    ("validate", (), "genus", "generators.a1"),
+    ("build", (), "punctures", "generators.c4"),
+    ("causal", ("representation",), "genus", "bundle.representation.generators.a1"),
+])
+def test_huge_generator_count_is_one_json_error(cli_dir, bundle_path, tmp_path, command, block,
+                                               key, missing):
+    # a genus or puncture count of 2**70, in rep.json or in a bundle, made the
+    # reader build about 2**71 generator names: a MemoryError under a cap,
+    # and without one the process was killed
+    doc = json.loads((bundle_path if block else cli_dir / "rep.json").read_text())
+    node = doc
+    for name in block:
+        node = node[name]
+    node[key] = 2**70
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(doc))
+    argv = {"validate": [str(bad)], "build": [str(bad), str(cli_dir / "tri.json")],
+            "causal": [str(bad), "--curves", "1"]}[command]
+    done = _run_capped([command, *argv, "--out", str(out)])
+    assert done.returncode == 2 and done.stdout == "", done.stderr
+    error = json.loads(done.stderr)  # exactly one object: trailing text fails the parse
+    assert error["category"] == "input-error"
+    assert error["message"].startswith(f"{missing} is missing: ") and str(2**70) in error["message"]
+    assert not out.exists()
+
+
+def test_constructor_errors_name_the_bundle_block(cli_dir, bundle_path, tmp_path):
+    # the checks a triangulation or representation makes on construction name
+    # their block in a bundle: as a key path where the message starts with a
+    # key, else as a prefix; rep.json and tri.json keep the bare message
+    def twice_glued(tri):
+        tri["gluings"][2] = tri["gluings"][1]
+        return "every edge must be glued exactly once"
+
+    def nan_position(tri):
+        tri["positions"]["0"] = math.nan
+        return "positions must be finite or inf"
+
+    def huge_translation(rep):
+        rep["generators"]["c1"]["translation"] = [0.0, 1e200, 0.0]
+        return "bad translation for c1"
+
     bundle = json.loads(bundle_path.read_text())
-    bundle["settings"]["spear_max_shrinks"] = 25
-    bad = tmp_path / "old-bundle.json"
-    bad.write_text(canonical_dumps(bundle))
-    with pytest.raises(ValueError, match=r"^bundle\.settings\.spear_max_shrinks is not a known key"):
-        _load_bundle(str(bad))
-    code, _, stderr = run_cli(["causal", str(bad), "--curves", "1"])
-    assert code == 2
-    error = json.loads(stderr)
-    assert error["error"] == "ValueError"
-    assert error["message"].startswith("bundle.settings.spear_max_shrinks ")
+    out = tmp_path / "out.json"
+    for block, tamper, prefix in (("triangulation", twice_glued, ": "),
+                                  ("triangulation", nan_position, "."),
+                                  ("representation", huge_translation, ": ")):
+        single = json.loads((cli_dir / ("tri.json" if block == "triangulation"
+                                        else "rep.json")).read_text())
+        message = tamper(single)
+        tampered = json.loads(json.dumps(bundle))
+        tamper(tampered[block])
+        (tmp_path / "in.json").write_text(json.dumps(single))
+        (tmp_path / "bundle.json").write_text(json.dumps(tampered))
+        inputs = [str(tmp_path / "in.json"), str(cli_dir / "tri.json")]
+        if block == "triangulation":
+            inputs = [str(cli_dir / "rep.json"), str(tmp_path / "in.json")]
+        for argv, want in ((["build", *inputs], message),
+                           (["causal", str(tmp_path / "bundle.json"), "--curves", "1"],
+                            f"bundle.{block}{prefix}{message}")):
+            code, stdout, stderr = run_cli(argv + ["--out", str(out)])
+            assert code == 2 and stdout == "" and not out.exists(), stderr
+            assert json.loads(stderr)["message"] == want
 
 
 def test_config_rejects_non_finite_values(cli_dir, tmp_path):
@@ -517,9 +638,9 @@ def test_singular_sl2_and_huge_translation_are_one_json_error(cli_dir, bundle_pa
 @pytest.mark.parametrize("index", [2**70, -2**70])
 def test_huge_gluing_index_is_one_json_error(cli_dir, bundle_path, tmp_path, side, index):
     # a triangle index past every numpy integer on either side of a gluing, in
-    # tri.json or in a bundle's triangulation, exits 2 naming the side; the
-    # right side's index was written into the gluing table before its range
-    # check, which raised a raw OverflowError
+    # tri.json or in a bundle's triangulation, exits 2 naming the side by its
+    # path in the file read; the right side's index was written into the
+    # gluing table before its range check, which raised a raw OverflowError
     tri = json.loads((cli_dir / "tri.json").read_text())
     tri["gluings"][1][side][0] = index
     bundle = json.loads(bundle_path.read_text())
@@ -527,13 +648,14 @@ def test_huge_gluing_index_is_one_json_error(cli_dir, bundle_path, tmp_path, sid
     (tmp_path / "tri.json").write_text(json.dumps(tri))
     (tmp_path / "bundle.json").write_text(json.dumps(bundle))
     out = tmp_path / "out.json"
-    for argv in (["build", str(cli_dir / "rep.json"), str(tmp_path / "tri.json")],
-                 ["causal", str(tmp_path / "bundle.json"), "--curves", "1"]):
+    for argv, path in ((["build", str(cli_dir / "rep.json"), str(tmp_path / "tri.json")], ""),
+                       (["causal", str(tmp_path / "bundle.json"), "--curves", "1"],
+                        "bundle.triangulation.")):
         code, stdout, stderr = run_cli(argv + ["--out", str(out)])
         assert code == 2 and stdout == "", (argv, stderr)
         err = json.loads(stderr)  # exactly one object: trailing text fails the parse
         assert err["category"] == "input-error", err
-        assert err["message"] == f"gluings.1.{side} references triangle {index}"
+        assert err["message"] == f"{path}gluings.1.{side} references triangle {index}"
         assert not out.exists()
 
 
