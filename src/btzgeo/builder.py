@@ -597,10 +597,6 @@ class SpearDescriptor(JsonRecord):
     def ring_tau(self) -> float:
         return self.vertex_tau + 0.5 * self.radius
 
-    def contains(self, point, tol: float = 1e-12) -> bool:
-        tau, r, _ = point
-        return r <= self.radius + tol and tau - 0.5 * r >= self.vertex_tau - tol
-
     def to_json(self) -> dict:
         return {
             **super().to_json(),
@@ -720,9 +716,11 @@ def gluing_isometries(rep: AffineRepresentation, tri: IdealTriangulationData):
         if missing := sorted({name for name, _ in parse_word(g.word)} - set(rep.linear)):
             raise ValueError(f"gluings.{i}.word {g.word!r}: no generator {missing[0]!r} "
                              "in the representation")
-    isos = {w: rep.evaluate(w) for w in {w for row in tri.word for w in row}}
-    return (np.array([[isos[w].linear.matrix for w in row] for row in tri.word]),
-            np.array([[isos[w].translation for w in row] for row in tri.word]))
+    words = sorted({w for row in tri.word for w in row})
+    at = {w: i for i, w in enumerate(words)}
+    m, b = rep.evaluate(words)
+    index = [[at[w] for w in row] for row in tri.word]
+    return m[index], b[index]
 
 
 def decorate_vertices(
@@ -970,12 +968,10 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
             f"fan period around {puncture} is not constant: "
             f"spread {max(shifts) - min(shifts):.3e}"
         )
-    # The period must be the peripheral holonomy or its inverse (G m^T G, -(m^-1 b)).
-    rep = st.representation
-    hol_m, hol_b = rep.linear[puncture].matrix, rep.translations[puncture]
-    inv_m = G @ hol_m.T @ G
+    # The period must be the peripheral holonomy or its inverse.
+    hol_m, hol_b = st.representation.evaluate([puncture, f"{puncture}^-1"])
     residual = min(max(float(np.abs(h_m - period_m).max()), float(np.abs(h_b - period_b).max()))
-                   for h_m, h_b in ((hol_m, hol_b), (inv_m, -(inv_m @ hol_b))))
+                   for h_m, h_b in zip(hol_m, hol_b))
     scale = max(1.0, float(np.abs(period_m).max()))
     if residual > 10 * FAN_TOL * scale:
         raise NonMonotoneAngles(

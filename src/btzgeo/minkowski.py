@@ -2,16 +2,19 @@
 
 Vectors are triples (t, x, y) with quadratic form Q(v) = -t^2 + x^2 + y^2.
 Linear isometries are the orthochronous special orthogonal matrices of Q
-(3x3, M^T G M = G with G = diag(-1,1,1), det M = 1, M[0,0] > 0); affine
-isometries compose a linear part with a translation.  Everything here is
-plain numpy; tolerances are module constants shared by the whole package.
+(3x3, M^T G M = G with G = diag(-1,1,1), det M = 1, M[0,0] > 0), checked by
+one validator over stacked matrices; an affine isometry x -> M x + b is the
+pair of arrays (M, b), and words in a representation's generators are
+evaluated as such pairs by ``AffineRepresentation.evaluate``.  Everything
+here is plain numpy; tolerances are module constants shared by the whole
+package.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +23,7 @@ G = np.diag([-1.0, 1.0, 1.0])
 G.setflags(write=False)
 
 ISOMETRY_TOL = 1e-9
-# The largest entry M a LinearIsometry takes: below it M^T G M (entries <= 3 M^2)
+# The largest entry M an isometry takes: below it M^T G M (entries <= 3 M^2)
 # and det M (<= 8 M^3 through LU with partial pivoting) stay finite.
 ISOMETRY_MAX_ENTRY = 1e100
 LIGHTLIKE_TOL = 1e-9  # the package's one light-cone band: |Q(v)| <= LIGHTLIKE_TOL |v|^2
@@ -112,13 +115,38 @@ def causal_relation(p, q) -> CausalOrder:
     return CausalOrder.INCOMPARABLE
 
 
-@dataclass(frozen=True)
-class LinearIsometry:
-    """Orthochronous special linear isometry; validity is checked at construction.
+def first_non_isometry(m: np.ndarray) -> tuple[int, str] | None:
+    """(index, reason) of the first of W stacked matrices (W, 3, 3) that is
+    not an orthochronous special linear isometry, or None.
 
-    A matrix with an entry beyond ISOMETRY_MAX_ENTRY = 1e100 in absolute value
-    is refused before any product is taken, so the checks never overflow.
-    """
+    The checks, in order: finite entries, entries within ISOMETRY_MAX_ENTRY,
+    M^T G M = G and det M = 1 within tolerances scaled by max(1, M^2), M the
+    largest entry, and M[0,0] > 0.  Only matrices that pass the first two
+    are squared or multiplied, so no check overflows."""
+    largest = np.abs(m).max(axis=(1, 2), initial=0.0)  # NaN and inf propagate
+    finite = np.isfinite(largest)
+    bounded = largest <= ISOMETRY_MAX_ENTRY
+    if not bounded.all():
+        m = np.where(bounded[:, None, None], m, np.eye(3))
+    scale = np.maximum(1.0, np.where(bounded, largest, 1.0) ** 2)
+    checks = (finite, bounded,
+              np.abs(m.transpose(0, 2, 1) @ G @ m - G).max(axis=(1, 2)) <= ISOMETRY_TOL * scale,
+              np.abs(np.linalg.det(m) - 1.0) <= 1e-6 * scale, m[:, 0, 0] > 0)
+    passed = checks[1] & checks[2] & checks[3] & checks[4]  # bounded entries are finite
+    if passed.all():
+        return None
+    i = int(np.argmin(passed))
+    reasons = ("non-finite entries",
+               f"entry magnitude {float(largest[i])!r} exceeds {ISOMETRY_MAX_ENTRY!r}",
+               "M^T G M != G", "det != 1", "time orientation reversed (M[0,0] <= 0)")
+    return i, next(reason for ok, reason in zip(checks, reasons) if not ok[i])
+
+
+@dataclass(frozen=True, eq=False)
+class LinearIsometry:
+    """Orthochronous special linear isometry; validity is checked at
+    construction by first_non_isometry, so an entry beyond ISOMETRY_MAX_ENTRY
+    is refused before any product is taken.  Equality and hash are identity."""
 
     matrix: np.ndarray
 
@@ -126,72 +154,13 @@ class LinearIsometry:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise InvalidIsometry(f"expected 3x3 matrix, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidIsometry("non-finite entries")
-        largest = float(np.abs(m).max())
-        if largest > ISOMETRY_MAX_ENTRY:
-            raise InvalidIsometry(f"entry magnitude {largest!r} exceeds {ISOMETRY_MAX_ENTRY!r}")
-        scale = max(1.0, largest ** 2)
-        if np.abs(m.T @ G @ m - G).max() > ISOMETRY_TOL * scale:
-            raise InvalidIsometry("M^T G M != G")
-        if abs(np.linalg.det(m) - 1.0) > 1e-6 * scale:
-            raise InvalidIsometry("det != 1")
-        if m[0, 0] <= 0:
-            raise InvalidIsometry("time orientation reversed (M[0,0] <= 0)")
+        if (bad := first_non_isometry(m[None])) is not None:
+            raise InvalidIsometry(bad[1])
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def identity(cls) -> "LinearIsometry":
-        return cls(np.eye(3))
-
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ _as_vec(v)
-
-    def compose(self, other: "LinearIsometry") -> "LinearIsometry":
-        return LinearIsometry(self.matrix @ other.matrix)
-
-    def inverse(self) -> "LinearIsometry":
-        # Exact inverse of an isometry: M^-1 = G M^T G.
-        return LinearIsometry(G @ self.matrix.T @ G)
-
-    def __matmul__(self, other: "LinearIsometry") -> "LinearIsometry":
-        return self.compose(other)
-
     def to_json(self) -> list:
         return [[float(x) for x in row] for row in self.matrix]
-
-
-@dataclass(frozen=True)
-class AffineIsometry:
-    """Pair (A, a): v -> A v + a, composing as (A,a)(B,b) = (AB, Ab + a)."""
-
-    linear: LinearIsometry
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        tr = np.array(self.translation, dtype=float)
-        if tr.shape != (3,) or not np.all(np.isfinite(tr)):
-            raise InvalidIsometry("bad translation part")
-        tr.setflags(write=False)
-        object.__setattr__(self, "translation", tr)
-
-    @classmethod
-    def identity(cls) -> "AffineIsometry":
-        return cls(LinearIsometry.identity(), np.zeros(3))
-
-    def apply(self, v) -> np.ndarray:
-        return self.linear.matrix @ _as_vec(v) + self.translation
-
-    def compose(self, other: "AffineIsometry") -> "AffineIsometry":
-        return AffineIsometry(
-            self.linear.compose(other.linear),
-            self.linear.matrix @ other.translation + self.translation,
-        )
-
-    def inverse(self) -> "AffineIsometry":
-        inv = self.linear.inverse()
-        return AffineIsometry(inv, -(inv.matrix @ self.translation))
 
 
 class IsometryKind(enum.Enum):
@@ -249,25 +218,25 @@ def fixed_lightlike_direction(m: LinearIsometry) -> np.ndarray:
     return u
 
 
-def is_tangent(phi: AffineIsometry, u: np.ndarray) -> bool:
-    """True when the translation part is Minkowski-orthogonal to the parabolic
-    fixed direction u of the linear part."""
-    tau = phi.translation
+def is_tangent(tau: np.ndarray, u: np.ndarray) -> bool:
+    """True when the translation part tau is Minkowski-orthogonal to the
+    parabolic fixed direction u of the linear part."""
     scale = max(1.0, float(np.linalg.norm(tau)) * float(np.linalg.norm(u)))
     return abs(minkowski_inner(tau, u)) <= TANGENT_TOL * scale
 
 
-def fixed_line(phi: AffineIsometry) -> np.ndarray:
-    """Minimum-Euclidean-norm point of the fixed line of a parabolic with
-    tangent translation; the line's direction is the fixed lightlike vector.
+def fixed_line(linear: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Minimum-Euclidean-norm point of the fixed line of x -> A x + tau, A =
+    linear a parabolic and tau tangent; the line's direction is the fixed
+    lightlike vector.
 
     Solves (A - I) x = -tau.  Raises NoFixedPoints when the system is
     inconsistent (non-tangent part).
     """
-    n = phi.linear.matrix - np.eye(3)
-    x0, *_ = np.linalg.lstsq(n, -phi.translation, rcond=None)
-    resid = float(np.linalg.norm(n @ x0 + phi.translation))
-    if resid > FIXED_LINE_TOL * max(1.0, float(np.linalg.norm(phi.translation))):
+    n = linear - np.eye(3)
+    x0, *_ = np.linalg.lstsq(n, -tau, rcond=None)
+    resid = float(np.linalg.norm(n @ x0 + tau))
+    if resid > FIXED_LINE_TOL * max(1.0, float(np.linalg.norm(tau))):
         raise NoFixedPoints(f"no fixed points (residual {resid:.3e})")
     return x0
 

@@ -3,7 +3,10 @@
 A punctured-surface group has generators a1, b1, ..., ag, bg, c1, ..., cs and
 the single relator [a1,b1]...[ag,bg] c1...cs.  A representation assigns each
 generator a linear isometry of the Minkowski plane and a translation part; the
-translation parts form a cocycle: tau(gh) = tau(g) + rho(g) tau(h).
+translation parts form a cocycle: tau(gh) = tau(g) + rho(g) tau(h).  Its one
+word engine, ``AffineRepresentation.evaluate``, takes a list of words and
+returns their images as stacked arrays (m, b), x -> m x + b, with one
+isometry check per batch.
 
 Admissibility, the gate for the spacetime builder, requires: relator residual
 at float precision; every peripheral image parabolic; every peripheral
@@ -27,11 +30,12 @@ import numpy as np
 from .minkowski import (
     G,
     ISOMETRY_MAX_ENTRY,
-    AffineIsometry,
     GeometryError,
+    InvalidIsometry,
     IsometryKind,
     LinearIsometry,
     classify_isometry,
+    first_non_isometry,
     fixed_lightlike_direction,
     fixed_line,
     is_tangent,
@@ -153,7 +157,12 @@ class SurfaceGroupPresentation:
 
     @property
     def generator_names(self) -> list[str]:
-        return list(self.iter_generator_names())
+        return list(self._generator_names)
+
+    @functools.cached_property
+    def _generator_names(self) -> tuple[str, ...]:
+        """Made once, so representations share their translations' keys."""
+        return tuple(self.iter_generator_names())
 
     def iter_generator_names(self):
         """a1, b1, ..., ag, bg, c1, ..., cs, one name at a time."""
@@ -163,6 +172,13 @@ class SurfaceGroupPresentation:
     @property
     def peripheral_names(self) -> list[str]:
         return [f"c{j}" for j in range(1, self.punctures + 1)]
+
+    @functools.cached_property
+    def letters(self) -> dict[str, int]:
+        """Letter -> row of a representation's letter table (0 is the identity)."""
+        names = self.generator_names
+        return {**{name: k for k, name in enumerate(names, 1)},
+                **{f"{name}^-1": k for k, name in enumerate(names, len(names) + 1)}}
 
     @property
     def free_generator_names(self) -> list[str]:
@@ -195,67 +211,90 @@ def invert_word(word: str) -> str:
     )
 
 
-@dataclass
+@functools.lru_cache(maxsize=16)
+def _letter_images(linear: tuple[LinearIsometry, ...]) -> np.ndarray:
+    """I, the linear parts and their inverses G m^T G, stacked read-only and
+    shared by representations that differ only in their translations."""
+    mats = [g.matrix for g in linear]
+    images = np.array([np.eye(3), *mats, *(G @ m.T @ G for m in mats)])
+    images.setflags(write=False)
+    return images
+
+
+@dataclass(frozen=True)
 class AffineRepresentation:
-    """Generator images: linear parts (validated isometries) and translation parts."""
+    """Generator images: linear parts (validated isometries) and translation
+    parts (read-only arrays), and the letter table derived from them, indexed
+    by ``presentation.letters``: ``images`` (2m + 1, 3, 3) and ``shifts``
+    (2m + 1, 3), row 0 the identity (I, 0), rows 1..m the generators (m, b)
+    and rows m + 1..2m their inverses (G m^T G, -(G m^T G) b).  Frozen, so
+    the table cannot go stale."""
 
     presentation: SurfaceGroupPresentation
     linear: dict[str, LinearIsometry]
     translations: dict[str, np.ndarray] = field(default_factory=dict)
     sl2: dict[str, np.ndarray] | None = None
     discreteness_certified: bool = False
+    images: np.ndarray = field(init=False, repr=False, compare=False)
+    shifts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        trs = {}
-        for name in self.presentation.generator_names:
-            v = np.array(self.translations.get(name, np.zeros(3)), dtype=float)
+        names = self.presentation.generator_names
+        trs = [np.array(self.translations.get(name, np.zeros(3)), dtype=float) for name in names]
+        for name, v in zip(names, trs):
             # the bound of an isometry's entries, so no norm of a translation overflows
             if v.shape != (3,) or not np.abs(v).max() <= ISOMETRY_MAX_ENTRY:
                 raise ValueError(f"bad translation for {name}")
-            trs[name] = v
-        self.translations = trs
         if self.sl2 is not None:
             for name, m in self.sl2.items():
                 img = sl2_to_so12(m)
                 if np.abs(img.matrix - self.linear[name].matrix).max() > 1e-8:
                     raise ValueError(f"sl2 lift of {name} disagrees with its so12 image")
+        images = _letter_images(tuple(self.linear[name] for name in names))
+        shifts = np.array([np.zeros(3), *trs,
+                           *(-(inv @ b) for inv, b in zip(images[len(names) + 1:], trs))])
+        shifts.setflags(write=False)
+        # the translation parts are views of the generators' rows
+        object.__setattr__(self, "translations", dict(zip(names, shifts[1:len(names) + 1])))
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "shifts", shifts)
 
-    def generator(self, name: str) -> AffineIsometry:
-        if name not in self.linear:
-            raise UnknownGenerator(name)
-        return AffineIsometry(self.linear[name], self.translations[name])
+    def evaluate(self, words: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """rho(w), x -> m x + b, of each of W words as read-only stacked arrays
+        m (W, 3, 3) and b (W, 3), with rho(xy) = rho(x) rho(y).
 
-    def evaluate(self, word: str) -> AffineIsometry:
-        """Left-to-right composition of generator images: rho(xy) = rho(x) rho(y).
-
-        The letters' raw matrices are multiplied from the identity in the
-        order and with the arithmetic of chained AffineIsometry.compose and
-        .inverse calls, so the result has their bits; only the product is
-        validated as an isometry.
+        L stacked steps b <- m @ b_k + b, m <- m @ m_k run from (I, 0), L the
+        longest word's length; shorter words are padded in front with row 0,
+        which keeps (I, 0), so each product has its own letters' chained bits.
+        One first_non_isometry call validates the W products (an overflow is
+        not finite) and InvalidIsometry names the first failing word.
         """
-        out_m, out_b = np.eye(3), np.zeros(3)
-        for name, exp in parse_word(word):
-            if name not in self.linear:
-                raise UnknownGenerator(name)
-            m, b = self.linear[name].matrix, self.translations[name]
-            if exp != 1:
-                m = G @ m.T @ G
-                b = -(m @ b)
-            out_b = out_m @ b + out_b
-            out_m = out_m @ m
-        return AffineIsometry(LinearIsometry(out_m), out_b)
+        if isinstance(words, str):
+            raise TypeError("evaluate takes a list of words, not one str")
+        try:
+            rows = [[self.presentation.letters[tok] for tok in word.split()] for word in words]
+        except KeyError as e:
+            raise UnknownGenerator(parse_word(e.args[0])[0][0]) from None
+        n = max(map(len, rows), default=0)
+        index = np.array([[0] * (n - len(r)) + r for r in rows], np.intp).reshape(len(rows), n)
+        out_m, out_b = self.images[[0] * len(rows)], self.shifts[[0] * len(rows)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in index.T:
+                out_b = (out_m @ self.shifts[k][..., None])[..., 0] + out_b
+                out_m = out_m @ self.images[k]
+        if (bad := first_non_isometry(out_m)) is not None:
+            raise InvalidIsometry(f"word {words[bad[0]]!r}: {bad[1]}")
+        out_m.setflags(write=False)
+        out_b.setflags(write=False)
+        return out_m, out_b
 
     def evaluate_linear(self, word: str) -> LinearIsometry:
-        return self.evaluate(word).linear
+        return LinearIsometry(self.evaluate([word])[0][0])
 
     def with_translations(self, translations: dict[str, np.ndarray]) -> "AffineRepresentation":
-        return AffineRepresentation(
-            self.presentation,
-            dict(self.linear),
-            {k: np.array(v, dtype=float) for k, v in translations.items()},
-            sl2=self.sl2,
-            discreteness_certified=self.discreteness_certified,
-        )
+        """The same linear parts, shared, with new translation parts."""
+        return AffineRepresentation(self.presentation, self.linear, translations, sl2=self.sl2,
+                                    discreteness_certified=self.discreteness_certified)
 
     def to_json(self) -> dict:
         gens = {}
@@ -353,22 +392,19 @@ class AdmissibilityReport:
 
 def check_admissible(rep: AffineRepresentation) -> AdmissibilityReport:
     """Relator residual, discreteness status and one record per peripheral,
-    in one pass: each generator is built and its linear part classified once.
-    The relator residual must be <= RELATOR_TOL, the one gate of validate,
-    build and every bundle load."""
-    rel = rep.evaluate(rep.presentation.relator)
-    residual = float(
-        np.abs(rel.linear.matrix - np.eye(3)).max()
-        + np.abs(rel.translation).max()
-    )
+    in one pass: the relator is evaluated once and each peripheral's linear
+    part classified once.  The relator residual must be <= RELATOR_TOL, the
+    one gate of validate, build and every bundle load."""
+    (rel_m,), (rel_b,) = rep.evaluate([rep.presentation.relator])
+    residual = float(np.abs(rel_m - np.eye(3)).max() + np.abs(rel_b).max())
     checks = []
     for name in rep.presentation.peripheral_names:
-        g = rep.generator(name)
+        linear, tau = rep.linear[name], rep.translations[name]
         u = point = None
-        if parab := classify_isometry(g.linear).kind is IsometryKind.PARABOLIC:
-            u = fixed_lightlike_direction(g.linear)
-        if tangent := parab and is_tangent(g, u):
-            point = fixed_line(g)
+        if parab := classify_isometry(linear).kind is IsometryKind.PARABOLIC:
+            u = fixed_lightlike_direction(linear)
+        if tangent := parab and is_tangent(tau, u):
+            point = fixed_line(linear.matrix, tau)
         checks.append(PeripheralCheck(name, parab, tangent, u, point))
     verdict = residual <= RELATOR_TOL and all(p.parabolic and p.tangent for p in checks)
     disc = (
@@ -399,8 +435,8 @@ def cocycle_from_tangent_vector(
     prefix_tokens = pres.relator.split()
     # Relator is "<prefix> c_s"; drop the final letter.
     prefix = " ".join(prefix_tokens[:-1])
-    forced = tmp.evaluate(prefix).inverse()
-    partial[last] = forced.translation
+    (m,), (b,) = tmp.evaluate([prefix])
+    partial[last] = -((G @ m.T @ G) @ b)
     return partial
 
 

@@ -605,6 +605,36 @@ def test_overflowing_matrix_entry_is_one_json_error(cli_dir, bundle_path, tmp_pa
             assert "exceeds" in err["message"] and not out.exists()
 
 
+def test_overflowing_word_product_is_one_json_error(examples, torus_zero, tmp_path):
+    # the punctured torus with a1 = b1 = boost(200): entries of about 3.6e86
+    # pass the 1e100 bound, but the relator's products overflow; validate,
+    # build and a bundle load each exit 1 with one JSON error naming the
+    # relator, under warnings-as-errors, where a raw numpy warning ended them
+    boost = [[math.cosh(200.0), math.sinh(200.0), 0.0],
+             [math.sinh(200.0), math.cosh(200.0), 0.0], [0.0, 0.0, 1.0]]
+    ex = examples["punctured_torus"]
+    rep, bundle = ex.representation.to_json(), json.loads(torus_zero.dumps())
+    for generators in (rep["generators"], bundle["representation"]["generators"]):
+        for name in ("a1", "b1"):
+            generators[name] = {"so12": boost, "translation": [0.0, 0.0, 0.0]}
+    (tmp_path / "rep.json").write_text(json.dumps(rep))
+    (tmp_path / "tri.json").write_text(json.dumps(ex.triangulation.to_json()))
+    (tmp_path / "bundle.json").write_text(json.dumps(bundle))
+    out = tmp_path / "out.json"
+    relator = ex.representation.presentation.relator
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["validate", str(tmp_path / "rep.json")],
+                     ["build", str(tmp_path / "rep.json"), str(tmp_path / "tri.json")],
+                     ["causal", str(tmp_path / "bundle.json"), "--curves", "1"]):
+            code, stdout, stderr = run_cli(argv + ["--out", str(out)])
+            assert code == 1 and stdout == "", (argv, stderr)
+            err = json.loads(stderr)  # exactly one object: trailing text fails the parse
+            assert err["error"] == "InvalidIsometry", err
+            assert err["message"] == f"word {relator!r}: non-finite entries", err
+            assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, code, error, message", [
     ("sl2", [[1e5, 1e5], [1e5, 1e5]], 1, "NotUnimodular", "det = 0.0"),
     ("translation", [0.0, 1e200, 0.0], 2, "ValueError", "bad translation for c1"),

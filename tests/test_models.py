@@ -132,7 +132,7 @@ def test_h_ell_group_law(ell, m):
 def test_holonomy_around_axis_btz():
     g = holonomy_around_axis()
     assert classify_isometry(g).kind is IsometryKind.PARABOLIC
-    assert g.apply([1, 1, 0]) == pytest.approx([1, 1, 0], abs=1e-12)
+    assert g.matrix @ [1, 1, 0] == pytest.approx([1, 1, 0], abs=1e-12)
     rng = np.random.default_rng(3)
     tau, r, theta = rng.uniform((-3, 0, -6), (3, 3, 6), size=(1000, 3)).T
     lhs = dev0_array(tau, r, theta) @ g.matrix.T

@@ -1,15 +1,18 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from btzgeo.minkowski import (
+    G,
     ISOMETRY_MAX_ENTRY,
-    AffineIsometry,
+    InvalidIsometry,
     IsometryKind,
     LinearIsometry,
     classify_isometry,
+    first_non_isometry,
     minkowski_inner,
 )
 from btzgeo.representations import (
@@ -59,51 +62,77 @@ def test_word_parsing():
 
 def test_evaluate_word(gamma2):
     rep = gamma2.representation
-    ident = rep.evaluate("")
-    assert np.allclose(ident.linear.matrix, np.eye(3))
-    cancel = rep.evaluate("c1 c1^-1")
-    assert np.abs(cancel.linear.matrix - np.eye(3)).max() < 1e-12
-    rel = rep.evaluate(rep.presentation.relator)
-    assert np.abs(rel.linear.matrix - np.eye(3)).max() < 1e-9
-    assert np.abs(rel.translation).max() < 1e-9
-    with pytest.raises(UnknownGenerator):
-        rep.evaluate("z1")
+    m, b = rep.evaluate(["", "c1 c1^-1", rep.presentation.relator])
+    assert m.shape == (3, 3, 3) and b.shape == (3, 3)
+    assert m[0].tobytes() == np.eye(3).tobytes() and b[0].tobytes() == np.zeros(3).tobytes()
+    assert np.abs(m[1] - np.eye(3)).max() < 1e-12
+    assert np.abs(m[2] - np.eye(3)).max() < 1e-9
+    assert np.abs(b[2]).max() < 1e-9
+    assert not m.flags.writeable and not b.flags.writeable
+    assert rep.evaluate_linear("c1").matrix.tobytes() == rep.linear["c1"].matrix.tobytes()
+    with pytest.raises(UnknownGenerator, match="^z1$"):
+        rep.evaluate(["c1", "c2 z1^-1"])
+    with pytest.raises(TypeError):
+        rep.evaluate("c1")  # one word is a list of one word
 
 
 def _chained_evaluate(rep, word):
-    """rho(word) as chained AffineIsometry.compose and .inverse calls, each
-    step a validated isometry."""
-    out = AffineIsometry.identity()
+    """rho(word) as (m, b) chained letter by letter from (I, 0) on the raw
+    generator arrays: b <- m @ b_k + b, m <- m @ m_k, an inverse letter
+    taking G m^T G and -(inv @ b)."""
+    out_m, out_b = np.eye(3), np.zeros(3)
     for name, exp in parse_word(word):
-        g = rep.generator(name)
-        out = out.compose(g if exp == 1 else g.inverse())
-    return out
+        m, b = rep.linear[name].matrix, rep.translations[name]
+        if exp != 1:
+            m = G @ m.T @ G
+            b = -(m @ b)
+        out_b = out_m @ b + out_b
+        out_m = out_m @ m
+    return out_m, out_b
 
 
 def test_evaluate_matches_chained_compose_bitwise(gamma2, torus, monkeypatch):
-    # evaluate multiplies raw matrices in the chained order and arithmetic, so
-    # its bits are the chained ones, and it validates only the product
+    # one batch of mixed lengths 0-8 has the bits of each word chained alone,
+    # and its linear parts are validated in one call per batch
+    import btzgeo.representations as representations_module
+
     rng = np.random.default_rng(5)
     validated = []
-    post_init = LinearIsometry.__post_init__
+    monkeypatch.setattr(representations_module, "first_non_isometry",
+                        lambda m: validated.append(len(m)) or first_non_isometry(m))
     for ex in (gamma2, torus):
         names = ex.representation.presentation.generator_names
         for scale in (0.0, 1.0, 30.0):
             rep = ex.representation.with_translations(
                 {g: scale * rng.normal(size=3) for g in names})
-            for length in list(range(9)) * 12:
-                word = " ".join(f"{names[i]}{'^-1' * int(e)}" for i, e in
-                                zip(rng.integers(len(names), size=length),
-                                    rng.integers(2, size=length)))
-                want = _chained_evaluate(rep, word)
-                monkeypatch.setattr(LinearIsometry, "__post_init__",
-                                    lambda self: validated.append(1) or post_init(self))
-                got = rep.evaluate(word)
-                monkeypatch.setattr(LinearIsometry, "__post_init__", post_init)
-                assert got.linear.matrix.tobytes() == want.linear.matrix.tobytes(), word
-                assert got.translation.tobytes() == want.translation.tobytes(), word
-                assert not got.linear.matrix.flags.writeable
-    assert len(validated) == 2 * 3 * 9 * 12
+            words = [" ".join(f"{names[i]}{'^-1' * int(e)}" for i, e in
+                              zip(rng.integers(len(names), size=length),
+                                  rng.integers(2, size=length)))
+                     for length in rng.permutation(list(range(9)) * 12)]
+            got_m, got_b = rep.evaluate(words)
+            for word, m, b in zip(words, got_m, got_b):
+                want_m, want_b = _chained_evaluate(rep, word)
+                assert m.tobytes() == want_m.tobytes(), word
+                assert b.tobytes() == want_b.tobytes(), word
+    assert validated == [9 * 12] * 6
+
+
+def test_word_product_that_overflows_names_the_word(torus):
+    # a1 = b1 = boost(200) have entries of about 3.6e86, under the 1e100
+    # bound, but the relator's products overflow: the engine refuses the
+    # non-finite product and names its word, with no numpy warning
+    boost = np.array([[math.cosh(200.0), math.sinh(200.0), 0.0],
+                      [math.sinh(200.0), math.cosh(200.0), 0.0], [0.0, 0.0, 1.0]])
+    rep = torus.representation
+    linear = dict(rep.linear, a1=LinearIsometry(boost), b1=LinearIsometry(boost))
+    huge = AffineRepresentation(rep.presentation, linear)
+    message = f"^word {re.escape(repr(rep.presentation.relator))}: non-finite entries$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidIsometry, match=message):
+            huge.evaluate(["a1", rep.presentation.relator, "a1 b1"])
+        with pytest.raises(InvalidIsometry, match=message):
+            check_admissible(huge)
 
 
 def test_sl2_to_so12_basics():
@@ -166,7 +195,7 @@ def test_sl2_to_so12_homomorphism():
 
         m, n = rand_sl2(), rand_sl2()
         lhs = sl2_to_so12(m @ n).matrix
-        rhs = (sl2_to_so12(m) @ sl2_to_so12(n)).matrix
+        rhs = sl2_to_so12(m).matrix @ sl2_to_so12(n).matrix
         assert np.abs(lhs - rhs).max() < 1e-9
     m = rand_sl2()
     assert np.allclose(sl2_to_so12(-m).matrix, sl2_to_so12(m).matrix)
@@ -191,7 +220,7 @@ def test_boundary_to_lightlike_equivariance():
         a, b, c, d = 1.0, 2.0, 0.0, 1.0  # [[1,2],[0,1]]
         moved = (a * xi + b) / (c * xi + d)
         lhs = boundary_to_lightlike(moved)
-        rhs = sl2_to_so12(np.array([[a, b], [c, d]])).apply(boundary_to_lightlike(xi))
+        rhs = sl2_to_so12(np.array([[a, b], [c, d]])).matrix @ boundary_to_lightlike(xi)
         assert lhs == pytest.approx(rhs / rhs[0], abs=1e-9)
     assert lightlike_to_boundary(boundary_to_lightlike(3.7)) == pytest.approx(3.7)
     assert lightlike_to_boundary(boundary_to_lightlike(math.inf)) == math.inf
@@ -218,7 +247,7 @@ def test_check_admissible_non_tangent(gamma2):
 def test_check_admissible_trivial_rep():
     pres = SurfaceGroupPresentation(genus=0, punctures=3)
     rep = AffineRepresentation(
-        pres, {n: LinearIsometry.identity() for n in pres.generator_names}
+        pres, {n: LinearIsometry(np.eye(3)) for n in pres.generator_names}
     )
     report = check_admissible(rep)
     assert report.relator_residual < 1e-12
@@ -293,8 +322,8 @@ def test_cocycle_extension(gamma2):
     deformed = rep.with_translations(full)
     report = check_admissible(deformed)
     assert report.verdict
-    rel = deformed.evaluate(rep.presentation.relator)
-    assert np.abs(rel.translation).max() < 1e-9
+    _, (rel_b,) = deformed.evaluate([rep.presentation.relator])
+    assert np.abs(rel_b).max() < 1e-9
 
     with pytest.raises(UnknownGenerator):
         cocycle_from_tangent_vector(rep, {"c3": np.zeros(3)})  # c3 is forced
@@ -306,17 +335,15 @@ def test_coboundary_is_translation_conjugation(gamma2):
     v = rng.normal(size=3)
     pres = rep.presentation
     assignment = {
-        name: v - rep.generator(name).linear.matrix @ v
+        name: v - rep.linear[name].matrix @ v
         for name in pres.free_generator_names
     }
     full = cocycle_from_tangent_vector(rep, assignment)
     conj = rep.with_translations(full)
     for name in pres.generator_names:
-        lhs = conj.generator(name)
-        a = rep.generator(name)
-        rhs_translation = v - a.linear.matrix @ v  # T_v a T_v^-1 translation part
-        assert lhs.translation == pytest.approx(rhs_translation, abs=1e-9)
-        assert np.allclose(lhs.linear.matrix, a.linear.matrix)
+        rhs_translation = v - rep.linear[name].matrix @ v  # T_v a T_v^-1 translation part
+        assert conj.translations[name] == pytest.approx(rhs_translation, abs=1e-9)
+        assert np.allclose(conj.linear[name].matrix, rep.linear[name].matrix)
 
 
 def test_tangent_cocycle_basis(gamma2, torus):
@@ -328,7 +355,7 @@ def test_tangent_cocycle_basis(gamma2, torus):
             full = cocycle_from_tangent_vector(rep, vec)
             deformed = rep.with_translations(full)
             for cusp in check_admissible(rep).peripheral:
-                tau = deformed.generator(cusp.name).translation
+                tau = deformed.translations[cusp.name]
                 assert abs(minkowski_inner(tau, cusp.u)) < 1e-8
 
 
@@ -426,10 +453,8 @@ def test_representation_json_round_trip(gamma2):
     rep = gamma2.deformed(1.0)
     back = AffineRepresentation.from_json(rep.to_json())
     for name in rep.presentation.generator_names:
-        assert np.allclose(back.generator(name).linear.matrix,
-                           rep.generator(name).linear.matrix)
-        assert np.allclose(back.generator(name).translation,
-                           rep.generator(name).translation)
+        assert np.allclose(back.linear[name].matrix, rep.linear[name].matrix)
+        assert np.allclose(back.translations[name], rep.translations[name])
 
 
 @pytest.mark.parametrize(
@@ -449,19 +474,18 @@ def test_sides_reverse_with_inverse_word(request, fixture):
         assert np.array_equal(tri.slot[nbr, back][vmap], np.arange(3))
         assert tri.word[nbr][back] == invert_word(word)
         # each stacked isometry is the word's, bit for bit
-        iso = st_.representation.evaluate(word)
-        assert m[i, k].tobytes() == iso.linear.matrix.tobytes()
-        assert b[i, k].tobytes() == iso.translation.tobytes()
-        loop = iso.compose(st_.representation.evaluate(tri.word[nbr][back]))
-        assert np.allclose(loop.linear.matrix, np.eye(3), atol=1e-12)
-        assert np.allclose(loop.translation, 0.0, atol=1e-12)
+        (iso_m, back_m), (iso_b, back_b) = st_.representation.evaluate([word, tri.word[nbr][back]])
+        assert m[i, k].tobytes() == iso_m.tobytes()
+        assert b[i, k].tobytes() == iso_b.tobytes()
+        assert np.allclose(iso_m @ back_m, np.eye(3), atol=1e-12)
+        assert np.allclose(iso_m @ back_b + iso_b, 0.0, atol=1e-12)
         # position(v) = word . position(map[v]), read on the chart decorations
         u, p = st_.charts
         for j in range(3):
             if j == k:
                 continue
-            assert np.allclose(u[i, j], iso.linear.matrix @ u[nbr, vmap[j]], atol=1e-9)
-            assert np.allclose(p[i, j], iso.apply(p[nbr, vmap[j]]), atol=1e-9)
+            assert np.allclose(u[i, j], iso_m @ u[nbr, vmap[j]], atol=1e-9)
+            assert np.allclose(p[i, j], iso_m @ p[nbr, vmap[j]] + iso_b, atol=1e-9)
     # each gluing's left side carries its word
     for g, (i, k) in zip(tri.gluings, tri.left):
         assert i == g.left[0] and tri.triangles[i][k] not in g.left[1]
