@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .minkowski import G, GeometryError, minkowski_inner
+from .minkowski import G, GeometryError, InvalidIsometry, minkowski_inner
 from .models import TWO_PI, axis_deck_generator, dev0_array, dev0_inverse, h_ell_coords
 from .representations import (
     AffineRepresentation,
@@ -39,6 +39,7 @@ from .representations import (
     InvalidTriangulation,
     NotAdmissible,
     PeripheralCheck,
+    admissibility_report,
     check_admissible,
     lightlike_to_boundary,
     parse_word,
@@ -639,7 +640,7 @@ class PolyhedralSpacetime:
 
     representation: AffineRepresentation
     triangulation: IdealTriangulationData
-    gluing: tuple[np.ndarray, np.ndarray]  # gluing_isometries, not serialized
+    gluing: tuple[np.ndarray, np.ndarray]  # build's word batch, not serialized
     charts: tuple[np.ndarray, np.ndarray]  # decorate_charts
     kappa: float
     fibers: dict[str, SingularFiber]
@@ -706,21 +707,6 @@ class PolyhedralSpacetime:
         if path:
             raise ValueError(f"{path} does not match the bundle's rebuild")
         return st
-
-
-def gluing_isometries(rep: AffineRepresentation, tri: IdealTriangulationData):
-    """The gluing table's side words as stacked isometries x = m @ x' + b,
-    m (S, 3, 3, 3) and b (S, 3, 3), each distinct word evaluated once; a word
-    with a generator the representation lacks is a ValueError."""
-    for i, g in enumerate(tri.gluings):
-        if missing := sorted({name for name, _ in parse_word(g.word)} - set(rep.linear)):
-            raise ValueError(f"gluings.{i}.word {g.word!r}: no generator {missing[0]!r} "
-                             "in the representation")
-    words = sorted({w for row in tri.word for w in row})
-    at = {w: i for i, w in enumerate(words)}
-    m, b = rep.evaluate(words)
-    index = [[at[w] for w in row] for row in tri.word]
-    return m[index], b[index]
 
 
 def decorate_vertices(
@@ -833,11 +819,36 @@ def build(
     tri: IdealTriangulationData,
     settings: BuildSettings = BuildSettings(),
 ) -> PolyhedralSpacetime:
-    """Full pipeline: admissibility gate, decoration, kappa, verification."""
-    report = check_admissible(rep)
+    """Full pipeline: admissibility gate, decoration, kappa, verification.
+
+    Every word a build reads is evaluated in one batch, the relator and then
+    the gluing table's sorted distinct words: row 0 feeds admissibility_report,
+    the rest index into the gluing table x = m @ x' + b, m (S, 3, 3, 3) and b
+    (S, 3, 3).  On an input with several faults the first of these is raised:
+    InvalidIsometry on the relator; NotAdmissible; the ValueError of a gluing
+    word's missing generator; InvalidIsometry on a gluing word.  Hence a
+    missing generator keeps the gluing words out of the batch, and a failed
+    batch is retried on the relator alone.
+    """
+    missing = [f"gluings.{i}.word {g.word!r}: no generator {name!r} in the representation"
+               for i, g in enumerate(tri.gluings)
+               for name in sorted({n for n, _ in parse_word(g.word)} - set(rep.linear))]
+    words = [] if missing else sorted({w for row in tri.word for w in row})
+    try:
+        m, b = rep.evaluate([rep.presentation.relator, *words])
+    except InvalidIsometry:
+        # the relator alone: its own failure, then NotAdmissible, precede the words'
+        if not (report := check_admissible(rep)).verdict:
+            raise NotAdmissible(report) from None
+        raise
+    report = admissibility_report(rep, m[0], b[0])
     if not report.verdict:
         raise NotAdmissible(report)
-    gluing = gluing_isometries(rep, tri)
+    if missing:
+        raise ValueError(missing[0])
+    at = {w: i for i, w in enumerate(words, 1)}
+    index = [[at[w] for w in row] for row in tri.word]
+    gluing = m[index], b[index]
     dec_u, dec_p, base_of = decorate_vertices(report.peripheral, tri, gluing)
     charts = decorate_charts(tri.triangles, dec_u, dec_p)
     cert = choose_kappa(charts, settings)
@@ -898,7 +909,9 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
     the holonomy advance per period and ell = Theta / 2pi normalizes it to 2pi.
     The walk records each entered corner and its deck isometry (products
     taken in walk order); one stacked pass after it develops those corners,
-    and the first error in walk order is the one raised.
+    and the first error in walk order is the one raised.  The period must be
+    the peripheral holonomy or its inverse, read as two rows of the
+    representation's letter table (validated when it was made), not evaluated.
     """
     _known_puncture(st, puncture)
     fiber = st.fibers[puncture]
@@ -969,7 +982,9 @@ def puncture_geometry(st: PolyhedralSpacetime, puncture: str) -> PunctureGeometr
             f"spread {max(shifts) - min(shifts):.3e}"
         )
     # The period must be the peripheral holonomy or its inverse.
-    hol_m, hol_b = st.representation.evaluate([puncture, f"{puncture}^-1"])
+    rep = st.representation
+    rows = [rep.presentation.letters[letter] for letter in (puncture, f"{puncture}^-1")]
+    hol_m, hol_b = rep.images[rows], rep.shifts[rows]
     residual = min(max(float(np.abs(h_m - period_m).max()), float(np.abs(h_b - period_b).max()))
                    for h_m, h_b in zip(hol_m, hol_b))
     scale = max(1.0, float(np.abs(period_m).max()))

@@ -6,7 +6,9 @@ generator a linear isometry of the Minkowski plane and a translation part; the
 translation parts form a cocycle: tau(gh) = tau(g) + rho(g) tau(h).  Its one
 word engine, ``AffineRepresentation.evaluate``, takes a list of words and
 returns their images as stacked arrays (m, b), x -> m x + b, with one
-isometry check per batch.
+isometry check per batch.  A build makes one such call, over the relator and
+its gluing table's words; the peripheral holonomies its fans check are rows
+of the representation's letter table, validated when it was made.
 
 Admissibility, the gate for the spacetime builder, requires: relator residual
 at float precision; every peripheral image parabolic; every peripheral
@@ -391,11 +393,19 @@ class AdmissibilityReport:
 
 
 def check_admissible(rep: AffineRepresentation) -> AdmissibilityReport:
-    """Relator residual, discreteness status and one record per peripheral,
-    in one pass: the relator is evaluated once and each peripheral's linear
-    part classified once.  The relator residual must be <= RELATOR_TOL, the
-    one gate of validate, build and every bundle load."""
+    """The admissibility report of rep, its relator evaluated alone: the
+    report of validate.  build evaluates the relator in its one word batch
+    and hands the row to admissibility_report, the same core."""
     (rel_m,), (rel_b,) = rep.evaluate([rep.presentation.relator])
+    return admissibility_report(rep, rel_m, rel_b)
+
+
+def admissibility_report(rep: AffineRepresentation, rel_m: np.ndarray,
+                         rel_b: np.ndarray) -> AdmissibilityReport:
+    """Relator residual, discreteness status and one record per peripheral,
+    given the relator's image x -> rel_m x + rel_b: each peripheral's linear
+    part is classified once.  The relator residual must be <= RELATOR_TOL, the
+    one gate of validate, build and every bundle load."""
     residual = float(np.abs(rel_m - np.eye(3)).max() + np.abs(rel_b).max())
     checks = []
     for name in rep.presentation.peripheral_names:

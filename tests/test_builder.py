@@ -40,14 +40,12 @@ from btzgeo.builder import (
     choose_kappa,
     corner_residuals,
     decorate_charts,
-    decorate_vertices,
     dev_hat,
     dev_hat_jacobians,
     dev_hat_points,
     export_mesh,
     find_spear,
     extend_btz,
-    gluing_isometries,
     leaf_gram,
     mesh_data,
     p_map,
@@ -65,7 +63,6 @@ from btzgeo.representations import (
     AffineRepresentation,
     InvalidTriangulation,
     NotAdmissible,
-    check_admissible,
     cocycle_from_tangent_vector,
     tangent_cocycle_basis,
 )
@@ -461,9 +458,7 @@ def _sweep_inputs(examples, rng, n):
 def _sweep_charts(examples, rng, n):
     """Stacked charts of n seeded inputs drawn by _sweep_inputs."""
     for rep, ex in _sweep_inputs(examples, rng, n):
-        dec_u, dec_p, _ = decorate_vertices(check_admissible(rep).peripheral, ex.triangulation,
-                                            gluing_isometries(rep, ex.triangulation))
-        yield decorate_charts(ex.triangulation.triangles, dec_u, dec_p)
+        yield build(rep, ex.triangulation).charts
 
 
 def test_screened_pass_equals_per_sample_pass(examples):
@@ -604,9 +599,10 @@ def test_build_rejects_inadmissible(examples):
 
 
 def test_build_reads_each_cusp_once(examples, monkeypatch):
-    # one admissibility pass: a build classifies each peripheral's linear part
-    # once, and evaluates words in 2 + punctures batches: the relator, the
-    # gluing words, and each peripheral with its inverse
+    # one admissibility pass and one word batch: a build classifies each
+    # peripheral's linear part once and makes one evaluate call, the relator
+    # and then the gluing table's sorted distinct words; the fans read the
+    # peripheral holonomies from the letter table
     import btzgeo.minkowski as minkowski_module
     import btzgeo.representations as representations_module
 
@@ -622,12 +618,9 @@ def test_build_reads_each_cusp_once(examples, monkeypatch):
             classified.clear()
             batches.clear()
             build(rep, ex.triangulation)
-            peripherals = rep.presentation.peripheral_names
-            assert len(batches) == 2 + len(peripherals)
-            assert batches[0] == [rep.presentation.relator]
-            assert batches[1] == sorted({w for row in ex.triangulation.word for w in row})
-            assert batches[2:] == [[c, f"{c}^-1"] for c in peripherals]
-            assert len(classified) == len(peripherals)
+            words = sorted({w for row in ex.triangulation.word for w in row})
+            assert batches == [[rep.presentation.relator, *words]]
+            assert len(classified) == len(rep.presentation.peripheral_names)
 
 
 @pytest.mark.parametrize("name, entry, vertex", [
@@ -673,6 +666,21 @@ def test_fan_geometry(gamma2_zero, gamma2_deformed):
             for table in (pg.frame, pg.frame_inverse, pg.triangles, pg.corners, pg.theta,
                           pg.prisms, pg.singular, pg.deck_generator):
                 assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("fixture, residual", [("gamma2_zero", "3.000e+00"),
+                                               ("torus_zero", "1.200e+01")])
+def test_fan_period_off_the_holonomy_is_refused(request, fixture, residual):
+    # c1's translation moved by (1, 0, 0) after the build: the fan still
+    # closes with the built gluing, but its period is no longer c1's
+    # holonomy (a letter table row) nor its inverse
+    st_ = request.getfixturevalue(fixture)
+    rep = st_.representation
+    st2 = replace(st_, representation=rep.with_translations(
+        {**rep.translations, "c1": rep.translations["c1"] + np.array([1.0, 0.0, 0.0])}))
+    message = f"fan period around c1 is not the peripheral holonomy (residual {residual})"
+    with pytest.raises(NonMonotoneAngles, match=f"^{re.escape(message)}$"):
+        puncture_geometry(st2, "c1")
 
 
 def test_fan_angle_advance_is_deformation_invariant(gamma2_zero, gamma2_deformed):
@@ -840,6 +848,20 @@ def test_reference_bundle_bytes_are_pinned(examples, example, scale):
     rep = ex.deformed(scale) if scale else ex.representation
     text = build(rep, ex.triangulation).dumps()
     assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_BUNDLE_SHA256[example, scale]
+
+
+# sha256 of the concatenated canonical bundle bytes of 30 builds of
+# _sweep_inputs(examples, np.random.default_rng(2024), 30): both builtins,
+# coboundaries, deformed(s) and tangent-basis cocycles, s log-uniform in
+# [0.1, 100], so bytes off the builtins' own scales are pinned too
+SWEEP_BUNDLES_SHA256 = "753220ea2279135dca073cf1c2767892686bc9fd645a6263c939133899d7a2ae"
+
+
+def test_sweep_bundle_bytes_are_pinned(examples):
+    digest = hashlib.sha256()
+    for rep, ex in _sweep_inputs(examples, np.random.default_rng(2024), 30):
+        digest.update(build(rep, ex.triangulation).dumps().encode())
+    assert digest.hexdigest() == SWEEP_BUNDLES_SHA256
 
 
 def _prism_reference(pg, x):

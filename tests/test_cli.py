@@ -635,6 +635,51 @@ def test_overflowing_word_product_is_one_json_error(examples, torus_zero, tmp_pa
             assert not out.exists()
 
 
+def _boost(x):
+    c, s = math.cosh(x), math.sinh(x)
+    return [[c, s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("boosts, c1_translation, word, error", [
+    # a1 = boost(60), entries of about 5.7e25: the relator is finite and not
+    # admissible, and gluing 1's word a1^-4 overflows the 1e100 bound
+    ({"a1": 60.0}, None, "a1^-1 a1^-1 a1^-1 a1^-1", "NotAdmissible"),
+    # c1 moved off its tangent line, and gluing 1's word names no generator
+    ({}, [1.0, 0.0, 0.0], "z9", "NotAdmissible"),
+    # a1 = b1 = boost(200): the relator's products overflow, and so does the word
+    ({"a1": 200.0, "b1": 200.0}, None, "a1^-1 a1^-1", "InvalidIsometry"),
+    ({"a1": 200.0, "b1": 200.0}, None, "z9", "InvalidIsometry"),
+], ids=["boost-60-long-word", "moved-c1-unknown-word", "boost-200-long-word",
+        "boost-200-unknown-word"])
+def test_build_reports_the_first_fault_of_a_multi_fault_input(examples, tmp_path, boosts,
+                                                              c1_translation, word, error):
+    # the order of build's errors: InvalidIsometry on the relator, then
+    # NotAdmissible, then a gluing word's missing generator, then
+    # InvalidIsometry on a gluing word; each input has two of these faults
+    # and build exits 1 with one JSON error for the earlier one
+    ex = examples["punctured_torus"]
+    rep, tri = ex.representation.to_json(), ex.triangulation.to_json()
+    for name, x in boosts.items():
+        rep["generators"][name] = {"so12": _boost(x), "translation": [0.0, 0.0, 0.0]}
+    if c1_translation is not None:
+        rep["generators"]["c1"]["translation"] = c1_translation
+    tri["gluings"][1]["word"] = word
+    (tmp_path / "rep.json").write_text(json.dumps(rep))
+    (tmp_path / "tri.json").write_text(json.dumps(tri))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(["build", str(tmp_path / "rep.json"),
+                                        str(tmp_path / "tri.json"), "--out", str(out)])
+    assert code == 1 and stdout == "", stderr
+    err = json.loads(stderr)  # exactly one object: trailing text fails the parse
+    assert err["error"] == error, err
+    if error == "InvalidIsometry":
+        relator = ex.representation.presentation.relator
+        assert err["message"] == f"word {relator!r}: non-finite entries", err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, code, error, message", [
     ("sl2", [[1e5, 1e5], [1e5, 1e5]], 1, "NotUnimodular", "det = 0.0"),
     ("translation", [0.0, 1e200, 0.0], 2, "ValueError", "bad translation for c1"),
