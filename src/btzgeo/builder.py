@@ -246,40 +246,40 @@ def _gram_min_eig(g: np.ndarray) -> np.ndarray:
     return 0.5 * tr - disc
 
 
+# choose_kappa's sample set and search budget; no caller varies them
+T_MIN = 0.1  # the smallest sampled t; the setting t_max must exceed it
+T_COUNT = 12  # t values, geometric in [T_MIN, t_max]
+BARY_N = 32  # the alpha grid barycentric_grid(BARY_N): 528 points
+MAX_DOUBLINGS = 40  # kappa doublings before the search gives up
+
+
 @dataclass(frozen=True)
 class BuildSettings(JsonRecord):
-    """Sampling and tolerance knobs; defaults meet the certification contracts.
+    """What a build certifies: its margins, the t range and the face bound.
 
-    The kappa certificate samples t_count values of t in [t_min, t_max] and
-    the bary_n alpha grid.  Face equivariance is not sampled: equiv_tol bounds
-    its corner bound at t_max (verify_face_equivariance).  Every certificate
-    must rest on a non-empty sample set, so counts are >= 1, tolerances finite
-    and > 0 and t_min < t_max; anything else is a ValueError.  No setting
-    skips a certificate: every build certifies a fan and a spear per puncture.
+    The kappa certificate clears ``margin`` on T_COUNT values of t in
+    [T_MIN, t_max] and the BARY_N alpha grid (module constants, as is its
+    search budget MAX_DOUBLINGS).  Face equivariance is not sampled:
+    equiv_tol bounds its corner bound at t_max (verify_face_equivariance).
+    Every value must be finite and > 0, and t_max > T_MIN; anything else is a
+    ValueError.  No setting skips a certificate: every build certifies a fan
+    and a spear per puncture.
     """
 
     margin: float = 1e-6
-    max_doublings: int = 40
-    t_min: float = 0.1
     t_max: float = 10.0
-    t_count: int = 12
-    bary_n: int = 32
     equiv_tol: float = 1e-8
 
-    # range rules; subclasses with more keys extend these tuples
-    _POSITIVE = ("margin", "t_min", "t_max", "equiv_tol")
-    _COUNTS = ("max_doublings", "t_count", "bary_n")
+    # range rules; RunConfig extends this tuple
+    _POSITIVE = ("margin", "t_max", "equiv_tol")
 
     def __post_init__(self):
         for name in self._POSITIVE:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-        for name in self._COUNTS:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.t_min >= self.t_max:
-            raise ValueError("t_min must be < t_max")
+        if not self.t_max > T_MIN:
+            raise ValueError(f"t_max must be > {T_MIN}, got {self.t_max!r}")
 
 
 @dataclass(frozen=True)
@@ -317,14 +317,25 @@ def barycentric_grid(n: int) -> np.ndarray:
     return pts[pts[:, 0] > 0.0]
 
 
+# choose_kappa's alpha grid and its t-free tables, read-only: the blend rows
+# (G, 3, 3), the corner plateau points (which LAPACK skips after the first t)
+# and those after their corner's first (which it skips at the first t too)
+_GRID = barycentric_grid(BARY_N)
+_ROWS = _blend_rows(_GRID)
+_PLATEAU = np.flatnonzero(_GRID.max(axis=1) >= BLEND_THRESHOLD)
+_REPEATS = np.delete(_PLATEAU, np.unique(_GRID[_PLATEAU].argmax(axis=1), return_index=True)[1])
+for _table in (_GRID, _ROWS, _PLATEAU, _REPEATS):
+    _table.setflags(write=False)
+del _table
+
+
 @functools.lru_cache(maxsize=16)
-def _kappa_samples(t_min: float, t_max: float, t_count: int, bary_n: int):
-    """choose_kappa's sample sets, read-only and computed once per settings
-    values: t_count values of t in [t_min, t_max], geometric, and the grid."""
-    t_values, grid = np.geomspace(t_min, t_max, t_count), barycentric_grid(bary_n)
+def _kappa_samples(t_max: float) -> np.ndarray:
+    """choose_kappa's t values, read-only and computed once per t_max: T_COUNT
+    values in [T_MIN, t_max], geometric."""
+    t_values = np.geomspace(T_MIN, t_max, T_COUNT)
     t_values.setflags(write=False)
-    grid.setflags(write=False)
-    return t_values, grid
+    return t_values
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
@@ -357,28 +368,13 @@ def _det3(m: np.ndarray) -> np.ndarray:
 _SCREEN_WINDOW = 1e-10
 
 
-@functools.lru_cache(maxsize=16)
-def _grid_tables(grid_bytes: bytes):
-    """A certification grid's t-free tables, read-only and computed once per grid
-    content: its blend rows (G, 3, 3), its corner plateau points
-    (which LAPACK skips after the first t) and those after their corner's
-    first (which it skips at the first t too)."""
-    grid = np.frombuffer(grid_bytes).reshape(-1, 3)
-    plateau = np.flatnonzero(grid.max(axis=1) >= BLEND_THRESHOLD)
-    _, first = np.unique(grid[plateau].argmax(axis=1), return_index=True)
-    tables = _blend_rows(grid), plateau, np.delete(plateau, first)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _certify_once(charts, kappa, t_values, grid, margin):
-    """One certification pass over every chart x t x grid sample; returns (ok, stats).
+def _certify_once(charts, kappa, t_values, margin):
+    """One certification pass over every chart x t x _GRID sample; returns (ok, stats).
 
     det J(t) = c2 t^2 + c1 t + c0 per (chart, alpha): J's d/dt column c = phi . u
     is t-free, and its other two columns are a_k t + b_k, with a_k the alpha
     partials' rows times u and b_k = kappa (u_k - u_0) + (p_k - p_0).  One
-    rows @ u product (the blend rows cached per grid) gives c, a1 and a2; the
+    rows @ u product (the module's blend rows _ROWS) gives c, a1 and a2; the
     coefficients are the cofactor determinants of [c; a1 t + b1; a2 t + b2]
     expanded in its last two rows, so c0 = det J(0).  The screen
     c0 + t (c1 + t c2) covers all S x T x G samples, and LAPACK's LU
@@ -398,9 +394,8 @@ def _certify_once(charts, kappa, t_values, grid, margin):
     a failed pass means that a minimum is NaN.
     """
     u, p = charts
-    rows, plateau, repeats = _grid_tables(grid.tobytes())
     with np.errstate(over="ignore", invalid="ignore"):
-        j = rows @ u[:, None]  # (S, G, 3, 3), rows c, a1, a2
+        j = _ROWS @ u[:, None]  # (S, G, 3, 3), rows c, a1, a2
         du, dp = chart_offsets(u, p, kappa)
         b = (du + dp)[:, None]  # (S, 1, 2, 3)
         # the determinants of [c; a1; a2], [c; a1; b2], [c; b1; a2] and [c; b1; b2],
@@ -423,19 +418,19 @@ def _certify_once(charts, kappa, t_values, grid, margin):
             n3 = n * n * n
             low = np.unravel_index(screen.argmin(), screen.shape)
             keep = screen <= screen[low] + _SCREEN_WINDOW * (n3[:, None] + n3[low[1]])
-            keep[:, 1:, plateau] = False
-            keep[:, 0, repeats] = False
+            keep[:, 1:, _PLATEAU] = False
+            keep[:, 0, _REPEATS] = False
             candidates = np.flatnonzero(keep)
         else:
             candidates = np.arange(screen.size)
         s, i, g = np.unravel_index(candidates, screen.shape)
-        dets = np.linalg.det(dev_hat_jacobians(u, (du, dp), s, t_values[i], grid[g]))
+        dets = np.linalg.det(dev_hat_jacobians(u, (du, dp), s, t_values[i], _GRID[g]))
         eigs = _gram_min_eig(leaf_gram(u, p, t_values, kappa))
     min_det, min_eig = float(dets.min()), float(eigs.min())
     worst = None
     if min_det <= margin:
         k = np.argmin(dets)
-        worst = ("jacobian", int(s[k]), float(t_values[i[k]]), tuple(grid[g[k]].tolist()))
+        worst = ("jacobian", int(s[k]), float(t_values[i[k]]), tuple(_GRID[g[k]].tolist()))
     elif min_eig <= margin:
         s, k = np.unravel_index(np.argmin(eigs), eigs.shape)
         worst = ("gram", int(s), float(t_values[k]))
@@ -453,24 +448,24 @@ def choose_kappa(charts, settings: BuildSettings = BuildSettings()) -> Certifica
 
     Starts at 1 + max corner ||p|| and doubles until, on the whole sample
     grid, the chart Jacobian determinant and the smallest leaf-Gram eigenvalue
-    both clear the margin.  The grid is every chart x t_count values of t in
-    [t_min, t_max] x the bary_n alpha grid: 2 x 12 x 528 = 12,672 samples on
-    the builtins.  Each pass screens every sample's determinant from the three
-    coefficients of det J(t), a quadratic in t, per (chart, alpha), and LAPACK
-    confirms the smallest on the few Jacobians the screen leaves (_certify_once);
-    the record is the one that one LAPACK determinant per sample gives.  It is
-    a sampled statement: t outside the samples, and t beyond [t_min, t_max],
-    are not proved.  A pass with a NaN minimum (a NaN sample, or t_max so
-    large that the leaf Gram overflows) ends the search, as no larger kappa
-    changes it, and the error says that a sample is not finite.
+    both clear the margin, at most MAX_DOUBLINGS times.  The grid is every
+    chart x T_COUNT values of t in [T_MIN, t_max] x the BARY_N alpha grid:
+    2 x 12 x 528 = 12,672 samples on the builtins.  Each pass screens every
+    sample's determinant from the three coefficients of det J(t), a quadratic
+    in t, per (chart, alpha), and LAPACK confirms the smallest on the few
+    Jacobians the screen leaves (_certify_once); the record is the one that
+    one LAPACK determinant per sample gives.  It is a sampled statement: t
+    outside the samples, and t beyond [T_MIN, t_max], are not proved.  A pass
+    with a NaN minimum (a NaN sample, or t_max so large that the leaf Gram
+    overflows) ends the search, as no larger kappa changes it, and the error
+    says that a sample is not finite.
     """
     kappa0 = 1.0 + max((float(np.linalg.norm(row)) for row in charts[1].reshape(-1, 3)),
                        default=0.0)
-    t_values, grid = _kappa_samples(settings.t_min, settings.t_max, settings.t_count,
-                                    settings.bary_n)
+    t_values = _kappa_samples(settings.t_max)
     kappa = kappa0
-    for doubling in range(settings.max_doublings + 1):
-        ok, stats = _certify_once(charts, kappa, t_values, grid, settings.margin)
+    for doubling in range(MAX_DOUBLINGS + 1):
+        ok, stats = _certify_once(charts, kappa, t_values, settings.margin)
         if ok:
             return CertificationRecord(
                 kappa=kappa,
@@ -1131,15 +1126,21 @@ def extend_btz(st: PolyhedralSpacetime) -> tuple[PolyhedralSpacetime, dict[str, 
                  for k, f in st.fibers.items()}
 
 
+MAX_RESOLUTION = 256  # where mesh_data's lists hold about 33k vertices and 66k faces per triangle
+
+
 def mesh_data(st: PolyhedralSpacetime, t_values, resolution: int):
     """Sampled leaf meshes: vertices (n, 3) and triangular faces (m, 3), deterministic.
-    A resolution that is not an integer, or a t value that is not a real
-    number (bools and strings included), is a ValueError; so is a leaf whose
-    vertices overflow (t near the largest float), which the message names."""
+    A resolution that is not an integer in [1, MAX_RESOLUTION], or a t value
+    that is not a real number (bools and strings included), is a ValueError;
+    so is a leaf whose vertices overflow (t near the largest float), which
+    the message names."""
     if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
         raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution!r}")
     t_values = [_real("t_values", t) for t in t_values]
     if not t_values or not all(math.isfinite(t) and t > 0 for t in t_values):
         raise ValueError("t values must be finite, positive and non-empty")

@@ -744,6 +744,9 @@ def _curves_time_checks(t, transition, nodes, leaves) -> tuple[np.ndarray, np.nd
     return per_curve[0] == 0, per_curve[1:].T
 
 
+MAX_CURVES = 10_000  # cauchy_time_report's per-curve tables, 38 MB of random buffers at most
+
+
 def cauchy_time_report(
     st: PolyhedralSpacetime,
     n_curves: int = 100,
@@ -761,6 +764,7 @@ def cauchy_time_report(
     report stores each as a float, so a leaf 2 is keyed '2.0'.  Starts
     and curve seeds are drawn up front from ``seed``; the curves are then
     traced in lockstep, each exactly as trace_causal_curve traces it alone.
+    n_curves is an integer in [1, MAX_CURVES].
     """
     for name, value in (("n_curves", n_curves), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -768,6 +772,8 @@ def cauchy_time_report(
     n_curves, seed = int(n_curves), int(seed)
     if n_curves < 1:
         raise ValueError("n_curves must be >= 1")
+    if n_curves > MAX_CURVES:
+        raise ValueError(f"n_curves must be <= {MAX_CURVES}, got {n_curves!r}")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     try:

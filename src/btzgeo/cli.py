@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .builder import (
+    MAX_RESOLUTION,
     BuildSettings,
     PolyhedralSpacetime,
     build,
@@ -36,7 +37,7 @@ from .builder import (
 )
 from .minkowski import GeometryError
 from .models import TWO_PI
-from .causality import cauchy_time_report
+from .causality import MAX_CURVES, cauchy_time_report
 from .representations import (
     AffineRepresentation,
     IdealTriangulationData,
@@ -55,13 +56,16 @@ from .surgery import (
     induced_metric,
 )
 
+MAX_SURGERY_SAMPLES = 1_000_000  # surgery_report's delta samples (_delta_samples), 8 MB per array
+
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig(BuildSettings):
     """Flat run configuration; every field is a valid --config key.
 
     The build keys and their range rules come from BuildSettings; this class
-    adds the run keys.  Seeds are recorded in every report this tool emits.
+    adds the run keys, whose counts are bounded where their tables are
+    allocated.  Seeds are recorded in every report this tool emits.
     """
 
     # causal tracing
@@ -76,13 +80,19 @@ class RunConfig(BuildSettings):
     resolution: int = 8
     # global
     seed: int = 0
-    normalize_theta: bool = False
 
     _POSITIVE = BuildSettings._POSITIVE + ("t_start", "t_stop", "surgery_margin")
-    _COUNTS = BuildSettings._COUNTS + ("n_curves", "surgery_samples", "resolution")
+    # each count's upper bound, set where its tables are allocated
+    _COUNTS = {"n_curves": MAX_CURVES, "surgery_samples": MAX_SURGERY_SAMPLES,
+               "resolution": MAX_RESOLUTION}
 
     def __post_init__(self):
         super().__post_init__()
+        for name, most in self._COUNTS.items():
+            if (v := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1")
+            if v > most:
+                raise ValueError(f"{name} must be <= {most}, got {v!r}")
         if self.t_start >= self.t_stop:
             raise ValueError("t_start must be < t_stop")
         if self.seed < 0:
@@ -104,18 +114,15 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(field: dataclasses.Field, raw: str, where: str):
-    """A config value as its field's type: bool, int, float or (comma separated)
-    a non-empty tuple of floats; a ValueError at ``where`` if it does not parse."""
+    """A config value as its field's type: int, float or (comma separated) a
+    non-empty tuple of floats; a ValueError at ``where`` if it does not parse."""
     raw = raw.strip()
     try:
-        if field.type == "bool":
-            return {"true": True, "1": True, "yes": True,
-                    "false": False, "0": False, "no": False}[raw.lower()]
         if field.type in ("int", "float"):
             return int(raw) if field.type == "int" else float(raw)
         if values := tuple(float(x) for x in raw.split(",") if x.strip()):
             return values
-    except (KeyError, ValueError):
+    except ValueError:
         pass
     raise ValueError(f"{where}: {field.name} expects {field.type}, got {raw!r}")
 
@@ -128,11 +135,10 @@ def _with_flag(cfg: RunConfig, flag: str, **change) -> RunConfig:
         raise ValueError(f"{flag}: {e}") from None
 
 
-def load_config(path: str | None, seed: int | None = None,
-                normalize_theta: bool = False) -> RunConfig:
+def load_config(path: str | None, seed: int | None = None) -> RunConfig:
     """Parse a flat key=value file (# comments allowed) into a RunConfig.
 
-    Command line --seed / --normalize-theta override the file.
+    Command line --seed overrides the file.
     """
     values: dict = {}
     lines: dict = {}  # key -> the line that set it
@@ -155,8 +161,6 @@ def load_config(path: str | None, seed: int | None = None,
         raise ValueError(f"{path}:{lines[key]}: {e}" if key else str(e)) from None
     if seed is not None:
         cfg = _with_flag(cfg, "--seed", seed=seed)
-    if normalize_theta:
-        cfg = dataclasses.replace(cfg, normalize_theta=True)
     return cfg
 
 
@@ -201,20 +205,12 @@ def cmd_validate(args) -> int:
     return _emit(*validate_report(cfg, rep, args.representation), args.out)
 
 
-def _fan_summary(st: PolyhedralSpacetime, normalize: bool) -> dict:
-    out = {}
-    for puncture, pg in sorted(st.fans.items()):
-        entry = {
-            "corners": pg.r,
-            "ell": pg.ell,
-            "Theta": pg.Theta,
-            "holonomy_residual": pg.holonomy_residual,
-        }
-        if normalize:
-            entry["Theta_normalized"] = TWO_PI
-            entry["theta_normalized"] = list(pg.theta_normalized)
-        out[puncture] = entry
-    return out
+def _fan_summary(st: PolyhedralSpacetime) -> dict:
+    """Per puncture, the fan's corner count, ell, Theta and holonomy residual;
+    the normalized angles are in the bundle's ``fans`` block."""
+    return {puncture: {"corners": pg.r, "ell": pg.ell, "Theta": pg.Theta,
+                       "holonomy_residual": pg.holonomy_residual}
+            for puncture, pg in sorted(st.fans.items())}
 
 
 def build_report(cfg: RunConfig, rep: AffineRepresentation, tri: IdealTriangulationData,
@@ -229,14 +225,14 @@ def build_report(cfg: RunConfig, rep: AffineRepresentation, tri: IdealTriangulat
         "config": cfg.to_json(),
         "seed": cfg.seed,
         "certification": st.certification.to_json(),
-        "fans": _fan_summary(st, cfg.normalize_theta),
+        "fans": _fan_summary(st),
         "spears": {s.puncture: {"radius": s.radius, "vertex_tau": s.vertex_tau}
                    for s in st.spears.values()},
     }, 0
 
 
 def cmd_build(args) -> int:
-    cfg = load_config(args.config, args.seed, args.normalize_theta)
+    cfg = load_config(args.config, args.seed)
     rep = AffineRepresentation.from_json(_load_json(args.representation))
     tri = IdealTriangulationData.from_json(_load_json(args.triangulation))
     return _emit(*build_report(cfg, rep, tri, args.representation, args.triangulation,
@@ -383,7 +379,7 @@ def cmd_demo(args) -> int:
     """Every stage on one builtin example: the inputs are written and read back
     like any input file, the bundle is loaded once for the stages after build,
     and each stage's report goes to its file and one row of the summary."""
-    cfg = load_config(args.config, args.seed, args.normalize_theta)
+    cfg = load_config(args.config, args.seed)
     examples = builtin_examples()
     if args.name not in examples:
         raise ValueError(
@@ -465,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build and certify a spacetime bundle")
     p.add_argument("representation", help="representation JSON file")
     p.add_argument("triangulation", help="ideal triangulation JSON file")
-    p.add_argument("--normalize-theta", action="store_true",
-                   help="report per-puncture angles rescaled to total 2 pi")
     _add_common(p, out=("bundle.json", "bundle output path"))
     p.set_defaults(func=cmd_build)
 
@@ -492,8 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="full pipeline on a builtin example")
     p.add_argument("name", help="builtin example name (see representations)")
-    p.add_argument("--normalize-theta", action="store_true",
-                   help="report per-puncture angles rescaled to total 2 pi")
     _add_common(p, out=("demo-out", "output directory"))
     p.set_defaults(func=cmd_demo)
 

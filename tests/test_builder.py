@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 
 import btzgeo.builder as builder_module
 from btzgeo.builder import (
+    BARY_N,
     BLEND_THRESHOLD,
+    T_COUNT,
+    T_MIN,
     BuildSettings,
     DegenerateDecoration,
     FaceMismatch,
@@ -26,6 +29,11 @@ from btzgeo.builder import (
     PolyhedralSpacetime,
     PunctureGeometry,
     SpearNotFound,
+    _GRID,
+    _PLATEAU,
+    _REPEATS,
+    _ROWS,
+    _blend_rows,
     _certify_once,
     _det3,
     _gram_min_eig,
@@ -357,14 +365,19 @@ def test_barycentric_grid_avoids_seams():
 
 
 def test_kappa_sample_sets_are_computed_once():
-    cfg = BuildSettings()
-    key = (cfg.t_min, cfg.t_max, cfg.t_count, cfg.bary_n)
-    t_values, grid = _kappa_samples(*key)
-    again = _kappa_samples(*key)
-    assert again[0] is t_values and again[1] is grid
-    assert t_values.tobytes() == np.geomspace(cfg.t_min, cfg.t_max, cfg.t_count).tobytes()
-    assert grid.tobytes() == barycentric_grid(cfg.bary_n).tobytes()
-    assert not t_values.flags.writeable and not grid.flags.writeable
+    # the alpha grid and its t-free tables are read-only module constants; the
+    # t values are computed once per t_max
+    grid = barycentric_grid(BARY_N)
+    assert _GRID.tobytes() == grid.tobytes()
+    assert _ROWS.tobytes() == _blend_rows(grid).tobytes()
+    assert np.array_equal(_PLATEAU, np.flatnonzero(grid.max(axis=1) >= BLEND_THRESHOLD))
+    # the plateau points after their corner's first, one first per corner
+    assert set(_PLATEAU.tolist()) - set(_REPEATS.tolist()) == {0, 22, 462}
+    t_values = _kappa_samples(10.0)
+    assert _kappa_samples(10.0) is t_values
+    assert t_values.tobytes() == np.geomspace(T_MIN, 10.0, T_COUNT).tobytes()
+    for table in (t_values, _GRID, _ROWS, _PLATEAU, _REPEATS):
+        assert not table.flags.writeable
 
 
 def test_choose_kappa_zero_cocycle_immediate():
@@ -375,24 +388,25 @@ def test_choose_kappa_zero_cocycle_immediate():
     assert cert.min_jacobian_det > cert.margin
 
 
-def test_choose_kappa_exhausts_on_indefinite_leaves():
+def test_choose_kappa_exhausts_on_indefinite_leaves(monkeypatch):
     # direct lightlike triple whose leaf plane is timelike: no kappa works
     u = np.array([[1.0, 1.0, 0.0], [5.0, 4.0, 3.0], [1.0, -1.0, 0.0]])
-    cfg = BuildSettings(max_doublings=4, bary_n=6, t_count=3)
-    with pytest.raises(KappaSearchExhausted) as exc:
-        choose_kappa(_charts(u), cfg)
+    monkeypatch.setattr(builder_module, "MAX_DOUBLINGS", 4)
+    with pytest.raises(KappaSearchExhausted,
+                       match=r"no kappa certified after 4 doublings \(5 passes\)") as exc:
+        choose_kappa(_charts(u))
     assert "worst sample ('gram', 0, 10.0)" in str(exc.value)
 
 
-def test_kappa_failure_names_lowest_jacobian_sample():
+def test_kappa_failure_names_lowest_jacobian_sample(monkeypatch):
     # a margin no sample clears: the last pass (kappa = 2) names the Jacobian
-    # failure, at its argmin
+    # failure, at its argmin over every sample
     charts = _charts(CONE_U)
-    cfg = BuildSettings(max_doublings=1, margin=1e6, bary_n=4, t_count=2)
+    monkeypatch.setattr(builder_module, "MAX_DOUBLINGS", 1)
     with pytest.raises(KappaSearchExhausted) as exc:
-        choose_kappa(charts, cfg)
-    grid = barycentric_grid(cfg.bary_n)
-    samples = [(t, tuple(a.tolist())) for t in (cfg.t_min, cfg.t_max) for a in grid]
+        choose_kappa(charts, BuildSettings(margin=1e6))
+    samples = [(t, tuple(a.tolist())) for t in np.geomspace(T_MIN, 10.0, T_COUNT).tolist()
+               for a in barycentric_grid(BARY_N)]
     ts = np.array([t for t, _ in samples])
     alphas = np.array([a for _, a in samples])
     dets = np.linalg.det(dev_hat_jacobians(charts[0], chart_offsets(*charts, 2.0), 0, ts, alphas))
@@ -427,7 +441,7 @@ def _certify_once_per_sample(charts, kappa, t_values, grid, margin):
 
 def _pass_samples(cfg):
     """The t values and alpha grid that choose_kappa samples under cfg."""
-    return np.geomspace(cfg.t_min, cfg.t_max, cfg.t_count), barycentric_grid(cfg.bary_n)
+    return np.geomspace(T_MIN, cfg.t_max, T_COUNT), barycentric_grid(BARY_N)
 
 
 def _sweep_inputs(examples, rng, n):
@@ -474,7 +488,7 @@ def test_screened_pass_equals_per_sample_pass(examples):
             for charts in ((u, scale * p) for scale in scales):
                 kappa = choose_kappa(charts, cfg).kappa
                 for k in (kappa, 0.5 * kappa, 1e-3):
-                    got = _certify_once(charts, k, t_values, grid, cfg.margin)
+                    got = _certify_once(charts, k, t_values, cfg.margin)
                     assert got == _certify_once_per_sample(charts, k, t_values, grid,
                                                            cfg.margin)
                     worst.append(got[1]["worst"])
@@ -499,7 +513,7 @@ def test_screen_window_keeps_near_ties():
         jac = dev_hat_jacobians(charts[0], chart_offsets(*charts, 1.0), np.zeros((1, 1, 1), int),
                                 t_values[:, None], grid)
         reranked += np.argmin(np.linalg.det(jac)) != np.argmin(_det3(jac))
-        assert _certify_once(charts, 1.0, t_values, grid, 1e9) == (
+        assert _certify_once(charts, 1.0, t_values, 1e9) == (
             _certify_once_per_sample(charts, 1.0, t_values, grid, 1e9))
     assert reranked > 0
 
@@ -508,9 +522,9 @@ def test_non_finite_sample_fails_the_pass(gamma2_zero):
     u, p = gamma2_zero.charts
     p = p.copy()
     p[1, 2] = np.nan
-    cfg = BuildSettings(max_doublings=2)
+    cfg = BuildSettings()
     t_values, grid = _pass_samples(cfg)
-    got = _certify_once((u, p), gamma2_zero.kappa, t_values, grid, cfg.margin)
+    got = _certify_once((u, p), gamma2_zero.kappa, t_values, cfg.margin)
     assert not got[0] and math.isnan(got[1]["min_jacobian_det"])
     with np.errstate(invalid="ignore"):
         want = _certify_once_per_sample((u, p), gamma2_zero.kappa, t_values, grid,
@@ -833,12 +847,12 @@ def test_reference_spears_are_pinned(fixture, request):
 # deformed(scale), scale 0 being the zero cocycle; the bundles hold the fans'
 # 2r + 1 angles, their holonomy residuals and the spear radii
 REFERENCE_BUNDLE_SHA256 = {
-    ("gamma2", 0.0): "e7365b91b1b7345c0d45652bdb31a433533a3193bf7c7696ca4e31597468bc4d",
-    ("gamma2", 1.0): "d5184074302c95271758d748d86149028b8dd6fff391c2db9769dd26ee37f133",
-    ("gamma2", 25.0): "5cb8251507c91557961879c7e3f87baf5f8aeaf6db03b1d0788f4bedc618b655",
-    ("punctured_torus", 0.0): "f89cbfddcfbd9cecc43980b18552c2dc528d9862fee4f7d8b70e73c9ff88fe99",
-    ("punctured_torus", 1.0): "1efc6f676c7e7cabdd8311237c7a67fa016266c8d16d229cc9c6e93d168b2652",
-    ("punctured_torus", 25.0): "3ba6d297c228deb2b03c0c77ae82aa16140cc1424b1f8e5cd2e2fdf3448047e5",
+    ("gamma2", 0.0): "34e50016830a904b2cdb4d97a6b0a29cb94f9968f554545395eccbc22229f088",
+    ("gamma2", 1.0): "04892a80d4d66a397695364d43ebeb6c4cad5645a417224ba0c8e10f90d4cde7",
+    ("gamma2", 25.0): "3527c9cc35dbceea170e3ef41b49e3e3577c88c737a1d8e0815b9d89c68dc66e",
+    ("punctured_torus", 0.0): "932c38853005b237bcbcac16df9290c4eb523feed6392fd0d4ac86ca76d25ecd",
+    ("punctured_torus", 1.0): "581b0c747d0dfe44b59745ea44bd1f97a5cb60720df283bc4e45e6a6d2ddb9c1",
+    ("punctured_torus", 25.0): "6ff519a889f46c50122d5e8f9d2a80795ce003a15be9387d0d10d5587eb5904e",
 }
 
 
@@ -854,7 +868,7 @@ def test_reference_bundle_bytes_are_pinned(examples, example, scale):
 # _sweep_inputs(examples, np.random.default_rng(2024), 30): both builtins,
 # coboundaries, deformed(s) and tangent-basis cocycles, s log-uniform in
 # [0.1, 100], so bytes off the builtins' own scales are pinned too
-SWEEP_BUNDLES_SHA256 = "753220ea2279135dca073cf1c2767892686bc9fd645a6263c939133899d7a2ae"
+SWEEP_BUNDLES_SHA256 = "d9038aec60d2983b60475663df13495fe87237ffbc9ba4a44124347b53eabcdf"
 
 
 def test_sweep_bundle_bytes_are_pinned(examples):
@@ -1231,15 +1245,15 @@ def test_bundle_kappa_must_match_its_certificate(gamma2_zero):
 @pytest.mark.parametrize(
     "bad",
     [
-        {"bary_n": 0},
-        {"max_doublings": 0},
+        {"t_max": 0.1},
+        {"margin": 0.0},
         {"equiv_tol": 0.0},
-        {"t_count": 0},
+        {"t_max": 0.05},
         {"margin": -1.0},
-        {"t_min": 5.0, "t_max": 1.0},
+        {"t_max": -1.0},
         {"margin": math.nan},
         {"t_max": math.inf},
-        {"t_min": math.nan},
+        {"t_max": math.nan},
         {"equiv_tol": math.inf},
         {"equiv_tol": -1e-8},
     ],
@@ -1283,8 +1297,8 @@ def test_json_records_check_field_types(gamma2_zero):
                              ("kappa", 1, "kappa"), ("kappa", True, "kappa")):
         with pytest.raises(ValueError, match=rf"^bundle\.{re.escape(named)} does not match"):
             PolyhedralSpacetime.from_json(_tampered(d, path, bad))
-    for cls, bad in ((BuildSettings, {"t_count": "12"}),
-                     (BuildSettings, {"t_count": 12, "spline": 3})):
+    for cls, bad in ((BuildSettings, {"t_max": "10.0"}),
+                     (BuildSettings, {"t_max": 10.0, "spline": 3})):
         with pytest.raises(ValueError):
             cls.from_json(bad)
     # integers are numbers: a float setting loads them as floats
@@ -1302,7 +1316,7 @@ def test_json_records_check_field_types(gamma2_zero):
     ("fibers.c2", _DELETE, "fibers.c2"),
     ("spears.c9", {}, "spears.c9"),
     ("certification.samples", 7, "certification.samples"),
-    ("settings.t_count", 13, "certification.samples"),  # a valid setting the build did not use
+    ("settings.margin", 2e-6, "certification.margin"),  # a valid setting the build did not use
 ])
 def test_bundle_loads_only_what_its_rebuild_writes(gamma2_zero, path, bad, named):
     d = json.loads(gamma2_zero.dumps())
@@ -1350,8 +1364,8 @@ def test_bundle_fiber_flags_come_from_the_bundle(gamma2_zero):
 
 def test_bundle_settings_are_validated(gamma2_zero):
     d = gamma2_zero.to_json()
-    d["settings"]["t_count"] = 0
-    with pytest.raises(ValueError, match="t_count"):
+    d["settings"]["t_max"] = 0.05
+    with pytest.raises(ValueError, match="t_max"):
         PolyhedralSpacetime.from_json(d)
 
 
@@ -1379,6 +1393,8 @@ def test_mesh_counts_and_determinism(torus_zero, tmp_path):
 
     with pytest.raises(ValueError):
         mesh_data(torus_zero, [1.0], 0)
+    with pytest.raises(ValueError, match=r"^resolution must be <= 256, got 257$"):
+        mesh_data(torus_zero, [1.0], 257)
     with pytest.raises(ValueError):
         mesh_data(torus_zero, [], 3)
     for bad in (0.0, math.nan, math.inf):

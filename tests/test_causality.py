@@ -705,6 +705,7 @@ def test_uniform_is_scaled_random_bit_for_bit(lo, hi):
     {"seed": 2.5},
     {"seed": False},
     {"seed": -1},
+    {"n_curves": 10_001},  # MAX_CURVES + 1
 ])
 def test_cauchy_time_report_rejects_bad_input(gamma2_zero, kwargs):
     named = [k for k in ("n_curves", "seed") if k in kwargs]  # the error names the bad argument

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import btzgeo
+from btzgeo import builder
 from btzgeo.builder import BuildSettings
 from btzgeo.cli import RunConfig, _demo_profile, _load_bundle, build_parser, load_config, main
 from btzgeo.representations import RELATOR_TOL, check_admissible
@@ -134,7 +135,7 @@ def test_build_report_and_determinism(cli_dir, bundle_path, tmp_path):
     out2 = tmp_path / "bundle2.json"
     code, stdout, _ = run_cli(
         ["build", str(cli_dir / "rep.json"), str(cli_dir / "tri.json"),
-         "--out", str(out2), "--normalize-theta"]
+         "--out", str(out2)]
     )
     assert code == 0
     assert out2.read_bytes() == bundle_path.read_bytes()
@@ -145,19 +146,18 @@ def test_build_report_and_determinism(cli_dir, bundle_path, tmp_path):
     assert cert["min_jacobian_det"] > 1e-6
     assert cert["min_gram_eigenvalue"] > 1e-6
     assert cert["samples"] >= 10_000
-    for fan in report["fans"].values():
+    # the normalized angles are in the bundle's fans block, not in the report
+    assert all("Theta_normalized" not in fan and "theta_normalized" not in fan
+               for fan in report["fans"].values())
+    for fan in json.loads(out2.read_text())["fans"].values():
         assert fan["Theta_normalized"] == pytest.approx(2 * np.pi)
-        assert "theta_normalized" in fan
-
-
-def test_build_report_omits_normalized_by_default(cli_dir, bundle_path, tmp_path):
-    code, stdout, _ = run_cli(
-        ["build", str(cli_dir / "rep.json"), str(cli_dir / "tri.json"),
-         "--out", str(tmp_path / "b.json")]
-    )
-    assert code == 0
-    report = json.loads(stdout)
-    assert all("Theta_normalized" not in fan for fan in report["fans"].values())
+        assert len(fan["theta_normalized"]) == 2 * fan["r"] + 1
+    # the flag that copied them into the report is gone from build and the demo
+    for argv in (["build", str(cli_dir / "rep.json"), str(cli_dir / "tri.json")],
+                 ["demo", "gamma2"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--out", str(tmp_path / "out"), "--normalize-theta"])
+        assert exc.value.code == 2 and not (tmp_path / "out").exists()
 
 
 def test_config_unknown_key(cli_dir, tmp_path):
@@ -174,25 +174,33 @@ def test_config_unknown_key(cli_dir, tmp_path):
 
 def test_config_range_rules_cover_build_keys(cli_dir, tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("t_count = 0\n")
+    cfg.write_text("t_max = 0.05\n")
     code, _, stderr = run_cli(
         ["build", str(cli_dir / "rep.json"), str(cli_dir / "tri.json"),
          "--config", str(cfg), "--out", str(tmp_path / "bundle.json")]
     )
     assert code == 2
-    assert "t_count" in json.loads(stderr)["message"]
+    assert json.loads(stderr)["message"] == f"{cfg}:1: t_max must be > 0.1, got 0.05"
+
+
+# keys that left the config and the bundle's settings block, with old values
+_REMOVED_KEYS = (("spear_r_samples", 10), ("with_spears", False), ("fan_tol", 1e-8),
+                 ("admissibility_tol", 1e-6), ("spear_max_shrinks", 25), ("t_min", 0.1),
+                 ("max_doublings", 40), ("t_count", 12), ("bary_n", 32),
+                 ("normalize_theta", False))
 
 
 def test_config_refuses_removed_spear_keys(cli_dir, tmp_path):
     # the spear radius is exact, so the keys that tuned its sampled search are
     # gone; every build certifies its spears at one fan tolerance, and validate
-    # and build share one relator gate, so the keys that set those are gone too:
-    # build and the demo exit 2 before any stage runs, naming file, line and key
+    # and build share one relator gate, so the keys that set those are gone too;
+    # the kappa sample set and search budget are module constants, and the
+    # normalized angles are always in the bundle: build and the demo exit 2
+    # before any stage runs, naming file, line and key
     cfg = tmp_path / "old.cfg"
     out, outdir = tmp_path / "bundle.json", tmp_path / "demo-out"
-    for key, value in (("spear_r_samples", "10"), ("with_spears", "false"),
-                       ("fan_tol", "1e-8"), ("admissibility_tol", "1e-6")):
-        cfg.write_text(f"t_count = 12\n{key} = {value}\n")
+    for key, value in _REMOVED_KEYS:
+        cfg.write_text(f"t_max = 10.0\n{key} = {str(value).lower()}\n")
         for argv in (["build", str(cli_dir / "rep.json"), str(cli_dir / "tri.json"),
                       "--out", str(out)], ["demo", "gamma2", "--out", str(outdir)]):
             code, stdout, stderr = run_cli(argv + ["--config", str(cfg)])
@@ -201,7 +209,7 @@ def test_config_refuses_removed_spear_keys(cli_dir, tmp_path):
 
 
 def test_bundle_with_a_removed_settings_key_is_input_error(bundle_path, tmp_path):
-    for key, value in (("spear_max_shrinks", 25), ("with_spears", False), ("fan_tol", 1e-8)):
+    for key, value in _REMOVED_KEYS:
         bundle = json.loads(bundle_path.read_text())
         bundle["settings"][key] = value
         bad = tmp_path / "old-bundle.json"
@@ -285,6 +293,30 @@ def test_huge_generator_count_is_one_json_error(cli_dir, bundle_path, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("causal", "n_curves", 10**8, "n_curves must be <= 10000, got 100000000"),
+    ("surgery", "surgery_samples", 10**10, "surgery_samples must be <= 1000000, got 10000000000"),
+    ("mesh", "resolution", 10**5, "resolution must be <= 256, got 100000"),
+    ("build", "bary_n", 10**5, "unknown config key 'bary_n'"),
+    ("build", "t_count", 10**8, "unknown config key 't_count'"),
+])
+def test_huge_count_key_is_one_json_error(cli_dir, bundle_path, profile_path, tmp_path, command,
+                                          key, value, message):
+    # each of these counts sized a table that ended in a MemoryError traceback
+    # under a cap; the counts the config keeps are bounded, the others are gone
+    cfg, out = tmp_path / "huge.cfg", tmp_path / "out.json"
+    cfg.write_text(f"{key} = {value}\n")
+    argv = {"causal": [str(bundle_path)], "surgery": [str(bundle_path), str(profile_path)],
+            "mesh": [str(bundle_path)],
+            "build": [str(cli_dir / "rep.json"), str(cli_dir / "tri.json")]}[command]
+    done = _run_capped([command, *argv, "--config", str(cfg), "--out", str(out)])
+    assert done.returncode == 2 and done.stdout == "", done.stderr
+    error = json.loads(done.stderr)  # exactly one object: trailing text fails the parse
+    assert error["category"] == "input-error"
+    assert error["message"] == f"{cfg}:1: {message}"
+    assert not out.exists()
+
+
 def test_constructor_errors_name_the_bundle_block(cli_dir, bundle_path, tmp_path):
     # the checks a triangulation or representation makes on construction name
     # their block in a bundle: as a key path where the message starts with a
@@ -336,12 +368,12 @@ def test_config_rejects_non_finite_values(cli_dir, tmp_path):
 
 def test_bundle_with_bad_settings_is_input_error(bundle_path, tmp_path):
     bundle = json.loads(bundle_path.read_text())
-    bundle["settings"]["t_count"] = 0
+    bundle["settings"]["t_max"] = 0.05
     bad = tmp_path / "bad-bundle.json"
     bad.write_text(canonical_dumps(bundle))
     code, _, stderr = run_cli(["causal", str(bad), "--curves", "1"])
     assert code == 2
-    assert "t_count" in json.loads(stderr)["message"]
+    assert "t_max must be > 0.1" in json.loads(stderr)["message"]
 
 
 def _tamper_fiber_present(bundle):
@@ -354,9 +386,9 @@ def _tamper_spear_samples(bundle):
     return "samples"
 
 
-def _tamper_settings_t_count(bundle):
-    bundle["settings"]["t_count"] = 2.5
-    return "t_count"
+def _tamper_settings_t_max(bundle):
+    bundle["settings"]["t_max"] = "10.0"  # a JSON string, not a number
+    return "t_max"
 
 
 def _tamper_fans(bundle):
@@ -365,7 +397,7 @@ def _tamper_fans(bundle):
 
 
 @pytest.mark.parametrize("tamper", [_tamper_fiber_present, _tamper_spear_samples,
-                                    _tamper_settings_t_count, _tamper_fans])
+                                    _tamper_settings_t_max, _tamper_fans])
 def test_bundle_with_mistyped_field_is_input_error(bundle_path, tmp_path, tamper):
     # bundle fields are checked against their JSON types, never coerced
     bundle = json.loads(bundle_path.read_text())
@@ -397,6 +429,12 @@ def test_readme_config_block_matches_run_config(tmp_path):
     cfg = tmp_path / "readme.cfg"
     cfg.write_text("".join(f"{key}={raw}\n" for key, raw in pairs))
     assert load_config(str(cfg)) == RunConfig()
+    # the range rules count the build keys and state each count's bound
+    rules = " ".join(readme.split())
+    first = re.search(r"the first (\d+) keys are the fields of `builder\.BuildSettings`", rules)
+    assert int(first.group(1)) == len(dataclasses.fields(BuildSettings))
+    for name, most in RunConfig._COUNTS.items():
+        assert f"`{name} <= {most}`" in rules, name
 
 
 def test_config_values_apply(cli_dir, bundle_path, tmp_path):
@@ -444,6 +482,8 @@ def test_causal_rejects_bad_curve_count(bundle_path):
     (["mesh", "--resolution", "0"], "--resolution: resolution must be >= 1"),
     (["causal", "--curves", "0"], "--curves: n_curves must be >= 1"),
     (["causal", "--seed", "-1"], "--seed: seed must be >= 0"),
+    (["mesh", "--resolution", "100000"], "--resolution: resolution must be <= 256, got 100000"),
+    (["causal", "--curves", "100000000"], "--curves: n_curves must be <= 10000, got 100000000"),
 ])
 def test_flag_range_errors_name_the_flag(bundle_path, tmp_path, argv, message):
     out = tmp_path / "out.obj"
@@ -949,8 +989,7 @@ def test_mutated_inputs_exit_with_one_typed_error(cli_dir, tmp_path):
     # exactly one JSON error object; a wrong type or shape, a missing required
     # key or an unknown key exits 2.
     config = tmp_path / "fast.cfg"
-    config.write_text("t_count=2\nbary_n=4\n"
-                      "surgery_samples=50\nresolution=1\nleaves=1.0\n")
+    config.write_text("surgery_samples=50\nresolution=1\nleaves=1.0\n")
     fast = ["--config", str(config)]
     rep, tri, bundle = (tmp_path / name for name in ("rep.json", "tri.json", "bundle.json"))
     rep.write_bytes((cli_dir / "rep.json").read_bytes())
@@ -986,7 +1025,6 @@ def test_mutated_inputs_exit_with_one_typed_error(cli_dir, tmp_path):
 # Per config value type: a wrong type, an empty, a non-finite and an
 # out-of-range value.
 _BAD_CONFIG_VALUES = {
-    "bool": ("1.5", "", "nan", "2"),
     "int": ("1.5", "", "inf", "-1"),
     "float": ("x", "", "nan", "-1"),
     "tuple[float, ...]": ("a,b", "", "inf", "-1"),
@@ -1114,11 +1152,12 @@ def test_demo_full_pipeline(tmp_path):
         assert surgery["pass"] is True
 
 
-def test_demo_failed_stage_is_one_row_and_one_error(tmp_path):
+def test_demo_failed_stage_is_one_row_and_one_error(tmp_path, monkeypatch):
     # an uncertifiable margin fails the build: the stage gets a FAIL row, the
     # error is one JSON object on stderr, and no later stage runs
+    monkeypatch.setattr(builder, "MAX_DOUBLINGS", 1)
     cfg = tmp_path / "demo.cfg"
-    cfg.write_text("margin = 1e6\nmax_doublings = 1\n")
+    cfg.write_text("margin = 1e6\n")
     outdir = tmp_path / "demo-out"
     code, stdout, stderr = run_cli(
         ["demo", "gamma2", "--out", str(outdir), "--config", str(cfg)]
@@ -1129,6 +1168,7 @@ def test_demo_failed_stage_is_one_row_and_one_error(tmp_path):
     error = json.loads(stderr)
     assert error["category"] == "mathematical-failure"
     assert error["error"] == "KappaSearchExhausted"
+    assert error["message"].startswith("no kappa certified after 1 doublings (2 passes)")
     assert sorted(p.name for p in outdir.iterdir()) == ["rep.json", "tri.json",
                                                        "validate-report.json"]
 
