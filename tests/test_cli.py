@@ -146,10 +146,20 @@ def test_build_report_and_determinism(cli_dir, bundle_path, tmp_path):
     assert cert["min_jacobian_det"] > 1e-6
     assert cert["min_gram_eigenvalue"] > 1e-6
     assert cert["samples"] >= 10_000
+
+
+def test_build_report_omits_normalized_by_default(cli_dir, tmp_path):
+    out = tmp_path / "b.json"
+    code, stdout, _ = run_cli(
+        ["build", str(cli_dir / "rep.json"), str(cli_dir / "tri.json"),
+         "--out", str(out)]
+    )
+    assert code == 0
+    report = json.loads(stdout)
     # the normalized angles are in the bundle's fans block, not in the report
     assert all("Theta_normalized" not in fan and "theta_normalized" not in fan
                for fan in report["fans"].values())
-    for fan in json.loads(out2.read_text())["fans"].values():
+    for fan in json.loads(out.read_text())["fans"].values():
         assert fan["Theta_normalized"] == pytest.approx(2 * np.pi)
         assert len(fan["theta_normalized"]) == 2 * fan["r"] + 1
     # the flag that copied them into the report is gone from build and the demo
